@@ -53,6 +53,7 @@ from .extension import (
     extensions_equivalent,
     extract_cocycle,
     extract_rep,
+    semidirect_product,
 )
 from .linalg import (
     Matrix,
@@ -71,7 +72,6 @@ from .representation import (
     d_map,
     direct_sum_rep,
     induced_rep,
-    semidirect_product,
     verify_rep,
     verify_reynolds_rep,
     zero_rep,

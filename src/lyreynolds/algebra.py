@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .errors import (
@@ -24,8 +25,16 @@ from .errors import (
     NotLieAlgebra,
     NotReductive,
 )
-from .linalg import Vector, is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
-from .reporting import AxiomReport, Check
+from .linalg import (
+    Vector,
+    is_zero_vector,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
+from .reporting import AxiomReport, first_failure
 
 BinaryTensor = tuple  # t[i][j] is a Vector of length dim
 TernaryTensor = tuple  # t[i][j][k] is a Vector of length dim
@@ -54,6 +63,19 @@ def _freeze3(data, dim: int) -> TernaryTensor:
         if len(out[i][j][k]) != dim:
             raise DimMismatch("ternary tensor entry of wrong length")
     return out
+
+
+def _antisymmetry_failure(tensor, dim: int, depth: int):
+    """First basis tuple (i, j, ...) of length ``depth``, in product order,
+    at which ``tensor`` is not antisymmetric in its leading index pair, or
+    None when it is antisymmetric everywhere."""
+    for idx in product(range(dim), repeat=depth):
+        a, b = tensor[idx[0]][idx[1]], tensor[idx[1]][idx[0]]
+        for k in idx[2:]:
+            a, b = a[k], b[k]
+        if any(x != -y for x, y in zip(a, b)):
+            return idx
+    return None
 
 
 def zero_binary(dim: int) -> BinaryTensor:
@@ -172,16 +194,18 @@ class LyAlgebra:
         object.__setattr__(self, "ternary", _freeze3(self.ternary, n))
         if self.labels is not None and len(self.labels) != n:
             raise DimMismatch("label count != dim")
-        for i, j in product(range(n), repeat=2):
-            if any(a != -b for a, b in zip(self.binary[i][j], self.binary[j][i])):
-                raise InvalidStructure(f"binary constants not antisymmetric at ({i},{j})")
-        for i, j, k in product(range(n), repeat=3):
-            if any(a != -b for a, b in zip(self.ternary[i][j][k], self.ternary[j][i][k])):
-                raise InvalidStructure(
-                    f"ternary constants not antisymmetric in first two slots at ({i},{j},{k})")
+        bad = _antisymmetry_failure(self.binary, n, 2)
+        if bad is not None:
+            i, j = bad
+            raise InvalidStructure(f"binary constants not antisymmetric at ({i},{j})")
+        bad = _antisymmetry_failure(self.ternary, n, 3)
+        if bad is not None:
+            i, j, k = bad
+            raise InvalidStructure(
+                f"ternary constants not antisymmetric in first two slots at ({i},{j},{k})")
 
     def basis(self, i: int) -> Vector:
-        return tuple(Fraction(1 if t == i else 0) for t in range(self.dim))
+        return unit_vector(self.dim, i)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"e{i + 1}"
@@ -216,22 +240,6 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
     """
     n = algebra.dim
     b, t = algebra.binary, algebra.ternary
-    checks = []
-
-    def first_failure(name, tuples, residual_fn):
-        for tup in tuples:
-            r = residual_fn(*tup)
-            if not is_zero_vector(r):
-                checks.append(Check(name, False, tup, r))
-                return
-        checks.append(Check(name, True))
-
-    first_failure(
-        "LY1", product(range(n), repeat=2),
-        lambda i, j: vec_add(b[i][j], b[j][i]))
-    first_failure(
-        "LY2", product(range(n), repeat=3),
-        lambda i, j, k: vec_add(t[i][j][k], t[j][i][k]))
 
     def ly3(i, j, k):
         acc = zero_vector(n)
@@ -240,8 +248,6 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
             acc = vec_add(acc, t[x][y][z])
         return acc
 
-    first_failure("LY3", product(range(n), repeat=3), ly3)
-
     def ly4(i, j, k, a):
         acc = zero_vector(n)
         for (x, y, z) in _cyclic((i, j, k)):
@@ -249,15 +255,11 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
                 t, b[x][y], algebra.basis(z), algebra.basis(a)))
         return acc
 
-    first_failure("LY4", product(range(n), repeat=4), ly4)
-
     def ly5(a, c, i, j):
         lhs = apply_ternary(t, algebra.basis(a), algebra.basis(c), b[i][j])
         rhs = vec_add(apply_binary(b, t[a][c][i], algebra.basis(j)),
                       apply_binary(b, algebra.basis(i), t[a][c][j]))
         return vec_add(lhs, vec_scale(-1, rhs))
-
-    first_failure("LY5", product(range(n), repeat=4), ly5)
 
     def ly6(a, c, i, j, k):
         lhs = apply_ternary(t, algebra.basis(a), algebra.basis(c), t[i][j][k])
@@ -266,20 +268,23 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
         rhs = vec_add(rhs, apply_ternary(t, algebra.basis(i), algebra.basis(j), t[a][c][k]))
         return vec_add(lhs, vec_scale(-1, rhs))
 
-    first_failure("LY6", product(range(n), repeat=5), ly6)
-
-    return AxiomReport(tuple(checks))
+    return AxiomReport(tuple(
+        first_failure(name, product(range(n), repeat=arity), fn, is_zero_vector)
+        for name, arity, fn in (
+            ("LY1", 2, lambda i, j: vec_add(b[i][j], b[j][i])),
+            ("LY2", 3, lambda i, j, k: vec_add(t[i][j][k], t[j][i][k])),
+            ("LY3", 3, ly3), ("LY4", 4, ly4), ("LY5", 4, ly5), ("LY6", 5, ly6))))
 
 
 def _check_jacobi(binary: BinaryTensor, dim: int):
-    for i, j in product(range(dim), repeat=2):
-        if any(a != -b for a, b in zip(binary[i][j], binary[j][i])):
-            raise NotLieAlgebra(f"bracket not antisymmetric at ({i},{j})")
-    unit = lambda i: tuple(Fraction(1 if t == i else 0) for t in range(dim))
+    bad = _antisymmetry_failure(binary, dim, 2)
+    if bad is not None:
+        i, j = bad
+        raise NotLieAlgebra(f"bracket not antisymmetric at ({i},{j})")
     for i, j, k in product(range(dim), repeat=3):
         acc = zero_vector(dim)
         for (x, y, z) in _cyclic((i, j, k)):
-            acc = vec_add(acc, apply_binary(binary, binary[x][y], unit(z)))
+            acc = vec_add(acc, apply_binary(binary, binary[x][y], unit_vector(dim, z)))
         if not is_zero_vector(acc):
             raise NotLieAlgebra(f"Jacobi fails at basis triple ({i},{j},{k}): {acc}")
 
@@ -293,7 +298,7 @@ def from_lie_algebra(binary, labels=None) -> LyAlgebra:
     dim = len(binary)
     binary = _freeze2(binary, dim)
     _check_jacobi(binary, dim)
-    unit = lambda i: tuple(Fraction(1 if t == i else 0) for t in range(dim))
+    unit = partial(unit_vector, dim)
     ternary = tuple(
         tuple(
             tuple(apply_binary(binary, binary[i][j], unit(k)) for k in range(dim))
@@ -311,7 +316,7 @@ def from_leibniz(star, labels=None) -> LyAlgebra:
     """
     dim = len(star)
     star = _freeze2(star, dim)
-    unit = lambda i: tuple(Fraction(1 if t == i else 0) for t in range(dim))
+    unit = partial(unit_vector, dim)
     for i, j, k in product(range(dim), repeat=3):
         lhs = apply_binary(star, unit(i), star[j][k])
         rhs = vec_add(apply_binary(star, star[i][j], unit(k)),
@@ -355,7 +360,7 @@ def from_reductive_pair(lie_binary, n_indices, m_indices, labels=None) -> LyAlge
                 raise NotReductive(f"[N,M] not in M at basis pair ({i},{j})")
 
     m = len(m_indices)
-    unit = lambda i: tuple(Fraction(1 if t == i else 0) for t in range(dim))
+    unit = partial(unit_vector, dim)
 
     def pi_m(v):
         return tuple(v[i] for i in m_indices)

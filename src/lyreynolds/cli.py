@@ -24,7 +24,6 @@ from .cohomology import (
     differential_matrix,
     is_cocycle,
     phi_matrix,
-    rly_dim,
     unflatten_rly,
 )
 from .deformation import TruncatedDeformation, verify_deformation
@@ -34,10 +33,11 @@ from .extension import (
     ExtensionCocycle,
     base_data,
     build_extension,
+    class_representatives,
     extract_rep,
 )
 from .fileformat import Workspace, load_workspace
-from .linalg import Matrix, format_rational, kernel_basis, rank
+from .linalg import format_rational
 from .algebra import verify_ly_axioms
 from .reporting import AxiomReport, Check
 from .representation import verify_rep, verify_reynolds_rep
@@ -179,26 +179,6 @@ def cmd_cohomology(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def _class_representatives(algebra, op, rep):
-    """One kernel vector per cohomology class at degree 2 of the cone complex."""
-    n, m = algebra.dim, rep.module_dim
-    d2 = differential_matrix(algebra, op, rep, "rly", 2)
-    d1 = differential_matrix(algebra, op, rep, "rly", 1)
-    ker = kernel_basis(d2)
-    image_cols = [d1.column(j) for j in range(d1.cols)]
-    chosen = []
-    span = list(image_cols)
-    current_rank = rank(Matrix.from_columns(span, rly_dim(2, n, m))) if span else 0
-    for vec in ker.vectors:
-        trial = span + [vec]
-        r = rank(Matrix.from_columns(trial, rly_dim(2, n, m)))
-        if r > current_rank:
-            chosen.append(vec)
-            span = trial
-            current_rank = r
-    return chosen
-
-
 def cmd_classify_extensions(args) -> int:
     ws = load_workspace(args.files)
     algebra, op, rep = _resolve_triple(ws, args)
@@ -206,7 +186,7 @@ def cmd_classify_extensions(args) -> int:
         raise LyError("classifying extensions needs a representation with a module operator")
     report = cohomology_dims(algebra, op, rep, "rly", 2)
     betti2 = report.betti(2)
-    reps = _class_representatives(algebra, op, rep)
+    reps = class_representatives(algebra, op, rep)
     n, m = algebra.dim, rep.module_dim
 
     built = []

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .algebra import LyAlgebra
+from .algebra import LyAlgebra, _antisymmetry_failure
 from .errors import (
     DegreeOutOfRange,
     InvalidInput,
@@ -46,6 +46,7 @@ from .linalg import (
     quotient_dim,
     rank,
     solve,
+    unit_vector,
     vec_add,
     vec_scale,
     zero_vector,
@@ -83,10 +84,6 @@ def _wedge_index(n: int) -> dict[tuple[int, int], int]:
 def wedge_vector(n: int, u, v) -> Vector:
     """Coordinates of u ^ v over the wedge basis."""
     return tuple(u[i] * v[j] - u[j] * v[i] for (i, j) in wedge_pairs(n))
-
-
-def _unit(length: int, pos: int) -> Vector:
-    return tuple(Fraction(1 if t == pos else 0) for t in range(length))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +272,14 @@ def cochain2_from_tensors(alg_dim: int, mod_dim: int, binary_vals, ternary_vals)
     """Degree-2 cochain from full V-valued tensors nu[i][j] and psi[i][j][k]
     (antisymmetric in the leading index pair; verified)."""
     n, m = alg_dim, mod_dim
-    for i, j in product(range(n), repeat=2):
-        if any(a != -b for a, b in zip(binary_vals[i][j], binary_vals[j][i])):
-            raise InvalidStructure(f"binary part not antisymmetric at ({i},{j})")
-    for i, j, k in product(range(n), repeat=3):
-        if any(a != -b for a, b in zip(ternary_vals[i][j][k], ternary_vals[j][i][k])):
-            raise InvalidStructure(f"ternary part not antisymmetric at ({i},{j},{k})")
+    bad = _antisymmetry_failure(binary_vals, n, 2)
+    if bad is not None:
+        i, j = bad
+        raise InvalidStructure(f"binary part not antisymmetric at ({i},{j})")
+    bad = _antisymmetry_failure(ternary_vals, n, 3)
+    if bad is not None:
+        i, j, k = bad
+        raise InvalidStructure(f"ternary part not antisymmetric at ({i},{j},{k})")
     f = tuple(tuple(Fraction(x) for x in binary_vals[i][j]) for (i, j) in wedge_pairs(n))
     g = tuple(
         tuple(tuple(Fraction(x) for x in ternary_vals[i][j][k]) for k in range(n))
@@ -442,8 +441,8 @@ def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
 
     q = c.degree - 1  # wedge slots of the input
     sign_q = Fraction(-1) ** q
-    unit_w = [_unit(w, k) for k in range(w)]
-    unit_l = [_unit(n, z) for z in range(n)]
+    unit_w = [unit_vector(w, k) for k in range(w)]
+    unit_l = [unit_vector(n, z) for z in range(n)]
 
     def eval_f(slots):
         return _eval_slots(c.f, slots, m)
@@ -624,7 +623,7 @@ def _columns_by_units(apply_fn, degree: int, n: int, m: int) -> Matrix:
     dim_out = cochain_dim(degree + 1, n, m)
     cols = []
     for pos in range(dim_in):
-        unit = unflatten(degree, n, m, _unit(dim_in, pos))
+        unit = unflatten(degree, n, m, unit_vector(dim_in, pos))
         cols.append(flatten(apply_fn(unit)))
     return Matrix.from_columns(cols, dim_out)
 

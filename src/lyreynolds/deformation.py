@@ -15,11 +15,12 @@ and a bounding infinitesimal can be removed by a first-order equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import (
     LyAlgebra,
+    _antisymmetry_failure,
+    _cyclic,
     _freeze2,
     _freeze3,
     apply_binary,
@@ -44,21 +45,31 @@ from .errors import (
     OrderTooLow,
     ShapeMismatch,
 )
-from .linalg import Matrix, is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
-from .reporting import AxiomReport, Check, OrderReport
+from .linalg import (
+    Matrix,
+    is_zero_vector,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
+from .reporting import AxiomReport, OrderReport, first_failure
 from .representation import adjoint_rep
 from .reynolds import ReynoldsOperator
 
 
 def _check_antisym(f_tensor, g_tensor, dim: int, where: str):
-    for i, j in product(range(dim), repeat=2):
-        if any(a != -b for a, b in zip(f_tensor[i][j], f_tensor[j][i])):
-            raise InvalidStructure(
-                f"{where}: binary coefficient not antisymmetric at ({i},{j})")
-    for i, j, k in product(range(dim), repeat=3):
-        if any(a != -b for a, b in zip(g_tensor[i][j][k], g_tensor[j][i][k])):
-            raise InvalidStructure(
-                f"{where}: ternary coefficient not antisymmetric at ({i},{j},{k})")
+    bad = _antisymmetry_failure(f_tensor, dim, 2)
+    if bad is not None:
+        i, j = bad
+        raise InvalidStructure(
+            f"{where}: binary coefficient not antisymmetric at ({i},{j})")
+    bad = _antisymmetry_failure(g_tensor, dim, 3)
+    if bad is not None:
+        i, j, k = bad
+        raise InvalidStructure(
+            f"{where}: ternary coefficient not antisymmetric at ({i},{j},{k})")
 
 
 @dataclass(frozen=True)
@@ -190,48 +201,23 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
     unit = algebra.basis
     t_img = [[Tt[i].apply(unit(x)) for x in range(n_dim)] for i in range(N + 1)]
 
-    def cyc(triple):
-        x, y, z = triple
-        return ((x, y, z), (z, x, y), (y, z, x))
-
     order_reports = []
     for n in range(N + 1):
-        checks = []
-
-        def first_failure(name, tuples, residual_fn):
-            for tup in tuples:
-                r = residual_fn(*tup)
-                if not is_zero_vector(r):
-                    checks.append(Check(name, False, tup, r))
-                    return
-            checks.append(Check(name, True))
-
-        first_failure(
-            "antisymmetry-binary", product(range(n_dim), repeat=2),
-            lambda i, j, n=n: vec_add(F[n][i][j], F[n][j][i]))
-        first_failure(
-            "antisymmetry-ternary", product(range(n_dim), repeat=3),
-            lambda i, j, k, n=n: vec_add(G[n][i][j][k], G[n][j][i][k]))
-
         def cyclic_binary(x, y, z, n=n):
             acc = zero_vector(n_dim)
-            for (a, b, c) in cyc((x, y, z)):
+            for (a, b, c) in _cyclic((x, y, z)):
                 for i in range(n + 1):
                     acc = vec_add(acc, apply_binary(F[i], F[n - i][a][b], unit(c)))
                 acc = vec_add(acc, G[n][a][b][c])
             return acc
 
-        first_failure("cyclic-binary", product(range(n_dim), repeat=3), cyclic_binary)
-
         def cyclic_mixed(x, y, z, a, n=n):
             acc = zero_vector(n_dim)
-            for (p, q, r) in cyc((x, y, z)):
+            for (p, q, r) in _cyclic((x, y, z)):
                 for i in range(n + 1):
                     acc = vec_add(acc, apply_ternary(
                         G[i], F[n - i][p][q], unit(r), unit(a)))
             return acc
-
-        first_failure("cyclic-mixed", product(range(n_dim), repeat=4), cyclic_mixed)
 
         def binary_ternary(a, b, x, y, n=n):
             acc = zero_vector(n_dim)
@@ -241,8 +227,6 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
                 acc = vec_sub(acc, apply_binary(F[i], unit(x), G[n - i][a][b][y]))
             return acc
 
-        first_failure("derivation-binary", product(range(n_dim), repeat=4), binary_ternary)
-
         def ternary_ternary(a, b, x, y, z, n=n):
             acc = zero_vector(n_dim)
             for i in range(n + 1):
@@ -251,8 +235,6 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
                 acc = vec_sub(acc, apply_ternary(G[i], unit(x), G[n - i][a][b][y], unit(z)))
                 acc = vec_sub(acc, apply_ternary(G[i], unit(x), unit(y), G[n - i][a][b][z]))
             return acc
-
-        first_failure("derivation-ternary", product(range(n_dim), repeat=5), ternary_ternary)
 
         def operator_binary(x, y, n=n):
             acc = zero_vector(n_dim)
@@ -265,8 +247,6 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
                 acc = vec_sub(acc, vec_scale(w, Tt[i].apply(
                     apply_binary(F[j], t_img[k][x], t_img[l][y]))))
             return acc
-
-        first_failure("operator-binary", product(range(n_dim), repeat=2), operator_binary)
 
         def operator_ternary(x, y, z, n=n):
             acc = zero_vector(n_dim)
@@ -281,9 +261,21 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
                     apply_ternary(G[j], t_img[k][x], t_img[l][y], t_img[m][z]))))
             return acc
 
-        first_failure("operator-ternary", product(range(n_dim), repeat=3), operator_ternary)
-
-        order_reports.append(AxiomReport(tuple(checks)))
+        identities = (
+            ("antisymmetry-binary", 2,
+             lambda i, j, n=n: vec_add(F[n][i][j], F[n][j][i])),
+            ("antisymmetry-ternary", 3,
+             lambda i, j, k, n=n: vec_add(G[n][i][j][k], G[n][j][i][k])),
+            ("cyclic-binary", 3, cyclic_binary),
+            ("cyclic-mixed", 4, cyclic_mixed),
+            ("derivation-binary", 4, binary_ternary),
+            ("derivation-ternary", 5, ternary_ternary),
+            ("operator-binary", 2, operator_binary),
+            ("operator-ternary", 3, operator_ternary),
+        )
+        order_reports.append(AxiomReport(tuple(
+            first_failure(name, product(range(n_dim), repeat=arity), fn, is_zero_vector)
+            for name, arity, fn in identities)))
     return OrderReport(tuple(order_reports))
 
 
@@ -317,9 +309,7 @@ def apply_equivalence(deformation: TruncatedDeformation,
     phi_c = iso.phi
     psi_c = iso.inverse().phi
     F, G, Tt = deformation.F, deformation.G, deformation.Tt
-    unit_vecs = [tuple(Fraction(1 if t == x else 0) for t in range(n_dim))
-                 for x in range(n_dim)]
-    psi_img = [[psi_c[c].apply(unit_vecs[x]) for x in range(n_dim)]
+    psi_img = [[psi_c[c].apply(unit_vector(n_dim, x)) for x in range(n_dim)]
                for c in range(N + 1)]
 
     new_f = []

@@ -21,6 +21,7 @@ from .cohomology import (
     coboundary_preimage,
     cochain2_from_tensors,
     cochain_from_matrix,
+    differential_matrix,
     is_cocycle,
     matrix_from_cochain,
     tensors_from_cochain2,
@@ -33,7 +34,18 @@ from .errors import (
     NotCocycle,
     NotSection,
 )
-from .linalg import Matrix, inverse, rank, solve, vec_sub, zero_vector
+from .linalg import (
+    Matrix,
+    Vector,
+    inverse,
+    kernel_basis,
+    pivot_columns,
+    rank,
+    solve,
+    unit_vector,
+    vec_sub,
+    zero_vector,
+)
 from .representation import (
     Representation,
     _require_reynolds_rep,
@@ -162,8 +174,7 @@ class AbelianExtension:
         block form this is x -> (x, 0)."""
         cols = []
         for i in range(self.base_dim):
-            target = tuple(Fraction(1 if t == i else 0) for t in range(self.base_dim))
-            cols.append(solve(self.project, target))
+            cols.append(solve(self.project, unit_vector(self.base_dim, i)))
         return Section(Matrix.from_columns(cols, self.total.dim))
 
     def check_section(self, s: Section) -> None:
@@ -257,6 +268,31 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
     return total_algebra, total_op
 
 
+def semidirect_product(algebra: LyAlgebra, op: ReynoldsOperator,
+                       rep: Representation) -> tuple[LyAlgebra, ReynoldsOperator]:
+    """Algebra structure on L (+) V with V an abelian ideal:
+
+        [x+u, y+v]        = [x,y] + rho(x)v - rho(y)u
+        {x+u, y+v, z+w}   = {x,y,z} + D(x,y)w - theta(x,z)v + theta(y,z)u
+
+    and block-diagonal operator T (+) T_V of the same weight: the assembly
+    of the zero cocycle.  The output is re-validated (axioms and Reynolds
+    identities) before being returned.
+    """
+    _require_reynolds_rep(algebra, op, rep)
+    total_algebra, total_op = assemble_extension(
+        algebra, op, rep, ExtensionCocycle.zero(algebra.dim, rep.module_dim))
+    axioms = verify_ly_axioms(total_algebra)
+    if not axioms.ok:
+        raise InternalInconsistency(
+            "semidirect product fails the Lie-Yamaguti axioms:\n" + axioms.describe())
+    again = verify_reynolds(total_algebra, total_op)
+    if not again.ok:
+        raise InternalInconsistency(
+            "semidirect operator fails the Reynolds identities:\n" + again.describe())
+    return total_algebra, total_op
+
+
 def _canonical_arrows(n: int, m: int) -> tuple[Matrix, Matrix]:
     inject = Matrix.from_rows(
         [[1 if i - n == a else 0 for a in range(m)] for i in range(n + m)], m)
@@ -281,6 +317,22 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     total_algebra, total_op = assemble_extension(algebra, op, rep, cocycle)
     inject, project = _canonical_arrows(algebra.dim, rep.module_dim)
     return AbelianExtension(total_algebra, total_op, inject, project)
+
+
+def class_representatives(algebra: LyAlgebra, op: ReynoldsOperator,
+                          rep: Representation) -> tuple[Vector, ...]:
+    """One kernel vector per class of the degree-2 cone cohomology, as flat
+    cone coordinates.
+
+    The columns [image of d^1 | kernel basis of d^2] are eliminated once.  A
+    kernel vector is kept when its column is a pivot, that is when it is not
+    in the span of the image and of the kernel vectors before it.
+    """
+    d1 = differential_matrix(algebra, op, rep, "rly", 1)
+    ker = kernel_basis(differential_matrix(algebra, op, rep, "rly", 2)).vectors
+    stacked = Matrix.from_columns([d1.column(j) for j in range(d1.cols)] + list(ker),
+                                  d1.rows)
+    return tuple(ker[p - d1.cols] for p in pivot_columns(stacked) if p >= d1.cols)
 
 
 def base_data(ext: AbelianExtension, section: Section | None = None

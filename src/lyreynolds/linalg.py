@@ -230,10 +230,15 @@ def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return a, pivots
 
 
+def pivot_columns(m: Matrix) -> list[int]:
+    """Pivot columns of the RREF: the columns not in the span of the ones
+    before them, in increasing order."""
+    return _rref(m)[1]
+
+
 def rank(m: Matrix) -> int:
     """Exact rank over Q."""
-    _, pivots = _rref(m)
-    return len(pivots)
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
@@ -336,6 +341,23 @@ def block_diag(mats) -> Matrix:
     return Matrix(rows, cols, tuple(out))
 
 
+def lincomb(coeffs, mats, zero: Matrix) -> Matrix:
+    """sum_k coeffs[k] mats[k] in one pass over the entries.
+
+    Terms with a zero coefficient are skipped; ``zero`` (the zero matrix of
+    the common shape) is the value of an empty sum.
+    """
+    terms = [(c, m.entries) for c, m in zip(coeffs, mats) if c]
+    if not terms:
+        return zero
+    out = list(zero.entries)
+    for c, entries in terms:
+        for idx, a in enumerate(entries):
+            if a:
+                out[idx] += c * a
+    return Matrix(zero.rows, zero.cols, tuple(out))
+
+
 def vec_add(u, v) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -348,6 +370,9 @@ def vec_scale(c, v) -> Vector:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
+
+def unit_vector(n: int, pos: int) -> Vector:
+    return tuple(Fraction(1 if t == pos else 0) for t in range(n))
 
 def is_zero_vector(v) -> bool:
     return all(a == 0 for a in v)

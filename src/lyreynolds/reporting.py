@@ -3,8 +3,9 @@
 A failed identity is data, not an exception: each report row carries the
 identity name, a pass flag and -- on failure -- the lexicographically first
 witness basis tuple together with the residual (LHS - RHS) it produced.
-Basis indices in reports are 0-based, matching the in-memory convention;
-the CLI renders them 1-based next to the user-facing file format.
+Basis indices in reports are 0-based, matching the in-memory convention,
+and the CLI prints them as they are (``FAIL at basis tuple (0, 1)``), even
+though the input files count from 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ class Check:
         if self.passed:
             return f"{self.name}: pass"
         return f"{self.name}: FAIL at basis tuple {self.witness}, residual {_render(self.residual)}"
+
+
+def first_failure(name: str, tuples, residual_fn, is_zero) -> Check:
+    """Check one identity over ``tuples``: the witness is the first tuple,
+    in iteration order, whose residual ``residual_fn(*tuple)`` is not zero."""
+    for tup in tuples:
+        r = residual_fn(*tup)
+        if not is_zero(r):
+            return Check(name, False, tup, r)
+    return Check(name, True)
 
 
 @dataclass(frozen=True)

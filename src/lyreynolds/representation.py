@@ -14,7 +14,6 @@ from the algebra operator they are handed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -27,8 +26,8 @@ from .errors import (
     MissingModuleOp,
     MixedAlgebras,
 )
-from .linalg import Matrix
-from .reporting import AxiomReport, Check
+from .linalg import Matrix, block_diag, lincomb
+from .reporting import AxiomReport, Check, first_failure
 from .reynolds import ReynoldsOperator, descendant_algebra
 
 
@@ -61,22 +60,12 @@ class Representation:
 
     def rho_at(self, x) -> Matrix:
         """rho of a general element, by linearity."""
-        acc = Matrix.zero(self.module_dim, self.module_dim)
-        for i, c in enumerate(x):
-            if c:
-                acc = acc + self.rho[i].scale(c)
-        return acc
+        return lincomb(x, self.rho, Matrix.zero(self.module_dim, self.module_dim))
 
     def theta_at(self, x, y) -> Matrix:
         """theta of a general pair, by bilinearity."""
-        acc = Matrix.zero(self.module_dim, self.module_dim)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    acc = acc + self.theta[i][j].scale(ci * cj)
-        return acc
+        zero = Matrix.zero(self.module_dim, self.module_dim)
+        return lincomb(x, [lincomb(y, row, zero) for row in self.theta], zero)
 
 
 def zero_rep(algebra_dim: int, module_dim: int, module_op: Matrix | None = None) -> Representation:
@@ -95,11 +84,7 @@ def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
         raise IndexOutOfRange(f"basis indices ({i},{j}) out of range for dim {n}")
     if rep.algebra_dim != n:
         raise DimMismatch("representation is over a different algebra dimension")
-    rho_bracket = Matrix.zero(rep.module_dim, rep.module_dim)
-    for k, c in enumerate(algebra.binary[i][j]):
-        if c:
-            rho_bracket = rho_bracket + rep.rho[k].scale(c)
-    return (rep.theta[j][i] - rep.theta[i][j] - rho_bracket
+    return (rep.theta[j][i] - rep.theta[i][j] - rep.rho_at(algebra.binary[i][j])
             + rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i])
 
 
@@ -111,15 +96,8 @@ def d_table(algebra: LyAlgebra, rep: Representation):
 
 
 def _d_at(algebra: LyAlgebra, rep: Representation, x, y) -> Matrix:
-    table = d_table(algebra, rep)
-    acc = Matrix.zero(rep.module_dim, rep.module_dim)
-    for i, ci in enumerate(x):
-        if not ci:
-            continue
-        for j, cj in enumerate(y):
-            if cj:
-                acc = acc + table[i][j].scale(ci * cj)
-    return acc
+    zero = Matrix.zero(rep.module_dim, rep.module_dim)
+    return lincomb(x, [lincomb(y, row, zero) for row in d_table(algebra, rep)], zero)
 
 
 def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
@@ -138,88 +116,45 @@ def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
     t = algebra.ternary
     dd = d_table(algebra, rep)
     zero = Matrix.zero(rep.module_dim, rep.module_dim)
+    # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
+    # that linearity in the first slot is a lincomb over a column
+    theta_col = [[theta[k][a] for k in range(n)] for a in range(n)]
+    d_col = [[dd[k][y] for k in range(n)] for y in range(n)]
 
-    def theta_lin(vec, a):
-        acc = zero
-        for k, c in enumerate(vec):
-            if c:
-                acc = acc + theta[k][a].scale(c)
-        return acc
+    identities = (
+        ("theta-of-bracket", 3,
+         lambda x, y, a: lincomb(algebra.binary[x][y], theta_col[a], zero)
+         - (theta[x][a] @ rho[y] - theta[y][a] @ rho[x])),
+        ("d-rho-compat", 3,
+         lambda a, b, x: dd[a][b] @ rho[x]
+         - (rho[x] @ dd[a][b] + rep.rho_at(t[a][b][x]))),
+        ("rho-of-bracket", 3,
+         lambda x, a, b: lincomb(algebra.binary[a][b], theta[x], zero)
+         - (rho[a] @ theta[x][b] - rho[b] @ theta[x][a])),
+        ("d-theta-compat", 4,
+         lambda a, b, x, y: dd[a][b] @ theta[x][y]
+         - (theta[x][y] @ dd[a][b] + lincomb(t[a][b][x], theta_col[y], zero)
+            + lincomb(t[a][b][y], theta[x], zero))),
+        ("theta-of-ternary", 4,
+         lambda a, x, y, z: lincomb(t[x][y][z], theta[a], zero)
+         - (theta[y][z] @ theta[a][x] - theta[x][z] @ theta[a][y]
+            + dd[x][y] @ theta[a][z])),
+    )
+    checks = [first_failure(name, product(range(n), repeat=arity), fn, Matrix.is_zero)
+              for name, arity, fn in identities]
 
-    def theta_lin2(x, vec):
-        acc = zero
-        for k, c in enumerate(vec):
-            if c:
-                acc = acc + theta[x][k].scale(c)
-        return acc
-
-    def rho_lin(vec):
-        acc = zero
-        for k, c in enumerate(vec):
-            if c:
-                acc = acc + rho[k].scale(c)
-        return acc
-
-    def theta_pair_lin(vec, y):
-        acc = zero
-        for k, c in enumerate(vec):
-            if c:
-                acc = acc + theta[k][y].scale(c)
-        return acc
-
-    def d_lin(vec, y):
-        acc = zero
-        for k, c in enumerate(vec):
-            if c:
-                acc = acc + dd[k][y].scale(c)
-        return acc
-
-    checks = []
-
-    def first_failure(name, tuples, residual_fn):
-        for tup in tuples:
-            r = residual_fn(*tup)
-            if not r.is_zero():
-                checks.append(Check(name, False, tup, r))
-                return False
-        checks.append(Check(name, True))
-        return True
-
-    ok = True
-    ok &= first_failure(
-        "theta-of-bracket", product(range(n), repeat=3),
-        lambda x, y, a: theta_lin(algebra.binary[x][y], a)
-        - (theta[x][a] @ rho[y] - theta[y][a] @ rho[x]))
-    ok &= first_failure(
-        "d-rho-compat", product(range(n), repeat=3),
-        lambda a, b, x: dd[a][b] @ rho[x]
-        - (rho[x] @ dd[a][b] + rho_lin(t[a][b][x])))
-    ok &= first_failure(
-        "rho-of-bracket", product(range(n), repeat=3),
-        lambda x, a, b: theta_lin2(x, algebra.binary[a][b])
-        - (rho[a] @ theta[x][b] - rho[b] @ theta[x][a]))
-    ok &= first_failure(
-        "d-theta-compat", product(range(n), repeat=4),
-        lambda a, b, x, y: dd[a][b] @ theta[x][y]
-        - (theta[x][y] @ dd[a][b] + theta_pair_lin(t[a][b][x], y)
-           + theta_lin2(x, t[a][b][y])))
-    ok &= first_failure(
-        "theta-of-ternary", product(range(n), repeat=4),
-        lambda a, x, y, z: theta_lin2(a, t[x][y][z])
-        - (theta[y][z] @ theta[a][x] - theta[x][z] @ theta[a][y]
-           + dd[x][y] @ theta[a][z]))
-
-    if ok:
+    if all(c.passed for c in checks):
         for x, y, z in product(range(n), repeat=3):
-            r = (d_lin(algebra.binary[x][y], z) + d_lin(algebra.binary[y][z], x)
-                 + d_lin(algebra.binary[z][x], y))
+            r = (lincomb(algebra.binary[x][y], d_col[z], zero)
+                 + lincomb(algebra.binary[y][z], d_col[x], zero)
+                 + lincomb(algebra.binary[z][x], d_col[y], zero))
             if not r.is_zero():
                 raise InternalInconsistency(
                     f"derived cyclic D identity fails at ({x},{y},{z}) although "
                     "the representation identities hold")
         for a, b, x, y in product(range(n), repeat=4):
             r = (dd[a][b] @ dd[x][y]
-                 - (dd[x][y] @ dd[a][b] + d_lin(t[a][b][x], y)
+                 - (dd[x][y] @ dd[a][b] + lincomb(t[a][b][x], d_col[y], zero)
                     + _d_at(algebra, rep, algebra.basis(x), t[a][b][y])))
             if not r.is_zero():
                 raise InternalInconsistency(
@@ -249,31 +184,23 @@ def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
     tv = rep.module_op
     t_img = [op.matrix.apply(algebra.basis(i)) for i in range(n)]
 
-    checks = []
-    witness = residual = None
-    for x in range(n):
+    def rho_residual(x):
         rho_tx = rep.rho_at(t_img[x])
-        r = rho_tx @ tv - tv @ (rho_tx + rep.rho[x] @ tv + (rho_tx @ tv).scale(w))
-        if not r.is_zero():
-            witness, residual = (x,), r
-            break
-    checks.append(Check("rho-module-op", witness is None, witness, residual))
-    ok = witness is None
+        return rho_tx @ tv - tv @ (rho_tx + rep.rho[x] @ tv + (rho_tx @ tv).scale(w))
 
-    witness = residual = None
-    for x, y in product(range(n), repeat=2):
+    def theta_residual(x, y):
         th_txty = rep.theta_at(t_img[x], t_img[y])
         th_tx_y = rep.theta_at(t_img[x], algebra.basis(y))
         th_x_ty = rep.theta_at(algebra.basis(x), t_img[y])
-        r = th_txty @ tv - tv @ (th_txty + th_tx_y @ tv + th_x_ty @ tv
-                                 + (th_txty @ tv).scale(2 * w))
-        if not r.is_zero():
-            witness, residual = (x, y), r
-            break
-    checks.append(Check("theta-module-op", witness is None, witness, residual))
-    ok = ok and witness is None
+        return th_txty @ tv - tv @ (th_txty + th_tx_y @ tv + th_x_ty @ tv
+                                    + (th_txty @ tv).scale(2 * w))
 
-    if ok:
+    checks = [
+        first_failure("rho-module-op", product(range(n)), rho_residual, Matrix.is_zero),
+        first_failure("theta-module-op", product(range(n), repeat=2), theta_residual,
+                      Matrix.is_zero)]
+
+    if all(c.passed for c in checks):
         for x, y in product(range(n), repeat=2):
             d_txty = _d_at(algebra, rep, t_img[x], t_img[y])
             d_tx_y = _d_at(algebra, rep, t_img[x], algebra.basis(y))
@@ -373,86 +300,6 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
     return out
 
 
-def semidirect_product(algebra: LyAlgebra, op: ReynoldsOperator,
-                       rep: Representation) -> tuple[LyAlgebra, ReynoldsOperator]:
-    """Algebra structure on L (+) V with V an abelian ideal:
-
-        [x+u, y+v]        = [x,y] + rho(x)v - rho(y)u
-        {x+u, y+v, z+w}   = {x,y,z} + D(x,y)w - theta(x,z)v + theta(y,z)u
-
-    and block-diagonal operator T (+) T_V of the same weight.  The output is
-    re-validated (axioms and Reynolds identities) before being returned.
-    """
-    _require_reynolds_rep(algebra, op, rep)
-    n, m = algebra.dim, rep.module_dim
-    total = n + m
-    dd = d_table(algebra, rep)
-    zl = (Fraction(0),) * n
-    zv = (Fraction(0),) * m
-
-    def pad_l(vec):
-        return tuple(vec) + zv
-
-    def pad_v(vec):
-        return zl + tuple(vec)
-
-    binary = [[None] * total for _ in range(total)]
-    for i in range(total):
-        for j in range(total):
-            if i < n and j < n:
-                binary[i][j] = pad_l(algebra.binary[i][j])
-            elif i < n and j >= n:
-                binary[i][j] = pad_v(rep.rho[i].column(j - n))
-            elif i >= n and j < n:
-                binary[i][j] = pad_v(tuple(-c for c in rep.rho[j].column(i - n)))
-            else:
-                binary[i][j] = zl + zv
-
-    ternary = [[[None] * total for _ in range(total)] for _ in range(total)]
-    for i in range(total):
-        for j in range(total):
-            for k in range(total):
-                li, lj, lk = i < n, j < n, k < n
-                if li and lj and lk:
-                    ternary[i][j][k] = pad_l(algebra.ternary[i][j][k])
-                elif li and lj and not lk:
-                    ternary[i][j][k] = pad_v(dd[i][j].column(k - n))
-                elif li and not lj and lk:
-                    ternary[i][j][k] = pad_v(tuple(-c for c in rep.theta[i][k].column(j - n)))
-                elif not li and lj and lk:
-                    ternary[i][j][k] = pad_v(rep.theta[j][k].column(i - n))
-                else:
-                    ternary[i][j][k] = zl + zv
-
-    labels = None
-    if algebra.labels:
-        labels = tuple(algebra.labels) + tuple(f"v{a + 1}" for a in range(m))
-    total_algebra = LyAlgebra(total, tuple(map(tuple, binary)),
-                              tuple(tuple(map(tuple, row)) for row in ternary), labels)
-
-    block = [[Fraction(0)] * total for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            block[i][j] = op.matrix[i, j]
-    for a in range(m):
-        for b in range(m):
-            block[n + a][n + b] = rep.module_op[a, b]
-    total_op = ReynoldsOperator(Matrix.from_rows(block, total), op.weight)
-
-    from .algebra import verify_ly_axioms
-    from .reynolds import verify_reynolds
-
-    axioms = verify_ly_axioms(total_algebra)
-    if not axioms.ok:
-        raise InternalInconsistency(
-            "semidirect product fails the Lie-Yamaguti axioms:\n" + axioms.describe())
-    again = verify_reynolds(total_algebra, total_op)
-    if not again.ok:
-        raise InternalInconsistency(
-            "semidirect operator fails the Reynolds identities:\n" + again.describe())
-    return total_algebra, total_op
-
-
 def direct_sum_rep(reps) -> Representation:
     """Block-diagonal sum of representations over one algebra and operator."""
     reps = list(reps)
@@ -465,19 +312,6 @@ def direct_sum_rep(reps) -> Representation:
     if any(has_op) and not all(has_op):
         raise MixedAlgebras("cannot mix representations with and without module operators")
     m = sum(r.module_dim for r in reps)
-
-    def block_diag(mats):
-        rows = []
-        offset = 0
-        for mat in mats:
-            for i in range(mat.rows):
-                row = [0] * m
-                for j in range(mat.cols):
-                    row[offset + j] = mat[i, j]
-                rows.append(row)
-            offset += mat.cols
-        return Matrix.from_rows(rows, m)
-
     rho = tuple(block_diag([r.rho[i] for r in reps]) for i in range(n))
     theta = tuple(
         tuple(block_diag([r.theta[i][j] for r in reps]) for j in range(n))

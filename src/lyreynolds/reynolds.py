@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .algebra import LyAlgebra, bracket2, bracket3
+from .algebra import LyAlgebra, bracket2, bracket3, verify_ly_axioms
 from .errors import (
     DimMismatch,
     InternalInconsistency,
@@ -25,7 +25,7 @@ from .errors import (
     ZeroScale,
 )
 from .linalg import Matrix, inverse, is_zero_vector, vec_add, vec_scale, vec_sub
-from .reporting import AxiomReport, Check
+from .reporting import AxiomReport, first_failure
 
 
 @dataclass(frozen=True)
@@ -56,36 +56,27 @@ def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
     T = op.matrix
     t_img = [T.apply(algebra.basis(i)) for i in range(n)]
 
-    checks = []
-    witness = None
-    residual = None
-    for i, j in product(range(n), repeat=2):
+    def binary(i, j):
         lhs = bracket2(algebra, t_img[i], t_img[j])
         inner = vec_add(
             vec_add(bracket2(algebra, t_img[i], algebra.basis(j)),
                     bracket2(algebra, algebra.basis(i), t_img[j])),
             vec_scale(w, lhs))
-        r = vec_sub(lhs, T.apply(inner))
-        if not is_zero_vector(r):
-            witness, residual = (i, j), r
-            break
-    checks.append(Check("reynolds-binary", witness is None, witness, residual))
+        return vec_sub(lhs, T.apply(inner))
 
-    witness = None
-    residual = None
-    for i, j, k in product(range(n), repeat=3):
+    def ternary(i, j, k):
         lhs = bracket3(algebra, t_img[i], t_img[j], t_img[k])
         inner = bracket3(algebra, algebra.basis(i), t_img[j], t_img[k])
         inner = vec_add(inner, bracket3(algebra, t_img[i], algebra.basis(j), t_img[k]))
         inner = vec_add(inner, bracket3(algebra, t_img[i], t_img[j], algebra.basis(k)))
         inner = vec_add(inner, vec_scale(2 * w, lhs))
-        r = vec_sub(lhs, T.apply(inner))
-        if not is_zero_vector(r):
-            witness, residual = (i, j, k), r
-            break
-    checks.append(Check("reynolds-ternary", witness is None, witness, residual))
+        return vec_sub(lhs, T.apply(inner))
 
-    return AxiomReport(tuple(checks))
+    return AxiomReport((
+        first_failure("reynolds-binary", product(range(n), repeat=2), binary,
+                      is_zero_vector),
+        first_failure("reynolds-ternary", product(range(n), repeat=3), ternary,
+                      is_zero_vector)))
 
 
 @cache
@@ -143,8 +134,6 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
             for j in range(n))
         for i in range(n))
 
-    from .algebra import verify_ly_axioms  # local import avoids a cycle at module load
-
     descendant = LyAlgebra(n, binary, ternary, algebra.labels)
     axioms = verify_ly_axioms(descendant)
     if not axioms.ok:
@@ -170,32 +159,25 @@ def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
     n = algebra.dim
     d_img = [dm.apply(algebra.basis(i)) for i in range(n)]
     unit = algebra.basis
-    checks = []
 
-    witness = residual = None
-    for i, j in product(range(n), repeat=2):
+    def binary(i, j):
         lhs = dm.apply(algebra.binary[i][j])
         rhs = vec_add(bracket2(algebra, d_img[i], unit(j)),
                       bracket2(algebra, unit(i), d_img[j]))
-        r = vec_sub(lhs, rhs)
-        if not is_zero_vector(r):
-            witness, residual = (i, j), r
-            break
-    checks.append(Check("derivation-binary", witness is None, witness, residual))
+        return vec_sub(lhs, rhs)
 
-    witness = residual = None
-    for i, j, k in product(range(n), repeat=3):
+    def ternary(i, j, k):
         lhs = dm.apply(algebra.ternary[i][j][k])
         rhs = bracket3(algebra, d_img[i], unit(j), unit(k))
         rhs = vec_add(rhs, bracket3(algebra, unit(i), d_img[j], unit(k)))
         rhs = vec_add(rhs, bracket3(algebra, unit(i), unit(j), d_img[k]))
-        r = vec_sub(lhs, rhs)
-        if not is_zero_vector(r):
-            witness, residual = (i, j, k), r
-            break
-    checks.append(Check("derivation-ternary", witness is None, witness, residual))
+        return vec_sub(lhs, rhs)
 
-    return AxiomReport(tuple(checks))
+    return AxiomReport((
+        first_failure("derivation-binary", product(range(n), repeat=2), binary,
+                      is_zero_vector),
+        first_failure("derivation-ternary", product(range(n), repeat=3), ternary,
+                      is_zero_vector)))
 
 
 def reynolds_from_derivation(algebra: LyAlgebra, dm: Matrix, weight) -> ReynoldsOperator:

@@ -48,7 +48,7 @@ from lyreynolds.cohomology import (
     unflatten_rly,
 )
 from lyreynolds.errors import NotCocycle
-from lyreynolds.extension import Section, assemble_extension
+from lyreynolds.extension import Section, assemble_extension, class_representatives
 from lyreynolds.linalg import inverse, rank
 from lyreynolds.representation import Representation
 from tests.conftest import identity_op, rand_fraction, rand_matrix, random_valid_triples
@@ -225,21 +225,7 @@ def test_criterion_7_extension_theorem(canonical):
         assert failures and failures[0].witness is not None
 
     # classes agree exactly when a verified equivalence exists
-    d1 = differential_matrix(algebra, op, rep, "rly", 1)
-    ker = cocycle_space(algebra, op, rep, "rly", 2)
-    image_rank = rank(d1)
-    span = [d1.column(j) for j in range(d1.cols)]
-    chosen = []
-    current = image_rank
-    for vec in ker.vectors:
-        trial = span + [list(vec)]
-        r = rank(Matrix.from_columns(trial, d1.rows))
-        if r > current:
-            chosen.append(vec)
-            span = trial
-            current = r
-        if len(chosen) == 2:
-            break
+    chosen = class_representatives(algebra, op, rep)
     assert len(chosen) == 2
     e_one = build_extension(algebra, op, rep, ExtensionCocycle.from_cochain(
         unflatten_rly(2, n, m, chosen[0])))

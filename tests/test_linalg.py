@@ -14,7 +14,9 @@ from lyreynolds.linalg import (
     inverse,
     kernel_basis,
     kron,
+    lincomb,
     parse_rational,
+    pivot_columns,
     quotient_dim,
     rank,
     solve,
@@ -165,6 +167,25 @@ def test_block_diag():
     b = block_diag([Matrix.identity(1), mat([[2, 0], [0, 2]])])
     assert (b.rows, b.cols) == (3, 3)
     assert b[0, 0] == 1 and b[1, 1] == 2 and b[0, 1] == 0
+
+
+def test_lincomb_matches_scaled_sum():
+    rng = random.Random(5)
+    mats = [mat([[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)])
+            for _ in range(4)]
+    zero = Matrix.zero(2, 3)
+    coeffs = [Fraction(2, 3), 0, Fraction(-1), 5]
+    expected = zero
+    for c, m in zip(coeffs, mats):
+        expected = expected + m.scale(c)
+    assert lincomb(coeffs, mats, zero) == expected
+    assert lincomb([0, 0, 0, 0], mats, zero) is zero
+
+
+def test_pivot_columns_are_the_independent_columns():
+    m = mat([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
+    assert pivot_columns(m) == [0, 2]
+    assert rank(m) == 2
 
 
 def test_deterministic_elimination():
