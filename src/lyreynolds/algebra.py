@@ -40,28 +40,23 @@ BinaryTensor = tuple  # t[i][j] is a Vector of length dim
 TernaryTensor = tuple  # t[i][j][k] is a Vector of length dim
 
 
-def _freeze2(data, dim: int) -> BinaryTensor:
-    out = tuple(
-        tuple(tuple(Fraction(x) for x in data[i][j]) for j in range(dim))
-        for i in range(dim)
-    )
-    for i, j in product(range(dim), repeat=2):
-        if len(out[i][j]) != dim:
-            raise DimMismatch("binary tensor entry of wrong length")
-    return out
+def _freeze(data, dim: int, depth: int):
+    """``data`` as nested tuples of Fractions: ``depth`` levels of basis
+    indices (2 for a binary tensor, 3 for a ternary one) above entries that
+    must be vectors of length ``dim``."""
+    def frozen(node, level):
+        if level == depth:
+            return tuple(Fraction(x) for x in node)
+        return tuple(frozen(node[i], level + 1) for i in range(dim))
 
-
-def _freeze3(data, dim: int) -> TernaryTensor:
-    out = tuple(
-        tuple(
-            tuple(tuple(Fraction(x) for x in data[i][j][k]) for k in range(dim))
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-    for i, j, k in product(range(dim), repeat=3):
-        if len(out[i][j][k]) != dim:
-            raise DimMismatch("ternary tensor entry of wrong length")
+    out = frozen(data, 0)
+    for idx in product(range(dim), repeat=depth):
+        entry = out
+        for i in idx:
+            entry = entry[i]
+        if len(entry) != dim:
+            raise DimMismatch(
+                f"{('binary', 'ternary')[depth - 2]} tensor entry of wrong length")
     return out
 
 
@@ -88,6 +83,34 @@ def zero_ternary(dim: int) -> TernaryTensor:
     return tuple(tuple(tuple(z for _ in range(dim)) for _ in range(dim)) for _ in range(dim))
 
 
+def _from_sparse(dim: int, entries, arity: int):
+    """Dense tensor with ``arity`` indices from {index tuple: coefficient},
+    filled in antisymmetrically in the first two indices."""
+    cells: dict[tuple[int, ...], Fraction] = {}
+    for idx, c in dict(entries).items():
+        idx = tuple(idx)
+        if len(idx) != arity:
+            raise DimMismatch(f"index {idx} needs {arity} entries")
+        c = Fraction(c)
+        swapped = (idx[1], idx[0]) + idx[2:]
+        for key in (idx, swapped):
+            if not all(0 <= t < dim for t in key):
+                raise DimMismatch(f"index {key} out of range for dim {dim}")
+        for key, val in ((idx, c), (swapped, -c)):
+            if key in cells and cells[key] != val:
+                raise InvalidStructure(
+                    f"inconsistent antisymmetric pair at {key}: "
+                    f"{cells[key]} vs {val}")
+            cells[key] = val
+
+    def dense(prefix):
+        if len(prefix) == arity:
+            return cells.get(prefix, Fraction(0))
+        return tuple(dense(prefix + (t,)) for t in range(dim))
+
+    return dense(())
+
+
 def binary_from_sparse(dim: int, entries) -> BinaryTensor:
     """Build b[i][j][k] from {(i, j, k): coefficient}.
 
@@ -95,47 +118,13 @@ def binary_from_sparse(dim: int, entries) -> BinaryTensor:
     filled in automatically; supplying both (i,j,k) and (j,i,k) with values
     that are not negatives of each other is rejected.
     """
-    cells: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in dict(entries).items():
-        c = Fraction(c)
-        for idx in ((i, j, k), (j, i, k)):
-            if not all(0 <= t < dim for t in idx):
-                raise DimMismatch(f"index {idx} out of range for dim {dim}")
-        for idx, val in (((i, j, k), c), ((j, i, k), -c)):
-            if idx in cells and cells[idx] != val:
-                raise InvalidStructure(
-                    f"inconsistent antisymmetric pair at {idx}: "
-                    f"{cells[idx]} vs {val}")
-            cells[idx] = val
-    return tuple(
-        tuple(
-            tuple(cells.get((i, j, k), Fraction(0)) for k in range(dim))
-            for j in range(dim))
-        for i in range(dim))
+    return _from_sparse(dim, entries, 3)
 
 
 def ternary_from_sparse(dim: int, entries) -> TernaryTensor:
     """Build t[i][j][k][l] from {(i, j, k, l): coefficient}; antisymmetric in
     the first two indices, same consistency rule as :func:`binary_from_sparse`."""
-    cells: dict[tuple[int, int, int, int], Fraction] = {}
-    for (i, j, k, l), c in dict(entries).items():
-        c = Fraction(c)
-        for idx in ((i, j, k, l), (j, i, k, l)):
-            if not all(0 <= t < dim for t in idx):
-                raise DimMismatch(f"index {idx} out of range for dim {dim}")
-        for idx, val in (((i, j, k, l), c), ((j, i, k, l), -c)):
-            if idx in cells and cells[idx] != val:
-                raise InvalidStructure(
-                    f"inconsistent antisymmetric pair at {idx}: "
-                    f"{cells[idx]} vs {val}")
-            cells[idx] = val
-    return tuple(
-        tuple(
-            tuple(
-                tuple(cells.get((i, j, k, l), Fraction(0)) for l in range(dim))
-                for k in range(dim))
-            for j in range(dim))
-        for i in range(dim))
+    return _from_sparse(dim, entries, 4)
 
 
 def apply_binary(tensor: BinaryTensor, x, y) -> Vector:
@@ -190,8 +179,8 @@ class LyAlgebra:
 
     def __post_init__(self):
         n = self.dim
-        object.__setattr__(self, "binary", _freeze2(self.binary, n))
-        object.__setattr__(self, "ternary", _freeze3(self.ternary, n))
+        object.__setattr__(self, "binary", _freeze(self.binary, n, 2))
+        object.__setattr__(self, "ternary", _freeze(self.ternary, n, 3))
         if self.labels is not None and len(self.labels) != n:
             raise DimMismatch("label count != dim")
         bad = _antisymmetry_failure(self.binary, n, 2)
@@ -230,6 +219,65 @@ def _cyclic(triple):
     return ((x, y, z), (z, x, y), (y, z, x))
 
 
+def _ly_identities(F, G, n: int):
+    """LY1-LY6 at order ``n`` of the coefficient series F_0, F_1, ... (binary
+    tensors) and G_0, G_1, ... (ternary tensors), as ``(arity, residual)``
+    pairs.  A residual maps a basis tuple to the order-n coefficient of
+    LHS - RHS, each product summed over the splittings i + (n - i).
+
+    Order 0 of ``((binary,), (ternary,))`` is the undeformed algebra, and a
+    deformation's order n is the same identity at higher order, which is why
+    the algebra verifier and the deformation verifier share this battery.
+    """
+    dim = len(F[0])
+    unit = [unit_vector(dim, x) for x in range(dim)]
+
+    def cyclic_binary(x, y, z):
+        acc = zero_vector(dim)
+        for (a, b, c) in _cyclic((x, y, z)):
+            for i in range(n + 1):
+                acc = vec_add(acc, apply_binary(F[i], F[n - i][a][b], unit[c]))
+            acc = vec_add(acc, G[n][a][b][c])
+        return acc
+
+    def cyclic_mixed(x, y, z, a):
+        acc = zero_vector(dim)
+        for (p, q, r) in _cyclic((x, y, z)):
+            for i in range(n + 1):
+                acc = vec_add(acc, apply_ternary(G[i], F[n - i][p][q], unit[r], unit[a]))
+        return acc
+
+    def derivation_binary(a, b, x, y):
+        acc = zero_vector(dim)
+        for i in range(n + 1):
+            acc = vec_add(acc, apply_ternary(G[i], unit[a], unit[b], F[n - i][x][y]))
+            acc = vec_sub(acc, apply_binary(F[i], G[n - i][a][b][x], unit[y]))
+            acc = vec_sub(acc, apply_binary(F[i], unit[x], G[n - i][a][b][y]))
+        return acc
+
+    def derivation_ternary(a, b, x, y, z):
+        acc = zero_vector(dim)
+        for i in range(n + 1):
+            acc = vec_add(acc, apply_ternary(G[i], unit[a], unit[b], G[n - i][x][y][z]))
+            acc = vec_sub(acc, apply_ternary(G[i], G[n - i][a][b][x], unit[y], unit[z]))
+            acc = vec_sub(acc, apply_ternary(G[i], unit[x], G[n - i][a][b][y], unit[z]))
+            acc = vec_sub(acc, apply_ternary(G[i], unit[x], unit[y], G[n - i][a][b][z]))
+        return acc
+
+    return ((2, lambda i, j: vec_add(F[n][i][j], F[n][j][i])),
+            (3, lambda i, j, k: vec_add(G[n][i][j][k], G[n][j][i][k])),
+            (3, cyclic_binary), (4, cyclic_mixed),
+            (4, derivation_binary), (5, derivation_ternary))
+
+
+def _axiom_report(names, identities, dim: int) -> AxiomReport:
+    """One check per named ``(arity, residual)`` identity over all basis
+    tuples of its arity."""
+    return AxiomReport(tuple(
+        first_failure(name, product(range(dim), repeat=arity), fn, is_zero_vector)
+        for name, (arity, fn) in zip(names, identities)))
+
+
 def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
     """Evaluate the six defining axioms on all basis tuples.
 
@@ -238,42 +286,26 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
     identities between the two brackets.  Each check reports at most one
     witness: the lexicographically first failing tuple.
     """
-    n = algebra.dim
-    b, t = algebra.binary, algebra.ternary
+    return _axiom_report(("LY1", "LY2", "LY3", "LY4", "LY5", "LY6"),
+                         _ly_identities((algebra.binary,), (algebra.ternary,), 0),
+                         algebra.dim)
 
-    def ly3(i, j, k):
-        acc = zero_vector(n)
-        for (x, y, z) in _cyclic((i, j, k)):
-            acc = vec_add(acc, apply_binary(b, b[x][y], algebra.basis(z)))
-            acc = vec_add(acc, t[x][y][z])
-        return acc
 
-    def ly4(i, j, k, a):
-        acc = zero_vector(n)
-        for (x, y, z) in _cyclic((i, j, k)):
-            acc = vec_add(acc, apply_ternary(
-                t, b[x][y], algebra.basis(z), algebra.basis(a)))
-        return acc
-
-    def ly5(a, c, i, j):
-        lhs = apply_ternary(t, algebra.basis(a), algebra.basis(c), b[i][j])
-        rhs = vec_add(apply_binary(b, t[a][c][i], algebra.basis(j)),
-                      apply_binary(b, algebra.basis(i), t[a][c][j]))
-        return vec_add(lhs, vec_scale(-1, rhs))
-
-    def ly6(a, c, i, j, k):
-        lhs = apply_ternary(t, algebra.basis(a), algebra.basis(c), t[i][j][k])
-        rhs = apply_ternary(t, t[a][c][i], algebra.basis(j), algebra.basis(k))
-        rhs = vec_add(rhs, apply_ternary(t, algebra.basis(i), t[a][c][j], algebra.basis(k)))
-        rhs = vec_add(rhs, apply_ternary(t, algebra.basis(i), algebra.basis(j), t[a][c][k]))
-        return vec_add(lhs, vec_scale(-1, rhs))
-
-    return AxiomReport(tuple(
-        first_failure(name, product(range(n), repeat=arity), fn, is_zero_vector)
-        for name, arity, fn in (
-            ("LY1", 2, lambda i, j: vec_add(b[i][j], b[j][i])),
-            ("LY2", 3, lambda i, j, k: vec_add(t[i][j][k], t[j][i][k])),
-            ("LY3", 3, ly3), ("LY4", 4, ly4), ("LY5", 4, ly5), ("LY6", 5, ly6))))
+def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
+    """First basis tuple at which the linear map ``phi`` fails to carry a
+    bracket of ``source`` to the same bracket of ``target``: the pairs (i, j)
+    of the binary bracket come before the triples (i, j, k) of the ternary
+    one.  None when ``phi`` is a morphism of both brackets."""
+    n = source.dim
+    img = [phi.column(i) for i in range(n)]
+    for i, j in product(range(n), repeat=2):
+        if phi.apply(source.binary[i][j]) != apply_binary(target.binary, img[i], img[j]):
+            return (i, j)
+    for i, j, k in product(range(n), repeat=3):
+        if phi.apply(source.ternary[i][j][k]) != \
+                apply_ternary(target.ternary, img[i], img[j], img[k]):
+            return (i, j, k)
+    return None
 
 
 def _check_jacobi(binary: BinaryTensor, dim: int):
@@ -281,12 +313,12 @@ def _check_jacobi(binary: BinaryTensor, dim: int):
     if bad is not None:
         i, j = bad
         raise NotLieAlgebra(f"bracket not antisymmetric at ({i},{j})")
-    for i, j, k in product(range(dim), repeat=3):
-        acc = zero_vector(dim)
-        for (x, y, z) in _cyclic((i, j, k)):
-            acc = vec_add(acc, apply_binary(binary, binary[x][y], unit_vector(dim, z)))
-        if not is_zero_vector(acc):
-            raise NotLieAlgebra(f"Jacobi fails at basis triple ({i},{j},{k}): {acc}")
+    # Jacobi is LY3 of the algebra with the zero ternary bracket
+    check, = _axiom_report(("Jacobi",), _ly_identities(
+        (binary,), (zero_ternary(dim),), 0)[2:3], dim).checks
+    if not check.passed:
+        i, j, k = check.witness
+        raise NotLieAlgebra(f"Jacobi fails at basis triple ({i},{j},{k}): {check.residual}")
 
 
 def from_lie_algebra(binary, labels=None) -> LyAlgebra:
@@ -296,7 +328,7 @@ def from_lie_algebra(binary, labels=None) -> LyAlgebra:
     basis triples); otherwise NotLieAlgebra is raised with the witness.
     """
     dim = len(binary)
-    binary = _freeze2(binary, dim)
+    binary = _freeze(binary, dim, 2)
     _check_jacobi(binary, dim)
     unit = partial(unit_vector, dim)
     ternary = tuple(
@@ -315,7 +347,7 @@ def from_leibniz(star, labels=None) -> LyAlgebra:
     it is what makes the ternary bracket antisymmetric in its first slots.
     """
     dim = len(star)
-    star = _freeze2(star, dim)
+    star = _freeze(star, dim, 2)
     unit = partial(unit_vector, dim)
     for i, j, k in product(range(dim), repeat=3):
         lhs = apply_binary(star, unit(i), star[j][k])
@@ -344,7 +376,7 @@ def from_reductive_pair(lie_binary, n_indices, m_indices, labels=None) -> LyAlge
     [x,y]_M = pi_M([x,y]) and {x,y,z}_M = [pi_N([x,y]), z].
     """
     dim = len(lie_binary)
-    lie_binary = _freeze2(lie_binary, dim)
+    lie_binary = _freeze(lie_binary, dim, 2)
     _check_jacobi(lie_binary, dim)
     n_indices = list(n_indices)
     m_indices = list(m_indices)

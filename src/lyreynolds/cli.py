@@ -245,13 +245,11 @@ def cmd_deform_check(args) -> int:
     if name not in ws.deformations:
         raise NameNotFound(f"no deformation named {name!r}")
     entry = ws.deformations[name]
-    deformation = TruncatedDeformation(entry.order, entry.F, entry.G, entry.Tt)
     order = args.order if args.order is not None else entry.order
     if order > entry.order:
         raise LyError(f"file only carries coefficients up to order {entry.order}")
-    if order < entry.order:
-        deformation = TruncatedDeformation(
-            order, entry.F[:order + 1], entry.G[:order + 1], entry.Tt[:order + 1])
+    deformation = TruncatedDeformation(
+        order, entry.F[:order + 1], entry.G[:order + 1], entry.Tt[:order + 1])
     report = verify_deformation(ws.algebra(entry.algebra),
                                 ws.operator(entry.operator).op, deformation)
     if args.json:

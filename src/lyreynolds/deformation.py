@@ -20,9 +20,9 @@ from itertools import product
 from .algebra import (
     LyAlgebra,
     _antisymmetry_failure,
-    _cyclic,
-    _freeze2,
-    _freeze3,
+    _axiom_report,
+    _freeze,
+    _ly_identities,
     apply_binary,
     apply_ternary,
     zero_binary,
@@ -45,18 +45,10 @@ from .errors import (
     OrderTooLow,
     ShapeMismatch,
 )
-from .linalg import (
-    Matrix,
-    is_zero_vector,
-    unit_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
-)
-from .reporting import AxiomReport, OrderReport, first_failure
+from .linalg import Matrix, unit_vector, vec_add, zero_vector
+from .reporting import OrderReport
 from .representation import adjoint_rep
-from .reynolds import ReynoldsOperator
+from .reynolds import ReynoldsOperator, _compositions, _reynolds_identities
 
 
 def _check_antisym(f_tensor, g_tensor, dim: int, where: str):
@@ -87,8 +79,8 @@ class TruncatedDeformation:
         if not (len(self.F) == len(self.G) == len(self.Tt) == self.order + 1):
             raise ShapeMismatch("need exactly order+1 coefficients per series")
         dim = len(self.F[0])
-        object.__setattr__(self, "F", tuple(_freeze2(f, dim) for f in self.F))
-        object.__setattr__(self, "G", tuple(_freeze3(g, dim) for g in self.G))
+        object.__setattr__(self, "F", tuple(_freeze(f, dim, 2) for f in self.F))
+        object.__setattr__(self, "G", tuple(_freeze(g, dim, 3) for g in self.G))
         for n, (f, g) in enumerate(zip(self.F, self.G)):
             _check_antisym(f, g, dim, f"order {n}")
         for t in self.Tt:
@@ -104,11 +96,8 @@ class TruncatedDeformation:
                  order: int = 1) -> "TruncatedDeformation":
         """The undeformed structure padded with zero higher coefficients."""
         n = algebra.dim
-        zf, zg, zt = zero_binary(n), zero_ternary(n), Matrix.zero(n, n)
-        return cls(order,
-                   (algebra.binary,) + (zf,) * order,
-                   (algebra.ternary,) + (zg,) * order,
-                   (op.matrix,) + (zt,) * order)
+        return cls.first_order(algebra, op, zero_binary(n), zero_ternary(n),
+                               Matrix.zero(n, n), order)
 
     @classmethod
     def first_order(cls, algebra: LyAlgebra, op: ReynoldsOperator,
@@ -147,7 +136,7 @@ class FormalIsomorphism:
 
     @classmethod
     def identity(cls, dim: int, order: int = 1) -> "FormalIsomorphism":
-        return cls(order, (Matrix.identity(dim),) + (Matrix.zero(dim, dim),) * order)
+        return cls.first_order(Matrix.zero(dim, dim), order)
 
     @classmethod
     def first_order(cls, phi1: Matrix, order: int = 1) -> "FormalIsomorphism":
@@ -166,16 +155,6 @@ class FormalIsomorphism:
         return FormalIsomorphism(self.order, tuple(psi))
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
                        deformation: TruncatedDeformation) -> OrderReport:
     """Check every axiom of the deformed structure order by order.
@@ -184,7 +163,9 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
     four bracket compatibility identities summed over the coefficient
     splittings i + j = n, and the two weighted operator identities summed
     over three-part (plus one weighted four-part) and four-part (plus one
-    five-part) splittings.  Order 0 reproduces the undeformed verifiers.
+    five-part) splittings.  Order 0 is the battery of the undeformed
+    verifiers under other names: LY1-LY6 are the six bracket checks, and
+    reynolds-binary/-ternary are operator-binary/-ternary.
     """
     n_dim = algebra.dim
     if deformation.dim != n_dim:
@@ -196,87 +177,13 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
         raise InvalidInput("base coefficients must equal the undeformed structure")
 
     F, G, Tt = deformation.F, deformation.G, deformation.Tt
-    w = op.weight
-    N = deformation.order
-    unit = algebra.basis
-    t_img = [[Tt[i].apply(unit(x)) for x in range(n_dim)] for i in range(N + 1)]
-
-    order_reports = []
-    for n in range(N + 1):
-        def cyclic_binary(x, y, z, n=n):
-            acc = zero_vector(n_dim)
-            for (a, b, c) in _cyclic((x, y, z)):
-                for i in range(n + 1):
-                    acc = vec_add(acc, apply_binary(F[i], F[n - i][a][b], unit(c)))
-                acc = vec_add(acc, G[n][a][b][c])
-            return acc
-
-        def cyclic_mixed(x, y, z, a, n=n):
-            acc = zero_vector(n_dim)
-            for (p, q, r) in _cyclic((x, y, z)):
-                for i in range(n + 1):
-                    acc = vec_add(acc, apply_ternary(
-                        G[i], F[n - i][p][q], unit(r), unit(a)))
-            return acc
-
-        def binary_ternary(a, b, x, y, n=n):
-            acc = zero_vector(n_dim)
-            for i in range(n + 1):
-                acc = vec_add(acc, apply_ternary(G[i], unit(a), unit(b), F[n - i][x][y]))
-                acc = vec_sub(acc, apply_binary(F[i], G[n - i][a][b][x], unit(y)))
-                acc = vec_sub(acc, apply_binary(F[i], unit(x), G[n - i][a][b][y]))
-            return acc
-
-        def ternary_ternary(a, b, x, y, z, n=n):
-            acc = zero_vector(n_dim)
-            for i in range(n + 1):
-                acc = vec_add(acc, apply_ternary(G[i], unit(a), unit(b), G[n - i][x][y][z]))
-                acc = vec_sub(acc, apply_ternary(G[i], G[n - i][a][b][x], unit(y), unit(z)))
-                acc = vec_sub(acc, apply_ternary(G[i], unit(x), G[n - i][a][b][y], unit(z)))
-                acc = vec_sub(acc, apply_ternary(G[i], unit(x), unit(y), G[n - i][a][b][z]))
-            return acc
-
-        def operator_binary(x, y, n=n):
-            acc = zero_vector(n_dim)
-            for (i, j, k) in _compositions(n, 3):
-                acc = vec_add(acc, apply_binary(F[i], t_img[j][x], t_img[k][y]))
-                inner = vec_add(apply_binary(F[j], t_img[k][x], unit(y)),
-                                apply_binary(F[j], unit(x), t_img[k][y]))
-                acc = vec_sub(acc, Tt[i].apply(inner))
-            for (i, j, k, l) in _compositions(n, 4):
-                acc = vec_sub(acc, vec_scale(w, Tt[i].apply(
-                    apply_binary(F[j], t_img[k][x], t_img[l][y]))))
-            return acc
-
-        def operator_ternary(x, y, z, n=n):
-            acc = zero_vector(n_dim)
-            for (i, j, k, l) in _compositions(n, 4):
-                acc = vec_add(acc, apply_ternary(G[i], t_img[j][x], t_img[k][y], t_img[l][z]))
-                inner = apply_ternary(G[j], unit(x), t_img[k][y], t_img[l][z])
-                inner = vec_add(inner, apply_ternary(G[j], t_img[k][x], unit(y), t_img[l][z]))
-                inner = vec_add(inner, apply_ternary(G[j], t_img[k][x], t_img[l][y], unit(z)))
-                acc = vec_sub(acc, Tt[i].apply(inner))
-            for (i, j, k, l, m) in _compositions(n, 5):
-                acc = vec_sub(acc, vec_scale(2 * w, Tt[i].apply(
-                    apply_ternary(G[j], t_img[k][x], t_img[l][y], t_img[m][z]))))
-            return acc
-
-        identities = (
-            ("antisymmetry-binary", 2,
-             lambda i, j, n=n: vec_add(F[n][i][j], F[n][j][i])),
-            ("antisymmetry-ternary", 3,
-             lambda i, j, k, n=n: vec_add(G[n][i][j][k], G[n][j][i][k])),
-            ("cyclic-binary", 3, cyclic_binary),
-            ("cyclic-mixed", 4, cyclic_mixed),
-            ("derivation-binary", 4, binary_ternary),
-            ("derivation-ternary", 5, ternary_ternary),
-            ("operator-binary", 2, operator_binary),
-            ("operator-ternary", 3, operator_ternary),
-        )
-        order_reports.append(AxiomReport(tuple(
-            first_failure(name, product(range(n_dim), repeat=arity), fn, is_zero_vector)
-            for name, arity, fn in identities)))
-    return OrderReport(tuple(order_reports))
+    names = ("antisymmetry-binary", "antisymmetry-ternary", "cyclic-binary",
+             "cyclic-mixed", "derivation-binary", "derivation-ternary",
+             "operator-binary", "operator-ternary")
+    return OrderReport(tuple(
+        _axiom_report(names, _ly_identities(F, G, n)
+                      + _reynolds_identities(F, G, Tt, op.weight, n), n_dim)
+        for n in range(deformation.order + 1)))
 
 
 def infinitesimal(deformation: TruncatedDeformation) -> RlyCochain:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import LyAlgebra, bracket2, bracket3, verify_ly_axioms
+from .algebra import LyAlgebra, _morphism_failure, bracket2, bracket3, verify_ly_axioms
 from .cohomology import (
     RlyCochain,
     coboundary_preimage,
@@ -335,6 +335,21 @@ def class_representatives(algebra: LyAlgebra, op: ReynoldsOperator,
     return tuple(ker[p - d1.cols] for p in pivot_columns(stacked) if p >= d1.cols)
 
 
+def _bracket_tables(algebra: LyAlgebra, vectors, out) -> tuple[tuple, tuple]:
+    """Binary and ternary tensors with entries out([u_i, u_j]) and
+    out({u_i, u_j, u_k}), the brackets taken in ``algebra`` over ``vectors``."""
+    idx = range(len(vectors))
+    binary = tuple(
+        tuple(out(bracket2(algebra, vectors[i], vectors[j])) for j in idx)
+        for i in idx)
+    ternary = tuple(
+        tuple(
+            tuple(out(bracket3(algebra, vectors[i], vectors[j], vectors[k])) for k in idx)
+            for j in idx)
+        for i in idx)
+    return binary, ternary
+
+
 def base_data(ext: AbelianExtension, section: Section | None = None
               ) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
     """Recover (L, T, T_V) from an extension.
@@ -352,17 +367,7 @@ def base_data(ext: AbelianExtension, section: Section | None = None
     s = section.map
     s_img = [s.column(i) for i in range(n)]
 
-    binary = tuple(
-        tuple(ext.project.apply(bracket2(ext.total, s_img[i], s_img[j]))
-              for j in range(n))
-        for i in range(n))
-    ternary = tuple(
-        tuple(
-            tuple(ext.project.apply(bracket3(ext.total, s_img[i], s_img[j], s_img[k]))
-                  for k in range(n))
-            for j in range(n))
-        for i in range(n))
-    base = LyAlgebra(n, binary, ternary)
+    base = LyAlgebra(n, *_bracket_tables(ext.total, s_img, ext.project.apply))
 
     t_mat = Matrix.from_columns(
         [ext.project.apply(ext.total_op.matrix.apply(s_img[i])) for i in range(n)], n)
@@ -376,18 +381,12 @@ def base_data(ext: AbelianExtension, section: Section | None = None
     return base, base_op, tv
 
 
-def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Representation:
-    """Representation of the base on V read off a sectioned extension:
-
-        rho(x) u      = [s(x), i(u)]
-        theta(x,y) u  = {i(u), s(x), s(y)}
-
-    Independent of the section because the kernel is abelian; validated
-    against the recovered base data before being returned.
-    """
-    if section is None:
-        section = ext.canonical_section()
-    ext.check_section(section)
+def _base_and_rep(ext: AbelianExtension, section: Section
+                  ) -> tuple[LyAlgebra, ReynoldsOperator, Representation]:
+    """Base data (L, T) and the representation of L on V, T_V included, of
+    an extension with a given section: one read of :func:`base_data`, and the
+    representation validated against it."""
+    base, base_op, tv = base_data(ext, section)
     n, m = ext.base_dim, ext.module_dim
     s_img = [section.map.column(i) for i in range(n)]
     v_img = [ext.inject.column(a) for a in range(m)]
@@ -405,13 +404,49 @@ def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Repres
             for j in range(n))
         for i in range(n))
 
-    base, base_op, tv = base_data(ext, section)
     rep = Representation(n, m, rho, theta, tv)
     report = verify_reynolds_rep(base, base_op, rep)
     if not report.ok:
         raise InternalInconsistency(
             "representation read off a verified extension fails:\n" + report.describe())
-    return rep
+    return base, base_op, rep
+
+
+def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Representation:
+    """Representation of the base on V read off a sectioned extension:
+
+        rho(x) u      = [s(x), i(u)]
+        theta(x,y) u  = {i(u), s(x), s(y)}
+
+    Independent of the section because the kernel is abelian; validated
+    against the recovered base data before being returned.
+    """
+    return _base_and_rep(ext, section or ext.canonical_section())[2]
+
+
+def _defect_cocycle(ext: AbelianExtension, section: Section, base: LyAlgebra,
+                    base_op: ReynoldsOperator, rep: Representation) -> ExtensionCocycle:
+    """The defect cochain of :func:`extract_cocycle` over base data already
+    read off the extension, re-checked to be a cocycle.
+
+    The base brackets and operator are the projections of the total ones on
+    section lifts, so each defect is v - s(project(v)) for a total vector v.
+    """
+    s = section.map
+    s_img = [s.column(i) for i in range(ext.base_dim)]
+
+    def defect(vec):
+        return ext.module_coords(vec_sub(vec, s.apply(ext.project.apply(vec))))
+
+    nu, psi = _bracket_tables(ext.total, s_img, defect)
+    chi = Matrix.from_columns([defect(ext.total_op.matrix.apply(v)) for v in s_img],
+                              ext.module_dim)
+    cocycle = ExtensionCocycle(nu, psi, chi)
+
+    if not is_cocycle(base, base_op, rep, "rly", cocycle.to_cochain()):
+        raise InternalInconsistency(
+            "defect data of a verified extension is not a cocycle")
+    return cocycle
 
 
 def extract_cocycle(ext: AbelianExtension, section: Section | None = None
@@ -425,41 +460,8 @@ def extract_cocycle(ext: AbelianExtension, section: Section | None = None
     All three defects land in the module image; the result is verified to be
     a cocycle over the recovered base data.
     """
-    if section is None:
-        section = ext.canonical_section()
-    ext.check_section(section)
-    n = ext.base_dim
-    s = section.map
-    s_img = [s.column(i) for i in range(n)]
-    base, base_op, _tv = base_data(ext, section)
-
-    def defect(total_vec, base_vec):
-        return ext.module_coords(vec_sub(total_vec, s.apply(base_vec)))
-
-    nu = tuple(
-        tuple(defect(bracket2(ext.total, s_img[i], s_img[j]), base.binary[i][j])
-              for j in range(n))
-        for i in range(n))
-    psi = tuple(
-        tuple(
-            tuple(defect(bracket3(ext.total, s_img[i], s_img[j], s_img[k]),
-                         base.ternary[i][j][k])
-                  for k in range(n))
-            for j in range(n))
-        for i in range(n))
-    chi_cols = [
-        defect(ext.total_op.matrix.apply(s_img[i]),
-               base_op.matrix.apply(base.basis(i)))
-        for i in range(n)
-    ]
-    chi = Matrix.from_columns(chi_cols, ext.module_dim)
-    cocycle = ExtensionCocycle(nu, psi, chi)
-
-    rep = extract_rep(ext, section)
-    if not is_cocycle(base, base_op, rep, "rly", cocycle.to_cochain()):
-        raise InternalInconsistency(
-            "defect data of a verified extension is not a cocycle")
-    return cocycle
+    section = section or ext.canonical_section()
+    return _defect_cocycle(ext, section, *_base_and_rep(ext, section))
 
 
 def to_block_form(ext: AbelianExtension) -> AbelianExtension:
@@ -474,36 +476,10 @@ def to_block_form(ext: AbelianExtension) -> AbelianExtension:
     cols = [s.column(i) for i in range(n)] + [ext.inject.column(a) for a in range(m)]
     basis_change = Matrix.from_columns(cols, n + m)
     binv = inverse(basis_change)
-    big = n + m
-
-    new_binary = tuple(
-        tuple(binv.apply(bracket2(ext.total, basis_change.column(i),
-                                  basis_change.column(j)))
-              for j in range(big))
-        for i in range(big))
-    new_ternary = tuple(
-        tuple(
-            tuple(binv.apply(bracket3(ext.total, basis_change.column(i),
-                                      basis_change.column(j), basis_change.column(k)))
-                  for k in range(big))
-            for j in range(big))
-        for i in range(big))
-    new_total = LyAlgebra(big, new_binary, new_ternary)
+    new_total = LyAlgebra(n + m, *_bracket_tables(ext.total, cols, binv.apply))
     new_op = ReynoldsOperator(binv @ ext.total_op.matrix @ basis_change,
                               ext.total_op.weight)
     return AbelianExtension(new_total, new_op, inject_c, project_c)
-
-
-def _same_base(e1: AbelianExtension, e2: AbelianExtension):
-    b1, o1, tv1 = base_data(e1)
-    b2, o2, tv2 = base_data(e2)
-    if (b1, o1, tv1) != (b2, o2, tv2):
-        raise IncompatibleData("extensions do not share base algebra/operators")
-    r1 = extract_rep(e1)
-    r2 = extract_rep(e2)
-    if r1 != r2:
-        raise IncompatibleData("extensions do not induce the same representation")
-    return b1, o1, r1
 
 
 def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix | None:
@@ -517,33 +493,25 @@ def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix 
     """
     e1 = to_block_form(e1)
     e2 = to_block_form(e2)
-    base, base_op, rep = _same_base(e1, e2)
-    c1 = extract_cocycle(e1).to_cochain()
-    c2 = extract_cocycle(e2).to_cochain()
+    s1, s2 = e1.canonical_section(), e2.canonical_section()
+    base, base_op, rep = _base_and_rep(e1, s1)
+    b2, o2, r2 = _base_and_rep(e2, s2)
+    if (base, base_op, rep.module_op) != (b2, o2, r2.module_op):
+        raise IncompatibleData("extensions do not share base algebra/operators")
+    if rep != r2:
+        raise IncompatibleData("extensions do not induce the same representation")
+    c1 = _defect_cocycle(e1, s1, base, base_op, rep).to_cochain()
+    c2 = _defect_cocycle(e2, s2, base, base_op, rep).to_cochain()
     witness = coboundary_preimage(base, base_op, rep, "rly", c1 - c2)
     if witness is None:
         return None
     iota = matrix_from_cochain(witness.top)
-    n, m = base.dim, rep.module_dim
-    big = n + m
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(1 if j == i else 0) for j in range(big)])
-    for a in range(m):
-        rows.append(list(iota.row(a)) + [Fraction(1 if b == a else 0) for b in range(m)])
-    phi = Matrix.from_rows(rows, big)
+    phi = Matrix.identity(e1.total.dim) + e1.inject @ iota @ e1.project
 
-    for i, j in product(range(big), repeat=2):
-        lhs = phi.apply(bracket2(e1.total, e1.total.basis(i), e1.total.basis(j)))
-        rhs = bracket2(e2.total, phi.column(i), phi.column(j))
-        if lhs != rhs:
-            raise InternalInconsistency("equivalence map fails the binary bracket")
-    for i, j, k in product(range(big), repeat=3):
-        lhs = phi.apply(bracket3(e1.total, e1.total.basis(i), e1.total.basis(j),
-                                 e1.total.basis(k)))
-        rhs = bracket3(e2.total, phi.column(i), phi.column(j), phi.column(k))
-        if lhs != rhs:
-            raise InternalInconsistency("equivalence map fails the ternary bracket")
+    bad = _morphism_failure(phi, e1.total, e2.total)
+    if bad is not None:
+        kind = "binary" if len(bad) == 2 else "ternary"
+        raise InternalInconsistency(f"equivalence map fails the {kind} bracket")
     if phi @ e1.total_op.matrix != e2.total_op.matrix @ phi:
         raise InternalInconsistency("equivalence map fails to intertwine the operators")
     if phi @ e1.inject != e2.inject or e2.project @ phi != e1.project:

@@ -20,6 +20,11 @@ Scalar = Fraction
 
 Vector = tuple[Fraction, ...]
 
+# Fractions are immutable, so constant entries can share these two objects
+# instead of constructing one Fraction per entry.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
@@ -39,10 +44,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Inverse of :func:`parse_rational`; ``str`` of Fraction already fits."""
     return str(x)
-
-
-def as_vector(coords) -> Vector:
-    return tuple(Fraction(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(
-            Fraction(1 if i == j else 0) for i in range(n) for j in range(n)
+            _ONE if i == j else _ZERO for i in range(n) for j in range(n)
         ))
 
     @classmethod
@@ -372,7 +373,7 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 def unit_vector(n: int, pos: int) -> Vector:
-    return tuple(Fraction(1 if t == pos else 0) for t in range(n))
+    return tuple(_ONE if t == pos else _ZERO for t in range(n))
 
 def is_zero_vector(v) -> bool:
     return all(a == 0 for a in v)

@@ -14,9 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
 
-from .algebra import LyAlgebra, bracket2, bracket3, verify_ly_axioms
+from .algebra import (
+    LyAlgebra,
+    _axiom_report,
+    _morphism_failure,
+    apply_binary,
+    apply_ternary,
+    bracket2,
+    bracket3,
+    verify_ly_axioms,
+)
 from .errors import (
     DimMismatch,
     InternalInconsistency,
@@ -24,8 +32,16 @@ from .errors import (
     NotDerivation,
     ZeroScale,
 )
-from .linalg import Matrix, inverse, is_zero_vector, vec_add, vec_scale, vec_sub
-from .reporting import AxiomReport, first_failure
+from .linalg import (
+    Matrix,
+    inverse,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
+from .reporting import AxiomReport
 
 
 @dataclass(frozen=True)
@@ -46,37 +62,67 @@ class ReynoldsOperator:
         return self.matrix.apply(v)
 
 
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _reynolds_identities(F, G, Tt, w, n: int):
+    """The weighted binary and ternary operator identities at order ``n`` of
+    the series F (binary tensors), G (ternary tensors) and Tt (operator
+    matrices), as ``(arity, residual)`` pairs.
+
+    Each residual is the order-n coefficient of LHS - RHS: the products are
+    summed over three-part (plus one weighted four-part) and four-part (plus
+    one five-part) splittings of n.  Order 0 of ``((binary,), (ternary,),
+    (T,))`` is the undeformed operator.
+    """
+    dim = len(F[0])
+    unit = [unit_vector(dim, x) for x in range(dim)]
+    t_img = [[t.column(x) for x in range(dim)] for t in Tt[:n + 1]]
+
+    def binary(x, y):
+        acc = zero_vector(dim)
+        for (i, j, k) in _compositions(n, 3):
+            acc = vec_add(acc, apply_binary(F[i], t_img[j][x], t_img[k][y]))
+            inner = vec_add(apply_binary(F[j], t_img[k][x], unit[y]),
+                            apply_binary(F[j], unit[x], t_img[k][y]))
+            acc = vec_sub(acc, Tt[i].apply(inner))
+        for (i, j, k, l) in _compositions(n, 4):
+            acc = vec_sub(acc, vec_scale(w, Tt[i].apply(
+                apply_binary(F[j], t_img[k][x], t_img[l][y]))))
+        return acc
+
+    def ternary(x, y, z):
+        acc = zero_vector(dim)
+        for (i, j, k, l) in _compositions(n, 4):
+            acc = vec_add(acc, apply_ternary(G[i], t_img[j][x], t_img[k][y], t_img[l][z]))
+            inner = apply_ternary(G[j], unit[x], t_img[k][y], t_img[l][z])
+            inner = vec_add(inner, apply_ternary(G[j], t_img[k][x], unit[y], t_img[l][z]))
+            inner = vec_add(inner, apply_ternary(G[j], t_img[k][x], t_img[l][y], unit[z]))
+            acc = vec_sub(acc, Tt[i].apply(inner))
+        for (i, j, k, l, m) in _compositions(n, 5):
+            acc = vec_sub(acc, vec_scale(2 * w, Tt[i].apply(
+                apply_ternary(G[j], t_img[k][x], t_img[l][y], t_img[m][z]))))
+        return acc
+
+    return ((2, binary), (3, ternary))
+
+
 def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
     """Check the weighted binary identity on all basis pairs and the weighted
     ternary identity on all basis triples."""
     if op.dim != algebra.dim:
         raise DimMismatch("operator side != algebra dim")
-    n = algebra.dim
-    w = op.weight
-    T = op.matrix
-    t_img = [T.apply(algebra.basis(i)) for i in range(n)]
-
-    def binary(i, j):
-        lhs = bracket2(algebra, t_img[i], t_img[j])
-        inner = vec_add(
-            vec_add(bracket2(algebra, t_img[i], algebra.basis(j)),
-                    bracket2(algebra, algebra.basis(i), t_img[j])),
-            vec_scale(w, lhs))
-        return vec_sub(lhs, T.apply(inner))
-
-    def ternary(i, j, k):
-        lhs = bracket3(algebra, t_img[i], t_img[j], t_img[k])
-        inner = bracket3(algebra, algebra.basis(i), t_img[j], t_img[k])
-        inner = vec_add(inner, bracket3(algebra, t_img[i], algebra.basis(j), t_img[k]))
-        inner = vec_add(inner, bracket3(algebra, t_img[i], t_img[j], algebra.basis(k)))
-        inner = vec_add(inner, vec_scale(2 * w, lhs))
-        return vec_sub(lhs, T.apply(inner))
-
-    return AxiomReport((
-        first_failure("reynolds-binary", product(range(n), repeat=2), binary,
-                      is_zero_vector),
-        first_failure("reynolds-ternary", product(range(n), repeat=3), ternary,
-                      is_zero_vector)))
+    return _axiom_report(("reynolds-binary", "reynolds-ternary"),
+                         _reynolds_identities((algebra.binary,), (algebra.ternary,),
+                                              (op.matrix,), op.weight, 0),
+                         algebra.dim)
 
 
 @cache
@@ -143,12 +189,11 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     if not again.ok:
         raise InternalInconsistency(
             "operator is not Reynolds on its own descendant:\n" + again.describe())
-    for i, j in product(range(n), repeat=2):
-        if T.apply(binary[i][j]) != bracket2(algebra, t_img[i], t_img[j]):
-            raise InternalInconsistency(f"T fails to be a binary morphism at ({i},{j})")
-    for i, j, k in product(range(n), repeat=3):
-        if T.apply(ternary[i][j][k]) != bracket3(algebra, t_img[i], t_img[j], t_img[k]):
-            raise InternalInconsistency(f"T fails to be a ternary morphism at ({i},{j},{k})")
+    bad = _morphism_failure(T, descendant, algebra)
+    if bad is not None:
+        kind = "binary" if len(bad) == 2 else "ternary"
+        raise InternalInconsistency(
+            f"T fails to be a {kind} morphism at ({','.join(map(str, bad))})")
     return descendant
 
 
@@ -173,11 +218,8 @@ def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
         rhs = vec_add(rhs, bracket3(algebra, unit(i), unit(j), d_img[k]))
         return vec_sub(lhs, rhs)
 
-    return AxiomReport((
-        first_failure("derivation-binary", product(range(n), repeat=2), binary,
-                      is_zero_vector),
-        first_failure("derivation-ternary", product(range(n), repeat=3), ternary,
-                      is_zero_vector)))
+    return _axiom_report(("derivation-binary", "derivation-ternary"),
+                         ((2, binary), (3, ternary)), n)
 
 
 def reynolds_from_derivation(algebra: LyAlgebra, dm: Matrix, weight) -> ReynoldsOperator:

@@ -16,7 +16,7 @@ from lyreynolds import (
     two_dim_example,
     zero_rep,
 )
-from lyreynolds.algebra import binary_from_sparse
+from lyreynolds.algebra import binary_from_sparse, ternary_from_sparse
 
 
 @pytest.fixture(scope="session")
@@ -113,3 +113,36 @@ def _leibniz3() -> LyAlgebra:
 
 def zero_rep_with_op(algebra_dim: int, module_dim: int, rng) -> "object":
     return zero_rep(algebra_dim, module_dim, rand_matrix(rng, module_dim, module_dim))
+
+
+def random_structures(rng, count: int):
+    """Seeded (algebra, operator) pairs of dimension at most 3, most of them
+    failing some axiom or Reynolds identity.
+
+    Nine in ten have a few random antisymmetric structure constants and a
+    random operator and weight; the rest are valid pairs from
+    :func:`random_valid_triples`, so that passing reports are compared too.
+    """
+    pairs = []
+    while len(pairs) < count:
+        if len(pairs) % 10 == 9:
+            algebra, op, _rep = random_valid_triples(rng, 1)[0]
+            pairs.append((algebra, op))
+            continue
+        # dimension 1 admits no nonzero bracket; entries sit at index pairs
+        # i < j, so that no two of them are antisymmetric images of each other
+        dim = rng.randint(2, 3)
+        binary = binary_from_sparse(dim, {
+            (*sorted(rng.sample(range(dim), 2)), rng.randrange(dim)):
+                rand_fraction(rng, nonzero=True)
+            for _ in range(rng.randint(0, 3))})
+        ternary = ternary_from_sparse(dim, {
+            (*sorted(rng.sample(range(dim), 2)), rng.randrange(dim), rng.randrange(dim)):
+                rand_fraction(rng, nonzero=True)
+            for _ in range(rng.randint(0, 3))})
+        matrix = Matrix.from_rows(
+            [[rand_fraction(rng) if rng.random() < 0.5 else 0 for _ in range(dim)]
+             for _ in range(dim)], dim)
+        pairs.append((LyAlgebra(dim, binary, ternary),
+                      ReynoldsOperator(matrix, rand_fraction(rng))))
+    return pairs

@@ -1,4 +1,7 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,12 @@ from lyreynolds import (
     from_reductive_pair,
     two_dim_example,
     verify_ly_axioms,
+    verify_reynolds,
 )
 from lyreynolds.algebra import (
+    _morphism_failure,
     apply_binary,
+    apply_ternary,
     binary_from_sparse,
     ternary_from_sparse,
     zero_binary,
@@ -29,6 +35,9 @@ from lyreynolds.errors import (
     NotLieAlgebra,
     NotReductive,
 )
+from lyreynolds.linalg import Matrix, vec_add, vec_scale, vec_sub, zero_vector
+from lyreynolds.reporting import AxiomReport, Check
+from tests.conftest import random_structures
 
 F = Fraction
 E1 = (F(1), F(0))
@@ -247,3 +256,126 @@ def test_constructor_outputs_always_pass_axioms(a, b):
     star3 = [[(F(0),) * 3 for _ in range(3)] for _ in range(3)]
     star3[2][0] = (a, F(0), F(0))
     assert verify_ly_axioms(from_leibniz(tuple(map(tuple, star3)))).ok
+
+
+# ---------------------------------------------------------------------------
+# the identity battery against the written-out identities
+
+def _oracle_report(n, identities) -> AxiomReport:
+    checks = []
+    for name, arity, fn in identities:
+        check = Check(name, True)
+        for tup in product(range(n), repeat=arity):
+            r = fn(*tup)
+            if any(r):
+                check = Check(name, False, tup, r)
+                break
+        checks.append(check)
+    return AxiomReport(tuple(checks))
+
+
+def oracle_ly_axioms(algebra) -> AxiomReport:
+    """LY1-LY6 written out on one algebra, one closure per identity."""
+    n = algebra.dim
+    b, t = algebra.binary, algebra.ternary
+
+    def ly3(i, j, k):
+        acc = zero_vector(n)
+        for (x, y, z) in ((i, j, k), (k, i, j), (j, k, i)):
+            acc = vec_add(acc, apply_binary(b, b[x][y], algebra.basis(z)))
+            acc = vec_add(acc, t[x][y][z])
+        return acc
+
+    def ly4(i, j, k, a):
+        acc = zero_vector(n)
+        for (x, y, z) in ((i, j, k), (k, i, j), (j, k, i)):
+            acc = vec_add(acc, apply_ternary(
+                t, b[x][y], algebra.basis(z), algebra.basis(a)))
+        return acc
+
+    def ly5(a, c, i, j):
+        lhs = apply_ternary(t, algebra.basis(a), algebra.basis(c), b[i][j])
+        rhs = vec_add(apply_binary(b, t[a][c][i], algebra.basis(j)),
+                      apply_binary(b, algebra.basis(i), t[a][c][j]))
+        return vec_add(lhs, vec_scale(-1, rhs))
+
+    def ly6(a, c, i, j, k):
+        lhs = apply_ternary(t, algebra.basis(a), algebra.basis(c), t[i][j][k])
+        rhs = apply_ternary(t, t[a][c][i], algebra.basis(j), algebra.basis(k))
+        rhs = vec_add(rhs, apply_ternary(t, algebra.basis(i), t[a][c][j], algebra.basis(k)))
+        rhs = vec_add(rhs, apply_ternary(t, algebra.basis(i), algebra.basis(j), t[a][c][k]))
+        return vec_add(lhs, vec_scale(-1, rhs))
+
+    return _oracle_report(n, (
+        ("LY1", 2, lambda i, j: vec_add(b[i][j], b[j][i])),
+        ("LY2", 3, lambda i, j, k: vec_add(t[i][j][k], t[j][i][k])),
+        ("LY3", 3, ly3), ("LY4", 4, ly4), ("LY5", 4, ly5), ("LY6", 5, ly6)))
+
+
+def oracle_reynolds(algebra, op) -> AxiomReport:
+    """The two weighted identities written out with the brackets of T-images."""
+    n = algebra.dim
+    w = op.weight
+    T = op.matrix
+    t_img = [T.apply(algebra.basis(i)) for i in range(n)]
+
+    def binary(i, j):
+        lhs = bracket2(algebra, t_img[i], t_img[j])
+        inner = vec_add(
+            vec_add(bracket2(algebra, t_img[i], algebra.basis(j)),
+                    bracket2(algebra, algebra.basis(i), t_img[j])),
+            vec_scale(w, lhs))
+        return vec_sub(lhs, T.apply(inner))
+
+    def ternary(i, j, k):
+        lhs = bracket3(algebra, t_img[i], t_img[j], t_img[k])
+        inner = bracket3(algebra, algebra.basis(i), t_img[j], t_img[k])
+        inner = vec_add(inner, bracket3(algebra, t_img[i], algebra.basis(j), t_img[k]))
+        inner = vec_add(inner, bracket3(algebra, t_img[i], t_img[j], algebra.basis(k)))
+        inner = vec_add(inner, vec_scale(2 * w, lhs))
+        return vec_sub(lhs, T.apply(inner))
+
+    return _oracle_report(n, (("reynolds-binary", 2, binary),
+                              ("reynolds-ternary", 3, ternary)))
+
+
+def test_verifiers_match_written_out_identities():
+    # witnesses and residuals of every check, passing or not, on 240 seeded
+    # pairs; every compatibility identity and both operator identities must
+    # fail somewhere in the sample, so that each witness is compared
+    failed = Counter()
+    failing_pairs = 0
+    pairs = random_structures(random.Random(7), 240)
+    for algebra, op in pairs:
+        reports = (verify_ly_axioms(algebra), verify_reynolds(algebra, op))
+        oracles = (oracle_ly_axioms(algebra), oracle_reynolds(algebra, op))
+        for report, oracle in zip(reports, oracles):
+            assert report == oracle
+            assert report.to_json() == oracle.to_json()
+            failed.update(c.name for c in report.failures())
+        failing_pairs += not all(r.ok for r in reports)
+    assert failing_pairs > len(pairs) // 2
+    for name in ("LY3", "LY4", "LY5", "LY6", "reynolds-binary", "reynolds-ternary"):
+        assert failed[name] >= 10, name
+
+
+def test_jacobi_failure_names_witness_and_residual():
+    # [e1,e2] = e3, [e1,e3] = e1: at (e1,e2,e3) the cyclic sum is
+    # [[e1,e2],e3] + [[e3,e1],e2] + [[e2,e3],e1] = 0 - [e1,e2] + 0 = -e3
+    bad = binary_from_sparse(3, {(0, 1, 2): 1, (0, 2, 0): 1})
+    with pytest.raises(NotLieAlgebra) as err:
+        from_lie_algebra(bad)
+    assert str(err.value) == (
+        "Jacobi fails at basis triple (0,1,2): "
+        "(Fraction(0, 1), Fraction(0, 1), Fraction(-1, 1))")
+
+
+def test_morphism_failure_names_first_failing_tuple(ly2):
+    assert _morphism_failure(Matrix.identity(2), ly2, ly2) is None
+    # 2 Id: 2 [e1,e2] = 2 e1 but [2 e1, 2 e2] = 4 e1
+    assert _morphism_failure(Matrix.identity(2).scale(2), ly2, ly2) == (0, 1)
+    # diag(1, 2) on brackets [e1,e2] = 0, {e1,e2,e2} = e1: every binary pair
+    # passes, then {e1, 2 e2, 2 e2} = 4 e1 differs from e1
+    ternary_only = LyAlgebra(2, zero_binary(2), ternary_from_sparse(2, {(0, 1, 1, 0): 1}))
+    diag = Matrix.from_rows([[1, 0], [0, 2]])
+    assert _morphism_failure(diag, ternary_only, ternary_only) == (0, 1, 1)

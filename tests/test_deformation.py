@@ -16,6 +16,8 @@ from lyreynolds import (
     is_cocycle,
     trivialize_first_order,
     verify_deformation,
+    verify_ly_axioms,
+    verify_reynolds,
 )
 from lyreynolds.algebra import zero_binary, zero_ternary
 from lyreynolds.cohomology import (
@@ -34,7 +36,12 @@ from lyreynolds.errors import (
     OrderTooLow,
 )
 from lyreynolds.linalg import rank
-from tests.conftest import rand_fraction, rand_matrix, random_valid_triples
+from tests.conftest import (
+    rand_fraction,
+    rand_matrix,
+    random_structures,
+    random_valid_triples,
+)
 
 F = Fraction
 
@@ -59,6 +66,24 @@ def test_constant_deformation_verifies(ly2, tri_t):
     report = verify_deformation(ly2, tri_t, TruncatedDeformation.constant(ly2, tri_t, 2))
     assert report.ok
     assert len(report.orders) == 3
+
+
+def test_order_zero_is_the_algebra_and_operator_battery():
+    # the same identities under the deformation names: LY1-LY6 are
+    # antisymmetry-*, cyclic-* and derivation-*, reynolds-* are operator-*
+    failing = 0
+    for algebra, op in random_structures(random.Random(8), 60):
+        order0 = verify_deformation(
+            algebra, op, TruncatedDeformation.constant(algebra, op, 1)).orders[0]
+        failing += not order0.ok
+        undeformed = verify_ly_axioms(algebra).checks + verify_reynolds(algebra, op).checks
+        assert [c.name for c in order0.checks] == [
+            "antisymmetry-binary", "antisymmetry-ternary", "cyclic-binary",
+            "cyclic-mixed", "derivation-binary", "derivation-ternary",
+            "operator-binary", "operator-ternary"]
+        assert [(c.passed, c.witness, c.residual) for c in order0.checks] == \
+            [(c.passed, c.witness, c.residual) for c in undeformed]
+    assert failing > 30
 
 
 def test_base_terms_must_match(ly2, tri_t, sl2):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,25 @@ def test_zero_cocycle_builds_semidirect(setup):
         assert base_op == op
         assert tv == rep.module_op
         assert extract_rep(ext) == rep
+
+
+def test_each_extension_reads_its_base_data_once(setup, monkeypatch):
+    import lyreynolds.extension as extension
+
+    calls = Counter()
+    for name in ("base_data", "verify_reynolds_rep"):
+        def counted(*args, _name=name, _fn=getattr(extension, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(extension, name, counted)
+
+    algebra, op, rep = setup
+    ext = build_extension(algebra, op, rep, ExtensionCocycle.zero(2, 2))
+    for fn, per_call in ((extract_rep, 1), (extract_cocycle, 1),
+                         (lambda e: extensions_equivalent(e, e), 2)):
+        calls.clear()
+        fn(ext)
+        assert calls == {"base_data": per_call, "verify_reynolds_rep": per_call}
 
 
 def test_build_extension_round_trip_on_samples(setup):
