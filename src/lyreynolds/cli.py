@@ -27,7 +27,7 @@ from .cohomology import (
     unflatten_rly,
 )
 from .deformation import TruncatedDeformation, verify_deformation
-from .errors import LyError, NameNotFound, ParseError
+from .errors import InvalidInput, InvalidReynolds, LyError, NameNotFound, ParseError
 from .extension import (
     AbelianExtension,
     ExtensionCocycle,
@@ -40,8 +40,13 @@ from .fileformat import Workspace, load_workspace
 from .linalg import format_rational
 from .algebra import verify_ly_axioms
 from .reporting import AxiomReport, Check
-from .representation import verify_rep, verify_reynolds_rep
-from .reynolds import verify_reynolds
+from .representation import (
+    _require_reynolds_rep,
+    _require_valid_rep,
+    verify_rep,
+    verify_reynolds_rep,
+)
+from .reynolds import _require_reynolds, verify_reynolds
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,10 +140,17 @@ def _resolve_triple(ws: Workspace, args):
     if op_entry.algebra != args.algebra or rep_entry.algebra != args.algebra:
         raise LyError("algebra, operator and representation must belong together")
     rep = rep_entry.rep
-    ok = verify_ly_axioms(algebra).ok and verify_reynolds(algebra, op_entry.op).ok \
-        and verify_rep(algebra, rep).ok
-    if rep.module_op is not None:
-        ok = ok and verify_reynolds_rep(algebra, op_entry.op, rep).ok
+    # The engine re-asks these cached validators and gets cache hits.
+    ok = verify_ly_axioms(algebra).ok
+    if ok:
+        try:
+            _require_reynolds(algebra, op_entry.op)
+            if rep.module_op is None:
+                _require_valid_rep(algebra, rep)
+            else:
+                _require_reynolds_rep(algebra, op_entry.op, rep)
+        except (InvalidInput, InvalidReynolds):
+            ok = False
     if not ok:
         raise LyError("inputs fail verification; run the verify command for details")
     return algebra, op_entry.op, rep

@@ -20,7 +20,12 @@ Three coboundaries act on these spaces:
 All differentials are materialized as matrices in the standard cochain
 basis (unit tensors, lexicographic; the f block before the g block, the top
 block before the tail block) and cached per input, so ranks, kernels and
-membership tests reuse them.
+membership tests reuse them.  Each matrix is assembled directly from the
+structure constants, rho/theta and the D table: one pass over the output
+slots emits every nonzero entry as a sparse linear form in the input
+coordinates, so assembly costs about the number of nonzeros, not
+dim_in x dim_out.  The cone stacks its blocks by row and column offsets.
+The coboundaries of single cochains are products with these matrices.
 """
 
 from __future__ import annotations
@@ -38,14 +43,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _ONE,
+    _ZERO,
     Matrix,
     Vector,
-    block_diag,
     kernel_basis,
-    kron,
-    quotient_dim,
     rank,
+    require_complex,
     solve,
+    sparse_rows,
     unit_vector,
     vec_add,
     vec_scale,
@@ -127,25 +133,6 @@ def _check_shape(a, shape: tuple[int, ...], what: str):
     if len(shape) > 1:
         for x in a:
             _check_shape(x, shape[1:], what)
-
-
-def _eval_slots(tensor, slots, leaf_len: int) -> Vector:
-    """Multilinear evaluation: contract nested tensor against one coefficient
-    vector per slot, returning the leaf vector."""
-    out = [Fraction(0)] * leaf_len
-
-    def rec(node, si: int, coeff: Fraction):
-        if si == len(slots):
-            for a, v in enumerate(node):
-                if v:
-                    out[a] += coeff * v
-            return
-        for idx, c in enumerate(slots[si]):
-            if c:
-                rec(node[idx], si + 1, coeff * c)
-
-    rec(tensor, 0, Fraction(1))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +371,18 @@ def unflatten_rly(degree: int, alg_dim: int, mod_dim: int, coords) -> RlyCochain
 # ---------------------------------------------------------------------------
 # the Yamaguti coboundary
 
+def _check_cochain(algebra: LyAlgebra, rep: Representation, c: Cochain) -> None:
+    n = algebra.dim
+    if c.alg_dim != n or rep.algebra_dim != n:
+        raise ShapeMismatch("cochain/representation/algebra dimensions disagree")
+    if c.mod_dim != rep.module_dim:
+        raise ShapeMismatch("cochain module dimension != representation module dimension")
+
+
+def _apply(mat: Matrix, c: Cochain) -> Cochain:
+    return unflatten(c.degree + 1, c.alg_dim, c.mod_dim, mat.apply(flatten(c)))
+
+
 def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
     """Coboundary of the Lie-Yamaguti complex with coefficients in rep.
 
@@ -396,118 +395,11 @@ def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
     in which the last wedge unpacks through rho/theta/brackets, interior
     wedges act through D, and every pair k < l contributes the slot
     substitution {x_k,y_k,x_l} ^ y_l + x_l ^ {x_k,y_k,y_l} at l after
-    omitting slot k.  All evaluation is explicit index bookkeeping over the
-    wedge basis; inputs with a repeated vector evaluate to zero by the
-    antisymmetric expansion rules.
+    omitting slot k.  :func:`_ly_matrix` writes these sums out term by term;
+    a cochain is mapped by that cached matrix.
     """
-    n, m = algebra.dim, rep.module_dim
-    if c.alg_dim != n or rep.algebra_dim != n:
-        raise ShapeMismatch("cochain/representation/algebra dimensions disagree")
-    if c.mod_dim != m:
-        raise ShapeMismatch("cochain module dimension != representation module dimension")
-    _require_valid_rep(algebra, rep)
-
-    pairs = wedge_pairs(n)
-    w = len(pairs)
-    dd = d_table(algebra, rep)
-    rho, theta = rep.rho, rep.theta
-    b, t = algebra.binary, algebra.ternary
-
-    def h_of(vec):  # degree-1 cochain applied to a general element
-        acc = zero_vector(m)
-        for k, coef in enumerate(vec):
-            if coef:
-                acc = vec_add(acc, vec_scale(coef, c.g[k]))
-        return acc
-
-    if c.degree == 1:
-        f_out = []
-        for (i, j) in pairs:
-            val = vec_add(rho[i].apply(c.g[j]),
-                          vec_scale(-1, rho[j].apply(c.g[i])))
-            val = vec_add(val, vec_scale(-1, h_of(b[i][j])))
-            f_out.append(val)
-        g_out = []
-        for (i, j) in pairs:
-            row = []
-            for z in range(n):
-                val = dd[i][j].apply(c.g[z])
-                val = vec_add(val, theta[j][z].apply(c.g[i]))
-                val = vec_add(val, vec_scale(-1, theta[i][z].apply(c.g[j])))
-                val = vec_add(val, vec_scale(-1, h_of(t[i][j][z])))
-                row.append(val)
-            g_out.append(tuple(row))
-        return Cochain(2, n, m, tuple(f_out), tuple(g_out))
-
-    q = c.degree - 1  # wedge slots of the input
-    sign_q = Fraction(-1) ** q
-    unit_w = [unit_vector(w, k) for k in range(w)]
-    unit_l = [unit_vector(n, z) for z in range(n)]
-
-    def eval_f(slots):
-        return _eval_slots(c.f, slots, m)
-
-    def eval_g(slots, zvec):
-        return _eval_slots(c.g, list(slots) + [zvec], m)
-
-    def substituted(ks, kk, ll):
-        """Slot list for the pair-substitution term: omit slot kk, replace
-        the slot of ll by {x_k,y_k,x_l} ^ y_l + x_l ^ {x_k,y_k,y_l}."""
-        xk, yk = pairs[ks[kk]]
-        xl, yl = pairs[ks[ll]]
-        s = vec_add(wedge_vector(n, t[xk][yk][xl], unit_l[yl]),
-                    wedge_vector(n, unit_l[xl], t[xk][yk][yl]))
-        slots = []
-        for pos in range(len(ks)):
-            if pos == kk:
-                continue
-            slots.append(s if pos == ll else unit_w[ks[pos]])
-        return slots
-
-    f_shape = _f_shape(c.degree + 1, n, m)
-    g_shape = _g_shape(c.degree + 1, n, m)
-    f_vals = []
-    g_vals = []
-    for ks in product(range(w), repeat=q + 1):
-        xs = [pairs[k] for k in ks]
-        head = [unit_w[k] for k in ks[:q]]
-        xq, yq = xs[q]
-
-        acc = rho[xq].apply(eval_g(head, unit_l[yq]))
-        acc = vec_add(acc, vec_scale(-1, rho[yq].apply(eval_g(head, unit_l[xq]))))
-        acc = vec_add(acc, vec_scale(-1, eval_g(head, b[xq][yq])))
-        acc = vec_scale(sign_q, acc)
-        for kk in range(q):
-            rest = [unit_w[ks[pos]] for pos in range(q + 1) if pos != kk]
-            term = dd[xs[kk][0]][xs[kk][1]].apply(eval_f(rest))
-            acc = vec_add(acc, term if kk % 2 == 0 else vec_scale(-1, term))
-        for kk in range(q + 1):
-            for ll in range(kk + 1, q + 1):
-                term = eval_f(substituted(ks, kk, ll))
-                acc = vec_add(acc, vec_scale(-1, term) if kk % 2 == 0 else term)
-        f_vals.append(acc)
-
-        for z in range(n):
-            acc = theta[yq][z].apply(eval_g(head, unit_l[xq]))
-            acc = vec_add(acc, vec_scale(-1, theta[xq][z].apply(eval_g(head, unit_l[yq]))))
-            acc = vec_scale(sign_q, acc)
-            for kk in range(q + 1):
-                rest = [unit_w[ks[pos]] for pos in range(q + 1) if pos != kk]
-                term = dd[xs[kk][0]][xs[kk][1]].apply(eval_g(rest, unit_l[z]))
-                acc = vec_add(acc, term if kk % 2 == 0 else vec_scale(-1, term))
-            for kk in range(q + 1):
-                for ll in range(kk + 1, q + 1):
-                    term = eval_g(substituted(ks, kk, ll), unit_l[z])
-                    acc = vec_add(acc, vec_scale(-1, term) if kk % 2 == 0 else term)
-            for kk in range(q + 1):
-                rest = [unit_w[ks[pos]] for pos in range(q + 1) if pos != kk]
-                term = eval_g(rest, t[xs[kk][0]][xs[kk][1]][z])
-                acc = vec_add(acc, vec_scale(-1, term) if kk % 2 == 0 else term)
-            g_vals.append(acc)
-
-    f_out = _tensor_build(f_shape, iter(x for vec in f_vals for x in vec))
-    g_out = _tensor_build(g_shape, iter(x for vec in g_vals for x in vec))
-    return Cochain(c.degree + 1, n, m, f_out, g_out)
+    _check_cochain(algebra, rep, c)
+    return _apply(differential_matrix(algebra, None, rep, "ly", c.degree), c)
 
 
 def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
@@ -515,26 +407,141 @@ def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     """Coboundary of the operator complex: exactly the Yamaguti coboundary of
     the descendant algebra with coefficients in the induced representation."""
     _require_reynolds_rep(algebra, op, rep)
-    return delta(descendant_algebra(algebra, op), induced_rep(algebra, op, rep), c)
+    _check_cochain(algebra, rep, c)
+    return _apply(differential_matrix(algebra, op, rep, "ro", c.degree), c)
+
+
+@cache
+def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
+    """Matrix of :func:`delta` at ``degree``, assembled one output slot at a
+    time.
+
+    Each output coordinate is a linear form in the input coordinates: a term
+    M c(slots) of the formula, with M one of rho, theta, D or the identity,
+    adds M's nonzero entries at the columns of the input slot, and a general
+    vector in the last argument (a bracket) or in a wedge slot (the
+    substitution) expands over its nonzero coordinates.  So the cost follows
+    the number of nonzero entries, not dim_in x dim_out.  The degree-1
+    formulas are the sums with no wedge slot in the input.
+    """
+    n, m = algebra.dim, rep.module_dim
+    pairs = wedge_pairs(n)
+    w = len(pairs)
+    b, t = algebra.binary, algebra.ternary
+    rho = [sparse_rows(x) for x in rep.rho]
+    theta = [[sparse_rows(x) for x in row] for row in rep.theta]
+    dd = [[sparse_rows(x) for x in row] for row in d_table(algebra, rep)]
+    eye = [{a: _ONE} for a in range(m)]
+    rows = [{} for _ in range(cochain_dim(degree + 1, n, m))]
+
+    def add(out, coef, op_rows, col):
+        """Output coordinates out.. gain coef * op applied to the input
+        coordinates col..; op is given by its sparse rows."""
+        for a, op_row in enumerate(op_rows):
+            row = rows[out + a]
+            for a2, v in op_row.items():
+                row[col + a2] = row.get(col + a2, _ZERO) + coef * v
+
+    def add_vec(out, coef, vec, col):
+        """The term coef * c(..., vec) with a general vector vec in the last
+        argument, whose basis values start at col, m apart."""
+        for s, v in enumerate(vec):
+            if v:
+                add(out, coef * v, eye, col + s * m)
+
+    # q wedge slots in the input; a degree-1 input (q = 0) is a g block alone
+    q = degree - 1
+    sign_q = _ONE if q % 2 == 0 else -_ONE
+    alt = [_ONE if kk % 2 == 0 else -_ONE for kk in range(q + 1)]
+    g_in = 0 if q == 0 else w ** q * m
+    g_out = w ** (q + 1) * m
+    unit = [unit_vector(n, z) for z in range(n)]
+    # nonzero wedge coordinates of {x_k,y_k,x_l} ^ y_l + x_l ^ {x_k,y_k,y_l}
+    subst = [[[(s, v) for s, v in enumerate(vec_add(
+        wedge_vector(n, t[xk][yk][xl], unit[yl]),
+        wedge_vector(n, unit[xl], t[xk][yk][yl]))) if v]
+        for (xl, yl) in pairs] for (xk, yk) in pairs]
+
+    def flat(slots):
+        idx = 0
+        for s in slots:
+            idx = idx * w + s
+        return idx
+
+    def f_col(slots):
+        return flat(slots) * m
+
+    def g_col(slots, z):
+        return g_in + (flat(slots) * n + z) * m
+
+    for idx, ks in enumerate(product(range(w), repeat=q + 1)):
+        xs = [pairs[k] for k in ks]
+        head = ks[:q]
+        xq, yq = xs[q]
+        rest = [ks[:kk] + ks[kk + 1:] for kk in range(q + 1)]
+        # omit slot kk, put the substitution of the pair (kk, ll) at ll
+        substituted = [
+            (-alt[kk] * v, rest[kk][:ll - 1] + (s,) + rest[kk][ll:])
+            for kk in range(q + 1) for ll in range(kk + 1, q + 1)
+            for s, v in subst[ks[kk]][ks[ll]]]
+
+        out = idx * m
+        add(out, sign_q, rho[xq], g_col(head, yq))
+        add(out, -sign_q, rho[yq], g_col(head, xq))
+        add_vec(out, -sign_q, b[xq][yq], g_col(head, 0))
+        for kk in range(q):
+            add(out, alt[kk], dd[xs[kk][0]][xs[kk][1]], f_col(rest[kk]))
+        for coef, slots in substituted:
+            add(out, coef, eye, f_col(slots))
+
+        for z in range(n):
+            out = g_out + (idx * n + z) * m
+            add(out, sign_q, theta[yq][z], g_col(head, xq))
+            add(out, -sign_q, theta[xq][z], g_col(head, yq))
+            for kk in range(q + 1):
+                add(out, alt[kk], dd[xs[kk][0]][xs[kk][1]], g_col(rest[kk], z))
+            for coef, slots in substituted:
+                add(out, coef, eye, g_col(slots, z))
+            for kk in range(q + 1):
+                add_vec(out, -alt[kk], t[xs[kk][0]][xs[kk][1]][z], g_col(rest[kk], 0))
+    return Matrix.from_sparse_rows(rows, cochain_dim(degree, n, m))
 
 
 # ---------------------------------------------------------------------------
 # the comparison map phi
 
-def _wedge_square_matrix(n: int, p: Matrix) -> Matrix:
-    """Matrix on wedge^2 of x ^ y -> P x ^ P y."""
-    cols = [wedge_vector(n, p.column(i), p.column(j)) for (i, j) in wedge_pairs(n)]
-    return Matrix.from_columns(cols, wedge_dim(n))
+def _wedge_images(n: int, maps) -> list[list[tuple[int, Fraction]]]:
+    """For each wedge pair (i, j), the nonzero wedge coordinates of the sum
+    of P e_i ^ Q e_j over the matrix pairs (P, Q) in ``maps``."""
+    out = []
+    for (i, j) in wedge_pairs(n):
+        vec = zero_vector(wedge_dim(n))
+        for p, q in maps:
+            vec = vec_add(vec, wedge_vector(n, p.column(i), q.column(j)))
+        out.append([(k, v) for k, v in enumerate(vec) if v])
+    return out
 
 
-def _wedge_mixed_matrix(n: int, p: Matrix, q: Matrix) -> Matrix:
-    """Matrix on wedge^2 of x ^ y -> P x ^ Q y + Q x ^ P y."""
-    cols = [
-        vec_add(wedge_vector(n, p.column(i), q.column(j)),
-                wedge_vector(n, q.column(i), p.column(j)))
-        for (i, j) in wedge_pairs(n)
-    ]
-    return Matrix.from_columns(cols, wedge_dim(n))
+def _slot_product(factors, w: int) -> dict[int, Fraction]:
+    """The product over slots of one sparse linear form per slot, keyed by
+    the flat (row-major) index of the input slot tuple."""
+    acc = {0: _ONE}
+    for factor in factors:
+        acc = {idx * w + k: c * v for idx, c in acc.items() for k, v in factor}
+    return acc
+
+
+def _scaled(form: dict, c: Fraction) -> dict:
+    return {key: c * v for key, v in form.items()}
+
+
+def _merge(forms) -> dict:
+    """The sum of sparse forms."""
+    out: dict = {}
+    for form in forms:
+        for key, v in form.items():
+            out[key] = out.get(key, _ZERO) + v
+    return out
 
 
 @cache
@@ -546,50 +553,62 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     Degree 1: h -> h o T - T_V o h.  Degree p >= 2 with q = p - 1 wedge
     slots: apply T to every vector argument, minus T_V applied to (the sum
     over single slots left untransformed, plus (2q-1) w times the all-T term
-    for the f part and 2q w times it for the g part)."""
+    for the f part and 2q w times it for the g part).
+
+    Each output slot emits its entries directly: the all-T term and the
+    T_V-term are products of one sparse form per slot."""
     if degree < 1:
         raise DegreeOutOfRange(f"degree {degree} < 1")
     if rep.module_op is None:
         raise InvalidInput("phi needs a module operator")
     n, m = algebra.dim, rep.module_dim
     tmat = op.matrix
-    tv = rep.module_op
+    tv = sparse_rows(rep.module_op)
     weight = op.weight
-    im = Matrix.identity(m)
+    rows = [{} for _ in range(cochain_dim(degree, n, m))]
+    # t_rows[z]: the nonzero coordinates of T e_z
+    t_rows = [[(z2, v) for z2, v in enumerate(tmat.column(z)) if v] for z in range(n)]
+
+    def emit(out, all_t, inner):
+        """Output coordinates out.. of c(all-T) - T_V c(inner), both forms
+        keyed by input slot blocks of m coordinates."""
+        for a in range(m):
+            row = rows[out + a]
+            for key, v in all_t.items():
+                row[key * m + a] = row.get(key * m + a, _ZERO) + v
+            for key, u in inner.items():
+                for a2, x in tv[a].items():
+                    row[key * m + a2] = row.get(key * m + a2, _ZERO) - x * u
+
     if degree == 1:
-        return kron(tmat.transpose(), im) - kron(Matrix.identity(n), tv)
+        for z in range(n):
+            emit(z * m, dict(t_rows[z]), {z: _ONE})
+        return Matrix.from_sparse_rows(rows, n * m)
 
     q = degree - 1
-    a_w = _wedge_square_matrix(n, tmat).transpose()
-    b_w = _wedge_mixed_matrix(n, Matrix.identity(n), tmat).transpose()
+    w = wedge_dim(n)
+    ident = Matrix.identity(n)
+    t_wedge = _wedge_images(n, [(tmat, tmat)])
+    mixed_wedge = _wedge_images(n, [(ident, tmat), (tmat, ident)])
+    g_key = w ** q  # first key of the g block, in blocks of m coordinates
 
-    def kron_chain(mats):
-        acc = mats[0]
-        for mm in mats[1:]:
-            acc = kron(acc, mm)
-        return acc
+    def with_z(form, z_rows):
+        """A slot form times a form in the last argument, keyed in the g block."""
+        return {g_key + key * n + z2: c * v for key, c in form.items() for z2, v in z_rows}
 
-    all_t_f = kron_chain([a_w] * q)
-    mixed_f = [kron_chain([b_w if t == s else a_w for s in range(q)]) for t in range(q)]
-    post_f = kron(Matrix.identity(all_t_f.rows), tv)
-    inner_f = mixed_f[0]
-    for mm in mixed_f[1:]:
-        inner_f = inner_f + mm
-    inner_f = inner_f + all_t_f.scale((2 * q - 1) * weight)
-    f_block = kron(all_t_f, im) - post_f @ kron(inner_f, im)
-
-    tt = tmat.transpose()
-    all_t_g = kron(all_t_f, tt)
-    mixed_g = [kron(mixed_f[t], tt) for t in range(q)]
-    id_slot_g = kron(all_t_f, Matrix.identity(n))
-    inner_g = id_slot_g
-    for mm in mixed_g:
-        inner_g = inner_g + mm
-    inner_g = inner_g + all_t_g.scale(2 * q * weight)
-    post_g = kron(Matrix.identity(all_t_g.rows), tv)
-    g_block = kron(all_t_g, im) - post_g @ kron(inner_g, im)
-
-    return block_diag([f_block, g_block])
+    for idx, ks in enumerate(product(range(w), repeat=q)):
+        all_t = _slot_product([t_wedge[k] for k in ks], w)
+        mixed = [_slot_product([mixed_wedge[k] if s == slot else t_wedge[k]
+                                for s, k in enumerate(ks)], w) for slot in range(q)]
+        inner = _merge(mixed + [_scaled(all_t, (2 * q - 1) * weight)])
+        emit(idx * m, all_t, inner)
+        for z in range(n):
+            all_t_g = with_z(all_t, t_rows[z])
+            inner_g = _merge([with_z(all_t, [(z, _ONE)])]
+                             + [with_z(form, t_rows[z]) for form in mixed]
+                             + [_scaled(all_t_g, 2 * q * weight)])
+            emit(g_key * m + (idx * n + z) * m, all_t_g, inner_g)
+    return Matrix.from_sparse_rows(rows, cochain_dim(degree, n, m))
 
 
 def phi(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
@@ -608,63 +627,45 @@ def d_rly(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         degree 1:  top -> (delta top, -phi top)
         degree p:  (top, tail) -> (delta top, -partial tail - phi top)
     """
-    top_out = delta(algebra, rep, c.top)
-    tail_out = phi(algebra, op, rep, c.top).scale(-1)
-    if c.tail is not None:
-        tail_out = tail_out - partial(algebra, op, rep, c.tail)
-    return RlyCochain(top_out, tail_out)
+    _check_cochain(algebra, rep, c.top)
+    mat = differential_matrix(algebra, op, rep, "rly", c.degree)
+    return unflatten_rly(c.degree + 1, algebra.dim, rep.module_dim,
+                         mat.apply(flatten_rly(c)))
 
 
 # ---------------------------------------------------------------------------
 # differentials as matrices, cohomology dimensions
 
-def _columns_by_units(apply_fn, degree: int, n: int, m: int) -> Matrix:
-    dim_in = cochain_dim(degree, n, m)
-    dim_out = cochain_dim(degree + 1, n, m)
-    cols = []
-    for pos in range(dim_in):
-        unit = unflatten(degree, n, m, unit_vector(dim_in, pos))
-        cols.append(flatten(apply_fn(unit)))
-    return Matrix.from_columns(cols, dim_out)
-
-
-@cache
-def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
-    return _columns_by_units(lambda c: delta(algebra, rep, c),
-                             degree, algebra.dim, rep.module_dim)
-
-
 def differential_matrix(algebra: LyAlgebra, op: ReynoldsOperator,
                         rep: Representation, which: str, degree: int) -> Matrix:
     """Matrix of the degree-p coboundary of the chosen complex, columns
-    indexed by the standard degree-p basis, rows by the degree-(p+1) basis."""
+    indexed by the standard degree-p basis, rows by the degree-(p+1) basis.
+    The cone's blocks [[delta, 0], [-phi, -partial]] are stacked by row and
+    column offsets."""
     if which not in COMPLEXES:
         raise InvalidInput(f"unknown complex {which!r}; pick one of {COMPLEXES}")
     if degree < 1:
         raise DegreeOutOfRange(f"degree {degree} < 1")
-    n, m = algebra.dim, rep.module_dim
     if which == "ly":
+        _require_valid_rep(algebra, rep)
         return _ly_matrix(algebra, rep, degree)
     if which == "ro":
         _require_reynolds_rep(algebra, op, rep)
+        # induced_rep verifies the descendant pair itself
         return _ly_matrix(descendant_algebra(algebra, op),
                           induced_rep(algebra, op, rep), degree)
     dlt = differential_matrix(algebra, op, rep, "ly", degree)
     ph = phi_matrix(algebra, op, rep, degree)
+    rows = sparse_rows(dlt)
     if degree == 1:
-        rows = dlt.to_rows() + ph.scale(-1).to_rows()
-        return Matrix.from_rows(rows, dlt.cols)
+        rows += [{j: -x for j, x in row.items()} for row in sparse_rows(ph)]
+        return Matrix.from_sparse_rows(rows, dlt.cols)
     prt = differential_matrix(algebra, op, rep, "ro", degree - 1)
-    top_dim = cochain_dim(degree, n, m)
-    tail_dim = cochain_dim(degree - 1, n, m)
-    out_top = cochain_dim(degree + 1, n, m)
-    out_tail = cochain_dim(degree, n, m)
-    rows = []
-    for i in range(out_top):
-        rows.append(list(dlt.row(i)) + [Fraction(0)] * tail_dim)
-    for i in range(out_tail):
-        rows.append([-x for x in ph.row(i)] + [-x for x in prt.row(i)])
-    return Matrix.from_rows(rows, top_dim + tail_dim)
+    for ph_row, prt_row in zip(sparse_rows(ph), sparse_rows(prt)):
+        row = {j: -x for j, x in ph_row.items()}
+        row.update((dlt.cols + j, -x) for j, x in prt_row.items())
+        rows.append(row)
+    return Matrix.from_sparse_rows(rows, dlt.cols + prt.cols)
 
 
 def space_dim(algebra: LyAlgebra, rep: Representation, which: str, degree: int) -> int:
@@ -678,22 +679,25 @@ def cohomology_dims(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     """Betti numbers through max_degree.
 
     betti(p) = dim ker(d at p) - rank(d at p-1); degree 1 has no incoming
-    differential, so betti(1) = dim ker(d at 1).  The quotient computation
-    re-verifies d(p) . d(p-1) = 0, so a broken complex cannot slip through.
+    differential, so betti(1) = dim ker(d at 1).  Each differential is
+    eliminated once and its rank reused at the next degree.  d(p) . d(p-1)
+    = 0 is re-verified by a sparse product, so a broken complex cannot slip
+    through.
     """
     if max_degree < 1:
         raise DegreeOutOfRange("max_degree must be >= 1")
     rows = []
     prev = None
+    prev_rank = 0
     for p in range(1, max_degree + 1):
         out = differential_matrix(algebra, op, rep, which, p)
+        if prev is not None:
+            require_complex(out, prev)
         dim_p = space_dim(algebra, rep, which, p)
-        incoming = prev if prev is not None else Matrix.zero(dim_p, 0)
-        betti = quotient_dim(out, incoming)
-        dim_ker = dim_p - rank(out)
-        dim_im = rank(incoming)
-        rows.append(DegreeRow(p, dim_p, dim_ker, dim_im, betti))
-        prev = out
+        out_rank = rank(out)
+        dim_ker = dim_p - out_rank
+        rows.append(DegreeRow(p, dim_p, dim_ker, prev_rank, dim_ker - prev_rank))
+        prev, prev_rank = out, out_rank
     return ComplexReport(which, tuple(rows))
 
 

@@ -1,9 +1,14 @@
 """Exact rational linear algebra: matrices, rank, kernels, quotient dimensions.
 
 Everything works over Q with ``fractions.Fraction`` scalars, so ranks and
-kernels are exact -- no floating point anywhere.  Elimination is
-deterministic: the pivot is always the first row with a nonzero entry in the
-current column, scanning top-down, which makes every output bit-reproducible.
+kernels are exact -- no floating point anywhere.  Matrices are stored
+densely, but the kernels that cost -- products and elimination -- walk the
+nonzero entries only: both read a matrix as one {column: entry} dict per row
+(:func:`sparse_rows`), and sparse-built matrices come back through
+:meth:`Matrix.from_sparse_rows`.  Elimination is a Gauss-Jordan pass over
+those row dicts and is deterministic: the pivot is always the first row with
+a nonzero entry in the current column, scanning top-down, which makes every
+output bit-reproducible.
 """
 
 from __future__ import annotations
@@ -92,6 +97,19 @@ class Matrix:
         ))
 
     @classmethod
+    def from_sparse_rows(cls, rows_data, cols: int) -> "Matrix":
+        """Matrix from one {column: entry} dict per row; absent entries are
+        zero.  Entries must already be Fractions."""
+        out = [_ZERO] * (len(rows_data) * cols)
+        for i, row in enumerate(rows_data):
+            base = i * cols
+            for j, x in row.items():
+                if not 0 <= j < cols:
+                    raise DimMismatch(f"column {j} outside a matrix of {cols} columns")
+                out[base + j] = x
+        return cls(len(rows_data), cols, tuple(out))
+
+    @classmethod
     def from_columns(cls, columns, rows: int) -> "Matrix":
         columns = [list(c) for c in columns]
         for c in columns:
@@ -141,20 +159,19 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Product over the nonzero entries of both factors."""
         if self.cols != other.rows:
             raise DimMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                out.append(s)
-        return Matrix(self.rows, other.cols, tuple(out))
+        right = sparse_rows(other)
+        cols = other.cols
+        out = [_ZERO] * (self.rows * cols)
+        for i, row in enumerate(sparse_rows(self)):
+            base = i * cols
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    out[base + j] += a * b
+        return Matrix(self.rows, cols, tuple(out))
 
     def apply(self, v) -> Vector:
         """Matrix times column vector."""
@@ -197,38 +214,51 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot column indices).
+def sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
+    """The nonzero entries of m, one {column: entry} dict per row."""
+    c, e = m.cols, m.entries
+    return [{j: x for j, x in enumerate(e[i * c:(i + 1) * c]) if x}
+            for i in range(m.rows)]
 
-    Pivot choice: first row with a nonzero entry in the current column,
-    scanning top-down.  No magnitude heuristics, so reruns are identical.
+
+def _rref(m: Matrix) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination on row dicts.
+
+    Returns (rows, pivots): rows[r] holds the nonzero entries of the r-th
+    nonzero row of the RREF, whose leading 1 sits in column pivots[r]; the
+    zero rows below them are dropped.  Only nonzero entries are stored,
+    updated or scanned.  Pivot choice: first row with a nonzero entry in the
+    current column, scanning top-down.  No magnitude heuristics, so reruns
+    are identical.
     """
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    a = sparse_rows(m)
+    nrows = m.rows
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(m.cols):
         if r >= nrows:
             break
-        src = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                src = i
-                break
+        src = next((i for i in range(r, nrows) if c in a[i]), None)
         if src is None:
             continue
-        if src != r:
-            a[r], a[src] = a[src], a[r]
+        a[r], a[src] = a[src], a[r]
         p = a[r][c]
         if p != 1:
-            a[r] = [x / p for x in a[r]]
+            a[r] = {j: x / p for j, x in a[r].items()}
+        pivot_row = list(a[r].items())
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            if i != r and c in row:
+                f = row[c]
+                for j, x in pivot_row:
+                    y = row.get(j, _ZERO) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a[:r], pivots
 
 
 def pivot_columns(m: Matrix) -> list[int]:
@@ -248,17 +278,26 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     One vector per free column of the RREF, in increasing free-column order,
     via the standard parametrization (free variable set to 1).
     """
-    a, pivots = _rref(m)
+    rows, pivots = _rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
+    vectors = {fc: [_ZERO] * m.cols for fc in free}
     for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        vectors.append(tuple(v))
-    return SubspaceBasis(m.cols, tuple(vectors))
+        vectors[fc][fc] = _ONE
+    for row, pc in zip(rows, pivots):
+        # an RREF row is zero at the other pivot columns: the rest are free
+        for j, x in row.items():
+            if j != pc:
+                vectors[j][pc] = -x
+    return SubspaceBasis(m.cols, tuple(tuple(vectors[fc]) for fc in free))
+
+
+def require_complex(outgoing: Matrix, incoming: Matrix) -> None:
+    """Raise unless outgoing . incoming is defined and zero."""
+    if outgoing.cols != incoming.rows:
+        raise DimMismatch("outgoing/incoming shapes do not chain")
+    if not (outgoing @ incoming).is_zero():
+        raise CompositionNotZero("outgoing . incoming != 0: the complex is broken")
 
 
 def quotient_dim(outgoing: Matrix, incoming: Matrix) -> int:
@@ -266,10 +305,7 @@ def quotient_dim(outgoing: Matrix, incoming: Matrix) -> int:
 
     This is the Betti number at the middle spot of incoming -> . -> outgoing.
     """
-    if outgoing.cols != incoming.rows:
-        raise DimMismatch("outgoing/incoming shapes do not chain")
-    if not (outgoing @ incoming).is_zero():
-        raise CompositionNotZero("outgoing . incoming != 0: the complex is broken")
+    require_complex(outgoing, incoming)
     return (outgoing.cols - rank(outgoing)) - rank(incoming)
 
 
@@ -281,12 +317,12 @@ def solve(m: Matrix, b) -> Vector | None:
     aug = Matrix(m.rows, m.cols + 1,
                  tuple(x for i in range(m.rows)
                        for x in (*m.row(i), Fraction(b[i]))))
-    a, pivots = _rref(aug)
+    rows, pivots = _rref(aug)
     if m.cols in pivots:
         return None  # inconsistent: pivot in the augmented column
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][m.cols]
+    x = [_ZERO] * m.cols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row.get(m.cols, _ZERO)
     return tuple(x)
 
 
@@ -299,29 +335,11 @@ def inverse(m: Matrix) -> Matrix:
         x for i in range(n)
         for x in (*m.row(i), *(Fraction(1 if j == i else 0) for j in range(n)))
     ))
-    a, pivots = _rref(aug)
+    rows, pivots = _rref(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrix(f"matrix of rank {len([p for p in pivots if p < n])} < {n}")
-    return Matrix.from_rows([row[n:] for row in a[:n]], n)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, blocks of b scaled by entries of a."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [Fraction(0)] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            c = a.entries[i * a.cols + j]
-            if not c:
-                continue
-            for k in range(b.rows):
-                base = (i * b.rows + k) * cols + j * b.cols
-                brow = b.entries[k * b.cols:(k + 1) * b.cols]
-                for l, x in enumerate(brow):
-                    if x:
-                        out[base + l] = c * x
-    return Matrix(rows, cols, tuple(out))
+    return Matrix.from_sparse_rows(
+        [{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
 
 
 def block_diag(mats) -> Matrix:

@@ -95,9 +95,9 @@ def d_table(algebra: LyAlgebra, rep: Representation):
     return tuple(tuple(d_map(algebra, rep, i, j) for j in range(n)) for i in range(n))
 
 
-def _d_at(algebra: LyAlgebra, rep: Representation, x, y) -> Matrix:
-    zero = Matrix.zero(rep.module_dim, rep.module_dim)
-    return lincomb(x, [lincomb(y, row, zero) for row in d_table(algebra, rep)], zero)
+def _d_at(dd, x, y, zero: Matrix) -> Matrix:
+    """D of a general pair, by bilinearity, from the table ``dd``."""
+    return lincomb(x, [lincomb(y, row, zero) for row in dd], zero)
 
 
 def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
@@ -155,7 +155,7 @@ def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
         for a, b, x, y in product(range(n), repeat=4):
             r = (dd[a][b] @ dd[x][y]
                  - (dd[x][y] @ dd[a][b] + lincomb(t[a][b][x], d_col[y], zero)
-                    + _d_at(algebra, rep, algebra.basis(x), t[a][b][y])))
+                    + _d_at(dd, algebra.basis(x), t[a][b][y], zero)))
             if not r.is_zero():
                 raise InternalInconsistency(
                     f"derived D-D compatibility fails at ({a},{b},{x},{y}) although "
@@ -201,10 +201,12 @@ def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
                       Matrix.is_zero)]
 
     if all(c.passed for c in checks):
+        dd = d_table(algebra, rep)
+        zero = Matrix.zero(rep.module_dim, rep.module_dim)
         for x, y in product(range(n), repeat=2):
-            d_txty = _d_at(algebra, rep, t_img[x], t_img[y])
-            d_tx_y = _d_at(algebra, rep, t_img[x], algebra.basis(y))
-            d_x_ty = _d_at(algebra, rep, algebra.basis(x), t_img[y])
+            d_txty = _d_at(dd, t_img[x], t_img[y], zero)
+            d_tx_y = _d_at(dd, t_img[x], algebra.basis(y), zero)
+            d_x_ty = _d_at(dd, algebra.basis(x), t_img[y], zero)
             r = d_txty @ tv - tv @ (d_txty + d_tx_y @ tv + d_x_ty @ tv
                                     + (d_txty @ tv).scale(2 * w))
             if not r.is_zero():

@@ -85,31 +85,43 @@ def _reynolds_identities(F, G, Tt, w, n: int):
     dim = len(F[0])
     unit = [unit_vector(dim, x) for x in range(dim)]
     t_img = [[t.column(x) for x in range(dim)] for t in Tt[:n + 1]]
+    comps3, comps4, comps5 = (list(_compositions(n, parts)) for parts in (3, 4, 5))
+
+    def minus_ts(acc, inner):
+        """acc - sum_i T_i(inner[i]): one application of each T_i."""
+        for i, v in enumerate(inner):
+            acc = vec_sub(acc, Tt[i].apply(v))
+        return acc
 
     def binary(x, y):
+        # F_j(T_k x, T_l y) for every j + k + l <= n, each computed once
+        all_t = {(j, k, l): apply_binary(F[j], t_img[k][x], t_img[l][y])
+                 for (_, j, k, l) in comps4}
         acc = zero_vector(dim)
-        for (i, j, k) in _compositions(n, 3):
-            acc = vec_add(acc, apply_binary(F[i], t_img[j][x], t_img[k][y]))
-            inner = vec_add(apply_binary(F[j], t_img[k][x], unit[y]),
-                            apply_binary(F[j], unit[x], t_img[k][y]))
-            acc = vec_sub(acc, Tt[i].apply(inner))
-        for (i, j, k, l) in _compositions(n, 4):
-            acc = vec_sub(acc, vec_scale(w, Tt[i].apply(
-                apply_binary(F[j], t_img[k][x], t_img[l][y]))))
-        return acc
+        inner = [zero_vector(dim)] * (n + 1)
+        for (i, j, k) in comps3:
+            acc = vec_add(acc, all_t[i, j, k])
+            inner[i] = vec_add(inner[i], vec_add(apply_binary(F[j], t_img[k][x], unit[y]),
+                                                 apply_binary(F[j], unit[x], t_img[k][y])))
+        for (i, j, k, l) in comps4:
+            inner[i] = vec_add(inner[i], vec_scale(w, all_t[j, k, l]))
+        return minus_ts(acc, inner)
 
     def ternary(x, y, z):
+        # G_j(T_k x, T_l y, T_m z) for every j + k + l + m <= n, each once
+        all_t = {(j, k, l, m): apply_ternary(G[j], t_img[k][x], t_img[l][y], t_img[m][z])
+                 for (_, j, k, l, m) in comps5}
         acc = zero_vector(dim)
-        for (i, j, k, l) in _compositions(n, 4):
-            acc = vec_add(acc, apply_ternary(G[i], t_img[j][x], t_img[k][y], t_img[l][z]))
-            inner = apply_ternary(G[j], unit[x], t_img[k][y], t_img[l][z])
-            inner = vec_add(inner, apply_ternary(G[j], t_img[k][x], unit[y], t_img[l][z]))
-            inner = vec_add(inner, apply_ternary(G[j], t_img[k][x], t_img[l][y], unit[z]))
-            acc = vec_sub(acc, Tt[i].apply(inner))
-        for (i, j, k, l, m) in _compositions(n, 5):
-            acc = vec_sub(acc, vec_scale(2 * w, Tt[i].apply(
-                apply_ternary(G[j], t_img[k][x], t_img[l][y], t_img[m][z]))))
-        return acc
+        inner = [zero_vector(dim)] * (n + 1)
+        for (i, j, k, l) in comps4:
+            acc = vec_add(acc, all_t[i, j, k, l])
+            part = apply_ternary(G[j], unit[x], t_img[k][y], t_img[l][z])
+            part = vec_add(part, apply_ternary(G[j], t_img[k][x], unit[y], t_img[l][z]))
+            part = vec_add(part, apply_ternary(G[j], t_img[k][x], t_img[l][y], unit[z]))
+            inner[i] = vec_add(inner[i], part)
+        for (i, j, k, l, m) in comps5:
+            inner[i] = vec_add(inner[i], vec_scale(2 * w, all_t[j, k, l, m]))
+        return minus_ts(acc, inner)
 
     return ((2, binary), (3, ternary))
 

@@ -1,9 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import lyreynolds.cli as cli_module
+import lyreynolds.representation as representation
 from lyreynolds import adjoint_rep, cohomology_dims
 from lyreynolds.cli import main
 from lyreynolds.errors import NameNotFound, ParseError
@@ -237,6 +240,61 @@ def test_cohomology_json_round_trip(ly2, tri_t, capsys):
     assert parsed == in_memory
     assert payload["square_zero"] == [True, True]
     assert payload["chain_map"] == [True, True]
+
+
+def clear_engine_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lyreynolds"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_cohomology_verifies_each_representation_once(monkeypatch, capsys):
+    calls = []
+    original = representation.verify_rep
+
+    def counting(algebra, rep):
+        calls.append(algebra)
+        return original(algebra, rep)
+
+    monkeypatch.setattr(representation, "verify_rep", counting)
+    monkeypatch.setattr(cli_module, "verify_rep", counting)
+    clear_engine_caches()
+    code = main(["cohomology", TWO_DIM, "--algebra", "ly2", "--operator", "T",
+                 "--rep", "ad", "--complex", "rly", "--max-degree", "3"])
+    assert code == 0
+    # once for (L, V), once inside induced_rep for the descendant pair
+    assert len(calls) == 2
+    assert calls[0] != calls[1]
+
+
+FAILING_INPUTS = {
+    "algebra": ("ternary = 1 2 2 1 1", "ternary = 1 2 2 1 1\nternary = 1 2 1 2 1"),
+    "operator": ("weight = -1/5", "weight = 1/5"),
+    "representation": ("adjoint = true", "module_dim = 2\nrho = 1 1 2 1"),
+    # the adjoint maps written out, with the identity as module operator
+    "module-operator": ("adjoint = true",
+                        "module_dim = 2\nrho = 1 1 2 1\nrho = 2 1 1 -1\n"
+                        "theta = 2 2 1 1 1\ntheta = 1 2 1 2 -1\n"
+                        "module_op_row = 1 0\nmodule_op_row = 0 1"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(FAILING_INPUTS))
+def test_cohomology_rejects_inputs_that_fail_verification(tmp_path, capsys, broken):
+    old, new = FAILING_INPUTS[broken]
+    text = Path(TWO_DIM).read_text()
+    assert old in text
+    path = write(tmp_path, text.replace(old, new, 1))
+    clear_engine_caches()
+    code = main(["cohomology", path, "--algebra", "ly2", "--operator", "T",
+                 "--rep", "ad", "--complex", "rly", "--max-degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        "error: inputs fail verification; run the verify command for details\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from lyreynolds.linalg import (
     format_rational,
     inverse,
     kernel_basis,
-    kron,
     lincomb,
     parse_rational,
     pivot_columns,
@@ -21,6 +20,7 @@ from lyreynolds.linalg import (
     rank,
     solve,
 )
+from tests.oracles import kron
 
 fractions_st = st.fractions(
     min_value=-50, max_value=50, max_denominator=20)
