@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import lcm
 
 from .errors import (
     DimMismatch,
@@ -26,8 +27,9 @@ from .errors import (
     NotReductive,
 )
 from .linalg import (
+    _ZERO,
     Vector,
-    is_zero_vector,
+    add_scaled,
     unit_vector,
     vec_add,
     vec_scale,
@@ -168,6 +170,79 @@ def apply_ternary(tensor: TernaryTensor, x, y, z) -> Vector:
     return tuple(out)
 
 
+def sparse_table(tensor, depth: int):
+    """The nonzero entries of a structure tensor, read once: the same
+    nesting over ``depth`` basis indices (2 for a binary tensor, 3 for a
+    ternary one, 1 for a matrix given by its columns), each leaf a tuple of
+    ``(index, value)`` pairs.  Depth 0 reads a single vector."""
+    if depth == 0:
+        return tuple((k, v) for k, v in enumerate(tensor) if v)
+    return tuple(sparse_table(node, depth - 1) for node in tensor)
+
+
+def common_denominator(data, depth: int) -> int:
+    """The least common multiple of the denominators of every entry of
+    ``data``, nested ``depth`` levels above its vectors."""
+    if depth == 0:
+        return lcm(*(v.denominator for v in data))
+    return lcm(*(common_denominator(node, depth - 1) for node in data))
+
+
+def integer_table(tensor, depth: int, den: int):
+    """:func:`sparse_table` of den * tensor, where ``den`` clears every
+    denominator: the leaves hold ints, whose arithmetic costs a fraction of
+    Fraction's."""
+    if depth == 0:
+        return tuple((k, v.numerator * (den // v.denominator))
+                     for k, v in enumerate(tensor) if v)
+    return tuple(integer_table(node, depth - 1, den) for node in tensor)
+
+
+def slot_table(table, depth: int, slot: int):
+    """A sparse table of ``depth`` levels re-nested with argument ``slot``
+    last: fixing every other argument to a basis vector leaves a table of
+    one level, indexed by that slot.  For example
+    ``slot_table(ternary_table, 3, 0)[y][z]`` is the map v -> {v, e_y, e_z}."""
+    dim = len(table)
+
+    def node(idx):
+        if len(idx) == depth:
+            leaf = table
+            for i in idx[:slot] + idx[-1:] + idx[slot:-1]:
+                leaf = leaf[i]
+            return leaf
+        return tuple(node(idx + (i,)) for i in range(dim))
+
+    return node(())
+
+
+def expand(table, c, vecs):
+    """The terms of c * table(vecs...) as ``(leaf, coefficient)`` pairs: one
+    nesting level of ``table`` is consumed per argument, and each argument
+    is a sparse ``(index, value)`` sequence, a basis vector being
+    ``((i, 1),)``.  Only nonzero coordinates are visited, and a factor 1
+    costs no product."""
+    terms = [(table, c)]
+    for vec in vecs:
+        terms = [(node[i], k if a == 1 else a if k == 1 else a * k)
+                 for node, k in terms for i, a in vec]
+    return terms
+
+
+def contract(acc: dict, c, table, vecs) -> None:
+    """Add c * table(vecs...) into the ``{coordinate: value}`` dict ``acc``
+    (see :func:`expand`); ``vecs`` holds at least one argument."""
+    *head, last = vecs
+    for node, k in expand(table, c, head):
+        for i, a in last:
+            add_scaled(acc, k if a == 1 else a if k == 1 else a * k, node[i])
+
+
+def dense_vector(acc: dict, dim: int) -> Vector:
+    """The coordinate vector of a ``{coordinate: value}`` dict."""
+    return tuple(acc.get(k, _ZERO) for k in range(dim))
+
+
 @dataclass(frozen=True)
 class LyAlgebra:
     """Structure constants of a Lie-Yamaguti algebra plus optional labels."""
@@ -221,61 +296,92 @@ def _cyclic(triple):
 
 def _ly_identities(F, G, n: int):
     """LY1-LY6 at order ``n`` of the coefficient series F_0, F_1, ... (binary
-    tensors) and G_0, G_1, ... (ternary tensors), as ``(arity, residual)``
-    pairs.  A residual maps a basis tuple to the order-n coefficient of
-    LHS - RHS, each product summed over the splittings i + (n - i).
+    tensors) and G_0, G_1, ... (ternary tensors), as ``(arity, residual,
+    den)`` triples (see :func:`_axiom_report`).  A residual maps a basis
+    tuple to den times the order-n coefficient of LHS - RHS, as a
+    ``{coordinate: value}`` dict, each product summed over the splittings
+    i + (n - i).
 
     Order 0 of ``((binary,), (ternary,))`` is the undeformed algebra, and a
     deformation's order n is the same identity at higher order, which is why
     the algebra verifier and the deformation verifier share this battery.
+    Every product is a :func:`contract` over nonzero structure constants.
     """
     dim = len(F[0])
-    unit = [unit_vector(dim, x) for x in range(dim)]
+    # every coefficient up to order n times their common denominator L is an
+    # integer; LY1 and LY2 are then L times, and LY3-LY6 L^2 times the
+    # exact residual (the lone G_n term of LY3 is multiplied by L)
+    den = lcm(common_denominator(F[:n + 1], 3), common_denominator(G[:n + 1], 4))
+    f = [integer_table(t, 2, den) for t in F[:n + 1]]
+    g = [integer_table(t, 3, den) for t in G[:n + 1]]
+    # with every other argument a basis vector, a product is one contraction
+    # over the remaining slot: f_first[i][c] is v -> F_i(v, e_c),
+    # g_first[i][y][z] is v -> G_i(v, e_y, e_z), g_second[i][x][z] is
+    # v -> G_i(e_x, v, e_z), and f[i][x], g[i][x][y] index the leading slots
+    f_first = [slot_table(t, 2, 0) for t in f]
+    g_first = [slot_table(t, 3, 0) for t in g]
+    g_second = [slot_table(t, 3, 1) for t in g]
+    splits = [(i, n - i) for i in range(n + 1)]
+
+    def summed(*leaves):
+        acc = {}
+        for leaf in leaves:
+            add_scaled(acc, 1, leaf)
+        return acc
 
     def cyclic_binary(x, y, z):
-        acc = zero_vector(dim)
+        acc = {}
         for (a, b, c) in _cyclic((x, y, z)):
-            for i in range(n + 1):
-                acc = vec_add(acc, apply_binary(F[i], F[n - i][a][b], unit[c]))
-            acc = vec_add(acc, G[n][a][b][c])
+            for i, j in splits:
+                contract(acc, 1, f_first[i][c], (f[j][a][b],))
+            add_scaled(acc, den, g[n][a][b][c])
         return acc
 
     def cyclic_mixed(x, y, z, a):
-        acc = zero_vector(dim)
+        acc = {}
         for (p, q, r) in _cyclic((x, y, z)):
-            for i in range(n + 1):
-                acc = vec_add(acc, apply_ternary(G[i], F[n - i][p][q], unit[r], unit[a]))
+            for i, j in splits:
+                contract(acc, 1, g_first[i][r][a], (f[j][p][q],))
         return acc
 
     def derivation_binary(a, b, x, y):
-        acc = zero_vector(dim)
-        for i in range(n + 1):
-            acc = vec_add(acc, apply_ternary(G[i], unit[a], unit[b], F[n - i][x][y]))
-            acc = vec_sub(acc, apply_binary(F[i], G[n - i][a][b][x], unit[y]))
-            acc = vec_sub(acc, apply_binary(F[i], unit[x], G[n - i][a][b][y]))
+        acc = {}
+        for i, j in splits:
+            contract(acc, 1, g[i][a][b], (f[j][x][y],))
+            contract(acc, -1, f_first[i][y], (g[j][a][b][x],))
+            contract(acc, -1, f[i][x], (g[j][a][b][y],))
         return acc
 
     def derivation_ternary(a, b, x, y, z):
-        acc = zero_vector(dim)
-        for i in range(n + 1):
-            acc = vec_add(acc, apply_ternary(G[i], unit[a], unit[b], G[n - i][x][y][z]))
-            acc = vec_sub(acc, apply_ternary(G[i], G[n - i][a][b][x], unit[y], unit[z]))
-            acc = vec_sub(acc, apply_ternary(G[i], unit[x], G[n - i][a][b][y], unit[z]))
-            acc = vec_sub(acc, apply_ternary(G[i], unit[x], unit[y], G[n - i][a][b][z]))
+        acc = {}
+        for i, j in splits:
+            contract(acc, 1, g[i][a][b], (g[j][x][y][z],))
+            contract(acc, -1, g_first[i][y][z], (g[j][a][b][x],))
+            contract(acc, -1, g_second[i][x][z], (g[j][a][b][y],))
+            contract(acc, -1, g[i][x][y], (g[j][a][b][z],))
         return acc
 
-    return ((2, lambda i, j: vec_add(F[n][i][j], F[n][j][i])),
-            (3, lambda i, j, k: vec_add(G[n][i][j][k], G[n][j][i][k])),
-            (3, cyclic_binary), (4, cyclic_mixed),
-            (4, derivation_binary), (5, derivation_ternary))
+    square = den * den
+    return ((2, lambda i, j: summed(f[n][i][j], f[n][j][i]), den),
+            (3, lambda i, j, k: summed(g[n][i][j][k], g[n][j][i][k]), den),
+            (3, cyclic_binary, square), (4, cyclic_mixed, square),
+            (4, derivation_binary, square), (5, derivation_ternary, square))
+
+
+def _no_entries(acc: dict) -> bool:
+    return not any(acc.values())
 
 
 def _axiom_report(names, identities, dim: int) -> AxiomReport:
-    """One check per named ``(arity, residual)`` identity over all basis
-    tuples of its arity."""
+    """One check per named ``(arity, residual, den)`` identity over all
+    basis tuples of its arity.  Residuals are ``{coordinate: value}`` dicts
+    of den times the exact residual; only a failing one is written out, as
+    the vector of exact values."""
     return AxiomReport(tuple(
-        first_failure(name, product(range(dim), repeat=arity), fn, is_zero_vector)
-        for name, (arity, fn) in zip(names, identities)))
+        first_failure(name, product(range(dim), repeat=arity), fn, _no_entries,
+                      lambda acc, den=den: dense_vector(
+                          {k: Fraction(v, den) for k, v in acc.items()}, dim))
+        for name, (arity, fn, den) in zip(names, identities)))
 
 
 def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:

@@ -15,7 +15,6 @@ and a bounding infinitesimal can be removed by a first-order equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .algebra import (
     LyAlgebra,
@@ -23,8 +22,9 @@ from .algebra import (
     _axiom_report,
     _freeze,
     _ly_identities,
-    apply_binary,
-    apply_ternary,
+    contract,
+    dense_vector,
+    sparse_table,
     zero_binary,
     zero_ternary,
 )
@@ -45,7 +45,7 @@ from .errors import (
     OrderTooLow,
     ShapeMismatch,
 )
-from .linalg import Matrix, unit_vector, vec_add, zero_vector
+from .linalg import Matrix
 from .reporting import OrderReport
 from .representation import adjoint_rep
 from .reynolds import ReynoldsOperator, _compositions, _reynolds_identities
@@ -213,37 +213,40 @@ def apply_equivalence(deformation: TruncatedDeformation,
         raise DimMismatch("isomorphism acts on a different space")
     n_dim = deformation.dim
     N = deformation.order
-    phi_c = iso.phi
-    psi_c = iso.inverse().phi
-    F, G, Tt = deformation.F, deformation.G, deformation.Tt
-    psi_img = [[psi_c[c].apply(unit_vector(n_dim, x)) for x in range(n_dim)]
-               for c in range(N + 1)]
+    basis = range(n_dim)
 
-    new_f = []
-    new_g = []
-    new_t = []
-    for s in range(N + 1):
-        f_s = [[zero_vector(n_dim) for _ in range(n_dim)] for _ in range(n_dim)]
-        for (a, b, c, d) in _compositions(s, 4):
-            for x, y in product(range(n_dim), repeat=2):
-                val = apply_binary(F[b], psi_img[c][x], psi_img[d][y])
-                f_s[x][y] = vec_add(f_s[x][y], phi_c[a].apply(val))
-        new_f.append(tuple(tuple(row) for row in f_s))
+    def columns(mat):
+        return tuple(sparse_table(mat.column(x), 0) for x in basis)
 
-        g_s = [[[zero_vector(n_dim) for _ in range(n_dim)] for _ in range(n_dim)]
-               for _ in range(n_dim)]
-        for (a, b, c, d, e) in _compositions(s, 5):
-            for x, y, z in product(range(n_dim), repeat=3):
-                val = apply_ternary(G[b], psi_img[c][x], psi_img[d][y], psi_img[e][z])
-                g_s[x][y][z] = vec_add(g_s[x][y][z], phi_c[a].apply(val))
-        new_g.append(tuple(tuple(tuple(row) for row in plane) for plane in g_s))
+    # each series read once: brackets as sparse tables, maps by their columns
+    tables = {2: [sparse_table(t, 2) for t in deformation.F],
+              3: [sparse_table(t, 3) for t in deformation.G],
+              1: [columns(t) for t in deformation.Tt]}
+    phi_col = [columns(p) for p in iso.phi]
+    psi_col = [columns(p) for p in iso.inverse().phi]
 
-        t_s = Matrix.zero(n_dim, n_dim)
-        for (a, b, c) in _compositions(s, 3):
-            t_s = t_s + phi_c[a] @ Tt[b] @ psi_c[c]
-        new_t.append(t_s)
+    def transported(arity, s, args):
+        """Order s of phi o X o (psi x ... x psi) at basis ``args``, for the
+        series X of the given arity: each phi_a is applied once, to the sum
+        of the terms it acts on."""
+        inner = [{} for _ in range(s + 1)]
+        for (a, b, *cs) in _compositions(s, arity + 2):
+            contract(inner[a], 1, tables[arity][b],
+                     tuple(psi_col[c][x] for c, x in zip(cs, args)))
+        acc = {}
+        for a, v in enumerate(inner):
+            contract(acc, 1, phi_col[a], (v.items(),))
+        return dense_vector(acc, n_dim)
 
-    return TruncatedDeformation(N, tuple(new_f), tuple(new_g), tuple(new_t))
+    orders = range(N + 1)
+    new_f = tuple(tuple(tuple(transported(2, s, (x, y)) for y in basis) for x in basis)
+                  for s in orders)
+    new_g = tuple(tuple(tuple(tuple(transported(3, s, (x, y, z)) for z in basis)
+                              for y in basis) for x in basis)
+                  for s in orders)
+    new_t = tuple(Matrix.from_columns([transported(1, s, (x,)) for x in basis], n_dim)
+                  for s in orders)
+    return TruncatedDeformation(N, new_f, new_g, new_t)
 
 
 def trivialize_first_order(algebra: LyAlgebra, op: ReynoldsOperator,

@@ -221,6 +221,38 @@ def sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
             for i in range(m.rows)]
 
 
+def add_scaled(acc: dict, c, leaf) -> None:
+    """Add c * leaf into the ``{index: value}`` dict ``acc``, for a sparse
+    ``(index, value)`` sequence ``leaf``.  The factors 0, 1 and -1 cost no
+    product, and the product is written v * c, so that a Fraction v takes
+    an int or Fraction c through its own method rather than the slower
+    reflected one."""
+    if not c:
+        return
+    get = acc.get
+    for idx, v in leaf:
+        if c != 1:
+            v = -v if c == -1 else v * c
+        old = get(idx)
+        acc[idx] = v if old is None else old + v
+
+
+def add_rows(acc: list[dict], c, rows) -> None:
+    """acc += c * rows, both as one {column: entry} dict per row."""
+    for out, row in zip(acc, rows):
+        add_scaled(out, c, row.items())
+
+
+def add_product(acc: list[dict], c, a, b) -> None:
+    """acc += c * (a @ b) over the nonzero entries of a and b, all three as
+    one {column: entry} dict per row."""
+    if not c:
+        return
+    for out, row in zip(acc, a):
+        for k, x in row.items():
+            add_scaled(out, x if c == 1 else -x if c == -1 else x * c, b[k].items())
+
+
 def _rref(m: Matrix) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form by Gauss-Jordan elimination on row dicts.
 
@@ -392,6 +424,3 @@ def zero_vector(n: int) -> Vector:
 
 def unit_vector(n: int, pos: int) -> Vector:
     return tuple(_ONE if t == pos else _ZERO for t in range(n))
-
-def is_zero_vector(v) -> bool:
-    return all(a == 0 for a in v)

@@ -30,13 +30,15 @@ class Check:
         return f"{self.name}: FAIL at basis tuple {self.witness}, residual {_render(self.residual)}"
 
 
-def first_failure(name: str, tuples, residual_fn, is_zero) -> Check:
+def first_failure(name: str, tuples, residual_fn, is_zero, finish=None) -> Check:
     """Check one identity over ``tuples``: the witness is the first tuple,
-    in iteration order, whose residual ``residual_fn(*tuple)`` is not zero."""
+    in iteration order, whose residual ``residual_fn(*tuple)`` is not zero.
+    ``finish``, when given, turns that residual into the value the report
+    keeps (a sparse residual into a vector or a matrix)."""
     for tup in tuples:
         r = residual_fn(*tup)
         if not is_zero(r):
-            return Check(name, False, tup, r)
+            return Check(name, False, tup, r if finish is None else finish(r))
     return Check(name, True)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .algebra import LyAlgebra
+from .algebra import LyAlgebra, expand, sparse_table
 from .errors import (
     DimMismatch,
     IndexOutOfRange,
@@ -26,7 +26,14 @@ from .errors import (
     MissingModuleOp,
     MixedAlgebras,
 )
-from .linalg import Matrix, block_diag, lincomb
+from .linalg import (
+    Matrix,
+    add_product,
+    add_rows,
+    block_diag,
+    lincomb,
+    sparse_rows,
+)
 from .reporting import AxiomReport, Check, first_failure
 from .reynolds import ReynoldsOperator, descendant_algebra
 
@@ -95,9 +102,24 @@ def d_table(algebra: LyAlgebra, rep: Representation):
     return tuple(tuple(d_map(algebra, rep, i, j) for j in range(n)) for i in range(n))
 
 
-def _d_at(dd, x, y, zero: Matrix) -> Matrix:
-    """D of a general pair, by bilinearity, from the table ``dd``."""
-    return lincomb(x, [lincomb(y, row, zero) for row in dd], zero)
+def _op_at(acc, c, table, vecs) -> None:
+    """acc += c * table(vecs...) for a multilinear map into operators on V:
+    ``table`` nests one basis index per argument above sparse rows, and each
+    argument is a sparse ``(index, value)`` sequence (see algebra.expand)."""
+    for rows, k in expand(table, c, vecs):
+        add_rows(acc, k, rows)
+
+
+def _is_zero(acc) -> bool:
+    return not any(any(row.values()) for row in acc)
+
+
+def _sparse_maps(algebra: LyAlgebra, rep: Representation):
+    """rho, theta and D read once as sparse rows, in their table nesting."""
+    rho = tuple(sparse_rows(r) for r in rep.rho)
+    theta = tuple(tuple(sparse_rows(x) for x in row) for row in rep.theta)
+    dd = tuple(tuple(sparse_rows(x) for x in row) for row in d_table(algebra, rep))
+    return rho, theta, dd
 
 
 def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
@@ -108,55 +130,86 @@ def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
     When all five pass, the two derived identities (the cyclic D identity
     and the D-D compatibility) are checked as well; those must follow, so a
     failure raises InternalInconsistency instead of being reported as data.
+    Operators are read once as sparse rows, and every sum and product runs
+    over their nonzero entries.
     """
     n = algebra.dim
     if rep.algebra_dim != n:
         raise DimMismatch("representation is over a different algebra dimension")
-    rho, theta = rep.rho, rep.theta
-    t = algebra.ternary
-    dd = d_table(algebra, rep)
-    zero = Matrix.zero(rep.module_dim, rep.module_dim)
+    m = rep.module_dim
+    f = sparse_table(algebra.binary, 2)
+    g = sparse_table(algebra.ternary, 3)
+    rho, theta, dd = _sparse_maps(algebra, rep)
     # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
-    # that linearity in the first slot is a lincomb over a column
+    # that linearity in the first slot is a sum over a column
     theta_col = [[theta[k][a] for k in range(n)] for a in range(n)]
     d_col = [[dd[k][y] for k in range(n)] for y in range(n)]
 
+    def theta_of_bracket(x, y, a):
+        acc = [{} for _ in range(m)]
+        _op_at(acc, 1, theta_col[a], (f[x][y],))
+        add_product(acc, -1, theta[x][a], rho[y])
+        add_product(acc, 1, theta[y][a], rho[x])
+        return acc
+
+    def d_rho_compat(a, b, x):
+        acc = [{} for _ in range(m)]
+        add_product(acc, 1, dd[a][b], rho[x])
+        add_product(acc, -1, rho[x], dd[a][b])
+        _op_at(acc, -1, rho, (g[a][b][x],))
+        return acc
+
+    def rho_of_bracket(x, a, b):
+        acc = [{} for _ in range(m)]
+        _op_at(acc, 1, theta[x], (f[a][b],))
+        add_product(acc, -1, rho[a], theta[x][b])
+        add_product(acc, 1, rho[b], theta[x][a])
+        return acc
+
+    def d_theta_compat(a, b, x, y):
+        acc = [{} for _ in range(m)]
+        add_product(acc, 1, dd[a][b], theta[x][y])
+        add_product(acc, -1, theta[x][y], dd[a][b])
+        _op_at(acc, -1, theta_col[y], (g[a][b][x],))
+        _op_at(acc, -1, theta[x], (g[a][b][y],))
+        return acc
+
+    def theta_of_ternary(a, x, y, z):
+        acc = [{} for _ in range(m)]
+        _op_at(acc, 1, theta[a], (g[x][y][z],))
+        add_product(acc, -1, theta[y][z], theta[a][x])
+        add_product(acc, 1, theta[x][z], theta[a][y])
+        add_product(acc, -1, dd[x][y], theta[a][z])
+        return acc
+
     identities = (
-        ("theta-of-bracket", 3,
-         lambda x, y, a: lincomb(algebra.binary[x][y], theta_col[a], zero)
-         - (theta[x][a] @ rho[y] - theta[y][a] @ rho[x])),
-        ("d-rho-compat", 3,
-         lambda a, b, x: dd[a][b] @ rho[x]
-         - (rho[x] @ dd[a][b] + rep.rho_at(t[a][b][x]))),
-        ("rho-of-bracket", 3,
-         lambda x, a, b: lincomb(algebra.binary[a][b], theta[x], zero)
-         - (rho[a] @ theta[x][b] - rho[b] @ theta[x][a])),
-        ("d-theta-compat", 4,
-         lambda a, b, x, y: dd[a][b] @ theta[x][y]
-         - (theta[x][y] @ dd[a][b] + lincomb(t[a][b][x], theta_col[y], zero)
-            + lincomb(t[a][b][y], theta[x], zero))),
-        ("theta-of-ternary", 4,
-         lambda a, x, y, z: lincomb(t[x][y][z], theta[a], zero)
-         - (theta[y][z] @ theta[a][x] - theta[x][z] @ theta[a][y]
-            + dd[x][y] @ theta[a][z])),
+        ("theta-of-bracket", 3, theta_of_bracket),
+        ("d-rho-compat", 3, d_rho_compat),
+        ("rho-of-bracket", 3, rho_of_bracket),
+        ("d-theta-compat", 4, d_theta_compat),
+        ("theta-of-ternary", 4, theta_of_ternary),
     )
-    checks = [first_failure(name, product(range(n), repeat=arity), fn, Matrix.is_zero)
+    checks = [first_failure(name, product(range(n), repeat=arity), fn, _is_zero,
+                            lambda acc: Matrix.from_sparse_rows(acc, m))
               for name, arity, fn in identities]
 
     if all(c.passed for c in checks):
         for x, y, z in product(range(n), repeat=3):
-            r = (lincomb(algebra.binary[x][y], d_col[z], zero)
-                 + lincomb(algebra.binary[y][z], d_col[x], zero)
-                 + lincomb(algebra.binary[z][x], d_col[y], zero))
-            if not r.is_zero():
+            r = [{} for _ in range(m)]
+            _op_at(r, 1, d_col[z], (f[x][y],))
+            _op_at(r, 1, d_col[x], (f[y][z],))
+            _op_at(r, 1, d_col[y], (f[z][x],))
+            if not _is_zero(r):
                 raise InternalInconsistency(
                     f"derived cyclic D identity fails at ({x},{y},{z}) although "
                     "the representation identities hold")
         for a, b, x, y in product(range(n), repeat=4):
-            r = (dd[a][b] @ dd[x][y]
-                 - (dd[x][y] @ dd[a][b] + lincomb(t[a][b][x], d_col[y], zero)
-                    + _d_at(dd, algebra.basis(x), t[a][b][y], zero)))
-            if not r.is_zero():
+            r = [{} for _ in range(m)]
+            add_product(r, 1, dd[a][b], dd[x][y])
+            add_product(r, -1, dd[x][y], dd[a][b])
+            _op_at(r, -1, d_col[y], (g[a][b][x],))
+            _op_at(r, -1, dd[x], (g[a][b][y],))
+            if not _is_zero(r):
                 raise InternalInconsistency(
                     f"derived D-D compatibility fails at ({a},{b},{x},{y}) although "
                     "the representation identities hold")
@@ -173,43 +226,52 @@ def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
     Both sides are matrices acting on V, checked on basis pairs/triples of
     the algebra; the weight is taken from ``op``.  The derived identity for
     the pair map D must follow whenever the two primary ones hold; if it
-    does not, InternalInconsistency is raised.
+    does not, InternalInconsistency is raised.  All three have one shape:
+    for a k-linear map X into operators on V (rho, theta or D),
+
+        X(Tx..) T_V - T_V (X(Tx..) + sum_s X(.., x_s, ..) T_V + k w X(Tx..) T_V)
+
+    where the s-th mixed term puts T on every argument but the s-th.
     """
     if rep.module_op is None:
         raise MissingModuleOp("representation has no module operator")
     if op.dim != algebra.dim or rep.algebra_dim != algebra.dim:
         raise DimMismatch("dimensions do not line up")
-    n = algebra.dim
+    n, m = algebra.dim, rep.module_dim
     w = op.weight
-    tv = rep.module_op
-    t_img = [op.matrix.apply(algebra.basis(i)) for i in range(n)]
+    tv = sparse_rows(rep.module_op)
+    t_col = tuple(sparse_table(op.matrix.column(x), 0) for x in range(n))
+    unit = [((x, 1),) for x in range(n)]
+    rho, theta, dd = _sparse_maps(algebra, rep)
 
-    def rho_residual(x):
-        rho_tx = rep.rho_at(t_img[x])
-        return rho_tx @ tv - tv @ (rho_tx + rep.rho[x] @ tv + (rho_tx @ tv).scale(w))
+    def residual(table, args):
+        all_t = [{} for _ in range(m)]
+        _op_at(all_t, 1, table, tuple(t_col[x] for x in args))
+        mixed = [{} for _ in range(m)]
+        for s in range(len(args)):
+            _op_at(mixed, 1, table,
+                   tuple(unit[x] if r == s else t_col[x] for r, x in enumerate(args)))
+        inner = [{} for _ in range(m)]
+        add_rows(inner, 1, all_t)
+        add_product(inner, 1, mixed, tv)
+        add_product(inner, len(args) * w, all_t, tv)
+        acc = [{} for _ in range(m)]
+        add_product(acc, 1, all_t, tv)
+        add_product(acc, -1, tv, inner)
+        return acc
 
-    def theta_residual(x, y):
-        th_txty = rep.theta_at(t_img[x], t_img[y])
-        th_tx_y = rep.theta_at(t_img[x], algebra.basis(y))
-        th_x_ty = rep.theta_at(algebra.basis(x), t_img[y])
-        return th_txty @ tv - tv @ (th_txty + th_tx_y @ tv + th_x_ty @ tv
-                                    + (th_txty @ tv).scale(2 * w))
+    def finish(acc):
+        return Matrix.from_sparse_rows(acc, m)
 
     checks = [
-        first_failure("rho-module-op", product(range(n)), rho_residual, Matrix.is_zero),
-        first_failure("theta-module-op", product(range(n), repeat=2), theta_residual,
-                      Matrix.is_zero)]
+        first_failure("rho-module-op", product(range(n)),
+                      lambda *args: residual(rho, args), _is_zero, finish),
+        first_failure("theta-module-op", product(range(n), repeat=2),
+                      lambda *args: residual(theta, args), _is_zero, finish)]
 
     if all(c.passed for c in checks):
-        dd = d_table(algebra, rep)
-        zero = Matrix.zero(rep.module_dim, rep.module_dim)
         for x, y in product(range(n), repeat=2):
-            d_txty = _d_at(dd, t_img[x], t_img[y], zero)
-            d_tx_y = _d_at(dd, t_img[x], algebra.basis(y), zero)
-            d_x_ty = _d_at(dd, algebra.basis(x), t_img[y], zero)
-            r = d_txty @ tv - tv @ (d_txty + d_tx_y @ tv + d_x_ty @ tv
-                                    + (d_txty @ tv).scale(2 * w))
-            if not r.is_zero():
+            if not _is_zero(residual(dd, (x, y))):
                 raise InternalInconsistency(
                     f"derived D module-op identity fails at ({x},{y}) although the "
                     "rho and theta module-op identities hold")

@@ -14,15 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .algebra import (
     LyAlgebra,
     _axiom_report,
     _morphism_failure,
-    apply_binary,
-    apply_ternary,
-    bracket2,
-    bracket3,
+    common_denominator,
+    contract,
+    dense_vector,
+    integer_table,
+    sparse_table,
     verify_ly_axioms,
 )
 from .errors import (
@@ -32,15 +34,7 @@ from .errors import (
     NotDerivation,
     ZeroScale,
 )
-from .linalg import (
-    Matrix,
-    inverse,
-    unit_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
-)
+from .linalg import Matrix, add_scaled, inverse
 from .reporting import AxiomReport
 
 
@@ -75,55 +69,75 @@ def _compositions(total: int, parts: int):
 def _reynolds_identities(F, G, Tt, w, n: int):
     """The weighted binary and ternary operator identities at order ``n`` of
     the series F (binary tensors), G (ternary tensors) and Tt (operator
-    matrices), as ``(arity, residual)`` pairs.
+    matrices), as ``(arity, residual, den)`` triples (see
+    algebra._axiom_report).
 
     Each residual is the order-n coefficient of LHS - RHS: the products are
     summed over three-part (plus one weighted four-part) and four-part (plus
     one five-part) splittings of n.  Order 0 of ``((binary,), (ternary,),
-    (T,))`` is the undeformed operator.
+    (T,))`` is the undeformed operator.  The images T_k e_x are sparse
+    columns, every product is a :func:`contract` over nonzero structure
+    constants, and each T_i is applied once per residual, to the sum of the
+    terms it acts on.
     """
     dim = len(F[0])
-    unit = [unit_vector(dim, x) for x in range(dim)]
-    t_img = [[t.column(x) for x in range(dim)] for t in Tt[:n + 1]]
+    # every coefficient up to order n and the weight, times their common
+    # denominator L, is an integer.  Each term is brought to one power of L
+    # by its coefficient: L^2 on the terms with two factors fewer than the
+    # weighted one, whose coefficient L w is an integer.  The binary residual
+    # is then L^5 and the ternary one L^6 times the exact residual.
+    den = lcm(common_denominator(F[:n + 1], 3), common_denominator(G[:n + 1], 4),
+              common_denominator([t.entries for t in Tt[:n + 1]], 1), w.denominator)
+    square, lw = den * den, (w * den).numerator
+    f = [integer_table(t, 2, den) for t in F[:n + 1]]
+    g = [integer_table(t, 3, den) for t in G[:n + 1]]
+    # t_col[k][x] = T_k e_x: each T_k as a table of its columns
+    t_col = [tuple(integer_table(t.column(x), 0, den) for x in range(dim))
+             for t in Tt[:n + 1]]
+    unit = [((x, 1),) for x in range(dim)]
     comps3, comps4, comps5 = (list(_compositions(n, parts)) for parts in (3, 4, 5))
 
     def minus_ts(acc, inner):
         """acc - sum_i T_i(inner[i]): one application of each T_i."""
         for i, v in enumerate(inner):
-            acc = vec_sub(acc, Tt[i].apply(v))
+            contract(acc, -1, t_col[i], (v.items(),))
         return acc
+
+    def image(table, vecs):
+        out = {}
+        contract(out, 1, table, vecs)
+        return tuple(out.items())
 
     def binary(x, y):
         # F_j(T_k x, T_l y) for every j + k + l <= n, each computed once
-        all_t = {(j, k, l): apply_binary(F[j], t_img[k][x], t_img[l][y])
+        all_t = {(j, k, l): image(f[j], (t_col[k][x], t_col[l][y]))
                  for (_, j, k, l) in comps4}
-        acc = zero_vector(dim)
-        inner = [zero_vector(dim)] * (n + 1)
+        acc = {}
+        inner = [{} for _ in range(n + 1)]
         for (i, j, k) in comps3:
-            acc = vec_add(acc, all_t[i, j, k])
-            inner[i] = vec_add(inner[i], vec_add(apply_binary(F[j], t_img[k][x], unit[y]),
-                                                 apply_binary(F[j], unit[x], t_img[k][y])))
+            add_scaled(acc, square, all_t[i, j, k])
+            contract(inner[i], square, f[j], (t_col[k][x], unit[y]))
+            contract(inner[i], square, f[j][x], (t_col[k][y],))
         for (i, j, k, l) in comps4:
-            inner[i] = vec_add(inner[i], vec_scale(w, all_t[j, k, l]))
+            add_scaled(inner[i], lw, all_t[j, k, l])
         return minus_ts(acc, inner)
 
     def ternary(x, y, z):
         # G_j(T_k x, T_l y, T_m z) for every j + k + l + m <= n, each once
-        all_t = {(j, k, l, m): apply_ternary(G[j], t_img[k][x], t_img[l][y], t_img[m][z])
+        all_t = {(j, k, l, m): image(g[j], (t_col[k][x], t_col[l][y], t_col[m][z]))
                  for (_, j, k, l, m) in comps5}
-        acc = zero_vector(dim)
-        inner = [zero_vector(dim)] * (n + 1)
+        acc = {}
+        inner = [{} for _ in range(n + 1)]
         for (i, j, k, l) in comps4:
-            acc = vec_add(acc, all_t[i, j, k, l])
-            part = apply_ternary(G[j], unit[x], t_img[k][y], t_img[l][z])
-            part = vec_add(part, apply_ternary(G[j], t_img[k][x], unit[y], t_img[l][z]))
-            part = vec_add(part, apply_ternary(G[j], t_img[k][x], t_img[l][y], unit[z]))
-            inner[i] = vec_add(inner[i], part)
+            add_scaled(acc, square, all_t[i, j, k, l])
+            contract(inner[i], square, g[j][x], (t_col[k][y], t_col[l][z]))
+            contract(inner[i], square, g[j], (t_col[k][x], unit[y], t_col[l][z]))
+            contract(inner[i], square, g[j], (t_col[k][x], t_col[l][y], unit[z]))
         for (i, j, k, l, m) in comps5:
-            inner[i] = vec_add(inner[i], vec_scale(2 * w, all_t[j, k, l, m]))
+            add_scaled(inner[i], 2 * lw, all_t[j, k, l, m])
         return minus_ts(acc, inner)
 
-    return ((2, binary), (3, ternary))
+    return ((2, binary, den ** 5), (3, ternary, den ** 6))
 
 
 def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
@@ -168,28 +182,29 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     n = algebra.dim
     w = op.weight
     T = op.matrix
-    t_img = [T.apply(algebra.basis(i)) for i in range(n)]
-    unit = algebra.basis
+    b = sparse_table(algebra.binary, 2)
+    t = sparse_table(algebra.ternary, 3)
+    t_col = tuple(sparse_table(T.column(x), 0) for x in range(n))
+    unit = [((x, 1),) for x in range(n)]
 
-    binary = tuple(
-        tuple(
-            vec_add(
-                vec_add(bracket2(algebra, t_img[i], unit(j)),
-                        bracket2(algebra, unit(i), t_img[j])),
-                vec_scale(w, bracket2(algebra, t_img[i], t_img[j])))
-            for j in range(n))
-        for i in range(n))
+    def binary_at(i, j):
+        acc = {}
+        contract(acc, 1, b, (t_col[i], unit[j]))
+        contract(acc, 1, b[i], (t_col[j],))
+        contract(acc, w, b, (t_col[i], t_col[j]))
+        return dense_vector(acc, n)
+
+    def ternary_at(i, j, k):
+        acc = {}
+        contract(acc, 1, t[i], (t_col[j], t_col[k]))
+        contract(acc, 1, t, (t_col[i], unit[j], t_col[k]))
+        contract(acc, 1, t, (t_col[i], t_col[j], unit[k]))
+        contract(acc, 2 * w, t, (t_col[i], t_col[j], t_col[k]))
+        return dense_vector(acc, n)
+
+    binary = tuple(tuple(binary_at(i, j) for j in range(n)) for i in range(n))
     ternary = tuple(
-        tuple(
-            tuple(
-                vec_add(
-                    vec_add(
-                        vec_add(bracket3(algebra, unit(i), t_img[j], t_img[k]),
-                                bracket3(algebra, t_img[i], unit(j), t_img[k])),
-                        bracket3(algebra, t_img[i], t_img[j], unit(k))),
-                    vec_scale(2 * w, bracket3(algebra, t_img[i], t_img[j], t_img[k])))
-                for k in range(n))
-            for j in range(n))
+        tuple(tuple(ternary_at(i, j, k) for k in range(n)) for j in range(n))
         for i in range(n))
 
     descendant = LyAlgebra(n, binary, ternary, algebra.labels)
@@ -214,44 +229,50 @@ def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
     if dm.rows != algebra.dim or dm.cols != algebra.dim:
         raise DimMismatch("derivation matrix side != algebra dim")
     n = algebra.dim
-    d_img = [dm.apply(algebra.basis(i)) for i in range(n)]
-    unit = algebra.basis
+    b = sparse_table(algebra.binary, 2)
+    t = sparse_table(algebra.ternary, 3)
+    # d_col[x] = D e_x: D as a table of its columns
+    d_col = tuple(sparse_table(dm.column(x), 0) for x in range(n))
+    unit = [((x, 1),) for x in range(n)]
 
     def binary(i, j):
-        lhs = dm.apply(algebra.binary[i][j])
-        rhs = vec_add(bracket2(algebra, d_img[i], unit(j)),
-                      bracket2(algebra, unit(i), d_img[j]))
-        return vec_sub(lhs, rhs)
+        acc = {}
+        contract(acc, 1, d_col, (b[i][j],))
+        contract(acc, -1, b, (d_col[i], unit[j]))
+        contract(acc, -1, b[i], (d_col[j],))
+        return acc
 
     def ternary(i, j, k):
-        lhs = dm.apply(algebra.ternary[i][j][k])
-        rhs = bracket3(algebra, d_img[i], unit(j), unit(k))
-        rhs = vec_add(rhs, bracket3(algebra, unit(i), d_img[j], unit(k)))
-        rhs = vec_add(rhs, bracket3(algebra, unit(i), unit(j), d_img[k]))
-        return vec_sub(lhs, rhs)
+        acc = {}
+        contract(acc, 1, d_col, (t[i][j][k],))
+        contract(acc, -1, t, (d_col[i], unit[j], unit[k]))
+        contract(acc, -1, t[i], (d_col[j], unit[k]))
+        contract(acc, -1, t[i][j], (d_col[k],))
+        return acc
 
     return _axiom_report(("derivation-binary", "derivation-ternary"),
-                         ((2, binary), (3, ternary)), n)
+                         ((2, binary, 1), (3, ternary, 1)), n)
 
 
 def reynolds_from_derivation(algebra: LyAlgebra, dm: Matrix, weight) -> ReynoldsOperator:
-    """Operator (D - weight/2 Id)^{-1} built from a derivation D.
+    """Operator T = (D - weight Id)^{-1} built from a derivation D.
 
-    The inverse exists only when D - weight/2 Id is regular (SingularMatrix
-    otherwise).  The output is re-validated rather than trusted: at weight 0
-    it always yields a Rota-Baxter operator, but at nonzero weight the
-    claimed identities can fail on algebras with nonzero brackets, and then
-    InvalidReynolds carries the witness.
+    The inverse exists only when D - weight Id is regular (SingularMatrix
+    otherwise).  T is then a Reynolds operator of that weight: with u = Tx
+    and v = Ty, the binary right-hand side is T([u, (D - w)v] + [(D - w)u, v]
+    + w[u, v]) = T((D - w)[u, v]) = [u, v], and the ternary one gives
+    T((D - w){u, v, s}) likewise.  Weight 0 gives the Rota-Baxter operator
+    D^{-1}.  The output is re-validated anyway; a failure is an internal bug.
     """
     report = derivation_check(algebra, dm)
     if not report.ok:
         raise NotDerivation(report.describe())
     weight = Fraction(weight)
-    shifted = dm - Matrix.identity(algebra.dim).scale(weight / 2)
+    shifted = dm - Matrix.identity(algebra.dim).scale(weight)
     t = inverse(shifted)  # raises SingularMatrix
     op = ReynoldsOperator(t, weight)
     check = verify_reynolds(algebra, op)
     if not check.ok:
-        raise InvalidReynolds(
+        raise InternalInconsistency(
             "derivation-built operator fails the weighted identities:\n" + check.describe())
     return op

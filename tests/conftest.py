@@ -8,6 +8,7 @@ import pytest
 from lyreynolds import (
     LyAlgebra,
     Matrix,
+    Representation,
     ReynoldsOperator,
     abelian,
     adjoint_rep,
@@ -146,3 +147,44 @@ def random_structures(rng, count: int):
         pairs.append((LyAlgebra(dim, binary, ternary),
                       ReynoldsOperator(matrix, rand_fraction(rng))))
     return pairs
+
+
+def _perturbed(rng, mat: Matrix) -> Matrix:
+    """mat with one entry moved by a random nonzero amount."""
+    entries = list(mat.entries)
+    entries[rng.randrange(len(entries))] += rand_fraction(rng, nonzero=True)
+    return Matrix(mat.rows, mat.cols, tuple(entries))
+
+
+def random_reps(rng, count: int):
+    """Seeded (algebra, operator, representation-with-module-op) triples on
+    algebras of dimension 2-3, most of them failing some representation or
+    module-operator identity.
+
+    Each starts as a valid triple from :func:`random_valid_triples`; in two
+    of every three, one to three entries of rho, theta or the module
+    operator are then perturbed, so that passing reports are compared too.
+    """
+    triples = []
+    while len(triples) < count:
+        algebra, op, rep = random_valid_triples(rng, 1)[0]
+        if algebra.dim < 2:
+            continue
+        if len(triples) % 3 != 2:
+            n = algebra.dim
+            rho, module_op = list(rep.rho), rep.module_op
+            theta = [list(row) for row in rep.theta]
+            for _ in range(rng.randint(1, 3)):
+                where = rng.randrange(3)
+                if where == 0:
+                    i = rng.randrange(n)
+                    rho[i] = _perturbed(rng, rho[i])
+                elif where == 1:
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    theta[i][j] = _perturbed(rng, theta[i][j])
+                else:
+                    module_op = _perturbed(rng, module_op)
+            rep = Representation(n, rep.module_dim, tuple(rho),
+                                 tuple(tuple(row) for row in theta), module_op)
+        triples.append((algebra, op, rep))
+    return triples

@@ -9,15 +9,29 @@ sparse ones against.
 * ``differential_matrix_by_units`` stacks the cone from dense row lists.
 * ``dense_rref`` is Gauss-Jordan elimination on full rows, and
   ``dense_matmul`` the product over every entry.
+* ``dense_ly_identities`` and ``dense_reynolds_identities`` are the identity
+  battery on dense vectors, and ``verify_deformation_dense`` runs it;
+  ``derivation_check_dense``, ``verify_rep_dense``,
+  ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
+  verifiers and the transport written with dense vectors and dense matrix
+  sums and products.
 
-The sparse builders must give exactly the same matrices, and the sparse
-elimination exactly the same reduced rows and pivots.
+The sparse builders must give exactly the same matrices, the sparse
+elimination exactly the same reduced rows and pivots, and the sparse
+identity kernel exactly the same reports and transported series.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from lyreynolds.algebra import (
+    _cyclic,
+    apply_binary,
+    apply_ternary,
+    bracket2,
+    bracket3,
+)
 from lyreynolds.cohomology import (
     _f_shape,
     _g_shape,
@@ -30,16 +44,28 @@ from lyreynolds.cohomology import (
     wedge_pairs,
     wedge_vector,
 )
+from lyreynolds.deformation import TruncatedDeformation
+from lyreynolds.errors import (
+    DimMismatch,
+    InternalInconsistency,
+    InvalidInput,
+    MissingModuleOp,
+    OrderMismatch,
+    ShapeMismatch,
+)
 from lyreynolds.linalg import (
     Matrix,
     block_diag,
+    lincomb,
     unit_vector,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_vector,
 )
+from lyreynolds.reporting import AxiomReport, Check, OrderReport, first_failure
 from lyreynolds.representation import d_table, induced_rep
-from lyreynolds.reynolds import descendant_algebra
+from lyreynolds.reynolds import _compositions, descendant_algebra
 
 
 def _eval_slots(tensor, slots, leaf_len):
@@ -291,3 +317,350 @@ def dense_rref(m):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+# ---------------------------------------------------------------------------
+# the dense identity battery and the verifiers written with dense vectors and
+# dense matrix arithmetic
+
+def is_zero_vector(v):
+    return all(a == 0 for a in v)
+
+
+def _axiom_report(names, identities, dim):
+    """One check per named ``(arity, residual)`` identity over all basis
+    tuples of its arity, on dense residual vectors."""
+    return AxiomReport(tuple(
+        first_failure(name, product(range(dim), repeat=arity), fn, is_zero_vector)
+        for name, (arity, fn) in zip(names, identities)))
+
+
+def dense_ly_identities(F, G, n: int):
+    """LY1-LY6 at order ``n`` of the coefficient series F_0, F_1, ... (binary
+    tensors) and G_0, G_1, ... (ternary tensors), as ``(arity, residual)``
+    pairs.  A residual maps a basis tuple to the order-n coefficient of
+    LHS - RHS, each product summed over the splittings i + (n - i).
+
+    Order 0 of ``((binary,), (ternary,))`` is the undeformed algebra, and a
+    deformation's order n is the same identity at higher order, which is why
+    the algebra verifier and the deformation verifier share this battery.
+    """
+    dim = len(F[0])
+    unit = [unit_vector(dim, x) for x in range(dim)]
+
+    def cyclic_binary(x, y, z):
+        acc = zero_vector(dim)
+        for (a, b, c) in _cyclic((x, y, z)):
+            for i in range(n + 1):
+                acc = vec_add(acc, apply_binary(F[i], F[n - i][a][b], unit[c]))
+            acc = vec_add(acc, G[n][a][b][c])
+        return acc
+
+    def cyclic_mixed(x, y, z, a):
+        acc = zero_vector(dim)
+        for (p, q, r) in _cyclic((x, y, z)):
+            for i in range(n + 1):
+                acc = vec_add(acc, apply_ternary(G[i], F[n - i][p][q], unit[r], unit[a]))
+        return acc
+
+    def derivation_binary(a, b, x, y):
+        acc = zero_vector(dim)
+        for i in range(n + 1):
+            acc = vec_add(acc, apply_ternary(G[i], unit[a], unit[b], F[n - i][x][y]))
+            acc = vec_sub(acc, apply_binary(F[i], G[n - i][a][b][x], unit[y]))
+            acc = vec_sub(acc, apply_binary(F[i], unit[x], G[n - i][a][b][y]))
+        return acc
+
+    def derivation_ternary(a, b, x, y, z):
+        acc = zero_vector(dim)
+        for i in range(n + 1):
+            acc = vec_add(acc, apply_ternary(G[i], unit[a], unit[b], G[n - i][x][y][z]))
+            acc = vec_sub(acc, apply_ternary(G[i], G[n - i][a][b][x], unit[y], unit[z]))
+            acc = vec_sub(acc, apply_ternary(G[i], unit[x], G[n - i][a][b][y], unit[z]))
+            acc = vec_sub(acc, apply_ternary(G[i], unit[x], unit[y], G[n - i][a][b][z]))
+        return acc
+
+    return ((2, lambda i, j: vec_add(F[n][i][j], F[n][j][i])),
+            (3, lambda i, j, k: vec_add(G[n][i][j][k], G[n][j][i][k])),
+            (3, cyclic_binary), (4, cyclic_mixed),
+            (4, derivation_binary), (5, derivation_ternary))
+
+
+def dense_reynolds_identities(F, G, Tt, w, n: int):
+    """The weighted binary and ternary operator identities at order ``n`` of
+    the series F (binary tensors), G (ternary tensors) and Tt (operator
+    matrices), as ``(arity, residual)`` pairs.
+
+    Each residual is the order-n coefficient of LHS - RHS: the products are
+    summed over three-part (plus one weighted four-part) and four-part (plus
+    one five-part) splittings of n.  Order 0 of ``((binary,), (ternary,),
+    (T,))`` is the undeformed operator.
+    """
+    dim = len(F[0])
+    unit = [unit_vector(dim, x) for x in range(dim)]
+    t_img = [[t.column(x) for x in range(dim)] for t in Tt[:n + 1]]
+    comps3, comps4, comps5 = (list(_compositions(n, parts)) for parts in (3, 4, 5))
+
+    def minus_ts(acc, inner):
+        """acc - sum_i T_i(inner[i]): one application of each T_i."""
+        for i, v in enumerate(inner):
+            acc = vec_sub(acc, Tt[i].apply(v))
+        return acc
+
+    def binary(x, y):
+        # F_j(T_k x, T_l y) for every j + k + l <= n, each computed once
+        all_t = {(j, k, l): apply_binary(F[j], t_img[k][x], t_img[l][y])
+                 for (_, j, k, l) in comps4}
+        acc = zero_vector(dim)
+        inner = [zero_vector(dim)] * (n + 1)
+        for (i, j, k) in comps3:
+            acc = vec_add(acc, all_t[i, j, k])
+            inner[i] = vec_add(inner[i], vec_add(apply_binary(F[j], t_img[k][x], unit[y]),
+                                                 apply_binary(F[j], unit[x], t_img[k][y])))
+        for (i, j, k, l) in comps4:
+            inner[i] = vec_add(inner[i], vec_scale(w, all_t[j, k, l]))
+        return minus_ts(acc, inner)
+
+    def ternary(x, y, z):
+        # G_j(T_k x, T_l y, T_m z) for every j + k + l + m <= n, each once
+        all_t = {(j, k, l, m): apply_ternary(G[j], t_img[k][x], t_img[l][y], t_img[m][z])
+                 for (_, j, k, l, m) in comps5}
+        acc = zero_vector(dim)
+        inner = [zero_vector(dim)] * (n + 1)
+        for (i, j, k, l) in comps4:
+            acc = vec_add(acc, all_t[i, j, k, l])
+            part = apply_ternary(G[j], unit[x], t_img[k][y], t_img[l][z])
+            part = vec_add(part, apply_ternary(G[j], t_img[k][x], unit[y], t_img[l][z]))
+            part = vec_add(part, apply_ternary(G[j], t_img[k][x], t_img[l][y], unit[z]))
+            inner[i] = vec_add(inner[i], part)
+        for (i, j, k, l, m) in comps5:
+            inner[i] = vec_add(inner[i], vec_scale(2 * w, all_t[j, k, l, m]))
+        return minus_ts(acc, inner)
+
+    return ((2, binary), (3, ternary))
+
+
+def verify_deformation_dense(algebra, op, deformation):
+    """Check every axiom of the deformed structure order by order.
+
+    At each order n the report covers: antisymmetry of the coefficients, the
+    four bracket compatibility identities summed over the coefficient
+    splittings i + j = n, and the two weighted operator identities summed
+    over three-part (plus one weighted four-part) and four-part (plus one
+    five-part) splittings.  Order 0 is the battery of the undeformed
+    verifiers under other names: LY1-LY6 are the six bracket checks, and
+    reynolds-binary/-ternary are operator-binary/-ternary.
+    """
+    n_dim = algebra.dim
+    if deformation.dim != n_dim:
+        raise ShapeMismatch("deformation tensors do not match the algebra dimension")
+    if op.dim != n_dim:
+        raise DimMismatch("operator does not match the algebra dimension")
+    if deformation.F[0] != algebra.binary or deformation.G[0] != algebra.ternary \
+            or deformation.Tt[0] != op.matrix:
+        raise InvalidInput("base coefficients must equal the undeformed structure")
+
+    F, G, Tt = deformation.F, deformation.G, deformation.Tt
+    names = ("antisymmetry-binary", "antisymmetry-ternary", "cyclic-binary",
+             "cyclic-mixed", "derivation-binary", "derivation-ternary",
+             "operator-binary", "operator-ternary")
+    return OrderReport(tuple(
+        _axiom_report(names, dense_ly_identities(F, G, n)
+                      + dense_reynolds_identities(F, G, Tt, op.weight, n), n_dim)
+        for n in range(deformation.order + 1)))
+
+
+def derivation_check_dense(algebra, dm):
+    """Leibniz rule of dm over both brackets, on basis tuples."""
+    if dm.rows != algebra.dim or dm.cols != algebra.dim:
+        raise DimMismatch("derivation matrix side != algebra dim")
+    n = algebra.dim
+    d_img = [dm.apply(algebra.basis(i)) for i in range(n)]
+    unit = algebra.basis
+
+    def binary(i, j):
+        lhs = dm.apply(algebra.binary[i][j])
+        rhs = vec_add(bracket2(algebra, d_img[i], unit(j)),
+                      bracket2(algebra, unit(i), d_img[j]))
+        return vec_sub(lhs, rhs)
+
+    def ternary(i, j, k):
+        lhs = dm.apply(algebra.ternary[i][j][k])
+        rhs = bracket3(algebra, d_img[i], unit(j), unit(k))
+        rhs = vec_add(rhs, bracket3(algebra, unit(i), d_img[j], unit(k)))
+        rhs = vec_add(rhs, bracket3(algebra, unit(i), unit(j), d_img[k]))
+        return vec_sub(lhs, rhs)
+
+    return _axiom_report(("derivation-binary", "derivation-ternary"),
+                         ((2, binary), (3, ternary)), n)
+
+
+def _d_at(dd, x, y, zero):
+    """D of a general pair, by bilinearity, from the table ``dd``."""
+    return lincomb(x, [lincomb(y, row, zero) for row in dd], zero)
+
+
+def verify_rep_dense(algebra, rep):
+    """Check the five representation identities on basis tuples.
+
+    Module arguments need no loop of their own: each identity is an equality
+    of operators on V, so comparing matrices covers every module element.
+    When all five pass, the two derived identities (the cyclic D identity
+    and the D-D compatibility) are checked as well; those must follow, so a
+    failure raises InternalInconsistency instead of being reported as data.
+    """
+    n = algebra.dim
+    if rep.algebra_dim != n:
+        raise DimMismatch("representation is over a different algebra dimension")
+    rho, theta = rep.rho, rep.theta
+    t = algebra.ternary
+    dd = d_table(algebra, rep)
+    zero = Matrix.zero(rep.module_dim, rep.module_dim)
+    # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
+    # that linearity in the first slot is a lincomb over a column
+    theta_col = [[theta[k][a] for k in range(n)] for a in range(n)]
+    d_col = [[dd[k][y] for k in range(n)] for y in range(n)]
+
+    identities = (
+        ("theta-of-bracket", 3,
+         lambda x, y, a: lincomb(algebra.binary[x][y], theta_col[a], zero)
+         - (theta[x][a] @ rho[y] - theta[y][a] @ rho[x])),
+        ("d-rho-compat", 3,
+         lambda a, b, x: dd[a][b] @ rho[x]
+         - (rho[x] @ dd[a][b] + rep.rho_at(t[a][b][x]))),
+        ("rho-of-bracket", 3,
+         lambda x, a, b: lincomb(algebra.binary[a][b], theta[x], zero)
+         - (rho[a] @ theta[x][b] - rho[b] @ theta[x][a])),
+        ("d-theta-compat", 4,
+         lambda a, b, x, y: dd[a][b] @ theta[x][y]
+         - (theta[x][y] @ dd[a][b] + lincomb(t[a][b][x], theta_col[y], zero)
+            + lincomb(t[a][b][y], theta[x], zero))),
+        ("theta-of-ternary", 4,
+         lambda a, x, y, z: lincomb(t[x][y][z], theta[a], zero)
+         - (theta[y][z] @ theta[a][x] - theta[x][z] @ theta[a][y]
+            + dd[x][y] @ theta[a][z])),
+    )
+    checks = [first_failure(name, product(range(n), repeat=arity), fn, Matrix.is_zero)
+              for name, arity, fn in identities]
+
+    if all(c.passed for c in checks):
+        for x, y, z in product(range(n), repeat=3):
+            r = (lincomb(algebra.binary[x][y], d_col[z], zero)
+                 + lincomb(algebra.binary[y][z], d_col[x], zero)
+                 + lincomb(algebra.binary[z][x], d_col[y], zero))
+            if not r.is_zero():
+                raise InternalInconsistency(
+                    f"derived cyclic D identity fails at ({x},{y},{z}) although "
+                    "the representation identities hold")
+        for a, b, x, y in product(range(n), repeat=4):
+            r = (dd[a][b] @ dd[x][y]
+                 - (dd[x][y] @ dd[a][b] + lincomb(t[a][b][x], d_col[y], zero)
+                    + _d_at(dd, algebra.basis(x), t[a][b][y], zero)))
+            if not r.is_zero():
+                raise InternalInconsistency(
+                    f"derived D-D compatibility fails at ({a},{b},{x},{y}) although "
+                    "the representation identities hold")
+        checks.append(Check("d-cyclic (derived)", True))
+        checks.append(Check("d-d-compat (derived)", True))
+
+    return AxiomReport(tuple(checks))
+
+
+def verify_reynolds_rep_dense(algebra, op, rep):
+    """Check the module-operator identities against the algebra operator.
+
+    Both sides are matrices acting on V, checked on basis pairs/triples of
+    the algebra; the weight is taken from ``op``.  The derived identity for
+    the pair map D must follow whenever the two primary ones hold; if it
+    does not, InternalInconsistency is raised.
+    """
+    if rep.module_op is None:
+        raise MissingModuleOp("representation has no module operator")
+    if op.dim != algebra.dim or rep.algebra_dim != algebra.dim:
+        raise DimMismatch("dimensions do not line up")
+    n = algebra.dim
+    w = op.weight
+    tv = rep.module_op
+    t_img = [op.matrix.apply(algebra.basis(i)) for i in range(n)]
+
+    def rho_residual(x):
+        rho_tx = rep.rho_at(t_img[x])
+        return rho_tx @ tv - tv @ (rho_tx + rep.rho[x] @ tv + (rho_tx @ tv).scale(w))
+
+    def theta_residual(x, y):
+        th_txty = rep.theta_at(t_img[x], t_img[y])
+        th_tx_y = rep.theta_at(t_img[x], algebra.basis(y))
+        th_x_ty = rep.theta_at(algebra.basis(x), t_img[y])
+        return th_txty @ tv - tv @ (th_txty + th_tx_y @ tv + th_x_ty @ tv
+                                    + (th_txty @ tv).scale(2 * w))
+
+    checks = [
+        first_failure("rho-module-op", product(range(n)), rho_residual, Matrix.is_zero),
+        first_failure("theta-module-op", product(range(n), repeat=2), theta_residual,
+                      Matrix.is_zero)]
+
+    if all(c.passed for c in checks):
+        dd = d_table(algebra, rep)
+        zero = Matrix.zero(rep.module_dim, rep.module_dim)
+        for x, y in product(range(n), repeat=2):
+            d_txty = _d_at(dd, t_img[x], t_img[y], zero)
+            d_tx_y = _d_at(dd, t_img[x], algebra.basis(y), zero)
+            d_x_ty = _d_at(dd, algebra.basis(x), t_img[y], zero)
+            r = d_txty @ tv - tv @ (d_txty + d_tx_y @ tv + d_x_ty @ tv
+                                    + (d_txty @ tv).scale(2 * w))
+            if not r.is_zero():
+                raise InternalInconsistency(
+                    f"derived D module-op identity fails at ({x},{y}) although the "
+                    "rho and theta module-op identities hold")
+        checks.append(Check("d-module-op (derived)", True))
+
+    return AxiomReport(tuple(checks))
+
+
+def apply_equivalence_dense(deformation, iso):
+    """Transport a deformation along a formal isomorphism phi:
+
+        F' = phi o F o (phi^{-1} (x) phi^{-1}),  likewise for G,
+        T' = phi o T o phi^{-1},
+
+    expanded order by order with the truncated inverse of phi.  The identity
+    isomorphism is the identity transport, and transports by phi and by
+    phi.inverse() cancel up to the truncation order.
+    """
+    if iso.order != deformation.order:
+        raise OrderMismatch("isomorphism and deformation orders differ")
+    if iso.dim != deformation.dim:
+        raise DimMismatch("isomorphism acts on a different space")
+    n_dim = deformation.dim
+    N = deformation.order
+    phi_c = iso.phi
+    psi_c = iso.inverse().phi
+    F, G, Tt = deformation.F, deformation.G, deformation.Tt
+    psi_img = [[psi_c[c].apply(unit_vector(n_dim, x)) for x in range(n_dim)]
+               for c in range(N + 1)]
+
+    new_f = []
+    new_g = []
+    new_t = []
+    for s in range(N + 1):
+        f_s = [[zero_vector(n_dim) for _ in range(n_dim)] for _ in range(n_dim)]
+        for (a, b, c, d) in _compositions(s, 4):
+            for x, y in product(range(n_dim), repeat=2):
+                val = apply_binary(F[b], psi_img[c][x], psi_img[d][y])
+                f_s[x][y] = vec_add(f_s[x][y], phi_c[a].apply(val))
+        new_f.append(tuple(tuple(row) for row in f_s))
+
+        g_s = [[[zero_vector(n_dim) for _ in range(n_dim)] for _ in range(n_dim)]
+               for _ in range(n_dim)]
+        for (a, b, c, d, e) in _compositions(s, 5):
+            for x, y, z in product(range(n_dim), repeat=3):
+                val = apply_ternary(G[b], psi_img[c][x], psi_img[d][y], psi_img[e][z])
+                g_s[x][y][z] = vec_add(g_s[x][y][z], phi_c[a].apply(val))
+        new_g.append(tuple(tuple(tuple(row) for row in plane) for plane in g_s))
+
+        t_s = Matrix.zero(n_dim, n_dim)
+        for (a, b, c) in _compositions(s, 3):
+            t_s = t_s + phi_c[a] @ Tt[b] @ psi_c[c]
+        new_t.append(t_s)
+
+    return TruncatedDeformation(N, tuple(new_f), tuple(new_g), tuple(new_t))

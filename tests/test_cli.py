@@ -7,7 +7,7 @@ import pytest
 
 import lyreynolds.cli as cli_module
 import lyreynolds.representation as representation
-from lyreynolds import adjoint_rep, cohomology_dims
+from lyreynolds import Matrix, adjoint_rep, cochain_dim, cohomology_dims
 from lyreynolds.cli import main
 from lyreynolds.errors import NameNotFound, ParseError
 from lyreynolds.fileformat import load_workspace
@@ -267,6 +267,59 @@ def test_cohomology_verifies_each_representation_once(monkeypatch, capsys):
     # once for (L, V), once inside induced_rep for the descendant pair
     assert len(calls) == 2
     assert calls[0] != calls[1]
+
+
+SL2_LYR = """[algebra sl2]
+dim = 3
+labels = h e f
+binary = 1 2 2 2
+binary = 1 3 3 -2
+binary = 2 3 1 1
+{ternary}
+
+[operator T]
+algebra = sl2
+weight = -1/2
+row = 2 0 0
+row = 0 2 0
+row = 0 0 2
+
+[representation ad]
+algebra = sl2
+adjoint = true
+operator = T
+"""
+
+
+def write_sl2(tmp_path, sl2):
+    # the ternary bracket {x,y,z} = [[x,y],z] of sl2 written out, i < j
+    lines = [f"ternary = {i + 1} {j + 1} {k + 1} {l + 1} {v}"
+             for i in range(3) for j in range(i + 1, 3) for k in range(3)
+             for l, v in enumerate(sl2.ternary[i][j][k]) if v]
+    return write(tmp_path, SL2_LYR.format(ternary="\n".join(lines)), "sl2.lyr")
+
+
+def test_cohomology_multiplies_each_composite_differential_once(
+        tmp_path, monkeypatch, capsys, sl2):
+    path = write_sl2(tmp_path, sl2)
+    shapes = []
+    original = Matrix.__matmul__
+
+    def counting(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    clear_engine_caches()
+    code = main(["cohomology", path, "--algebra", "sl2", "--operator", "T",
+                 "--rep", "ad", "--complex", "ly", "--max-degree", "3"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "d2 o d1 = 0: pass" in out and "d3 o d2 = 0: pass" in out
+    # d(p+1) . d(p) is checked once, inside cohomology_dims
+    for p in (1, 2):
+        dims = [cochain_dim(q, 3, 3) for q in (p + 2, p + 1, p)]
+        assert shapes.count(tuple(dims)) == 1, p
 
 
 FAILING_INPUTS = {

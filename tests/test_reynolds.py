@@ -23,7 +23,6 @@ from lyreynolds.errors import (
     SingularMatrix,
     ZeroScale,
 )
-from lyreynolds.linalg import inverse
 from tests.conftest import identity_op, rand_fraction, random_valid_triples
 
 F = Fraction
@@ -196,7 +195,8 @@ def test_scaled_identity_not_a_derivation(ly2):
 def test_reynolds_from_derivation_abelian():
     algebra = abelian(2)
     op = reynolds_from_derivation(algebra, Matrix.zero(2, 2), F(-2))
-    assert op.matrix == Matrix.identity(2)
+    # (0 - (-2) Id)^{-1}
+    assert op.matrix == Matrix.identity(2).scale(F(1, 2))
     assert op.weight == F(-2)
     assert verify_reynolds(algebra, op).ok
 
@@ -211,19 +211,16 @@ def test_reynolds_from_derivation_rejects_non_derivation(ly2):
         reynolds_from_derivation(ly2, Matrix.identity(2), F(0))
 
 
-def test_reynolds_from_derivation_halfweight_defect(ly2):
-    # The half-weight shift produces an operator that fails re-validation on
-    # algebras with nonzero brackets, while shifting by the full weight
-    # yields a verified operator of that weight.  Both facts are machine
-    # checks; the second is the engine confirming the corrected shift.
+def test_reynolds_from_derivation_shifts_by_the_full_weight(ly2):
+    # D = diag(1, 0) is a derivation of the 2-dim algebra; at weight -2 the
+    # operator is (D + 2 Id)^{-1} = diag(1/3, 1/2), and it verifies.  The
+    # earlier half-weight shift gave (D + Id)^{-1}, which fails there.
     dm = Matrix.from_rows([[1, 0], [0, 0]])
     weight = F(-2)
-    with pytest.raises(InvalidReynolds):
-        reynolds_from_derivation(ly2, dm, weight)
-    corrected = ReynoldsOperator(
-        inverse(dm - Matrix.identity(2).scale(weight)), weight)
-    assert corrected.matrix == Matrix.from_rows([[F(1, 3), 0], [0, F(1, 2)]])
-    assert verify_reynolds(ly2, corrected).ok
+    op = reynolds_from_derivation(ly2, dm, weight)
+    assert op.matrix == Matrix.from_rows([[F(1, 3), 0], [0, F(1, 2)]])
+    assert op.weight == weight
+    assert verify_reynolds(ly2, op).ok
 
 
 def test_weight_zero_derivation_inverse_is_rota_baxter():
