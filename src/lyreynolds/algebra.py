@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, combinations, product
 from math import lcm
 
 from .errors import (
@@ -65,14 +65,37 @@ def _freeze(data, dim: int, depth: int):
 def _antisymmetry_failure(tensor, dim: int, depth: int):
     """First basis tuple (i, j, ...) of length ``depth``, in product order,
     at which ``tensor`` is not antisymmetric in its leading index pair, or
-    None when it is antisymmetric everywhere."""
-    for idx in product(range(dim), repeat=depth):
-        a, b = tensor[idx[0]][idx[1]], tensor[idx[1]][idx[0]]
-        for k in idx[2:]:
-            a, b = a[k], b[k]
-        if any(x != -y for x, y in zip(a, b)):
-            return idx
+    None when it is antisymmetric everywhere.  Only i <= j is visited: the
+    condition at (j, i, ...) is the one at (i, j, ...), which comes first."""
+    for i in range(dim):
+        for j in range(i, dim):
+            for rest in product(range(dim), repeat=depth - 2):
+                a, b = tensor[i][j], tensor[j][i]
+                for k in rest:
+                    a, b = a[k], b[k]
+                if any(x != -y for x, y in zip(a, b)):
+                    return (i, j) + rest
     return None
+
+
+def orbit_tuples(dim: int, shape):
+    """The basis tuples that decide an identity antisymmetric within groups
+    of consecutive slots: ``shape`` lists the group sizes, and the tuples
+    yielded are those strictly increasing within each group, in product
+    order.  ``(2, 1)`` gives every (i, j, k) with i < j; a shape of ones
+    gives every tuple.  There are prod C(dim, k) of them, k over ``shape``.
+
+    Why they suffice: LyAlgebra and TruncatedDeformation enforce the
+    antisymmetry of both brackets at every order, so each residual given a
+    shape is zero on a tuple that repeats an index within a group and
+    changes sign under a swap within a group.  The failing tuples are
+    therefore a union of orbits of those swaps, and the increasing tuple of
+    an orbit is its lexicographic minimum, because the groups are
+    consecutive slots.  The first failure over these tuples, with its
+    residual, is the first failure in product order over all of them.
+    """
+    return (tuple(chain.from_iterable(groups))
+            for groups in product(*(combinations(range(dim), k) for k in shape)))
 
 
 def zero_binary(dim: int) -> BinaryTensor:
@@ -296,11 +319,12 @@ def _cyclic(triple):
 
 def _ly_identities(F, G, n: int):
     """LY1-LY6 at order ``n`` of the coefficient series F_0, F_1, ... (binary
-    tensors) and G_0, G_1, ... (ternary tensors), as ``(arity, residual,
+    tensors) and G_0, G_1, ... (ternary tensors), as ``(shape, residual,
     den)`` triples (see :func:`_axiom_report`).  A residual maps a basis
     tuple to den times the order-n coefficient of LHS - RHS, as a
     ``{coordinate: value}`` dict, each product summed over the splittings
-    i + (n - i).
+    i + (n - i).  LY3-LY6 are antisymmetric within the groups of their
+    shape; LY1 and LY2 are not, so theirs is all ones.
 
     Order 0 of ``((binary,), (ternary,))`` is the undeformed algebra, and a
     deformation's order n is the same identity at higher order, which is why
@@ -362,10 +386,11 @@ def _ly_identities(F, G, n: int):
         return acc
 
     square = den * den
-    return ((2, lambda i, j: summed(f[n][i][j], f[n][j][i]), den),
-            (3, lambda i, j, k: summed(g[n][i][j][k], g[n][j][i][k]), den),
-            (3, cyclic_binary, square), (4, cyclic_mixed, square),
-            (4, derivation_binary, square), (5, derivation_ternary, square))
+    return (((1, 1), lambda i, j: summed(f[n][i][j], f[n][j][i]), den),
+            ((1, 1, 1), lambda i, j, k: summed(g[n][i][j][k], g[n][j][i][k]), den),
+            ((3,), cyclic_binary, square), ((3, 1), cyclic_mixed, square),
+            ((2, 2), derivation_binary, square),
+            ((2, 2, 1), derivation_ternary, square))
 
 
 def _no_entries(acc: dict) -> bool:
@@ -373,23 +398,24 @@ def _no_entries(acc: dict) -> bool:
 
 
 def _axiom_report(names, identities, dim: int) -> AxiomReport:
-    """One check per named ``(arity, residual, den)`` identity over all
-    basis tuples of its arity.  Residuals are ``{coordinate: value}`` dicts
-    of den times the exact residual; only a failing one is written out, as
-    the vector of exact values."""
+    """One check per named ``(shape, residual, den)`` identity over the
+    basis tuples of :func:`orbit_tuples` for its shape.  Residuals are
+    ``{coordinate: value}`` dicts of den times the exact residual; only a
+    failing one is written out, as the vector of exact values."""
     return AxiomReport(tuple(
-        first_failure(name, product(range(dim), repeat=arity), fn, _no_entries,
+        first_failure(name, orbit_tuples(dim, shape), fn, _no_entries,
                       lambda acc, den=den: dense_vector(
                           {k: Fraction(v, den) for k, v in acc.items()}, dim))
-        for name, (arity, fn, den) in zip(names, identities)))
+        for name, (shape, fn, den) in zip(names, identities)))
 
 
 def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
-    """Evaluate the six defining axioms on all basis tuples.
+    """Evaluate the six defining axioms on basis tuples.
 
-    The first two are antisymmetries (re-checked here even though
-    construction enforces them); the remaining four are the compatibility
-    identities between the two brackets.  Each check reports at most one
+    The first two are antisymmetries (re-checked here, on all basis tuples,
+    even though construction enforces them); the remaining four are the
+    compatibility identities between the two brackets, checked on one tuple
+    per orbit (see :func:`orbit_tuples`).  Each check reports at most one
     witness: the lexicographically first failing tuple.
     """
     return _axiom_report(("LY1", "LY2", "LY3", "LY4", "LY5", "LY6"),
@@ -401,13 +427,15 @@ def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
     """First basis tuple at which the linear map ``phi`` fails to carry a
     bracket of ``source`` to the same bracket of ``target``: the pairs (i, j)
     of the binary bracket come before the triples (i, j, k) of the ternary
-    one.  None when ``phi`` is a morphism of both brackets."""
+    one.  None when ``phi`` is a morphism of both brackets.  Both conditions
+    are antisymmetric in i, j, so only i < j is visited (see
+    :func:`orbit_tuples`)."""
     n = source.dim
     img = [phi.column(i) for i in range(n)]
-    for i, j in product(range(n), repeat=2):
+    for i, j in orbit_tuples(n, (2,)):
         if phi.apply(source.binary[i][j]) != apply_binary(target.binary, img[i], img[j]):
             return (i, j)
-    for i, j, k in product(range(n), repeat=3):
+    for i, j, k in orbit_tuples(n, (2, 1)):
         if phi.apply(source.ternary[i][j][k]) != \
                 apply_ternary(target.ternary, img[i], img[j], img[k]):
             return (i, j, k)

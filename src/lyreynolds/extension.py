@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import LyAlgebra, _morphism_failure, bracket2, bracket3, verify_ly_axioms
+from .algebra import (
+    LyAlgebra,
+    _morphism_failure,
+    bracket2,
+    bracket3,
+    orbit_tuples,
+    verify_ly_axioms,
+)
 from .cohomology import (
     RlyCochain,
     coboundary_preimage,
@@ -144,14 +151,16 @@ class AbelianExtension:
         if not (self.project @ self.inject).is_zero():
             raise InvalidInput("project o inject != 0")
         v_img = [self.inject.column(a) for a in range(m)]
-        for a, b in product(range(m), repeat=2):
+        # [v_a, v_b] and {v_a, v_b, z} are antisymmetric in a, b, so a < b
+        # decides them; {z, v_a, v_b} is not
+        for a, b in orbit_tuples(m, (2,)):
             if any(c != 0 for c in bracket2(self.total, v_img[a], v_img[b])):
                 raise InvalidInput("module image is not binary-abelian")
         for z in range(big):
             zv = self.total.basis(z)
             for a, b in product(range(m), repeat=2):
                 if any(c != 0 for c in bracket3(self.total, zv, v_img[a], v_img[b])) or \
-                        any(c != 0 for c in bracket3(self.total, v_img[a], v_img[b], zv)):
+                        a < b and any(c != 0 for c in bracket3(self.total, v_img[a], v_img[b], zv)):
                     raise InvalidInput("module image is not a ternary-abelian ideal")
         axioms = verify_ly_axioms(self.total)
         if not axioms.ok:
@@ -468,10 +477,13 @@ def to_block_form(ext: AbelianExtension) -> AbelianExtension:
     """Transport an extension to block coordinates on L (+) V.
 
     The change of basis stacks a section next to inject; afterwards the
-    arrows are the canonical block maps.
+    arrows are the canonical block maps.  An extension already in block
+    form is returned as it is: its change of basis is the identity.
     """
     n, m = ext.base_dim, ext.module_dim
     inject_c, project_c = _canonical_arrows(n, m)
+    if (ext.inject, ext.project) == (inject_c, project_c):
+        return ext
     s = ext.canonical_section().map
     cols = [s.column(i) for i in range(n)] + [ext.inject.column(a) for a in range(m)]
     basis_change = Matrix.from_columns(cols, n + m)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
-from .algebra import LyAlgebra, expand, sparse_table
+from .algebra import LyAlgebra, expand, orbit_tuples, sparse_table
 from .errors import (
     DimMismatch,
     IndexOutOfRange,
@@ -34,7 +33,7 @@ from .linalg import (
     lincomb,
     sparse_rows,
 )
-from .reporting import AxiomReport, Check, first_failure
+from .reporting import AxiomReport, first_failure
 from .reynolds import ReynoldsOperator, descendant_algebra
 
 
@@ -122,21 +121,14 @@ def _sparse_maps(algebra: LyAlgebra, rep: Representation):
     return rho, theta, dd
 
 
-def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
-    """Check the five representation identities on basis tuples.
-
-    Module arguments need no loop of their own: each identity is an equality
-    of operators on V, so comparing matrices covers every module element.
-    When all five pass, the two derived identities (the cyclic D identity
-    and the D-D compatibility) are checked as well; those must follow, so a
-    failure raises InternalInconsistency instead of being reported as data.
-    Operators are read once as sparse rows, and every sum and product runs
-    over their nonzero entries.
-    """
-    n = algebra.dim
-    if rep.algebra_dim != n:
-        raise DimMismatch("representation is over a different algebra dimension")
-    m = rep.module_dim
+def _rep_identities(algebra: LyAlgebra, rep: Representation):
+    """The five representation identities, then the two derived ones (the
+    cyclic D identity and the D-D compatibility), as ``(name, shape,
+    residual)`` triples: a residual maps a basis tuple to the operator on V
+    of LHS - RHS, as sparse rows, and is antisymmetric within the groups of
+    its shape (see algebra.orbit_tuples).  Operators are read once as sparse
+    rows, and every sum and product runs over their nonzero entries."""
+    n, m = algebra.dim, rep.module_dim
     f = sparse_table(algebra.binary, 2)
     g = sparse_table(algebra.ternary, 3)
     rho, theta, dd = _sparse_maps(algebra, rep)
@@ -182,61 +174,81 @@ def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
         add_product(acc, -1, dd[x][y], theta[a][z])
         return acc
 
-    identities = (
-        ("theta-of-bracket", 3, theta_of_bracket),
-        ("d-rho-compat", 3, d_rho_compat),
-        ("rho-of-bracket", 3, rho_of_bracket),
-        ("d-theta-compat", 4, d_theta_compat),
-        ("theta-of-ternary", 4, theta_of_ternary),
-    )
-    checks = [first_failure(name, product(range(n), repeat=arity), fn, _is_zero,
-                            lambda acc: Matrix.from_sparse_rows(acc, m))
-              for name, arity, fn in identities]
+    def d_cyclic(x, y, z):
+        acc = [{} for _ in range(m)]
+        _op_at(acc, 1, d_col[z], (f[x][y],))
+        _op_at(acc, 1, d_col[x], (f[y][z],))
+        _op_at(acc, 1, d_col[y], (f[z][x],))
+        return acc
 
+    def d_d_compat(a, b, x, y):
+        acc = [{} for _ in range(m)]
+        add_product(acc, 1, dd[a][b], dd[x][y])
+        add_product(acc, -1, dd[x][y], dd[a][b])
+        _op_at(acc, -1, d_col[y], (g[a][b][x],))
+        _op_at(acc, -1, dd[x], (g[a][b][y],))
+        return acc
+
+    return (("theta-of-bracket", (2, 1), theta_of_bracket),
+            ("d-rho-compat", (2, 1), d_rho_compat),
+            ("rho-of-bracket", (1, 2), rho_of_bracket),
+            ("d-theta-compat", (2, 1, 1), d_theta_compat),
+            ("theta-of-ternary", (1, 2, 1), theta_of_ternary),
+            ("d-cyclic (derived)", (3,), d_cyclic),
+            ("d-d-compat (derived)", (2, 2), d_d_compat))
+
+
+def _operator_report(dim: int, module_dim: int, identities, derived, premise: str) -> AxiomReport:
+    """One check per named ``(name, shape, residual)`` identity over the
+    basis tuples of algebra.orbit_tuples for its shape.  When all of them
+    pass, each ``(identity, what)`` of ``derived`` is checked as well; it
+    must follow from ``premise``, so a failure is a bug, raised as
+    InternalInconsistency with its witness instead of being reported."""
+    checks = [first_failure(name, orbit_tuples(dim, shape), fn, _is_zero,
+                            lambda acc: Matrix.from_sparse_rows(acc, module_dim))
+              for name, shape, fn in identities]
     if all(c.passed for c in checks):
-        for x, y, z in product(range(n), repeat=3):
-            r = [{} for _ in range(m)]
-            _op_at(r, 1, d_col[z], (f[x][y],))
-            _op_at(r, 1, d_col[x], (f[y][z],))
-            _op_at(r, 1, d_col[y], (f[z][x],))
-            if not _is_zero(r):
+        for (name, shape, fn), what in derived:
+            check = first_failure(name, orbit_tuples(dim, shape), fn, _is_zero)
+            if not check.passed:
                 raise InternalInconsistency(
-                    f"derived cyclic D identity fails at ({x},{y},{z}) although "
-                    "the representation identities hold")
-        for a, b, x, y in product(range(n), repeat=4):
-            r = [{} for _ in range(m)]
-            add_product(r, 1, dd[a][b], dd[x][y])
-            add_product(r, -1, dd[x][y], dd[a][b])
-            _op_at(r, -1, d_col[y], (g[a][b][x],))
-            _op_at(r, -1, dd[x], (g[a][b][y],))
-            if not _is_zero(r):
-                raise InternalInconsistency(
-                    f"derived D-D compatibility fails at ({a},{b},{x},{y}) although "
-                    "the representation identities hold")
-        checks.append(Check("d-cyclic (derived)", True))
-        checks.append(Check("d-d-compat (derived)", True))
-
+                    f"{what} fails at ({','.join(map(str, check.witness))}) although "
+                    f"{premise} hold")
+            checks.append(check)
     return AxiomReport(tuple(checks))
 
 
-def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
-                        rep: Representation) -> AxiomReport:
-    """Check the module-operator identities against the algebra operator.
+def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
+    """Check the five representation identities on basis tuples, one per
+    orbit of the swaps they are antisymmetric under.
 
-    Both sides are matrices acting on V, checked on basis pairs/triples of
-    the algebra; the weight is taken from ``op``.  The derived identity for
-    the pair map D must follow whenever the two primary ones hold; if it
-    does not, InternalInconsistency is raised.  All three have one shape:
-    for a k-linear map X into operators on V (rho, theta or D),
+    Module arguments need no loop of their own: each identity is an equality
+    of operators on V, so comparing matrices covers every module element.
+    When all five pass, the two derived identities (the cyclic D identity
+    and the D-D compatibility) are checked as well; those must follow, so a
+    failure raises InternalInconsistency instead of being reported as data.
+    """
+    n = algebra.dim
+    if rep.algebra_dim != n:
+        raise DimMismatch("representation is over a different algebra dimension")
+    *identities, cyclic, compat = _rep_identities(algebra, rep)
+    return _operator_report(n, rep.module_dim, identities,
+                   ((cyclic, "derived cyclic D identity"),
+                    (compat, "derived D-D compatibility")),
+                   "the representation identities")
+
+
+def _module_op_identities(algebra: LyAlgebra, op: ReynoldsOperator,
+                          rep: Representation):
+    """The rho and theta module-operator identities, then the derived one
+    for D, as ``(name, shape, residual)`` triples (see :func:`_rep_identities`).
+    All three have one shape: for a k-linear map X into operators on V
+    (rho, theta or D),
 
         X(Tx..) T_V - T_V (X(Tx..) + sum_s X(.., x_s, ..) T_V + k w X(Tx..) T_V)
 
-    where the s-th mixed term puts T on every argument but the s-th.
-    """
-    if rep.module_op is None:
-        raise MissingModuleOp("representation has no module operator")
-    if op.dim != algebra.dim or rep.algebra_dim != algebra.dim:
-        raise DimMismatch("dimensions do not line up")
+    where the s-th mixed term puts T on every argument but the s-th.  Only
+    the D residual is antisymmetric, because D is."""
     n, m = algebra.dim, rep.module_dim
     w = op.weight
     tv = sparse_rows(rep.module_op)
@@ -260,24 +272,28 @@ def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
         add_product(acc, -1, tv, inner)
         return acc
 
-    def finish(acc):
-        return Matrix.from_sparse_rows(acc, m)
+    return (("rho-module-op", (1,), lambda *args: residual(rho, args)),
+            ("theta-module-op", (1, 1), lambda *args: residual(theta, args)),
+            ("d-module-op (derived)", (2,), lambda *args: residual(dd, args)))
 
-    checks = [
-        first_failure("rho-module-op", product(range(n)),
-                      lambda *args: residual(rho, args), _is_zero, finish),
-        first_failure("theta-module-op", product(range(n), repeat=2),
-                      lambda *args: residual(theta, args), _is_zero, finish)]
 
-    if all(c.passed for c in checks):
-        for x, y in product(range(n), repeat=2):
-            if not _is_zero(residual(dd, (x, y))):
-                raise InternalInconsistency(
-                    f"derived D module-op identity fails at ({x},{y}) although the "
-                    "rho and theta module-op identities hold")
-        checks.append(Check("d-module-op (derived)", True))
+def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
+                        rep: Representation) -> AxiomReport:
+    """Check the module-operator identities against the algebra operator.
 
-    return AxiomReport(tuple(checks))
+    Both sides are matrices acting on V, checked on basis pairs/triples of
+    the algebra; the weight is taken from ``op``.  The derived identity for
+    the pair map D must follow whenever the two primary ones hold; if it
+    does not, InternalInconsistency is raised.
+    """
+    if rep.module_op is None:
+        raise MissingModuleOp("representation has no module operator")
+    if op.dim != algebra.dim or rep.algebra_dim != algebra.dim:
+        raise DimMismatch("dimensions do not line up")
+    *identities, derived = _module_op_identities(algebra, op, rep)
+    return _operator_report(algebra.dim, rep.module_dim, identities,
+                   ((derived, "derived D module-op identity"),),
+                   "the rho and theta module-op identities")
 
 
 @cache

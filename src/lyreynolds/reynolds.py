@@ -69,8 +69,8 @@ def _compositions(total: int, parts: int):
 def _reynolds_identities(F, G, Tt, w, n: int):
     """The weighted binary and ternary operator identities at order ``n`` of
     the series F (binary tensors), G (ternary tensors) and Tt (operator
-    matrices), as ``(arity, residual, den)`` triples (see
-    algebra._axiom_report).
+    matrices), as ``(shape, residual, den)`` triples (see
+    algebra._axiom_report): both are antisymmetric in their first two slots.
 
     Each residual is the order-n coefficient of LHS - RHS: the products are
     summed over three-part (plus one weighted four-part) and four-part (plus
@@ -137,12 +137,13 @@ def _reynolds_identities(F, G, Tt, w, n: int):
             add_scaled(inner[i], 2 * lw, all_t[j, k, l, m])
         return minus_ts(acc, inner)
 
-    return ((2, binary, den ** 5), (3, ternary, den ** 6))
+    return (((2,), binary, den ** 5), ((2, 1), ternary, den ** 6))
 
 
 def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
-    """Check the weighted binary identity on all basis pairs and the weighted
-    ternary identity on all basis triples."""
+    """Check the weighted binary identity on basis pairs and the weighted
+    ternary identity on basis triples, one per orbit of the swap of the
+    first two slots (see algebra.orbit_tuples)."""
     if op.dim != algebra.dim:
         raise DimMismatch("operator side != algebra dim")
     return _axiom_report(("reynolds-binary", "reynolds-ternary"),
@@ -224,10 +225,10 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     return descendant
 
 
-def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
-    """Leibniz rule of dm over both brackets, on basis tuples."""
-    if dm.rows != algebra.dim or dm.cols != algebra.dim:
-        raise DimMismatch("derivation matrix side != algebra dim")
+def _derivation_identities(algebra: LyAlgebra, dm: Matrix):
+    """The Leibniz rule of dm over the binary and the ternary bracket, as
+    ``(shape, residual, den)`` triples (see algebra._axiom_report): both are
+    antisymmetric in their first two slots."""
     n = algebra.dim
     b = sparse_table(algebra.binary, 2)
     t = sparse_table(algebra.ternary, 3)
@@ -250,8 +251,16 @@ def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
         contract(acc, -1, t[i][j], (d_col[k],))
         return acc
 
+    return ((2,), binary, 1), ((2, 1), ternary, 1)
+
+
+def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
+    """Leibniz rule of dm over both brackets, on basis tuples increasing in
+    their first two slots (see algebra.orbit_tuples)."""
+    if dm.rows != algebra.dim or dm.cols != algebra.dim:
+        raise DimMismatch("derivation matrix side != algebra dim")
     return _axiom_report(("derivation-binary", "derivation-ternary"),
-                         ((2, binary, 1), (3, ternary, 1)), n)
+                         _derivation_identities(algebra, dm), algebra.dim)
 
 
 def reynolds_from_derivation(algebra: LyAlgebra, dm: Matrix, weight) -> ReynoldsOperator:
