@@ -45,10 +45,11 @@ TernaryTensor = tuple  # t[i][j][k] is a Vector of length dim
 def _freeze(data, dim: int, depth: int):
     """``data`` as nested tuples of Fractions: ``depth`` levels of basis
     indices (2 for a binary tensor, 3 for a ternary one) above entries that
-    must be vectors of length ``dim``."""
+    must be vectors of length ``dim``.  Entries that are Fractions already
+    are kept as they are; only the others are converted."""
     def frozen(node, level):
         if level == depth:
-            return tuple(Fraction(x) for x in node)
+            return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in node)
         return tuple(frozen(node[i], level + 1) for i in range(dim))
 
     out = frozen(data, 0)
@@ -130,7 +131,7 @@ def _from_sparse(dim: int, entries, arity: int):
 
     def dense(prefix):
         if len(prefix) == arity:
-            return cells.get(prefix, Fraction(0))
+            return cells.get(prefix, _ZERO)
         return tuple(dense(prefix + (t,)) for t in range(dim))
 
     return dense(())

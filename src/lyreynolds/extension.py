@@ -1,26 +1,26 @@
 """Abelian extensions of a Reynolds Lie-Yamaguti algebra by a module.
 
 An extension is a total algebra-with-operator sitting in a short exact
-sequence V >-> L_hat ->> L whose kernel is an abelian ideal.  Given a
-section, the total structure unpacks into the base data plus a degree-2
-cone cochain (nu, psi, chi); conversely a cochain assembles into a total
-structure on L (+) V, and the assembly verifies exactly when the cochain is
-a cocycle.  Equivalence classes of extensions are compared through their
+sequence V >-> L_hat ->> L whose kernel is an abelian ideal, which the
+constructor checks.  It is read in the basis s(e_1..e_n), i(v_1..v_m) of a
+section s, where the total brackets and operator split into blocks: the base
+data (L, T), the representation (rho, theta, T_V) and a degree-2 cone
+cochain (nu, psi, chi).  :func:`assemble_extension` writes those blocks and
+every reader slices them back out; in block form, with its canonical section
+x -> (x, 0), that basis is the standard one.  The assembly verifies exactly
+when the cochain is a cocycle, and extensions are compared through their
 cocycle classes, never by searching over isomorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 from .algebra import (
     LyAlgebra,
     _morphism_failure,
-    bracket2,
-    bracket3,
-    orbit_tuples,
+    binary_from_sparse,
+    ternary_from_sparse,
     verify_ly_axioms,
 )
 from .cohomology import (
@@ -46,11 +46,11 @@ from .linalg import (
     Vector,
     inverse,
     kernel_basis,
+    lincomb,
     pivot_columns,
     rank,
     solve,
     unit_vector,
-    vec_sub,
     zero_vector,
 )
 from .representation import (
@@ -123,10 +123,13 @@ class AbelianExtension:
 
     Construction verifies what can be verified intrinsically: exactness
     (inject injective, project surjective, project o inject = 0, dimensions
-    adding up), the kernel being an abelian ideal, and the total structure
-    passing the algebra and operator verifiers.  Compatibility with a given
-    base (L, T) and module operator is checked by the operations that
-    receive that base data.
+    adding up), the module image being an abelian ideal, and the total
+    structure passing the algebra and operator verifiers.  In the basis
+    s(e_1..e_n), i(v_1..v_m) of the canonical section, [v, w], {z, v, w} and
+    {v, w, z} must vanish and [x, v], {x, y, v} and {v, x, y} have no base
+    part, for x, y in L, v, w in V and any z.  Compatibility with a given
+    base (L, T) and module operator, and T_hat mapping V into V, are checked
+    by the operations that read that data.
     """
 
     total: LyAlgebra
@@ -150,18 +153,17 @@ class AbelianExtension:
             raise InvalidInput("project is not surjective")
         if not (self.project @ self.inject).is_zero():
             raise InvalidInput("project o inject != 0")
-        v_img = [self.inject.column(a) for a in range(m)]
-        # [v_a, v_b] and {v_a, v_b, z} are antisymmetric in a, b, so a < b
-        # decides them; {z, v_a, v_b} is not
-        for a, b in orbit_tuples(m, (2,)):
-            if any(c != 0 for c in bracket2(self.total, v_img[a], v_img[b])):
-                raise InvalidInput("module image is not binary-abelian")
-        for z in range(big):
-            zv = self.total.basis(z)
-            for a, b in product(range(m), repeat=2):
-                if any(c != 0 for c in bracket3(self.total, zv, v_img[a], v_img[b])) or \
-                        a < b and any(c != 0 for c in bracket3(self.total, v_img[a], v_img[b], zv)):
-                    raise InvalidInput("module image is not a ternary-abelian ideal")
+        binary, ternary, _ = _section_basis(self, self.canonical_section())
+        base, module = range(n), range(n, big)
+        if any(any(binary[a][b]) for a in module for b in module):
+            raise InvalidInput("module image is not binary-abelian")
+        if any(any(ternary[z][a][b]) or any(ternary[a][b][z])
+               for z in range(big) for a in module for b in module):
+            raise InvalidInput("module image is not a ternary-abelian ideal")
+        if any(any(binary[x][v][:n]) or any(ternary[x][y][v][:n])
+               or any(ternary[v][x][y][:n])
+               for x in base for y in base for v in module):
+            raise InvalidInput("module image is not an ideal")
         axioms = verify_ly_axioms(self.total)
         if not axioms.ok:
             raise InvalidInput("total algebra fails the axioms:\n" + axioms.describe())
@@ -181,23 +183,15 @@ class AbelianExtension:
     def canonical_section(self) -> Section:
         """Any right inverse of project; free coordinates are zeroed, so in
         block form this is x -> (x, 0)."""
-        cols = []
-        for i in range(self.base_dim):
-            cols.append(solve(self.project, unit_vector(self.base_dim, i)))
-        return Section(Matrix.from_columns(cols, self.total.dim))
+        n = self.base_dim
+        return Section(Matrix.from_columns(
+            [solve(self.project, unit_vector(n, i)) for i in range(n)], self.total.dim))
 
     def check_section(self, s: Section) -> None:
         if (s.map.rows, s.map.cols) != (self.total.dim, self.base_dim):
             raise NotSection("section has the wrong shape")
         if self.project @ s.map != Matrix.identity(self.base_dim):
             raise NotSection("project o section != identity")
-
-    def module_coords(self, vec) -> tuple:
-        """Coordinates in V of a total vector lying in the module image."""
-        sol = solve(self.inject, vec)
-        if sol is None or self.inject.apply(sol) != tuple(vec):
-            raise InvalidInput("vector does not lie in the module image")
-        return sol
 
 
 def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -209,71 +203,46 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
         {x+u,y+v,z+w}   = {x,y,z} + theta(y,z)u - theta(x,z)v + D(x,y)w + psi(x,y,z)
         T(x+u)          = Tx + chi(x) + T_V u
 
-    No cocycle condition is checked here; feeding a non-cocycle yields a
-    total structure that fails verification, which is the point of keeping
-    this assembly separate from :func:`build_extension`.
+    Only the blocks that carry data are written: [L,L] = base + nu,
+    [L,V] = rho, {L,L,L} = base + psi, {L,L,V} = D and {V,L,L} = theta; the
+    antisymmetric fill supplies [V,L] and {L,V,L}.  No cocycle condition is
+    checked here; feeding a non-cocycle yields a total structure that fails
+    verification, which is the point of keeping this assembly separate from
+    :func:`build_extension`.
     """
     if rep.module_op is None:
         raise InvalidInput("extensions need a module operator on V")
     n, m = algebra.dim, rep.module_dim
     if (cocycle.alg_dim, cocycle.mod_dim) != (n, m):
         raise DimMismatch("cocycle shapes do not match the base data")
-    total = n + m
     dd = d_table(algebra, rep)
-    zl = zero_vector(n)
-    zv = zero_vector(m)
+    binary, ternary = {}, {}
 
-    def pad_l(vec):
-        return tuple(vec) + zv
+    def put(entries, idx, vec, offset):
+        for k, c in enumerate(vec):
+            if c:
+                entries[idx + (offset + k,)] = c
 
-    def pad_v(vec):
-        return zl + tuple(vec)
-
-    def add(u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
-    binary = [[None] * total for _ in range(total)]
-    for i in range(total):
-        for j in range(total):
-            if i < n and j < n:
-                binary[i][j] = add(pad_l(algebra.binary[i][j]), pad_v(cocycle.nu[i][j]))
-            elif i < n <= j:
-                binary[i][j] = pad_v(rep.rho[i].column(j - n))
-            elif j < n <= i:
-                binary[i][j] = pad_v(tuple(-c for c in rep.rho[j].column(i - n)))
-            else:
-                binary[i][j] = zl + zv
-
-    ternary = [[[None] * total for _ in range(total)] for _ in range(total)]
-    for i in range(total):
-        for j in range(total):
-            for k in range(total):
-                li, lj, lk = i < n, j < n, k < n
-                if li and lj and lk:
-                    ternary[i][j][k] = add(pad_l(algebra.ternary[i][j][k]),
-                                           pad_v(cocycle.psi[i][j][k]))
-                elif li and lj and not lk:
-                    ternary[i][j][k] = pad_v(dd[i][j].column(k - n))
-                elif li and not lj and lk:
-                    ternary[i][j][k] = pad_v(
-                        tuple(-c for c in rep.theta[i][k].column(j - n)))
-                elif not li and lj and lk:
-                    ternary[i][j][k] = pad_v(rep.theta[j][k].column(i - n))
-                else:
-                    ternary[i][j][k] = zl + zv
-
-    rows = []
     for i in range(n):
-        rows.append(list(op.matrix.row(i)) + [Fraction(0)] * m)
-    for a in range(m):
-        rows.append(list(cocycle.chi.row(a)) + list(rep.module_op.row(a)))
-    total_op = ReynoldsOperator(Matrix.from_rows(rows, total), op.weight)
+        for a in range(m):
+            put(binary, (i, n + a), rep.rho[i].column(a), n)
+        for j in range(n):
+            put(binary, (i, j), algebra.binary[i][j] + cocycle.nu[i][j], 0)
+            for a in range(m):
+                put(ternary, (i, j, n + a), dd[i][j].column(a), n)
+                put(ternary, (n + a, i, j), rep.theta[i][j].column(a), n)
+            for k in range(n):
+                put(ternary, (i, j, k), algebra.ternary[i][j][k] + cocycle.psi[i][j][k], 0)
 
+    zv = zero_vector(m)
+    total_op = ReynoldsOperator(Matrix.from_rows(
+        [op.matrix.row(i) + zv for i in range(n)]
+        + [cocycle.chi.row(a) + rep.module_op.row(a) for a in range(m)], n + m), op.weight)
     labels = None
     if algebra.labels:
         labels = tuple(algebra.labels) + tuple(f"v{a + 1}" for a in range(m))
-    total_algebra = LyAlgebra(total, tuple(map(tuple, binary)),
-                              tuple(tuple(map(tuple, row)) for row in ternary), labels)
+    total_algebra = LyAlgebra(n + m, binary_from_sparse(n + m, binary),
+                              ternary_from_sparse(n + m, ternary), labels)
     return total_algebra, total_op
 
 
@@ -344,75 +313,86 @@ def class_representatives(algebra: LyAlgebra, op: ReynoldsOperator,
     return tuple(ker[p - d1.cols] for p in pivot_columns(stacked) if p >= d1.cols)
 
 
-def _bracket_tables(algebra: LyAlgebra, vectors, out) -> tuple[tuple, tuple]:
-    """Binary and ternary tensors with entries out([u_i, u_j]) and
-    out({u_i, u_j, u_k}), the brackets taken in ``algebra`` over ``vectors``."""
-    idx = range(len(vectors))
-    binary = tuple(
-        tuple(out(bracket2(algebra, vectors[i], vectors[j])) for j in idx)
-        for i in idx)
-    ternary = tuple(
-        tuple(
-            tuple(out(bracket3(algebra, vectors[i], vectors[j], vectors[k])) for k in idx)
-            for j in idx)
-        for i in idx)
-    return binary, ternary
+def _section_basis(ext: AbelianExtension, section: Section) -> tuple[tuple, tuple, Matrix]:
+    """The total binary and ternary tensors and operator matrix in the basis
+    s(e_1..e_n), i(v_1..v_m) of ``section``: base indices 0..n-1, module
+    indices n..n+m-1, blocks as :func:`assemble_extension` writes them.
+
+    In the standard basis (block form with its canonical section) these are
+    the extension's own tensors.  Otherwise, with C the change of basis, the
+    maps [c_i, .] and {c_i, c_j, .} are combined from the standard basis
+    ones, one slot at a time, and conjugated by C.
+    """
+    big = ext.total.dim
+    cols = [section.map.column(i) for i in range(ext.base_dim)] + \
+        [ext.inject.column(a) for a in range(ext.module_dim)]
+    basis_change = Matrix.from_columns(cols, big)
+    if basis_change == Matrix.identity(big):
+        return ext.total.binary, ext.total.ternary, ext.total_op.matrix
+    binv = inverse(basis_change)
+    idx, zero = range(big), Matrix.zero(big, big)
+
+    def conjugated(coeffs, maps):
+        mat = binv @ lincomb(coeffs, maps, zero) @ basis_change
+        return tuple(mat.column(k) for k in idx)
+
+    ad = [Matrix.from_columns(ext.total.binary[a], big) for a in idx]
+    pair = [[Matrix.from_columns(ext.total.ternary[a][b], big) for a in idx] for b in idx]
+    left = [[lincomb(cols[i], pair[b], zero) for b in idx] for i in idx]
+    binary = tuple(conjugated(cols[i], ad) for i in idx)
+    ternary = tuple(tuple(conjugated(cols[j], left[i]) for j in idx) for i in idx)
+    return binary, ternary, binv @ ext.total_op.matrix @ basis_change
+
+
+def _base_blocks(binary, ternary, n: int, part: slice) -> tuple[tuple, tuple]:
+    """The [L,L] and {L,L,L} blocks of section-basis tensors, each vector cut
+    to ``part``: its base coordinates or its module coordinates."""
+    idx = range(n)
+    return (tuple(tuple(binary[i][j][part] for j in idx) for i in idx),
+            tuple(tuple(tuple(ternary[i][j][k][part] for k in idx) for j in idx) for i in idx))
+
+
+def _block(mat: Matrix, rows, cols) -> Matrix:
+    return Matrix.from_rows([[mat[i, j] for j in cols] for i in rows], len(cols))
 
 
 def base_data(ext: AbelianExtension, section: Section | None = None
               ) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
     """Recover (L, T, T_V) from an extension.
 
-    The base brackets are the projected total brackets of section lifts
-    (independent of the section because the kernel is an ideal); T is the
-    projected conjugate of the total operator, and T_V solves
-    inject o T_V = T_hat o inject, which must be solvable for the module to
-    be operator-stable.
+    In the basis of a section, the base brackets and T are the base parts of
+    the base blocks (independent of the section because the kernel is an
+    ideal), and T_V is the module block of T_hat, whose base part must
+    vanish for the module to be operator-stable.
     """
     if section is None:
         section = ext.canonical_section()
     ext.check_section(section)
-    n, m = ext.base_dim, ext.module_dim
-    s = section.map
-    s_img = [s.column(i) for i in range(n)]
-
-    base = LyAlgebra(n, *_bracket_tables(ext.total, s_img, ext.project.apply))
-
-    t_mat = Matrix.from_columns(
-        [ext.project.apply(ext.total_op.matrix.apply(s_img[i])) for i in range(n)], n)
-    base_op = ReynoldsOperator(t_mat, ext.total_op.weight)
-
-    tv_cols = []
-    for a in range(m):
-        img = ext.total_op.matrix.apply(ext.inject.column(a))
-        tv_cols.append(ext.module_coords(img))
-    tv = Matrix.from_columns(tv_cols, m)
-    return base, base_op, tv
+    binary, ternary, op = _section_basis(ext, section)
+    n = ext.base_dim
+    base, module = range(n), range(n, ext.total.dim)
+    if not _block(op, base, module).is_zero():
+        raise InvalidInput("vector does not lie in the module image")
+    base_op = ReynoldsOperator(_block(op, base, base), ext.total_op.weight)
+    return (LyAlgebra(n, *_base_blocks(binary, ternary, n, slice(n))), base_op,
+            _block(op, module, module))
 
 
 def _base_and_rep(ext: AbelianExtension, section: Section
                   ) -> tuple[LyAlgebra, ReynoldsOperator, Representation]:
     """Base data (L, T) and the representation of L on V, T_V included, of
-    an extension with a given section: one read of :func:`base_data`, and the
-    representation validated against it."""
+    an extension with a given section: one read of :func:`base_data`, the
+    rho and theta blocks, and the representation validated against them."""
     base, base_op, tv = base_data(ext, section)
+    binary, ternary, _ = _section_basis(ext, section)
     n, m = ext.base_dim, ext.module_dim
-    s_img = [section.map.column(i) for i in range(n)]
-    v_img = [ext.inject.column(a) for a in range(m)]
-
-    rho = tuple(
-        Matrix.from_columns(
-            [ext.module_coords(bracket2(ext.total, s_img[i], v_img[a]))
-             for a in range(m)], m)
-        for i in range(n))
+    module = range(n, n + m)
+    rho = tuple(Matrix.from_columns([binary[i][v][n:] for v in module], m)
+                for i in range(n))
     theta = tuple(
-        tuple(
-            Matrix.from_columns(
-                [ext.module_coords(bracket3(ext.total, v_img[a], s_img[i], s_img[j]))
-                 for a in range(m)], m)
-            for j in range(n))
+        tuple(Matrix.from_columns([ternary[v][i][j][n:] for v in module], m)
+              for j in range(n))
         for i in range(n))
-
     rep = Representation(n, m, rho, theta, tv)
     report = verify_reynolds_rep(base, base_op, rep)
     if not report.ok:
@@ -438,19 +418,13 @@ def _defect_cocycle(ext: AbelianExtension, section: Section, base: LyAlgebra,
     """The defect cochain of :func:`extract_cocycle` over base data already
     read off the extension, re-checked to be a cocycle.
 
-    The base brackets and operator are the projections of the total ones on
-    section lifts, so each defect is v - s(project(v)) for a total vector v.
+    In the basis of the section each defect is the module part of a base
+    block: v - s(project(v)) = i(module part of v) for a total vector v.
     """
-    s = section.map
-    s_img = [s.column(i) for i in range(ext.base_dim)]
-
-    def defect(vec):
-        return ext.module_coords(vec_sub(vec, s.apply(ext.project.apply(vec))))
-
-    nu, psi = _bracket_tables(ext.total, s_img, defect)
-    chi = Matrix.from_columns([defect(ext.total_op.matrix.apply(v)) for v in s_img],
-                              ext.module_dim)
-    cocycle = ExtensionCocycle(nu, psi, chi)
+    binary, ternary, op = _section_basis(ext, section)
+    n = ext.base_dim
+    nu, psi = _base_blocks(binary, ternary, n, slice(n, None))
+    cocycle = ExtensionCocycle(nu, psi, _block(op, range(n, ext.total.dim), range(n)))
 
     if not is_cocycle(base, base_op, rep, "rly", cocycle.to_cochain()):
         raise InternalInconsistency(
@@ -476,22 +450,17 @@ def extract_cocycle(ext: AbelianExtension, section: Section | None = None
 def to_block_form(ext: AbelianExtension) -> AbelianExtension:
     """Transport an extension to block coordinates on L (+) V.
 
-    The change of basis stacks a section next to inject; afterwards the
-    arrows are the canonical block maps.  An extension already in block
-    form is returned as it is: its change of basis is the identity.
+    The total structure is read in the basis of the canonical section, and
+    the arrows become the canonical block maps.  An extension already in
+    block form is returned as it is.
     """
     n, m = ext.base_dim, ext.module_dim
     inject_c, project_c = _canonical_arrows(n, m)
     if (ext.inject, ext.project) == (inject_c, project_c):
         return ext
-    s = ext.canonical_section().map
-    cols = [s.column(i) for i in range(n)] + [ext.inject.column(a) for a in range(m)]
-    basis_change = Matrix.from_columns(cols, n + m)
-    binv = inverse(basis_change)
-    new_total = LyAlgebra(n + m, *_bracket_tables(ext.total, cols, binv.apply))
-    new_op = ReynoldsOperator(binv @ ext.total_op.matrix @ basis_change,
-                              ext.total_op.weight)
-    return AbelianExtension(new_total, new_op, inject_c, project_c)
+    binary, ternary, op = _section_basis(ext, ext.canonical_section())
+    return AbelianExtension(LyAlgebra(n + m, binary, ternary),
+                            ReynoldsOperator(op, ext.total_op.weight), inject_c, project_c)
 
 
 def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix | None:

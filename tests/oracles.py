@@ -15,10 +15,15 @@ sparse ones against.
   ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
   verifiers and the transport written with dense vectors and dense matrix
   sums and products.
+* ``base_data_by_solves``, ``extract_rep_by_solves`` and
+  ``extract_cocycle_by_solves`` read an extension through section lifts,
+  solving for the module coordinates of each vector (``module_coords``), and
+  ``assemble_extension_by_cases`` fills in the total structure cell by cell.
 
 The sparse builders must give exactly the same matrices, the sparse
 elimination exactly the same reduced rows and pivots, and the sparse
-identity kernel exactly the same reports and transported series.
+identity kernel exactly the same reports and transported series; the block
+readers and the sparse assembly must agree with the extension oracles.
 """
 
 from fractions import Fraction
@@ -26,6 +31,7 @@ from functools import cache
 from itertools import product
 
 from lyreynolds.algebra import (
+    LyAlgebra,
     _cyclic,
     apply_binary,
     apply_ternary,
@@ -45,6 +51,7 @@ from lyreynolds.cohomology import (
     wedge_vector,
 )
 from lyreynolds.deformation import TruncatedDeformation
+from lyreynolds.extension import ExtensionCocycle
 from lyreynolds.errors import (
     DimMismatch,
     InternalInconsistency,
@@ -57,6 +64,7 @@ from lyreynolds.linalg import (
     Matrix,
     block_diag,
     lincomb,
+    solve,
     unit_vector,
     vec_add,
     vec_scale,
@@ -64,8 +72,8 @@ from lyreynolds.linalg import (
     zero_vector,
 )
 from lyreynolds.reporting import AxiomReport, Check, OrderReport, first_failure
-from lyreynolds.representation import d_table, induced_rep
-from lyreynolds.reynolds import _compositions, descendant_algebra
+from lyreynolds.representation import Representation, d_table, induced_rep
+from lyreynolds.reynolds import ReynoldsOperator, _compositions, descendant_algebra
 
 
 def _eval_slots(tensor, slots, leaf_len):
@@ -664,3 +672,143 @@ def apply_equivalence_dense(deformation, iso):
         new_t.append(t_s)
 
     return TruncatedDeformation(N, tuple(new_f), tuple(new_g), tuple(new_t))
+
+
+# ---------------------------------------------------------------------------
+# extensions read through one solve per vector, and assembled case by case
+
+def module_coords(ext, vec):
+    """Coordinates in V of a total vector lying in the module image."""
+    sol = solve(ext.inject, vec)
+    if sol is None or ext.inject.apply(sol) != tuple(vec):
+        raise InvalidInput("vector does not lie in the module image")
+    return sol
+
+
+def _bracket_tables(algebra, vectors, out):
+    idx = range(len(vectors))
+    binary = tuple(
+        tuple(out(bracket2(algebra, vectors[i], vectors[j])) for j in idx)
+        for i in idx)
+    ternary = tuple(
+        tuple(
+            tuple(out(bracket3(algebra, vectors[i], vectors[j], vectors[k])) for k in idx)
+            for j in idx)
+        for i in idx)
+    return binary, ternary
+
+
+def base_data_by_solves(ext, section=None):
+    """(L, T, T_V): projected brackets and operator on section lifts, and
+    T_V solving inject o T_V = T_hat o inject."""
+    if section is None:
+        section = ext.canonical_section()
+    ext.check_section(section)
+    n, m = ext.base_dim, ext.module_dim
+    s_img = [section.map.column(i) for i in range(n)]
+    base = LyAlgebra(n, *_bracket_tables(ext.total, s_img, ext.project.apply))
+    t_mat = Matrix.from_columns(
+        [ext.project.apply(ext.total_op.matrix.apply(s_img[i])) for i in range(n)], n)
+    tv = Matrix.from_columns(
+        [module_coords(ext, ext.total_op.matrix.apply(ext.inject.column(a)))
+         for a in range(m)], m)
+    return base, ReynoldsOperator(t_mat, ext.total_op.weight), tv
+
+
+def extract_rep_by_solves(ext, section=None):
+    """rho(x) u = [s(x), i(u)] and theta(x,y) u = {i(u), s(x), s(y)}, each
+    column solved for in V."""
+    section = section or ext.canonical_section()
+    _base, _op, tv = base_data_by_solves(ext, section)
+    n, m = ext.base_dim, ext.module_dim
+    s_img = [section.map.column(i) for i in range(n)]
+    v_img = [ext.inject.column(a) for a in range(m)]
+    rho = tuple(
+        Matrix.from_columns(
+            [module_coords(ext, bracket2(ext.total, s_img[i], v_img[a])) for a in range(m)], m)
+        for i in range(n))
+    theta = tuple(
+        tuple(
+            Matrix.from_columns(
+                [module_coords(ext, bracket3(ext.total, v_img[a], s_img[i], s_img[j]))
+                 for a in range(m)], m)
+            for j in range(n))
+        for i in range(n))
+    return Representation(n, m, rho, theta, tv)
+
+
+def extract_cocycle_by_solves(ext, section=None):
+    """nu, psi and chi as v - s(project(v)) of the total brackets and
+    operator on section lifts, each solved for in V."""
+    section = section or ext.canonical_section()
+    base_data_by_solves(ext, section)
+    s = section.map
+    s_img = [s.column(i) for i in range(ext.base_dim)]
+
+    def defect(vec):
+        return module_coords(ext, vec_sub(vec, s.apply(ext.project.apply(vec))))
+
+    nu, psi = _bracket_tables(ext.total, s_img, defect)
+    chi = Matrix.from_columns([defect(ext.total_op.matrix.apply(v)) for v in s_img],
+                              ext.module_dim)
+    return ExtensionCocycle(nu, psi, chi)
+
+
+def assemble_extension_by_cases(algebra, op, rep, cocycle):
+    """The total structure on L (+) V filled in cell by cell, each cell by
+    which of its slots lie in L and which in V."""
+    n, m = algebra.dim, rep.module_dim
+    total = n + m
+    dd = d_table(algebra, rep)
+    zl = zero_vector(n)
+    zv = zero_vector(m)
+
+    def pad_l(vec):
+        return tuple(vec) + zv
+
+    def pad_v(vec):
+        return zl + tuple(vec)
+
+    binary = [[None] * total for _ in range(total)]
+    for i in range(total):
+        for j in range(total):
+            if i < n and j < n:
+                binary[i][j] = vec_add(pad_l(algebra.binary[i][j]), pad_v(cocycle.nu[i][j]))
+            elif i < n <= j:
+                binary[i][j] = pad_v(rep.rho[i].column(j - n))
+            elif j < n <= i:
+                binary[i][j] = pad_v(tuple(-c for c in rep.rho[j].column(i - n)))
+            else:
+                binary[i][j] = zl + zv
+
+    ternary = [[[None] * total for _ in range(total)] for _ in range(total)]
+    for i in range(total):
+        for j in range(total):
+            for k in range(total):
+                li, lj, lk = i < n, j < n, k < n
+                if li and lj and lk:
+                    ternary[i][j][k] = vec_add(pad_l(algebra.ternary[i][j][k]),
+                                               pad_v(cocycle.psi[i][j][k]))
+                elif li and lj and not lk:
+                    ternary[i][j][k] = pad_v(dd[i][j].column(k - n))
+                elif li and not lj and lk:
+                    ternary[i][j][k] = pad_v(
+                        tuple(-c for c in rep.theta[i][k].column(j - n)))
+                elif not li and lj and lk:
+                    ternary[i][j][k] = pad_v(rep.theta[j][k].column(i - n))
+                else:
+                    ternary[i][j][k] = zl + zv
+
+    rows = []
+    for i in range(n):
+        rows.append(list(op.matrix.row(i)) + [Fraction(0)] * m)
+    for a in range(m):
+        rows.append(list(cocycle.chi.row(a)) + list(rep.module_op.row(a)))
+    total_op = ReynoldsOperator(Matrix.from_rows(rows, total), op.weight)
+
+    labels = None
+    if algebra.labels:
+        labels = tuple(algebra.labels) + tuple(f"v{a + 1}" for a in range(m))
+    total_algebra = LyAlgebra(total, tuple(map(tuple, binary)),
+                              tuple(tuple(map(tuple, row)) for row in ternary), labels)
+    return total_algebra, total_op

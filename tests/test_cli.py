@@ -453,3 +453,30 @@ def test_extension_sample_verifies(capsys):
     out = capsys.readouterr().out
     assert "base-data-matches: pass" in out
     assert main(["verify", path, "--name", "chidefect"]) == 0
+
+
+def test_verify_rejects_a_module_image_that_is_not_an_ideal(tmp_path, capsys):
+    # the 2-dim Lie algebra [e1, e2] = e1 with V = span(e2): [e1, e2] has a
+    # base part, so V is abelian but no ideal
+    text = """
+[algebra lie2]
+dim = 2
+binary = 1 2 1 1
+
+[operator id]
+algebra = lie2
+weight = -1
+row = 1 0
+row = 0 1
+
+[extension notideal]
+total = lie2
+total_operator = id
+inject_row = 0
+inject_row = 1
+project_row = 1 0
+"""
+    path = write(tmp_path, text)
+    assert main(["verify", path, "--name", "notideal"]) == 1
+    out = capsys.readouterr().out
+    assert out == "extension-structure: FAIL\nmodule image is not an ideal\n"

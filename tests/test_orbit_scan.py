@@ -19,7 +19,6 @@ import pytest
 
 from conftest import rand_fraction, rand_matrix, random_valid_triples
 import lyreynolds.algebra as algebra_mod
-import lyreynolds.extension as extension_mod
 import lyreynolds.representation as representation_mod
 from lyreynolds import (
     AbelianExtension,
@@ -166,7 +165,7 @@ def both_scans(monkeypatch, fn, *args):
     """fn(*args) with the orbit scan, then with every scan the full product."""
     reduced = outcome(fn, *args)
     with monkeypatch.context() as mp:
-        for module in (algebra_mod, representation_mod, extension_mod):
+        for module in (algebra_mod, representation_mod):
             mp.setattr(module, "orbit_tuples", full_product)
         full = outcome(fn, *args)
     return reduced, full
