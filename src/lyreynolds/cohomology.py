@@ -5,7 +5,8 @@ a pair (f, g) of multilinear maps
 
     f : (wedge^2 L)^{x(p-1)} -> V          g : (wedge^2 L)^{x(p-1)} x L -> V
 
-stored densely over the wedge basis {e_i ^ e_j : i < j, lexicographic}.
+stored as their coordinates over the wedge basis {e_i ^ e_j : i < j,
+lexicographic}; see :class:`Cochain`.
 
 Three coboundaries act on these spaces:
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import prod
 
 from .algebra import LyAlgebra, _antisymmetry_failure
 from .errors import (
@@ -93,102 +95,78 @@ def wedge_vector(n: int, u, v) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# dense nested-tuple tensors
-
-def _tensor_zero(shape: tuple[int, ...]):
-    if len(shape) == 1:
-        return zero_vector(shape[0])
-    return tuple(_tensor_zero(shape[1:]) for _ in range(shape[0]))
-
-
-def _tensor_map2(fn, a, b, depth: int):
-    if depth == 0:
-        return tuple(fn(x, y) for x, y in zip(a, b))
-    return tuple(_tensor_map2(fn, x, y, depth - 1) for x, y in zip(a, b))
-
-
-def _tensor_scale(c: Fraction, a, depth: int):
-    if depth == 0:
-        return tuple(c * x for x in a)
-    return tuple(_tensor_scale(c, x, depth - 1) for x in a)
-
-
-def _tensor_flat(a, depth: int):
-    if depth == 0:
-        yield from a
-        return
-    for x in a:
-        yield from _tensor_flat(x, depth - 1)
-
-
-def _tensor_build(shape: tuple[int, ...], it):
-    if len(shape) == 1:
-        return tuple(next(it) for _ in range(shape[0]))
-    return tuple(_tensor_build(shape[1:], it) for _ in range(shape[0]))
-
-
-def _check_shape(a, shape: tuple[int, ...], what: str):
-    if len(a) != shape[0]:
-        raise ShapeMismatch(f"{what}: expected axis of length {shape[0]}, got {len(a)}")
-    if len(shape) > 1:
-        for x in a:
-            _check_shape(x, shape[1:], what)
-
-
-# ---------------------------------------------------------------------------
 # cochains
 
-def _f_shape(degree: int, n: int, m: int) -> tuple[int, ...]:
-    return (wedge_dim(n),) * (degree - 1) + (m,)
+def _f_len(degree: int, alg_dim: int, mod_dim: int) -> int:
+    """Length of the f block; degree-1 cochains have none."""
+    return 0 if degree == 1 else wedge_dim(alg_dim) ** (degree - 1) * mod_dim
 
 
-def _g_shape(degree: int, n: int, m: int) -> tuple[int, ...]:
-    if degree == 1:
-        return (n, m)
-    return (wedge_dim(n),) * (degree - 1) + (n, m)
+def cochain_dim(degree: int, alg_dim: int, mod_dim: int) -> int:
+    if degree < 1:
+        raise DegreeOutOfRange(f"degree {degree} < 1")
+    g_len = wedge_dim(alg_dim) ** (degree - 1) * alg_dim * mod_dim
+    return _f_len(degree, alg_dim, mod_dim) + g_len
+
+
+def _view(flat: tuple, shape: tuple[int, ...]) -> tuple:
+    """``flat`` as nested tuples of ``shape``, the last axis fastest."""
+    if len(shape) == 1:
+        return flat
+    step = prod(shape[1:])
+    return tuple(_view(flat[k * step:(k + 1) * step], shape[1:]) for k in range(shape[0]))
 
 
 @dataclass(frozen=True)
 class Cochain:
-    """One element of the degree-p cochain space over (L, V).
+    """One element of the degree-p cochain space over (L, V), stored as its
+    coordinates in the standard basis: the f block, then the g block, each
+    row-major with the V coordinate fastest.
 
-    For p = 1 only ``g`` is present (the map L -> V, indexed g[z][a]).
-    For p >= 2, ``f`` has p-1 wedge indices and ``g`` has p-1 wedge indices
-    plus one algebra index; the last axis is always the V coordinate.
+    For p = 1 only the g block is present (the map L -> V, g[z][a]).  For
+    p >= 2, f has p-1 wedge indices and g has p-1 wedge indices plus one
+    algebra index.  ``f`` and ``g`` are read-only nested views of ``coords``,
+    built on access; the engine itself works on ``coords``.
     """
 
     degree: int
     alg_dim: int
     mod_dim: int
-    f: tuple | None
-    g: tuple
+    coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise DegreeOutOfRange(f"degree {self.degree} < 1")
+        coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.coords)
+        if len(coords) != cochain_dim(self.degree, self.alg_dim, self.mod_dim):
+            raise ShapeMismatch("coordinate vector has the wrong length")
+        object.__setattr__(self, "coords", coords)
+
+    @property
+    def f(self) -> tuple | None:
+        """f[w_1]..[w_{p-1}][a]; None at degree 1."""
         if self.degree == 1:
-            if self.f is not None:
-                raise ShapeMismatch("degree-1 cochains carry no f part")
-        else:
-            if self.f is None:
-                raise ShapeMismatch("degree >= 2 cochains need an f part")
-            _check_shape(self.f, _f_shape(self.degree, self.alg_dim, self.mod_dim), "f")
-        _check_shape(self.g, _g_shape(self.degree, self.alg_dim, self.mod_dim), "g")
+            return None
+        split = _f_len(self.degree, self.alg_dim, self.mod_dim)
+        return _view(self.coords[:split], self._wedges() + (self.mod_dim,))
+
+    @property
+    def g(self) -> tuple:
+        """g[w_1]..[w_{p-1}][z][a]."""
+        split = _f_len(self.degree, self.alg_dim, self.mod_dim)
+        return _view(self.coords[split:], self._wedges() + (self.alg_dim, self.mod_dim))
+
+    def _wedges(self) -> tuple[int, ...]:
+        return (wedge_dim(self.alg_dim),) * (self.degree - 1)
 
     @classmethod
     def zero(cls, degree: int, alg_dim: int, mod_dim: int) -> "Cochain":
-        f = None if degree == 1 else _tensor_zero(_f_shape(degree, alg_dim, mod_dim))
-        return cls(degree, alg_dim, mod_dim, f, _tensor_zero(_g_shape(degree, alg_dim, mod_dim)))
+        return cls(degree, alg_dim, mod_dim, (_ZERO,) * cochain_dim(degree, alg_dim, mod_dim))
 
-    def _like(self, f, g) -> "Cochain":
-        return Cochain(self.degree, self.alg_dim, self.mod_dim, f, g)
+    def _like(self, coords) -> "Cochain":
+        return Cochain(self.degree, self.alg_dim, self.mod_dim, coords)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
-        d = self.degree - 1
-        f = None if self.f is None else _tensor_map2(lambda x, y: x + y, self.f, other.f, d)
-        g = _tensor_map2(lambda x, y: x + y, self.g, other.g, 1 if self.degree == 1 else d + 1)
-        return self._like(f, g)
+        return self._like(tuple(x + y for x, y in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
@@ -198,13 +176,10 @@ class Cochain:
 
     def scale(self, c) -> "Cochain":
         c = Fraction(c)
-        d = self.degree - 1
-        f = None if self.f is None else _tensor_scale(c, self.f, d)
-        g = _tensor_scale(c, self.g, 1 if self.degree == 1 else d + 1)
-        return self._like(f, g)
+        return self._like(tuple(c * x for x in self.coords))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in flatten(self))
+        return not any(self.coords)
 
     def _compatible(self, other: "Cochain"):
         if (self.degree, self.alg_dim, self.mod_dim) != \
@@ -212,53 +187,36 @@ class Cochain:
             raise ShapeMismatch("cochains of different shapes")
 
 
-def cochain_dim(degree: int, alg_dim: int, mod_dim: int) -> int:
-    if degree < 1:
-        raise DegreeOutOfRange(f"degree {degree} < 1")
-    if degree == 1:
-        return alg_dim * mod_dim
-    blocks = wedge_dim(alg_dim) ** (degree - 1) * mod_dim
-    return blocks + blocks * alg_dim
-
-
 def flatten(c: Cochain) -> tuple[Fraction, ...]:
     """Coordinates in the standard basis: f block then g block, each in
     row-major order with the V coordinate fastest."""
-    if c.degree == 1:
-        return tuple(_tensor_flat(c.g, 1))
-    d = c.degree - 1
-    return tuple(_tensor_flat(c.f, d)) + tuple(_tensor_flat(c.g, d + 1))
+    return c.coords
 
 
 def unflatten(degree: int, alg_dim: int, mod_dim: int, coords) -> Cochain:
-    coords = list(coords)
-    if len(coords) != cochain_dim(degree, alg_dim, mod_dim):
-        raise ShapeMismatch("coordinate vector has the wrong length")
-    it = iter(Fraction(x) for x in coords)
-    if degree == 1:
-        return Cochain(degree, alg_dim, mod_dim, None,
-                       _tensor_build(_g_shape(1, alg_dim, mod_dim), it))
-    f = _tensor_build(_f_shape(degree, alg_dim, mod_dim), it)
-    g = _tensor_build(_g_shape(degree, alg_dim, mod_dim), it)
-    return Cochain(degree, alg_dim, mod_dim, f, g)
+    return Cochain(degree, alg_dim, mod_dim, tuple(coords))
 
 
 def cochain_from_matrix(mat: Matrix) -> Cochain:
     """A linear map V <- L given as an m x n matrix, as a degree-1 cochain."""
-    g = tuple(mat.column(z) for z in range(mat.cols))
-    return Cochain(1, mat.cols, mat.rows, None, g)
+    return Cochain(1, mat.cols, mat.rows, mat.transpose().entries)
 
 
 def matrix_from_cochain(c: Cochain) -> Matrix:
     if c.degree != 1:
         raise ShapeMismatch("only degree-1 cochains are plain linear maps")
-    return Matrix.from_columns(list(c.g), c.mod_dim)
+    return Matrix(c.alg_dim, c.mod_dim, c.coords).transpose()
 
 
 def cochain2_from_tensors(alg_dim: int, mod_dim: int, binary_vals, ternary_vals) -> Cochain:
     """Degree-2 cochain from full V-valued tensors nu[i][j] and psi[i][j][k]
-    (antisymmetric in the leading index pair; verified)."""
+    (antisymmetric in the leading index pair, each entry of length
+    ``mod_dim``; both verified)."""
     n, m = alg_dim, mod_dim
+    idx = range(n)
+    if any(len(binary_vals[i][j]) != m or any(len(v) != m for v in ternary_vals[i][j])
+           for i in idx for j in idx):
+        raise ShapeMismatch(f"V-valued entries must have length {m}")
     bad = _antisymmetry_failure(binary_vals, n, 2)
     if bad is not None:
         i, j = bad
@@ -267,11 +225,9 @@ def cochain2_from_tensors(alg_dim: int, mod_dim: int, binary_vals, ternary_vals)
     if bad is not None:
         i, j, k = bad
         raise InvalidStructure(f"ternary part not antisymmetric at ({i},{j},{k})")
-    f = tuple(tuple(Fraction(x) for x in binary_vals[i][j]) for (i, j) in wedge_pairs(n))
-    g = tuple(
-        tuple(tuple(Fraction(x) for x in ternary_vals[i][j][k]) for k in range(n))
-        for (i, j) in wedge_pairs(n))
-    return Cochain(2, n, m, f, g)
+    pairs = wedge_pairs(n)
+    return Cochain(2, n, m, tuple(x for (i, j) in pairs for x in binary_vals[i][j])
+                   + tuple(x for (i, j) in pairs for k in idx for x in ternary_vals[i][j][k]))
 
 
 def tensors_from_cochain2(c: Cochain):
@@ -279,23 +235,22 @@ def tensors_from_cochain2(c: Cochain):
     if c.degree != 2:
         raise ShapeMismatch("expected a degree-2 cochain")
     n, m = c.alg_dim, c.mod_dim
-    idx = _wedge_index(n)
+    w, idx, wedge = wedge_dim(n), range(n), _wedge_index(n)
     zero = zero_vector(m)
 
-    def nu(i, j):
+    def entry(i, j, start):
+        """Entry (i, j) of an antisymmetric block, where ``start(p)`` is the
+        first coordinate of the stored entry of the p-th wedge pair."""
         if i == j:
             return zero
-        return c.f[idx[(i, j)]] if i < j else vec_scale(-1, c.f[idx[(j, i)]])
+        pos = start(wedge[(min(i, j), max(i, j))])
+        vec = c.coords[pos:pos + m]
+        return vec if i < j else vec_scale(-1, vec)
 
-    def psi(i, j, k):
-        if i == j:
-            return zero
-        return c.g[idx[(i, j)]][k] if i < j else vec_scale(-1, c.g[idx[(j, i)]][k])
-
-    binary_vals = tuple(tuple(nu(i, j) for j in range(n)) for i in range(n))
-    ternary_vals = tuple(
-        tuple(tuple(psi(i, j, k) for k in range(n)) for j in range(n)) for i in range(n))
-    return binary_vals, ternary_vals
+    nu = tuple(tuple(entry(i, j, lambda p: p * m) for j in idx) for i in idx)
+    psi = tuple(tuple(tuple(entry(i, j, lambda p: (w + p * n + k) * m) for k in idx)
+                      for j in idx) for i in idx)
+    return nu, psi
 
 
 @dataclass(frozen=True)
@@ -350,22 +305,16 @@ def rly_dim(degree: int, alg_dim: int, mod_dim: int) -> int:
 
 
 def flatten_rly(c: RlyCochain) -> tuple[Fraction, ...]:
-    out = flatten(c.top)
-    if c.tail is not None:
-        out = out + flatten(c.tail)
-    return out
+    return c.top.coords if c.tail is None else c.top.coords + c.tail.coords
 
 
 def unflatten_rly(degree: int, alg_dim: int, mod_dim: int, coords) -> RlyCochain:
-    coords = list(coords)
+    coords = tuple(coords)
     top_len = cochain_dim(degree, alg_dim, mod_dim)
-    top = unflatten(degree, alg_dim, mod_dim, coords[:top_len])
-    if degree == 1:
-        if len(coords) != top_len:
-            raise ShapeMismatch("coordinate vector has the wrong length")
-        return RlyCochain(top, None)
-    tail = unflatten(degree - 1, alg_dim, mod_dim, coords[top_len:])
-    return RlyCochain(top, tail)
+    if degree == 1 and len(coords) != top_len:
+        raise ShapeMismatch("coordinate vector has the wrong length")
+    tail = None if degree == 1 else Cochain(degree - 1, alg_dim, mod_dim, coords[top_len:])
+    return RlyCochain(Cochain(degree, alg_dim, mod_dim, coords[:top_len]), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +328,9 @@ def _check_cochain(algebra: LyAlgebra, rep: Representation, c: Cochain) -> None:
         raise ShapeMismatch("cochain module dimension != representation module dimension")
 
 
-def _apply(mat: Matrix, c: Cochain) -> Cochain:
-    return unflatten(c.degree + 1, c.alg_dim, c.mod_dim, mat.apply(flatten(c)))
+def _apply(mat: Matrix, c: Cochain, degree: int) -> Cochain:
+    """The degree-``degree`` cochain mat . c."""
+    return Cochain(degree, c.alg_dim, c.mod_dim, mat.apply(c.coords))
 
 
 def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
@@ -399,7 +349,7 @@ def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
     a cochain is mapped by that cached matrix.
     """
     _check_cochain(algebra, rep, c)
-    return _apply(differential_matrix(algebra, None, rep, "ly", c.degree), c)
+    return _apply(differential_matrix(algebra, None, rep, "ly", c.degree), c, c.degree + 1)
 
 
 def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
@@ -408,7 +358,7 @@ def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     the descendant algebra with coefficients in the induced representation."""
     _require_reynolds_rep(algebra, op, rep)
     _check_cochain(algebra, rep, c)
-    return _apply(differential_matrix(algebra, op, rep, "ro", c.degree), c)
+    return _apply(differential_matrix(algebra, op, rep, "ro", c.degree), c, c.degree + 1)
 
 
 @cache
@@ -616,8 +566,7 @@ def phi(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     """Apply the comparison map; degree-preserving."""
     if c.alg_dim != algebra.dim or c.mod_dim != rep.module_dim:
         raise ShapeMismatch("cochain does not match algebra/representation")
-    mat = phi_matrix(algebra, op, rep, c.degree)
-    return unflatten(c.degree, c.alg_dim, c.mod_dim, mat.apply(flatten(c)))
+    return _apply(phi_matrix(algebra, op, rep, c.degree), c, c.degree)
 
 
 def d_rly(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,

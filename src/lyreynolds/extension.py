@@ -14,7 +14,7 @@ cocycle classes, never by searching over isomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     LyAlgebra,
@@ -49,8 +49,7 @@ from .linalg import (
     lincomb,
     pivot_columns,
     rank,
-    solve,
-    unit_vector,
+    right_inverse,
     zero_vector,
 )
 from .representation import (
@@ -70,6 +69,7 @@ class ExtensionCocycle:
     nu: tuple
     psi: tuple
     chi: Matrix
+    _cochain: RlyCochain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.nu)
@@ -81,6 +81,7 @@ class ExtensionCocycle:
         nu, psi = tensors_from_cochain2(top)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "_cochain", RlyCochain(top, cochain_from_matrix(self.chi)))
 
     @property
     def alg_dim(self) -> int:
@@ -91,8 +92,7 @@ class ExtensionCocycle:
         return self.chi.rows
 
     def to_cochain(self) -> RlyCochain:
-        top = cochain2_from_tensors(self.alg_dim, self.mod_dim, self.nu, self.psi)
-        return RlyCochain(top, cochain_from_matrix(self.chi))
+        return self._cochain
 
     @classmethod
     def from_cochain(cls, c: RlyCochain) -> "ExtensionCocycle":
@@ -183,9 +183,7 @@ class AbelianExtension:
     def canonical_section(self) -> Section:
         """Any right inverse of project; free coordinates are zeroed, so in
         block form this is x -> (x, 0)."""
-        n = self.base_dim
-        return Section(Matrix.from_columns(
-            [solve(self.project, unit_vector(n, i)) for i in range(n)], self.total.dim))
+        return Section(right_inverse(self.project))
 
     def check_section(self, s: Section) -> None:
         if (s.map.rows, s.map.cols) != (self.total.dim, self.base_dim):

@@ -362,8 +362,16 @@ def _build_cochain(sec: _RawSection, algebras: dict, operators: dict,
     if rep_name not in representations:
         raise NameNotFound(
             f"cochain {sec.name!r} references unknown representation {rep_name!r}")
-    if op_name is not None and op_name not in operators:
-        raise NameNotFound(f"cochain {sec.name!r} references unknown operator {op_name!r}")
+    if representations[rep_name].algebra != alg_name:
+        raise DimMismatch(
+            f"cochain {sec.name!r}: representation {rep_name!r} lives on a different algebra")
+    if op_name is not None:
+        if op_name not in operators:
+            raise NameNotFound(
+                f"cochain {sec.name!r} references unknown operator {op_name!r}")
+        if operators[op_name].algebra != alg_name:
+            raise DimMismatch(
+                f"cochain {sec.name!r}: operator {op_name!r} lives on a different algebra")
     which = _name_scalar(sec, "complex", required=False) or "ly"
     if which not in ("ly", "ro", "rly"):
         raise ParseError("'complex' must be ly, ro or rly", sec.path, sec.line)
@@ -373,6 +381,13 @@ def _build_cochain(sec: _RawSection, algebras: dict, operators: dict,
     degree = _int_scalar(sec, "degree", minimum=1)
     if degree not in (1, 2):
         raise ParseError("cochain files carry degree 1 or 2", sec.path, sec.line)
+    for key, entries in sec.lists.items():  # in the order of their first lines
+        if key == "tail" and which != "rly":
+            raise ParseError("'tail' only makes sense for the rly complex",
+                             sec.path, entries[0][1])
+        if key not in ({"map"} if degree == 1 else {"f", "g", "tail"}):
+            raise ParseError(f"{key!r} is not read by a degree-{degree} cochain",
+                             sec.path, entries[0][1])
     n = algebras[alg_name].dim
     m = representations[rep_name].rep.module_dim
 
@@ -396,9 +411,6 @@ def _build_cochain(sec: _RawSection, algebras: dict, operators: dict,
         psi[i][j][z][a] = val
     top = cochain2_from_tensors(n, m, nu, psi)
     if which != "rly":
-        if "tail" in sec.lists:
-            raise ParseError("'tail' only makes sense for the rly complex",
-                             sec.path, sec.line)
         return CochainEntry(alg_name, op_name, rep_name, which, top)
     cochain = RlyCochain(top, cochain_from_matrix(map_matrix("tail")))
     return CochainEntry(alg_name, op_name, rep_name, which, cochain)

@@ -358,20 +358,27 @@ def solve(m: Matrix, b) -> Vector | None:
     return tuple(x)
 
 
+def right_inverse(m: Matrix) -> Matrix:
+    """The matrix whose column i is ``solve(m, e_i)``, free variables zero,
+    from one elimination of [m | I]; raises SingularMatrix unless m has full
+    row rank.  Pivot row k of the RREF [R | E] gives x[pivot k] = E[k, i]."""
+    r, c = m.rows, m.cols
+    rows, pivots = _rref(Matrix(r, c + r, tuple(
+        x for i in range(r) for x in (*m.row(i), *unit_vector(r, i)))))
+    found = len([p for p in pivots if p < c])
+    if found < r:
+        raise SingularMatrix(f"matrix of rank {found} < {r}")
+    out = [{} for _ in range(c)]
+    for row, pc in zip(rows, pivots):
+        out[pc] = {j - c: x for j, x in row.items() if j >= c}
+    return Matrix.from_sparse_rows(out, r)
+
+
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrix if rank deficient."""
     if m.rows != m.cols:
         raise DimMismatch("only square matrices invert")
-    n = m.rows
-    aug = Matrix(n, 2 * n, tuple(
-        x for i in range(n)
-        for x in (*m.row(i), *(Fraction(1 if j == i else 0) for j in range(n)))
-    ))
-    rows, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrix(f"matrix of rank {len([p for p in pivots if p < n])} < {n}")
-    return Matrix.from_sparse_rows(
-        [{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
+    return right_inverse(m)
 
 
 def block_diag(mats) -> Matrix:

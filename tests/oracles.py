@@ -39,10 +39,6 @@ from lyreynolds.algebra import (
     bracket3,
 )
 from lyreynolds.cohomology import (
-    _f_shape,
-    _g_shape,
-    _tensor_build,
-    Cochain,
     cochain_dim,
     flatten,
     unflatten,
@@ -102,29 +98,28 @@ def delta_by_values(algebra, rep, c):
     dd = d_table(algebra, rep)
     rho, theta = rep.rho, rep.theta
     b, t = algebra.binary, algebra.ternary
+    cf, cg = c.f, c.g
 
     def h_of(vec):
         acc = zero_vector(m)
         for k, coef in enumerate(vec):
             if coef:
-                acc = vec_add(acc, vec_scale(coef, c.g[k]))
+                acc = vec_add(acc, vec_scale(coef, cg[k]))
         return acc
 
     if c.degree == 1:
         f_out = []
         for (i, j) in pairs:
-            val = vec_add(rho[i].apply(c.g[j]), vec_scale(-1, rho[j].apply(c.g[i])))
+            val = vec_add(rho[i].apply(cg[j]), vec_scale(-1, rho[j].apply(cg[i])))
             f_out.append(vec_add(val, vec_scale(-1, h_of(b[i][j]))))
         g_out = []
         for (i, j) in pairs:
-            row = []
             for z in range(n):
-                val = dd[i][j].apply(c.g[z])
-                val = vec_add(val, theta[j][z].apply(c.g[i]))
-                val = vec_add(val, vec_scale(-1, theta[i][z].apply(c.g[j])))
-                row.append(vec_add(val, vec_scale(-1, h_of(t[i][j][z]))))
-            g_out.append(tuple(row))
-        return Cochain(2, n, m, tuple(f_out), tuple(g_out))
+                val = dd[i][j].apply(cg[z])
+                val = vec_add(val, theta[j][z].apply(cg[i]))
+                val = vec_add(val, vec_scale(-1, theta[i][z].apply(cg[j])))
+                g_out.append(vec_add(val, vec_scale(-1, h_of(t[i][j][z]))))
+        return unflatten(2, n, m, [x for v in f_out + g_out for x in v])
 
     q = c.degree - 1
     sign_q = Fraction(-1) ** q
@@ -132,10 +127,10 @@ def delta_by_values(algebra, rep, c):
     unit_l = [unit_vector(n, z) for z in range(n)]
 
     def eval_f(slots):
-        return _eval_slots(c.f, slots, m)
+        return _eval_slots(cf, slots, m)
 
     def eval_g(slots, zvec):
-        return _eval_slots(c.g, list(slots) + [zvec], m)
+        return _eval_slots(cg, list(slots) + [zvec], m)
 
     def substituted(ks, kk, ll):
         xk, yk = pairs[ks[kk]]
@@ -184,9 +179,7 @@ def delta_by_values(algebra, rep, c):
                 acc = vec_add(acc, vec_scale(-1, term) if kk % 2 == 0 else term)
             g_vals.append(acc)
 
-    f_out = _tensor_build(_f_shape(c.degree + 1, n, m), iter(x for v in f_vals for x in v))
-    g_out = _tensor_build(_g_shape(c.degree + 1, n, m), iter(x for v in g_vals for x in v))
-    return Cochain(c.degree + 1, n, m, f_out, g_out)
+    return unflatten(c.degree + 1, n, m, [x for v in f_vals + g_vals for x in v])
 
 
 def columns_by_units(apply_fn, degree, n, m):

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import lyreynolds.linalg as linalg
 from lyreynolds import (
     AbelianExtension,
     ExtensionCocycle,
@@ -195,3 +196,25 @@ def test_sparse_assembly_matches_the_case_split_oracle(ly2, tri_t):
             assert assemble_extension(algebra, op, rep, cochain) == \
                 assemble_extension_by_cases(algebra, op, rep, cochain)
     assert non_cocycles >= 10
+
+
+def test_canonical_section_is_one_elimination(ly2, tri_t, monkeypatch):
+    rng = random.Random(86)
+    rep = adjoint_rep(ly2, tri_t)
+    ext = build_extension(ly2, tri_t, rep, kernel_cocycles(rng, ly2, tri_t, rep, 1)[0])
+    moved = scrambled(rng, ext)
+    sections = [ext.canonical_section(), moved.canonical_section()]
+    calls = []
+    original = linalg._rref
+
+    def counted(m):
+        calls.append(m.rows)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    for target, section in zip((ext, moved), sections):
+        calls.clear()
+        assert target.canonical_section() == section
+        assert calls == [target.base_dim]
+        target.check_section(section)
+    assert sections[0].map == Matrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]])

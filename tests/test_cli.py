@@ -480,3 +480,73 @@ project_row = 1 0
     assert main(["verify", path, "--name", "notideal"]) == 1
     out = capsys.readouterr().out
     assert out == "extension-structure: FAIL\nmodule image is not an ideal\n"
+
+
+PAIR_OF_ALGEBRAS = """
+[algebra a]
+dim = 2
+binary = 1 2 1 1
+ternary = 1 2 2 1 1
+
+[operator t]
+algebra = a
+weight = -1
+row = 1 0
+row = 0 1
+
+[representation ad]
+algebra = a
+adjoint = true
+operator = t
+
+[algebra b]
+dim = 2
+
+[operator tb]
+algebra = b
+weight = -1
+row = 1 0
+row = 0 1
+
+[representation adb]
+algebra = b
+adjoint = true
+operator = tb
+"""
+
+
+@pytest.mark.parametrize("body,key,message", [
+    # degree 1 reads only 'map'
+    ("complex = ly\ndegree = 1\nmap = 1 1 1\nf = 1 2 1 5\n", "f",
+     "'f' is not read by a degree-1 cochain"),
+    # degree 2 never reads 'map'
+    ("complex = ly\ndegree = 2\nmap = 1 1 1\n", "map", "'map' is not read by a degree-2 cochain"),
+    ("complex = rly\ndegree = 1\nmap = 1 1 1\ntail = 1 1 1\ntail = 2 1 1\n", "tail",
+     "'tail' is not read by a degree-1 cochain"),
+    ("complex = ro\ndegree = 2\nf = 1 2 1 1\ntail = 1 1 1\n", "tail",
+     "'tail' only makes sense for the rly complex"),
+])
+def test_cochain_keys_the_section_does_not_read_are_rejected(tmp_path, capsys, body, key,
+                                                             message):
+    text = PAIR_OF_ALGEBRAS + "\n[cochain c]\nalgebra = a\noperator = t\nrepresentation = ad\n"
+    path = write(tmp_path, text + body)
+    # the key's first line
+    line = (text + body).splitlines().index(next(
+        row for row in body.splitlines() if row.startswith(key + " "))) + 1
+    with pytest.raises(ParseError) as err:
+        load_workspace([path])
+    assert err.value.line == line and message in str(err.value)
+    assert main(["verify", path, "--name", "c"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refs,what", [
+    ("operator = t\nrepresentation = adb\n", "representation 'adb'"),
+    ("operator = tb\nrepresentation = ad\n", "operator 'tb'"),
+])
+def test_cochain_references_must_live_on_its_algebra(tmp_path, capsys, refs, what):
+    text = PAIR_OF_ALGEBRAS + f"\n[cochain c]\nalgebra = a\n{refs}complex = rly\ndegree = 1\n"
+    path = write(tmp_path, text + "map = 1 1 1\n")
+    assert main(["verify", path, "--name", "c"]) == 2
+    err = capsys.readouterr().err
+    assert what in err and "lives on a different algebra" in err

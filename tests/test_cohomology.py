@@ -102,7 +102,7 @@ def test_cochain_shape_validation():
     with pytest.raises(DegreeOutOfRange):
         Cochain.zero(0, 2, 2)
     with pytest.raises(ShapeMismatch):
-        Cochain(1, 2, 2, ((F(0),),), ((F(0), F(0)), (F(0), F(0))))
+        Cochain(1, 2, 2, (F(0),) * 5)
     with pytest.raises(ShapeMismatch):
         unflatten(2, 2, 2, [0] * 5)
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lyreynolds.errors import CompositionNotZero, DimMismatch, SingularMatrix
@@ -18,7 +18,9 @@ from lyreynolds.linalg import (
     pivot_columns,
     quotient_dim,
     rank,
+    right_inverse,
     solve,
+    unit_vector,
 )
 from tests.oracles import kron
 
@@ -148,6 +150,34 @@ def test_inverse_round_trip():
     assert inverse(m) @ m == Matrix.identity(2)
     with pytest.raises(SingularMatrix):
         inverse(mat([[1, 2], [2, 4]]))
+
+
+@st.composite
+def wide_matrices(draw):
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(rows, 6))
+    entries = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 3)]),
+                            min_size=rows * cols, max_size=rows * cols))
+    return Matrix(rows, cols, tuple(Fraction(x) for x in entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_matrices())
+def test_right_inverse_is_columnwise_solve(m):
+    assume(rank(m) == m.rows)
+    expected = Matrix.from_columns(
+        [solve(m, unit_vector(m.rows, i)) for i in range(m.rows)], m.cols)
+    assert right_inverse(m) == expected
+    assert m @ right_inverse(m) == Matrix.identity(m.rows)
+
+
+def test_right_inverse_needs_full_row_rank():
+    with pytest.raises(SingularMatrix, match="matrix of rank 1 < 2"):
+        right_inverse(mat([[1, 2, 3], [2, 4, 6]]))
+    with pytest.raises(SingularMatrix, match="matrix of rank 1 < 2"):
+        inverse(mat([[1, 2], [2, 4]]))
+    with pytest.raises(DimMismatch):
+        inverse(mat([[1, 2, 3], [0, 1, 0]]))
 
 
 def test_matmul_shapes():
