@@ -27,7 +27,7 @@ from .cohomology import (
     unflatten_rly,
 )
 from .deformation import TruncatedDeformation, verify_deformation
-from .errors import InvalidInput, InvalidReynolds, LyError, NameNotFound, ParseError
+from .errors import InvalidInput, InvalidReynolds, LyError, NameNotFound
 from .extension import (
     AbelianExtension,
     ExtensionCocycle,
@@ -317,13 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except LyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (LyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -53,7 +53,6 @@ from .linalg import (
     rank,
     require_complex,
     solve,
-    sparse_rows,
     unit_vector,
     vec_add,
     vec_scale,
@@ -378,10 +377,10 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
     pairs = wedge_pairs(n)
     w = len(pairs)
     b, t = algebra.binary, algebra.ternary
-    rho = [sparse_rows(x) for x in rep.rho]
-    theta = [[sparse_rows(x) for x in row] for row in rep.theta]
-    dd = [[sparse_rows(x) for x in row] for row in d_table(algebra, rep)]
-    eye = [{a: _ONE} for a in range(m)]
+    rho = [x.sparse for x in rep.rho]
+    theta = [[x.sparse for x in row] for row in rep.theta]
+    dd = [[x.sparse for x in row] for row in d_table(algebra, rep)]
+    eye = [((a, _ONE),) for a in range(m)]
     rows = [{} for _ in range(cochain_dim(degree + 1, n, m))]
 
     def add(out, coef, op_rows, col):
@@ -389,7 +388,7 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
         coordinates col..; op is given by its sparse rows."""
         for a, op_row in enumerate(op_rows):
             row = rows[out + a]
-            for a2, v in op_row.items():
+            for a2, v in op_row:
                 row[col + a2] = row.get(col + a2, _ZERO) + coef * v
 
     def add_vec(out, coef, vec, col):
@@ -513,11 +512,11 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         raise InvalidInput("phi needs a module operator")
     n, m = algebra.dim, rep.module_dim
     tmat = op.matrix
-    tv = sparse_rows(rep.module_op)
+    tv = rep.module_op.sparse
     weight = op.weight
     rows = [{} for _ in range(cochain_dim(degree, n, m))]
     # t_rows[z]: the nonzero coordinates of T e_z
-    t_rows = [[(z2, v) for z2, v in enumerate(tmat.column(z)) if v] for z in range(n)]
+    t_rows = tmat.transpose().sparse
 
     def emit(out, all_t, inner):
         """Output coordinates out.. of c(all-T) - T_V c(inner), both forms
@@ -527,7 +526,7 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
             for key, v in all_t.items():
                 row[key * m + a] = row.get(key * m + a, _ZERO) + v
             for key, u in inner.items():
-                for a2, x in tv[a].items():
+                for a2, x in tv[a]:
                     row[key * m + a2] = row.get(key * m + a2, _ZERO) - x * u
 
     if degree == 1:
@@ -604,17 +603,14 @@ def differential_matrix(algebra: LyAlgebra, op: ReynoldsOperator,
         return _ly_matrix(descendant_algebra(algebra, op),
                           induced_rep(algebra, op, rep), degree)
     dlt = differential_matrix(algebra, op, rep, "ly", degree)
-    ph = phi_matrix(algebra, op, rep, degree)
-    rows = sparse_rows(dlt)
+    ph = -phi_matrix(algebra, op, rep, degree)
     if degree == 1:
-        rows += [{j: -x for j, x in row.items()} for row in sparse_rows(ph)]
-        return Matrix.from_sparse_rows(rows, dlt.cols)
-    prt = differential_matrix(algebra, op, rep, "ro", degree - 1)
-    for ph_row, prt_row in zip(sparse_rows(ph), sparse_rows(prt)):
-        row = {j: -x for j, x in ph_row.items()}
-        row.update((dlt.cols + j, -x) for j, x in prt_row.items())
-        rows.append(row)
-    return Matrix.from_sparse_rows(rows, dlt.cols + prt.cols)
+        return Matrix._of(dlt.rows + ph.rows, dlt.cols, dlt.sparse + ph.sparse)
+    prt = -differential_matrix(algebra, op, rep, "ro", degree - 1)
+    off = dlt.cols
+    return Matrix._of(dlt.rows + ph.rows, off + prt.cols, dlt.sparse + tuple(
+        ph_row + tuple((off + j, x) for j, x in prt_row)
+        for ph_row, prt_row in zip(ph.sparse, prt.sparse)))
 
 
 def space_dim(algebra: LyAlgebra, rep: Representation, which: str, degree: int) -> int:

@@ -214,16 +214,12 @@ def apply_equivalence(deformation: TruncatedDeformation,
     n_dim = deformation.dim
     N = deformation.order
     basis = range(n_dim)
-
-    def columns(mat):
-        return tuple(sparse_table(mat.column(x), 0) for x in basis)
-
     # each series read once: brackets as sparse tables, maps by their columns
     tables = {2: [sparse_table(t, 2) for t in deformation.F],
               3: [sparse_table(t, 3) for t in deformation.G],
-              1: [columns(t) for t in deformation.Tt]}
-    phi_col = [columns(p) for p in iso.phi]
-    psi_col = [columns(p) for p in iso.inverse().phi]
+              1: [t.transpose().sparse for t in deformation.Tt]}
+    phi_col = [p.transpose().sparse for p in iso.phi]
+    psi_col = [p.transpose().sparse for p in iso.inverse().phi]
 
     def transported(arity, s, args):
         """Order s of phi o X o (psi x ... x psi) at basis ``args``, for the

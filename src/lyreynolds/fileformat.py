@@ -248,6 +248,21 @@ def _sparse_entries(sec: _RawSection, key: str, dims: tuple[int, ...],
     return {idx: val for idx, (val, _) in cells.items()}
 
 
+def _cells_at(cells: dict, lead: tuple) -> dict:
+    """The entries of ``cells`` whose index starts with ``lead``, keyed by
+    the rest of the index."""
+    k = len(lead)
+    return {idx[k:]: v for idx, v in cells.items() if idx[:k] == lead}
+
+
+def _cell_matrix(cells: dict, rows: int, cols: int) -> Matrix:
+    """The matrix with entry v at each (row, column) key of ``cells``."""
+    acc = [{} for _ in range(rows)]
+    for (r, c), v in cells.items():
+        acc[r][c] = v
+    return Matrix.from_sparse_rows(acc, cols)
+
+
 def _matrix_rows(sec: _RawSection, key: str, cols: int | None = None) -> Matrix:
     rows = []
     first_line = None
@@ -329,20 +344,9 @@ def _build_representation(sec: _RawSection, algebras: dict,
     n = algebra.dim
     rho_cells = _sparse_entries(sec, "rho", (n, m, m))
     theta_cells = _sparse_entries(sec, "theta", (n, n, m, m))
-    zero = Matrix.zero(m, m)
-
-    def rho_matrix(i):
-        rows = [[rho_cells.get((i, r, c), Fraction(0)) for c in range(m)]
-                for r in range(m)]
-        return Matrix.from_rows(rows, m) if m else zero
-
-    def theta_matrix(i, j):
-        rows = [[theta_cells.get((i, j, r, c), Fraction(0)) for c in range(m)]
-                for r in range(m)]
-        return Matrix.from_rows(rows, m) if m else zero
-
-    rho = tuple(rho_matrix(i) for i in range(n))
-    theta = tuple(tuple(theta_matrix(i, j) for j in range(n)) for i in range(n))
+    rho = tuple(_cell_matrix(_cells_at(rho_cells, (i,)), m, m) for i in range(n))
+    theta = tuple(tuple(_cell_matrix(_cells_at(theta_cells, (i, j)), m, m)
+                        for j in range(n)) for i in range(n))
     module_op = None
     if "module_op_row" in sec.lists:
         module_op = _matrix_rows(sec, "module_op_row", cols=m)
@@ -393,8 +397,7 @@ def _build_cochain(sec: _RawSection, algebras: dict, operators: dict,
 
     def map_matrix(key):
         cells = _sparse_entries(sec, key, (n, m))
-        rows = [[cells.get((z, a), Fraction(0)) for z in range(n)] for a in range(m)]
-        return Matrix.from_rows(rows, n) if m else Matrix.zero(0, n)
+        return _cell_matrix({(a, z): v for (z, a), v in cells.items()}, m, n)
 
     if degree == 1:
         top = cochain_from_matrix(map_matrix("map"))
@@ -432,47 +435,17 @@ def _build_deformation(sec: _RawSection, algebras: dict, operators: dict
     order = _int_scalar(sec, "order", minimum=1)
     n = algebras[alg_name].dim
 
-    f_orders: dict[int, dict] = {k: {} for k in range(1, order + 1)}
-    g_orders: dict[int, dict] = {k: {} for k in range(1, order + 1)}
-    t_orders: dict[int, dict] = {k: {} for k in range(1, order + 1)}
-
-    def collect(key, idx_count, store):
-        for tokens, line in sec.lists.get(key, []):
-            if len(tokens) != idx_count + 2:
-                raise ParseError(
-                    f"{key!r} entries take an order, {idx_count} indices and a value",
-                    sec.path, line)
-            if not tokens[0].isdigit() or not 1 <= int(tokens[0]) <= order:
-                raise ParseError(f"{key!r} order must be in 1..{order}", sec.path, line)
-            k = int(tokens[0])
-            idx = tuple(_index(t, n, sec.path, line) for t in tokens[1:idx_count + 1])
-            val = _rational(tokens[-1], sec.path, line)
-            if idx in store[k] and store[k][idx] != val:
-                raise ParseError(f"conflicting {key!r} entry", sec.path, line)
-            store[k][idx] = val
-
-    collect("F", 3, f_orders)
-    collect("G", 4, g_orders)
-    collect("T", 2, t_orders)
-    for k in range(1, order + 1):  # antisymmetric images of F/G entries
-        for (i, j, c), val in list(f_orders[k].items()):
-            if f_orders[k].setdefault((j, i, c), -val) != -val:
-                raise ParseError(f"inconsistent 'F' antisymmetric pair at order {k}",
-                                 sec.path, sec.line)
-        for (i, j, c, l), val in list(g_orders[k].items()):
-            if g_orders[k].setdefault((j, i, c, l), -val) != -val:
-                raise ParseError(f"inconsistent 'G' antisymmetric pair at order {k}",
-                                 sec.path, sec.line)
-
+    # the order is a leading 1-based index; F and G are antisymmetric in the
+    # two indices after it
+    f_cells = _sparse_entries(sec, "F", (order,) + (n,) * 3, (1, 2))
+    g_cells = _sparse_entries(sec, "G", (order,) + (n,) * 4, (1, 2))
+    t_cells = _sparse_entries(sec, "T", (order, n, n))
     base = algebras[alg_name]
     op = operators[op_name].op
-    F = [base.binary] + [binary_from_sparse(n, f_orders[k]) for k in range(1, order + 1)]
-    G = [base.ternary] + [ternary_from_sparse(n, g_orders[k]) for k in range(1, order + 1)]
-    Tt = [op.matrix]
-    for k in range(1, order + 1):
-        rows = [[t_orders[k].get((r, c), Fraction(0)) for c in range(n)]
-                for r in range(n)]
-        Tt.append(Matrix.from_rows(rows, n) if n else Matrix.zero(0, 0))
+    orders = range(order)
+    F = [base.binary] + [binary_from_sparse(n, _cells_at(f_cells, (k,))) for k in orders]
+    G = [base.ternary] + [ternary_from_sparse(n, _cells_at(g_cells, (k,))) for k in orders]
+    Tt = [op.matrix] + [_cell_matrix(_cells_at(t_cells, (k,)), n, n) for k in orders]
     return DeformationEntry(alg_name, op_name, order, tuple(F), tuple(G), tuple(Tt))
 
 

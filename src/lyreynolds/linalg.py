@@ -1,13 +1,15 @@
 """Exact rational linear algebra: matrices, rank, kernels, quotient dimensions.
 
 Everything works over Q with ``fractions.Fraction`` scalars, so ranks and
-kernels are exact -- no floating point anywhere.  Matrices are stored
-densely, but the kernels that cost -- products and elimination -- walk the
-nonzero entries only: both read a matrix as one {column: entry} dict per row
-(:func:`sparse_rows`), and sparse-built matrices come back through
+kernels are exact -- no floating point anywhere.  A matrix stores its
+nonzero entries only, as one tuple of ``(column, entry)`` pairs per row with
+columns increasing (:attr:`Matrix.sparse`): the leaf format of the sparse
+structure tables in :mod:`lyreynolds.algebra`.  Sums, products, transposes
+and elimination walk those rows; sums and products that build a matrix
+accumulate one {column: entry} dict per row, finished by
 :meth:`Matrix.from_sparse_rows`.  Elimination is a Gauss-Jordan pass over
-those row dicts and is deterministic: the pivot is always the first row with
-a nonzero entry in the current column, scanning top-down, which makes every
+row dicts and is deterministic: the pivot is always the first row with a
+nonzero entry in the current column, scanning top-down, which makes every
 output bit-reproducible.
 """
 
@@ -51,26 +53,43 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Dense rational matrix, row-major flat storage.
+    """Rational matrix stored by its nonzero entries: ``sparse[i]`` holds
+    the ``(column, entry)`` pairs of row i whose entry is nonzero, columns
+    increasing.  The form is canonical, so ``==`` and ``hash`` are exact and
+    cost the nonzeros, not rows x cols.
 
-    Acts on column vectors: ``(m @ v)[i] = sum_j m[i, j] v[j]``.  Zero-row
-    and zero-column matrices are legal and show up as empty differentials.
+    ``Matrix(rows, cols, entries)`` reads row-major dense entries; the dense
+    ``entries``, ``row``, ``column``, ``[i, j]`` and ``to_rows`` are views
+    built on access.  Acts on column vectors: ``(m @ v)[i] = sum_j m[i, j]
+    v[j]``.  Zero-row and zero-column matrices are legal and show up as
+    empty differentials.
     """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    sparse: tuple[tuple[tuple[int, Fraction], ...], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise InvalidInput("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise DimMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        self.__dict__.update(rows=rows, cols=cols, sparse=tuple(
+            tuple((j, x) for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x)
+            for i in range(rows)))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, sparse) -> "Matrix":
+        """The matrix whose stored rows are ``sparse``, taken as they are:
+        nonzero pairs, columns increasing and in range."""
+        if rows < 0 or cols < 0:
+            raise InvalidInput("negative matrix shape")
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, sparse=sparse)
+        return m
 
     @classmethod
     def from_rows(cls, rows_data, cols: int | None = None) -> "Matrix":
@@ -83,114 +102,106 @@ class Matrix:
         for r in rows_data:
             if len(r) != cols:
                 raise DimMismatch("ragged rows")
-        flat = tuple(Fraction(x) for row in rows_data for x in row)
-        return cls(nrows, cols, flat)
+        return cls._of(nrows, cols, tuple(
+            tuple((j, x) for j, x in enumerate(map(Fraction, r)) if x) for r in rows_data))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls._of(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(
-            _ONE if i == j else _ZERO for i in range(n) for j in range(n)
-        ))
+        return cls._of(n, n, tuple(((i, _ONE),) for i in range(n)))
 
     @classmethod
     def from_sparse_rows(cls, rows_data, cols: int) -> "Matrix":
-        """Matrix from one {column: entry} dict per row; absent entries are
-        zero.  Entries must already be Fractions."""
-        out = [_ZERO] * (len(rows_data) * cols)
-        for i, row in enumerate(rows_data):
-            base = i * cols
-            for j, x in row.items():
-                if not 0 <= j < cols:
-                    raise DimMismatch(f"column {j} outside a matrix of {cols} columns")
-                out[base + j] = x
-        return cls(len(rows_data), cols, tuple(out))
+        """Matrix from one {column: entry} accumulator per row: entries that
+        cancelled to zero are dropped, the rest sorted by column.  Entries
+        must already be Fractions."""
+        out = []
+        for row in rows_data:
+            pairs = tuple(sorted(p for p in row.items() if p[1]))
+            if pairs and not (pairs[0][0] >= 0 and pairs[-1][0] < cols):
+                bad = pairs[0][0] if pairs[0][0] < 0 else pairs[-1][0]
+                raise DimMismatch(f"column {bad} outside a matrix of {cols} columns")
+            out.append(pairs)
+        return cls._of(len(out), cols, tuple(out))
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "Matrix":
         columns = [list(c) for c in columns]
-        for c in columns:
-            if len(c) != rows:
-                raise DimMismatch("ragged columns")
-        flat = tuple(Fraction(columns[j][i]) for i in range(rows) for j in range(len(columns)))
-        return cls(rows, len(columns), flat)
+        if any(len(c) != rows for c in columns):
+            raise DimMismatch("ragged columns")
+        return cls.from_rows(columns, rows).transpose()
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The row-major dense entries."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return dict(self.sparse[i]).get(j, _ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        out = [_ZERO] * self.cols
+        for j, x in self.sparse[i]:
+            out[j] = x
+        return tuple(out)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.transpose().row(j)
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols) for i in range(self.rows)
-        ))
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                out[j].append((i, x))
+        return Matrix._of(self.cols, self.rows, tuple(map(tuple, out)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimMismatch("matrix addition shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return lincomb((1, 1), (self, other), Matrix.zero(self.rows, self.cols))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimMismatch("matrix subtraction shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return lincomb((1, -1), (self, other), Matrix.zero(self.rows, self.cols))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._of(self.rows, self.cols, tuple(
+            tuple((j, x * c) for j, x in row) for row in self.sparse))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Product over the nonzero entries of both factors."""
         if self.cols != other.rows:
             raise DimMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        right = sparse_rows(other)
-        cols = other.cols
-        out = [_ZERO] * (self.rows * cols)
-        for i, row in enumerate(sparse_rows(self)):
-            base = i * cols
-            for k, a in row.items():
-                for j, b in right[k].items():
-                    out[base + j] += a * b
-        return Matrix(self.rows, cols, tuple(out))
+        acc = [{} for _ in range(self.rows)]
+        add_product(acc, 1, self.sparse, other.sparse)
+        return Matrix.from_sparse_rows(acc, other.cols)
 
     def apply(self, v) -> Vector:
-        """Matrix times column vector."""
-        v = list(v)
+        """Matrix times column vector, over the nonzero entries."""
+        v = tuple(v)
         if len(v) != self.cols:
             raise DimMismatch(f"vector of length {len(v)} for {self.rows}x{self.cols} matrix")
-        out = []
-        for i in range(self.rows):
-            s = Fraction(0)
-            ri = self.row(i)
-            for k in range(self.cols):
-                a = ri[k]
-                if a:
-                    s += a * v[k]
-            out.append(s)
-        return tuple(out)
+        return tuple(sum((x * v[j] for j, x in row), _ZERO) for row in self.sparse)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.sparse)
 
 
 @dataclass(frozen=True)
@@ -214,13 +225,6 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
-    """The nonzero entries of m, one {column: entry} dict per row."""
-    c, e = m.cols, m.entries
-    return [{j: x for j, x in enumerate(e[i * c:(i + 1) * c]) if x}
-            for i in range(m.rows)]
-
-
 def add_scaled(acc: dict, c, leaf) -> None:
     """Add c * leaf into the ``{index: value}`` dict ``acc``, for a sparse
     ``(index, value)`` sequence ``leaf``.  The factors 0, 1 and -1 cost no
@@ -238,19 +242,22 @@ def add_scaled(acc: dict, c, leaf) -> None:
 
 
 def add_rows(acc: list[dict], c, rows) -> None:
-    """acc += c * rows, both as one {column: entry} dict per row."""
+    """acc += c * rows, for ``rows`` given as ``(column, entry)`` pairs per
+    row (:attr:`Matrix.sparse`) and ``acc`` as one {column: entry} dict per
+    row."""
     for out, row in zip(acc, rows):
-        add_scaled(out, c, row.items())
+        add_scaled(out, c, row)
 
 
 def add_product(acc: list[dict], c, a, b) -> None:
-    """acc += c * (a @ b) over the nonzero entries of a and b, all three as
-    one {column: entry} dict per row."""
+    """acc += c * (a @ b) over the nonzero entries of a and b, both given as
+    ``(column, entry)`` pairs per row, into one {column: entry} dict per
+    row."""
     if not c:
         return
     for out, row in zip(acc, a):
-        for k, x in row.items():
-            add_scaled(out, x if c == 1 else -x if c == -1 else x * c, b[k].items())
+        for k, x in row:
+            add_scaled(out, x if c == 1 else -x if c == -1 else x * c, b[k])
 
 
 def _rref(m: Matrix) -> tuple[list[dict[int, Fraction]], list[int]]:
@@ -263,7 +270,7 @@ def _rref(m: Matrix) -> tuple[list[dict[int, Fraction]], list[int]]:
     current column, scanning top-down.  No magnitude heuristics, so reruns
     are identical.
     """
-    a = sparse_rows(m)
+    a = [dict(row) for row in m.sparse]
     nrows = m.rows
     pivots: list[int] = []
     r = 0
@@ -346,15 +353,14 @@ def solve(m: Matrix, b) -> Vector | None:
     b = list(b)
     if len(b) != m.rows:
         raise DimMismatch("right-hand side length mismatch")
-    aug = Matrix(m.rows, m.cols + 1,
-                 tuple(x for i in range(m.rows)
-                       for x in (*m.row(i), Fraction(b[i]))))
-    rows, pivots = _rref(aug)
-    if m.cols in pivots:
+    c = m.cols
+    rows, pivots = _rref(Matrix._of(m.rows, c + 1, tuple(
+        row + ((c, y),) if y else row for row, y in zip(m.sparse, map(Fraction, b)))))
+    if c in pivots:
         return None  # inconsistent: pivot in the augmented column
-    x = [_ZERO] * m.cols
+    x = [_ZERO] * c
     for row, pc in zip(rows, pivots):
-        x[pc] = row.get(m.cols, _ZERO)
+        x[pc] = row.get(c, _ZERO)
     return tuple(x)
 
 
@@ -363,8 +369,8 @@ def right_inverse(m: Matrix) -> Matrix:
     from one elimination of [m | I]; raises SingularMatrix unless m has full
     row rank.  Pivot row k of the RREF [R | E] gives x[pivot k] = E[k, i]."""
     r, c = m.rows, m.cols
-    rows, pivots = _rref(Matrix(r, c + r, tuple(
-        x for i in range(r) for x in (*m.row(i), *unit_vector(r, i)))))
+    rows, pivots = _rref(Matrix._of(r, c + r, tuple(
+        row + ((c + i, _ONE),) for i, row in enumerate(m.sparse))))
     found = len([p for p in pivots if p < c])
     if found < r:
         raise SingularMatrix(f"matrix of rank {found} < {r}")
@@ -383,37 +389,26 @@ def inverse(m: Matrix) -> Matrix:
 
 def block_diag(mats) -> Matrix:
     """Square-or-not block diagonal stack of matrices."""
-    mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [Fraction(0)] * (rows * cols)
-    r0 = c0 = 0
+    out, c0 = [], 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                x = m.entries[i * m.cols + j]
-                if x:
-                    out[(r0 + i) * cols + (c0 + j)] = x
-        r0 += m.rows
+        out += [tuple((c0 + j, x) for j, x in row) for row in m.sparse]
         c0 += m.cols
-    return Matrix(rows, cols, tuple(out))
+    return Matrix._of(len(out), c0, tuple(out))
 
 
 def lincomb(coeffs, mats, zero: Matrix) -> Matrix:
-    """sum_k coeffs[k] mats[k] in one pass over the entries.
+    """sum_k coeffs[k] mats[k] in one pass over the nonzero entries.
 
     Terms with a zero coefficient are skipped; ``zero`` (the zero matrix of
     the common shape) is the value of an empty sum.
     """
-    terms = [(c, m.entries) for c, m in zip(coeffs, mats) if c]
+    terms = [(c, m.sparse) for c, m in zip(coeffs, mats) if c]
     if not terms:
         return zero
-    out = list(zero.entries)
-    for c, entries in terms:
-        for idx, a in enumerate(entries):
-            if a:
-                out[idx] += c * a
-    return Matrix(zero.rows, zero.cols, tuple(out))
+    acc = [{} for _ in range(zero.rows)]
+    for c, rows in terms:
+        add_rows(acc, c, rows)
+    return Matrix.from_sparse_rows(acc, zero.cols)
 
 
 def vec_add(u, v) -> Vector:

@@ -31,7 +31,6 @@ from .linalg import (
     add_rows,
     block_diag,
     lincomb,
-    sparse_rows,
 )
 from .reporting import AxiomReport, first_failure
 from .reynolds import ReynoldsOperator, descendant_algebra
@@ -113,11 +112,16 @@ def _is_zero(acc) -> bool:
     return not any(any(row.values()) for row in acc)
 
 
+def _pairs(acc):
+    """One {column: entry} dict per row read as ``(column, entry)`` pairs."""
+    return [row.items() for row in acc]
+
+
 def _sparse_maps(algebra: LyAlgebra, rep: Representation):
     """rho, theta and D read once as sparse rows, in their table nesting."""
-    rho = tuple(sparse_rows(r) for r in rep.rho)
-    theta = tuple(tuple(sparse_rows(x) for x in row) for row in rep.theta)
-    dd = tuple(tuple(sparse_rows(x) for x in row) for row in d_table(algebra, rep))
+    rho = tuple(r.sparse for r in rep.rho)
+    theta = tuple(tuple(x.sparse for x in row) for row in rep.theta)
+    dd = tuple(tuple(x.sparse for x in row) for row in d_table(algebra, rep))
     return rho, theta, dd
 
 
@@ -251,8 +255,8 @@ def _module_op_identities(algebra: LyAlgebra, op: ReynoldsOperator,
     the D residual is antisymmetric, because D is."""
     n, m = algebra.dim, rep.module_dim
     w = op.weight
-    tv = sparse_rows(rep.module_op)
-    t_col = tuple(sparse_table(op.matrix.column(x), 0) for x in range(n))
+    tv = rep.module_op.sparse
+    t_col = op.matrix.transpose().sparse
     unit = [((x, 1),) for x in range(n)]
     rho, theta, dd = _sparse_maps(algebra, rep)
 
@@ -263,13 +267,14 @@ def _module_op_identities(algebra: LyAlgebra, op: ReynoldsOperator,
         for s in range(len(args)):
             _op_at(mixed, 1, table,
                    tuple(unit[x] if r == s else t_col[x] for r, x in enumerate(args)))
+        all_t, mixed = _pairs(all_t), _pairs(mixed)
         inner = [{} for _ in range(m)]
         add_rows(inner, 1, all_t)
         add_product(inner, 1, mixed, tv)
         add_product(inner, len(args) * w, all_t, tv)
         acc = [{} for _ in range(m)]
         add_product(acc, 1, all_t, tv)
-        add_product(acc, -1, tv, inner)
+        add_product(acc, -1, tv, _pairs(inner))
         return acc
 
     return (("rho-module-op", (1,), lambda *args: residual(rho, args)),

@@ -87,13 +87,14 @@ def _reynolds_identities(F, G, Tt, w, n: int):
     # weighted one, whose coefficient L w is an integer.  The binary residual
     # is then L^5 and the ternary one L^6 times the exact residual.
     den = lcm(common_denominator(F[:n + 1], 3), common_denominator(G[:n + 1], 4),
-              common_denominator([t.entries for t in Tt[:n + 1]], 1), w.denominator)
+              *(v.denominator for t in Tt[:n + 1] for row in t.sparse for _, v in row),
+              w.denominator)
     square, lw = den * den, (w * den).numerator
     f = [integer_table(t, 2, den) for t in F[:n + 1]]
     g = [integer_table(t, 3, den) for t in G[:n + 1]]
     # t_col[k][x] = T_k e_x: each T_k as a table of its columns
-    t_col = [tuple(integer_table(t.column(x), 0, den) for x in range(dim))
-             for t in Tt[:n + 1]]
+    t_col = [tuple(tuple((x, v.numerator * (den // v.denominator)) for x, v in col)
+                   for col in t.transpose().sparse) for t in Tt[:n + 1]]
     unit = [((x, 1),) for x in range(dim)]
     comps3, comps4, comps5 = (list(_compositions(n, parts)) for parts in (3, 4, 5))
 
@@ -185,7 +186,7 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     T = op.matrix
     b = sparse_table(algebra.binary, 2)
     t = sparse_table(algebra.ternary, 3)
-    t_col = tuple(sparse_table(T.column(x), 0) for x in range(n))
+    t_col = T.transpose().sparse
     unit = [((x, 1),) for x in range(n)]
 
     def binary_at(i, j):
@@ -233,7 +234,7 @@ def _derivation_identities(algebra: LyAlgebra, dm: Matrix):
     b = sparse_table(algebra.binary, 2)
     t = sparse_table(algebra.ternary, 3)
     # d_col[x] = D e_x: D as a table of its columns
-    d_col = tuple(sparse_table(dm.column(x), 0) for x in range(n))
+    d_col = dm.transpose().sparse
     unit = [((x, 1),) for x in range(n)]
 
     def binary(i, j):

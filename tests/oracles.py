@@ -8,12 +8,14 @@ sparse ones against.
   (``kron``).
 * ``differential_matrix_by_units`` stacks the cone from dense row lists.
 * ``dense_rref`` is Gauss-Jordan elimination on full rows, and
-  ``dense_matmul`` the product over every entry.
+  ``dense_matmul`` the product over every entry; ``dense_lincomb``,
+  ``dense_apply``, ``dense_transpose`` and ``dense_block_diag`` are the
+  other matrix operations, entry by entry on row-major dense entries.
 * ``dense_ly_identities`` and ``dense_reynolds_identities`` are the identity
   battery on dense vectors, and ``verify_deformation_dense`` runs it;
   ``derivation_check_dense``, ``verify_rep_dense``,
   ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
-  verifiers and the transport written with dense vectors and dense matrix
+  verifiers and the transport written with dense vectors and whole-matrix
   sums and products.
 * ``base_data_by_solves``, ``extract_rep_by_solves`` and
   ``extract_cocycle_by_solves`` read an extension through section lifts,
@@ -293,6 +295,38 @@ def dense_matmul(a, b):
                     s += row[k] * b.entries[k * b.cols + j]
             out.append(s)
     return Matrix(a.rows, b.cols, tuple(out))
+
+
+def dense_lincomb(coeffs, mats, rows, cols):
+    """sum_k coeffs[k] mats[k] of rows x cols matrices, entry by entry."""
+    out = [Fraction(0)] * (rows * cols)
+    for c, m in zip(coeffs, mats):
+        out = [x + c * y for x, y in zip(out, m.entries)]
+    return Matrix(rows, cols, tuple(out))
+
+
+def dense_apply(m, v):
+    """m times the column vector v, over every entry of m."""
+    e = m.entries
+    return tuple(sum((e[i * m.cols + j] * v[j] for j in range(m.cols)), Fraction(0))
+                 for i in range(m.rows))
+
+
+def dense_transpose(m):
+    return Matrix(m.cols, m.rows, tuple(m.entries[i * m.cols + j]
+                                        for j in range(m.cols) for i in range(m.rows)))
+
+
+def dense_block_diag(mats):
+    """The block diagonal matrix of ``mats``, from full rows."""
+    cols = sum(m.cols for m in mats)
+    rows, c0 = [], 0
+    for m in mats:
+        for i in range(m.rows):
+            rows.append([Fraction(0)] * c0 + list(m.entries[i * m.cols:(i + 1) * m.cols])
+                        + [Fraction(0)] * (cols - c0 - m.cols))
+        c0 += m.cols
+    return Matrix(len(rows), cols, tuple(x for row in rows for x in row))
 
 
 def dense_rref(m):

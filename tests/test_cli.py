@@ -550,3 +550,39 @@ def test_cochain_references_must_live_on_its_algebra(tmp_path, capsys, refs, wha
     assert main(["verify", path, "--name", "c"]) == 2
     err = capsys.readouterr().err
     assert what in err and "lives on a different algebra" in err
+
+
+DEFORMATION_HEAD = """[deformation d]
+algebra = a
+operator = t
+order = 1
+"""
+
+DEFORMATION_BASE = """
+[algebra a]
+dim = 2
+binary = 1 2 1 1
+ternary = 1 2 2 1 1
+
+[operator t]
+algebra = a
+weight = -1
+row = 1 0
+row = 0 1
+"""
+
+
+@pytest.mark.parametrize("body,message", [
+    # lines 5 and 6 give (1, 2) and (2, 1) values that are not negatives
+    ("F = 1 1 2 1 1\nF = 1 2 1 1 1\n", "6: 'F' entry at (1, 2, 1, 1) conflicts with line 5"),
+    ("G = 1 1 2 1 1 1\nG = 1 2 1 1 1 1\n",
+     "6: 'G' entry at (1, 2, 1, 1, 1) conflicts with line 5"),
+    # the order is the leading index, bounded by the section's order
+    ("T = 1 1 1 1\nT = 2 1 1 1\n", "6: index 2 out of range 1..1"),
+])
+def test_deformation_parse_errors_name_the_offending_line(tmp_path, capsys, body, message):
+    path = write(tmp_path, DEFORMATION_HEAD + body + DEFORMATION_BASE, "bad.lyr")
+    assert main(["deform-check", path, "--name", "d"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:{message}\n"
