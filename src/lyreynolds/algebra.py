@@ -42,11 +42,13 @@ BinaryTensor = tuple  # t[i][j] is a Vector of length dim
 TernaryTensor = tuple  # t[i][j][k] is a Vector of length dim
 
 
-def _freeze(data, dim: int, depth: int):
+def _freeze(data, dim: int, depth: int, width: int | None = None):
     """``data`` as nested tuples of Fractions: ``depth`` levels of basis
     indices (2 for a binary tensor, 3 for a ternary one) above entries that
-    must be vectors of length ``dim``.  Entries that are Fractions already
-    are kept as they are; only the others are converted."""
+    must be vectors of length ``width`` (``dim`` by default).  Entries that
+    are Fractions already are kept as they are; only the others are
+    converted."""
+    width = dim if width is None else width
     def frozen(node, level):
         if level == depth:
             return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in node)
@@ -57,7 +59,7 @@ def _freeze(data, dim: int, depth: int):
         entry = out
         for i in idx:
             entry = entry[i]
-        if len(entry) != dim:
+        if len(entry) != width:
             raise DimMismatch(
                 f"{('binary', 'ternary')[depth - 2]} tensor entry of wrong length")
     return out
@@ -67,15 +69,20 @@ def _antisymmetry_failure(tensor, dim: int, depth: int):
     """First basis tuple (i, j, ...) of length ``depth``, in product order,
     at which ``tensor`` is not antisymmetric in its leading index pair, or
     None when it is antisymmetric everywhere.  Only i <= j is visited: the
-    condition at (j, i, ...) is the one at (i, j, ...), which comes first."""
+    condition at (j, i, ...) is the one at (i, j, ...), which comes first.
+
+    Entries are rationals in lowest terms with positive denominators
+    (Fractions or ints), so x == -y compares numerators and denominators,
+    and no negated entry is built."""
     for i in range(dim):
         for j in range(i, dim):
             for rest in product(range(dim), repeat=depth - 2):
                 a, b = tensor[i][j], tensor[j][i]
                 for k in rest:
                     a, b = a[k], b[k]
-                if any(x != -y for x, y in zip(a, b)):
-                    return (i, j) + rest
+                for x, y in zip(a, b):
+                    if x.numerator != -y.numerator or x.denominator != y.denominator:
+                        return (i, j) + rest
     return None
 
 
@@ -220,6 +227,14 @@ def integer_table(tensor, depth: int, den: int):
         return tuple((k, v.numerator * (den // v.denominator))
                      for k, v in enumerate(tensor) if v)
     return tuple(integer_table(node, depth - 1, den) for node in tensor)
+
+
+def integer_rows(rows, den: int):
+    """den * rows, for rows of nonzero ``(index, value)`` pairs (the stored
+    rows :attr:`Matrix.sparse`, or those of a transpose for the columns)
+    whose denominators all divide ``den``."""
+    return tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in row)
+                 for row in rows)
 
 
 def slot_table(table, depth: int, slot: int):

@@ -37,7 +37,7 @@ from functools import cache
 from itertools import product
 from math import prod
 
-from .algebra import LyAlgebra, _antisymmetry_failure
+from .algebra import LyAlgebra, _antisymmetry_failure, _freeze
 from .errors import (
     DegreeOutOfRange,
     InvalidInput,
@@ -216,6 +216,10 @@ def cochain2_from_tensors(alg_dim: int, mod_dim: int, binary_vals, ternary_vals)
     if any(len(binary_vals[i][j]) != m or any(len(v) != m for v in ternary_vals[i][j])
            for i in idx for j in idx):
         raise ShapeMismatch(f"V-valued entries must have length {m}")
+    # raw entries of any type Fraction takes; the antisymmetry check reads
+    # numerators and denominators
+    binary_vals = _freeze(binary_vals, n, 2, m)
+    ternary_vals = _freeze(ternary_vals, n, 3, m)
     bad = _antisymmetry_failure(binary_vals, n, 2)
     if bad is not None:
         i, j = bad

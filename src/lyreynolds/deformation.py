@@ -14,7 +14,11 @@ and a bounding infinitesimal can be removed by a first-order equivalence.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .algebra import (
     LyAlgebra,
@@ -22,14 +26,13 @@ from .algebra import (
     _axiom_report,
     _freeze,
     _ly_identities,
-    contract,
-    dense_vector,
-    sparse_table,
+    integer_rows,
     zero_binary,
     zero_ternary,
 )
 from .cohomology import (
     RlyCochain,
+    _view,
     coboundary_preimage,
     cochain2_from_tensors,
     cochain_from_matrix,
@@ -45,10 +48,10 @@ from .errors import (
     OrderTooLow,
     ShapeMismatch,
 )
-from .linalg import Matrix
+from .linalg import _ZERO, Matrix
 from .reporting import OrderReport
 from .representation import adjoint_rep
-from .reynolds import ReynoldsOperator, _compositions, _reynolds_identities
+from .reynolds import ReynoldsOperator, _reynolds_identities
 
 
 def _check_antisym(f_tensor, g_tensor, dim: int, where: str):
@@ -155,6 +158,20 @@ class FormalIsomorphism:
         return FormalIsomorphism(self.order, tuple(psi))
 
 
+def _require_base(algebra: LyAlgebra, op: ReynoldsOperator,
+                  deformation: TruncatedDeformation) -> None:
+    """The deformation lives on the algebra's space, the operator too, and
+    its base coefficients are the algebra's brackets and the operator."""
+    n_dim = algebra.dim
+    if deformation.dim != n_dim:
+        raise ShapeMismatch("deformation tensors do not match the algebra dimension")
+    if op.dim != n_dim:
+        raise DimMismatch("operator does not match the algebra dimension")
+    if deformation.F[0] != algebra.binary or deformation.G[0] != algebra.ternary \
+            or deformation.Tt[0] != op.matrix:
+        raise InvalidInput("base coefficients must equal the undeformed structure")
+
+
 def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
                        deformation: TruncatedDeformation) -> OrderReport:
     """Check every axiom of the deformed structure order by order.
@@ -167,22 +184,14 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
     verifiers under other names: LY1-LY6 are the six bracket checks, and
     reynolds-binary/-ternary are operator-binary/-ternary.
     """
-    n_dim = algebra.dim
-    if deformation.dim != n_dim:
-        raise ShapeMismatch("deformation tensors do not match the algebra dimension")
-    if op.dim != n_dim:
-        raise DimMismatch("operator does not match the algebra dimension")
-    if deformation.F[0] != algebra.binary or deformation.G[0] != algebra.ternary \
-            or deformation.Tt[0] != op.matrix:
-        raise InvalidInput("base coefficients must equal the undeformed structure")
-
+    _require_base(algebra, op, deformation)
     F, G, Tt = deformation.F, deformation.G, deformation.Tt
     names = ("antisymmetry-binary", "antisymmetry-ternary", "cyclic-binary",
              "cyclic-mixed", "derivation-binary", "derivation-ternary",
              "operator-binary", "operator-ternary")
     return OrderReport(tuple(
         _axiom_report(names, _ly_identities(F, G, n)
-                      + _reynolds_identities(F, G, Tt, op.weight, n), n_dim)
+                      + _reynolds_identities(F, G, Tt, op.weight, n), algebra.dim)
         for n in range(deformation.order + 1)))
 
 
@@ -196,6 +205,42 @@ def infinitesimal(deformation: TruncatedDeformation) -> RlyCochain:
     return RlyCochain(top, tail)
 
 
+def _slot_product(series, maps, stride: int, dim: int):
+    """The truncated product of two series, order by order: order s is
+    sum_{b+c=s} series_b with one index of its entries moved by maps_c.
+    An order maps the position of an index tuple in product order over
+    range(dim) to an int.  The moved index is the digit of weight
+    ``stride``, and ``maps[c][y]`` lists the ``(x, value)`` pairs that send
+    y to x."""
+    out = []
+    for s in range(len(series)):
+        acc = defaultdict(int)
+        for c in range(s + 1):
+            moves = maps[c]
+            for key, v in series[s - c].items():
+                y = key // stride % dim
+                base = key - y * stride
+                for x, p in moves[y]:
+                    acc[base + x * stride] += v * p
+        out.append(acc)
+    return out
+
+
+def _flat(tensor, depth: int) -> tuple:
+    """The entries of a tensor with ``depth`` levels of basis indices above
+    its vectors, in product order of (i, j, .., k), k the coordinate."""
+    if depth == 0:
+        return tuple(tensor)
+    return tuple(chain.from_iterable(_flat(node, depth - 1) for node in tensor))
+
+
+def _integer_maps(maps):
+    """Common denominator of a series of maps given by sparse rows, and the
+    integer rows of each map times it."""
+    den = lcm(*(v.denominator for rows in maps for row in rows for _, v in row))
+    return den, [integer_rows(rows, den) for rows in maps]
+
+
 def apply_equivalence(deformation: TruncatedDeformation,
                       iso: FormalIsomorphism) -> TruncatedDeformation:
     """Transport a deformation along a formal isomorphism phi:
@@ -203,46 +248,47 @@ def apply_equivalence(deformation: TruncatedDeformation,
         F' = phi o F o (phi^{-1} (x) phi^{-1}),  likewise for G,
         T' = phi o T o phi^{-1},
 
-    expanded order by order with the truncated inverse of phi.  The identity
-    isomorphism is the identity transport, and transports by phi and by
-    phi.inverse() cancel up to the truncation order.
+    with the truncated inverse psi of phi.  Each series X is precomposed
+    with psi in one argument slot at a time (X'_s = sum_{b+c=s} X_b o_slot
+    psi_c) and then composed with phi the same way, all over integer
+    tables: X, psi and phi are each scaled by their own common denominator,
+    and every transported term has one factor of X, one of phi and one of
+    psi per slot, so one division per output entry undoes the scale.  The
+    identity isomorphism is the identity transport, and transports by phi
+    and by phi.inverse() cancel up to the truncation order.
     """
     if iso.order != deformation.order:
         raise OrderMismatch("isomorphism and deformation orders differ")
     if iso.dim != deformation.dim:
         raise DimMismatch("isomorphism acts on a different space")
-    n_dim = deformation.dim
-    N = deformation.order
-    basis = range(n_dim)
-    # each series read once: brackets as sparse tables, maps by their columns
-    tables = {2: [sparse_table(t, 2) for t in deformation.F],
-              3: [sparse_table(t, 3) for t in deformation.G],
-              1: [t.transpose().sparse for t in deformation.Tt]}
-    phi_col = [p.transpose().sparse for p in iso.phi]
-    psi_col = [p.transpose().sparse for p in iso.inverse().phi]
+    n = deformation.dim
+    # X(.., psi e_x, ..) = sum_y psi[y][x] X(.., e_y, ..): an entry at
+    # argument y moves to each x of row y of psi.  phi(v) = sum_l v_l phi e_l:
+    # an entry at output coordinate l moves to each coordinate of column l.
+    psi_den, psi_rows = _integer_maps([p.sparse for p in iso.inverse().phi])
+    phi_den, phi_cols = _integer_maps([p.transpose().sparse for p in iso.phi])
 
-    def transported(arity, s, args):
-        """Order s of phi o X o (psi x ... x psi) at basis ``args``, for the
-        series X of the given arity: each phi_a is applied once, to the sum
-        of the terms it acts on."""
-        inner = [{} for _ in range(s + 1)]
-        for (a, b, *cs) in _compositions(s, arity + 2):
-            contract(inner[a], 1, tables[arity][b],
-                     tuple(psi_col[c][x] for c, x in zip(cs, args)))
-        acc = {}
-        for a, v in enumerate(inner):
-            contract(acc, 1, phi_col[a], (v.items(),))
-        return dense_vector(acc, n_dim)
+    def transported(arity, flats):
+        """The transported series, each order as its flat entries, from the
+        flat entries of each order of X."""
+        den = lcm(*(v.denominator for flat in flats for v in flat))
+        series = [{k: v.numerator * (den // v.denominator) for k, v in enumerate(flat) if v}
+                  for flat in flats]
+        for slot in range(arity):
+            series = _slot_product(series, psi_rows, n ** (arity - slot), n)
+        series = _slot_product(series, phi_cols, 1, n)
+        scale = den * psi_den ** arity * phi_den
+        return [tuple(Fraction(acc[k], scale) if acc.get(k) else _ZERO
+                      for k in range(n ** (arity + 1))) for acc in series]
 
-    orders = range(N + 1)
-    new_f = tuple(tuple(tuple(transported(2, s, (x, y)) for y in basis) for x in basis)
-                  for s in orders)
-    new_g = tuple(tuple(tuple(tuple(transported(3, s, (x, y, z)) for z in basis)
-                              for y in basis) for x in basis)
-                  for s in orders)
-    new_t = tuple(Matrix.from_columns([transported(1, s, (x,)) for x in basis], n_dim)
-                  for s in orders)
-    return TruncatedDeformation(N, new_f, new_g, new_t)
+    new_f = tuple(_view(flat, (n,) * 3)
+                  for flat in transported(2, [_flat(f, 2) for f in deformation.F]))
+    new_g = tuple(_view(flat, (n,) * 4)
+                  for flat in transported(3, [_flat(g, 3) for g in deformation.G]))
+    # T e_x is column x, so T is read, and T' written, by its transpose
+    new_t = tuple(Matrix(n, n, flat).transpose() for flat in transported(
+        1, [t.transpose().entries for t in deformation.Tt]))
+    return TruncatedDeformation(deformation.order, new_f, new_g, new_t)
 
 
 def trivialize_first_order(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -255,8 +301,10 @@ def trivialize_first_order(algebra: LyAlgebra, op: ReynoldsOperator,
     transports along the series with coefficients (Id, +phi_1): that is the
     truncated inverse of the returned isomorphism Id - phi_1 t, which maps
     the transported deformation back to the input.  The transported order-1
-    coefficients are verified to vanish.
+    coefficients are verified to vanish.  The deformation must be one of
+    the given algebra and operator, as for :func:`verify_deformation`.
     """
+    _require_base(algebra, op, deformation)
     rep = adjoint_rep(algebra, op)
     target = infinitesimal(deformation)
     pre = coboundary_preimage(algebra, op, rep, "rly", target)

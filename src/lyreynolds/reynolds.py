@@ -23,6 +23,7 @@ from .algebra import (
     common_denominator,
     contract,
     dense_vector,
+    integer_rows,
     integer_table,
     sparse_table,
     verify_ly_axioms,
@@ -93,8 +94,7 @@ def _reynolds_identities(F, G, Tt, w, n: int):
     f = [integer_table(t, 2, den) for t in F[:n + 1]]
     g = [integer_table(t, 3, den) for t in G[:n + 1]]
     # t_col[k][x] = T_k e_x: each T_k as a table of its columns
-    t_col = [tuple(tuple((x, v.numerator * (den // v.denominator)) for x, v in col)
-                   for col in t.transpose().sparse) for t in Tt[:n + 1]]
+    t_col = [integer_rows(t.transpose().sparse, den) for t in Tt[:n + 1]]
     unit = [((x, 1),) for x in range(dim)]
     comps3, comps4, comps5 = (list(_compositions(n, parts)) for parts in (3, 4, 5))
 

@@ -17,6 +17,8 @@ sparse ones against.
   ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
   verifiers and the transport written with dense vectors and whole-matrix
   sums and products.
+* ``antisymmetry_failure_scan`` compares every entry with the negation of
+  its swapped partner on every basis tuple, for entries of any type.
 * ``base_data_by_solves``, ``extract_rep_by_solves`` and
   ``extract_cocycle_by_solves`` read an extension through section lifts,
   solving for the module coordinates of each vector (``module_coords``), and
@@ -699,6 +701,20 @@ def apply_equivalence_dense(deformation, iso):
         new_t.append(t_s)
 
     return TruncatedDeformation(N, tuple(new_f), tuple(new_g), tuple(new_t))
+
+
+def antisymmetry_failure_scan(tensor, dim, depth):
+    """First basis tuple (i, j, ...) in product order over all of them at
+    which some entry of tensor[i][j]... differs from minus the entry of
+    tensor[j][i]..., or None."""
+    for idx in product(range(dim), repeat=depth):
+        i, j, *rest = idx
+        a, b = tensor[i][j], tensor[j][i]
+        for k in rest:
+            a, b = a[k], b[k]
+        if any(x != -y for x, y in zip(a, b)):
+            return idx
+    return None
 
 
 # ---------------------------------------------------------------------------

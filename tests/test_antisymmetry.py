@@ -1,0 +1,121 @@
+"""The antisymmetry check of brackets, deformation coefficients and
+degree-2 cochains against the plain scan in ``tests/oracles.py``.
+
+``algebra._antisymmetry_failure`` compares numerators and denominators
+instead of building a negated entry, and visits i <= j only; the scan
+compares x != -y on every basis tuple.  Both must name the same first
+failing tuple, for entries that are Fractions and for plain ints.
+"""
+
+import random
+from decimal import Decimal
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from oracles import antisymmetry_failure_scan
+from lyreynolds.algebra import _antisymmetry_failure
+from lyreynolds.cohomology import cochain2_from_tensors
+from lyreynolds.errors import InvalidStructure
+
+F = Fraction
+
+
+def random_entry(rng, kind):
+    if kind is int:
+        return rng.randint(-3, 3)
+    return F(rng.randint(-3, 3), rng.randint(1, 4))
+
+
+def nested(cells, dim, depth, prefix=()):
+    """Nested lists from a {full index tuple: entry} dict."""
+    if len(prefix) == depth + 1:
+        return cells[prefix]
+    return [nested(cells, dim, depth, prefix + (i,)) for i in range(dim)]
+
+
+def antisymmetric_cells(rng, dim, depth, kind):
+    cells = {}
+    for idx in product(range(dim), repeat=depth + 1):
+        i, j, *rest = idx
+        if i < j:
+            x = random_entry(rng, kind)
+            cells[idx] = x
+            cells[(j, i, *rest)] = -x
+        elif i == j:
+            cells[idx] = kind(0)
+    return cells
+
+
+def perturbed(rng, cells, dim, depth, kind):
+    """Antisymmetric cells with up to three random entries changed; half of
+    the time only the last entry of the last basis tuple changes, which no
+    earlier tuple sees."""
+    cells = dict(cells)
+    if rng.random() < 0.5:
+        last = (dim - 1,) * (depth + 1)
+        cells[last] = cells[last] + rng.choice([1, -2, F(1, 3)] if kind is F else [1, -2])
+        return cells
+    for _ in range(rng.randint(0, 3)):
+        idx = tuple(rng.randrange(dim) for _ in range(depth + 1))
+        cells[idx] = random_entry(rng, kind)
+    return cells
+
+
+@pytest.mark.parametrize("kind", [F, int])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_first_failure_matches_the_scan(depth, kind):
+    rng = random.Random(f"{depth}{kind.__name__}")
+    outcomes = set()
+    for dim in (1, 2, 3, 4):
+        for _ in range(60):
+            cells = perturbed(rng, antisymmetric_cells(rng, dim, depth, kind), dim, depth, kind)
+            tensor = nested(cells, dim, depth)
+            expected = antisymmetry_failure_scan(tensor, dim, depth)
+            assert _antisymmetry_failure(tensor, dim, depth) == expected
+            outcomes.add(expected is None)
+            if expected == (dim - 1,) * depth:
+                outcomes.add("last")
+    assert outcomes == {True, False, "last"}
+
+
+def test_numerator_or_denominator_alone_differs():
+    # 1/2 against -1/3: negated numerators, different denominators; 1/2
+    # against 1/2: equal denominators, numerators not negated
+    for x, y in ((F(1, 2), F(-1, 3)), (F(1, 2), F(1, 2)), (F(0), F(1, 5)), (3, 3)):
+        tensor = [[(0,), (x,)], [(y,), (0,)]]
+        assert _antisymmetry_failure(tensor, 2, 2) == (0, 1)
+        assert antisymmetry_failure_scan(tensor, 2, 2) == (0, 1)
+    tensor = [[(0,), (F(2, 3),)], [(F(-2, 3),), (0,)]]
+    assert _antisymmetry_failure(tensor, 2, 2) is None
+
+
+def raw_tensors(convert):
+    """An antisymmetric degree-2 cochain on a 2-dim algebra with 1-dim
+    module, entries passed through ``convert``."""
+    nu = [[[convert(0)], [convert(1)]], [[convert(-1)], [convert(0)]]]
+    psi = [[[[convert(0)]] * 2, [[convert(2)], [convert(-3)]]],
+           [[[convert(-2)], [convert(3)]], [[convert(0)]] * 2]]
+    return nu, psi
+
+
+@pytest.mark.parametrize("convert", [int, F, float, Decimal, lambda x: F(x, 4)])
+def test_cochain2_from_tensors_takes_raw_entries(convert):
+    nu, psi = raw_tensors(convert)
+    c = cochain2_from_tensors(2, 1, nu, psi)
+    assert c.coords == tuple(F(x) for x in (nu[0][1][0], psi[0][1][0][0], psi[0][1][1][0]))
+    assert all(type(x) is F for x in c.coords)
+
+
+@pytest.mark.parametrize("convert", [int, F, float, Decimal])
+def test_cochain2_from_tensors_error_text(convert):
+    nu, psi = raw_tensors(convert)
+    nu[1][0] = [convert(1)]
+    with pytest.raises(InvalidStructure, match=r"^binary part not antisymmetric at \(0,1\)$"):
+        cochain2_from_tensors(2, 1, nu, psi)
+    nu, psi = raw_tensors(convert)
+    psi[1][0][1] = [convert(2)]
+    with pytest.raises(InvalidStructure,
+                       match=r"^ternary part not antisymmetric at \(0,1,1\)$"):
+        cochain2_from_tensors(2, 1, nu, psi)

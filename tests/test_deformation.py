@@ -6,7 +6,9 @@ import pytest
 from lyreynolds import (
     FormalIsomorphism,
     Matrix,
+    ReynoldsOperator,
     TruncatedDeformation,
+    abelian,
     adjoint_rep,
     apply_equivalence,
     cohomologous,
@@ -29,11 +31,13 @@ from lyreynolds.cohomology import (
     unflatten_rly,
 )
 from lyreynolds.errors import (
+    DimMismatch,
     InvalidInput,
     InvalidStructure,
     NotCoboundary,
     OrderMismatch,
     OrderTooLow,
+    ShapeMismatch,
 )
 from lyreynolds.linalg import rank
 from tests.conftest import (
@@ -279,6 +283,39 @@ def test_trivialize_obstructed(ly2, tri_t):
     assert verify_deformation(ly2, tri_t, deformation).ok
     with pytest.raises(NotCoboundary):
         trivialize_first_order(ly2, tri_t, deformation)
+
+
+BASE_MISMATCH = "base coefficients must equal the undeformed structure"
+
+
+def test_trivialize_rejects_deformation_of_another_algebra(ly2, tri_t):
+    deformation = TruncatedDeformation.constant(abelian(2), tri_t, 2)
+    with pytest.raises(InvalidInput, match=BASE_MISMATCH):
+        trivialize_first_order(ly2, tri_t, deformation)
+    with pytest.raises(InvalidInput, match=BASE_MISMATCH):
+        verify_deformation(ly2, tri_t, deformation)
+
+
+def test_trivialize_rejects_deformation_of_another_operator(ly2, tri_t):
+    other = ReynoldsOperator(Matrix.from_rows([[2, 3], [0, 7]]), F(-1, 7))
+    deformation = TruncatedDeformation.constant(ly2, other, 1)
+    with pytest.raises(InvalidInput, match=BASE_MISMATCH):
+        trivialize_first_order(ly2, tri_t, deformation)
+    with pytest.raises(InvalidInput, match=BASE_MISMATCH):
+        verify_deformation(ly2, tri_t, deformation)
+
+
+def test_trivialize_rejects_mismatched_dimensions(ly2, tri_t, sl2):
+    deformation = TruncatedDeformation.constant(sl2, identity_op_sl2(), 1)
+    with pytest.raises(ShapeMismatch, match="deformation tensors do not match"):
+        trivialize_first_order(ly2, tri_t, deformation)
+    with pytest.raises(ShapeMismatch, match="deformation tensors do not match"):
+        verify_deformation(ly2, tri_t, deformation)
+    deformation = TruncatedDeformation.constant(ly2, tri_t, 1)
+    with pytest.raises(DimMismatch, match="operator does not match"):
+        trivialize_first_order(ly2, identity_op_sl2(), deformation)
+    with pytest.raises(DimMismatch, match="operator does not match"):
+        verify_deformation(ly2, identity_op_sl2(), deformation)
 
 
 def differential_matrix_rly1(algebra, op, rep):

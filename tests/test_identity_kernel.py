@@ -10,6 +10,7 @@ compared and not only verdicts.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,6 +34,7 @@ from oracles import (
 from lyreynolds import (
     FormalIsomorphism,
     Matrix,
+    ReynoldsOperator,
     TruncatedDeformation,
     abelian,
     apply_equivalence,
@@ -210,23 +212,41 @@ def test_reynolds_from_derivation_verifies_across_the_catalogue(pair, weight):
 # ---------------------------------------------------------------------------
 # deformations: the battery at higher order, and the transport
 
-def random_deformation(rng, algebra, op, order: int) -> TruncatedDeformation:
+def random_deformation(rng, algebra, op, order: int, den: int = 1) -> TruncatedDeformation:
     """Random antisymmetric higher coefficients over a valid base; sparse, so
-    that some orders pass."""
+    that some orders pass.  Every higher coefficient is divided by ``den``."""
     n = algebra.dim
 
     def sparse_entries(arity):
         if n < 2 or rng.random() < 0.3:
             return {}
         return {(*sorted(rng.sample(range(n), 2)), *(rng.randrange(n) for _ in range(arity - 2))):
-                rand_fraction(rng, nonzero=True) for _ in range(rng.randint(1, 2))}
+                rand_fraction(rng, nonzero=True) / den for _ in range(rng.randint(1, 2))}
 
     fs, gs, ts = [algebra.binary], [algebra.ternary], [op.matrix]
     for _ in range(order):
         fs.append(binary_from_sparse(n, sparse_entries(3)) if n > 1 else zero_binary(n))
         gs.append(ternary_from_sparse(n, sparse_entries(4)) if n > 1 else zero_ternary(n))
-        ts.append(rand_matrix(rng, n, n) if rng.random() < 0.5 else Matrix.zero(n, n))
+        ts.append(rand_matrix(rng, n, n).scale(Fraction(1, den)) if rng.random() < 0.5
+                  else Matrix.zero(n, n))
     return TruncatedDeformation(order, tuple(fs), tuple(gs), tuple(ts))
+
+
+def fractional_iso(rng, n: int, order: int) -> FormalIsomorphism:
+    """Random higher coefficients plus Id/5, so that 5 divides the common
+    denominator of phi and of its truncated inverse psi (psi_1 = -phi_1)."""
+    fifth = Matrix.identity(n).scale(Fraction(1, 5))
+    return FormalIsomorphism(order, (Matrix.identity(n),) + tuple(
+        rand_matrix(rng, n, n) + fifth for _ in range(order)))
+
+
+def maps_denominator(maps) -> int:
+    return lcm(*(v.denominator for m in maps for row in m.sparse for _, v in row))
+
+
+def sl2_scalar_op():
+    """(3/2) Id, a Reynolds operator of weight -2/3 on sl2."""
+    return ReynoldsOperator(Matrix.identity(3).scale(Fraction(3, 2)), Fraction(-2, 3))
 
 
 def test_deformation_battery_matches_dense_oracle():
@@ -250,14 +270,33 @@ def test_deformation_battery_matches_dense_oracle():
         assert failed[True, name] >= 5, name
 
 
-@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_apply_equivalence_matches_dense_oracle(order):
     rng = random.Random(15 + order)
-    for algebra, op, _rep in random_valid_triples(rng, 10 if order == 2 else 6):
+    triples = random_valid_triples(rng, 10 if order == 2 else 6)
+    triples.append((_sl2(), sl2_scalar_op(), None))
+    fractional = Counter()
+    for algebra, op, _rep in triples:
         n = algebra.dim
-        deformation = random_deformation(rng, algebra, op, order)
-        iso = FormalIsomorphism(
-            order, (Matrix.identity(n),) + tuple(rand_matrix(rng, n, n) for _ in range(order)))
+        # higher coefficients over 7, phi and psi over a multiple of 5: the
+        # integer transport scales each of them, so none may be integral
+        deformation = random_deformation(rng, algebra, op, order, den=7)
+        iso = fractional_iso(rng, n, order)
+        assert maps_denominator(iso.phi) % 5 == 0
+        assert maps_denominator(iso.inverse().phi) % 5 == 0
+        fractional.update(name for name, den in (
+            ("F", common_denominator(deformation.F, 3)),
+            ("G", common_denominator(deformation.G, 4)),
+            ("T", maps_denominator(deformation.Tt))) if den % 7 == 0)
         for phi in (iso, iso.inverse(), FormalIsomorphism.identity(n, order)):
             assert apply_equivalence(deformation, phi) == apply_equivalence_dense(deformation, phi)
+    assert min(fractional[name] for name in "FGT") >= 2, fractional
 
+
+def test_apply_equivalence_round_trip_on_sl2_order3():
+    rng = random.Random(19)
+    deformation = random_deformation(rng, _sl2(), sl2_scalar_op(), 3, den=7)
+    iso = fractional_iso(rng, 3, 3)
+    moved = apply_equivalence(deformation, iso)
+    assert moved != deformation
+    assert apply_equivalence(moved, iso.inverse()) == deformation
