@@ -277,9 +277,10 @@ def contract(acc: dict, c, table, vecs) -> None:
             add_scaled(acc, k if a == 1 else a if k == 1 else a * k, node[i])
 
 
-def dense_vector(acc: dict, dim: int) -> Vector:
-    """The coordinate vector of a ``{coordinate: value}`` dict."""
-    return tuple(acc.get(k, _ZERO) for k in range(dim))
+def dense_vector(acc: dict, dim: int, den: int = 1) -> Vector:
+    """The coordinate vector of a ``{coordinate: value}`` dict holding den
+    times it, as Fractions: one division per nonzero entry."""
+    return tuple(Fraction(acc[k], den) if acc.get(k) else _ZERO for k in range(dim))
 
 
 @dataclass(frozen=True)
@@ -420,8 +421,7 @@ def _axiom_report(names, identities, dim: int) -> AxiomReport:
     failing one is written out, as the vector of exact values."""
     return AxiomReport(tuple(
         first_failure(name, orbit_tuples(dim, shape), fn, _no_entries,
-                      lambda acc, den=den: dense_vector(
-                          {k: Fraction(v, den) for k, v in acc.items()}, dim))
+                      lambda acc, den=den: dense_vector(acc, dim, den))
         for name, (shape, fn, den) in zip(names, identities)))
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 
@@ -26,6 +25,7 @@ from .algebra import (
     _axiom_report,
     _freeze,
     _ly_identities,
+    dense_vector,
     integer_rows,
     zero_binary,
     zero_ternary,
@@ -48,7 +48,7 @@ from .errors import (
     OrderTooLow,
     ShapeMismatch,
 )
-from .linalg import _ZERO, Matrix
+from .linalg import Matrix
 from .reporting import OrderReport
 from .representation import adjoint_rep
 from .reynolds import ReynoldsOperator, _reynolds_identities
@@ -278,8 +278,7 @@ def apply_equivalence(deformation: TruncatedDeformation,
             series = _slot_product(series, psi_rows, n ** (arity - slot), n)
         series = _slot_product(series, phi_cols, 1, n)
         scale = den * psi_den ** arity * phi_den
-        return [tuple(Fraction(acc[k], scale) if acc.get(k) else _ZERO
-                      for k in range(n ** (arity + 1))) for acc in series]
+        return [dense_vector(acc, n ** (arity + 1), scale) for acc in series]
 
     new_f = tuple(_view(flat, (n,) * 3)
                   for flat in transported(2, [_flat(f, 2) for f in deformation.F]))

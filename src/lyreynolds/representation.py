@@ -2,21 +2,40 @@
 Reynolds-compatible module operators.
 
 rho maps algebra elements to operators on V, theta maps pairs to operators,
-and the derived pair map is never stored: it is always recomputed as
+and the derived pair map is not part of the data: it is computed from them
+as
 
     D(x,y) = theta(y,x) - theta(x,y) - rho([x,y]) + rho(x)rho(y) - rho(y)rho(x)
 
-so there is no consistency obligation between a stored D and the rest.
+so there is no consistency obligation between a stored D and the rest
+(:func:`d_table` caches the computed table per algebra and representation).
 The module operator carries no weight of its own; verifiers take the weight
 from the algebra operator they are handed.
+
+The verifiers and the builders read the structure constants, rho, theta
+and, when they need them, T, the module operator and the weight once per
+call as integer sparse rows over one common denominator L, and accumulate
+ints: every term of an identity or of a built entry is brought to one
+power of L, and only an output entry (a built matrix, or the residual of a
+failing identity) is divided back, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from itertools import chain, combinations
+from math import lcm
 
-from .algebra import LyAlgebra, expand, orbit_tuples, sparse_table
+from .algebra import (
+    LyAlgebra,
+    common_denominator,
+    expand,
+    integer_rows,
+    integer_table,
+    orbit_tuples,
+)
 from .errors import (
     DimMismatch,
     IndexOutOfRange,
@@ -63,12 +82,18 @@ class Representation:
                 (self.module_op.rows, self.module_op.cols) != (m, m):
             raise DimMismatch("module operator must be module_dim x module_dim")
 
+    def _check_element(self, *vecs) -> None:
+        if any(len(v) != self.algebra_dim for v in vecs):
+            raise DimMismatch("element coordinates do not match algebra dim")
+
     def rho_at(self, x) -> Matrix:
         """rho of a general element, by linearity."""
+        self._check_element(x)
         return lincomb(x, self.rho, Matrix.zero(self.module_dim, self.module_dim))
 
     def theta_at(self, x, y) -> Matrix:
         """theta of a general pair, by bilinearity."""
+        self._check_element(x, y)
         zero = Matrix.zero(self.module_dim, self.module_dim)
         return lincomb(x, [lincomb(y, row, zero) for row in self.theta], zero)
 
@@ -80,24 +105,6 @@ def zero_rep(algebra_dim: int, module_dim: int, module_op: Matrix | None = None)
         (z,) * algebra_dim,
         tuple((z,) * algebra_dim for _ in range(algebra_dim)),
         module_op)
-
-
-def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
-    """Matrix of the derived pair map D(e_i, e_j)."""
-    n = algebra.dim
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"basis indices ({i},{j}) out of range for dim {n}")
-    if rep.algebra_dim != n:
-        raise DimMismatch("representation is over a different algebra dimension")
-    return (rep.theta[j][i] - rep.theta[i][j] - rep.rho_at(algebra.binary[i][j])
-            + rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i])
-
-
-@cache
-def d_table(algebra: LyAlgebra, rep: Representation):
-    """All D(e_i, e_j) matrices, computed once per (algebra, rep)."""
-    n = algebra.dim
-    return tuple(tuple(d_map(algebra, rep, i, j) for j in range(n)) for i in range(n))
 
 
 def _op_at(acc, c, table, vecs) -> None:
@@ -112,30 +119,101 @@ def _is_zero(acc) -> bool:
     return not any(any(row.values()) for row in acc)
 
 
-def _pairs(acc):
-    """One {column: entry} dict per row read as ``(column, entry)`` pairs."""
-    return [row.items() for row in acc]
+def _rows(acc):
+    """One {column: entry} dict per row as stored rows: the nonzero
+    ``(column, entry)`` pairs of each, in no particular order."""
+    return tuple(tuple((k, v) for k, v in row.items() if v) for row in acc)
 
 
-def _sparse_maps(algebra: LyAlgebra, rep: Representation):
-    """rho, theta and D read once as sparse rows, in their table nesting."""
-    rho = tuple(r.sparse for r in rep.rho)
-    theta = tuple(tuple(x.sparse for x in row) for row in rep.theta)
-    dd = tuple(tuple(x.sparse for x in row) for row in d_table(algebra, rep))
-    return rho, theta, dd
+def _matrix(rows, den: int, cols: int) -> Matrix:
+    """The exact matrix of integer rows (:func:`_rows`) that hold den times
+    its entries: one division per entry."""
+    return Matrix._of(len(rows), cols, tuple(
+        tuple(sorted((k, Fraction(v, den)) for k, v in row)) for row in rows))
+
+
+def _integer_read(rep: Representation, tensors=(), op=None):
+    """rho, theta and each ``(tensor, depth)`` of ``tensors`` (structure
+    constants, see algebra.integer_table) read once as integer sparse tables
+    over their common denominator L, with the denominators of T, the module
+    operator and the weight of ``op`` folded into L when it is given:
+    ``(L, tables, rho, theta)``, each table L times the exact one and rho
+    and theta as stored rows."""
+    mats = [*rep.rho, *chain.from_iterable(rep.theta)]
+    if op is not None:
+        mats += (op.matrix, rep.module_op)
+    den = lcm(*(common_denominator(t, depth) for t, depth in tensors),
+              *(v.denominator for mat in mats for row in mat.sparse for _, v in row),
+              1 if op is None else op.weight.denominator)
+    return (den, tuple(integer_table(t, depth, den) for t, depth in tensors),
+            tuple(integer_rows(r.sparse, den) for r in rep.rho),
+            tuple(tuple(integer_rows(x.sparse, den) for x in row) for row in rep.theta))
+
+
+def _operator_read(op: ReynoldsOperator, rep: Representation, den: int):
+    """``(t_col, tv, lw)``: the columns T e_x of the algebra operator and the
+    rows of the module operator, each times ``den``, and den times the
+    weight.  ``den`` must clear all their denominators."""
+    return (integer_rows(op.matrix.transpose().sparse, den),
+            integer_rows(rep.module_op.sparse, den), (op.weight * den).numerator)
+
+
+def _integer_d(den: int, f, rho, theta, m: int):
+    """L^2 D(e_i, e_j) as stored rows, for L = ``den`` and the integer read
+    of :func:`_integer_read`.  D is antisymmetric (the bracket is), so only
+    i < j is computed."""
+    n = len(rho)
+    zero = ((),) * m
+    out = [[zero] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        acc = [{} for _ in range(m)]
+        add_rows(acc, den, theta[j][i])
+        add_rows(acc, -den, theta[i][j])
+        _op_at(acc, -1, rho, (f[i][j],))
+        add_product(acc, 1, rho[i], rho[j])
+        add_product(acc, -1, rho[j], rho[i])
+        out[i][j] = _rows(acc)
+        out[j][i] = tuple(tuple((k, -v) for k, v in row) for row in out[i][j])
+    return out
+
+
+@cache
+def d_table(algebra: LyAlgebra, rep: Representation):
+    """All D(e_i, e_j) matrices, computed once per (algebra, rep) from the
+    integer read."""
+    if rep.algebra_dim != algebra.dim:
+        raise DimMismatch("representation is over a different algebra dimension")
+    den, (f,), rho, theta = _integer_read(rep, ((algebra.binary, 2),))
+    m = rep.module_dim
+    return tuple(tuple(_matrix(rows, den * den, m) for rows in row)
+                 for row in _integer_d(den, f, rho, theta, m))
+
+
+def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
+    """Matrix of the derived pair map D(e_i, e_j)."""
+    n = algebra.dim
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexOutOfRange(f"basis indices ({i},{j}) out of range for dim {n}")
+    return d_table(algebra, rep)[i][j]
 
 
 def _rep_identities(algebra: LyAlgebra, rep: Representation):
     """The five representation identities, then the two derived ones (the
     cyclic D identity and the D-D compatibility), as ``(name, shape,
-    residual)`` triples: a residual maps a basis tuple to the operator on V
-    of LHS - RHS, as sparse rows, and is antisymmetric within the groups of
-    its shape (see algebra.orbit_tuples).  Operators are read once as sparse
-    rows, and every sum and product runs over their nonzero entries."""
+    residual, den)`` quadruples: a residual maps a basis tuple to den times
+    the operator on V of LHS - RHS, as one {column: int} dict per row, and
+    is antisymmetric within the groups of its shape (see
+    algebra.orbit_tuples).
+
+    With L the common denominator of the integer read, rho, theta and the
+    structure constants are L times the exact ones and D is L^2 times, so a
+    product of two of the first is at L^2 and one with D at L^3.  Each
+    identity is brought to the power of L of its highest term: the terms
+    one power short are multiplied by L."""
     n, m = algebra.dim, rep.module_dim
-    f = sparse_table(algebra.binary, 2)
-    g = sparse_table(algebra.ternary, 3)
-    rho, theta, dd = _sparse_maps(algebra, rep)
+    den, (f, g), rho, theta = _integer_read(
+        rep, ((algebra.binary, 2), (algebra.ternary, 3)))
+    dd = _integer_d(den, f, rho, theta, m)
     # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
     # that linearity in the first slot is a sum over a column
     theta_col = [[theta[k][a] for k in range(n)] for a in range(n)]
@@ -152,7 +230,7 @@ def _rep_identities(algebra: LyAlgebra, rep: Representation):
         acc = [{} for _ in range(m)]
         add_product(acc, 1, dd[a][b], rho[x])
         add_product(acc, -1, rho[x], dd[a][b])
-        _op_at(acc, -1, rho, (g[a][b][x],))
+        _op_at(acc, -den, rho, (g[a][b][x],))
         return acc
 
     def rho_of_bracket(x, a, b):
@@ -166,15 +244,15 @@ def _rep_identities(algebra: LyAlgebra, rep: Representation):
         acc = [{} for _ in range(m)]
         add_product(acc, 1, dd[a][b], theta[x][y])
         add_product(acc, -1, theta[x][y], dd[a][b])
-        _op_at(acc, -1, theta_col[y], (g[a][b][x],))
-        _op_at(acc, -1, theta[x], (g[a][b][y],))
+        _op_at(acc, -den, theta_col[y], (g[a][b][x],))
+        _op_at(acc, -den, theta[x], (g[a][b][y],))
         return acc
 
     def theta_of_ternary(a, x, y, z):
         acc = [{} for _ in range(m)]
-        _op_at(acc, 1, theta[a], (g[x][y][z],))
-        add_product(acc, -1, theta[y][z], theta[a][x])
-        add_product(acc, 1, theta[x][z], theta[a][y])
+        _op_at(acc, den, theta[a], (g[x][y][z],))
+        add_product(acc, -den, theta[y][z], theta[a][x])
+        add_product(acc, den, theta[x][z], theta[a][y])
         add_product(acc, -1, dd[x][y], theta[a][z])
         return acc
 
@@ -189,30 +267,34 @@ def _rep_identities(algebra: LyAlgebra, rep: Representation):
         acc = [{} for _ in range(m)]
         add_product(acc, 1, dd[a][b], dd[x][y])
         add_product(acc, -1, dd[x][y], dd[a][b])
-        _op_at(acc, -1, d_col[y], (g[a][b][x],))
-        _op_at(acc, -1, dd[x], (g[a][b][y],))
+        _op_at(acc, -den, d_col[y], (g[a][b][x],))
+        _op_at(acc, -den, dd[x], (g[a][b][y],))
         return acc
 
-    return (("theta-of-bracket", (2, 1), theta_of_bracket),
-            ("d-rho-compat", (2, 1), d_rho_compat),
-            ("rho-of-bracket", (1, 2), rho_of_bracket),
-            ("d-theta-compat", (2, 1, 1), d_theta_compat),
-            ("theta-of-ternary", (1, 2, 1), theta_of_ternary),
-            ("d-cyclic (derived)", (3,), d_cyclic),
-            ("d-d-compat (derived)", (2, 2), d_d_compat))
+    square = den * den
+    cube = square * den
+    return (("theta-of-bracket", (2, 1), theta_of_bracket, square),
+            ("d-rho-compat", (2, 1), d_rho_compat, cube),
+            ("rho-of-bracket", (1, 2), rho_of_bracket, square),
+            ("d-theta-compat", (2, 1, 1), d_theta_compat, cube),
+            ("theta-of-ternary", (1, 2, 1), theta_of_ternary, cube),
+            ("d-cyclic (derived)", (3,), d_cyclic, cube),
+            ("d-d-compat (derived)", (2, 2), d_d_compat, cube * den))
 
 
 def _operator_report(dim: int, module_dim: int, identities, derived, premise: str) -> AxiomReport:
-    """One check per named ``(name, shape, residual)`` identity over the
-    basis tuples of algebra.orbit_tuples for its shape.  When all of them
-    pass, each ``(identity, what)`` of ``derived`` is checked as well; it
-    must follow from ``premise``, so a failure is a bug, raised as
-    InternalInconsistency with its witness instead of being reported."""
+    """One check per named ``(name, shape, residual, den)`` identity over
+    the basis tuples of algebra.orbit_tuples for its shape; only a failing
+    residual is divided by its den into the exact matrix the report keeps.
+    When all of them pass, each ``(identity, what)`` of ``derived`` is
+    checked as well; it must follow from ``premise``, so a failure is a
+    bug, raised as InternalInconsistency with its witness instead of being
+    reported."""
     checks = [first_failure(name, orbit_tuples(dim, shape), fn, _is_zero,
-                            lambda acc: Matrix.from_sparse_rows(acc, module_dim))
-              for name, shape, fn in identities]
+                            lambda acc, den=den: _matrix(_rows(acc), den, module_dim))
+              for name, shape, fn, den in identities]
     if all(c.passed for c in checks):
-        for (name, shape, fn), what in derived:
+        for (name, shape, fn, _den), what in derived:
             check = first_failure(name, orbit_tuples(dim, shape), fn, _is_zero)
             if not check.passed:
                 raise InternalInconsistency(
@@ -242,44 +324,58 @@ def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
                    "the representation identities")
 
 
+def _twists(table, args, t_col, m: int):
+    """For the k-linear map X into operators on V given by ``table`` and k
+    basis indices ``args``: X(Tx_1, .., Tx_k), and the sum over s of X with
+    T on every argument but the s-th, as ``(column, entry)`` pairs per row."""
+    all_t = [{} for _ in range(m)]
+    _op_at(all_t, 1, table, tuple(t_col[x] for x in args))
+    mixed = [{} for _ in range(m)]
+    for s in range(len(args)):
+        _op_at(mixed, 1, table,
+               tuple(((x, 1),) if r == s else t_col[x] for r, x in enumerate(args)))
+    return _rows(all_t), _rows(mixed)
+
+
 def _module_op_identities(algebra: LyAlgebra, op: ReynoldsOperator,
                           rep: Representation):
     """The rho and theta module-operator identities, then the derived one
-    for D, as ``(name, shape, residual)`` triples (see :func:`_rep_identities`).
-    All three have one shape: for a k-linear map X into operators on V
-    (rho, theta or D),
+    for D, as ``(name, shape, residual, den)`` quadruples (see
+    :func:`_rep_identities`).  All three have one shape: for a k-linear map
+    X into operators on V (rho, theta or D),
 
         X(Tx..) T_V - T_V (X(Tx..) + sum_s X(.., x_s, ..) T_V + k w X(Tx..) T_V)
 
     where the s-th mixed term puts T on every argument but the s-th.  Only
-    the D residual is antisymmetric, because D is."""
-    n, m = algebra.dim, rep.module_dim
-    w = op.weight
-    tv = rep.module_op.sparse
-    t_col = op.matrix.transpose().sparse
-    unit = [((x, 1),) for x in range(n)]
-    rho, theta, dd = _sparse_maps(algebra, rep)
+    the D residual is antisymmetric, because D is.
+
+    Over the integer read, X is L^a times the exact map (a = 1 for rho and
+    theta, 2 for D), each T and T_V brings one more L and the weight is
+    read as L w.  The weighted term is then at L^(a+k+3), and every other
+    term is multiplied by L^2 to meet it."""
+    m = rep.module_dim
+    den, (f,), rho, theta = _integer_read(rep, ((algebra.binary, 2),), op)
+    t_col, tv, lw = _operator_read(op, rep, den)
+    dd = _integer_d(den, f, rho, theta, m)
+    square = den * den
 
     def residual(table, args):
-        all_t = [{} for _ in range(m)]
-        _op_at(all_t, 1, table, tuple(t_col[x] for x in args))
-        mixed = [{} for _ in range(m)]
-        for s in range(len(args)):
-            _op_at(mixed, 1, table,
-                   tuple(unit[x] if r == s else t_col[x] for r, x in enumerate(args)))
-        all_t, mixed = _pairs(all_t), _pairs(mixed)
+        all_t, mixed = _twists(table, args, t_col, m)
+        at_tv = [{} for _ in range(m)]
+        add_product(at_tv, 1, all_t, tv)
+        at_tv = _rows(at_tv)
         inner = [{} for _ in range(m)]
-        add_rows(inner, 1, all_t)
-        add_product(inner, 1, mixed, tv)
-        add_product(inner, len(args) * w, all_t, tv)
+        add_rows(inner, square, all_t)
+        add_product(inner, square, mixed, tv)
+        add_rows(inner, len(args) * lw, at_tv)
         acc = [{} for _ in range(m)]
-        add_product(acc, 1, all_t, tv)
-        add_product(acc, -1, tv, _pairs(inner))
+        add_rows(acc, square, at_tv)
+        add_product(acc, -1, tv, _rows(inner))
         return acc
 
-    return (("rho-module-op", (1,), lambda *args: residual(rho, args)),
-            ("theta-module-op", (1, 1), lambda *args: residual(theta, args)),
-            ("d-module-op (derived)", (2,), lambda *args: residual(dd, args)))
+    return (("rho-module-op", (1,), lambda *args: residual(rho, args), den ** 5),
+            ("theta-module-op", (1, 1), lambda *args: residual(theta, args), den ** 6),
+            ("d-module-op (derived)", (2,), lambda *args: residual(dd, args), den ** 7))
 
 
 def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -347,30 +443,33 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
         rho_T(x)    = rho(Tx)     - T_V (w rho(Tx) + rho(x))
         theta_T(x,y)= theta(Tx,Ty)- T_V (2w theta(Tx,Ty) + theta(Tx,y) + theta(x,Ty))
 
+    Both are X(Tx..) - T_V (k w X(Tx..) + sum_s X(.., x_s, ..)) for the
+    k-linear X = rho or theta, accumulated over the integer read (see
+    :func:`_module_op_identities`) at L^(k+3), and divided once per entry.
     The output keeps the module operator and is re-validated against the
     descendant algebra; a failure there is a bug, not data.
     """
     _require_reynolds_rep(algebra, op, rep)
-    n = algebra.dim
-    w = op.weight
-    tv = rep.module_op
-    t_img = [op.matrix.apply(algebra.basis(i)) for i in range(n)]
+    n, m = algebra.dim, rep.module_dim
+    den, _, rho, theta = _integer_read(rep, (), op)
+    t_col, tv, lw = _operator_read(op, rep, den)
+    square = den * den
 
-    rho_t = []
-    for x in range(n):
-        rho_tx = rep.rho_at(t_img[x])
-        rho_t.append(rho_tx - tv @ (rho_tx.scale(w) + rep.rho[x]))
-    theta_t = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            th_txty = rep.theta_at(t_img[x], t_img[y])
-            th_tx_y = rep.theta_at(t_img[x], algebra.basis(y))
-            th_x_ty = rep.theta_at(algebra.basis(x), t_img[y])
-            row.append(th_txty - tv @ (th_txty.scale(2 * w) + th_tx_y + th_x_ty))
-        theta_t.append(tuple(row))
+    def induced(table, args, scale):
+        all_t, mixed = _twists(table, args, t_col, m)
+        inner = [{} for _ in range(m)]
+        add_rows(inner, len(args) * lw, all_t)
+        add_rows(inner, square, mixed)
+        acc = [{} for _ in range(m)]
+        add_rows(acc, square, all_t)
+        add_product(acc, -1, tv, _rows(inner))
+        return _matrix(_rows(acc), scale, m)
 
-    out = Representation(n, rep.module_dim, tuple(rho_t), tuple(theta_t), tv)
+    rho_t = tuple(induced(rho, (x,), den ** 4) for x in range(n))
+    theta_t = tuple(tuple(induced(theta, (x, y), den ** 5) for y in range(n))
+                    for x in range(n))
+
+    out = Representation(n, m, rho_t, theta_t, rep.module_op)
     descendant = descendant_algebra(algebra, op)
     base = verify_rep(descendant, out)
     if not base.ok:

@@ -175,34 +175,41 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
         [x,y]_T   = [Tx,y] + [x,Ty] + w [Tx,Ty]
         {x,y,z}_T = {x,Ty,Tz} + {Tx,y,Tz} + {Tx,Ty,z} + 2w {Tx,Ty,Tz}
 
-    The construction re-validates everything it is supposed to satisfy:
-    the result is again a Lie-Yamaguti algebra, T is again a Reynolds
-    operator of the same weight on it, and T: L_T -> L is a morphism of
-    both brackets.  A failure of any of these is an internal bug, not data.
+    The brackets are accumulated over integer tables: the structure
+    constants, the columns of T and the weight are read over their common
+    denominator L, the binary bracket is brought to L^4 and the ternary one
+    to L^5 (the scale of their weighted terms), and each entry is divided
+    back once.  The construction re-validates everything it is supposed to
+    satisfy: the result is again a Lie-Yamaguti algebra, T is again a
+    Reynolds operator of the same weight on it, and T: L_T -> L is a
+    morphism of both brackets.  A failure of any of these is an internal
+    bug, not data.
     """
     _require_reynolds(algebra, op)
     n = algebra.dim
-    w = op.weight
     T = op.matrix
-    b = sparse_table(algebra.binary, 2)
-    t = sparse_table(algebra.ternary, 3)
-    t_col = T.transpose().sparse
+    den = lcm(common_denominator(algebra.binary, 2), common_denominator(algebra.ternary, 3),
+              *(v.denominator for row in T.sparse for _, v in row), op.weight.denominator)
+    square, lw = den * den, (op.weight * den).numerator
+    b = integer_table(algebra.binary, 2, den)
+    t = integer_table(algebra.ternary, 3, den)
+    t_col = integer_rows(T.transpose().sparse, den)
     unit = [((x, 1),) for x in range(n)]
 
     def binary_at(i, j):
         acc = {}
-        contract(acc, 1, b, (t_col[i], unit[j]))
-        contract(acc, 1, b[i], (t_col[j],))
-        contract(acc, w, b, (t_col[i], t_col[j]))
-        return dense_vector(acc, n)
+        contract(acc, square, b, (t_col[i], unit[j]))
+        contract(acc, square, b[i], (t_col[j],))
+        contract(acc, lw, b, (t_col[i], t_col[j]))
+        return dense_vector(acc, n, square * square)
 
     def ternary_at(i, j, k):
         acc = {}
-        contract(acc, 1, t[i], (t_col[j], t_col[k]))
-        contract(acc, 1, t, (t_col[i], unit[j], t_col[k]))
-        contract(acc, 1, t, (t_col[i], t_col[j], unit[k]))
-        contract(acc, 2 * w, t, (t_col[i], t_col[j], t_col[k]))
-        return dense_vector(acc, n)
+        contract(acc, square, t[i], (t_col[j], t_col[k]))
+        contract(acc, square, t, (t_col[i], unit[j], t_col[k]))
+        contract(acc, square, t, (t_col[i], t_col[j], unit[k]))
+        contract(acc, 2 * lw, t, (t_col[i], t_col[j], t_col[k]))
+        return dense_vector(acc, n, square * square * den)
 
     binary = tuple(tuple(binary_at(i, j) for j in range(n)) for i in range(n))
     ternary = tuple(

@@ -17,6 +17,10 @@ sparse ones against.
   ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
   verifiers and the transport written with dense vectors and whole-matrix
   sums and products.
+* ``d_table_dense``, ``induced_rep_dense`` and ``descendant_algebra_dense``
+  build the derived pair map, the induced representation and the
+  descendant brackets from whole-matrix sums and products and dense
+  vectors.
 * ``antisymmetry_failure_scan`` compares every entry with the negation of
   its swapped partner on every basis tuple, for entries of any type.
 * ``base_data_by_solves``, ``extract_rep_by_solves`` and
@@ -24,7 +28,9 @@ sparse ones against.
   solving for the module coordinates of each vector (``module_coords``), and
   ``assemble_extension_by_cases`` fills in the total structure cell by cell.
 
-The sparse builders must give exactly the same matrices, the sparse
+The sparse builders must give exactly the same matrices (the integer
+builders of the representation layer the same D, induced maps and
+descendant brackets), the sparse
 elimination exactly the same reduced rows and pivots, and the sparse
 identity kernel exactly the same reports and transported series; the block
 readers and the sparse assembly must agree with the extension oracles.
@@ -72,7 +78,7 @@ from lyreynolds.linalg import (
     zero_vector,
 )
 from lyreynolds.reporting import AxiomReport, Check, OrderReport, first_failure
-from lyreynolds.representation import Representation, d_table, induced_rep
+from lyreynolds.representation import Representation, induced_rep
 from lyreynolds.reynolds import ReynoldsOperator, _compositions, descendant_algebra
 
 
@@ -99,7 +105,7 @@ def delta_by_values(algebra, rep, c):
     n, m = algebra.dim, rep.module_dim
     pairs = wedge_pairs(n)
     w = len(pairs)
-    dd = d_table(algebra, rep)
+    dd = d_table_dense(algebra, rep)
     rho, theta = rep.rho, rep.theta
     b, t = algebra.binary, algebra.ternary
     cf, cg = c.f, c.g
@@ -532,6 +538,69 @@ def derivation_check_dense(algebra, dm):
                          ((2, binary), (3, ternary)), n)
 
 
+def d_table_dense(algebra, rep):
+    """Every D(e_i, e_j) from whole-matrix sums and products:
+
+        D(x,y) = theta(y,x) - theta(x,y) - rho([x,y]) + rho(x)rho(y) - rho(y)rho(x)
+    """
+    n = algebra.dim
+    return tuple(
+        tuple(rep.theta[j][i] - rep.theta[i][j] - rep.rho_at(algebra.binary[i][j])
+              + rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i] for j in range(n))
+        for i in range(n))
+
+
+def induced_rep_dense(algebra, op, rep):
+    """rho_T and theta_T of the induced representation from rho_at,
+    theta_at and whole-matrix products, not re-validated."""
+    n = algebra.dim
+    w = op.weight
+    tv = rep.module_op
+    t_img = [op.matrix.apply(algebra.basis(i)) for i in range(n)]
+    rho_t = []
+    for x in range(n):
+        rho_tx = rep.rho_at(t_img[x])
+        rho_t.append(rho_tx - tv @ (rho_tx.scale(w) + rep.rho[x]))
+    theta_t = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            th_txty = rep.theta_at(t_img[x], t_img[y])
+            th_tx_y = rep.theta_at(t_img[x], algebra.basis(y))
+            th_x_ty = rep.theta_at(algebra.basis(x), t_img[y])
+            row.append(th_txty - tv @ (th_txty.scale(2 * w) + th_tx_y + th_x_ty))
+        theta_t.append(tuple(row))
+    return Representation(n, rep.module_dim, tuple(rho_t), tuple(theta_t), tv)
+
+
+def descendant_algebra_dense(algebra, op):
+    """The descendant brackets from dense images of T, not re-validated:
+
+        [x,y]_T   = [Tx,y] + [x,Ty] + w [Tx,Ty]
+        {x,y,z}_T = {x,Ty,Tz} + {Tx,y,Tz} + {Tx,Ty,z} + 2w {Tx,Ty,Tz}
+    """
+    n = algebra.dim
+    w = op.weight
+    b, t = algebra.binary, algebra.ternary
+    e = [algebra.basis(i) for i in range(n)]
+    te = [op.matrix.apply(e[i]) for i in range(n)]
+
+    def binary_at(i, j):
+        acc = vec_add(apply_binary(b, te[i], e[j]), apply_binary(b, e[i], te[j]))
+        return vec_add(acc, vec_scale(w, apply_binary(b, te[i], te[j])))
+
+    def ternary_at(i, j, k):
+        acc = vec_add(apply_ternary(t, e[i], te[j], te[k]),
+                      apply_ternary(t, te[i], e[j], te[k]))
+        acc = vec_add(acc, apply_ternary(t, te[i], te[j], e[k]))
+        return vec_add(acc, vec_scale(2 * w, apply_ternary(t, te[i], te[j], te[k])))
+
+    binary = tuple(tuple(binary_at(i, j) for j in range(n)) for i in range(n))
+    ternary = tuple(tuple(tuple(ternary_at(i, j, k) for k in range(n)) for j in range(n))
+                    for i in range(n))
+    return LyAlgebra(n, binary, ternary, algebra.labels)
+
+
 def _d_at(dd, x, y, zero):
     """D of a general pair, by bilinearity, from the table ``dd``."""
     return lincomb(x, [lincomb(y, row, zero) for row in dd], zero)
@@ -551,7 +620,7 @@ def verify_rep_dense(algebra, rep):
         raise DimMismatch("representation is over a different algebra dimension")
     rho, theta = rep.rho, rep.theta
     t = algebra.ternary
-    dd = d_table(algebra, rep)
+    dd = d_table_dense(algebra, rep)
     zero = Matrix.zero(rep.module_dim, rep.module_dim)
     # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
     # that linearity in the first slot is a lincomb over a column
@@ -637,7 +706,7 @@ def verify_reynolds_rep_dense(algebra, op, rep):
                       Matrix.is_zero)]
 
     if all(c.passed for c in checks):
-        dd = d_table(algebra, rep)
+        dd = d_table_dense(algebra, rep)
         zero = Matrix.zero(rep.module_dim, rep.module_dim)
         for x, y in product(range(n), repeat=2):
             d_txty = _d_at(dd, t_img[x], t_img[y], zero)
@@ -802,7 +871,7 @@ def assemble_extension_by_cases(algebra, op, rep, cocycle):
     which of its slots lie in L and which in V."""
     n, m = algebra.dim, rep.module_dim
     total = n + m
-    dd = d_table(algebra, rep)
+    dd = d_table_dense(algebra, rep)
     zl = zero_vector(n)
     zv = zero_vector(m)
 

@@ -228,8 +228,9 @@ def named_identities(rng, algebra, op, rep, dm, order: int):
                                _derivation_identities(algebra, dm))):
         for name, (shape, fn, _den) in zip(names, identities):
             yield name, shape, fn
-    yield from _rep_identities(algebra, rep)
-    yield from _module_op_identities(algebra, op, rep)
+    for name, shape, fn, _den in (*_rep_identities(algebra, rep),
+                                  *_module_op_identities(algebra, op, rep)):
+        yield name, shape, fn
 
 
 def normal(residual):
