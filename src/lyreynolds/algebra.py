@@ -28,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     _ZERO,
+    Matrix,
     Vector,
     add_scaled,
     unit_vector,
@@ -42,27 +43,27 @@ BinaryTensor = tuple  # t[i][j] is a Vector of length dim
 TernaryTensor = tuple  # t[i][j][k] is a Vector of length dim
 
 
-def _freeze(data, dim: int, depth: int, width: int | None = None):
+def _freeze(data, dim: int, depth: int, width: int | None = None,
+            wrong_width=DimMismatch):
     """``data`` as nested tuples of Fractions: ``depth`` levels of basis
-    indices (2 for a binary tensor, 3 for a ternary one) above entries that
-    must be vectors of length ``width`` (``dim`` by default).  Entries that
-    are Fractions already are kept as they are; only the others are
-    converted."""
+    indices (2 for a binary tensor, 3 for a ternary one), each of length
+    ``dim`` (DimMismatch otherwise), above entries that must be vectors of
+    length ``width``, ``dim`` by default (``wrong_width`` otherwise).
+    Entries that are Fractions already are kept as they are; only the
+    others are converted."""
     width = dim if width is None else width
+    kind = ("binary", "ternary")[depth - 2]
     def frozen(node, level):
         if level == depth:
+            if len(node) != width:
+                raise wrong_width(f"{kind} tensor entry of length {len(node)}, not {width}")
             return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in node)
-        return tuple(frozen(node[i], level + 1) for i in range(dim))
-
-    out = frozen(data, 0)
-    for idx in product(range(dim), repeat=depth):
-        entry = out
-        for i in idx:
-            entry = entry[i]
-        if len(entry) != width:
+        if len(node) != dim:
             raise DimMismatch(
-                f"{('binary', 'ternary')[depth - 2]} tensor entry of wrong length")
-    return out
+                f"{kind} tensor index level {level + 1} of length {len(node)}, not {dim}")
+        return tuple(frozen(x, level + 1) for x in node)
+
+    return frozen(data, 0)
 
 
 def _antisymmetry_failure(tensor, dim: int, depth: int):
@@ -201,16 +202,6 @@ def apply_ternary(tensor: TernaryTensor, x, y, z) -> Vector:
     return tuple(out)
 
 
-def sparse_table(tensor, depth: int):
-    """The nonzero entries of a structure tensor, read once: the same
-    nesting over ``depth`` basis indices (2 for a binary tensor, 3 for a
-    ternary one, 1 for a matrix given by its columns), each leaf a tuple of
-    ``(index, value)`` pairs.  Depth 0 reads a single vector."""
-    if depth == 0:
-        return tuple((k, v) for k, v in enumerate(tensor) if v)
-    return tuple(sparse_table(node, depth - 1) for node in tensor)
-
-
 def common_denominator(data, depth: int) -> int:
     """The least common multiple of the denominators of every entry of
     ``data``, nested ``depth`` levels above its vectors."""
@@ -220,9 +211,10 @@ def common_denominator(data, depth: int) -> int:
 
 
 def integer_table(tensor, depth: int, den: int):
-    """:func:`sparse_table` of den * tensor, where ``den`` clears every
-    denominator: the leaves hold ints, whose arithmetic costs a fraction of
-    Fraction's."""
+    """den * tensor as a sparse table: the same nesting over ``depth`` basis
+    indices, each leaf the ``(index, value)`` pairs of a vector's nonzero
+    coordinates.  ``den`` clears every denominator, so the leaves hold ints,
+    whose arithmetic costs a fraction of Fraction's."""
     if depth == 0:
         return tuple((k, v.numerator * (den // v.denominator))
                      for k, v in enumerate(tensor) if v)
@@ -237,22 +229,48 @@ def integer_rows(rows, den: int):
                  for row in rows)
 
 
-def slot_table(table, depth: int, slot: int):
-    """A sparse table of ``depth`` levels re-nested with argument ``slot``
-    last: fixing every other argument to a basis vector leaves a table of
-    one level, indexed by that slot.  For example
-    ``slot_table(ternary_table, 3, 0)[y][z]`` is the map v -> {v, e_y, e_z}."""
-    dim = len(table)
+def _matrices(node) -> tuple:
+    """The matrices of a nesting of tuples of matrices, in order."""
+    if isinstance(node, Matrix):
+        return (node,)
+    return tuple(chain.from_iterable(map(_matrices, node)))
 
-    def node(idx):
-        if len(idx) == depth:
-            leaf = table
-            for i in idx[:slot] + idx[-1:] + idx[slot:-1]:
-                leaf = leaf[i]
-            return leaf
-        return tuple(node(idx + (i,)) for i in range(dim))
 
-    return node(())
+def _nested_rows(node, den: int):
+    """A nesting of tuples of matrices, each matrix as den times its rows."""
+    if isinstance(node, Matrix):
+        return integer_rows(node.sparse, den)
+    return tuple(_nested_rows(child, den) for child in node)
+
+
+class IntegerRead:
+    """Structure data read once as integers over one common denominator L.
+
+    ``F`` and ``G`` are series of binary and ternary tensors (a single
+    structure is a series of length 1), ``Tt`` a series of maps (operator
+    coefficients, or a derivation), and ``rows`` a nesting of tuples of
+    matrices (a representation's rho, theta and module operator).  L =
+    ``den`` clears every denominator among them and the weight's; then
+    ``f[i]`` and ``g[i]`` are L F_i and L G_i as :func:`integer_table`,
+    ``t_col[i][x]`` is L T_i e_x, ``lw`` is L times the weight, and ``rows``
+    keeps its nesting with each matrix as L times its stored rows.  Each
+    battery and builder brings its terms to one power of L and divides an
+    output entry back once; a deformation is read once for all its orders.
+    """
+
+    __slots__ = ("den", "f", "g", "t_col", "lw", "rows")
+
+    def __init__(self, F=(), G=(), Tt=(), weight=0, rows=()):
+        weight = Fraction(weight)
+        self.den = den = lcm(
+            common_denominator(F, 3), common_denominator(G, 4), weight.denominator,
+            *(v.denominator for mat in (*Tt, *_matrices(rows))
+              for row in mat.sparse for _, v in row))
+        self.f = tuple(integer_table(t, 2, den) for t in F)
+        self.g = tuple(integer_table(t, 3, den) for t in G)
+        self.t_col = tuple(integer_rows(t.transpose().sparse, den) for t in Tt)
+        self.lw = (weight * den).numerator
+        self.rows = _nested_rows(rows, den)
 
 
 def expand(table, c, vecs):
@@ -334,34 +352,31 @@ def _cyclic(triple):
     return ((x, y, z), (z, x, y), (y, z, x))
 
 
-def _ly_identities(F, G, n: int):
+def _ly_identities(read: IntegerRead, n: int):
     """LY1-LY6 at order ``n`` of the coefficient series F_0, F_1, ... (binary
-    tensors) and G_0, G_1, ... (ternary tensors), as ``(shape, residual,
-    den)`` triples (see :func:`_axiom_report`).  A residual maps a basis
-    tuple to den times the order-n coefficient of LHS - RHS, as a
+    tensors) and G_0, G_1, ... (ternary tensors) of ``read``, as ``(shape,
+    residual, den)`` triples (see :func:`_axiom_report`).  A residual maps a
+    basis tuple to den times the order-n coefficient of LHS - RHS, as a
     ``{coordinate: value}`` dict, each product summed over the splittings
     i + (n - i).  LY3-LY6 are antisymmetric within the groups of their
     shape; LY1 and LY2 are not, so theirs is all ones.
 
-    Order 0 of ``((binary,), (ternary,))`` is the undeformed algebra, and a
+    Order 0 of the read of one algebra is its own battery, and a
     deformation's order n is the same identity at higher order, which is why
     the algebra verifier and the deformation verifier share this battery.
     Every product is a :func:`contract` over nonzero structure constants.
     """
-    dim = len(F[0])
-    # every coefficient up to order n times their common denominator L is an
-    # integer; LY1 and LY2 are then L times, and LY3-LY6 L^2 times the
-    # exact residual (the lone G_n term of LY3 is multiplied by L)
-    den = lcm(common_denominator(F[:n + 1], 3), common_denominator(G[:n + 1], 4))
-    f = [integer_table(t, 2, den) for t in F[:n + 1]]
-    g = [integer_table(t, 3, den) for t in G[:n + 1]]
+    # the read is L times every coefficient: LY1 and LY2 are then L times,
+    # and LY3-LY6 L^2 times the exact residual (the lone G_n term of LY3 is
+    # multiplied by L)
+    den, f, g = read.den, read.f, read.g
     # with every other argument a basis vector, a product is one contraction
-    # over the remaining slot: f_first[i][c] is v -> F_i(v, e_c),
-    # g_first[i][y][z] is v -> G_i(v, e_y, e_z), g_second[i][x][z] is
-    # v -> G_i(e_x, v, e_z), and f[i][x], g[i][x][y] index the leading slots
-    f_first = [slot_table(t, 2, 0) for t in f]
-    g_first = [slot_table(t, 3, 0) for t in g]
-    g_second = [slot_table(t, 3, 1) for t in g]
+    # over the remaining slot: g_second[i][x][z] is v -> G_i(e_x, v, e_z),
+    # g[i][x] re-nested.  F_i and G_i are antisymmetric in their first two
+    # slots (LyAlgebra and TruncatedDeformation enforce it), so
+    # v -> F_i(v, e_c) is -f[i][c] and v -> G_i(v, e_y, e_z) is
+    # -g_second[i][y][z]
+    g_second = [tuple(tuple(zip(*plane)) for plane in t) for t in g[:n + 1]]
     splits = [(i, n - i) for i in range(n + 1)]
 
     def summed(*leaves):
@@ -374,7 +389,7 @@ def _ly_identities(F, G, n: int):
         acc = {}
         for (a, b, c) in _cyclic((x, y, z)):
             for i, j in splits:
-                contract(acc, 1, f_first[i][c], (f[j][a][b],))
+                contract(acc, -1, f[i][c], (f[j][a][b],))
             add_scaled(acc, den, g[n][a][b][c])
         return acc
 
@@ -382,14 +397,14 @@ def _ly_identities(F, G, n: int):
         acc = {}
         for (p, q, r) in _cyclic((x, y, z)):
             for i, j in splits:
-                contract(acc, 1, g_first[i][r][a], (f[j][p][q],))
+                contract(acc, -1, g_second[i][r][a], (f[j][p][q],))
         return acc
 
     def derivation_binary(a, b, x, y):
         acc = {}
         for i, j in splits:
             contract(acc, 1, g[i][a][b], (f[j][x][y],))
-            contract(acc, -1, f_first[i][y], (g[j][a][b][x],))
+            contract(acc, 1, f[i][y], (g[j][a][b][x],))
             contract(acc, -1, f[i][x], (g[j][a][b][y],))
         return acc
 
@@ -397,7 +412,7 @@ def _ly_identities(F, G, n: int):
         acc = {}
         for i, j in splits:
             contract(acc, 1, g[i][a][b], (g[j][x][y][z],))
-            contract(acc, -1, g_first[i][y][z], (g[j][a][b][x],))
+            contract(acc, 1, g_second[i][y][z], (g[j][a][b][x],))
             contract(acc, -1, g_second[i][x][z], (g[j][a][b][y],))
             contract(acc, -1, g[i][x][y], (g[j][a][b][z],))
         return acc
@@ -434,9 +449,9 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
     per orbit (see :func:`orbit_tuples`).  Each check reports at most one
     witness: the lexicographically first failing tuple.
     """
+    read = IntegerRead((algebra.binary,), (algebra.ternary,))
     return _axiom_report(("LY1", "LY2", "LY3", "LY4", "LY5", "LY6"),
-                         _ly_identities((algebra.binary,), (algebra.ternary,), 0),
-                         algebra.dim)
+                         _ly_identities(read, 0), algebra.dim)
 
 
 def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
@@ -447,7 +462,8 @@ def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
     are antisymmetric in i, j, so only i < j is visited (see
     :func:`orbit_tuples`)."""
     n = source.dim
-    img = [phi.column(i) for i in range(n)]
+    cols = phi.transpose()
+    img = [cols.row(i) for i in range(n)]
     for i, j in orbit_tuples(n, (2,)):
         if phi.apply(source.binary[i][j]) != apply_binary(target.binary, img[i], img[j]):
             return (i, j)
@@ -465,7 +481,7 @@ def _check_jacobi(binary: BinaryTensor, dim: int):
         raise NotLieAlgebra(f"bracket not antisymmetric at ({i},{j})")
     # Jacobi is LY3 of the algebra with the zero ternary bracket
     check, = _axiom_report(("Jacobi",), _ly_identities(
-        (binary,), (zero_ternary(dim),), 0)[2:3], dim).checks
+        IntegerRead((binary,), (zero_ternary(dim),)), 0)[2:3], dim).checks
     if not check.passed:
         i, j, k = check.witness
         raise NotLieAlgebra(f"Jacobi fails at basis triple ({i},{j},{k}): {check.residual}")

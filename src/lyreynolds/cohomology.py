@@ -213,13 +213,11 @@ def cochain2_from_tensors(alg_dim: int, mod_dim: int, binary_vals, ternary_vals)
     ``mod_dim``; both verified)."""
     n, m = alg_dim, mod_dim
     idx = range(n)
-    if any(len(binary_vals[i][j]) != m or any(len(v) != m for v in ternary_vals[i][j])
-           for i in idx for j in idx):
-        raise ShapeMismatch(f"V-valued entries must have length {m}")
     # raw entries of any type Fraction takes; the antisymmetry check reads
-    # numerators and denominators
-    binary_vals = _freeze(binary_vals, n, 2, m)
-    ternary_vals = _freeze(ternary_vals, n, 3, m)
+    # numerators and denominators.  An index level of the wrong length is a
+    # DimMismatch, a V-valued entry of the wrong length a ShapeMismatch.
+    binary_vals = _freeze(binary_vals, n, 2, m, ShapeMismatch)
+    ternary_vals = _freeze(ternary_vals, n, 3, m, ShapeMismatch)
     bad = _antisymmetry_failure(binary_vals, n, 2)
     if bad is not None:
         i, j = bad
@@ -466,11 +464,12 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
 def _wedge_images(n: int, maps) -> list[list[tuple[int, Fraction]]]:
     """For each wedge pair (i, j), the nonzero wedge coordinates of the sum
     of P e_i ^ Q e_j over the matrix pairs (P, Q) in ``maps``."""
+    cols = [(p.transpose(), q.transpose()) for p, q in maps]
     out = []
     for (i, j) in wedge_pairs(n):
         vec = zero_vector(wedge_dim(n))
-        for p, q in maps:
-            vec = vec_add(vec, wedge_vector(n, p.column(i), q.column(j)))
+        for p, q in cols:
+            vec = vec_add(vec, wedge_vector(n, p.row(i), q.row(j)))
         out.append([(k, v) for k, v in enumerate(vec) if v])
     return out
 

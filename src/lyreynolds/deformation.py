@@ -20,6 +20,7 @@ from itertools import chain
 from math import lcm
 
 from .algebra import (
+    IntegerRead,
     LyAlgebra,
     _antisymmetry_failure,
     _axiom_report,
@@ -182,16 +183,17 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
     over three-part (plus one weighted four-part) and four-part (plus one
     five-part) splittings.  Order 0 is the battery of the undeformed
     verifiers under other names: LY1-LY6 are the six bracket checks, and
-    reynolds-binary/-ternary are operator-binary/-ternary.
+    reynolds-binary/-ternary are operator-binary/-ternary.  The whole series
+    is read once, over one common denominator, for every order.
     """
     _require_base(algebra, op, deformation)
-    F, G, Tt = deformation.F, deformation.G, deformation.Tt
+    read = IntegerRead(deformation.F, deformation.G, deformation.Tt, op.weight)
     names = ("antisymmetry-binary", "antisymmetry-ternary", "cyclic-binary",
              "cyclic-mixed", "derivation-binary", "derivation-ternary",
              "operator-binary", "operator-ternary")
     return OrderReport(tuple(
-        _axiom_report(names, _ly_identities(F, G, n)
-                      + _reynolds_identities(F, G, Tt, op.weight, n), algebra.dim)
+        _axiom_report(names, _ly_identities(read, n) + _reynolds_identities(read, n),
+                      algebra.dim)
         for n in range(deformation.order + 1)))
 
 

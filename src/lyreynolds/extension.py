@@ -216,21 +216,24 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
     dd = d_table(algebra, rep)
     binary, ternary = {}, {}
 
-    def put(entries, idx, vec, offset):
-        for k, c in enumerate(vec):
+    def put(entries, idx, pairs, offset):
+        for k, c in pairs:
             if c:
                 entries[idx + (offset + k,)] = c
 
+    # column a of a block is row a of its transpose, read as nonzero pairs
     for i in range(n):
-        for a in range(m):
-            put(binary, (i, n + a), rep.rho[i].column(a), n)
+        for a, col in enumerate(rep.rho[i].transpose().sparse):
+            put(binary, (i, n + a), col, n)
         for j in range(n):
-            put(binary, (i, j), algebra.binary[i][j] + cocycle.nu[i][j], 0)
-            for a in range(m):
-                put(ternary, (i, j, n + a), dd[i][j].column(a), n)
-                put(ternary, (n + a, i, j), rep.theta[i][j].column(a), n)
+            put(binary, (i, j), enumerate(algebra.binary[i][j] + cocycle.nu[i][j]), 0)
+            for a, col in enumerate(dd[i][j].transpose().sparse):
+                put(ternary, (i, j, n + a), col, n)
+            for a, col in enumerate(rep.theta[i][j].transpose().sparse):
+                put(ternary, (n + a, i, j), col, n)
             for k in range(n):
-                put(ternary, (i, j, k), algebra.ternary[i][j][k] + cocycle.psi[i][j][k], 0)
+                put(ternary, (i, j, k),
+                    enumerate(algebra.ternary[i][j][k] + cocycle.psi[i][j][k]), 0)
 
     zv = zero_vector(m)
     total_op = ReynoldsOperator(Matrix.from_rows(
@@ -306,7 +309,8 @@ def class_representatives(algebra: LyAlgebra, op: ReynoldsOperator,
     """
     d1 = differential_matrix(algebra, op, rep, "rly", 1)
     ker = kernel_basis(differential_matrix(algebra, op, rep, "rly", 2)).vectors
-    stacked = Matrix.from_columns([d1.column(j) for j in range(d1.cols)] + list(ker),
+    d1_cols = d1.transpose()
+    stacked = Matrix.from_columns([d1_cols.row(j) for j in range(d1.cols)] + list(ker),
                                   d1.rows)
     return tuple(ker[p - d1.cols] for p in pivot_columns(stacked) if p >= d1.cols)
 
@@ -322,8 +326,9 @@ def _section_basis(ext: AbelianExtension, section: Section) -> tuple[tuple, tupl
     ones, one slot at a time, and conjugated by C.
     """
     big = ext.total.dim
-    cols = [section.map.column(i) for i in range(ext.base_dim)] + \
-        [ext.inject.column(a) for a in range(ext.module_dim)]
+    lifts, injected = section.map.transpose(), ext.inject.transpose()
+    cols = [lifts.row(i) for i in range(ext.base_dim)] + \
+        [injected.row(a) for a in range(ext.module_dim)]
     basis_change = Matrix.from_columns(cols, big)
     if basis_change == Matrix.identity(big):
         return ext.total.binary, ext.total.ternary, ext.total_op.matrix
@@ -331,8 +336,8 @@ def _section_basis(ext: AbelianExtension, section: Section) -> tuple[tuple, tupl
     idx, zero = range(big), Matrix.zero(big, big)
 
     def conjugated(coeffs, maps):
-        mat = binv @ lincomb(coeffs, maps, zero) @ basis_change
-        return tuple(mat.column(k) for k in idx)
+        mat = (binv @ lincomb(coeffs, maps, zero) @ basis_change).transpose()
+        return tuple(mat.row(k) for k in idx)
 
     ad = [Matrix.from_columns(ext.total.binary[a], big) for a in idx]
     pair = [[Matrix.from_columns(ext.total.ternary[a][b], big) for a in idx] for b in idx]

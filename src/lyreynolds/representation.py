@@ -12,12 +12,15 @@ so there is no consistency obligation between a stored D and the rest
 The module operator carries no weight of its own; verifiers take the weight
 from the algebra operator they are handed.
 
-The verifiers and the builders read the structure constants, rho, theta
-and, when they need them, T, the module operator and the weight once per
-call as integer sparse rows over one common denominator L, and accumulate
-ints: every term of an identity or of a built entry is brought to one
-power of L, and only an output entry (a built matrix, or the residual of a
-failing identity) is divided back, once.
+The verifiers and the builders take one integer read
+(``algebra.IntegerRead``) per call of what they need among the structure
+constants, rho, theta, T, the module operator and the weight, over one
+common denominator L, and accumulate ints: every term of an identity or of
+a built entry is brought to one power of L, and only an output entry (a
+built matrix, or the residual of a failing identity) is divided back, once.
+The induced maps rho_T and theta_T are written once (``_induced``), and the
+module-operator identities are X_T(x..) T_V = T_V X(Tx..) for X = rho,
+theta and D.
 """
 
 from __future__ import annotations
@@ -25,15 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
-from math import lcm
+from itertools import combinations
 
 from .algebra import (
+    IntegerRead,
     LyAlgebra,
-    common_denominator,
     expand,
-    integer_rows,
-    integer_table,
     orbit_tuples,
 )
 from .errors import (
@@ -132,36 +132,11 @@ def _matrix(rows, den: int, cols: int) -> Matrix:
         tuple(sorted((k, Fraction(v, den)) for k, v in row)) for row in rows))
 
 
-def _integer_read(rep: Representation, tensors=(), op=None):
-    """rho, theta and each ``(tensor, depth)`` of ``tensors`` (structure
-    constants, see algebra.integer_table) read once as integer sparse tables
-    over their common denominator L, with the denominators of T, the module
-    operator and the weight of ``op`` folded into L when it is given:
-    ``(L, tables, rho, theta)``, each table L times the exact one and rho
-    and theta as stored rows."""
-    mats = [*rep.rho, *chain.from_iterable(rep.theta)]
-    if op is not None:
-        mats += (op.matrix, rep.module_op)
-    den = lcm(*(common_denominator(t, depth) for t, depth in tensors),
-              *(v.denominator for mat in mats for row in mat.sparse for _, v in row),
-              1 if op is None else op.weight.denominator)
-    return (den, tuple(integer_table(t, depth, den) for t, depth in tensors),
-            tuple(integer_rows(r.sparse, den) for r in rep.rho),
-            tuple(tuple(integer_rows(x.sparse, den) for x in row) for row in rep.theta))
-
-
-def _operator_read(op: ReynoldsOperator, rep: Representation, den: int):
-    """``(t_col, tv, lw)``: the columns T e_x of the algebra operator and the
-    rows of the module operator, each times ``den``, and den times the
-    weight.  ``den`` must clear all their denominators."""
-    return (integer_rows(op.matrix.transpose().sparse, den),
-            integer_rows(rep.module_op.sparse, den), (op.weight * den).numerator)
-
-
-def _integer_d(den: int, f, rho, theta, m: int):
-    """L^2 D(e_i, e_j) as stored rows, for L = ``den`` and the integer read
-    of :func:`_integer_read`.  D is antisymmetric (the bracket is), so only
-    i < j is computed."""
+def _integer_d(read: IntegerRead, m: int):
+    """L^2 D(e_i, e_j) as stored rows, from the read of the binary structure
+    constants and of rho and theta (its first two ``rows``) over L.  D is
+    antisymmetric (the bracket is), so only i < j is computed."""
+    den, f, (rho, theta, *_) = read.den, read.f[0], read.rows
     n = len(rho)
     zero = ((),) * m
     out = [[zero] * n for _ in range(n)]
@@ -183,10 +158,10 @@ def d_table(algebra: LyAlgebra, rep: Representation):
     integer read."""
     if rep.algebra_dim != algebra.dim:
         raise DimMismatch("representation is over a different algebra dimension")
-    den, (f,), rho, theta = _integer_read(rep, ((algebra.binary, 2),))
+    read = IntegerRead((algebra.binary,), rows=(rep.rho, rep.theta))
     m = rep.module_dim
-    return tuple(tuple(_matrix(rows, den * den, m) for rows in row)
-                 for row in _integer_d(den, f, rho, theta, m))
+    return tuple(tuple(_matrix(rows, read.den ** 2, m) for rows in row)
+                 for row in _integer_d(read, m))
 
 
 def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
@@ -197,23 +172,23 @@ def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
     return d_table(algebra, rep)[i][j]
 
 
-def _rep_identities(algebra: LyAlgebra, rep: Representation):
+def _rep_identities(read: IntegerRead, m: int):
     """The five representation identities, then the two derived ones (the
     cyclic D identity and the D-D compatibility), as ``(name, shape,
     residual, den)`` quadruples: a residual maps a basis tuple to den times
     the operator on V of LHS - RHS, as one {column: int} dict per row, and
     is antisymmetric within the groups of its shape (see
-    algebra.orbit_tuples).
+    algebra.orbit_tuples).  ``read`` holds the structure constants and the
+    rows of rho and theta on the module of dimension ``m``.
 
     With L the common denominator of the integer read, rho, theta and the
     structure constants are L times the exact ones and D is L^2 times, so a
     product of two of the first is at L^2 and one with D at L^3.  Each
     identity is brought to the power of L of its highest term: the terms
     one power short are multiplied by L."""
-    n, m = algebra.dim, rep.module_dim
-    den, (f, g), rho, theta = _integer_read(
-        rep, ((algebra.binary, 2), (algebra.ternary, 3)))
-    dd = _integer_d(den, f, rho, theta, m)
+    den, f, g, (rho, theta) = read.den, read.f[0], read.g[0], read.rows
+    n = len(rho)
+    dd = _integer_d(read, m)
     # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
     # that linearity in the first slot is a sum over a column
     theta_col = [[theta[k][a] for k in range(n)] for a in range(n)]
@@ -317,62 +292,68 @@ def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
     n = algebra.dim
     if rep.algebra_dim != n:
         raise DimMismatch("representation is over a different algebra dimension")
-    *identities, cyclic, compat = _rep_identities(algebra, rep)
+    *identities, cyclic, compat = _rep_identities(IntegerRead(
+        (algebra.binary,), (algebra.ternary,), rows=(rep.rho, rep.theta)), rep.module_dim)
     return _operator_report(n, rep.module_dim, identities,
                    ((cyclic, "derived cyclic D identity"),
                     (compat, "derived D-D compatibility")),
                    "the representation identities")
 
 
-def _twists(table, args, t_col, m: int):
-    """For the k-linear map X into operators on V given by ``table`` and k
-    basis indices ``args``: X(Tx_1, .., Tx_k), and the sum over s of X with
-    T on every argument but the s-th, as ``(column, entry)`` pairs per row."""
+def _op_read(binary, op: ReynoldsOperator, rep: Representation) -> IntegerRead:
+    """The integer read of T, the weight, rho, theta and the module operator,
+    with the series ``binary`` of binary structure constants (or none)."""
+    return IntegerRead(binary, (), (op.matrix,), op.weight,
+                       (rep.rho, rep.theta, rep.module_op))
+
+
+def _induced(read: IntegerRead, table, args, m: int):
+    """The induced map X_T(x_1..x_k) = X(Tx..) - T_V (k w X(Tx..) + sum_s
+    X(.., x_s, ..)) of the k-linear map X into operators on V given by
+    ``table`` at the basis indices ``args``, where the s-th mixed term puts T
+    on every argument but the s-th; and X(Tx..) itself.  Both as stored
+    rows over the read of T, the weight and the module operator (see
+    :func:`_op_read`): for X at L^a, X(Tx..) is at L^(a+k) and X_T at
+    L^(a+k+2)."""
+    t_col, tv, square = read.t_col[0], read.rows[-1], read.den ** 2
     all_t = [{} for _ in range(m)]
     _op_at(all_t, 1, table, tuple(t_col[x] for x in args))
-    mixed = [{} for _ in range(m)]
+    all_t = _rows(all_t)
+    inner = [{} for _ in range(m)]
+    add_rows(inner, len(args) * read.lw, all_t)
     for s in range(len(args)):
-        _op_at(mixed, 1, table,
+        _op_at(inner, square, table,
                tuple(((x, 1),) if r == s else t_col[x] for r, x in enumerate(args)))
-    return _rows(all_t), _rows(mixed)
+    acc = [{} for _ in range(m)]
+    add_rows(acc, square, all_t)
+    add_product(acc, -1, tv, _rows(inner))
+    return _rows(acc), all_t
 
 
-def _module_op_identities(algebra: LyAlgebra, op: ReynoldsOperator,
-                          rep: Representation):
+def _module_op_identities(read: IntegerRead, m: int):
     """The rho and theta module-operator identities, then the derived one
     for D, as ``(name, shape, residual, den)`` quadruples (see
-    :func:`_rep_identities`).  All three have one shape: for a k-linear map
-    X into operators on V (rho, theta or D),
+    :func:`_rep_identities`), over the read of :func:`_op_read` with the
+    binary structure constants.  All three have one shape: for a k-linear
+    map X into operators on V (rho, theta or D) and its induced map X_T
+    (:func:`_induced`), X_T(x..) T_V - T_V X(Tx..).  Only the D residual is
+    antisymmetric, because D is.
 
-        X(Tx..) T_V - T_V (X(Tx..) + sum_s X(.., x_s, ..) T_V + k w X(Tx..) T_V)
-
-    where the s-th mixed term puts T on every argument but the s-th.  Only
-    the D residual is antisymmetric, because D is.
-
-    Over the integer read, X is L^a times the exact map (a = 1 for rho and
-    theta, 2 for D), each T and T_V brings one more L and the weight is
-    read as L w.  The weighted term is then at L^(a+k+3), and every other
-    term is multiplied by L^2 to meet it."""
-    m = rep.module_dim
-    den, (f,), rho, theta = _integer_read(rep, ((algebra.binary, 2),), op)
-    t_col, tv, lw = _operator_read(op, rep, den)
-    dd = _integer_d(den, f, rho, theta, m)
-    square = den * den
+    X is L^a times the exact map (a = 1 for rho and theta, 2 for D), so
+    X_T T_V is at L^(a+k+3) and T_V X(Tx..) is multiplied by L^2 to meet
+    it."""
+    rho, theta, tv = read.rows
+    dd = _integer_d(read, m)
+    square = read.den ** 2
 
     def residual(table, args):
-        all_t, mixed = _twists(table, args, t_col, m)
-        at_tv = [{} for _ in range(m)]
-        add_product(at_tv, 1, all_t, tv)
-        at_tv = _rows(at_tv)
-        inner = [{} for _ in range(m)]
-        add_rows(inner, square, all_t)
-        add_product(inner, square, mixed, tv)
-        add_rows(inner, len(args) * lw, at_tv)
+        x_t, all_t = _induced(read, table, args, m)
         acc = [{} for _ in range(m)]
-        add_rows(acc, square, at_tv)
-        add_product(acc, -1, tv, _rows(inner))
+        add_product(acc, 1, x_t, tv)
+        add_product(acc, -square, tv, all_t)
         return acc
 
+    den = read.den
     return (("rho-module-op", (1,), lambda *args: residual(rho, args), den ** 5),
             ("theta-module-op", (1, 1), lambda *args: residual(theta, args), den ** 6),
             ("d-module-op (derived)", (2,), lambda *args: residual(dd, args), den ** 7))
@@ -391,7 +372,8 @@ def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
         raise MissingModuleOp("representation has no module operator")
     if op.dim != algebra.dim or rep.algebra_dim != algebra.dim:
         raise DimMismatch("dimensions do not line up")
-    *identities, derived = _module_op_identities(algebra, op, rep)
+    *identities, derived = _module_op_identities(
+        _op_read((algebra.binary,), op, rep), rep.module_dim)
     return _operator_report(algebra.dim, rep.module_dim, identities,
                    ((derived, "derived D module-op identity"),),
                    "the rho and theta module-op identities")
@@ -443,31 +425,19 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
         rho_T(x)    = rho(Tx)     - T_V (w rho(Tx) + rho(x))
         theta_T(x,y)= theta(Tx,Ty)- T_V (2w theta(Tx,Ty) + theta(Tx,y) + theta(x,Ty))
 
-    Both are X(Tx..) - T_V (k w X(Tx..) + sum_s X(.., x_s, ..)) for the
-    k-linear X = rho or theta, accumulated over the integer read (see
-    :func:`_module_op_identities`) at L^(k+3), and divided once per entry.
-    The output keeps the module operator and is re-validated against the
-    descendant algebra; a failure there is a bug, not data.
+    Both are :func:`_induced` over the integer read of T, the weight and
+    the module operator, L^4 and L^5 times the exact maps, and divided once
+    per entry.  The output keeps the module operator and is re-validated
+    against the descendant algebra; a failure there is a bug, not data.
     """
     _require_reynolds_rep(algebra, op, rep)
     n, m = algebra.dim, rep.module_dim
-    den, _, rho, theta = _integer_read(rep, (), op)
-    t_col, tv, lw = _operator_read(op, rep, den)
-    square = den * den
-
-    def induced(table, args, scale):
-        all_t, mixed = _twists(table, args, t_col, m)
-        inner = [{} for _ in range(m)]
-        add_rows(inner, len(args) * lw, all_t)
-        add_rows(inner, square, mixed)
-        acc = [{} for _ in range(m)]
-        add_rows(acc, square, all_t)
-        add_product(acc, -1, tv, _rows(inner))
-        return _matrix(_rows(acc), scale, m)
-
-    rho_t = tuple(induced(rho, (x,), den ** 4) for x in range(n))
-    theta_t = tuple(tuple(induced(theta, (x, y), den ** 5) for y in range(n))
-                    for x in range(n))
+    read = _op_read((), op, rep)
+    rho, theta, _tv = read.rows
+    rho_t = tuple(_matrix(_induced(read, rho, (x,), m)[0], read.den ** 4, m)
+                  for x in range(n))
+    theta_t = tuple(tuple(_matrix(_induced(read, theta, (x, y), m)[0], read.den ** 5, m)
+                          for y in range(n)) for x in range(n))
 
     out = Representation(n, m, rho_t, theta_t, rep.module_op)
     descendant = descendant_algebra(algebra, op)

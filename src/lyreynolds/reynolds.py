@@ -7,6 +7,13 @@ A Reynolds operator of weight w is a linear self-map T with
 
 Weight 0 recovers Rota-Baxter operators; the identity map has weight -1.
 Matrices act on coordinate columns: T e_j = sum_i matrix[i, j] e_i.
+
+The terms T is applied to on the right are the descendant brackets
+[x,y]_T and {x,y,z}_T, so one function (``_reynolds_terms``) writes both
+sides of the identities, and the descendant algebra is its right-hand side
+at order 0.  The verifiers, the descendant and the derivation check each
+take one integer read (``algebra.IntegerRead``) of the structure constants,
+the operator and the weight; a deformation is the same battery at order n.
 """
 
 from __future__ import annotations
@@ -14,18 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .algebra import (
+    IntegerRead,
     LyAlgebra,
     _axiom_report,
     _morphism_failure,
-    common_denominator,
     contract,
     dense_vector,
-    integer_rows,
-    integer_table,
-    sparse_table,
     verify_ly_axioms,
 )
 from .errors import (
@@ -67,42 +70,33 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _reynolds_identities(F, G, Tt, w, n: int):
-    """The weighted binary and ternary operator identities at order ``n`` of
-    the series F (binary tensors), G (ternary tensors) and Tt (operator
-    matrices), as ``(shape, residual, den)`` triples (see
-    algebra._axiom_report): both are antisymmetric in their first two slots.
+def _read(algebra: LyAlgebra, op: ReynoldsOperator) -> IntegerRead:
+    """The integer read of an algebra and an operator on it."""
+    return IntegerRead((algebra.binary,), (algebra.ternary,), (op.matrix,), op.weight)
 
-    Each residual is the order-n coefficient of LHS - RHS: the products are
-    summed over three-part (plus one weighted four-part) and four-part (plus
-    one five-part) splittings of n.  Order 0 of ``((binary,), (ternary,),
-    (T,))`` is the undeformed operator.  The images T_k e_x are sparse
-    columns, every product is a :func:`contract` over nonzero structure
-    constants, and each T_i is applied once per residual, to the sum of the
-    terms it acts on.
+
+def _reynolds_terms(read: IntegerRead, n: int):
+    """Both sides of the weighted binary and ternary operator identities at
+    order ``n`` of the series F, G and Tt of ``read``: one function per
+    identity, mapping a basis tuple to ``(lhs, inner)`` with ``lhs`` the
+    order-n coefficient of [Tx, Ty] (of {Tx, Ty, Tz}) and the right-hand
+    side sum_i T_i(inner[i]).  At order 0, ``inner[0]`` is the descendant
+    bracket [x, y]_T (or {x, y, z}_T).  Both are ``{coordinate: value}``
+    dicts.
+
+    The products are summed over three-part (plus one weighted four-part)
+    and four-part (plus one five-part) splittings of n, each a
+    :func:`contract` over nonzero structure constants and the sparse columns
+    T_k e_x.  Each term is brought to one power of L by its coefficient: L^2
+    on the terms with two factors fewer than the weighted one, whose
+    coefficient L w is an integer.  The binary terms are then L^4 and the
+    ternary ones L^5 times the exact ones.
     """
-    dim = len(F[0])
-    # every coefficient up to order n and the weight, times their common
-    # denominator L, is an integer.  Each term is brought to one power of L
-    # by its coefficient: L^2 on the terms with two factors fewer than the
-    # weighted one, whose coefficient L w is an integer.  The binary residual
-    # is then L^5 and the ternary one L^6 times the exact residual.
-    den = lcm(common_denominator(F[:n + 1], 3), common_denominator(G[:n + 1], 4),
-              *(v.denominator for t in Tt[:n + 1] for row in t.sparse for _, v in row),
-              w.denominator)
-    square, lw = den * den, (w * den).numerator
-    f = [integer_table(t, 2, den) for t in F[:n + 1]]
-    g = [integer_table(t, 3, den) for t in G[:n + 1]]
-    # t_col[k][x] = T_k e_x: each T_k as a table of its columns
-    t_col = [integer_rows(t.transpose().sparse, den) for t in Tt[:n + 1]]
+    dim = len(read.f[0])
+    f, g, t_col = read.f, read.g, read.t_col
+    square, lw = read.den ** 2, read.lw
     unit = [((x, 1),) for x in range(dim)]
     comps3, comps4, comps5 = (list(_compositions(n, parts)) for parts in (3, 4, 5))
-
-    def minus_ts(acc, inner):
-        """acc - sum_i T_i(inner[i]): one application of each T_i."""
-        for i, v in enumerate(inner):
-            contract(acc, -1, t_col[i], (v.items(),))
-        return acc
 
     def image(table, vecs):
         out = {}
@@ -113,32 +107,49 @@ def _reynolds_identities(F, G, Tt, w, n: int):
         # F_j(T_k x, T_l y) for every j + k + l <= n, each computed once
         all_t = {(j, k, l): image(f[j], (t_col[k][x], t_col[l][y]))
                  for (_, j, k, l) in comps4}
-        acc = {}
+        lhs = {}
         inner = [{} for _ in range(n + 1)]
         for (i, j, k) in comps3:
-            add_scaled(acc, square, all_t[i, j, k])
+            add_scaled(lhs, square, all_t[i, j, k])
             contract(inner[i], square, f[j], (t_col[k][x], unit[y]))
             contract(inner[i], square, f[j][x], (t_col[k][y],))
         for (i, j, k, l) in comps4:
             add_scaled(inner[i], lw, all_t[j, k, l])
-        return minus_ts(acc, inner)
+        return lhs, inner
 
     def ternary(x, y, z):
         # G_j(T_k x, T_l y, T_m z) for every j + k + l + m <= n, each once
         all_t = {(j, k, l, m): image(g[j], (t_col[k][x], t_col[l][y], t_col[m][z]))
                  for (_, j, k, l, m) in comps5}
-        acc = {}
+        lhs = {}
         inner = [{} for _ in range(n + 1)]
         for (i, j, k, l) in comps4:
-            add_scaled(acc, square, all_t[i, j, k, l])
+            add_scaled(lhs, square, all_t[i, j, k, l])
             contract(inner[i], square, g[j][x], (t_col[k][y], t_col[l][z]))
             contract(inner[i], square, g[j], (t_col[k][x], unit[y], t_col[l][z]))
             contract(inner[i], square, g[j], (t_col[k][x], t_col[l][y], unit[z]))
         for (i, j, k, l, m) in comps5:
             add_scaled(inner[i], 2 * lw, all_t[j, k, l, m])
-        return minus_ts(acc, inner)
+        return lhs, inner
 
-    return (((2,), binary, den ** 5), ((2, 1), ternary, den ** 6))
+    return binary, ternary
+
+
+def _reynolds_identities(read: IntegerRead, n: int):
+    """The weighted binary and ternary operator identities at order ``n`` of
+    the series of ``read``, as ``(shape, residual, den)`` triples (see
+    algebra._axiom_report): both are antisymmetric in their first two slots.
+    A residual is lhs - sum_i T_i(inner[i]) of :func:`_reynolds_terms`, one
+    application of each T_i, at L^5 (binary) or L^6 (ternary)."""
+    binary, ternary = _reynolds_terms(read, n)
+
+    def minus_ts(lhs, inner):
+        for i, v in enumerate(inner):
+            contract(lhs, -1, read.t_col[i], (v.items(),))
+        return lhs
+
+    return (((2,), lambda x, y: minus_ts(*binary(x, y)), read.den ** 5),
+            ((2, 1), lambda x, y, z: minus_ts(*ternary(x, y, z)), read.den ** 6))
 
 
 def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
@@ -148,8 +159,7 @@ def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
     if op.dim != algebra.dim:
         raise DimMismatch("operator side != algebra dim")
     return _axiom_report(("reynolds-binary", "reynolds-ternary"),
-                         _reynolds_identities((algebra.binary,), (algebra.ternary,),
-                                              (op.matrix,), op.weight, 0),
+                         _reynolds_identities(_read(algebra, op), 0),
                          algebra.dim)
 
 
@@ -175,45 +185,24 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
         [x,y]_T   = [Tx,y] + [x,Ty] + w [Tx,Ty]
         {x,y,z}_T = {x,Ty,Tz} + {Tx,y,Tz} + {Tx,Ty,z} + 2w {Tx,Ty,Tz}
 
-    The brackets are accumulated over integer tables: the structure
-    constants, the columns of T and the weight are read over their common
-    denominator L, the binary bracket is brought to L^4 and the ternary one
-    to L^5 (the scale of their weighted terms), and each entry is divided
-    back once.  The construction re-validates everything it is supposed to
-    satisfy: the result is again a Lie-Yamaguti algebra, T is again a
-    Reynolds operator of the same weight on it, and T: L_T -> L is a
-    morphism of both brackets.  A failure of any of these is an internal
-    bug, not data.
+    These are the terms T is applied to in the Reynolds identities, so the
+    brackets are ``inner[0]`` of :func:`_reynolds_terms` at order 0, over
+    the integer read of the structure constants, T and the weight: L^4 and
+    L^5 times the exact brackets, divided back once per entry.  The
+    construction re-validates everything it is supposed to satisfy: the
+    result is again a Lie-Yamaguti algebra, T is again a Reynolds operator
+    of the same weight on it, and T: L_T -> L is a morphism of both
+    brackets.  A failure of any of these is an internal bug, not data.
     """
     _require_reynolds(algebra, op)
     n = algebra.dim
-    T = op.matrix
-    den = lcm(common_denominator(algebra.binary, 2), common_denominator(algebra.ternary, 3),
-              *(v.denominator for row in T.sparse for _, v in row), op.weight.denominator)
-    square, lw = den * den, (op.weight * den).numerator
-    b = integer_table(algebra.binary, 2, den)
-    t = integer_table(algebra.ternary, 3, den)
-    t_col = integer_rows(T.transpose().sparse, den)
-    unit = [((x, 1),) for x in range(n)]
-
-    def binary_at(i, j):
-        acc = {}
-        contract(acc, square, b, (t_col[i], unit[j]))
-        contract(acc, square, b[i], (t_col[j],))
-        contract(acc, lw, b, (t_col[i], t_col[j]))
-        return dense_vector(acc, n, square * square)
-
-    def ternary_at(i, j, k):
-        acc = {}
-        contract(acc, square, t[i], (t_col[j], t_col[k]))
-        contract(acc, square, t, (t_col[i], unit[j], t_col[k]))
-        contract(acc, square, t, (t_col[i], t_col[j], unit[k]))
-        contract(acc, 2 * lw, t, (t_col[i], t_col[j], t_col[k]))
-        return dense_vector(acc, n, square * square * den)
-
-    binary = tuple(tuple(binary_at(i, j) for j in range(n)) for i in range(n))
+    read = _read(algebra, op)
+    binary_terms, ternary_terms = _reynolds_terms(read, 0)
+    binary = tuple(tuple(dense_vector(binary_terms(i, j)[1][0], n, read.den ** 4)
+                         for j in range(n)) for i in range(n))
     ternary = tuple(
-        tuple(tuple(ternary_at(i, j, k) for k in range(n)) for j in range(n))
+        tuple(tuple(dense_vector(ternary_terms(i, j, k)[1][0], n, read.den ** 5)
+                    for k in range(n)) for j in range(n))
         for i in range(n))
 
     descendant = LyAlgebra(n, binary, ternary, algebra.labels)
@@ -225,7 +214,7 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     if not again.ok:
         raise InternalInconsistency(
             "operator is not Reynolds on its own descendant:\n" + again.describe())
-    bad = _morphism_failure(T, descendant, algebra)
+    bad = _morphism_failure(op.matrix, descendant, algebra)
     if bad is not None:
         kind = "binary" if len(bad) == 2 else "ternary"
         raise InternalInconsistency(
@@ -233,16 +222,14 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     return descendant
 
 
-def _derivation_identities(algebra: LyAlgebra, dm: Matrix):
-    """The Leibniz rule of dm over the binary and the ternary bracket, as
-    ``(shape, residual, den)`` triples (see algebra._axiom_report): both are
-    antisymmetric in their first two slots."""
-    n = algebra.dim
-    b = sparse_table(algebra.binary, 2)
-    t = sparse_table(algebra.ternary, 3)
-    # d_col[x] = D e_x: D as a table of its columns
-    d_col = dm.transpose().sparse
-    unit = [((x, 1),) for x in range(n)]
+def _derivation_identities(read: IntegerRead):
+    """The Leibniz rule over the binary and the ternary bracket of the map D
+    of ``read`` (its one operator map), as ``(shape, residual, den)``
+    triples (see algebra._axiom_report): both are antisymmetric in their
+    first two slots.  Each term is one structure constant and one D, so
+    both residuals are L^2 times the exact ones."""
+    b, t, d_col = read.f[0], read.g[0], read.t_col[0]
+    unit = [((x, 1),) for x in range(len(b))]
 
     def binary(i, j):
         acc = {}
@@ -259,7 +246,8 @@ def _derivation_identities(algebra: LyAlgebra, dm: Matrix):
         contract(acc, -1, t[i][j], (d_col[k],))
         return acc
 
-    return ((2,), binary, 1), ((2, 1), ternary, 1)
+    square = read.den ** 2
+    return ((2,), binary, square), ((2, 1), ternary, square)
 
 
 def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
@@ -268,7 +256,9 @@ def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
     if dm.rows != algebra.dim or dm.cols != algebra.dim:
         raise DimMismatch("derivation matrix side != algebra dim")
     return _axiom_report(("derivation-binary", "derivation-ternary"),
-                         _derivation_identities(algebra, dm), algebra.dim)
+                         _derivation_identities(IntegerRead(
+                             (algebra.binary,), (algebra.ternary,), (dm,))),
+                         algebra.dim)
 
 
 def reynolds_from_derivation(algebra: LyAlgebra, dm: Matrix, weight) -> ReynoldsOperator:

@@ -379,3 +379,48 @@ def test_morphism_failure_names_first_failing_tuple(ly2):
     ternary_only = LyAlgebra(2, zero_binary(2), ternary_from_sparse(2, {(0, 1, 1, 0): 1}))
     diag = Matrix.from_rows([[1, 0], [0, 2]])
     assert _morphism_failure(diag, ternary_only, ternary_only) == (0, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# every index level of a tensor is checked against the dimension
+
+def nested(shape):
+    """Nested lists of zeros of the given lengths, level by level."""
+    if not shape:
+        return 0
+    return [nested(shape[1:]) for _ in range(shape[0])]
+
+
+def test_an_oversize_binary_table_is_rejected_not_truncated():
+    b = nested((3, 3, 2))
+    b[2][0], b[0][2] = [5, 5], [1, 1]
+    with pytest.raises(DimMismatch, match="index level 1 of length 3, not 2"):
+        LyAlgebra(2, b, zero_ternary(2))
+
+
+def test_an_undersize_binary_table_is_rejected():
+    with pytest.raises(DimMismatch, match="index level 1 of length 2, not 3"):
+        LyAlgebra(3, zero_binary(2), zero_ternary(3))
+
+
+# an index level of each tensor, or an entry, of the wrong length
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 1, 2), (2, 2, 3, 2), (2, 2, 1, 2),
+                                   (2, 3, 2, 2), (2, 1, 2, 2), (2, 2, 3), (2, 2, 1)])
+def test_lyalgebra_checks_every_index_level_and_entry(shape):
+    binary, ternary = zero_binary(2), zero_ternary(2)
+    if len(shape) == 3:
+        binary = nested(shape)
+    else:
+        ternary = nested(shape)
+    with pytest.raises(DimMismatch, match="index level|entry of length"):
+        LyAlgebra(2, binary, ternary)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 1, 2)])
+def test_from_constructors_check_every_index_level(shape):
+    # the dimension is the length of the outer level; an inner one differs
+    for build in (from_lie_algebra, from_leibniz):
+        with pytest.raises(DimMismatch, match="index level 2"):
+            build(nested(shape))
+    with pytest.raises(DimMismatch, match="index level 2"):
+        from_reductive_pair(nested(shape), [0], [1])

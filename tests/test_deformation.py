@@ -352,3 +352,15 @@ def test_apply_equivalence_preserves_validity_on_random_triples():
         iso = FormalIsomorphism.first_order(rand_matrix(rng, algebra.dim, algebra.dim))
         moved = apply_equivalence(deformation, iso)
         assert verify_deformation(algebra, op, moved).ok
+
+
+def test_deformation_coefficients_of_the_wrong_size_are_rejected(ly2, tri_t):
+    f1, g1 = [list(row) for row in zero_binary(2)], [list(row) for row in zero_ternary(2)]
+    zero = (F(0), F(0))
+    # an oversize level was read up to dim and its extra entries dropped; an
+    # undersize one raised IndexError
+    for bad_f, bad_g in ((f1 + [[zero] * 2], g1), (f1[:1], g1),
+                         (f1, [g1[0], g1[1][:1]]),
+                         (f1, [[list(col) + [zero] for col in row] for row in g1])):
+        with pytest.raises(DimMismatch, match="index level"):
+            TruncatedDeformation.first_order(ly2, tri_t, bad_f, bad_g, Matrix.zero(2, 2))

@@ -19,7 +19,7 @@ from lyreynolds.cohomology import (
     unflatten,
     wedge_dim,
 )
-from lyreynolds.errors import DegreeOutOfRange, ShapeMismatch
+from lyreynolds.errors import DegreeOutOfRange, DimMismatch, ShapeMismatch
 from tests.conftest import rand_fraction, rand_matrix
 
 F = Fraction
@@ -132,6 +132,21 @@ def test_entries_of_the_wrong_length_are_rejected():
     long_psi[1][1][0] = [F(0)] * 3  # a diagonal entry, which the coordinates skip
     with pytest.raises(ShapeMismatch):
         cochain2_from_tensors(2, 2, nu, long_psi)
+
+
+def test_index_levels_of_the_wrong_length_are_rejected():
+    nu, psi = antisymmetric_tensors(random.Random(4), 2, 2)
+    zero = [F(0)] * 2
+    # an oversize level was read up to dim and its extra entries dropped; an
+    # undersize one raised IndexError
+    wide_nu = [row + [zero] for row in nu] + [[zero] * 3]
+    short_psi = [row[:] for row in psi]
+    short_psi[1] = short_psi[1][:1]
+    wide_psi = [[col + [zero] for col in row] for row in psi]
+    for bad_nu, bad_psi in ((wide_nu, psi), ([nu[0]], psi), (nu, short_psi),
+                            (nu, wide_psi)):
+        with pytest.raises(DimMismatch, match="index level"):
+            cochain2_from_tensors(2, 2, bad_nu, bad_psi)
 
 
 def test_extension_cocycle_builds_its_cone_cochain_once(monkeypatch):

@@ -48,13 +48,13 @@ from lyreynolds import (
     verify_reynolds_rep,
 )
 from lyreynolds.algebra import (
+    IntegerRead,
     apply_binary,
     binary_from_sparse,
     common_denominator,
     contract,
     dense_vector,
     integer_table,
-    sparse_table,
     ternary_from_sparse,
     zero_binary,
     zero_ternary,
@@ -76,6 +76,15 @@ def outcome(fn, *args):
 
 # ---------------------------------------------------------------------------
 # the kernel
+
+def sparse_table(tensor, depth: int):
+    """The nonzero entries of a tensor with ``depth`` levels of basis
+    indices above its vectors, as nested tuples of ``(index, value)``
+    leaves: the table format :func:`contract` reads."""
+    if depth == 0:
+        return tuple((k, v) for k, v in enumerate(tensor) if v)
+    return tuple(sparse_table(node, depth - 1) for node in tensor)
+
 
 def test_contract_is_the_dense_multilinear_map():
     rng = random.Random(3)
@@ -212,21 +221,23 @@ def test_reynolds_from_derivation_verifies_across_the_catalogue(pair, weight):
 # ---------------------------------------------------------------------------
 # deformations: the battery at higher order, and the transport
 
-def random_deformation(rng, algebra, op, order: int, den: int = 1) -> TruncatedDeformation:
+def random_deformation(rng, algebra, op, order: int, den=1) -> TruncatedDeformation:
     """Random antisymmetric higher coefficients over a valid base; sparse, so
-    that some orders pass.  Every higher coefficient is divided by ``den``."""
+    that some orders pass.  Every higher coefficient is divided by ``den``,
+    or the order-k ones by ``den[k - 1]`` when it is a tuple."""
     n = algebra.dim
+    dens = den if isinstance(den, tuple) else (den,) * order
 
-    def sparse_entries(arity):
+    def sparse_entries(arity, den):
         if n < 2 or rng.random() < 0.3:
             return {}
         return {(*sorted(rng.sample(range(n), 2)), *(rng.randrange(n) for _ in range(arity - 2))):
                 rand_fraction(rng, nonzero=True) / den for _ in range(rng.randint(1, 2))}
 
     fs, gs, ts = [algebra.binary], [algebra.ternary], [op.matrix]
-    for _ in range(order):
-        fs.append(binary_from_sparse(n, sparse_entries(3)) if n > 1 else zero_binary(n))
-        gs.append(ternary_from_sparse(n, sparse_entries(4)) if n > 1 else zero_ternary(n))
+    for den in dens:
+        fs.append(binary_from_sparse(n, sparse_entries(3, den)) if n > 1 else zero_binary(n))
+        gs.append(ternary_from_sparse(n, sparse_entries(4, den)) if n > 1 else zero_ternary(n))
         ts.append(rand_matrix(rng, n, n).scale(Fraction(1, den)) if rng.random() < 0.5
                   else Matrix.zero(n, n))
     return TruncatedDeformation(order, tuple(fs), tuple(gs), tuple(ts))
@@ -268,6 +279,45 @@ def test_deformation_battery_matches_dense_oracle():
     for name in ("cyclic-binary", "cyclic-mixed", "derivation-binary",
                  "derivation-ternary", "operator-binary", "operator-ternary"):
         assert failed[True, name] >= 5, name
+    # orders 1, 2 and 3 over 1/7, 1/11 and 1/13: the one read of the series
+    # is over a multiple of all three, so the order-n identities run at a
+    # power of an L that differs from the one of orders 0..n alone.  Bases
+    # from random_structures mostly fail at order 0, valid ones at order 1.
+    bases = random_structures(rng, 10) + [t[:2] for t in random_valid_triples(rng, 10)]
+    first_failure, wider = Counter(), 0
+    for algebra, op in bases:
+        deformation = random_deformation(rng, algebra, op, 3, den=(7, 11, 13))
+        d = deformation
+
+        def read_to(n):
+            return IntegerRead(d.F[:n + 1], d.G[:n + 1], d.Tt[:n + 1], op.weight)
+
+        whole = read_to(3).den
+        wider += all(whole != read_to(n).den for n in range(3))
+        report = verify_deformation(algebra, op, deformation)
+        oracle = verify_deformation_dense(algebra, op, deformation)
+        assert report == oracle
+        assert report.to_json() == oracle.to_json()
+        first_failure[next((n for n, r in enumerate(report.orders) if not r.ok), None)] += 1
+    assert wider >= 10, wider
+    assert first_failure[0] >= 5 and first_failure[1] >= 5, first_failure
+
+
+def test_verify_deformation_reads_the_series_once(monkeypatch, sl2):
+    reads = Counter()
+    original = IntegerRead.__init__
+
+    def counted(self, *args, **kwargs):
+        reads["IntegerRead"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntegerRead, "__init__", counted)
+    rng = random.Random(23)
+    op = sl2_scalar_op()
+    deformation = random_deformation(rng, sl2, op, 3, den=(7, 11, 13))
+    report = verify_deformation(sl2, op, deformation)
+    assert len(report.orders) == 4
+    assert reads == {"IntegerRead": 1}
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

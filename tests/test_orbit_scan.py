@@ -40,6 +40,7 @@ from lyreynolds import (
     verify_reynolds_rep,
 )
 from lyreynolds.algebra import (
+    IntegerRead,
     _ly_identities,
     binary_from_sparse,
     orbit_tuples,
@@ -47,7 +48,7 @@ from lyreynolds.algebra import (
 )
 from lyreynolds.errors import InternalInconsistency, InvalidInput
 from lyreynolds.extension import to_block_form
-from lyreynolds.representation import _module_op_identities, _rep_identities
+from lyreynolds.representation import _module_op_identities, _op_read, _rep_identities
 from lyreynolds.reynolds import _derivation_identities, _reynolds_identities
 
 F = Fraction
@@ -220,16 +221,19 @@ def named_identities(rng, algebra, op, rep, dm, order: int):
     residual) triples; the bracket and operator identities at ``order``,
     0 to 3, of a random order-3 deformation of (algebra, op)."""
     d = random_deformation(rng, algebra, op, 3)
-    w = op.weight
-    for names, identities in ((LY_NAMES, _ly_identities(d.F, d.G, order)),
+    read = IntegerRead(d.F, d.G, d.Tt, op.weight)
+    base = ((algebra.binary,), (algebra.ternary,))
+    m = rep.module_dim
+    for names, identities in ((LY_NAMES, _ly_identities(read, order)),
                               (("reynolds-binary", "reynolds-ternary"),
-                               _reynolds_identities(d.F, d.G, d.Tt, w, order)),
+                               _reynolds_identities(read, order)),
                               (("derivation-binary", "derivation-ternary"),
-                               _derivation_identities(algebra, dm))):
+                               _derivation_identities(IntegerRead(*base, (dm,))))):
         for name, (shape, fn, _den) in zip(names, identities):
             yield name, shape, fn
-    for name, shape, fn, _den in (*_rep_identities(algebra, rep),
-                                  *_module_op_identities(algebra, op, rep)):
+    for name, shape, fn, _den in (
+            *_rep_identities(IntegerRead(*base, rows=(rep.rho, rep.theta)), m),
+            *_module_op_identities(_op_read(base[0], op, rep), m)):
         yield name, shape, fn
 
 
