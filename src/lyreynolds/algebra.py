@@ -31,6 +31,7 @@ from .linalg import (
     Matrix,
     Vector,
     add_scaled,
+    from_cells,
     unit_vector,
     vec_add,
     vec_scale,
@@ -136,13 +137,7 @@ def _from_sparse(dim: int, entries, arity: int):
                     f"inconsistent antisymmetric pair at {key}: "
                     f"{cells[key]} vs {val}")
             cells[key] = val
-
-    def dense(prefix):
-        if len(prefix) == arity:
-            return cells.get(prefix, _ZERO)
-        return tuple(dense(prefix + (t,)) for t in range(dim))
-
-    return dense(())
+    return from_cells(cells, (dim,) * arity)
 
 
 def binary_from_sparse(dim: int, entries) -> BinaryTensor:

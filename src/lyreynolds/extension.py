@@ -359,19 +359,22 @@ def _block(mat: Matrix, rows, cols) -> Matrix:
     return Matrix.from_rows([[mat[i, j] for j in cols] for i in rows], len(cols))
 
 
-def base_data(ext: AbelianExtension, section: Section | None = None
+def base_data(ext: AbelianExtension, section: Section | None = None, read=None
               ) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
     """Recover (L, T, T_V) from an extension.
 
     In the basis of a section, the base brackets and T are the base parts of
     the base blocks (independent of the section because the kernel is an
     ideal), and T_V is the module block of T_hat, whose base part must
-    vanish for the module to be operator-stable.
+    vanish for the module to be operator-stable.  ``read``, when given, is
+    the :func:`_section_basis` of ``section``, already checked.
     """
-    if section is None:
-        section = ext.canonical_section()
-    ext.check_section(section)
-    binary, ternary, op = _section_basis(ext, section)
+    if read is None:
+        if section is None:
+            section = ext.canonical_section()
+        ext.check_section(section)
+        read = _section_basis(ext, section)
+    binary, ternary, op = read
     n = ext.base_dim
     base, module = range(n), range(n, ext.total.dim)
     if not _block(op, base, module).is_zero():
@@ -382,12 +385,16 @@ def base_data(ext: AbelianExtension, section: Section | None = None
 
 
 def _base_and_rep(ext: AbelianExtension, section: Section
-                  ) -> tuple[LyAlgebra, ReynoldsOperator, Representation]:
-    """Base data (L, T) and the representation of L on V, T_V included, of
-    an extension with a given section: one read of :func:`base_data`, the
-    rho and theta blocks, and the representation validated against them."""
-    base, base_op, tv = base_data(ext, section)
-    binary, ternary, _ = _section_basis(ext, section)
+                  ) -> tuple[tuple, LyAlgebra, ReynoldsOperator, Representation]:
+    """The :func:`_section_basis` read of a section, then the base data
+    (L, T) and the representation of L on V, T_V included, taken from it:
+    one read in the basis of the section, one call of :func:`base_data`,
+    the rho and theta blocks, and the representation validated against
+    them.  Callers pass the read on to further readers of the section."""
+    ext.check_section(section)
+    read = _section_basis(ext, section)
+    base, base_op, tv = base_data(ext, section, read)
+    binary, ternary, _ = read
     n, m = ext.base_dim, ext.module_dim
     module = range(n, n + m)
     rho = tuple(Matrix.from_columns([binary[i][v][n:] for v in module], m)
@@ -401,7 +408,7 @@ def _base_and_rep(ext: AbelianExtension, section: Section
     if not report.ok:
         raise InternalInconsistency(
             "representation read off a verified extension fails:\n" + report.describe())
-    return base, base_op, rep
+    return read, base, base_op, rep
 
 
 def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Representation:
@@ -413,18 +420,19 @@ def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Repres
     Independent of the section because the kernel is abelian; validated
     against the recovered base data before being returned.
     """
-    return _base_and_rep(ext, section or ext.canonical_section())[2]
+    return _base_and_rep(ext, section or ext.canonical_section())[3]
 
 
-def _defect_cocycle(ext: AbelianExtension, section: Section, base: LyAlgebra,
+def _defect_cocycle(ext: AbelianExtension, read, base: LyAlgebra,
                     base_op: ReynoldsOperator, rep: Representation) -> ExtensionCocycle:
-    """The defect cochain of :func:`extract_cocycle` over base data already
-    read off the extension, re-checked to be a cocycle.
+    """The defect cochain of :func:`extract_cocycle` from the read of a
+    section and the base data already taken from it, re-checked to be a
+    cocycle.
 
     In the basis of the section each defect is the module part of a base
     block: v - s(project(v)) = i(module part of v) for a total vector v.
     """
-    binary, ternary, op = _section_basis(ext, section)
+    binary, ternary, op = read
     n = ext.base_dim
     nu, psi = _base_blocks(binary, ternary, n, slice(n, None))
     cocycle = ExtensionCocycle(nu, psi, _block(op, range(n, ext.total.dim), range(n)))
@@ -447,7 +455,7 @@ def extract_cocycle(ext: AbelianExtension, section: Section | None = None
     a cocycle over the recovered base data.
     """
     section = section or ext.canonical_section()
-    return _defect_cocycle(ext, section, *_base_and_rep(ext, section))
+    return _defect_cocycle(ext, *_base_and_rep(ext, section))
 
 
 def to_block_form(ext: AbelianExtension) -> AbelianExtension:
@@ -477,15 +485,14 @@ def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix 
     """
     e1 = to_block_form(e1)
     e2 = to_block_form(e2)
-    s1, s2 = e1.canonical_section(), e2.canonical_section()
-    base, base_op, rep = _base_and_rep(e1, s1)
-    b2, o2, r2 = _base_and_rep(e2, s2)
+    read1, base, base_op, rep = _base_and_rep(e1, e1.canonical_section())
+    read2, b2, o2, r2 = _base_and_rep(e2, e2.canonical_section())
     if (base, base_op, rep.module_op) != (b2, o2, r2.module_op):
         raise IncompatibleData("extensions do not share base algebra/operators")
     if rep != r2:
         raise IncompatibleData("extensions do not induce the same representation")
-    c1 = _defect_cocycle(e1, s1, base, base_op, rep).to_cochain()
-    c2 = _defect_cocycle(e2, s2, base, base_op, rep).to_cochain()
+    c1 = _defect_cocycle(e1, read1, base, base_op, rep).to_cochain()
+    c2 = _defect_cocycle(e2, read2, base, base_op, rep).to_cochain()
     witness = coboundary_preimage(base, base_op, rep, "rly", c1 - c2)
     if witness is None:
         return None

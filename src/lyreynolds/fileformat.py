@@ -22,14 +22,15 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LyAlgebra, binary_from_sparse, ternary_from_sparse
+from .algebra import LyAlgebra
 from .cohomology import RlyCochain, cochain2_from_tensors, cochain_from_matrix
 from .errors import DimMismatch, NameNotFound, ParseError
-from .linalg import Matrix, parse_rational
+from .linalg import Matrix, from_cells, parse_rational
 from .representation import Representation, adjoint_rep
 from .reynolds import ReynoldsOperator
 
 _SECTION_RE = re.compile(r"^\[(\w+)\s+([A-Za-z_][\w.-]*)\]$")
+_INTEGER_RE = re.compile(r"-?\d+")
 
 _KINDS = ("algebra", "operator", "representation", "cochain", "deformation", "extension")
 
@@ -49,6 +50,10 @@ _SCALAR_KEYS = {
     "deformation": {"algebra", "operator", "order"},
     "extension": {"base", "operator", "representation", "total", "total_operator"},
 }
+# reference key -> the kind of object it names
+_REF_KINDS = {"algebra": "algebra", "base": "algebra", "total": "algebra",
+              "operator": "operator", "total_operator": "operator",
+              "representation": "representation"}
 
 
 @dataclass
@@ -117,12 +122,8 @@ class Workspace:
     extensions: dict[str, ExtensionEntry] = field(default_factory=dict)
 
     def kind_of(self, name: str) -> str:
-        for kind, table in (("algebra", self.algebras), ("operator", self.operators),
-                            ("representation", self.representations),
-                            ("cochain", self.cochains),
-                            ("deformation", self.deformations),
-                            ("extension", self.extensions)):
-            if name in table:
+        for kind in _KINDS:
+            if name in getattr(self, kind + "s"):
                 return kind
         raise NameNotFound(f"no object named {name!r} in the loaded files")
 
@@ -186,10 +187,17 @@ def _rational(tok: str, path: str, line: int) -> Fraction:
         raise ParseError(str(exc), path, line) from None
 
 
+def _integer(tok: str) -> int | None:
+    """``tok`` as an int when it is an integer literal (decimal digits with
+    an optional leading minus, the numerator rule of rational literals),
+    else None."""
+    return int(tok) if _INTEGER_RE.fullmatch(tok) else None
+
+
 def _index(tok: str, dim: int, path: str, line: int) -> int:
-    if not tok.isdigit() or int(tok) < 1:
+    value = _integer(tok)
+    if value is None or value < 1:
         raise ParseError(f"expected a 1-based index, got {tok!r}", path, line)
-    value = int(tok)
     if value > dim:
         raise ParseError(f"index {value} out of range 1..{dim}", path, line)
     return value - 1
@@ -199,9 +207,9 @@ def _int_scalar(sec: _RawSection, key: str, minimum: int = 0) -> int:
     if key not in sec.scalars:
         raise ParseError(f"{sec.kind} section needs {key!r}", sec.path, sec.line)
     tokens, line = sec.scalars[key]
-    if len(tokens) != 1 or not tokens[0].lstrip("-").isdigit():
+    value = _integer(tokens[0]) if len(tokens) == 1 else None
+    if value is None:
         raise ParseError(f"{key!r} must be one integer", sec.path, line)
-    value = int(tokens[0])
     if value < minimum:
         raise ParseError(f"{key!r} must be >= {minimum}", sec.path, line)
     return value
@@ -218,14 +226,40 @@ def _name_scalar(sec: _RawSection, key: str, required: bool = True) -> str | Non
     return tokens[0]
 
 
-def _sparse_entries(sec: _RawSection, key: str, dims: tuple[int, ...],
-                    antisym_pair: tuple[int, int] | None = None) -> dict:
-    """Collect sparse tensor lines ``i j .. val`` into a coordinate dict.
+def _resolve(sec: _RawSection, ws: Workspace, *keys: str, optional=(),
+             home: str | None = None, mismatch: str | None = None) -> tuple:
+    """The names under the reference ``keys`` of ``sec``, None for an absent
+    key of ``optional``.  Every key is read before any name is looked up;
+    then each name, in order, must name an object of its kind in ``ws``
+    (NameNotFound), and with ``home``, the key of a required algebra
+    reference of ``sec``, every operator or representation must live on
+    that algebra (DimMismatch, ``mismatch`` giving the text after the
+    section name)."""
+    names = {key: _name_scalar(sec, key, key not in optional) for key in keys}
+    home = home and _name_scalar(sec, home)
+    for key, name in names.items():
+        if name is None:
+            continue
+        kind = _REF_KINDS[key]
+        table = getattr(ws, kind + "s")
+        if name not in table:
+            raise NameNotFound(f"{sec.kind} {sec.name!r} references unknown {kind} {name!r}")
+        if home is not None and kind != "algebra" and table[name].algebra != home:
+            raise DimMismatch(f"{sec.kind} {sec.name!r}: " + (
+                mismatch or f"{kind} {name!r} lives on a different algebra"))
+    return tuple(names.values())
+
+
+def _sparse_tensor(sec: _RawSection, key: str, dims: tuple[int, ...],
+                   antisym_pair: tuple[int, int] | None = None, matrices: bool = False):
+    """The dense tensor over ``dims`` (:func:`from_cells`) of the sparse
+    lines ``i j .. val`` under ``key``, zero elsewhere.
 
     ``dims`` bounds each index axis.  Conflicting duplicates and
     inconsistent antisymmetric images are load-time errors carrying the
-    offending line."""
-    cells: dict[tuple, tuple[Fraction, int]] = {}
+    offending line; the fill that follows checks nothing."""
+    cells: dict[tuple, Fraction] = {}
+    lines: dict[tuple, int] = {}
     for tokens, line in sec.lists.get(key, []):
         if len(tokens) != len(dims) + 1:
             raise ParseError(
@@ -240,48 +274,30 @@ def _sparse_entries(sec: _RawSection, key: str, dims: tuple[int, ...],
             swapped[a], swapped[b] = swapped[b], swapped[a]
             images.append((tuple(swapped), -val))
         for where, value in images:
-            if where in cells and cells[where][0] != value:
+            if cells.setdefault(where, value) != value:
                 raise ParseError(
                     f"{key!r} entry at {tuple(i + 1 for i in where)} conflicts with "
-                    f"line {cells[where][1]}", sec.path, line)
-            cells.setdefault(where, (value, line))
-    return {idx: val for idx, (val, _) in cells.items()}
-
-
-def _cells_at(cells: dict, lead: tuple) -> dict:
-    """The entries of ``cells`` whose index starts with ``lead``, keyed by
-    the rest of the index."""
-    k = len(lead)
-    return {idx[k:]: v for idx, v in cells.items() if idx[:k] == lead}
-
-
-def _cell_matrix(cells: dict, rows: int, cols: int) -> Matrix:
-    """The matrix with entry v at each (row, column) key of ``cells``."""
-    acc = [{} for _ in range(rows)]
-    for (r, c), v in cells.items():
-        acc[r][c] = v
-    return Matrix.from_sparse_rows(acc, cols)
+                    f"line {lines[where]}", sec.path, line)
+            lines.setdefault(where, line)
+    return from_cells(cells, dims, matrices)
 
 
 def _matrix_rows(sec: _RawSection, key: str, cols: int | None = None) -> Matrix:
-    rows = []
-    first_line = None
-    for tokens, line in sec.lists.get(key, []):
-        first_line = first_line if first_line is not None else line
-        rows.append([_rational(t, sec.path, line) for t in tokens])
-    if not rows:
+    entries = sec.lists.get(key, [])
+    if not entries:
         raise ParseError(f"{sec.kind} section needs at least one {key!r} line",
                          sec.path, sec.line)
+    rows = [[_rational(t, sec.path, line) for t in tokens] for tokens, line in entries]
     width = len(rows[0])
-    for r, (tokens, line) in zip(rows, sec.lists[key]):
+    for r, (_, line) in zip(rows, entries):
         if len(r) != width:
             raise ParseError(f"ragged {key!r} rows", sec.path, line)
     if cols is not None and width != cols:
-        raise ParseError(f"{key!r} rows must have {cols} entries", sec.path, first_line)
-    return Matrix.from_rows(rows, width)
+        raise ParseError(f"{key!r} rows must have {cols} entries", sec.path, entries[0][1])
+    return Matrix(len(rows), width, [x for r in rows for x in r])
 
 
-def _build_algebra(sec: _RawSection) -> LyAlgebra:
+def _build_algebra(sec: _RawSection, ws: Workspace) -> LyAlgebra:
     dim = _int_scalar(sec, "dim", minimum=0)
     labels = None
     if "labels" in sec.scalars:
@@ -289,18 +305,14 @@ def _build_algebra(sec: _RawSection) -> LyAlgebra:
         if len(tokens) != dim:
             raise ParseError(f"need {dim} labels", sec.path, line)
         labels = tuple(tokens)
-    binary = binary_from_sparse(
-        dim, _sparse_entries(sec, "binary", (dim,) * 3, (0, 1)))
-    ternary = ternary_from_sparse(
-        dim, _sparse_entries(sec, "ternary", (dim,) * 4, (0, 1)))
+    binary = _sparse_tensor(sec, "binary", (dim,) * 3, (0, 1))
+    ternary = _sparse_tensor(sec, "ternary", (dim,) * 4, (0, 1))
     return LyAlgebra(dim, binary, ternary, labels)
 
 
-def _build_operator(sec: _RawSection, algebras: dict) -> OperatorEntry:
-    alg_name = _name_scalar(sec, "algebra")
-    if alg_name not in algebras:
-        raise NameNotFound(f"operator {sec.name!r} references unknown algebra {alg_name!r}")
-    algebra = algebras[alg_name]
+def _build_operator(sec: _RawSection, ws: Workspace) -> OperatorEntry:
+    alg_name, = _resolve(sec, ws, "algebra")
+    algebra = ws.algebras[alg_name]
     tokens, line = sec.scalars.get("weight", (None, sec.line))
     if tokens is None:
         raise ParseError("operator section needs 'weight'", sec.path, sec.line)
@@ -314,24 +326,11 @@ def _build_operator(sec: _RawSection, algebras: dict) -> OperatorEntry:
     return OperatorEntry(alg_name, ReynoldsOperator(matrix, weight))
 
 
-def _build_representation(sec: _RawSection, algebras: dict,
-                          operators: dict) -> RepresentationEntry:
-    alg_name = _name_scalar(sec, "algebra")
-    if alg_name not in algebras:
-        raise NameNotFound(
-            f"representation {sec.name!r} references unknown algebra {alg_name!r}")
-    algebra = algebras[alg_name]
-    op_name = _name_scalar(sec, "operator", required=False)
-    op_entry = None
-    if op_name is not None:
-        if op_name not in operators:
-            raise NameNotFound(
-                f"representation {sec.name!r} references unknown operator {op_name!r}")
-        op_entry = operators[op_name]
-        if op_entry.algebra != alg_name:
-            raise DimMismatch(
-                f"representation {sec.name!r}: operator {op_name!r} lives on a "
-                "different algebra")
+def _build_representation(sec: _RawSection, ws: Workspace) -> RepresentationEntry:
+    alg_name, = _resolve(sec, ws, "algebra")
+    op_name, = _resolve(sec, ws, "operator", optional=("operator",), home="algebra")
+    algebra = ws.algebras[alg_name]
+    op_entry = ws.operators[op_name] if op_name is not None else None
 
     if "adjoint" in sec.scalars:
         tokens, line = sec.scalars["adjoint"]
@@ -342,11 +341,8 @@ def _build_representation(sec: _RawSection, algebras: dict,
 
     m = _int_scalar(sec, "module_dim", minimum=0)
     n = algebra.dim
-    rho_cells = _sparse_entries(sec, "rho", (n, m, m))
-    theta_cells = _sparse_entries(sec, "theta", (n, n, m, m))
-    rho = tuple(_cell_matrix(_cells_at(rho_cells, (i,)), m, m) for i in range(n))
-    theta = tuple(tuple(_cell_matrix(_cells_at(theta_cells, (i, j)), m, m)
-                        for j in range(n)) for i in range(n))
+    rho = _sparse_tensor(sec, "rho", (n, m, m), matrices=True)
+    theta = _sparse_tensor(sec, "theta", (n, n, m, m), matrices=True)
     module_op = None
     if "module_op_row" in sec.lists:
         module_op = _matrix_rows(sec, "module_op_row", cols=m)
@@ -356,26 +352,10 @@ def _build_representation(sec: _RawSection, algebras: dict,
     return RepresentationEntry(alg_name, op_name, rep)
 
 
-def _build_cochain(sec: _RawSection, algebras: dict, operators: dict,
-                   representations: dict) -> CochainEntry:
-    alg_name = _name_scalar(sec, "algebra")
-    rep_name = _name_scalar(sec, "representation")
-    op_name = _name_scalar(sec, "operator", required=False)
-    if alg_name not in algebras:
-        raise NameNotFound(f"cochain {sec.name!r} references unknown algebra {alg_name!r}")
-    if rep_name not in representations:
-        raise NameNotFound(
-            f"cochain {sec.name!r} references unknown representation {rep_name!r}")
-    if representations[rep_name].algebra != alg_name:
-        raise DimMismatch(
-            f"cochain {sec.name!r}: representation {rep_name!r} lives on a different algebra")
-    if op_name is not None:
-        if op_name not in operators:
-            raise NameNotFound(
-                f"cochain {sec.name!r} references unknown operator {op_name!r}")
-        if operators[op_name].algebra != alg_name:
-            raise DimMismatch(
-                f"cochain {sec.name!r}: operator {op_name!r} lives on a different algebra")
+def _build_cochain(sec: _RawSection, ws: Workspace) -> CochainEntry:
+    alg_name, rep_name, op_name = _resolve(
+        sec, ws, "algebra", "representation", "operator", optional=("operator",),
+        home="algebra")
     which = _name_scalar(sec, "complex", required=False) or "ly"
     if which not in ("ly", "ro", "rly"):
         raise ParseError("'complex' must be ly, ro or rly", sec.path, sec.line)
@@ -392,85 +372,49 @@ def _build_cochain(sec: _RawSection, algebras: dict, operators: dict,
         if key not in ({"map"} if degree == 1 else {"f", "g", "tail"}):
             raise ParseError(f"{key!r} is not read by a degree-{degree} cochain",
                              sec.path, entries[0][1])
-    n = algebras[alg_name].dim
-    m = representations[rep_name].rep.module_dim
+    n = ws.algebras[alg_name].dim
+    m = ws.representations[rep_name].rep.module_dim
 
-    def map_matrix(key):
-        cells = _sparse_entries(sec, key, (n, m))
-        return _cell_matrix({(a, z): v for (z, a), v in cells.items()}, m, n)
+    def map_matrix(key):  # 'key = z a v' is entry (a, z) of an m x n matrix
+        return _sparse_tensor(sec, key, (n, m), matrices=True).transpose()
 
     if degree == 1:
         top = cochain_from_matrix(map_matrix("map"))
         cochain = RlyCochain(top, None) if which == "rly" else top
         return CochainEntry(alg_name, op_name, rep_name, which, cochain)
 
-    f_cells = _sparse_entries(sec, "f", (n, n, m), (0, 1))
-    g_cells = _sparse_entries(sec, "g", (n, n, n, m), (0, 1))
-    nu = [[[Fraction(0)] * m for _ in range(n)] for _ in range(n)]
-    psi = [[[[Fraction(0)] * m for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (i, j, a), val in f_cells.items():
-        nu[i][j][a] = val
-    for (i, j, z, a), val in g_cells.items():
-        psi[i][j][z][a] = val
-    top = cochain2_from_tensors(n, m, nu, psi)
+    top = cochain2_from_tensors(n, m, _sparse_tensor(sec, "f", (n, n, m), (0, 1)),
+                                _sparse_tensor(sec, "g", (n, n, n, m), (0, 1)))
     if which != "rly":
         return CochainEntry(alg_name, op_name, rep_name, which, top)
     cochain = RlyCochain(top, cochain_from_matrix(map_matrix("tail")))
     return CochainEntry(alg_name, op_name, rep_name, which, cochain)
 
 
-def _build_deformation(sec: _RawSection, algebras: dict, operators: dict
-                       ) -> DeformationEntry:
-    alg_name = _name_scalar(sec, "algebra")
-    op_name = _name_scalar(sec, "operator")
-    if alg_name not in algebras:
-        raise NameNotFound(
-            f"deformation {sec.name!r} references unknown algebra {alg_name!r}")
-    if op_name not in operators:
-        raise NameNotFound(
-            f"deformation {sec.name!r} references unknown operator {op_name!r}")
-    if operators[op_name].algebra != alg_name:
-        raise DimMismatch(
-            f"deformation {sec.name!r}: operator and algebra do not match")
+def _build_deformation(sec: _RawSection, ws: Workspace) -> DeformationEntry:
+    alg_name, op_name = _resolve(sec, ws, "algebra", "operator", home="algebra",
+                                 mismatch="operator and algebra do not match")
     order = _int_scalar(sec, "order", minimum=1)
-    n = algebras[alg_name].dim
+    base = ws.algebras[alg_name]
+    n = base.dim
 
     # the order is a leading 1-based index; F and G are antisymmetric in the
     # two indices after it
-    f_cells = _sparse_entries(sec, "F", (order,) + (n,) * 3, (1, 2))
-    g_cells = _sparse_entries(sec, "G", (order,) + (n,) * 4, (1, 2))
-    t_cells = _sparse_entries(sec, "T", (order, n, n))
-    base = algebras[alg_name]
-    op = operators[op_name].op
-    orders = range(order)
-    F = [base.binary] + [binary_from_sparse(n, _cells_at(f_cells, (k,))) for k in orders]
-    G = [base.ternary] + [ternary_from_sparse(n, _cells_at(g_cells, (k,))) for k in orders]
-    Tt = [op.matrix] + [_cell_matrix(_cells_at(t_cells, (k,)), n, n) for k in orders]
-    return DeformationEntry(alg_name, op_name, order, tuple(F), tuple(G), tuple(Tt))
+    F = _sparse_tensor(sec, "F", (order,) + (n,) * 3, (1, 2))
+    G = _sparse_tensor(sec, "G", (order,) + (n,) * 4, (1, 2))
+    Tt = _sparse_tensor(sec, "T", (order, n, n), matrices=True)
+    return DeformationEntry(alg_name, op_name, order, (base.binary,) + F,
+                            (base.ternary,) + G, (ws.operators[op_name].op.matrix,) + Tt)
 
 
-def _build_extension(sec: _RawSection, algebras: dict, operators: dict,
-                     representations: dict) -> ExtensionEntry:
-    total_name = _name_scalar(sec, "total")
-    total_op_name = _name_scalar(sec, "total_operator")
-    if total_name not in algebras:
-        raise NameNotFound(
-            f"extension {sec.name!r} references unknown algebra {total_name!r}")
-    if total_op_name not in operators:
-        raise NameNotFound(
-            f"extension {sec.name!r} references unknown operator {total_op_name!r}")
-    if operators[total_op_name].algebra != total_name:
-        raise DimMismatch(
-            f"extension {sec.name!r}: total operator and total algebra do not match")
-    base_name = _name_scalar(sec, "base", required=False)
-    op_name = _name_scalar(sec, "operator", required=False)
-    rep_name = _name_scalar(sec, "representation", required=False)
-    for ref, table, what in ((base_name, algebras, "algebra"),
-                             (op_name, operators, "operator"),
-                             (rep_name, representations, "representation")):
-        if ref is not None and ref not in table:
-            raise NameNotFound(f"extension {sec.name!r} references unknown {what} {ref!r}")
-    big = algebras[total_name].dim
+def _build_extension(sec: _RawSection, ws: Workspace) -> ExtensionEntry:
+    total_name, total_op_name = _resolve(
+        sec, ws, "total", "total_operator", home="total",
+        mismatch="total operator and total algebra do not match")
+    base_name, op_name, rep_name = _resolve(
+        sec, ws, "base", "operator", "representation",
+        optional=("base", "operator", "representation"))
+    big = ws.algebras[total_name].dim
     inject = _matrix_rows(sec, "inject_row")
     project = _matrix_rows(sec, "project_row")
     if inject.rows != big or project.cols != big:
@@ -478,6 +422,11 @@ def _build_extension(sec: _RawSection, algebras: dict, operators: dict,
             f"extension {sec.name!r}: inject/project must use the total coordinates")
     return ExtensionEntry(total_name, total_op_name, inject, project,
                           base_name, op_name, rep_name)
+
+
+_BUILDERS = {"algebra": _build_algebra, "operator": _build_operator,
+             "representation": _build_representation, "cochain": _build_cochain,
+             "deformation": _build_deformation, "extension": _build_extension}
 
 
 def load_workspace(paths) -> Workspace:
@@ -494,25 +443,12 @@ def load_workspace(paths) -> Workspace:
                 f"{seen[sec.name].line}", sec.path, sec.line)
         seen[sec.name] = sec
 
+    # algebras, operators and representations first, each kind in a pass of
+    # its own, as the later kinds reference them
     ws = Workspace()
-    for sec in sections:
-        if sec.kind == "algebra":
-            ws.algebras[sec.name] = _build_algebra(sec)
-    for sec in sections:
-        if sec.kind == "operator":
-            ws.operators[sec.name] = _build_operator(sec, ws.algebras)
-    for sec in sections:
-        if sec.kind == "representation":
-            ws.representations[sec.name] = _build_representation(
-                sec, ws.algebras, ws.operators)
-    for sec in sections:
-        if sec.kind == "cochain":
-            ws.cochains[sec.name] = _build_cochain(
-                sec, ws.algebras, ws.operators, ws.representations)
-        elif sec.kind == "deformation":
-            ws.deformations[sec.name] = _build_deformation(
-                sec, ws.algebras, ws.operators)
-        elif sec.kind == "extension":
-            ws.extensions[sec.name] = _build_extension(
-                sec, ws.algebras, ws.operators, ws.representations)
+    for kinds in (("algebra",), ("operator",), ("representation",),
+                  ("cochain", "deformation", "extension")):
+        for sec in sections:
+            if sec.kind in kinds:
+                getattr(ws, sec.kind + "s")[sec.name] = _BUILDERS[sec.kind](sec, ws)
     return ws

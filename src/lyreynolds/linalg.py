@@ -426,3 +426,29 @@ def zero_vector(n: int) -> Vector:
 
 def unit_vector(n: int, pos: int) -> Vector:
     return tuple(_ONE if t == pos else _ZERO for t in range(n))
+
+
+def from_cells(cells: dict, dims: tuple, matrices: bool = False):
+    """Dense nested tuples over the axes ``dims`` with entry v at each index
+    tuple of ``cells`` and zero elsewhere, in one pass over the cells; with
+    ``matrices`` the last two axes form one :class:`Matrix` per index of
+    the others.  The indices must be in range and the values Fractions."""
+    depth = len(dims) - 1 - matrices  # levels above the leaves
+
+    def empty(level):
+        if level < depth:
+            return [empty(level + 1) for _ in range(dims[level])]
+        return [{} for _ in range(dims[-2])] if matrices else [_ZERO] * dims[-1]
+
+    def finish(node, level):
+        if level < depth:
+            return tuple(finish(x, level + 1) for x in node)
+        return Matrix.from_sparse_rows(node, dims[-1]) if matrices else tuple(node)
+
+    root = empty(0)
+    for idx, v in cells.items():
+        node = root
+        for t in idx[:-1]:
+            node = node[t]
+        node[idx[-1]] = v
+    return finish(root, 0)

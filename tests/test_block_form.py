@@ -198,6 +198,33 @@ def test_sparse_assembly_matches_the_case_split_oracle(ly2, tri_t):
     assert non_cocycles >= 10
 
 
+def test_each_reader_of_a_scrambled_extension_changes_basis_once(ly2, tri_t, monkeypatch):
+    """One change of basis per read, with the canonical section and with a
+    random one: ``extract_cocycle`` made 3 and ``extract_rep`` 2 before the
+    readers passed one read down."""
+    import lyreynolds.extension as extension
+
+    rng = random.Random(87)
+    rep = adjoint_rep(ly2, tri_t)
+    ext = build_extension(ly2, tri_t, rep, kernel_cocycles(rng, ly2, tri_t, rep, 1)[0])
+    moved = scrambled(rng, ext)
+    calls = []
+    original = extension._section_basis
+    # a real change of basis, not the identity shortcut of block form
+    assert original(moved, moved.canonical_section())[0] is not moved.total.binary
+
+    def counted(e, section):
+        calls.append(section)
+        return original(e, section)
+
+    monkeypatch.setattr(extension, "_section_basis", counted)
+    for section in (None, random_section(rng, moved)):
+        for reader in (base_data, extract_rep, extract_cocycle):
+            calls.clear()
+            reader(moved, section)
+            assert len(calls) == 1, reader.__name__
+
+
 def test_canonical_section_is_one_elimination(ly2, tri_t, monkeypatch):
     rng = random.Random(86)
     rep = adjoint_rep(ly2, tri_t)

@@ -586,3 +586,17 @@ def test_deformation_parse_errors_name_the_offending_line(tmp_path, capsys, body
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}:{message}\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[algebra a]\ndim = --2\n", "2: 'dim' must be one integer"),
+    ("[algebra a]\ndim = ²\n", "2: 'dim' must be one integer"),
+    ("[algebra a]\ndim = 2\nbinary = ² 1 1 1\n", "3: expected a 1-based index, got '²'"),
+])
+def test_malformed_integers_are_parse_errors(tmp_path, capsys, text, message):
+    # int() rejects these tokens, which the loader once let through to it
+    path = write(tmp_path, text, "bad.lyr")
+    assert main(["verify", path, "--name", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:{message}\n"
