@@ -577,6 +577,9 @@ row = 0 1
     ("F = 1 1 2 1 1\nF = 1 2 1 1 1\n", "6: 'F' entry at (1, 2, 1, 1) conflicts with line 5"),
     ("G = 1 1 2 1 1 1\nG = 1 2 1 1 1 1\n",
      "6: 'G' entry at (1, 2, 1, 1, 1) conflicts with line 5"),
+    # a consistent restatement on line 6 leaves line 5 as the one cited
+    ("F = 1 1 2 1 1\nF = 1 2 1 1 -1\nF = 1 1 2 1 2\n",
+     "7: 'F' entry at (1, 1, 2, 1) conflicts with line 5"),
     # the order is the leading index, bounded by the section's order
     ("T = 1 1 1 1\nT = 2 1 1 1\n", "6: index 2 out of range 1..1"),
 ])
