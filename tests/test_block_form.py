@@ -200,8 +200,7 @@ def test_sparse_assembly_matches_the_case_split_oracle(ly2, tri_t):
 
 def test_each_reader_of_a_scrambled_extension_changes_basis_once(ly2, tri_t, monkeypatch):
     """One change of basis per read, with the canonical section and with a
-    random one: ``extract_cocycle`` made 3 and ``extract_rep`` 2 before the
-    readers passed one read down."""
+    random one: the readers pass one read down."""
     import lyreynolds.extension as extension
 
     rng = random.Random(87)

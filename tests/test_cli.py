@@ -597,7 +597,7 @@ def test_deformation_parse_errors_name_the_offending_line(tmp_path, capsys, body
     ("[algebra a]\ndim = 2\nbinary = ² 1 1 1\n", "3: expected a 1-based index, got '²'"),
 ])
 def test_malformed_integers_are_parse_errors(tmp_path, capsys, text, message):
-    # int() rejects these tokens, which the loader once let through to it
+    # int() rejects these tokens, so the integer rule must reject them first
     path = write(tmp_path, text, "bad.lyr")
     assert main(["verify", path, "--name", "a"]) == 2
     captured = capsys.readouterr()
