@@ -13,6 +13,7 @@ axiom is multilinear.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -30,6 +31,7 @@ from .linalg import (
     _ZERO,
     Matrix,
     Vector,
+    _view,
     add_scaled,
     from_cells,
     unit_vector,
@@ -247,13 +249,14 @@ class IntegerRead:
     matrices (a representation's rho, theta and module operator).  L =
     ``den`` clears every denominator among them and the weight's; then
     ``f[i]`` and ``g[i]`` are L F_i and L G_i as :func:`integer_table`,
-    ``t_col[i][x]`` is L T_i e_x, ``lw`` is L times the weight, and ``rows``
-    keeps its nesting with each matrix as L times its stored rows.  Each
-    battery and builder brings its terms to one power of L and divides an
-    output entry back once; a deformation is read once for all its orders.
+    ``t_col[i][x]`` is L T_i e_x, ``t_row[i][y]`` the row y of L T_i, ``lw``
+    is L times the weight, and ``rows`` keeps its nesting with each matrix
+    as L times its stored rows.  Each battery and builder brings its terms
+    to one power of L and divides an output entry back once; a deformation
+    is read once for all its orders.
     """
 
-    __slots__ = ("den", "f", "g", "t_col", "lw", "rows")
+    __slots__ = ("den", "f", "g", "t_col", "t_row", "lw", "rows")
 
     def __init__(self, F=(), G=(), Tt=(), weight=0, rows=()):
         weight = Fraction(weight)
@@ -264,6 +267,7 @@ class IntegerRead:
         self.f = tuple(integer_table(t, 2, den) for t in F)
         self.g = tuple(integer_table(t, 3, den) for t in G)
         self.t_col = tuple(integer_rows(t.transpose().sparse, den) for t in Tt)
+        self.t_row = tuple(integer_rows(t.sparse, den) for t in Tt)
         self.lw = (weight * den).numerator
         self.rows = _nested_rows(rows, den)
 
@@ -294,6 +298,82 @@ def dense_vector(acc: dict, dim: int, den: int = 1) -> Vector:
     """The coordinate vector of a ``{coordinate: value}`` dict holding den
     times it, as Fractions: one division per nonzero entry."""
     return tuple(Fraction(acc[k], den) if acc.get(k) else _ZERO for k in range(dim))
+
+
+def flat_table(table, depth: int, dim: int) -> dict:
+    """An integer table (see :func:`integer_table`) with ``depth`` levels of
+    basis indices as one ``{position: value}`` dict, the position of the
+    coordinate k of the vector at (i, .., j) being its place in product
+    order of (i, .., j, k) over range(dim)."""
+    out = {}
+
+    def walk(node, level, base):
+        if level == depth:
+            for k, v in node:
+                out[base + k] = v
+        else:
+            for i, child in enumerate(node):
+                walk(child, level + 1, (base + i) * dim)
+
+    walk(table, 0, 0)
+    return out
+
+
+def slot_product(series, maps, stride: int, dim: int) -> list:
+    """The truncated product of two series, order by order: order s is
+    sum_{b+c=s} series_b with one index of its entries moved by maps_c.
+    An order is a ``{position: int}`` dict (see :func:`flat_table`).  The
+    moved index is the digit of weight ``stride``, and ``maps[c][y]`` lists
+    the ``(x, value)`` pairs that send y to x: the rows of a map T
+    (``IntegerRead.t_row``) precompose an argument with T, and its columns
+    (``t_col``) at stride 1 compose T after the output."""
+    out = []
+    for s in range(len(series)):
+        acc = defaultdict(int)
+        for c in range(s + 1):
+            moves = maps[c]
+            for key, v in series[s - c].items():
+                y = key // stride % dim
+                base = key - y * stride
+                for x, p in moves[y]:
+                    acc[base + x * stride] += v * p
+        out.append(acc)
+    return out
+
+
+def series_lincomb(*terms) -> list:
+    """sum c * series over the ``(c, series)`` pairs of ``terms``, order by
+    order, for series of ``{position: int}`` dicts of one length."""
+    out = [{} for _ in terms[0][1]]
+    for c, series in terms:
+        for acc, order in zip(out, series):
+            add_scaled(acc, c, order.items())
+    return out
+
+
+def dense_tensor(acc: dict, depth: int, dim: int, den: int = 1) -> tuple:
+    """The tensor with ``depth`` levels of basis indices whose flat
+    ``{position: value}`` dict (see :func:`flat_table`) holds den times it,
+    as nested tuples of Fractions."""
+    return _view(dense_vector(acc, dim ** (depth + 1), den), (dim,) * (depth + 1))
+
+
+def tuple_residual(acc: dict, dim: int):
+    """A flat ``{position: value}`` dict of a tensor (see :func:`flat_table`)
+    as the residual of :func:`_axiom_report`: the map from a basis tuple to
+    the ``{coordinate: value}`` dict of its vector's nonzero entries."""
+    vectors = defaultdict(dict)
+    for p, v in acc.items():
+        if v:
+            vectors[p // dim][p % dim] = v
+
+    def residual(*idx):
+        t = 0
+        for i in idx:
+            t = t * dim + i
+        return vectors.get(t, {})
+
+    return residual
 
 
 @dataclass(frozen=True)
@@ -450,22 +530,29 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
 
 
 def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
-    """First basis tuple at which the linear map ``phi`` fails to carry a
-    bracket of ``source`` to the same bracket of ``target``: the pairs (i, j)
-    of the binary bracket come before the triples (i, j, k) of the ternary
-    one.  None when ``phi`` is a morphism of both brackets.  Both conditions
-    are antisymmetric in i, j, so only i < j is visited (see
-    :func:`orbit_tuples`)."""
+    """First basis tuple at which the linear map ``phi`` of one space fails
+    to carry a bracket of ``source`` to the same bracket of ``target``: the
+    pairs (i, j) of the binary bracket come before the triples (i, j, k) of
+    the ternary one.  None when ``phi`` is a morphism of both brackets.
+    Both conditions are antisymmetric in i, j, so only i < j is visited
+    (see :func:`orbit_tuples`).
+
+    Over one integer read of both algebras and phi, L phi o F_src and
+    F_tgt o1 phi o2 phi are whole-tensor slot products at L^3, L^2 phi o
+    G_src and G_tgt o1 phi o2 phi o3 phi at L^4, compared tuple by tuple."""
     n = source.dim
-    cols = phi.transpose()
-    img = [cols.row(i) for i in range(n)]
-    for i, j in orbit_tuples(n, (2,)):
-        if phi.apply(source.binary[i][j]) != apply_binary(target.binary, img[i], img[j]):
-            return (i, j)
-    for i, j, k in orbit_tuples(n, (2, 1)):
-        if phi.apply(source.ternary[i][j][k]) != \
-                apply_ternary(target.ternary, img[i], img[j], img[k]):
-            return (i, j, k)
+    read = IntegerRead((source.binary, target.binary), (source.ternary, target.ternary),
+                       (phi,))
+    for depth, (src, tgt), shape in ((2, read.f, (2,)), (3, read.g, (2, 1))):
+        pulled = [flat_table(tgt, depth, n)]
+        for slot in range(depth):
+            pulled = slot_product(pulled, read.t_row, n ** (depth - slot), n)
+        pushed = slot_product([flat_table(src, depth, n)], read.t_col, 1, n)
+        residual = tuple_residual(
+            series_lincomb((read.den ** (depth - 1), pushed), (-1, pulled))[0], n)
+        bad = next((t for t in orbit_tuples(n, shape) if residual(*t)), None)
+        if bad is not None:
+            return bad
     return None
 
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import prod
 
 from .algebra import LyAlgebra, _antisymmetry_failure, _freeze
 from .errors import (
@@ -49,6 +48,7 @@ from .linalg import (
     _ZERO,
     Matrix,
     Vector,
+    _view,
     kernel_basis,
     rank,
     require_complex,
@@ -106,14 +106,6 @@ def cochain_dim(degree: int, alg_dim: int, mod_dim: int) -> int:
         raise DegreeOutOfRange(f"degree {degree} < 1")
     g_len = wedge_dim(alg_dim) ** (degree - 1) * alg_dim * mod_dim
     return _f_len(degree, alg_dim, mod_dim) + g_len
-
-
-def _view(flat: tuple, shape: tuple[int, ...]) -> tuple:
-    """``flat`` as nested tuples of ``shape``, the last axis fastest."""
-    if len(shape) == 1:
-        return flat
-    step = prod(shape[1:])
-    return tuple(_view(flat[k * step:(k + 1) * step], shape[1:]) for k in range(shape[0]))
 
 
 @dataclass(frozen=True)
@@ -474,7 +466,7 @@ def _wedge_images(n: int, maps) -> list[list[tuple[int, Fraction]]]:
     return out
 
 
-def _slot_product(factors, w: int) -> dict[int, Fraction]:
+def _form_product(factors, w: int) -> dict[int, Fraction]:
     """The product over slots of one sparse linear form per slot, keyed by
     the flat (row-major) index of the input slot tuple."""
     acc = {0: _ONE}
@@ -549,8 +541,8 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         return {g_key + key * n + z2: c * v for key, c in form.items() for z2, v in z_rows}
 
     for idx, ks in enumerate(product(range(w), repeat=q)):
-        all_t = _slot_product([t_wedge[k] for k in ks], w)
-        mixed = [_slot_product([mixed_wedge[k] if s == slot else t_wedge[k]
+        all_t = _form_product([t_wedge[k] for k in ks], w)
+        mixed = [_form_product([mixed_wedge[k] if s == slot else t_wedge[k]
                                 for s, k in enumerate(ks)], w) for slot in range(q)]
         inner = _merge(mixed + [_scaled(all_t, (2 * q - 1) * weight)])
         emit(idx * m, all_t, inner)

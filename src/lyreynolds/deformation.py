@@ -14,10 +14,7 @@ and a bounding infinitesimal can be removed by a first-order equivalence.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from math import lcm
 
 from .algebra import (
     IntegerRead,
@@ -26,14 +23,15 @@ from .algebra import (
     _axiom_report,
     _freeze,
     _ly_identities,
+    dense_tensor,
     dense_vector,
-    integer_rows,
+    flat_table,
+    slot_product,
     zero_binary,
     zero_ternary,
 )
 from .cohomology import (
     RlyCochain,
-    _view,
     coboundary_preimage,
     cochain2_from_tensors,
     cochain_from_matrix,
@@ -179,12 +177,12 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
 
     At each order n the report covers: antisymmetry of the coefficients, the
     four bracket compatibility identities summed over the coefficient
-    splittings i + j = n, and the two weighted operator identities summed
-    over three-part (plus one weighted four-part) and four-part (plus one
-    five-part) splittings.  Order 0 is the battery of the undeformed
-    verifiers under other names: LY1-LY6 are the six bracket checks, and
-    reynolds-binary/-ternary are operator-binary/-ternary.  The whole series
-    is read once, over one common denominator, for every order.
+    splittings i + j = n, and the two weighted operator identities, whose
+    residuals of every order come from one computation of series products
+    taken one argument slot at a time.  Order 0 is the battery of the
+    undeformed verifiers under other names: LY1-LY6 are the six bracket
+    checks, and reynolds-binary/-ternary are operator-binary/-ternary.  The
+    whole series is read once, over one common denominator.
     """
     _require_base(algebra, op, deformation)
     read = IntegerRead(deformation.F, deformation.G, deformation.Tt, op.weight)
@@ -192,9 +190,8 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
              "cyclic-mixed", "derivation-binary", "derivation-ternary",
              "operator-binary", "operator-ternary")
     return OrderReport(tuple(
-        _axiom_report(names, _ly_identities(read, n) + _reynolds_identities(read, n),
-                      algebra.dim)
-        for n in range(deformation.order + 1)))
+        _axiom_report(names, _ly_identities(read, n) + reynolds, algebra.dim)
+        for n, reynolds in enumerate(_reynolds_identities(read))))
 
 
 def infinitesimal(deformation: TruncatedDeformation) -> RlyCochain:
@@ -207,42 +204,6 @@ def infinitesimal(deformation: TruncatedDeformation) -> RlyCochain:
     return RlyCochain(top, tail)
 
 
-def _slot_product(series, maps, stride: int, dim: int):
-    """The truncated product of two series, order by order: order s is
-    sum_{b+c=s} series_b with one index of its entries moved by maps_c.
-    An order maps the position of an index tuple in product order over
-    range(dim) to an int.  The moved index is the digit of weight
-    ``stride``, and ``maps[c][y]`` lists the ``(x, value)`` pairs that send
-    y to x."""
-    out = []
-    for s in range(len(series)):
-        acc = defaultdict(int)
-        for c in range(s + 1):
-            moves = maps[c]
-            for key, v in series[s - c].items():
-                y = key // stride % dim
-                base = key - y * stride
-                for x, p in moves[y]:
-                    acc[base + x * stride] += v * p
-        out.append(acc)
-    return out
-
-
-def _flat(tensor, depth: int) -> tuple:
-    """The entries of a tensor with ``depth`` levels of basis indices above
-    its vectors, in product order of (i, j, .., k), k the coordinate."""
-    if depth == 0:
-        return tuple(tensor)
-    return tuple(chain.from_iterable(_flat(node, depth - 1) for node in tensor))
-
-
-def _integer_maps(maps):
-    """Common denominator of a series of maps given by sparse rows, and the
-    integer rows of each map times it."""
-    den = lcm(*(v.denominator for rows in maps for row in rows for _, v in row))
-    return den, [integer_rows(rows, den) for rows in maps]
-
-
 def apply_equivalence(deformation: TruncatedDeformation,
                       iso: FormalIsomorphism) -> TruncatedDeformation:
     """Transport a deformation along a formal isomorphism phi:
@@ -252,12 +213,13 @@ def apply_equivalence(deformation: TruncatedDeformation,
 
     with the truncated inverse psi of phi.  Each series X is precomposed
     with psi in one argument slot at a time (X'_s = sum_{b+c=s} X_b o_slot
-    psi_c) and then composed with phi the same way, all over integer
-    tables: X, psi and phi are each scaled by their own common denominator,
-    and every transported term has one factor of X, one of phi and one of
-    psi per slot, so one division per output entry undoes the scale.  The
-    identity isomorphism is the identity transport, and transports by phi
-    and by phi.inverse() cancel up to the truncation order.
+    psi_c, :func:`algebra.slot_product`) and then composed with phi the
+    same way, over integer reads: the series, psi and phi each have their
+    own common denominator, and every transported term has one factor of X,
+    one of phi and one of psi per slot, so one division per output entry
+    undoes the scale.  The identity isomorphism is the identity transport,
+    and transports by phi and by phi.inverse() cancel up to the truncation
+    order.
     """
     if iso.order != deformation.order:
         raise OrderMismatch("isomorphism and deformation orders differ")
@@ -267,28 +229,26 @@ def apply_equivalence(deformation: TruncatedDeformation,
     # X(.., psi e_x, ..) = sum_y psi[y][x] X(.., e_y, ..): an entry at
     # argument y moves to each x of row y of psi.  phi(v) = sum_l v_l phi e_l:
     # an entry at output coordinate l moves to each coordinate of column l.
-    psi_den, psi_rows = _integer_maps([p.sparse for p in iso.inverse().phi])
-    phi_den, phi_cols = _integer_maps([p.transpose().sparse for p in iso.phi])
+    # T is read by its columns, so T' is written by its transpose.
+    read = IntegerRead(deformation.F, deformation.G, deformation.Tt)
+    psi = IntegerRead(Tt=iso.inverse().phi)
+    phi = IntegerRead(Tt=iso.phi)
 
-    def transported(arity, flats):
-        """The transported series, each order as its flat entries, from the
-        flat entries of each order of X."""
-        den = lcm(*(v.denominator for flat in flats for v in flat))
-        series = [{k: v.numerator * (den // v.denominator) for k, v in enumerate(flat) if v}
-                  for flat in flats]
+    def transported(arity, tables):
+        """The transported series, each order as a ``{position: int}`` dict
+        at den(X) den(psi)^arity den(phi), from the integer tables of X."""
+        series = [flat_table(t, arity, n) for t in tables]
         for slot in range(arity):
-            series = _slot_product(series, psi_rows, n ** (arity - slot), n)
-        series = _slot_product(series, phi_cols, 1, n)
-        scale = den * psi_den ** arity * phi_den
-        return [dense_vector(acc, n ** (arity + 1), scale) for acc in series]
+            series = slot_product(series, psi.t_row, n ** (arity - slot), n)
+        return slot_product(series, phi.t_col, 1, n)
 
-    new_f = tuple(_view(flat, (n,) * 3)
-                  for flat in transported(2, [_flat(f, 2) for f in deformation.F]))
-    new_g = tuple(_view(flat, (n,) * 4)
-                  for flat in transported(3, [_flat(g, 3) for g in deformation.G]))
-    # T e_x is column x, so T is read, and T' written, by its transpose
-    new_t = tuple(Matrix(n, n, flat).transpose() for flat in transported(
-        1, [t.transpose().entries for t in deformation.Tt]))
+    scale = read.den * phi.den
+    new_f = tuple(dense_tensor(acc, 2, n, scale * psi.den ** 2)
+                  for acc in transported(2, read.f))
+    new_g = tuple(dense_tensor(acc, 3, n, scale * psi.den ** 3)
+                  for acc in transported(3, read.g))
+    new_t = tuple(Matrix(n, n, dense_vector(acc, n * n, scale * psi.den)).transpose()
+                  for acc in transported(1, read.t_col))
     return TruncatedDeformation(deformation.order, new_f, new_g, new_t)
 
 

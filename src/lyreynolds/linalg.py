@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import CompositionNotZero, DimMismatch, InvalidInput, SingularMatrix
 
@@ -452,3 +453,11 @@ def from_cells(cells: dict, dims: tuple, matrices: bool = False):
             node = node[t]
         node[idx[-1]] = v
     return finish(root, 0)
+
+
+def _view(flat: tuple, shape: tuple[int, ...]) -> tuple:
+    """``flat`` as nested tuples of ``shape``, the last axis fastest."""
+    if len(shape) == 1:
+        return flat
+    step = prod(shape[1:])
+    return tuple(_view(flat[k * step:(k + 1) * step], shape[1:]) for k in range(shape[0]))

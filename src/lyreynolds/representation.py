@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .algebra import (
     IntegerRead,
@@ -403,14 +403,12 @@ def adjoint_rep(algebra: LyAlgebra, op: ReynoldsOperator | None = None) -> Repre
     When an operator is supplied its matrix becomes the module operator.
     """
     n = algebra.dim
-    rho = tuple(
-        Matrix.from_rows(
-            [[algebra.binary[i][j][k] for j in range(n)] for k in range(n)], n)
-        for i in range(n))
+    # zip transposes: row k of rho(e_i) is [e_i, e_j]_k over j, and so on
+    rho = tuple(Matrix(n, n, tuple(chain.from_iterable(zip(*plane))))
+                for plane in algebra.binary)
     theta = tuple(
-        tuple(
-            Matrix.from_rows(
-                [[algebra.ternary[k][i][j][l] for k in range(n)] for l in range(n)], n)
+        tuple(Matrix(n, n, tuple(chain.from_iterable(
+            zip(*(algebra.ternary[k][i][j] for k in range(n))))))
             for j in range(n))
         for i in range(n))
     module_op = op.matrix if op is not None else None

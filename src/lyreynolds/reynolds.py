@@ -11,9 +11,12 @@ Matrices act on coordinate columns: T e_j = sum_i matrix[i, j] e_i.
 The terms T is applied to on the right are the descendant brackets
 [x,y]_T and {x,y,z}_T, so one function (``_reynolds_terms``) writes both
 sides of the identities, and the descendant algebra is its right-hand side
-at order 0.  The verifiers, the descendant and the derivation check each
-take one integer read (``algebra.IntegerRead``) of the structure constants,
-the operator and the weight; a deformation is the same battery at order n.
+at order 0.  Both sides, and the Leibniz rule of the derivation check, are
+whole-tensor products of structure constants and maps taken one argument
+slot at a time (``algebra.slot_product``, the kernel the deformation
+transport uses too), over one integer read (``algebra.IntegerRead``) of the
+structure constants, the operator and the weight.  A deformation is the
+same battery as a truncated series product, every order in one pass.
 """
 
 from __future__ import annotations
@@ -27,8 +30,11 @@ from .algebra import (
     LyAlgebra,
     _axiom_report,
     _morphism_failure,
-    contract,
-    dense_vector,
+    dense_tensor,
+    flat_table,
+    series_lincomb,
+    slot_product,
+    tuple_residual,
     verify_ly_axioms,
 )
 from .errors import (
@@ -38,7 +44,7 @@ from .errors import (
     NotDerivation,
     ZeroScale,
 )
-from .linalg import Matrix, add_scaled, inverse
+from .linalg import Matrix, inverse
 from .reporting import AxiomReport
 
 
@@ -60,96 +66,58 @@ class ReynoldsOperator:
         return self.matrix.apply(v)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _read(algebra: LyAlgebra, op: ReynoldsOperator) -> IntegerRead:
     """The integer read of an algebra and an operator on it."""
     return IntegerRead((algebra.binary,), (algebra.ternary,), (op.matrix,), op.weight)
 
 
-def _reynolds_terms(read: IntegerRead, n: int):
+def _reynolds_terms(read: IntegerRead):
     """Both sides of the weighted binary and ternary operator identities at
-    order ``n`` of the series F, G and Tt of ``read``: one function per
-    identity, mapping a basis tuple to ``(lhs, inner)`` with ``lhs`` the
-    order-n coefficient of [Tx, Ty] (of {Tx, Ty, Tz}) and the right-hand
-    side sum_i T_i(inner[i]).  At order 0, ``inner[0]`` is the descendant
-    bracket [x, y]_T (or {x, y, z}_T).  Both are ``{coordinate: value}``
-    dicts.
+    every order of the series F, G and Tt of ``read``, as one ``(A, inner)``
+    pair of series per identity (see :func:`algebra.slot_product`): A is
+    F(Tx, Ty) (G(Tx, Ty, Tz)), the left-hand side, and inner the term T is
+    applied to on the right.  At order 0, inner is the descendant bracket
+    [x, y]_T (or {x, y, z}_T).
 
-    The products are summed over three-part (plus one weighted four-part)
-    and four-part (plus one five-part) splittings of n, each a
-    :func:`contract` over nonzero structure constants and the sparse columns
-    T_k e_x.  Each term is brought to one power of L by its coefficient: L^2
-    on the terms with two factors fewer than the weighted one, whose
-    coefficient L w is an integer.  The binary terms are then L^4 and the
-    ternary ones L^5 times the exact ones.
+    Each is a whole-tensor product of the series, taken one argument slot
+    at a time: A = F o1 T o2 T and B = F o1 T + F o2 T, inner = L^2 B + L w
+    A, and for the ternary identity A3 = G o1 T o2 T o3 T, B3 = G o2 T o3 T
+    + G o1 T o3 T + G o1 T o2 T and inner = L^2 B3 + 2 L w A3.  A is L^3
+    (L^4) and inner L^4 (L^5) times the exact series.
     """
     dim = len(read.f[0])
-    f, g, t_col = read.f, read.g, read.t_col
     square, lw = read.den ** 2, read.lw
-    unit = [((x, 1),) for x in range(dim)]
-    comps3, comps4, comps5 = (list(_compositions(n, parts)) for parts in (3, 4, 5))
 
-    def image(table, vecs):
-        out = {}
-        contract(out, 1, table, vecs)
-        return tuple(out.items())
+    def with_t(series, slot, depth):
+        return slot_product(series, read.t_row, dim ** (depth - slot), dim)
 
-    def binary(x, y):
-        # F_j(T_k x, T_l y) for every j + k + l <= n, each computed once
-        all_t = {(j, k, l): image(f[j], (t_col[k][x], t_col[l][y]))
-                 for (_, j, k, l) in comps4}
-        lhs = {}
-        inner = [{} for _ in range(n + 1)]
-        for (i, j, k) in comps3:
-            add_scaled(lhs, square, all_t[i, j, k])
-            contract(inner[i], square, f[j], (t_col[k][x], unit[y]))
-            contract(inner[i], square, f[j][x], (t_col[k][y],))
-        for (i, j, k, l) in comps4:
-            add_scaled(inner[i], lw, all_t[j, k, l])
-        return lhs, inner
-
-    def ternary(x, y, z):
-        # G_j(T_k x, T_l y, T_m z) for every j + k + l + m <= n, each once
-        all_t = {(j, k, l, m): image(g[j], (t_col[k][x], t_col[l][y], t_col[m][z]))
-                 for (_, j, k, l, m) in comps5}
-        lhs = {}
-        inner = [{} for _ in range(n + 1)]
-        for (i, j, k, l) in comps4:
-            add_scaled(lhs, square, all_t[i, j, k, l])
-            contract(inner[i], square, g[j][x], (t_col[k][y], t_col[l][z]))
-            contract(inner[i], square, g[j], (t_col[k][x], unit[y], t_col[l][z]))
-            contract(inner[i], square, g[j], (t_col[k][x], t_col[l][y], unit[z]))
-        for (i, j, k, l, m) in comps5:
-            add_scaled(inner[i], 2 * lw, all_t[j, k, l, m])
-        return lhs, inner
-
-    return binary, ternary
+    f = [flat_table(t, 2, dim) for t in read.f]
+    f1 = with_t(f, 0, 2)
+    a2 = with_t(f1, 1, 2)
+    inner2 = series_lincomb((square, f1), (square, with_t(f, 1, 2)), (lw, a2))
+    g = [flat_table(t, 3, dim) for t in read.g]
+    g1 = with_t(g, 0, 3)
+    g12 = with_t(g1, 1, 3)
+    a3 = with_t(g12, 2, 3)
+    # G o2 T o3 T + G o1 T o3 T, with the shared o3 T taken once
+    g13_23 = with_t(series_lincomb((1, with_t(g, 1, 3)), (1, g1)), 2, 3)
+    inner3 = series_lincomb((square, g13_23), (square, g12), (2 * lw, a3))
+    return (a2, inner2), (a3, inner3)
 
 
-def _reynolds_identities(read: IntegerRead, n: int):
-    """The weighted binary and ternary operator identities at order ``n`` of
-    the series of ``read``, as ``(shape, residual, den)`` triples (see
-    algebra._axiom_report): both are antisymmetric in their first two slots.
-    A residual is lhs - sum_i T_i(inner[i]) of :func:`_reynolds_terms`, one
-    application of each T_i, at L^5 (binary) or L^6 (ternary)."""
-    binary, ternary = _reynolds_terms(read, n)
-
-    def minus_ts(lhs, inner):
-        for i, v in enumerate(inner):
-            contract(lhs, -1, read.t_col[i], (v.items(),))
-        return lhs
-
-    return (((2,), lambda x, y: minus_ts(*binary(x, y)), read.den ** 5),
-            ((2, 1), lambda x, y, z: minus_ts(*ternary(x, y, z)), read.den ** 6))
+def _reynolds_identities(read: IntegerRead):
+    """The weighted binary and ternary operator identities at every order of
+    the series of ``read``: for each order n, the pair of ``(shape,
+    residual, den)`` triples (see algebra._axiom_report), both antisymmetric
+    in their first two slots.  A residual is L^2 A - T o inner of
+    :func:`_reynolds_terms` at order n, at L^5 (binary) or L^6 (ternary)."""
+    dim = len(read.f[0])
+    square = read.den ** 2
+    residuals = [series_lincomb((square, a), (-1, slot_product(inner, read.t_col, 1, dim)))
+                 for a, inner in _reynolds_terms(read)]
+    return [(((2,), tuple_residual(binary, dim), read.den ** 5),
+             ((2, 1), tuple_residual(ternary, dim), read.den ** 6))
+            for binary, ternary in zip(*residuals)]
 
 
 def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
@@ -159,7 +127,7 @@ def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
     if op.dim != algebra.dim:
         raise DimMismatch("operator side != algebra dim")
     return _axiom_report(("reynolds-binary", "reynolds-ternary"),
-                         _reynolds_identities(_read(algebra, op), 0),
+                         _reynolds_identities(_read(algebra, op))[0],
                          algebra.dim)
 
 
@@ -186,9 +154,9 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
         {x,y,z}_T = {x,Ty,Tz} + {Tx,y,Tz} + {Tx,Ty,z} + 2w {Tx,Ty,Tz}
 
     These are the terms T is applied to in the Reynolds identities, so the
-    brackets are ``inner[0]`` of :func:`_reynolds_terms` at order 0, over
-    the integer read of the structure constants, T and the weight: L^4 and
-    L^5 times the exact brackets, divided back once per entry.  The
+    brackets are ``inner`` of :func:`_reynolds_terms` at order 0, over the
+    integer read of the structure constants, T and the weight: L^4 and L^5
+    times the exact brackets, divided back once per entry.  The
     construction re-validates everything it is supposed to satisfy: the
     result is again a Lie-Yamaguti algebra, T is again a Reynolds operator
     of the same weight on it, and T: L_T -> L is a morphism of both
@@ -197,15 +165,9 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     _require_reynolds(algebra, op)
     n = algebra.dim
     read = _read(algebra, op)
-    binary_terms, ternary_terms = _reynolds_terms(read, 0)
-    binary = tuple(tuple(dense_vector(binary_terms(i, j)[1][0], n, read.den ** 4)
-                         for j in range(n)) for i in range(n))
-    ternary = tuple(
-        tuple(tuple(dense_vector(ternary_terms(i, j, k)[1][0], n, read.den ** 5)
-                    for k in range(n)) for j in range(n))
-        for i in range(n))
-
-    descendant = LyAlgebra(n, binary, ternary, algebra.labels)
+    (_, inner2), (_, inner3) = _reynolds_terms(read)
+    descendant = LyAlgebra(n, dense_tensor(inner2[0], 2, n, read.den ** 4),
+                           dense_tensor(inner3[0], 3, n, read.den ** 5), algebra.labels)
     axioms = verify_ly_axioms(descendant)
     if not axioms.ok:
         raise InternalInconsistency(
@@ -226,28 +188,18 @@ def _derivation_identities(read: IntegerRead):
     """The Leibniz rule over the binary and the ternary bracket of the map D
     of ``read`` (its one operator map), as ``(shape, residual, den)``
     triples (see algebra._axiom_report): both are antisymmetric in their
-    first two slots.  Each term is one structure constant and one D, so
-    both residuals are L^2 times the exact ones."""
-    b, t, d_col = read.f[0], read.g[0], read.t_col[0]
-    unit = [((x, 1),) for x in range(len(b))]
-
-    def binary(i, j):
-        acc = {}
-        contract(acc, 1, d_col, (b[i][j],))
-        contract(acc, -1, b, (d_col[i], unit[j]))
-        contract(acc, -1, b[i], (d_col[j],))
-        return acc
-
-    def ternary(i, j, k):
-        acc = {}
-        contract(acc, 1, d_col, (t[i][j][k],))
-        contract(acc, -1, t, (d_col[i], unit[j], unit[k]))
-        contract(acc, -1, t[i], (d_col[j], unit[k]))
-        contract(acc, -1, t[i][j], (d_col[k],))
-        return acc
-
-    square = read.den ** 2
-    return ((2,), binary, square), ((2, 1), ternary, square)
+    first two slots.  Each residual is D o F - F o1 D - F o2 D (D o G -
+    G o1 D - G o2 D - G o3 D) as whole-tensor slot products, L^2 times the
+    exact one."""
+    dim = len(read.f[0])
+    identities = []
+    for depth, table, shape in ((2, read.f[0], (2,)), (3, read.g[0], (2, 1))):
+        series = [flat_table(table, depth, dim)]
+        terms = [(-1, slot_product(series, read.t_row, dim ** (depth - slot), dim))
+                 for slot in range(depth)]
+        residual = series_lincomb((1, slot_product(series, read.t_col, 1, dim)), *terms)
+        identities.append((shape, tuple_residual(residual[0], dim), read.den ** 2))
+    return tuple(identities)
 
 
 def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:

@@ -12,7 +12,8 @@ sparse ones against.
   ``dense_apply``, ``dense_transpose`` and ``dense_block_diag`` are the
   other matrix operations, entry by entry on row-major dense entries.
 * ``dense_ly_identities`` and ``dense_reynolds_identities`` are the identity
-  battery on dense vectors, and ``verify_deformation_dense`` runs it;
+  battery on dense vectors, and ``verify_reynolds_dense`` (order 0) and
+  ``verify_deformation_dense`` run it;
   ``derivation_check_dense``, ``verify_rep_dense``,
   ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
   verifiers and the transport written with dense vectors and whole-matrix
@@ -21,6 +22,8 @@ sparse ones against.
   build the derived pair map, the induced representation and the
   descendant brackets from whole-matrix sums and products and dense
   vectors.
+* ``morphism_failure_dense`` compares the image of each bracket of basis
+  vectors with the bracket of their images, as dense vectors.
 * ``antisymmetry_failure_scan`` compares every entry with the negation of
   its swapped partner on every basis tuple, for entries of any type.
 * ``base_data_by_solves``, ``extract_rep_by_solves`` and
@@ -47,6 +50,7 @@ from lyreynolds.algebra import (
     apply_ternary,
     bracket2,
     bracket3,
+    orbit_tuples,
 )
 from lyreynolds.cohomology import (
     cochain_dim,
@@ -79,7 +83,17 @@ from lyreynolds.linalg import (
 )
 from lyreynolds.reporting import AxiomReport, Check, OrderReport, first_failure
 from lyreynolds.representation import Representation, induced_rep
-from lyreynolds.reynolds import ReynoldsOperator, _compositions, descendant_algebra
+from lyreynolds.reynolds import ReynoldsOperator, descendant_algebra
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def _eval_slots(tensor, slots, leaf_len):
@@ -483,6 +497,17 @@ def dense_reynolds_identities(F, G, Tt, w, n: int):
     return ((2, binary), (3, ternary))
 
 
+def verify_reynolds_dense(algebra, op):
+    """The weighted binary and ternary identities of op on all basis tuples:
+    order 0 of :func:`dense_reynolds_identities`."""
+    if op.dim != algebra.dim:
+        raise DimMismatch("operator side != algebra dim")
+    return _axiom_report(("reynolds-binary", "reynolds-ternary"),
+                         dense_reynolds_identities((algebra.binary,), (algebra.ternary,),
+                                                   (op.matrix,), op.weight, 0),
+                         algebra.dim)
+
+
 def verify_deformation_dense(algebra, op, deformation):
     """Check every axiom of the deformed structure order by order.
 
@@ -770,6 +795,24 @@ def apply_equivalence_dense(deformation, iso):
         new_t.append(t_s)
 
     return TruncatedDeformation(N, tuple(new_f), tuple(new_g), tuple(new_t))
+
+
+def morphism_failure_dense(phi, source, target):
+    """First basis tuple at which the linear map ``phi`` fails to carry a
+    bracket of ``source`` to the same bracket of ``target``: the pairs (i, j)
+    of the binary bracket come before the triples (i, j, k) of the ternary
+    one, i < j in both.  None when ``phi`` is a morphism of both brackets."""
+    n = source.dim
+    cols = phi.transpose()
+    img = [cols.row(i) for i in range(n)]
+    for i, j in orbit_tuples(n, (2,)):
+        if phi.apply(source.binary[i][j]) != apply_binary(target.binary, img[i], img[j]):
+            return (i, j)
+    for i, j, k in orbit_tuples(n, (2, 1)):
+        if phi.apply(source.ternary[i][j][k]) != \
+                apply_ternary(target.ternary, img[i], img[j], img[k]):
+            return (i, j, k)
+    return None
 
 
 def antisymmetry_failure_scan(tensor, dim, depth):

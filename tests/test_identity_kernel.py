@@ -27,20 +27,27 @@ from conftest import (
 from oracles import (
     apply_equivalence_dense,
     derivation_check_dense,
+    descendant_algebra_dense,
+    morphism_failure_dense,
     verify_deformation_dense,
     verify_rep_dense,
+    verify_reynolds_dense,
     verify_reynolds_rep_dense,
 )
 from lyreynolds import (
     FormalIsomorphism,
+    LyAlgebra,
     Matrix,
     ReynoldsOperator,
     TruncatedDeformation,
     abelian,
     apply_equivalence,
+    adjoint_rep,
     derivation_check,
+    descendant_algebra,
     from_lie_algebra,
     reynolds_from_derivation,
+    semidirect_product,
     two_dim_example,
     verify_deformation,
     verify_rep,
@@ -49,6 +56,7 @@ from lyreynolds import (
 )
 from lyreynolds.algebra import (
     IntegerRead,
+    _morphism_failure,
     apply_binary,
     binary_from_sparse,
     common_denominator,
@@ -216,6 +224,131 @@ def test_reynolds_from_derivation_verifies_across_the_catalogue(pair, weight):
     assert op.matrix == expected
     assert op.weight == weight
     assert verify_reynolds(algebra, op).ok
+
+
+# ---------------------------------------------------------------------------
+# beyond dimension 3: random structures and semidirect totals of dims 4-6
+
+def sparse_algebra(rng, dim: int) -> LyAlgebra:
+    """A few random antisymmetric structure constants at index pairs i < j."""
+    def entries(arity):
+        return {(*sorted(rng.sample(range(dim), 2)),
+                 *(rng.randrange(dim) for _ in range(arity - 2))): rand_fraction(rng, nonzero=True)
+                for _ in range(rng.randint(1, 2 * dim))}
+    return LyAlgebra(dim, binary_from_sparse(dim, entries(3)),
+                     ternary_from_sparse(dim, entries(4)))
+
+
+def semidirect_totals(rng, count: int):
+    """Valid (total, operator) pairs L (+) V of dims 4-6, L a valid base of
+    dim 2-3 acting on itself, the operator T (+) T_V: the shape of the
+    extension catalogue."""
+    totals = []
+    while len(totals) < count:
+        algebra, op, rep = random_valid_triples(rng, 1)[0]
+        if algebra.dim >= 2:
+            totals.append(semidirect_product(algebra, op, rep))
+    return totals
+
+
+def wide_inputs(rng, count: int):
+    """(algebra, operator) pairs of dims 4-6, one in three valid (a
+    semidirect total with its block operator), the rest failing: a total or
+    a random sparse algebra with a dense random operator and weight."""
+    pairs = []
+    for k in range(count):
+        if k % 3 == 0:
+            pairs.append(semidirect_totals(rng, 1)[0])
+            continue
+        algebra = (semidirect_totals(rng, 1)[0][0] if k % 3 == 1
+                   else sparse_algebra(rng, rng.randint(4, 6)))
+        n = algebra.dim
+        pairs.append((algebra, ReynoldsOperator(rand_matrix(rng, n, n), rand_fraction(rng))))
+    return pairs
+
+
+def inner_derivation(rng, algebra) -> Matrix:
+    """A random combination of the maps {e_a, e_b, -}, a derivation of both
+    brackets of a Lie-Yamaguti algebra (LY5 and LY6)."""
+    n = algebra.dim
+    acc = Matrix.zero(n, n)
+    for _ in range(2):
+        a, b = rng.sample(range(n), 2)
+        acc = acc + Matrix.from_columns(list(algebra.ternary[a][b]), n).scale(
+            rand_fraction(rng, nonzero=True))
+    return acc
+
+
+def test_reynolds_battery_beyond_dim3_matches_dense_oracle():
+    rng = random.Random(31)
+    failed = Counter()
+    passed = Counter()
+    for algebra, op in wide_inputs(rng, 30):
+        report = verify_reynolds(algebra, op)
+        oracle = verify_reynolds_dense(algebra, op)
+        assert report == oracle
+        assert report.to_json() == oracle.to_json()
+        failed.update(c.name for c in report.failures())
+        passed[algebra.dim, report.ok] += 1
+    assert failed["reynolds-binary"] >= 10 and failed["reynolds-ternary"] >= 10, failed
+    assert all(passed[dim, True] >= 2 for dim in (4, 6)), passed
+
+
+def test_descendant_beyond_dim3_matches_dense_oracle():
+    rng = random.Random(32)
+    dims = Counter()
+    for total, total_op in semidirect_totals(rng, 12):
+        n = total.dim
+        c = rand_fraction(rng, nonzero=True)
+        scalar = ReynoldsOperator(Matrix.identity(n).scale(c), -1 / c)
+        for op in (total_op, scalar):
+            assert descendant_algebra(total, op) == descendant_algebra_dense(total, op)
+            dims[n] += 1
+    assert dims[4] >= 4 and dims[6] >= 4, dims
+
+
+def test_derivation_check_beyond_dim3_matches_dense_oracle():
+    rng = random.Random(33)
+    failed = Counter()
+    passed = 0
+    for algebra, _op in wide_inputs(rng, 30):
+        n = algebra.dim
+        inner = inner_derivation(rng, algebra)
+        for dm in (inner, rand_matrix(rng, n, n), inner + Matrix.from_rows(
+                [[1 if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)])):
+            report = derivation_check(algebra, dm)
+            oracle = derivation_check_dense(algebra, dm)
+            assert report == oracle
+            assert report.to_json() == oracle.to_json()
+            failed.update(c.name for c in report.failures())
+            passed += report.ok
+    assert failed["derivation-binary"] >= 10 and failed["derivation-ternary"] >= 10, failed
+    assert passed >= 10, passed
+
+
+def test_morphism_failure_matches_dense_oracle():
+    rng = random.Random(34)
+    found = Counter()
+    pairs = [pair for pair in random_structures(rng, 20) if verify_reynolds(*pair).ok]
+    pairs += [t[:2] for t in random_valid_triples(rng, 10)] + semidirect_totals(rng, 8)
+    for algebra, op in pairs:
+        n = algebra.dim
+        descendant = descendant_algebra(algebra, op)
+        ternary_only = LyAlgebra(n, zero_binary(n), algebra.ternary)
+        cases = [(Matrix.identity(n), algebra, algebra),
+                 (op.matrix, descendant, algebra),
+                 (rand_matrix(rng, n, n), algebra, algebra),
+                 (rand_matrix(rng, n, n), descendant, algebra),
+                 (Matrix.identity(n).scale(2), ternary_only, ternary_only)]
+        if n > 1:
+            moved = Matrix.from_rows([[1 if (i, j) == (n - 1, 0) else 0 for j in range(n)]
+                                      for i in range(n)])
+            cases.append((op.matrix + moved, descendant, algebra))
+        for phi, source, target in cases:
+            bad = _morphism_failure(phi, source, target)
+            assert bad == morphism_failure_dense(phi, source, target)
+            found[None if bad is None else len(bad)] += 1
+    assert found[None] >= 20 and found[2] >= 10 and found[3] >= 10, found
 
 
 # ---------------------------------------------------------------------------

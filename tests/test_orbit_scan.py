@@ -226,7 +226,7 @@ def named_identities(rng, algebra, op, rep, dm, order: int):
     m = rep.module_dim
     for names, identities in ((LY_NAMES, _ly_identities(read, order)),
                               (("reynolds-binary", "reynolds-ternary"),
-                               _reynolds_identities(read, order)),
+                               _reynolds_identities(read)[order]),
                               (("derivation-binary", "derivation-ternary"),
                                _derivation_identities(IntegerRead(*base, (dm,))))):
         for name, (shape, fn, _den) in zip(names, identities):
