@@ -351,7 +351,7 @@ def series_lincomb(*terms) -> list:
     return out
 
 
-def dense_tensor(acc: dict, depth: int, dim: int, den: int = 1) -> tuple:
+def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> tuple:
     """The tensor with ``depth`` levels of basis indices whose flat
     ``{position: value}`` dict (see :func:`flat_table`) holds den times it,
     as nested tuples of Fractions."""

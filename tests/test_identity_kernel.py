@@ -42,7 +42,6 @@ from lyreynolds import (
     TruncatedDeformation,
     abelian,
     apply_equivalence,
-    adjoint_rep,
     derivation_check,
     descendant_algebra,
     from_lie_algebra,
