@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, product
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     DimMismatch,
@@ -199,29 +199,19 @@ def apply_ternary(tensor: TernaryTensor, x, y, z) -> Vector:
     return tuple(out)
 
 
-def common_denominator(data, depth: int) -> int:
-    """The least common multiple of the denominators of every entry of
-    ``data``, nested ``depth`` levels above its vectors."""
-    if depth == 0:
-        return lcm(*(v.denominator for v in data))
-    return lcm(*(common_denominator(node, depth - 1) for node in data))
-
-
-def integer_table(tensor, depth: int, den: int):
-    """den * tensor as a sparse table: the same nesting over ``depth`` basis
-    indices, each leaf the ``(index, value)`` pairs of a vector's nonzero
-    coordinates.  ``den`` clears every denominator, so the leaves hold ints,
-    whose arithmetic costs a fraction of Fraction's."""
-    if depth == 0:
-        return tuple((k, v.numerator * (den // v.denominator))
-                     for k, v in enumerate(tensor) if v)
-    return tuple(integer_table(node, depth - 1, den) for node in tensor)
+def _nonzero_leaves(tensor, depth: int) -> list:
+    """The vectors of ``tensor``, nested ``depth`` levels above them, in
+    product order of their indices, each as the ``(index, value)`` pairs of
+    its nonzero coordinates: the one walk over every entry."""
+    for _ in range(depth - 1):
+        tensor = chain.from_iterable(tensor)
+    return [tuple((k, v) for k, v in enumerate(vec) if v) for vec in tensor]
 
 
 def integer_rows(rows, den: int):
     """den * rows, for rows of nonzero ``(index, value)`` pairs (the stored
-    rows :attr:`Matrix.sparse`, or those of a transpose for the columns)
-    whose denominators all divide ``den``."""
+    rows :attr:`Matrix.sparse`, the columns of a transpose, or the leaves of
+    :func:`_nonzero_leaves`) whose denominators all divide ``den``."""
     return tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in row)
                  for row in rows)
 
@@ -245,27 +235,29 @@ class IntegerRead:
 
     ``F`` and ``G`` are series of binary and ternary tensors (a single
     structure is a series of length 1), ``Tt`` a series of maps (operator
-    coefficients, or a derivation), and ``rows`` a nesting of tuples of
-    matrices (a representation's rho, theta and module operator).  L =
-    ``den`` clears every denominator among them and the weight's; then
-    ``f[i]`` and ``g[i]`` are L F_i and L G_i as :func:`integer_table`,
-    ``t_col[i][x]`` is L T_i e_x, ``t_row[i][y]`` the row y of L T_i, ``lw``
-    is L times the weight, and ``rows`` keeps its nesting with each matrix
-    as L times its stored rows.  Each battery and builder brings its terms
-    to one power of L and divides an output entry back once; a deformation
-    is read once for all its orders.
+    coefficients, or a derivation) or two maps T and T_V, and ``rows`` a
+    nesting of tuples of matrices (a representation's rho and theta).  L =
+    ``den`` clears the denominators of every nonzero entry, collected in one
+    walk, and the weight's; then ``f[i]`` and ``g[i]`` are L F_i and L G_i,
+    nested over basis indices above each vector's nonzero ``(index,
+    value)`` pairs, ``t_col[i][x]`` is L T_i e_x, ``t_row[i][y]`` the row y
+    of L T_i, ``lw`` is L times the weight, and ``rows`` keeps its nesting
+    with each matrix as L times its stored rows.  Each battery and builder
+    brings its terms to one power of L and divides an output entry back
+    once; a deformation is read once for all its orders.
     """
 
     __slots__ = ("den", "f", "g", "t_col", "t_row", "lw", "rows")
 
     def __init__(self, F=(), G=(), Tt=(), weight=0, rows=()):
         weight = Fraction(weight)
-        self.den = den = lcm(
-            common_denominator(F, 3), common_denominator(G, 4), weight.denominator,
-            *(v.denominator for mat in (*Tt, *_matrices(rows))
-              for row in mat.sparse for _, v in row))
-        self.f = tuple(integer_table(t, 2, den) for t in F)
-        self.g = tuple(integer_table(t, 3, den) for t in G)
+        f = [_nonzero_leaves(t, 2) for t in F]
+        g = [_nonzero_leaves(t, 3) for t in G]
+        leaves = chain(*f, *g, *(mat.sparse for mat in (*Tt, *_matrices(rows))))
+        self.den = den = lcm(weight.denominator,
+                             *{v.denominator for leaf in leaves for _, v in leaf})
+        self.f = tuple(_view(integer_rows(leaves, den), (len(t),) * 2) for t, leaves in zip(F, f))
+        self.g = tuple(_view(integer_rows(leaves, den), (len(t),) * 3) for t, leaves in zip(G, g))
         self.t_col = tuple(integer_rows(t.transpose().sparse, den) for t in Tt)
         self.t_row = tuple(integer_rows(t.sparse, den) for t in Tt)
         self.lw = (weight * den).numerator
@@ -300,33 +292,26 @@ def dense_vector(acc: dict, dim: int, den: int = 1) -> Vector:
     return tuple(Fraction(acc[k], den) if acc.get(k) else _ZERO for k in range(dim))
 
 
-def flat_table(table, depth: int, dim: int) -> dict:
-    """An integer table (see :func:`integer_table`) with ``depth`` levels of
-    basis indices as one ``{position: value}`` dict, the position of the
-    coordinate k of the vector at (i, .., j) being its place in product
-    order of (i, .., j, k) over range(dim)."""
-    out = {}
-
-    def walk(node, level, base):
-        if level == depth:
-            for k, v in node:
-                out[base + k] = v
-        else:
-            for i, child in enumerate(node):
-                walk(child, level + 1, (base + i) * dim)
-
-    walk(table, 0, 0)
-    return out
+def flat_table(table, shape) -> dict:
+    """An integer table (nested tuples above sparse ``(index, value)``
+    leaves, as :class:`IntegerRead` keeps them) as one ``{position: value}``
+    dict, a position being the place in product order over ``shape``: a
+    mixed radix, e.g. (n, n, n) for a binary bracket and (n,)*k + (m, m)
+    for a k-linear map into operators on an m-dimensional module."""
+    for _ in range(len(shape) - 2):
+        table = chain.from_iterable(table)
+    size = shape[-1]
+    return {t * size + k: v for t, leaf in enumerate(table) for k, v in leaf}
 
 
 def slot_product(series, maps, stride: int, dim: int) -> list:
     """The truncated product of two series, order by order: order s is
     sum_{b+c=s} series_b with one index of its entries moved by maps_c.
     An order is a ``{position: int}`` dict (see :func:`flat_table`).  The
-    moved index is the digit of weight ``stride``, and ``maps[c][y]`` lists
-    the ``(x, value)`` pairs that send y to x: the rows of a map T
-    (``IntegerRead.t_row``) precompose an argument with T, and its columns
-    (``t_col``) at stride 1 compose T after the output."""
+    moved index is the digit of weight ``stride`` and base ``dim``, and
+    ``maps[c][y]`` lists the ``(x, value)`` pairs that send y to x: the rows
+    of a map T (``IntegerRead.t_row``) precompose an argument with T, and
+    its columns (``t_col``) compose T after the output (or an operator)."""
     out = []
     for s in range(len(series)):
         acc = defaultdict(int)
@@ -339,6 +324,23 @@ def slot_product(series, maps, stride: int, dim: int) -> list:
                     acc[base + x * stride] += v * p
         out.append(acc)
     return out
+
+
+def twist(series, maps, shape, slots):
+    """The two parts of every structure a map T induces from a multilinear
+    map X: A = X with T in every argument slot of ``slots``, and B = sum_s
+    X with T in every one of them but s, as series of ``shape`` (see
+    :func:`slot_product`; ``maps`` are T's rows).  Callers form inner = L^2
+    B + c L w A (c = 1 for [,] and rho, 2 for {,,}, theta and D) and X_T =
+    L^2 A - T o inner.  One pass, B <- B o_j T + A and A <- A o_j T: 2k - 1
+    slot products for k slots."""
+    a, b = series, None
+    for slot in slots:
+        stride, base = prod(shape[slot + 1:]), shape[slot]
+        b = a if b is None else series_lincomb(
+            (1, slot_product(b, maps, stride, base)), (1, a))
+        a = slot_product(a, maps, stride, base)
+    return a, b
 
 
 def series_lincomb(*terms) -> list:
@@ -358,19 +360,20 @@ def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> tuple:
     return _view(dense_vector(acc, dim ** (depth + 1), den), (dim,) * (depth + 1))
 
 
-def tuple_residual(acc: dict, dim: int):
-    """A flat ``{position: value}`` dict of a tensor (see :func:`flat_table`)
-    as the residual of :func:`_axiom_report`: the map from a basis tuple to
-    the ``{coordinate: value}`` dict of its vector's nonzero entries."""
+def tuple_residual(acc: dict, shape):
+    """A flat ``{position: value}`` dict of ``shape`` (see :func:`flat_table`)
+    as the residual of :func:`_axiom_report`: the map from the digits above
+    a leaf (a basis tuple, or one and a row) to its nonzero entries."""
+    leaf = shape[-1]
     vectors = defaultdict(dict)
     for p, v in acc.items():
         if v:
-            vectors[p // dim][p % dim] = v
+            vectors[p // leaf][p % leaf] = v
 
     def residual(*idx):
         t = 0
-        for i in idx:
-            t = t * dim + i
+        for i, base in zip(idx, shape):
+            t = t * base + i
         return vectors.get(t, {})
 
     return residual
@@ -544,12 +547,13 @@ def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
     read = IntegerRead((source.binary, target.binary), (source.ternary, target.ternary),
                        (phi,))
     for depth, (src, tgt), shape in ((2, read.f, (2,)), (3, read.g, (2, 1))):
-        pulled = [flat_table(tgt, depth, n)]
+        dims = (n,) * (depth + 1)
+        pulled = [flat_table(tgt, dims)]
         for slot in range(depth):
             pulled = slot_product(pulled, read.t_row, n ** (depth - slot), n)
-        pushed = slot_product([flat_table(src, depth, n)], read.t_col, 1, n)
+        pushed = slot_product([flat_table(src, dims)], read.t_col, 1, n)
         residual = tuple_residual(
-            series_lincomb((read.den ** (depth - 1), pushed), (-1, pulled))[0], n)
+            series_lincomb((read.den ** (depth - 1), pushed), (-1, pulled))[0], dims)
         bad = next((t for t in orbit_tuples(n, shape) if residual(*t)), None)
         if bad is not None:
             return bad

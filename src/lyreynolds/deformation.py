@@ -237,7 +237,7 @@ def apply_equivalence(deformation: TruncatedDeformation,
     def transported(arity, tables):
         """The transported series, each order as a ``{position: int}`` dict
         at den(X) den(psi)^arity den(phi), from the integer tables of X."""
-        series = [flat_table(t, arity, n) for t in tables]
+        series = [flat_table(t, (n,) * (arity + 1)) for t in tables]
         for slot in range(arity):
             series = slot_product(series, psi.t_row, n ** (arity - slot), n)
         return slot_product(series, phi.t_col, 1, n)

@@ -18,9 +18,10 @@ constants, rho, theta, T, the module operator and the weight, over one
 common denominator L, and accumulate ints: every term of an identity or of
 a built entry is brought to one power of L, and only an output entry (a
 built matrix, or the residual of a failing identity) is divided back, once.
-The induced maps rho_T and theta_T are written once (``_induced``), and the
-module-operator identities are X_T(x..) T_V = T_V X(Tx..) for X = rho,
-theta and D.
+The induced maps X_T of X = rho, theta and D (``_twisted``) come from the
+twist kernel of the descendant brackets (``algebra.twist``), as whole
+tensors in a mixed radix (``algebra.flat_table``), and the module-operator
+identities are X_T(x..) T_V = T_V X(Tx..).
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from .algebra import (
     IntegerRead,
     LyAlgebra,
     expand,
+    flat_table,
     orbit_tuples,
+    series_lincomb,
+    slot_product,
+    tuple_residual,
+    twist,
 )
 from .errors import (
     DimMismatch,
@@ -46,6 +52,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _view,
     add_product,
     add_rows,
     block_diag,
@@ -261,15 +268,15 @@ def _operator_report(dim: int, module_dim: int, identities, derived, premise: st
     """One check per named ``(name, shape, residual, den)`` identity over
     the basis tuples of algebra.orbit_tuples for its shape; only a failing
     residual is divided by its den into the exact matrix the report keeps.
-    When all of them pass, each ``(identity, what)`` of ``derived`` is
-    checked as well; it must follow from ``premise``, so a failure is a
-    bug, raised as InternalInconsistency with its witness instead of being
-    reported."""
+    When all of them pass, ``derived()`` gives ``(identity, what)`` pairs
+    that are checked as well; they must follow from ``premise``, so a
+    failure is a bug, raised as InternalInconsistency with its witness
+    instead of being reported."""
     checks = [first_failure(name, orbit_tuples(dim, shape), fn, _is_zero,
                             lambda acc, den=den: _matrix(_rows(acc), den, module_dim))
               for name, shape, fn, den in identities]
     if all(c.passed for c in checks):
-        for (name, shape, fn, _den), what in derived:
+        for (name, shape, fn, _den), what in derived():
             check = first_failure(name, orbit_tuples(dim, shape), fn, _is_zero)
             if not check.passed:
                 raise InternalInconsistency(
@@ -295,68 +302,55 @@ def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
     *identities, cyclic, compat = _rep_identities(IntegerRead(
         (algebra.binary,), (algebra.ternary,), rows=(rep.rho, rep.theta)), rep.module_dim)
     return _operator_report(n, rep.module_dim, identities,
-                   ((cyclic, "derived cyclic D identity"),
-                    (compat, "derived D-D compatibility")),
-                   "the representation identities")
+                            lambda: ((cyclic, "derived cyclic D identity"),
+                                     (compat, "derived D-D compatibility")),
+                            "the representation identities")
 
 
 def _op_read(binary, op: ReynoldsOperator, rep: Representation) -> IntegerRead:
-    """The integer read of T, the weight, rho, theta and the module operator,
-    with the series ``binary`` of binary structure constants (or none)."""
-    return IntegerRead(binary, (), (op.matrix,), op.weight,
-                       (rep.rho, rep.theta, rep.module_op))
+    """The integer read of T and the module operator T_V, its two maps in
+    this order, the weight, rho and theta, with the series ``binary`` of
+    binary structure constants (or none)."""
+    return IntegerRead(binary, (), (op.matrix, rep.module_op), op.weight,
+                       (rep.rho, rep.theta))
 
 
-def _induced(read: IntegerRead, table, args, m: int):
+def _twisted(read: IntegerRead, table, k: int, n: int, m: int):
     """The induced map X_T(x_1..x_k) = X(Tx..) - T_V (k w X(Tx..) + sum_s
-    X(.., x_s, ..)) of the k-linear map X into operators on V given by
-    ``table`` at the basis indices ``args``, where the s-th mixed term puts T
-    on every argument but the s-th; and X(Tx..) itself.  Both as stored
-    rows over the read of T, the weight and the module operator (see
-    :func:`_op_read`): for X at L^a, X(Tx..) is at L^(a+k) and X_T at
-    L^(a+k+2)."""
-    t_col, tv, square = read.t_col[0], read.rows[-1], read.den ** 2
-    all_t = [{} for _ in range(m)]
-    _op_at(all_t, 1, table, tuple(t_col[x] for x in args))
-    all_t = _rows(all_t)
-    inner = [{} for _ in range(m)]
-    add_rows(inner, len(args) * read.lw, all_t)
-    for s in range(len(args)):
-        _op_at(inner, square, table,
-               tuple(((x, 1),) if r == s else t_col[x] for r, x in enumerate(args)))
-    acc = [{} for _ in range(m)]
-    add_rows(acc, square, all_t)
-    add_product(acc, -1, tv, _rows(inner))
-    return _rows(acc), all_t
-
-
-def _module_op_identities(read: IntegerRead, m: int):
-    """The rho and theta module-operator identities, then the derived one
-    for D, as ``(name, shape, residual, den)`` quadruples (see
-    :func:`_rep_identities`), over the read of :func:`_op_read` with the
-    binary structure constants.  All three have one shape: for a k-linear
-    map X into operators on V (rho, theta or D) and its induced map X_T
-    (:func:`_induced`), X_T(x..) T_V - T_V X(Tx..).  Only the D residual is
-    antisymmetric, because D is.
-
-    X is L^a times the exact map (a = 1 for rho and theta, 2 for D), so
-    X_T T_V is at L^(a+k+3) and T_V X(Tx..) is multiplied by L^2 to meet
-    it."""
-    rho, theta, tv = read.rows
-    dd = _integer_d(read, m)
+    X(Tx.. x_s ..Tx)) of the k-linear map X into operators on V given by
+    ``table``, and X(Tx..) itself, as flat tables of shape (n,)*k + (m, m)
+    (see algebra.twist) over the read of :func:`_op_read`: for X at L^a,
+    X(Tx..) is at L^(a+k) and X_T at L^(a+k+2)."""
+    shape = (n,) * k + (m, m)
     square = read.den ** 2
+    a, b = twist([flat_table(table, shape)], read.t_row[:1], shape, range(k))
+    inner = series_lincomb((square, b), (k * read.lw, a))
+    x_t, = series_lincomb((square, a), (-1, slot_product(inner, read.t_col[1:], m, m)))
+    return x_t, a[0]
 
-    def residual(table, args):
-        x_t, all_t = _induced(read, table, args, m)
-        acc = [{} for _ in range(m)]
-        add_product(acc, 1, x_t, tv)
-        add_product(acc, -square, tv, all_t)
-        return acc
 
-    den = read.den
-    return (("rho-module-op", (1,), lambda *args: residual(rho, args), den ** 5),
-            ("theta-module-op", (1, 1), lambda *args: residual(theta, args), den ** 6),
-            ("d-module-op (derived)", (2,), lambda *args: residual(dd, args), den ** 7))
+def _module_op_identities(read: IntegerRead, n: int, m: int):
+    """The rho and theta module-operator identities as ``(name, shape,
+    residual, den)`` quadruples (see :func:`_rep_identities`), and a
+    function giving the derived one for D, computed only when asked for;
+    over the read of :func:`_op_read` with the binary structure constants.
+    Each is the whole tensor X_T(x..) T_V - L^2 T_V X(Tx..) of a k-linear
+    map X into operators on V at L^a (:func:`_twisted`; a = 1 for rho and
+    theta, 2 for D), at L^(a+k+3).  Only the D residual is antisymmetric,
+    because D is."""
+    def identity(name, shape, table, a):
+        k = sum(shape)
+        x_t, x_of_t = _twisted(read, table, k, n, m)
+        acc, = series_lincomb((1, slot_product([x_t], read.t_row[1:], 1, m)),
+                              (-read.den ** 2, slot_product([x_of_t], read.t_col[1:], m, m)))
+        row = tuple_residual(acc, (n,) * k + (m, m))
+        return (name, shape, lambda *args: [row(*args, r) for r in range(m)],
+                read.den ** (a + k + 3))
+
+    rho, theta = read.rows
+    return ((identity("rho-module-op", (1,), rho, 1),
+             identity("theta-module-op", (1, 1), theta, 1)),
+            lambda: identity("d-module-op (derived)", (2,), _integer_d(read, m), 2))
 
 
 def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -372,11 +366,11 @@ def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
         raise MissingModuleOp("representation has no module operator")
     if op.dim != algebra.dim or rep.algebra_dim != algebra.dim:
         raise DimMismatch("dimensions do not line up")
-    *identities, derived = _module_op_identities(
-        _op_read((algebra.binary,), op, rep), rep.module_dim)
-    return _operator_report(algebra.dim, rep.module_dim, identities,
-                   ((derived, "derived D module-op identity"),),
-                   "the rho and theta module-op identities")
+    n, m = algebra.dim, rep.module_dim
+    identities, derived = _module_op_identities(_op_read((algebra.binary,), op, rep), n, m)
+    return _operator_report(n, m, identities,
+                            lambda: ((derived(), "derived D module-op identity"),),
+                            "the rho and theta module-op identities")
 
 
 @cache
@@ -423,21 +417,23 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
         rho_T(x)    = rho(Tx)     - T_V (w rho(Tx) + rho(x))
         theta_T(x,y)= theta(Tx,Ty)- T_V (2w theta(Tx,Ty) + theta(Tx,y) + theta(x,Ty))
 
-    Both are :func:`_induced` over the integer read of T, the weight and
-    the module operator, L^4 and L^5 times the exact maps, and divided once
-    per entry.  The output keeps the module operator and is re-validated
-    against the descendant algebra; a failure there is a bug, not data.
+    Both are :func:`_twisted` over the integer read of T, the weight and
+    the module operator, whole tensors at L^4 and L^5 times the exact maps,
+    divided once per entry.  The output keeps the module operator and is
+    re-validated against the descendant algebra; a failure there is a bug,
+    not data.
     """
     _require_reynolds_rep(algebra, op, rep)
     n, m = algebra.dim, rep.module_dim
     read = _op_read((), op, rep)
-    rho, theta, _tv = read.rows
-    rho_t = tuple(_matrix(_induced(read, rho, (x,), m)[0], read.den ** 4, m)
-                  for x in range(n))
-    theta_t = tuple(tuple(_matrix(_induced(read, theta, (x, y), m)[0], read.den ** 5, m)
-                          for y in range(n)) for x in range(n))
 
-    out = Representation(n, m, rho_t, theta_t, rep.module_op)
+    def matrices(table, k):
+        row = tuple_residual(_twisted(read, table, k, n, m)[0], (n,) * k + (m, m))
+        return _view(tuple(_matrix(_rows([row(*idx, r) for r in range(m)]), read.den ** (k + 3), m)
+                           for idx in product(range(n), repeat=k)), (n,) * k)
+
+    rho, theta = read.rows
+    out = Representation(n, m, matrices(rho, 1), matrices(theta, 2), rep.module_op)
     descendant = descendant_algebra(algebra, op)
     base = verify_rep(descendant, out)
     if not base.ok:

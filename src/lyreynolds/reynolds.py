@@ -11,12 +11,12 @@ Matrices act on coordinate columns: T e_j = sum_i matrix[i, j] e_i.
 The terms T is applied to on the right are the descendant brackets
 [x,y]_T and {x,y,z}_T, so one function (``_reynolds_terms``) writes both
 sides of the identities, and the descendant algebra is its right-hand side
-at order 0.  Both sides, and the Leibniz rule of the derivation check, are
-whole-tensor products of structure constants and maps taken one argument
-slot at a time (``algebra.slot_product``, the kernel the deformation
-transport uses too), over one integer read (``algebra.IntegerRead``) of the
-structure constants, the operator and the weight.  A deformation is the
-same battery as a truncated series product, every order in one pass.
+at order 0.  Both sides come from the twist kernel (``algebra.twist``) that
+also gives the induced representation; they and the Leibniz rule of the
+derivation check are whole-tensor products taken one argument slot at a
+time (``algebra.slot_product``), over one integer read
+(``algebra.IntegerRead``) of the structure constants, the operator and the
+weight.  A deformation is the same battery as a truncated series product.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .algebra import (
     series_lincomb,
     slot_product,
     tuple_residual,
+    twist,
     verify_ly_axioms,
 )
 from .errors import (
@@ -74,35 +75,22 @@ def _read(algebra: LyAlgebra, op: ReynoldsOperator) -> IntegerRead:
 def _reynolds_terms(read: IntegerRead):
     """Both sides of the weighted binary and ternary operator identities at
     every order of the series F, G and Tt of ``read``, as one ``(A, inner)``
-    pair of series per identity (see :func:`algebra.slot_product`): A is
-    F(Tx, Ty) (G(Tx, Ty, Tz)), the left-hand side, and inner the term T is
-    applied to on the right.  At order 0, inner is the descendant bracket
-    [x, y]_T (or {x, y, z}_T).
+    pair of series per identity: A is F(Tx, Ty) (G(Tx, Ty, Tz)), the
+    left-hand side, and inner the term T is applied to on the right.  At
+    order 0, inner is the descendant bracket [x, y]_T (or {x, y, z}_T).
 
-    Each is a whole-tensor product of the series, taken one argument slot
-    at a time: A = F o1 T o2 T and B = F o1 T + F o2 T, inner = L^2 B + L w
-    A, and for the ternary identity A3 = G o1 T o2 T o3 T, B3 = G o2 T o3 T
-    + G o1 T o3 T + G o1 T o2 T and inner = L^2 B3 + 2 L w A3.  A is L^3
-    (L^4) and inner L^4 (L^5) times the exact series.
+    Both come from :func:`algebra.twist` over every argument slot, inner =
+    L^2 B + c L w A with c = 1 for F and c = 2 for G.  A is L^3 (L^4) and
+    inner L^4 (L^5) times the exact series.
     """
     dim = len(read.f[0])
-    square, lw = read.den ** 2, read.lw
-
-    def with_t(series, slot, depth):
-        return slot_product(series, read.t_row, dim ** (depth - slot), dim)
-
-    f = [flat_table(t, 2, dim) for t in read.f]
-    f1 = with_t(f, 0, 2)
-    a2 = with_t(f1, 1, 2)
-    inner2 = series_lincomb((square, f1), (square, with_t(f, 1, 2)), (lw, a2))
-    g = [flat_table(t, 3, dim) for t in read.g]
-    g1 = with_t(g, 0, 3)
-    g12 = with_t(g1, 1, 3)
-    a3 = with_t(g12, 2, 3)
-    # G o2 T o3 T + G o1 T o3 T, with the shared o3 T taken once
-    g13_23 = with_t(series_lincomb((1, with_t(g, 1, 3)), (1, g1)), 2, 3)
-    inner3 = series_lincomb((square, g13_23), (square, g12), (2 * lw, a3))
-    return (a2, inner2), (a3, inner3)
+    square = read.den ** 2
+    terms = []
+    for tables, arity, c in ((read.f, 2, 1), (read.g, 3, 2)):
+        shape = (dim,) * (arity + 1)
+        a, b = twist([flat_table(t, shape) for t in tables], read.t_row, shape, range(arity))
+        terms.append((a, series_lincomb((square, b), (c * read.lw, a))))
+    return terms
 
 
 def _reynolds_identities(read: IntegerRead):
@@ -115,8 +103,8 @@ def _reynolds_identities(read: IntegerRead):
     square = read.den ** 2
     residuals = [series_lincomb((square, a), (-1, slot_product(inner, read.t_col, 1, dim)))
                  for a, inner in _reynolds_terms(read)]
-    return [(((2,), tuple_residual(binary, dim), read.den ** 5),
-             ((2, 1), tuple_residual(ternary, dim), read.den ** 6))
+    return [(((2,), tuple_residual(binary, (dim,) * 3), read.den ** 5),
+             ((2, 1), tuple_residual(ternary, (dim,) * 4), read.den ** 6))
             for binary, ternary in zip(*residuals)]
 
 
@@ -194,11 +182,12 @@ def _derivation_identities(read: IntegerRead):
     dim = len(read.f[0])
     identities = []
     for depth, table, shape in ((2, read.f[0], (2,)), (3, read.g[0], (2, 1))):
-        series = [flat_table(table, depth, dim)]
+        dims = (dim,) * (depth + 1)
+        series = [flat_table(table, dims)]
         terms = [(-1, slot_product(series, read.t_row, dim ** (depth - slot), dim))
                  for slot in range(depth)]
         residual = series_lincomb((1, slot_product(series, read.t_col, 1, dim)), *terms)
-        identities.append((shape, tuple_residual(residual[0], dim), read.den ** 2))
+        identities.append((shape, tuple_residual(residual[0], dims), read.den ** 2))
     return tuple(identities)
 
 

@@ -58,10 +58,8 @@ from lyreynolds.algebra import (
     _morphism_failure,
     apply_binary,
     binary_from_sparse,
-    common_denominator,
     contract,
     dense_vector,
-    integer_table,
     ternary_from_sparse,
     zero_binary,
     zero_ternary,
@@ -122,10 +120,16 @@ def test_contract_reads_a_matrix_by_its_columns_and_adds_leaves():
 
 def test_integer_tables_clear_every_denominator():
     tensor = binary_from_sparse(2, {(0, 1, 0): F(1, 6), (0, 1, 1): F(-3, 4)})
-    den = common_denominator(tensor, 2)
-    assert den == 12
-    assert integer_table(tensor, 2, den) == (
-        ((), ((0, 2), (1, -9))), (((0, -2), (1, 9)), ()))
+    read = IntegerRead((tensor,))
+    assert read.den == 12
+    assert read.f == ((((), ((0, 2), (1, -9))), (((0, -2), (1, 9)), ())),)
+    # the weight's denominator and the maps' are cleared too
+    read = IntegerRead((tensor,), Tt=(Matrix.from_rows([[0, F(1, 5)], [0, 0]]),),
+                       weight=F(2, 7))
+    assert read.den == 420 and read.lw == 120
+    assert read.f == ((((), ((0, 70), (1, -315))), (((0, -70), (1, 315)), ())),)
+    assert read.t_row == ((((1, 84),), ()),)
+    assert read.t_col == (((), ((0, 84),)),)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +471,8 @@ def test_apply_equivalence_matches_dense_oracle(order):
         assert maps_denominator(iso.phi) % 5 == 0
         assert maps_denominator(iso.inverse().phi) % 5 == 0
         fractional.update(name for name, den in (
-            ("F", common_denominator(deformation.F, 3)),
-            ("G", common_denominator(deformation.G, 4)),
+            ("F", IntegerRead(F=deformation.F).den),
+            ("G", IntegerRead(G=deformation.G).den),
             ("T", maps_denominator(deformation.Tt))) if den % 7 == 0)
         for phi in (iso, iso.inverse(), FormalIsomorphism.identity(n, order)):
             assert apply_equivalence(deformation, phi) == apply_equivalence_dense(deformation, phi)

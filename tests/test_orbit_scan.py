@@ -231,9 +231,10 @@ def named_identities(rng, algebra, op, rep, dm, order: int):
                                _derivation_identities(IntegerRead(*base, (dm,))))):
         for name, (shape, fn, _den) in zip(names, identities):
             yield name, shape, fn
+    module_op, derived = _module_op_identities(_op_read(base[0], op, rep), algebra.dim, m)
     for name, shape, fn, _den in (
             *_rep_identities(IntegerRead(*base, rows=(rep.rho, rep.theta)), m),
-            *_module_op_identities(_op_read(base[0], op, rep), m)):
+            *module_op, derived()):
         yield name, shape, fn
 
 
