@@ -1,17 +1,19 @@
 """The representation layer over integer tables: the derived pair map D, the
 induced representation and the descendant algebra against their dense
-oracles, the verifiers on edge inputs (an empty module, a 1-dimensional
-algebra, coprime denominators whose common powers pass 2^64), and the
-length checks of rho_at/theta_at."""
+oracles, also on modules whose dimension differs from the algebra's, the
+verifiers on edge inputs (an empty module, a 1-dimensional algebra, coprime
+denominators whose common powers pass 2^64), and the length checks of
+rho_at/theta_at."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 import pytest
 
-from conftest import _sl2, random_reps, random_valid_triples
+from conftest import _perturbed, _sl2, rand_matrix, random_reps, random_valid_triples
 from oracles import (
     d_table_dense,
     descendant_algebra_dense,
@@ -27,6 +29,7 @@ from lyreynolds import (
     cohomology_dims,
     d_map,
     descendant_algebra,
+    direct_sum_rep,
     from_lie_algebra,
     induced_rep,
     two_dim_example,
@@ -98,6 +101,53 @@ def test_sl2_scalar_operators_match_dense_oracles(c):
     sl2 = _sl2()
     op = scalar_op(3, c)
     assert_builds_match_oracles(sl2, op, adjoint_rep(sl2, op))
+
+
+# ---------------------------------------------------------------------------
+# modules whose dimension differs from the algebra's: the flat tables of
+# operator-valued maps have algebra digits in base n and module digits in
+# base m, and every random triple above has m = n
+
+def with_trivial_summand(rng, rep, k):
+    """rep (+) a k-dimensional module with rho = theta = 0 and a random
+    module operator: a representation on a module of dimension m + k."""
+    return direct_sum_rep([rep, zero_rep(rep.algebra_dim, k, rand_matrix(rng, k, k))])
+
+
+def test_modules_of_other_dimensions_match_dense_oracles():
+    rng = random.Random(43)
+    outcomes = Counter()
+    for algebra, op, ad in random_valid_triples(rng, 24):
+        for k in (1, 2, 3):
+            rep = with_trivial_summand(rng, ad, k)
+            assert rep.module_dim != algebra.dim
+            assert verify_reynolds_rep(algebra, op, rep).ok
+            assert induced_rep(algebra, op, rep) == induced_rep_dense(algebra, op, rep)
+            # T_V moved at one or two entries: inside the adjoint block,
+            # between the blocks, or inside the trivial one (which passes)
+            tv = rep.module_op
+            for _ in range(rng.randint(1, 2)):
+                tv = _perturbed(rng, tv)
+            moved = Representation(rep.algebra_dim, rep.module_dim, rep.rho, rep.theta, tv)
+            report = verify_reynolds_rep(algebra, op, moved)
+            oracle = verify_reynolds_rep_dense(algebra, op, moved)
+            assert report == oracle and report.to_json() == oracle.to_json()
+            outcomes.update(c.name for c in report.failures())
+            outcomes["passed"] += report.ok
+    assert outcomes["rho-module-op"] >= 10 and outcomes["theta-module-op"] >= 5, outcomes
+    assert outcomes["passed"] >= 5, outcomes
+
+
+def test_cohomology_is_additive_over_direct_sums():
+    rng = random.Random(44)
+    for algebra, op, ad in random_valid_triples(rng, 8):
+        for k in (1, 2):
+            trivial = zero_rep(algebra.dim, k, rand_matrix(rng, k, k))
+            total = direct_sum_rep([ad, trivial])
+            for which in ("ly", "ro", "rly"):
+                betti = [[row.betti for row in cohomology_dims(algebra, op, r, which, 2).rows]
+                         for r in (total, ad, trivial)]
+                assert betti[0] == [a + b for a, b in zip(betti[1], betti[2])], which
 
 
 # ---------------------------------------------------------------------------
