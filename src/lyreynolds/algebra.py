@@ -34,6 +34,7 @@ from .linalg import (
     _view,
     add_scaled,
     from_cells,
+    integer_rows,
     unit_vector,
     vec_add,
     vec_scale,
@@ -208,14 +209,6 @@ def _nonzero_leaves(tensor, depth: int) -> list:
     return [tuple((k, v) for k, v in enumerate(vec) if v) for vec in tensor]
 
 
-def integer_rows(rows, den: int):
-    """den * rows, for rows of nonzero ``(index, value)`` pairs (the stored
-    rows :attr:`Matrix.sparse`, the columns of a transpose, or the leaves of
-    :func:`_nonzero_leaves`) whose denominators all divide ``den``."""
-    return tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in row)
-                 for row in rows)
-
-
 def _matrices(node) -> tuple:
     """The matrices of a nesting of tuples of matrices, in order."""
     if isinstance(node, Matrix):
@@ -223,10 +216,18 @@ def _matrices(node) -> tuple:
     return tuple(chain.from_iterable(map(_matrices, node)))
 
 
+def _scaled_rows(mat: Matrix, den: int):
+    """den times the rows of mat, from its integer form, whose denominator
+    divides den."""
+    d, rows = mat.integer
+    k = den // d
+    return rows if k == 1 else tuple(tuple((j, k * v) for j, v in row) for row in rows)
+
+
 def _nested_rows(node, den: int):
     """A nesting of tuples of matrices, each matrix as den times its rows."""
     if isinstance(node, Matrix):
-        return integer_rows(node.sparse, den)
+        return _scaled_rows(node, den)
     return tuple(_nested_rows(child, den) for child in node)
 
 
@@ -237,14 +238,15 @@ class IntegerRead:
     structure is a series of length 1), ``Tt`` a series of maps (operator
     coefficients, or a derivation) or two maps T and T_V, and ``rows`` a
     nesting of tuples of matrices (a representation's rho and theta).  L =
-    ``den`` clears the denominators of every nonzero entry, collected in one
-    walk, and the weight's; then ``f[i]`` and ``g[i]`` are L F_i and L G_i,
-    nested over basis indices above each vector's nonzero ``(index,
-    value)`` pairs, ``t_col[i][x]`` is L T_i e_x, ``t_row[i][y]`` the row y
-    of L T_i, ``lw`` is L times the weight, and ``rows`` keeps its nesting
-    with each matrix as L times its stored rows.  Each battery and builder
-    brings its terms to one power of L and divides an output entry back
-    once; a deformation is read once for all its orders.
+    ``den`` clears the denominators of every nonzero tensor entry, collected
+    in one walk, of each matrix's integer form and of the weight; then
+    ``f[i]`` and ``g[i]`` are L F_i and L G_i, nested over basis indices
+    above each vector's nonzero ``(index, value)`` pairs, ``t_col[i][x]``
+    is L T_i e_x, ``t_row[i][y]`` the row y of L T_i, ``lw`` is L times the
+    weight, and ``rows`` keeps its nesting with each matrix as L times its
+    stored rows.  Each battery and builder brings its terms to one power of
+    L and divides an output entry back once; a deformation is read once for
+    all its orders.
     """
 
     __slots__ = ("den", "f", "g", "t_col", "t_row", "lw", "rows")
@@ -253,13 +255,13 @@ class IntegerRead:
         weight = Fraction(weight)
         f = [_nonzero_leaves(t, 2) for t in F]
         g = [_nonzero_leaves(t, 3) for t in G]
-        leaves = chain(*f, *g, *(mat.sparse for mat in (*Tt, *_matrices(rows))))
         self.den = den = lcm(weight.denominator,
-                             *{v.denominator for leaf in leaves for _, v in leaf})
+                             *{v.denominator for leaf in chain(*f, *g) for _, v in leaf},
+                             *{mat.integer[0] for mat in (*Tt, *_matrices(rows))})
         self.f = tuple(_view(integer_rows(leaves, den), (len(t),) * 2) for t, leaves in zip(F, f))
         self.g = tuple(_view(integer_rows(leaves, den), (len(t),) * 3) for t, leaves in zip(G, g))
-        self.t_col = tuple(integer_rows(t.transpose().sparse, den) for t in Tt)
-        self.t_row = tuple(integer_rows(t.sparse, den) for t in Tt)
+        self.t_col = tuple(_scaled_rows(t.transpose(), den) for t in Tt)
+        self.t_row = tuple(_scaled_rows(t, den) for t in Tt)
         self.lw = (weight * den).numerator
         self.rows = _nested_rows(rows, den)
 

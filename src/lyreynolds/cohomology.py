@@ -25,8 +25,17 @@ membership tests reuse them.  Each matrix is assembled directly from the
 structure constants, rho/theta and the D table: one pass over the output
 slots emits every nonzero entry as a sparse linear form in the input
 coordinates, so assembly costs about the number of nonzeros, not
-dim_in x dim_out.  The cone stacks its blocks by row and column offsets.
-The coboundaries of single cochains are products with these matrices.
+dim_in x dim_out.  The arithmetic is on Python ints: one integer read
+(:class:`lyreynolds.algebra.IntegerRead`) scales the inputs of a
+differential by their common denominator L, every term of ``delta`` is
+linear in exactly one of them, so the ``ly`` matrix is (1/L) times an
+integer matrix, and ``phi`` is brought to one power of L the same way.
+The result is a :class:`Matrix` built from its integer form, whose
+``Fraction`` view is made only if a caller reads it.  The cone stacks the
+integer forms of its blocks by row and column offsets over one
+denominator.  Ranks, the d o d = 0 check and the chain-map square run on
+the integer forms; the coboundaries of single cochains are products with
+these matrices.
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 
-from .algebra import LyAlgebra, _antisymmetry_failure, _freeze
+from .algebra import IntegerRead, LyAlgebra, _antisymmetry_failure, _freeze
 from .errors import (
     DegreeOutOfRange,
     InvalidInput,
@@ -44,7 +54,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
-    _ONE,
     _ZERO,
     Matrix,
     Vector,
@@ -53,7 +62,6 @@ from .linalg import (
     rank,
     require_complex,
     solve,
-    unit_vector,
     vec_add,
     vec_scale,
     zero_vector,
@@ -354,27 +362,38 @@ def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     return _apply(differential_matrix(algebra, op, rep, "ro", c.degree), c, c.degree + 1)
 
 
+def _dense(pairs, n: int) -> list[int]:
+    """The length-n coordinate vector of sparse ``(index, value)`` pairs."""
+    out = [0] * n
+    for i, v in pairs:
+        out[i] = v
+    return out
+
+
 @cache
 def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
     """Matrix of :func:`delta` at ``degree``, assembled one output slot at a
-    time.
+    time on integers.
 
-    Each output coordinate is a linear form in the input coordinates: a term
-    M c(slots) of the formula, with M one of rho, theta, D or the identity,
-    adds M's nonzero entries at the columns of the input slot, and a general
-    vector in the last argument (a bracket) or in a wedge slot (the
-    substitution) expands over its nonzero coordinates.  So the cost follows
-    the number of nonzero entries, not dim_in x dim_out.  The degree-1
-    formulas are the sums with no wedge slot in the input.
+    One :class:`IntegerRead` scales the brackets, rho, theta and D by their
+    common denominator L; every term of the formula is linear in exactly one
+    of them, so the rows accumulate L times the matrix in ints.  Each output
+    coordinate is a linear form in the input coordinates: a term M c(slots),
+    with M one of rho, theta, D or the identity, adds M's nonzero entries at
+    the columns of the input slot, and a general vector in the last argument
+    (a bracket) or in a wedge slot (the substitution) expands over its
+    nonzero coordinates.  So the cost follows the number of nonzero
+    entries, not dim_in x dim_out.  The degree-1 formulas are the sums with
+    no wedge slot in the input.
     """
     n, m = algebra.dim, rep.module_dim
     pairs = wedge_pairs(n)
     w = len(pairs)
-    b, t = algebra.binary, algebra.ternary
-    rho = [x.sparse for x in rep.rho]
-    theta = [[x.sparse for x in row] for row in rep.theta]
-    dd = [[x.sparse for x in row] for row in d_table(algebra, rep)]
-    eye = [((a, _ONE),) for a in range(m)]
+    read = IntegerRead((algebra.binary,), (algebra.ternary,),
+                       rows=(rep.rho, rep.theta, d_table(algebra, rep)))
+    b, t = read.f[0], read.g[0]
+    rho, theta, dd = read.rows
+    eye = [((a, 1),) for a in range(m)]
     rows = [{} for _ in range(cochain_dim(degree + 1, n, m))]
 
     def add(out, coef, op_rows, col):
@@ -383,26 +402,26 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
         for a, op_row in enumerate(op_rows):
             row = rows[out + a]
             for a2, v in op_row:
-                row[col + a2] = row.get(col + a2, _ZERO) + coef * v
+                row[col + a2] = row.get(col + a2, 0) + coef * v
 
     def add_vec(out, coef, vec, col):
-        """The term coef * c(..., vec) with a general vector vec in the last
-        argument, whose basis values start at col, m apart."""
-        for s, v in enumerate(vec):
-            if v:
-                add(out, coef * v, eye, col + s * m)
+        """The term coef * c(..., vec) with a general vector vec (sparse
+        pairs) in the last argument, whose basis values start at col, m
+        apart."""
+        for s, v in vec:
+            add(out, coef * v, eye, col + s * m)
 
     # q wedge slots in the input; a degree-1 input (q = 0) is a g block alone
     q = degree - 1
-    sign_q = _ONE if q % 2 == 0 else -_ONE
-    alt = [_ONE if kk % 2 == 0 else -_ONE for kk in range(q + 1)]
+    sign_q = 1 if q % 2 == 0 else -1
+    alt = [1 if kk % 2 == 0 else -1 for kk in range(q + 1)]
     g_in = 0 if q == 0 else w ** q * m
     g_out = w ** (q + 1) * m
-    unit = [unit_vector(n, z) for z in range(n)]
+    unit = [_dense(((z, 1),), n) for z in range(n)]
     # nonzero wedge coordinates of {x_k,y_k,x_l} ^ y_l + x_l ^ {x_k,y_k,y_l}
     subst = [[[(s, v) for s, v in enumerate(vec_add(
-        wedge_vector(n, t[xk][yk][xl], unit[yl]),
-        wedge_vector(n, unit[xl], t[xk][yk][yl]))) if v]
+        wedge_vector(n, _dense(t[xk][yk][xl], n), unit[yl]),
+        wedge_vector(n, unit[xl], _dense(t[xk][yk][yl], n)))) if v]
         for (xl, yl) in pairs] for (xk, yk) in pairs]
 
     def flat(slots):
@@ -447,35 +466,35 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
                 add(out, coef, eye, g_col(slots, z))
             for kk in range(q + 1):
                 add_vec(out, -alt[kk], t[xs[kk][0]][xs[kk][1]][z], g_col(rest[kk], 0))
-    return Matrix.from_sparse_rows(rows, cochain_dim(degree, n, m))
+    return Matrix.from_integer_rows(rows, cochain_dim(degree, n, m), read.den)
 
 
 # ---------------------------------------------------------------------------
 # the comparison map phi
 
-def _wedge_images(n: int, maps) -> list[list[tuple[int, Fraction]]]:
+def _wedge_images(n: int, maps) -> list[list[tuple[int, int]]]:
     """For each wedge pair (i, j), the nonzero wedge coordinates of the sum
-    of P e_i ^ Q e_j over the matrix pairs (P, Q) in ``maps``."""
-    cols = [(p.transpose(), q.transpose()) for p, q in maps]
+    of P e_i ^ Q e_j over the pairs (P, Q) in ``maps``, each map given by
+    its columns as integer vectors."""
     out = []
     for (i, j) in wedge_pairs(n):
-        vec = zero_vector(wedge_dim(n))
-        for p, q in cols:
-            vec = vec_add(vec, wedge_vector(n, p.row(i), q.row(j)))
+        vec = [0] * wedge_dim(n)
+        for p, q in maps:
+            vec = vec_add(vec, wedge_vector(n, p[i], q[j]))
         out.append([(k, v) for k, v in enumerate(vec) if v])
     return out
 
 
-def _form_product(factors, w: int) -> dict[int, Fraction]:
+def _form_product(factors, w: int) -> dict[int, int]:
     """The product over slots of one sparse linear form per slot, keyed by
     the flat (row-major) index of the input slot tuple."""
-    acc = {0: _ONE}
+    acc = {0: 1}
     for factor in factors:
         acc = {idx * w + k: c * v for idx, c in acc.items() for k, v in factor}
     return acc
 
 
-def _scaled(form: dict, c: Fraction) -> dict:
+def _scaled(form: dict, c: int) -> dict:
     return {key: c * v for key, v in form.items()}
 
 
@@ -484,7 +503,7 @@ def _merge(forms) -> dict:
     out: dict = {}
     for form in forms:
         for key, v in form.items():
-            out[key] = out.get(key, _ZERO) + v
+            out[key] = out.get(key, 0) + v
     return out
 
 
@@ -500,18 +519,22 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     for the f part and 2q w times it for the g part).
 
     Each output slot emits its entries directly: the all-T term and the
-    T_V-term are products of one sparse form per slot."""
+    T_V-term are products of one sparse form per slot.  One
+    :class:`IntegerRead` scales T, T_V and w by their common denominator L,
+    so the rows accumulate ints: L times the matrix at degree 1, and
+    L^(2q+3) times it above, where the term of highest degree in L (the
+    weight term of the g part, w T_V c(T..T)) has 2q + 3 factors; every
+    lower term is brought up by its missing powers of L."""
     if degree < 1:
         raise DegreeOutOfRange(f"degree {degree} < 1")
     if rep.module_op is None:
         raise InvalidInput("phi needs a module operator")
     n, m = algebra.dim, rep.module_dim
-    tmat = op.matrix
-    tv = rep.module_op.sparse
-    weight = op.weight
+    read = IntegerRead(Tt=(op.matrix, rep.module_op), weight=op.weight)
+    s = read.den
+    # t_cols[z]: the nonzero coordinates of L T e_z; tv: the rows of L T_V
+    t_cols, tv = read.t_col[0], read.t_row[1]
     rows = [{} for _ in range(cochain_dim(degree, n, m))]
-    # t_rows[z]: the nonzero coordinates of T e_z
-    t_rows = tmat.transpose().sparse
 
     def emit(out, all_t, inner):
         """Output coordinates out.. of c(all-T) - T_V c(inner), both forms
@@ -519,21 +542,22 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         for a in range(m):
             row = rows[out + a]
             for key, v in all_t.items():
-                row[key * m + a] = row.get(key * m + a, _ZERO) + v
+                row[key * m + a] = row.get(key * m + a, 0) + v
             for key, u in inner.items():
                 for a2, x in tv[a]:
-                    row[key * m + a2] = row.get(key * m + a2, _ZERO) - x * u
+                    row[key * m + a2] = row.get(key * m + a2, 0) - x * u
 
     if degree == 1:
         for z in range(n):
-            emit(z * m, dict(t_rows[z]), {z: _ONE})
-        return Matrix.from_sparse_rows(rows, n * m)
+            emit(z * m, dict(t_cols[z]), {z: 1})
+        return Matrix.from_integer_rows(rows, n * m, s)
 
     q = degree - 1
     w = wedge_dim(n)
-    ident = Matrix.identity(n)
-    t_wedge = _wedge_images(n, [(tmat, tmat)])
-    mixed_wedge = _wedge_images(n, [(ident, tmat), (tmat, ident)])
+    unit = [_dense(((z, 1),), n) for z in range(n)]
+    t_dense = [_dense(col, n) for col in t_cols]
+    t_wedge = _wedge_images(n, [(t_dense, t_dense)])
+    mixed_wedge = _wedge_images(n, [(unit, t_dense), (t_dense, unit)])
     g_key = w ** q  # first key of the g block, in blocks of m coordinates
 
     def with_z(form, z_rows):
@@ -541,18 +565,20 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         return {g_key + key * n + z2: c * v for key, c in form.items() for z2, v in z_rows}
 
     for idx, ks in enumerate(product(range(w), repeat=q)):
+        # all_t holds L^(2q) times the all-T form, each of mixed L^(2q-1)
         all_t = _form_product([t_wedge[k] for k in ks], w)
-        mixed = [_form_product([mixed_wedge[k] if s == slot else t_wedge[k]
-                                for s, k in enumerate(ks)], w) for slot in range(q)]
-        inner = _merge(mixed + [_scaled(all_t, (2 * q - 1) * weight)])
-        emit(idx * m, all_t, inner)
+        mixed = [_form_product([mixed_wedge[k] if slot2 == slot else t_wedge[k]
+                                for slot2, k in enumerate(ks)], w) for slot in range(q)]
+        inner = _merge([_scaled(form, s ** 3) for form in mixed]
+                       + [_scaled(all_t, (2 * q - 1) * read.lw * s)])
+        emit(idx * m, _scaled(all_t, s ** 3), inner)
         for z in range(n):
-            all_t_g = with_z(all_t, t_rows[z])
-            inner_g = _merge([with_z(all_t, [(z, _ONE)])]
-                             + [with_z(form, t_rows[z]) for form in mixed]
-                             + [_scaled(all_t_g, 2 * q * weight)])
-            emit(g_key * m + (idx * n + z) * m, all_t_g, inner_g)
-    return Matrix.from_sparse_rows(rows, cochain_dim(degree, n, m))
+            all_t_g = with_z(all_t, t_cols[z])
+            inner_g = _merge([_scaled(with_z(all_t, [(z, 1)]), s ** 2)]
+                             + [_scaled(with_z(form, t_cols[z]), s ** 2) for form in mixed]
+                             + [_scaled(all_t_g, 2 * q * read.lw)])
+            emit(g_key * m + (idx * n + z) * m, _scaled(all_t_g, s ** 2), inner_g)
+    return Matrix.from_integer_rows(rows, cochain_dim(degree, n, m), s ** (2 * q + 3))
 
 
 def phi(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
@@ -584,7 +610,7 @@ def differential_matrix(algebra: LyAlgebra, op: ReynoldsOperator,
     """Matrix of the degree-p coboundary of the chosen complex, columns
     indexed by the standard degree-p basis, rows by the degree-(p+1) basis.
     The cone's blocks [[delta, 0], [-phi, -partial]] are stacked by row and
-    column offsets."""
+    column offsets, on their integer forms over one denominator."""
     if which not in COMPLEXES:
         raise InvalidInput(f"unknown complex {which!r}; pick one of {COMPLEXES}")
     if degree < 1:
@@ -598,14 +624,21 @@ def differential_matrix(algebra: LyAlgebra, op: ReynoldsOperator,
         return _ly_matrix(descendant_algebra(algebra, op),
                           induced_rep(algebra, op, rep), degree)
     dlt = differential_matrix(algebra, op, rep, "ly", degree)
-    ph = -phi_matrix(algebra, op, rep, degree)
-    if degree == 1:
-        return Matrix._of(dlt.rows + ph.rows, dlt.cols, dlt.sparse + ph.sparse)
-    prt = -differential_matrix(algebra, op, rep, "ro", degree - 1)
-    off = dlt.cols
-    return Matrix._of(dlt.rows + ph.rows, off + prt.cols, dlt.sparse + tuple(
-        ph_row + tuple((off + j, x) for j, x in prt_row)
-        for ph_row, prt_row in zip(ph.sparse, prt.sparse)))
+    ph = phi_matrix(algebra, op, rep, degree)
+    prt = None if degree == 1 else differential_matrix(algebra, op, rep, "ro", degree - 1)
+    den = lcm(*(mat.integer[0] for mat in (dlt, ph, prt) if mat is not None))
+
+    def block(mat, sign, off):
+        """The integer rows of sign * mat over den, shifted by off columns."""
+        d, rows = mat.integer
+        k = sign * (den // d)
+        return [tuple((off + j, k * x) for j, x in row) for row in rows]
+
+    below, cols = block(ph, -1, 0), dlt.cols
+    if prt is not None:
+        below = [left + right for left, right in zip(below, block(prt, -1, cols))]
+        cols += prt.cols
+    return Matrix._of_integer(dlt.rows + ph.rows, cols, den, tuple(block(dlt, 1, 0) + below))
 
 
 def space_dim(algebra: LyAlgebra, rep: Representation, which: str, degree: int) -> int:
@@ -621,8 +654,8 @@ def cohomology_dims(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     betti(p) = dim ker(d at p) - rank(d at p-1); degree 1 has no incoming
     differential, so betti(1) = dim ker(d at 1).  Each differential is
     eliminated once and its rank reused at the next degree.  d(p) . d(p-1)
-    = 0 is re-verified by a sparse product, so a broken complex cannot slip
-    through.
+    = 0 is re-verified by an integer sparse product, so a broken complex
+    cannot slip through.
     """
     if max_degree < 1:
         raise DegreeOutOfRange("max_degree must be >= 1")

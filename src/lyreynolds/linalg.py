@@ -1,16 +1,18 @@
 """Exact rational linear algebra: matrices, rank, kernels, quotient dimensions.
 
-Everything works over Q with ``fractions.Fraction`` scalars, so ranks and
-kernels are exact -- no floating point anywhere.  A matrix stores its
-nonzero entries only, as one tuple of ``(column, entry)`` pairs per row with
-columns increasing (:attr:`Matrix.sparse`): the leaf format of the sparse
-structure tables in :mod:`lyreynolds.algebra`.  Sums, products, transposes
-and elimination walk those rows; sums and products that build a matrix
-accumulate one {column: entry} dict per row, finished by
-:meth:`Matrix.from_sparse_rows`.  Elimination is a Gauss-Jordan pass over
-row dicts and is deterministic: the pivot is always the first row with a
-nonzero entry in the current column, scanning top-down, which makes every
-output bit-reproducible.
+Everything is exact over Q -- no floating point anywhere.  A matrix stores
+its nonzero entries only, in two forms, each built from the other on first
+use and then kept: the ``Fraction`` view :attr:`Matrix.sparse` (one tuple
+of ``(column, entry)`` pairs per row, columns increasing: the leaf format
+of the sparse structure tables in :mod:`lyreynolds.algebra`) and the
+canonical integer form :attr:`Matrix.integer` (the least common
+denominator, and the same pairs holding it times each entry as ints).
+Products and elimination run on the integer form, sums, scalings and
+transposes on the view.  :func:`eliminate` is the one elimination routine,
+fraction-free in the sense of Bareiss; rows are taken sparsest first and
+each is reduced against the pivot row of its lowest column.  The reduced
+echelon form is unique, so that pivot rule decides the cost, never the
+result, and every output is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from .errors import CompositionNotZero, DimMismatch, InvalidInput, SingularMatrix
 
@@ -54,12 +57,15 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Matrix:
-    """Rational matrix stored by its nonzero entries: ``sparse[i]`` holds
-    the ``(column, entry)`` pairs of row i whose entry is nonzero, columns
-    increasing.  The form is canonical, so ``==`` and ``hash`` are exact and
-    cost the nonzeros, not rows x cols.
+    """Rational matrix stored by its nonzero entries, in two forms (see the
+    module docstring): ``sparse[i]`` holds the ``(column, entry)`` pairs of
+    row i whose entry is nonzero, columns increasing, and ``integer`` is
+    ``(den, rows)`` with the same pairs holding den times each entry.  A
+    matrix is built from one form and derives the other on first use.  The
+    integer form is canonical (den is the least common denominator), so
+    ``==`` and ``hash`` are exact and cost the nonzeros, not rows x cols.
 
     ``Matrix(rows, cols, entries)`` reads row-major dense entries; the dense
     ``entries``, ``row``, ``column``, ``[i, j]`` and ``to_rows`` are views
@@ -70,7 +76,6 @@ class Matrix:
 
     rows: int
     cols: int
-    sparse: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -91,6 +96,43 @@ class Matrix:
         m = object.__new__(cls)
         m.__dict__.update(rows=rows, cols=cols, sparse=sparse)
         return m
+
+    @classmethod
+    def _of_integer(cls, rows: int, cols: int, den: int, int_rows) -> "Matrix":
+        """The matrix of ``int_rows`` over ``den`` > 0: rows of nonzero
+        ``(column, int)`` pairs, columns increasing and in range.  The
+        common factor of den and every entry is divided out."""
+        g = gcd(den, *(v for row in int_rows for _, v in row))
+        if g != 1:
+            den //= g
+            int_rows = tuple(tuple((j, v // g) for j, v in row) for row in int_rows)
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, integer=(den, int_rows))
+        return m
+
+    @cached_property
+    def sparse(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The nonzero ``(column, entry)`` pairs of each row, as Fractions."""
+        den, rows = self.integer
+        return tuple(tuple((j, Fraction(v, den)) for j, v in row) for row in rows)
+
+    @cached_property
+    def integer(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """``(den, rows)``: the least common denominator of the entries, and
+        the nonzero ``(column, den * entry)`` pairs of each row as ints."""
+        den = lcm(*{x.denominator for row in self.sparse for _, x in row})
+        return den, integer_rows(self.sparse, den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.integer) == (other.rows, other.cols, other.integer)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.integer))
+
+    def __repr__(self):
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, sparse={self.sparse!r})"
 
     @classmethod
     def from_rows(cls, rows_data, cols: int | None = None) -> "Matrix":
@@ -127,6 +169,15 @@ class Matrix:
                 raise DimMismatch(f"column {bad} outside a matrix of {cols} columns")
             out.append(pairs)
         return cls._of(len(out), cols, tuple(out))
+
+    @classmethod
+    def from_integer_rows(cls, rows_data, cols: int, den: int) -> "Matrix":
+        """Matrix from one {column: int} accumulator per row holding den
+        times its entries: entries that cancelled to zero are dropped, the
+        rest sorted by column; each entry is divided by den once, when the
+        Fraction view is first read."""
+        return cls._of_integer(len(rows_data), cols, den, tuple(
+            tuple(sorted(p for p in row.items() if p[1])) for row in rows_data))
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "Matrix":
@@ -186,13 +237,15 @@ class Matrix:
             tuple((j, x * c) for j, x in row) for row in self.sparse))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Product over the nonzero entries of both factors."""
+        """Product over the nonzero entries of both factors, on their
+        integer forms: integer rows over the product of the denominators."""
         if self.cols != other.rows:
             raise DimMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        (da, a), (db, b) = self.integer, other.integer
         acc = [{} for _ in range(self.rows)]
-        add_product(acc, 1, self.sparse, other.sparse)
-        return Matrix.from_sparse_rows(acc, other.cols)
+        add_product(acc, 1, a, b)
+        return Matrix.from_integer_rows(acc, other.cols, da * db)
 
     def apply(self, v) -> Vector:
         """Matrix times column vector, over the nonzero entries."""
@@ -202,7 +255,7 @@ class Matrix:
         return tuple(sum((x * v[j] for j, x in row), _ZERO) for row in self.sparse)
 
     def is_zero(self) -> bool:
-        return not any(self.sparse)
+        return not any(self.integer[1])
 
 
 @dataclass(frozen=True)
@@ -261,55 +314,84 @@ def add_product(acc: list[dict], c, a, b) -> None:
             add_scaled(out, x if c == 1 else -x if c == -1 else x * c, b[k])
 
 
-def _rref(m: Matrix) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form by Gauss-Jordan elimination on row dicts.
+def integer_rows(rows, den: int):
+    """den * rows, for rows of nonzero ``(index, value)`` pairs (the stored
+    rows :attr:`Matrix.sparse`, the columns of a transpose, or the leaves of
+    a tensor) whose denominators all divide ``den``."""
+    return tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in row)
+                 for row in rows)
 
-    Returns (rows, pivots): rows[r] holds the nonzero entries of the r-th
-    nonzero row of the RREF, whose leading 1 sits in column pivots[r]; the
-    zero rows below them are dropped.  Only nonzero entries are stored,
-    updated or scanned.  Pivot choice: first row with a nonzero entry in the
-    current column, scanning top-down.  No magnitude heuristics, so reruns
-    are identical.
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _clear(row: dict, pivot: dict, c: int) -> dict:
+    """a row - b pivot, primitive, for the coprime a, b that clear column c
+    (the pivot row has a nonzero entry there)."""
+    a, b = pivot[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = row if a == 1 else {j: a * x for j, x in row.items()}
+    for j, y in pivot.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def eliminate(m: Matrix, reduced: bool = False) -> tuple[list[dict], list[int]]:
+    """Row echelon form of m by fraction-free elimination on its integer
+    form: ``(rows, pivots)``, the nonzero rows in increasing order of their
+    pivot columns ``pivots``.
+
+    Each row, sparsest first, is divided by its content (the gcd of its
+    entries) and reduced against the pivot row of its lowest column until
+    that column has none; then it becomes that column's pivot row.  Without
+    ``reduced`` that forward pass is all, and rows[r] is a primitive
+    integer row whose lowest column is pivots[r]: every echelon form has
+    the pivot columns of the reduced one, so this gives rank and pivots.
+    With ``reduced``, each pivot row, highest pivot first, is cleared at the
+    other pivot columns by the rows already reduced and divided by its
+    pivot once: rows[r] holds the nonzero entries (Fractions) of row r of
+    the reduced row echelon form, whose leading 1 is in column pivots[r].
     """
-    a = [dict(row) for row in m.sparse]
-    nrows = m.rows
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r >= nrows:
-            break
-        src = next((i for i in range(r, nrows) if c in a[i]), None)
-        if src is None:
-            continue
-        a[r], a[src] = a[src], a[r]
-        p = a[r][c]
-        if p != 1:
-            a[r] = {j: x / p for j, x in a[r].items()}
-        pivot_row = list(a[r].items())
-        for i in range(nrows):
-            row = a[i]
-            if i != r and c in row:
-                f = row[c]
-                for j, x in pivot_row:
-                    y = row.get(j, _ZERO) - f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    echelon: dict[int, dict] = {}
+    for pairs in sorted(m.integer[1], key=len):
+        row = _primitive(dict(pairs))
+        while row:
+            c = min(row)
+            pivot = echelon.get(c)
+            if pivot is None:
+                echelon[c] = row
+                break
+            row = _clear(row, pivot, c)
+    pivots = sorted(echelon)
+    if not reduced:
+        return [echelon[c] for c in pivots], pivots
+    for c in reversed(pivots):
+        row = echelon[c]
+        for c2 in [j for j in row if j != c and j in echelon]:
+            row = _clear(row, echelon[c2], c2)
+        echelon[c] = row
+    rows = [echelon[c] for c in pivots]
+    return [{j: Fraction(x, row[c]) for j, x in row.items()}
+            for row, c in zip(rows, pivots)], pivots
 
 
 def pivot_columns(m: Matrix) -> list[int]:
     """Pivot columns of the RREF: the columns not in the span of the ones
-    before them, in increasing order."""
-    return _rref(m)[1]
+    before them, in increasing order (from the forward pass)."""
+    return eliminate(m)[1]
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over Q."""
-    return len(pivot_columns(m))
+    """Exact rank over Q: the pivot count of the forward pass."""
+    return len(eliminate(m)[1])
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
@@ -318,7 +400,7 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     One vector per free column of the RREF, in increasing free-column order,
     via the standard parametrization (free variable set to 1).
     """
-    rows, pivots = _rref(m)
+    rows, pivots = eliminate(m, reduced=True)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     vectors = {fc: [_ZERO] * m.cols for fc in free}
@@ -350,13 +432,19 @@ def quotient_dim(outgoing: Matrix, incoming: Matrix) -> int:
 
 
 def solve(m: Matrix, b) -> Vector | None:
-    """One solution of m x = b with free variables set to 0, or None."""
-    b = list(b)
+    """One solution of m x = b with free variables set to 0, or None, from
+    one elimination of [m | b] on integers."""
+    b = [Fraction(y) for y in b]
     if len(b) != m.rows:
         raise DimMismatch("right-hand side length mismatch")
     c = m.cols
-    rows, pivots = _rref(Matrix._of(m.rows, c + 1, tuple(
-        row + ((c, y),) if y else row for row, y in zip(m.sparse, map(Fraction, b)))))
+    den, int_rows = m.integer
+    big = lcm(den, *(y.denominator for y in b))
+    k = big // den
+    rows, pivots = eliminate(Matrix._of_integer(m.rows, c + 1, big, tuple(
+        tuple((j, k * x) for j, x in row)
+        + (((c, y.numerator * (big // y.denominator)),) if y else ())
+        for row, y in zip(int_rows, b))), reduced=True)
     if c in pivots:
         return None  # inconsistent: pivot in the augmented column
     x = [_ZERO] * c
@@ -370,8 +458,9 @@ def right_inverse(m: Matrix) -> Matrix:
     from one elimination of [m | I]; raises SingularMatrix unless m has full
     row rank.  Pivot row k of the RREF [R | E] gives x[pivot k] = E[k, i]."""
     r, c = m.rows, m.cols
-    rows, pivots = _rref(Matrix._of(r, c + r, tuple(
-        row + ((c + i, _ONE),) for i, row in enumerate(m.sparse))))
+    den, int_rows = m.integer
+    rows, pivots = eliminate(Matrix._of_integer(r, c + r, den, tuple(
+        row + ((c + i, den),) for i, row in enumerate(int_rows))), reduced=True)
     found = len([p for p in pivots if p < c])
     if found < r:
         raise SingularMatrix(f"matrix of rank {found} < {r}")

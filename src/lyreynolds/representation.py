@@ -27,7 +27,6 @@ identities are X_T(x..) T_V = T_V X(Tx..).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
 
@@ -132,13 +131,6 @@ def _rows(acc):
     return tuple(tuple((k, v) for k, v in row.items() if v) for row in acc)
 
 
-def _matrix(rows, den: int, cols: int) -> Matrix:
-    """The exact matrix of integer rows (:func:`_rows`) that hold den times
-    its entries: one division per entry."""
-    return Matrix._of(len(rows), cols, tuple(
-        tuple(sorted((k, Fraction(v, den)) for k, v in row)) for row in rows))
-
-
 def _integer_d(read: IntegerRead, m: int):
     """L^2 D(e_i, e_j) as stored rows, from the read of the binary structure
     constants and of rho and theta (its first two ``rows``) over L.  D is
@@ -167,7 +159,8 @@ def d_table(algebra: LyAlgebra, rep: Representation):
         raise DimMismatch("representation is over a different algebra dimension")
     read = IntegerRead((algebra.binary,), rows=(rep.rho, rep.theta))
     m = rep.module_dim
-    return tuple(tuple(_matrix(rows, read.den ** 2, m) for rows in row)
+    return tuple(tuple(Matrix.from_integer_rows(list(map(dict, rows)), m, read.den ** 2)
+                       for rows in row)
                  for row in _integer_d(read, m))
 
 
@@ -273,7 +266,7 @@ def _operator_report(dim: int, module_dim: int, identities, derived, premise: st
     failure is a bug, raised as InternalInconsistency with its witness
     instead of being reported."""
     checks = [first_failure(name, orbit_tuples(dim, shape), fn, _is_zero,
-                            lambda acc, den=den: _matrix(_rows(acc), den, module_dim))
+                            lambda acc, den=den: Matrix.from_integer_rows(acc, module_dim, den))
               for name, shape, fn, den in identities]
     if all(c.passed for c in checks):
         for (name, shape, fn, _den), what in derived():
@@ -429,7 +422,8 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
 
     def matrices(table, k):
         row = tuple_residual(_twisted(read, table, k, n, m)[0], (n,) * k + (m, m))
-        return _view(tuple(_matrix(_rows([row(*idx, r) for r in range(m)]), read.den ** (k + 3), m)
+        return _view(tuple(Matrix.from_integer_rows([row(*idx, r) for r in range(m)], m,
+                                                     read.den ** (k + 3))
                            for idx in product(range(n), repeat=k)), (n,) * k)
 
     rho, theta = read.rows

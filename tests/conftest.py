@@ -112,6 +112,23 @@ def _leibniz3() -> LyAlgebra:
     return from_leibniz(data)
 
 
+def sl2_rational_triple():
+    """sl2 with its adjoint module and T = (3/2) Id at weight -2/3, as in
+    samples/sl2.lyr: T is not integral, so the descendant brackets and the
+    ro and rly differentials have denominators."""
+    algebra = _sl2()
+    op = ReynoldsOperator(Matrix.identity(3).scale(Fraction(3, 2)), Fraction(-2, 3))
+    return algebra, op, adjoint_rep(algebra, op)
+
+
+def with_entry_added(mat: Matrix, i: int, j: int) -> Matrix:
+    """mat with 1 added to its entry (i, j), built from its integer form."""
+    den, rows = mat.integer
+    acc = [dict(row) for row in rows]
+    acc[i][j] = acc[i].get(j, 0) + den
+    return Matrix.from_integer_rows(acc, mat.cols, den)
+
+
 def zero_rep_with_op(algebra_dim: int, module_dim: int, rng) -> "object":
     return zero_rep(algebra_dim, module_dim, rand_matrix(rng, module_dim, module_dim))
 

@@ -231,13 +231,13 @@ def test_canonical_section_is_one_elimination(ly2, tri_t, monkeypatch):
     moved = scrambled(rng, ext)
     sections = [ext.canonical_section(), moved.canonical_section()]
     calls = []
-    original = linalg._rref
+    original = linalg.eliminate
 
-    def counted(m):
+    def counted(m, reduced=False):
         calls.append(m.rows)
-        return original(m)
+        return original(m, reduced)
 
-    monkeypatch.setattr(linalg, "_rref", counted)
+    monkeypatch.setattr(linalg, "eliminate", counted)
     for target, section in zip((ext, moved), sections):
         calls.clear()
         assert target.canonical_section() == section

@@ -7,14 +7,16 @@ import pytest
 
 import lyreynolds.cli as cli_module
 import lyreynolds.representation as representation
-from lyreynolds import Matrix, adjoint_rep, cochain_dim, cohomology_dims
+from lyreynolds import Matrix, adjoint_rep, cochain_dim, cohomology_dims, differential_matrix
 from lyreynolds.cli import main
 from lyreynolds.errors import NameNotFound, ParseError
 from lyreynolds.fileformat import load_workspace
 from lyreynolds.reporting import AxiomReport, ComplexReport, OrderReport
+from tests.conftest import with_entry_added
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 TWO_DIM = str(SAMPLES / "two_dim.lyr")
+SL2 = str(SAMPLES / "sl2.lyr")
 
 F = Fraction
 
@@ -320,6 +322,30 @@ def test_cohomology_multiplies_each_composite_differential_once(
     for p in (1, 2):
         dims = [cochain_dim(q, 3, 3) for q in (p + 2, p + 1, p)]
         assert shapes.count(tuple(dims)) == 1, p
+
+
+def test_cohomology_fails_on_a_mutated_comparison_map(monkeypatch, capsys):
+    original = cli_module.phi_matrix
+
+    def mutated(algebra, op, rep, degree):
+        mat = original(algebra, op, rep, degree)
+        if degree != 2:
+            return mat
+        # the column of a nonzero row of d1, so that phi2 . d1 changes
+        d1 = differential_matrix(algebra, op, rep, "ly", 1)
+        return with_entry_added(mat, 0, next(k for k, row in enumerate(d1.integer[1]) if row))
+
+    args = ["cohomology", SL2, "--algebra", "sl2", "--operator", "Tsl2", "--rep", "adsl2",
+            "--complex", "ly", "--max-degree", "3"]
+    assert main(args) == 0
+    assert "comparison map squares with d at degree 1: pass" in capsys.readouterr().out
+    monkeypatch.setattr(cli_module, "phi_matrix", mutated)
+    clear_engine_caches()
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "d2 o d1 = 0: pass" in out and "d3 o d2 = 0: pass" in out
+    assert "comparison map squares with d at degree 1: FAIL" in out
+    assert "comparison map squares with d at degree 2: FAIL" in out
 
 
 FAILING_INPUTS = {

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lyreynolds.cohomology as cohomology
 import lyreynolds.linalg as linalg
 from lyreynolds import (
     Matrix,
@@ -23,8 +24,15 @@ from lyreynolds import (
     partial,
 )
 from lyreynolds.cohomology import phi_matrix, unflatten
+from lyreynolds.errors import CompositionNotZero
 from lyreynolds.linalg import kernel_basis, pivot_columns, rank
-from tests.conftest import _sl2, rand_fraction, random_valid_triples
+from tests.conftest import (
+    _sl2,
+    rand_fraction,
+    random_valid_triples,
+    sl2_rational_triple,
+    with_entry_added,
+)
 from tests.oracles import (
     delta_by_values,
     dense_matmul,
@@ -46,6 +54,13 @@ def sl2_triple():
 # ---------------------------------------------------------------------------
 # assembly: the new matrices equal the old builders exactly
 
+def non_integral_triples(count: int):
+    """Valid triples whose operator T has a non-integral entry."""
+    triples = random_valid_triples(random.Random(36), 5 * count)
+    return [t for t in triples
+            if any(x.denominator > 1 for row in t[1].matrix.sparse for _, x in row)][:count]
+
+
 def test_sl2_differentials_equal_unit_cochain_oracle():
     algebra, op, rep = sl2_triple()
     for which in COMPLEXES:
@@ -63,6 +78,47 @@ def test_random_triples_differentials_equal_unit_cochain_oracle():
             for p in range(1, top + 1):
                 assert differential_matrix(algebra, op, rep, which, p) \
                     == differential_matrix_by_units(algebra, op, rep, which, p), (which, p)
+
+
+def test_assembly_over_a_denominator_equals_the_oracles():
+    # triples whose T is not integral: the integer assembly divides by a
+    # common denominator L > 1 (the phi denominators reach L^(2q+3)).  On
+    # sl2 with T = (3/2) Id, phi vanishes and ro and rly have L = 2.
+    dens = {"ro": set(), "rly": set(), "phi": set()}
+    # degree 3 of a dim-3 random base is left out, as in the test above
+    cases = [(sl2_rational_triple(), 3)] + [
+        (t, 3 if t[0].dim <= 2 else 2) for t in non_integral_triples(8)]
+    for (algebra, op, rep), top in cases:
+        for which in COMPLEXES:
+            for p in range(1, top + 1):
+                mat = differential_matrix(algebra, op, rep, which, p)
+                assert mat == differential_matrix_by_units(algebra, op, rep, which, p), \
+                    (which, p)
+                dens.get(which, set()).add(mat.integer[0])
+        for p in (1, 2, 3):
+            mat = phi_matrix(algebra, op, rep, p)
+            assert mat == phi_matrix_by_kron(algebra, op, rep, p), p
+            dens["phi"].add(mat.integer[0])
+    assert all(max(found) > 1 for found in dens.values()), dens
+
+
+@pytest.mark.parametrize("which", COMPLEXES)
+def test_one_mutated_entry_breaks_the_square_zero_check(which, monkeypatch):
+    algebra, op, rep = sl2_rational_triple()
+    d1 = differential_matrix(algebra, op, rep, which, 1)
+    d2 = differential_matrix(algebra, op, rep, which, 2)
+    cohomology_dims(algebra, op, rep, which, 2)  # intact: passes
+    # the column of a nonzero row of d1, so that the mutated d2 . d1 != 0
+    j = next(k for k, row in enumerate(d1.integer[1]) if row)
+    broken = with_entry_added(d2, 0, j)
+    original = cohomology.differential_matrix
+
+    def patched(algebra, op, rep, w, p):
+        return broken if (w, p) == (which, 2) else original(algebra, op, rep, w, p)
+
+    monkeypatch.setattr(cohomology, "differential_matrix", patched)
+    with pytest.raises(CompositionNotZero):
+        cohomology_dims(algebra, op, rep, which, 2)
 
 
 def test_coboundaries_equal_value_level_oracle_at_degree_3():
@@ -149,7 +205,7 @@ def matrices(draw):
 
 
 def assert_same_rref(m):
-    rows, pivots = linalg._rref(m)
+    rows, pivots = linalg.eliminate(m, reduced=True)
     dense_rows, dense_pivots = dense_rref(m)
     assert pivots == dense_pivots
     assert rows == [{j: x for j, x in enumerate(row) if x}
@@ -207,13 +263,13 @@ def test_cohomology_dims_eliminates_each_differential_once(ly2, tri_t, monkeypat
         for p in (1, 2, 3):
             differential_matrix(ly2, tri_t, rep, which, p)  # assembled and cached
     calls = []
-    original = linalg._rref
+    original = linalg.eliminate
 
-    def counting(m):
+    def counting(m, reduced=False):
         calls.append((m.rows, m.cols))
-        return original(m)
+        return original(m, reduced)
 
-    monkeypatch.setattr(linalg, "_rref", counting)
+    monkeypatch.setattr(linalg, "eliminate", counting)
     for which in COMPLEXES:
         for top in (1, 2, 3):
             calls.clear()
