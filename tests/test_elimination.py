@@ -142,7 +142,8 @@ def test_solve_reports_inconsistent_systems():
 
 @given(rational_matrices(rows=st.integers(0, 5)))
 @settings(max_examples=200, deadline=None)
-def test_right_inverse_and_inverse_match_the_oracle(m):
+def test_right_inverse_and_inverse_match_the_oracles(m):
+    DomainMatrix, QQ = sympy_qq()
     identity = Matrix.identity(m.rows)
     if rank(m) < m.rows:
         with pytest.raises(SingularMatrix):
@@ -158,8 +159,21 @@ def test_right_inverse_and_inverse_match_the_oracle(m):
     got = right_inverse(m)
     assert got == Matrix.from_rows(expected, m.rows)
     assert m @ got == identity
+    # the same columns read off sympy's RREF of [m | I]
+    rref, sympy_pivots = to_domain(augmented(m, identity), DomainMatrix, QQ).rref()
+    dense = rref.to_Matrix()
+    from_sympy = [[F(0)] * m.rows for _ in range(m.cols)]
+    for r, pc in enumerate(sympy_pivots):
+        from_sympy[pc] = [F(int(dense[r, c].p), int(dense[r, c].q))
+                          for c in range(m.cols, m.cols + m.rows)]
+    assert got == Matrix.from_rows(from_sympy, m.rows)
     if m.rows == m.cols:
         assert inverse(m) == got and got @ m == identity
+        if m.rows:
+            inv = to_domain(m, DomainMatrix, QQ).inv().to_Matrix()
+            assert got == Matrix.from_rows(
+                [[F(int(inv[i, j].p), int(inv[i, j].q)) for j in range(m.rows)]
+                 for i in range(m.rows)], m.rows)
     else:
         with pytest.raises(DimMismatch):
             inverse(m)
