@@ -1,7 +1,8 @@
 """Pinned CLI output on the sample files.
 
-Every command in ``COMMANDS`` runs in text and in ``--json`` form, and its
-stdout, stderr and exit code must equal the record in ``cli_golden.json``.
+Every command in ``COMMANDS`` runs in text and in ``--json`` form, every one
+in ``JSON_COMMANDS`` in ``--json`` form only, and its stdout, stderr and exit
+code must equal the record in ``cli_golden.json``.
 Rewrite the record, after a change that is meant to alter the output, from
 the repository root with
 
@@ -39,6 +40,13 @@ COMMANDS = (
        ["deform-check", *SAMPLES, "--name", "stretch", "--order", "1"]]
 )
 
+# sl2 with T = (3/2) Id: the descendant and the induced representation are
+# built over a common denominator greater than 1
+JSON_COMMANDS = [
+    ["cohomology", "samples/sl2.lyr", "--algebra", "sl2", "--operator", "Tsl2",
+     "--rep", "adsl2", "--complex", which, "--max-degree", "3", "--json"]
+    for which in ("ly", "ro", "rly")]
+
 
 def run(argv):
     """(stdout, stderr, exit code) of one in-process CLI run from ROOT."""
@@ -54,7 +62,8 @@ def run(argv):
 
 
 def all_argvs():
-    return [argv + extra for argv in COMMANDS for extra in ([], ["--json"])]
+    return ([argv + extra for argv in COMMANDS for extra in ([], ["--json"])]
+            + JSON_COMMANDS)
 
 
 def record():
