@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, combinations, product
 from math import lcm, prod
 
@@ -47,27 +47,78 @@ BinaryTensor = tuple  # t[i][j] is a Vector of length dim
 TernaryTensor = tuple  # t[i][j][k] is a Vector of length dim
 
 
+class Tensor(tuple):
+    """A frozen tensor, as :func:`_freeze` returns it: nested tuples of
+    Fractions, ``depth`` levels of basis indices above vectors of length
+    ``width``, that reads itself at most once.  ``leaves`` are its vectors
+    as nonzero ``(index, value)`` pairs in product order (the one walk over
+    every entry, :func:`_nonzero_leaves`), ``den`` their least common
+    denominator, and ``at(L)``, for a multiple L of den, the integer view
+    that :class:`IntegerRead` takes: the leaves as ``(index, L value)``
+    pairs, nested over the basis indices again.  Each is built on first use
+    and kept with the tensor; a view is rescaled from the one at den when
+    that one is kept already, and read from the leaves otherwise.
+    Comparison, hashing and ``repr`` are the tuple's.
+    """
+
+    def __new__(cls, nodes, depth: int, width: int):
+        tensor = super().__new__(cls, nodes)
+        tensor.depth, tensor.width, tensor._views = depth, width, {}
+        return tensor
+
+    @cached_property
+    def leaves(self) -> list:
+        return _nonzero_leaves(self, self.depth)
+
+    @cached_property
+    def den(self) -> int:
+        return lcm(*{v.denominator for leaf in self.leaves for _, v in leaf})
+
+    def at(self, den: int) -> tuple:
+        view = self._views.get(den)
+        if view is None:
+            own = self._views.get(self.den)
+            if own is None:
+                rows = integer_rows(self.leaves, den)
+            else:
+                k = den // self.den
+                rows = tuple(tuple((i, k * v) for i, v in leaf)
+                             for leaf in _flat(own, self.depth))
+            view = self._views[den] = _view(rows, (len(self),) * self.depth)
+        return view
+
+
+def _flat(nested, depth: int):
+    """The leaves of a nesting ``depth`` levels deep, in product order."""
+    for _ in range(depth - 1):
+        nested = chain.from_iterable(nested)
+    return nested
+
+
 def _freeze(data, dim: int, depth: int, width: int | None = None,
-            wrong_width=DimMismatch):
-    """``data`` as nested tuples of Fractions: ``depth`` levels of basis
-    indices (2 for a binary tensor, 3 for a ternary one), each of length
-    ``dim`` (DimMismatch otherwise), above entries that must be vectors of
-    length ``width``, ``dim`` by default (``wrong_width`` otherwise).
-    Entries that are Fractions already are kept as they are; only the
-    others are converted."""
+            wrong_width=DimMismatch) -> Tensor:
+    """``data`` as a :class:`Tensor` of nested tuples of Fractions: ``depth``
+    levels of basis indices (2 for a binary tensor, 3 for a ternary one),
+    each of length ``dim`` (DimMismatch otherwise), above entries that must
+    be vectors of length ``width``, ``dim`` by default (``wrong_width``
+    otherwise).  A Tensor of that shape is returned as it is, with what it
+    has read; otherwise entries that are Fractions already are kept as they
+    are, and only the others are converted."""
     width = dim if width is None else width
+    if isinstance(data, Tensor) and (len(data), data.depth, data.width) == (dim, depth, width):
+        return data
     kind = ("binary", "ternary")[depth - 2]
     def frozen(node, level):
         if level == depth:
             if len(node) != width:
                 raise wrong_width(f"{kind} tensor entry of length {len(node)}, not {width}")
-            return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in node)
+            return tuple(x if type(x) is Fraction else Fraction(x) for x in node)
         if len(node) != dim:
             raise DimMismatch(
                 f"{kind} tensor index level {level + 1} of length {len(node)}, not {dim}")
         return tuple(frozen(x, level + 1) for x in node)
 
-    return frozen(data, 0)
+    return Tensor(frozen(data, 0), depth, width)
 
 
 def _antisymmetry_failure(tensor, dim: int, depth: int):
@@ -113,12 +164,13 @@ def orbit_tuples(dim: int, shape):
 
 def zero_binary(dim: int) -> BinaryTensor:
     z = zero_vector(dim)
-    return tuple(tuple(z for _ in range(dim)) for _ in range(dim))
+    return Tensor((tuple(z for _ in range(dim)) for _ in range(dim)), 2, dim)
 
 
 def zero_ternary(dim: int) -> TernaryTensor:
     z = zero_vector(dim)
-    return tuple(tuple(tuple(z for _ in range(dim)) for _ in range(dim)) for _ in range(dim))
+    return Tensor((tuple(tuple(z for _ in range(dim)) for _ in range(dim))
+                   for _ in range(dim)), 3, dim)
 
 
 def _from_sparse(dim: int, entries, arity: int):
@@ -204,9 +256,7 @@ def _nonzero_leaves(tensor, depth: int) -> list:
     """The vectors of ``tensor``, nested ``depth`` levels above them, in
     product order of their indices, each as the ``(index, value)`` pairs of
     its nonzero coordinates: the one walk over every entry."""
-    for _ in range(depth - 1):
-        tensor = chain.from_iterable(tensor)
-    return [tuple((k, v) for k, v in enumerate(vec) if v) for vec in tensor]
+    return [tuple((k, v) for k, v in enumerate(vec) if v) for vec in _flat(tensor, depth)]
 
 
 def _matrices(node) -> tuple:
@@ -232,34 +282,35 @@ def _nested_rows(node, den: int):
 
 
 class IntegerRead:
-    """Structure data read once as integers over one common denominator L.
+    """Structure data as integers over one common denominator L.
 
     ``F`` and ``G`` are series of binary and ternary tensors (a single
     structure is a series of length 1), ``Tt`` a series of maps (operator
     coefficients, or a derivation) or two maps T and T_V, and ``rows`` a
     nesting of tuples of matrices (a representation's rho and theta).  L =
-    ``den`` clears the denominators of every nonzero tensor entry, collected
-    in one walk, of each matrix's integer form and of the weight; then
-    ``f[i]`` and ``g[i]`` are L F_i and L G_i, nested over basis indices
-    above each vector's nonzero ``(index, value)`` pairs, ``t_col[i][x]``
-    is L T_i e_x, ``t_row[i][y]`` the row y of L T_i, ``lw`` is L times the
-    weight, and ``rows`` keeps its nesting with each matrix as L times its
-    stored rows.  Each battery and builder brings its terms to one power of
-    L and divides an output entry back once; a deformation is read once for
-    all its orders.
+    ``den`` is the least common multiple of the weight's denominator and of
+    the denominators that each tensor (:class:`Tensor`) and each matrix
+    (its integer form) keep; then ``f[i]`` and ``g[i]`` are L F_i and L
+    G_i, nested over basis indices above each vector's nonzero ``(index,
+    value)`` pairs (the tensor's kept view at L), ``t_col[i][x]`` is L T_i
+    e_x (from T_i's kept transpose), ``t_row[i][y]`` the row y of L T_i,
+    ``lw`` is L times the weight, and ``rows`` keeps its nesting with each
+    matrix as L times its stored rows.  A tensor given as plain nested
+    tuples is frozen first.  Each battery and builder brings its terms to
+    one power of L and divides an output entry back once; a deformation is
+    read once for all its orders.
     """
 
     __slots__ = ("den", "f", "g", "t_col", "t_row", "lw", "rows")
 
     def __init__(self, F=(), G=(), Tt=(), weight=0, rows=()):
         weight = Fraction(weight)
-        f = [_nonzero_leaves(t, 2) for t in F]
-        g = [_nonzero_leaves(t, 3) for t in G]
-        self.den = den = lcm(weight.denominator,
-                             *{v.denominator for leaf in chain(*f, *g) for _, v in leaf},
+        F = [_freeze(t, len(t), 2) for t in F]
+        G = [_freeze(t, len(t), 3) for t in G]
+        self.den = den = lcm(weight.denominator, *{t.den for t in (*F, *G)},
                              *{mat.integer[0] for mat in (*Tt, *_matrices(rows))})
-        self.f = tuple(_view(integer_rows(leaves, den), (len(t),) * 2) for t, leaves in zip(F, f))
-        self.g = tuple(_view(integer_rows(leaves, den), (len(t),) * 3) for t, leaves in zip(G, g))
+        self.f = tuple(t.at(den) for t in F)
+        self.g = tuple(t.at(den) for t in G)
         self.t_col = tuple(_scaled_rows(t.transpose(), den) for t in Tt)
         self.t_row = tuple(_scaled_rows(t, den) for t in Tt)
         self.lw = (weight * den).numerator
@@ -300,10 +351,9 @@ def flat_table(table, shape) -> dict:
     dict, a position being the place in product order over ``shape``: a
     mixed radix, e.g. (n, n, n) for a binary bracket and (n,)*k + (m, m)
     for a k-linear map into operators on an m-dimensional module."""
-    for _ in range(len(shape) - 2):
-        table = chain.from_iterable(table)
     size = shape[-1]
-    return {t * size + k: v for t, leaf in enumerate(table) for k, v in leaf}
+    return {t * size + k: v for t, leaf in enumerate(_flat(table, len(shape) - 1))
+            for k, v in leaf}
 
 
 def slot_product(series, maps, stride: int, dim: int) -> list:
@@ -355,11 +405,12 @@ def series_lincomb(*terms) -> list:
     return out
 
 
-def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> tuple:
+def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> Tensor:
     """The tensor with ``depth`` levels of basis indices whose flat
     ``{position: value}`` dict (see :func:`flat_table`) holds den times it,
-    as nested tuples of Fractions."""
-    return _view(dense_vector(acc, dim ** (depth + 1), den), (dim,) * (depth + 1))
+    as a :class:`Tensor`."""
+    return Tensor(_view(dense_vector(acc, dim ** (depth + 1), den), (dim,) * (depth + 1)),
+                  depth, dim)
 
 
 def tuple_residual(acc: dict, shape):
@@ -383,7 +434,12 @@ def tuple_residual(acc: dict, shape):
 
 @dataclass(frozen=True)
 class LyAlgebra:
-    """Structure constants of a Lie-Yamaguti algebra plus optional labels."""
+    """Structure constants of a Lie-Yamaguti algebra plus optional labels.
+
+    ``binary`` and ``ternary`` are tensors (:class:`Tensor`) that keep
+    their integer read.  The hash is computed once, from the integer view of each
+    tensor at its own denominator (equal tensors have equal views), and
+    kept."""
 
     dim: int
     binary: BinaryTensor
@@ -405,6 +461,14 @@ class LyAlgebra:
             i, j, k = bad
             raise InvalidStructure(
                 f"ternary constants not antisymmetric in first two slots at ({i},{j},{k})")
+
+    @cached_property
+    def _hash(self) -> int:
+        b, t = self.binary, self.ternary
+        return hash((self.dim, b.den, b.at(b.den), t.den, t.at(t.den), self.labels))
+
+    def __hash__(self):
+        return self._hash
 
     def basis(self, i: int) -> Vector:
         return unit_vector(self.dim, i)

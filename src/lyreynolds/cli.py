@@ -312,9 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of this process, built by the first call of main: argparse
+# parsers keep no state between parse_args calls.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (LyError, OSError) as exc:

@@ -7,10 +7,12 @@ of ``(column, entry)`` pairs per row, columns increasing: the leaf format
 of the sparse structure tables in :mod:`lyreynolds.algebra`) and the
 canonical integer form :attr:`Matrix.integer` (the least common
 denominator, and the same pairs holding it times each entry as ints).
-Products and elimination run on the integer form, sums, scalings and
-transposes on the view.  :func:`eliminate` is the one elimination routine,
-fraction-free in the sense of Bareiss; rows are taken sparsest first and
-each is reduced against the pivot row of its lowest column.  The reduced
+Products, matrix-vector products and elimination run on the integer form,
+sums and scalings on the view; a transpose is built from the integer form
+when the matrix has it, and kept, as is the hash.  :func:`eliminate` is the
+one elimination routine, fraction-free in the sense of Bareiss; rows are
+taken sparsest first and each is reduced against the pivot row of its
+lowest column.  The reduced
 echelon form is unique, so that pivot rule decides the cost, never the
 result, and every output is bit-reproducible.
 """
@@ -65,7 +67,8 @@ class Matrix:
     ``(den, rows)`` with the same pairs holding den times each entry.  A
     matrix is built from one form and derives the other on first use.  The
     integer form is canonical (den is the least common denominator), so
-    ``==`` and ``hash`` are exact and cost the nonzeros, not rows x cols.
+    ``==`` and ``hash`` are exact and cost the nonzeros, not rows x cols;
+    the hash is computed once and kept.
 
     ``Matrix(rows, cols, entries)`` reads row-major dense entries; the dense
     ``entries``, ``row``, ``column``, ``[i, j]`` and ``to_rows`` are views
@@ -123,13 +126,30 @@ class Matrix:
         den = lcm(*{x.denominator for row in self.sparse for _, x in row})
         return den, integer_rows(self.sparse, den)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rows, self.cols, self.integer))
+
+    @cached_property
+    def _transposed(self) -> "Matrix":
+        """The transpose, from the integer form if the matrix has it (the
+        least common denominator is the same), else from the view."""
+        m = object.__new__(Matrix)
+        m.__dict__.update(rows=self.cols, cols=self.rows)
+        if "integer" in self.__dict__:
+            den, rows = self.integer
+            m.__dict__["integer"] = (den, _transpose_rows(rows, self.cols))
+        else:
+            m.__dict__["sparse"] = _transpose_rows(self.sparse, self.cols)
+        return m
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.rows, self.cols, self.integer) == (other.rows, other.cols, other.integer)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.integer))
+        return self._hash
 
     def __repr__(self):
         return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, sparse={self.sparse!r})"
@@ -210,11 +230,8 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        out = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.sparse):
-            for j, x in row:
-                out[j].append((i, x))
-        return Matrix._of(self.cols, self.rows, tuple(map(tuple, out)))
+        """The transpose, built on first use and then kept."""
+        return self._transposed
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -248,11 +265,21 @@ class Matrix:
         return Matrix.from_integer_rows(acc, other.cols, da * db)
 
     def apply(self, v) -> Vector:
-        """Matrix times column vector, over the nonzero entries."""
+        """Matrix times column vector, over the nonzero entries of the
+        integer form: the vector is brought to ints over the least common
+        denominator of its entries, and each output entry is divided once."""
         v = tuple(v)
         if len(v) != self.cols:
             raise DimMismatch(f"vector of length {len(v)} for {self.rows}x{self.cols} matrix")
-        return tuple(sum((x * v[j] for j, x in row), _ZERO) for row in self.sparse)
+        den, rows = self.integer
+        vden = lcm(*{x.denominator for x in v})
+        iv = [x.numerator * (vden // x.denominator) for x in v]
+        den *= vden
+        out = []
+        for row in rows:
+            total = sum([x * iv[j] for j, x in row])
+            out.append(Fraction(total, den) if total else _ZERO)
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return not any(self.integer[1])
@@ -312,6 +339,16 @@ def add_product(acc: list[dict], c, a, b) -> None:
     for out, row in zip(acc, a):
         for k, x in row:
             add_scaled(out, x if c == 1 else -x if c == -1 else x * c, b[k])
+
+
+def _transpose_rows(rows, cols: int):
+    """The stored rows of the transpose of a matrix with ``cols`` columns
+    given by its stored rows (of Fractions or of ints)."""
+    out = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
 
 
 def integer_rows(rows, den: int):

@@ -27,7 +27,7 @@ identities are X_T(x..) T_V = T_V X(Tx..).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, combinations, product
 
 from .algebra import (
@@ -63,7 +63,8 @@ from .reynolds import ReynoldsOperator, descendant_algebra
 
 @dataclass(frozen=True)
 class Representation:
-    """rho[i] is the matrix of rho(e_i); theta[i][j] of theta(e_i, e_j)."""
+    """rho[i] is the matrix of rho(e_i); theta[i][j] of theta(e_i, e_j).
+    The hash is computed once and kept."""
 
     algebra_dim: int
     module_dim: int
@@ -87,6 +88,13 @@ class Representation:
         if self.module_op is not None and \
                 (self.module_op.rows, self.module_op.cols) != (m, m):
             raise DimMismatch("module operator must be module_dim x module_dim")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.algebra_dim, self.module_dim, self.rho, self.theta, self.module_op))
+
+    def __hash__(self):
+        return self._hash
 
     def _check_element(self, *vecs) -> None:
         if any(len(v) != self.algebra_dim for v in vecs):

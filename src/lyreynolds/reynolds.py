@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .algebra import (
     IntegerRead,
@@ -51,6 +51,8 @@ from .reporting import AxiomReport
 
 @dataclass(frozen=True)
 class ReynoldsOperator:
+    """A square matrix and a weight; the hash is computed once and kept."""
+
     matrix: Matrix
     weight: Fraction
 
@@ -58,6 +60,13 @@ class ReynoldsOperator:
         if self.matrix.rows != self.matrix.cols:
             raise DimMismatch("operator matrix must be square")
         object.__setattr__(self, "weight", Fraction(self.weight))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.matrix, self.weight))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:
