@@ -56,9 +56,7 @@ class Tensor(tuple):
     denominator, and ``at(L)``, for a multiple L of den, the integer view
     that :class:`IntegerRead` takes: the leaves as ``(index, L value)``
     pairs, nested over the basis indices again.  Each is built on first use
-    and kept with the tensor; a view is rescaled from the one at den when
-    that one is kept already, and read from the leaves otherwise.
-    Comparison, hashing and ``repr`` are the tuple's.
+    and kept with the tensor.  Comparison, hashing and ``repr`` are the tuple's.
     """
 
     def __new__(cls, nodes, depth: int, width: int):
@@ -77,14 +75,8 @@ class Tensor(tuple):
     def at(self, den: int) -> tuple:
         view = self._views.get(den)
         if view is None:
-            own = self._views.get(self.den)
-            if own is None:
-                rows = integer_rows(self.leaves, den)
-            else:
-                k = den // self.den
-                rows = tuple(tuple((i, k * v) for i, v in leaf)
-                             for leaf in _flat(own, self.depth))
-            view = self._views[den] = _view(rows, (len(self),) * self.depth)
+            view = self._views[den] = _view(integer_rows(self.leaves, den),
+                                            (len(self),) * self.depth)
         return view
 
 

@@ -312,16 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The parser of this process, built by the first call of main: argparse
-# parsers keep no state between parse_args calls.
-_parser = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (LyError, OSError) as exc:

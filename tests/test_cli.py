@@ -473,46 +473,6 @@ def test_cli_output_deterministic(capsys):
     assert first == second
 
 
-def test_one_parser_serves_every_call(monkeypatch, capsys):
-    """main builds its parser on the first call and keeps it: a run of all
-    four subcommands, with a usage error among them, gives each call the
-    stdout, stderr and exit code of a call with a parser built afresh."""
-    monkeypatch.setenv("COLUMNS", "80")
-    extension = str(SAMPLES / "extension.lyr")
-    argvs = [
-        ["verify", TWO_DIM, "--name", "ly2"],
-        ["cohomology", TWO_DIM, "--algebra", "ly2", "--operator", "T", "--rep", "ad",
-         "--complex", "ro", "--max-degree", "2", "--json"],
-        ["cohomology", TWO_DIM, "--algebra", "ly2", "--complex", "rly"],  # usage error
-        ["classify-extensions", extension, "--algebra", "base2", "--operator", "Tbase",
-         "--rep", "adbase"],
-        ["deform-check", TWO_DIM, "--name", "stretch", "--order", "1"],
-        ["verify", TWO_DIM],  # usage error
-        ["verify", TWO_DIM, "--name", "T", "--json"],
-    ]
-
-    def call(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
-        return out, err, code
-
-    monkeypatch.setattr(cli_module, "_parser", None)
-    kept = [call(argv) for argv in argvs]
-    parser = cli_module._parser
-    assert parser is not None
-    for argv, result in zip(argvs, kept):
-        monkeypatch.setattr(cli_module, "_parser", None)
-        assert call(argv) == result
-    assert [code for _, _, code in kept] == [0, 0, 2, 0, 0, 2, 0]
-    assert "required: --operator, --rep" in kept[2][1]
-    monkeypatch.setattr(cli_module, "_parser", parser)
-    assert call(argvs[0]) == kept[0]
-    assert cli_module._parser is parser
-
-
 def test_extension_sample_verifies(capsys):
     path = str(SAMPLES / "extension.lyr")
     assert main(["verify", path, "--name", "E1"]) == 0

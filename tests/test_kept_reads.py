@@ -162,7 +162,7 @@ def test_integer_read_from_kept_reads_equals_one_from_plain_tuples():
         return kept, copied
 
     # L = 1, the tensors' own denominator, then L = 6 > 1 for T = (3/2) Id
-    # at weight -2/3, rescaled from the kept view at 1, then L = 1 again
+    # at weight -2/3, then L = 1 again, from the kept view
     for structure, den in (((), 1), (((op.matrix,), op.weight), 6),
                            (((op.matrix,), op.weight, (rep.rho, rep.theta)), 6), ((), 1)):
         kept, copied = both(*structure)
@@ -170,8 +170,8 @@ def test_integer_read_from_kept_reads_equals_one_from_plain_tuples():
         assert reads_equal(kept, copied)
     assert set(algebra.binary._views) == {1, 6}
 
-    # a view at L > 1 read from the leaves, with no view at the own
-    # denominator kept: the first read of the fresh tensors is at L = 6
+    # a view at L > 1 with no view at the own denominator kept: the first
+    # read of the fresh tensors is at L = 6
     fresh, op2, _ = load_sl2()
     kept = IntegerRead((fresh.binary,), (fresh.ternary,), (op2.matrix,), op2.weight)
     assert set(fresh.binary._views) == {6}
