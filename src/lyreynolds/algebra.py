@@ -114,32 +114,40 @@ def _freeze(data, dim: int, depth: int, width: int | None = None,
 
 
 def _antisymmetry_failure(tensor, dim: int, depth: int):
-    """First basis tuple (i, j, ...) of length ``depth``, in product order,
-    at which ``tensor`` is not antisymmetric in its leading index pair, or
-    None when it is antisymmetric everywhere.  Only i <= j is visited: the
-    condition at (j, i, ...) is the one at (i, j, ...), which comes first.
+    """First basis tuple (i, j, ...) of length ``depth`` (2 or 3), i <= j, in
+    product order, at which ``tensor`` is not antisymmetric in its leading
+    index pair, or None.  Only nonzero vectors are read (a :class:`Tensor`'s
+    kept ``leaves``, or :func:`_nonzero_leaves`): every failing pair has a
+    nonzero member, and the witness is the least (min, max, rest) of them.
+    Entries are Fractions or ints in lowest terms, so x == -y compares
+    numerators and denominators, and no negated entry is built."""
+    leaves = tensor.leaves if isinstance(tensor, Tensor) else _nonzero_leaves(tensor, depth)
+    inner = dim ** (depth - 2)
+    bad = None
+    for p, leaf in enumerate(leaves):
+        if not leaf:
+            continue
+        i, r = divmod(p, dim * inner)
+        j, r = divmod(r, inner)
+        partner = leaves[(j * dim + i) * inner + r]
+        if i > j and partner:
+            continue  # compared from (j, i, ...)
+        if len(partner) != len(leaf) or any(
+                k != h or x.numerator != -y.numerator or x.denominator != y.denominator
+                for (k, x), (h, y) in zip(leaf, partner)):
+            key = (min(i, j), max(i, j), r)
+            bad = key if bad is None else min(bad, key)
+    return None if bad is None else bad[:depth]
 
-    Entries are rationals in lowest terms with positive denominators
-    (Fractions or ints), so x == -y compares numerators and denominators,
-    and no negated entry is built."""
-    for i in range(dim):
-        for j in range(i, dim):
-            for rest in product(range(dim), repeat=depth - 2):
-                a, b = tensor[i][j], tensor[j][i]
-                for k in rest:
-                    a, b = a[k], b[k]
-                for x, y in zip(a, b):
-                    if x.numerator != -y.numerator or x.denominator != y.denominator:
-                        return (i, j) + rest
-    return None
 
-
-def orbit_tuples(dim: int, shape):
+def orbit_tuples(dim: int, shape, ideal: int | None = None):
     """The basis tuples that decide an identity antisymmetric within groups
     of consecutive slots: ``shape`` lists the group sizes, and the tuples
     yielded are those strictly increasing within each group, in product
     order.  ``(2, 1)`` gives every (i, j, k) with i < j; a shape of ones
     gives every tuple.  There are prod C(dim, k) of them, k over ``shape``.
+    With ``ideal`` = n, only those with at most one index >= n are returned,
+    in the same order.
 
     Why they suffice: LyAlgebra and TruncatedDeformation enforce the
     antisymmetry of both brackets at every order, so each residual given a
@@ -149,9 +157,24 @@ def orbit_tuples(dim: int, shape):
     an orbit is its lexicographic minimum, because the groups are
     consecutive slots.  The first failure over these tuples, with its
     residual, is the first failure in product order over all of them.
+
+    ``ideal`` serves the total of an extension in block form, whose module
+    indices n.. span an abelian ideal V (checked): a bracket with one
+    argument in V lies in V, and one with two vanishes.  So in a term of
+    LY1-LY6 with two module arguments the lowest bracket above both has two
+    inputs in V, and a tuple with two module indices has residual 0.  The
+    tuples are generated: combinations below n in every group but at most
+    one, which ends in an index >= n, then sorted into product order.
     """
-    return (tuple(chain.from_iterable(groups))
-            for groups in product(*(combinations(range(dim), k) for k in shape)))
+    if ideal is None:
+        return (tuple(chain.from_iterable(groups))
+                for groups in product(*(combinations(range(dim), k) for k in shape)))
+    low = [list(combinations(range(ideal), k)) for k in shape]
+    one = [[c + (v,) for c in combinations(range(ideal), k - 1) for v in range(ideal, dim)]
+           for k in shape]
+    picks = [low] + [low[:s] + [one[s]] + low[s + 1:] for s in range(len(shape))]
+    return sorted(tuple(chain.from_iterable(groups))
+                  for pick in picks for groups in product(*pick))
 
 
 def zero_binary(dim: int) -> BinaryTensor:
@@ -565,15 +588,25 @@ def _no_entries(acc: dict) -> bool:
     return not any(acc.values())
 
 
-def _axiom_report(names, identities, dim: int) -> AxiomReport:
+def _axiom_report(names, identities, dim: int, ideal: int | None = None) -> AxiomReport:
     """One check per named ``(shape, residual, den)`` identity over the
-    basis tuples of :func:`orbit_tuples` for its shape.  Residuals are
-    ``{coordinate: value}`` dicts of den times the exact residual; only a
-    failing one is written out, as the vector of exact values."""
+    basis tuples of :func:`orbit_tuples` for its shape and ``ideal``.
+    Residuals are ``{coordinate: value}`` dicts of den times the exact
+    residual; only a failing one is written out, as the vector of exact
+    values."""
     return AxiomReport(tuple(
-        first_failure(name, orbit_tuples(dim, shape), fn, _no_entries,
+        first_failure(name, orbit_tuples(dim, shape, ideal), fn, _no_entries,
                       lambda acc, den=den: dense_vector(acc, dim, den))
         for name, (shape, fn, den) in zip(names, identities)))
+
+
+def _ly_report(algebra: LyAlgebra, ideal: int | None = None) -> AxiomReport:
+    """:func:`verify_ly_axioms` over the :func:`orbit_tuples` of ``ideal``:
+    the same report where the indices from ``ideal`` on span an abelian
+    ideal."""
+    read = IntegerRead((algebra.binary,), (algebra.ternary,))
+    return _axiom_report(("LY1", "LY2", "LY3", "LY4", "LY5", "LY6"),
+                         _ly_identities(read, 0), algebra.dim, ideal)
 
 
 def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
@@ -585,9 +618,7 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
     per orbit (see :func:`orbit_tuples`).  Each check reports at most one
     witness: the lexicographically first failing tuple.
     """
-    read = IntegerRead((algebra.binary,), (algebra.ternary,))
-    return _axiom_report(("LY1", "LY2", "LY3", "LY4", "LY5", "LY6"),
-                         _ly_identities(read, 0), algebra.dim)
+    return _ly_report(algebra)
 
 
 def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     LyAlgebra,
+    _ly_report,
     _morphism_failure,
     binary_from_sparse,
     ternary_from_sparse,
@@ -127,9 +128,12 @@ class AbelianExtension:
     structure passing the algebra and operator verifiers.  In the basis
     s(e_1..e_n), i(v_1..v_m) of the canonical section, [v, w], {z, v, w} and
     {v, w, z} must vanish and [x, v], {x, y, v} and {v, x, y} have no base
-    part, for x, y in L, v, w in V and any z.  Compatibility with a given
-    base (L, T) and module operator, and T_hat mapping V into V, are checked
-    by the operations that read that data.
+    part, for x, y in L, v, w in V and any z.  So every LY1-LY6 term with two
+    module arguments vanishes, and a total in block form is scanned only on
+    tuples with at most one module index (see algebra.orbit_tuples); one in
+    any other basis in full.  Compatibility with a given base (L, T) and
+    module operator, and T_hat mapping V into V, are checked by the
+    operations that read that data.
     """
 
     total: LyAlgebra
@@ -164,7 +168,9 @@ class AbelianExtension:
                or any(ternary[v][x][y][:n])
                for x in base for y in base for v in module):
             raise InvalidInput("module image is not an ideal")
-        axioms = verify_ly_axioms(self.total)
+        # in block form (the section basis is the standard one) the checks
+        # above make e_n.. span an abelian ideal of the total itself
+        axioms = _ly_report(self.total, n if binary is self.total.binary else None)
         if not axioms.ok:
             raise InvalidInput("total algebra fails the axioms:\n" + axioms.describe())
         rey = verify_reynolds(self.total, self.total_op)

@@ -25,7 +25,9 @@ sparse ones against.
 * ``morphism_failure_dense`` compares the image of each bracket of basis
   vectors with the bracket of their images, as dense vectors.
 * ``antisymmetry_failure_scan`` compares every entry with the negation of
-  its swapped partner on every basis tuple, for entries of any type.
+  its swapped partner on every basis tuple, for entries of any type, and
+  ``antisymmetry_failure_walk`` is the earlier dense walk over i <= j that
+  compares numerators and denominators.
 * ``base_data_by_solves``, ``extract_rep_by_solves`` and
   ``extract_cocycle_by_solves`` read an extension through section lifts,
   solving for the module coordinates of each vector (``module_coords``), and
@@ -967,3 +969,20 @@ def assemble_extension_by_cases(algebra, op, rep, cocycle):
     total_algebra = LyAlgebra(total, tuple(map(tuple, binary)),
                               tuple(tuple(map(tuple, row)) for row in ternary), labels)
     return total_algebra, total_op
+
+
+def antisymmetry_failure_walk(tensor, dim, depth):
+    """First basis tuple (i, j, ...) with i <= j, in product order, at which
+    some entry of tensor[i][j]... is not minus the entry of tensor[j][i]...,
+    or None: every pair visited, entries compared by numerator and
+    denominator."""
+    for i in range(dim):
+        for j in range(i, dim):
+            for rest in product(range(dim), repeat=depth - 2):
+                a, b = tensor[i][j], tensor[j][i]
+                for k in rest:
+                    a, b = a[k], b[k]
+                for x, y in zip(a, b):
+                    if x.numerator != -y.numerator or x.denominator != y.denominator:
+                        return (i, j) + rest
+    return None

@@ -1,10 +1,12 @@
 """The antisymmetry check of brackets, deformation coefficients and
-degree-2 cochains against the plain scan in ``tests/oracles.py``.
+degree-2 cochains against the plain scan and the dense walk in
+``tests/oracles.py``.
 
-``algebra._antisymmetry_failure`` compares numerators and denominators
-instead of building a negated entry, and visits i <= j only; the scan
-compares x != -y on every basis tuple.  Both must name the same first
-failing tuple, for entries that are Fractions and for plain ints.
+``algebra._antisymmetry_failure`` reads the nonzero vectors only and
+compares numerators and denominators instead of building a negated entry;
+the scan compares x != -y on every basis tuple, and the walk every pair
+i <= j.  All must name the same first failing tuple, for entries that are
+Fractions and for plain ints, in nested lists and in frozen tensors.
 """
 
 import random
@@ -13,9 +15,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import antisymmetry_failure_scan
-from lyreynolds.algebra import _antisymmetry_failure
+from oracles import antisymmetry_failure_scan, antisymmetry_failure_walk
+from lyreynolds.algebra import _antisymmetry_failure, _freeze
 from lyreynolds.cohomology import cochain2_from_tensors
 from lyreynolds.errors import InvalidStructure
 
@@ -78,6 +82,59 @@ def test_first_failure_matches_the_scan(depth, kind):
             if expected == (dim - 1,) * depth:
                 outcomes.add("last")
     assert outcomes == {True, False, "last"}
+
+
+@st.composite
+def planted_tensors(draw):
+    """(tensor, dim, depth): an antisymmetric tensor as nested lists, about
+    half of its vectors zero, with up to three entries moved, some of them
+    on the diagonal i = j; entries all ints or all Fractions, vectors of a
+    length other than dim allowed."""
+    dim, depth, width = draw(st.integers(1, 4)), draw(st.sampled_from([2, 3])), \
+        draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        entry, nonzero = st.integers(-3, 3), st.sampled_from([1, -1, 2])
+    else:
+        entry = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+        nonzero = st.sampled_from([F(1), F(-1, 2), F(2, 3)])
+    cells = {}
+    for idx in product(range(dim), repeat=depth):
+        i, j, *rest = idx
+        if i < j:
+            vec = draw(st.lists(entry, min_size=width, max_size=width)) \
+                if draw(st.booleans()) else [0] * width
+            cells[idx], cells[(j, i, *rest)] = vec, [-x for x in vec]
+        elif i == j:
+            cells[idx] = [0] * width
+    index = st.integers(0, dim - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(index)
+        j = i if draw(st.booleans()) else draw(index)
+        idx = (i, j, *(draw(index) for _ in range(depth - 2)))
+        cells[idx] = list(cells[idx])
+        cells[idx][draw(st.integers(0, width - 1))] += draw(nonzero)
+    return nested(cells, dim, depth - 1), dim, depth, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_tensors())
+def test_nonzero_leaves_give_the_walk_witness(case):
+    tensor, dim, depth, width = case
+    expected = antisymmetry_failure_walk(tensor, dim, depth)
+    assert _antisymmetry_failure(tensor, dim, depth) == expected
+    assert _antisymmetry_failure(_freeze(tensor, dim, depth, width), dim, depth) == expected
+
+
+def test_a_lone_nonzero_entry_fails_at_its_least_pair():
+    # only (1, 0, 1) and the diagonal (2, 2, 0) are nonzero: the walk never
+    # reads (1, 0, 1) before (0, 1, 1), and (0, 1, 1) < (2, 2, 0)
+    cells = {idx: [0] for idx in product(range(3), repeat=3)}
+    cells[(1, 0, 1)], cells[(2, 2, 0)] = [F(1, 2)], [3]
+    tensor = nested(cells, 3, 2)
+    assert antisymmetry_failure_walk(tensor, 3, 3) == (0, 1, 1)
+    assert _antisymmetry_failure(tensor, 3, 3) == (0, 1, 1)
+    cells[(1, 0, 1)] = [0]
+    assert _antisymmetry_failure(nested(cells, 3, 2), 3, 3) == (2, 2, 0)
 
 
 def test_numerator_or_denominator_alone_differs():

@@ -17,8 +17,9 @@ from math import comb, prod
 
 import pytest
 
-from conftest import rand_fraction, rand_matrix, random_valid_triples
+from conftest import rand_fraction, rand_matrix, random_reps, random_valid_triples
 import lyreynolds.algebra as algebra_mod
+import lyreynolds.extension as extension_mod
 import lyreynolds.representation as representation_mod
 from lyreynolds import (
     AbelianExtension,
@@ -42,12 +43,14 @@ from lyreynolds import (
 from lyreynolds.algebra import (
     IntegerRead,
     _ly_identities,
+    _ly_report,
     binary_from_sparse,
     orbit_tuples,
     ternary_from_sparse,
 )
 from lyreynolds.errors import InternalInconsistency, InvalidInput
-from lyreynolds.extension import to_block_form
+from lyreynolds.cohomology import rly_dim, unflatten_rly
+from lyreynolds.extension import _canonical_arrows, assemble_extension, to_block_form
 from lyreynolds.representation import _module_op_identities, _op_read, _rep_identities
 from lyreynolds.reynolds import _derivation_identities, _reynolds_identities
 
@@ -158,7 +161,7 @@ def outcome(fn, *args):
     return (report, report.to_json())
 
 
-def full_product(dim, shape):
+def full_product(dim, shape, ideal=None):
     return product(range(dim), repeat=sum(shape))
 
 
@@ -333,3 +336,139 @@ def test_ideal_check_keeps_the_full_scan_where_it_is_not_antisymmetric():
     with pytest.raises(InvalidInput, match="not a ternary-abelian ideal"):
         AbelianExtension(total, ReynoldsOperator(Matrix.identity(2), F(-1)),
                          Matrix.from_rows([[0], [1]]), Matrix.from_rows([[1, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# the total of a block-form extension: at most one module index
+
+def module_indices(tup, n: int) -> int:
+    return sum(i >= n for i in tup)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1), (3,), (3, 1), (2, 2), (2, 2, 1)])
+def test_ideal_keeps_the_orbit_tuples_with_one_module_index_at_most(shape):
+    for dim in range(2, 7):
+        full = list(orbit_tuples(dim, shape))
+        for ideal in range(1, dim + 1):
+            assert list(orbit_tuples(dim, shape, ideal)) == \
+                [t for t in full if module_indices(t, ideal) <= 1]
+
+
+def random_cocycle(rng, n: int, m: int) -> ExtensionCocycle:
+    """A random degree-2 cone cochain, almost never a cocycle."""
+    return ExtensionCocycle.from_cochain(unflatten_rly(2, n, m, [
+        rand_fraction(rng) if rng.random() < 0.3 else 0 for _ in range(rly_dim(2, n, m))]))
+
+
+def random_block_totals(rng, count: int):
+    """(total, total operator, n): assembled extension data in block form
+    on valid base data, over a module of dimension 1-3, most of it failing.
+    The representation is the adjoint one, a perturbed one (failures with
+    one module index) or a random one; the cochain is zero or random
+    (failures with none)."""
+    out = []
+    while len(out) < count:
+        which = len(out) % 4
+        if which == 1:
+            algebra, op, rep = random_reps(rng, 1)[0]
+        else:
+            algebra, op, rep = random_valid_triples(rng, 1)[0]
+        n = algebra.dim
+        if which == 2:
+            rep = random_rep(rng, n, rng.randint(1, 3))
+        m = rep.module_dim
+        cocycle = random_cocycle(rng, n, m) if which == 3 or rng.random() < 0.3 \
+            else ExtensionCocycle.zero(n, m)
+        out.append((*assemble_extension(algebra, op, rep, cocycle), n))
+    return out
+
+
+def construction(total, total_op, n: int):
+    """The text of the InvalidInput that building the block-form extension
+    raises, or None when it is built."""
+    try:
+        AbelianExtension(total, total_op, *_canonical_arrows(n, total.dim - n))
+    except InvalidInput as err:
+        return str(err)
+    return None
+
+
+def test_block_form_scan_equals_full_scan(monkeypatch):
+    rng = random.Random(89)
+    ideals, witnesses, outcomes = Counter(), Counter(), Counter()
+    original = extension_mod._ly_report
+
+    def recorded(algebra, ideal=None):
+        ideals[ideal] += 1
+        return original(algebra, ideal)
+
+    for total, total_op, n in random_block_totals(rng, 80):
+        with monkeypatch.context() as mp:
+            mp.setattr(extension_mod, "_ly_report", recorded)
+            reduced = construction(total, total_op, n)
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra_mod, "orbit_tuples",
+                       lambda dim, shape, ideal=None: orbit_tuples(dim, shape))
+            full = construction(total, total_op, n)
+        assert reduced == full
+        report = verify_ly_axioms(total)
+        assert _ly_report(total, n) == report
+        witnesses.update(module_indices(c.witness, n) for c in report.failures())
+        outcomes[None if full is None else full.split(":")[0]] += 1
+        # the premise: every tuple left out has residual 0
+        for (shape, fn, _den) in _ly_identities(IntegerRead((total.binary,), (total.ternary,)), 0):
+            for tup in orbit_tuples(total.dim, shape):
+                if module_indices(tup, n) > 1:
+                    assert not any(fn(*tup).values()), (shape, tup)
+    assert None not in ideals and sum(ideals.values()) == 80
+    # failing checks with no module index in the witness and with one
+    assert witnesses[0] >= 30 and witnesses[1] >= 30 and set(witnesses) == {0, 1}
+    assert outcomes[None] >= 10 and outcomes["total algebra fails the axioms"] >= 30
+    assert outcomes["total operator fails the Reynolds identities"] >= 5
+
+
+def moved_extension(total, total_op, n: int):
+    """The arguments of an AbelianExtension: block-form extension data with
+    the module moved in front of the base (basis index p becomes p + m mod
+    n + m)."""
+    big = total.dim
+    m = big - n
+    move = [(p + m) % big for p in range(big)]
+    binary = {(move[a], move[b], move[c]): v for a in range(big) for b in range(big)
+              for c, v in enumerate(total.binary[a][b]) if v}
+    ternary = {(move[a], move[b], move[c], move[d]): v
+               for a in range(big) for b in range(big) for c in range(big)
+               for d, v in enumerate(total.ternary[a][b][c]) if v}
+    op = [[0] * big for _ in range(big)]
+    for a in range(big):
+        for b in range(big):
+            op[move[a]][move[b]] = total_op.matrix[a, b]
+    return (LyAlgebra(big, binary_from_sparse(big, binary), ternary_from_sparse(big, ternary)),
+            ReynoldsOperator(Matrix.from_rows(op, big), total_op.weight),
+            Matrix.from_rows([[int(move[n + a] == i) for a in range(m)] for i in range(big)], m),
+            Matrix.from_rows([[int(move[j] == i) for i in range(big)] for j in range(n)], big))
+
+
+def test_an_extension_in_another_basis_keeps_the_full_scan(sl2):
+    op = ReynoldsOperator(Matrix.identity(3).scale(2), F(-1, 2))
+    rep = adjoint_rep(sl2, op)
+    z = (F(0),) * 3
+    psi = [[[z] * 3 for _ in range(3)] for _ in range(3)]
+    psi[0][1][2], psi[1][0][2] = (F(1), F(0), F(0)), (F(-1), F(0), F(0))
+    total, total_op = assemble_extension(
+        sl2, op, rep, ExtensionCocycle([[z] * 3 for _ in range(3)], psi, Matrix.zero(3, 3)))
+    # in block form the extension fails LY3 at the base triple (0, 1, 2)
+    assert construction(total, total_op, 3).startswith(
+        "total algebra fails the axioms:\nLY1: pass\nLY2: pass\nLY3: FAIL at basis tuple (0, 1, 2)")
+    moved, *rest = moved_extension(total, total_op, 3)
+    with pytest.raises(InvalidInput) as err:
+        AbelianExtension(moved, *rest)
+    # pinned from the code that scanned every total in full
+    assert str(err.value) == (
+        "total algebra fails the axioms:\nLY1: pass\nLY2: pass\n"
+        "LY3: FAIL at basis tuple (3, 4, 5), residual (1, 0, 0, 0, 0, 0)\nLY4: pass\n"
+        "LY5: FAIL at basis tuple (3, 4, 3, 5), residual (-2, 0, 0, 0, 0, 0)\n"
+        "LY6: FAIL at basis tuple (3, 4, 3, 5, 3), residual (-4, 0, 0, 0, 0, 0)")
+    # here the module indices are 0-2: a scan that took them to be 3-5
+    # would skip the failing base triple, now (3, 4, 5)
+    assert _ly_report(moved, 3) != verify_ly_axioms(moved)
