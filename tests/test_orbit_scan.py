@@ -6,7 +6,10 @@ Here the reduced scan is compared with the full product on seeded random
 antisymmetric structures, most of them failing, so that witnesses and
 residuals are compared and not only verdicts; the premise of the
 reduction, that every shaped residual negates under a swap within a group
-and vanishes on a repeated index, is tested on its own.
+and vanishes on a repeated index, is tested on its own.  The total of an
+extension in block form is scanned only on the tuples with at most one
+module index (``orbit_tuples`` with ``ideal``); that scan is compared with
+the full one, and its premise, residual 0 on every tuple left out, tested.
 """
 
 import random
@@ -48,8 +51,8 @@ from lyreynolds.algebra import (
     orbit_tuples,
     ternary_from_sparse,
 )
-from lyreynolds.errors import InternalInconsistency, InvalidInput
 from lyreynolds.cohomology import rly_dim, unflatten_rly
+from lyreynolds.errors import InternalInconsistency, InvalidInput
 from lyreynolds.extension import _canonical_arrows, assemble_extension, to_block_form
 from lyreynolds.representation import _module_op_identities, _op_read, _rep_identities
 from lyreynolds.reynolds import _derivation_identities, _reynolds_identities
