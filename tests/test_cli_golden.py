@@ -45,7 +45,12 @@ COMMANDS = (
 JSON_COMMANDS = [
     ["cohomology", "samples/sl2.lyr", "--algebra", "sl2", "--operator", "Tsl2",
      "--rep", "adsl2", "--complex", which, "--max-degree", "3", "--json"]
-    for which in ("ly", "ro", "rly")]
+    for which in ("ly", "ro", "rly")] + [
+    # a module of dimension 3 over an algebra of dimension 2, at weight -1/5
+    # with T_V != T: the chain map phi is nonzero and not square, to degree 4
+    ["cohomology", "samples/module.lyr", "--algebra", "ly2m", "--operator", "Tm",
+     "--rep", "adtriv", "--complex", which, "--max-degree", "4", "--json"]
+    for which in ("ro", "rly")]
 
 
 def run(argv):
