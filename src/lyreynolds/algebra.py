@@ -188,9 +188,10 @@ def zero_ternary(dim: int) -> TernaryTensor:
                    for _ in range(dim)), 3, dim)
 
 
-def _from_sparse(dim: int, entries, arity: int):
+def _from_sparse(dim: int, entries, arity: int) -> Tensor:
     """Dense tensor with ``arity`` indices from {index tuple: coefficient},
-    filled in antisymmetrically in the first two indices."""
+    filled in antisymmetrically in the first two indices, as a
+    :class:`Tensor`, which :func:`_freeze` takes as it is."""
     cells: dict[tuple[int, ...], Fraction] = {}
     for idx, c in dict(entries).items():
         idx = tuple(idx)
@@ -207,7 +208,7 @@ def _from_sparse(dim: int, entries, arity: int):
                     f"inconsistent antisymmetric pair at {key}: "
                     f"{cells[key]} vs {val}")
             cells[key] = val
-    return from_cells(cells, (dim,) * arity)
+    return Tensor(from_cells(cells, (dim,) * arity), arity - 1, dim)
 
 
 def binary_from_sparse(dim: int, entries) -> BinaryTensor:
@@ -378,12 +379,12 @@ def slot_product(series, maps, stride: int, dim: int) -> list:
     moved index is the digit of weight ``stride`` and base ``dim``, and
     ``maps[c][y]`` lists the ``(x, value)`` pairs that send y to x: the rows
     of a map T (``IntegerRead.t_row``) precompose an argument with T, and
-    its columns (``t_col``) compose T after the output (or an operator)."""
+    its columns (``t_col``) compose T after the output (or an operator).
+    Orders past the end of ``maps`` are zero maps."""
     out = []
     for s in range(len(series)):
         acc = defaultdict(int)
-        for c in range(s + 1):
-            moves = maps[c]
+        for c, moves in enumerate(maps[:s + 1]):
             for key, v in series[s - c].items():
                 y = key // stride % dim
                 base = key - y * stride
@@ -393,19 +394,27 @@ def slot_product(series, maps, stride: int, dim: int) -> list:
     return out
 
 
-def twist(series, maps, shape, slots):
+def twist(series, shape, slots):
     """The two parts of every structure a map T induces from a multilinear
     map X: A = X with T in every argument slot of ``slots``, and B = sum_s
-    X with T in every one of them but s, as series of ``shape`` (see
-    :func:`slot_product`; ``maps`` are T's rows).  Callers form inner = L^2
-    B + c L w A (c = 1 for [,] and rho, 2 for {,,}, theta and D) and X_T =
-    L^2 A - T o inner.  One pass, B <- B o_j T + A and A <- A o_j T: 2k - 1
-    slot products for k slots."""
+    X with T in every one of them but s, where a ``left`` map stands, as
+    series of ``shape`` (see :func:`slot_product`).  Each slot is a triple
+    ``(digit, maps, left)``: the digit of ``shape`` it moves, the series of
+    T's moves there, and the moves of its left map, None for the identity.
+    The descendant brackets and the induced representation move their
+    argument digits by T's rows, with the identity left; the comparison map
+    phi moves the column digits of an identity matrix by T's images (see
+    :func:`lyreynolds.cohomology.phi_matrix`).  Callers form inner = L^2 B
+    + (k - 1) L w A, for k arguments a module argument included (k - 1 = 1
+    for [,] and rho, 2 for {,,}, theta and D), and X_T = L^2 A - T o inner.
+    One pass, B <- B o_s T + A o_s left and A <- A o_s T: 2k - 1 slot
+    products for k slots, and one more per left map."""
     a, b = series, None
-    for slot in slots:
+    for slot, maps, left in slots:
         stride, base = prod(shape[slot + 1:]), shape[slot]
-        b = a if b is None else series_lincomb(
-            (1, slot_product(b, maps, stride, base)), (1, a))
+        moved = a if left is None else slot_product(a, (left,), stride, base)
+        b = moved if b is None else series_lincomb(
+            (1, slot_product(b, maps, stride, base)), (1, moved))
         a = slot_product(a, maps, stride, base)
     return a, b
 

@@ -21,18 +21,19 @@ Three coboundaries act on these spaces:
 All differentials are materialized as matrices in the standard cochain
 basis (unit tensors, lexicographic; the f block before the g block, the top
 block before the tail block) and cached per input, so ranks, kernels and
-membership tests reuse them.  Each matrix is assembled directly from the
-structure constants, rho/theta and the D table: one pass over the output
-slots emits every nonzero entry as a sparse linear form in the input
-coordinates, so assembly costs about the number of nonzeros, not
-dim_in x dim_out.  The arithmetic is on Python ints: one integer read
-(:class:`lyreynolds.algebra.IntegerRead`) scales the inputs of a
-differential by their common denominator L, every term of ``delta`` is
-linear in exactly one of them, so the ``ly`` matrix is (1/L) times an
-integer matrix, and ``phi`` is brought to one power of L the same way.
-The result is a :class:`Matrix` built from its integer form, whose
-``Fraction`` view is made only if a caller reads it.  The cone stacks the
-integer forms of its blocks by row and column offsets over one
+membership tests reuse them.  The ``ly`` matrix is assembled directly from
+the structure constants, rho/theta and the D table: one pass over the
+output slots emits every nonzero entry as a sparse linear form in the
+input coordinates, so assembly costs about the number of nonzeros, not
+dim_in x dim_out.  ``phi`` is the twist kernel that builds the descendant
+brackets (``algebra.twist``), run on identity matrices.  The arithmetic is
+on Python ints: one integer read (:class:`lyreynolds.algebra.IntegerRead`)
+scales the inputs of a differential by their common denominator L, every
+term of ``delta`` is linear in exactly one of them, so the ``ly`` matrix
+is (1/L) times an integer matrix, and ``phi`` is brought to one power of L
+the same way.  The result is a :class:`Matrix` built from its integer
+form, whose ``Fraction`` view is made only if a caller reads it.  The cone
+stacks the integer forms of its blocks by row and column offsets over one
 denominator.  Ranks, the d o d = 0 check and the chain-map square run on
 the integer forms; the coboundaries of single cochains are products with
 these matrices.
@@ -40,13 +41,21 @@ these matrices.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
-from .algebra import IntegerRead, LyAlgebra, _antisymmetry_failure, _freeze
+from .algebra import (
+    IntegerRead,
+    LyAlgebra,
+    _antisymmetry_failure,
+    _freeze,
+    series_lincomb,
+    twist,
+)
 from .errors import (
     DegreeOutOfRange,
     InvalidInput,
@@ -56,13 +65,11 @@ from .errors import (
 from .linalg import (
     _ZERO,
     Matrix,
-    Vector,
     _view,
     kernel_basis,
     rank,
     require_complex,
     solve,
-    vec_add,
     vec_scale,
     zero_vector,
 )
@@ -96,9 +103,20 @@ def _wedge_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(wedge_pairs(n))}
 
 
-def wedge_vector(n: int, u, v) -> Vector:
-    """Coordinates of u ^ v over the wedge basis."""
-    return tuple(u[i] * v[j] - u[j] * v[i] for (i, j) in wedge_pairs(n))
+def _wedge(n: int, *pairs) -> list[tuple[int, int]]:
+    """The nonzero ``(index, value)`` coordinates over the wedge basis of the
+    sum of u ^ v over the ``(u, v)`` pairs of sparse vectors, given as
+    ``(index, value)`` pairs."""
+    index = _wedge_index(n)
+    acc = defaultdict(int)
+    for u, v in pairs:
+        for i, x in u:
+            for j, y in v:
+                if i < j:
+                    acc[index[i, j]] += x * y
+                elif i > j:
+                    acc[index[j, i]] -= x * y
+    return [(k, v) for k, v in acc.items() if v]
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +380,6 @@ def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     return _apply(differential_matrix(algebra, op, rep, "ro", c.degree), c, c.degree + 1)
 
 
-def _dense(pairs, n: int) -> list[int]:
-    """The length-n coordinate vector of sparse ``(index, value)`` pairs."""
-    out = [0] * n
-    for i, v in pairs:
-        out[i] = v
-    return out
-
-
 @cache
 def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
     """Matrix of :func:`delta` at ``degree``, assembled one output slot at a
@@ -417,12 +427,10 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
     alt = [1 if kk % 2 == 0 else -1 for kk in range(q + 1)]
     g_in = 0 if q == 0 else w ** q * m
     g_out = w ** (q + 1) * m
-    unit = [_dense(((z, 1),), n) for z in range(n)]
+    unit = [((z, 1),) for z in range(n)]
     # nonzero wedge coordinates of {x_k,y_k,x_l} ^ y_l + x_l ^ {x_k,y_k,y_l}
-    subst = [[[(s, v) for s, v in enumerate(vec_add(
-        wedge_vector(n, _dense(t[xk][yk][xl], n), unit[yl]),
-        wedge_vector(n, unit[xl], _dense(t[xk][yk][yl], n)))) if v]
-        for (xl, yl) in pairs] for (xk, yk) in pairs]
+    subst = [[_wedge(n, (t[xk][yk][xl], unit[yl]), (unit[xl], t[xk][yk][yl]))
+              for (xl, yl) in pairs] for (xk, yk) in pairs]
 
     def flat(slots):
         idx = 0
@@ -472,59 +480,28 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
 # ---------------------------------------------------------------------------
 # the comparison map phi
 
-def _wedge_images(n: int, maps) -> list[list[tuple[int, int]]]:
-    """For each wedge pair (i, j), the nonzero wedge coordinates of the sum
-    of P e_i ^ Q e_j over the pairs (P, Q) in ``maps``, each map given by
-    its columns as integer vectors."""
-    out = []
-    for (i, j) in wedge_pairs(n):
-        vec = [0] * wedge_dim(n)
-        for p, q in maps:
-            vec = vec_add(vec, wedge_vector(n, p[i], q[j]))
-        out.append([(k, v) for k, v in enumerate(vec) if v])
-    return out
-
-
-def _form_product(factors, w: int) -> dict[int, int]:
-    """The product over slots of one sparse linear form per slot, keyed by
-    the flat (row-major) index of the input slot tuple."""
-    acc = {0: 1}
-    for factor in factors:
-        acc = {idx * w + k: c * v for idx, c in acc.items() for k, v in factor}
-    return acc
-
-
-def _scaled(form: dict, c: int) -> dict:
-    return {key: c * v for key, v in form.items()}
-
-
-def _merge(forms) -> dict:
-    """The sum of sparse forms."""
-    out: dict = {}
-    for form in forms:
-        for key, v in form.items():
-            out[key] = out.get(key, 0) + v
-    return out
-
-
 @cache
 def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
                degree: int) -> Matrix:
     """Matrix of the degree-preserving comparison map into the operator
-    complex.
+    complex: a cochain c with k vector arguments goes to
 
-    Degree 1: h -> h o T - T_V o h.  Degree p >= 2 with q = p - 1 wedge
-    slots: apply T to every vector argument, minus T_V applied to (the sum
-    over single slots left untransformed, plus (2q-1) w times the all-T term
-    for the f part and 2q w times it for the g part).
+        c(Tx..) - T_V ((k - 1) w c(Tx..) + sum_s c(Tx.. x_s ..Tx)),
 
-    Each output slot emits its entries directly: the all-T term and the
-    T_V-term are products of one sparse form per slot.  One
-    :class:`IntegerRead` scales T, T_V and w by their common denominator L,
-    so the rows accumulate ints: L times the matrix at degree 1, and
-    L^(2q+3) times it above, where the term of highest degree in L (the
-    weight term of the g part, w T_V c(T..T)) has 2q + 3 factors; every
-    lower term is brought up by its missing powers of L."""
+    k = 1 at degree 1 (h -> h o T - T_V o h), and for degree p >= 2 with q
+    = p - 1 wedge slots k = 2q in the f block and k = 2q + 1 in the g block.
+
+    Each block is :func:`lyreynolds.algebra.twist` of the identity matrix
+    of its slot indices, keyed row * size + column, with the column digits
+    moved: a wedge slot moves e_i ^ e_j to L^2 Te_i ^ Te_j (:func:`_wedge`)
+    with the left map L (e_i ^ Te_j + Te_i ^ e_j), and the L slot of the g
+    block moves e_z to L Te_z with the identity left.  The module index
+    stays out of the twisted tables: L^2 A sits on the diagonal of each
+    m x m block and T_V o inner, inner = L^2 B + (k - 1) L w A, fills it
+    through the rows of L T_V.  One :class:`IntegerRead` scales T, T_V and
+    w by their common denominator L, so a block accumulates L^(k+2) times
+    its entries in ints; the f block is multiplied by L once more, so both
+    reach L^(2q+3)."""
     if degree < 1:
         raise DegreeOutOfRange(f"degree {degree} < 1")
     if rep.module_op is None:
@@ -534,50 +511,33 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     s = read.den
     # t_cols[z]: the nonzero coordinates of L T e_z; tv: the rows of L T_V
     t_cols, tv = read.t_col[0], read.t_row[1]
-    rows = [{} for _ in range(cochain_dim(degree, n, m))]
-
-    def emit(out, all_t, inner):
-        """Output coordinates out.. of c(all-T) - T_V c(inner), both forms
-        keyed by input slot blocks of m coordinates."""
-        for a in range(m):
-            row = rows[out + a]
-            for key, v in all_t.items():
-                row[key * m + a] = row.get(key * m + a, 0) + v
-            for key, u in inner.items():
-                for a2, x in tv[a]:
-                    row[key * m + a2] = row.get(key * m + a2, 0) - x * u
-
-    if degree == 1:
-        for z in range(n):
-            emit(z * m, dict(t_cols[z]), {z: 1})
-        return Matrix.from_integer_rows(rows, n * m, s)
-
-    q = degree - 1
-    w = wedge_dim(n)
-    unit = [_dense(((z, 1),), n) for z in range(n)]
-    t_dense = [_dense(col, n) for col in t_cols]
-    t_wedge = _wedge_images(n, [(t_dense, t_dense)])
-    mixed_wedge = _wedge_images(n, [(unit, t_dense), (t_dense, unit)])
-    g_key = w ** q  # first key of the g block, in blocks of m coordinates
-
-    def with_z(form, z_rows):
-        """A slot form times a form in the last argument, keyed in the g block."""
-        return {g_key + key * n + z2: c * v for key, c in form.items() for z2, v in z_rows}
-
-    for idx, ks in enumerate(product(range(w), repeat=q)):
-        # all_t holds L^(2q) times the all-T form, each of mixed L^(2q-1)
-        all_t = _form_product([t_wedge[k] for k in ks], w)
-        mixed = [_form_product([mixed_wedge[k] if slot2 == slot else t_wedge[k]
-                                for slot2, k in enumerate(ks)], w) for slot in range(q)]
-        inner = _merge([_scaled(form, s ** 3) for form in mixed]
-                       + [_scaled(all_t, (2 * q - 1) * read.lw * s)])
-        emit(idx * m, _scaled(all_t, s ** 3), inner)
-        for z in range(n):
-            all_t_g = with_z(all_t, t_cols[z])
-            inner_g = _merge([_scaled(with_z(all_t, [(z, 1)]), s ** 2)]
-                             + [_scaled(with_z(form, t_cols[z]), s ** 2) for form in mixed]
-                             + [_scaled(all_t_g, 2 * q * read.lw)])
-            emit(g_key * m + (idx * n + z) * m, _scaled(all_t_g, s ** 2), inner_g)
+    pairs = wedge_pairs(n)
+    unit = [((z, 1),) for z in range(n)]
+    wedge = [_wedge(n, (t_cols[i], t_cols[j])) for i, j in pairs]
+    mixed = [_wedge(n, (unit[i], t_cols[j]), (t_cols[i], unit[j])) for i, j in pairs]
+    q, w = degree - 1, len(pairs)
+    f_slots = [(1 + slot, (wedge,), mixed) for slot in range(q)]
+    rows = [defaultdict(int) for _ in range(cochain_dim(degree, n, m))]
+    # (first coordinate, slot bases, slots, factor up to L^(2q+3)); degree 1
+    # has no f block
+    blocks = [(0, (w,) * q, f_slots, s)] if q else []
+    blocks.append((_f_len(degree, n, m), (w,) * q + (n,),
+                   f_slots + [(q + 1, (t_cols,), None)], 1))
+    for off, bases, slots, factor in blocks:
+        size = prod(bases)
+        a, b = twist([{r * size + r: 1 for r in range(size)}], (size,) + bases, slots)
+        lift, k = factor * s * s, q + len(bases)
+        inner, = series_lincomb((lift, b), (factor * (k - 1) * read.lw, a))
+        for key, v in a[0].items():
+            r, c = divmod(key, size)
+            for x in range(m):
+                rows[off + r * m + x][off + c * m + x] += lift * v
+        for key, u in inner.items():
+            r, c = divmod(key, size)
+            for x in range(m):
+                row = rows[off + r * m + x]
+                for x2, t in tv[x]:
+                    row[off + c * m + x2] -= t * u
     return Matrix.from_integer_rows(rows, cochain_dim(degree, n, m), s ** (2 * q + 3))
 
 

@@ -324,7 +324,8 @@ def _twisted(read: IntegerRead, table, k: int, n: int, m: int):
     X(Tx..) is at L^(a+k) and X_T at L^(a+k+2)."""
     shape = (n,) * k + (m, m)
     square = read.den ** 2
-    a, b = twist([flat_table(table, shape)], read.t_row[:1], shape, range(k))
+    a, b = twist([flat_table(table, shape)], shape,
+                 [(slot, read.t_row[:1], None) for slot in range(k)])
     inner = series_lincomb((square, b), (k * read.lw, a))
     x_t, = series_lincomb((square, a), (-1, slot_product(inner, read.t_col[1:], m, m)))
     return x_t, a[0]

@@ -97,7 +97,8 @@ def _reynolds_terms(read: IntegerRead):
     terms = []
     for tables, arity, c in ((read.f, 2, 1), (read.g, 3, 2)):
         shape = (dim,) * (arity + 1)
-        a, b = twist([flat_table(t, shape) for t in tables], read.t_row, shape, range(arity))
+        a, b = twist([flat_table(t, shape) for t in tables], shape,
+                     [(slot, read.t_row, None) for slot in range(arity)])
         terms.append((a, series_lincomb((square, b), (c * read.lw, a))))
     return terms
 

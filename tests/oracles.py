@@ -5,7 +5,7 @@ sparse ones against.
   contracting nested tensors, and ``columns_by_units`` builds a matrix by
   applying it to every unit cochain in turn.
 * ``phi_matrix_by_kron`` builds the comparison map from Kronecker chains
-  (``kron``).
+  (``kron``) of wedge-square matrices (``wedge_vector``, dense u ^ v).
 * ``differential_matrix_by_units`` stacks the cone from dense row lists.
 * ``dense_rref`` is Gauss-Jordan elimination on full rows, and
   ``dense_matmul`` the product over every entry; ``dense_lincomb``,
@@ -60,7 +60,6 @@ from lyreynolds.cohomology import (
     unflatten,
     wedge_dim,
     wedge_pairs,
-    wedge_vector,
 )
 from lyreynolds.deformation import TruncatedDeformation
 from lyreynolds.extension import ExtensionCocycle
@@ -114,6 +113,11 @@ def _eval_slots(tensor, slots, leaf_len):
 
     rec(tensor, 0, Fraction(1))
     return tuple(out)
+
+
+def wedge_vector(n: int, u, v):
+    """Coordinates of u ^ v over the wedge basis."""
+    return tuple(u[i] * v[j] - u[j] * v[i] for (i, j) in wedge_pairs(n))
 
 
 def delta_by_values(algebra, rep, c):

@@ -23,12 +23,15 @@ from lyreynolds import (
     induced_rep,
     partial,
 )
+from lyreynolds.algebra import abelian
 from lyreynolds.cohomology import phi_matrix, unflatten
 from lyreynolds.errors import CompositionNotZero
 from lyreynolds.linalg import kernel_basis, pivot_columns, rank
+from lyreynolds.representation import zero_rep
 from tests.conftest import (
     _sl2,
     rand_fraction,
+    rand_matrix,
     random_valid_triples,
     sl2_rational_triple,
     with_entry_added,
@@ -136,6 +139,25 @@ def test_phi_matrix_equals_kron_chain_oracle():
     for algebra, op, rep in cases:
         for p in (1, 2, 3):
             assert phi_matrix(algebra, op, rep, p) == phi_matrix_by_kron(algebra, op, rep, p)
+
+
+def test_phi_matrix_equals_kron_chain_oracle_off_the_adjoint():
+    # dense random T and weight, and a module operator drawn apart from T on
+    # a module of another dimension; phi reads only the algebra's dimension,
+    # T, T_V and w, so the triples need not satisfy any identity
+    rng = random.Random(35)
+    dens = set()
+    for case in range(12):
+        n = 1 + case % 3
+        m = rng.choice([k for k in (1, 2, 3) if k != n])
+        algebra = abelian(n)
+        op = ReynoldsOperator(rand_matrix(rng, n, n), rand_fraction(rng, nonzero=True))
+        rep = zero_rep(n, m, rand_matrix(rng, m, m))
+        for p in range(1, 5 if n <= 2 else 4):
+            mat = phi_matrix(algebra, op, rep, p)
+            assert mat == phi_matrix_by_kron(algebra, op, rep, p), (n, m, p)
+            dens.add(mat.integer[0])
+    assert max(dens) > 1
 
 
 # ---------------------------------------------------------------------------
