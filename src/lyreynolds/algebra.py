@@ -394,6 +394,16 @@ def slot_product(series, maps, stride: int, dim: int) -> list:
     return out
 
 
+def transport(tables, arity: int, dim: int, pre, post) -> list:
+    """A series X of integer tables of ``arity`` arguments moved to post o X
+    o (pre x .. x pre) order by order, as ``{position: int}`` dicts: ``pre``
+    is a series of maps for every argument slot, ``post`` one for the output."""
+    series = [flat_table(t, (dim,) * (arity + 1)) for t in tables]
+    for slot in range(arity):
+        series = slot_product(series, pre, dim ** (arity - slot), dim)
+    return slot_product(series, post, 1, dim)
+
+
 def twist(series, shape, slots):
     """The two parts of every structure a map T induces from a multilinear
     map X: A = X with T in every argument slot of ``slots``, and B = sum_s

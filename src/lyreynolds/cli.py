@@ -228,8 +228,8 @@ def _cocycle_to_json(c: ExtensionCocycle) -> dict:
     psi = [[i + 1, j + 1, k + 1, a + 1, format_rational(c.psi[i][j][k][a])]
            for i in range(n) for j in range(n) for k in range(n) for a in range(m)
            if c.psi[i][j][k][a]]
-    chi = [[z + 1, a + 1, format_rational(c.chi[a, z])]
-           for z in range(n) for a in range(m) if c.chi[a, z]]
+    chi = [[z + 1, a + 1, format_rational(v)]
+           for z, row in enumerate(c.chi.transpose().sparse) for a, v in row]
     return {"nu": nu, "psi": psi, "chi": chi}
 
 

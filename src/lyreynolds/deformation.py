@@ -25,8 +25,7 @@ from .algebra import (
     _ly_identities,
     dense_tensor,
     dense_vector,
-    flat_table,
-    slot_product,
+    transport,
     zero_binary,
     zero_ternary,
 )
@@ -213,8 +212,8 @@ def apply_equivalence(deformation: TruncatedDeformation,
 
     with the truncated inverse psi of phi.  Each series X is precomposed
     with psi in one argument slot at a time (X'_s = sum_{b+c=s} X_b o_slot
-    psi_c, :func:`algebra.slot_product`) and then composed with phi the
-    same way, over integer reads: the series, psi and phi each have their
+    psi_c) and then composed with phi the same way (:func:`algebra.transport`),
+    over integer reads: the series, psi and phi each have their
     own common denominator, and every transported term has one factor of X,
     one of phi and one of psi per slot, so one division per output entry
     undoes the scale.  The identity isomorphism is the identity transport,
@@ -233,22 +232,13 @@ def apply_equivalence(deformation: TruncatedDeformation,
     read = IntegerRead(deformation.F, deformation.G, deformation.Tt)
     psi = IntegerRead(Tt=iso.inverse().phi)
     phi = IntegerRead(Tt=iso.phi)
-
-    def transported(arity, tables):
-        """The transported series, each order as a ``{position: int}`` dict
-        at den(X) den(psi)^arity den(phi), from the integer tables of X."""
-        series = [flat_table(t, (n,) * (arity + 1)) for t in tables]
-        for slot in range(arity):
-            series = slot_product(series, psi.t_row, n ** (arity - slot), n)
-        return slot_product(series, phi.t_col, 1, n)
-
     scale = read.den * phi.den
     new_f = tuple(dense_tensor(acc, 2, n, scale * psi.den ** 2)
-                  for acc in transported(2, read.f))
+                  for acc in transport(read.f, 2, n, psi.t_row, phi.t_col))
     new_g = tuple(dense_tensor(acc, 3, n, scale * psi.den ** 3)
-                  for acc in transported(3, read.g))
+                  for acc in transport(read.g, 3, n, psi.t_row, phi.t_col))
     new_t = tuple(Matrix(n, n, dense_vector(acc, n * n, scale * psi.den)).transpose()
-                  for acc in transported(1, read.t_col))
+                  for acc in transport(read.t_col, 1, n, psi.t_row, phi.t_col))
     return TruncatedDeformation(deformation.order, new_f, new_g, new_t)
 
 

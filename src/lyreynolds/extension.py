@@ -14,14 +14,18 @@ cocycle classes, never by searching over isomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
+    IntegerRead,
     LyAlgebra,
     _ly_report,
     _morphism_failure,
     binary_from_sparse,
+    dense_tensor,
     ternary_from_sparse,
+    transport,
     verify_ly_axioms,
 )
 from .cohomology import (
@@ -47,11 +51,9 @@ from .linalg import (
     Vector,
     inverse,
     kernel_basis,
-    lincomb,
     pivot_columns,
     rank,
     right_inverse,
-    zero_vector,
 )
 from .representation import (
     Representation,
@@ -62,35 +64,44 @@ from .representation import (
 from .reynolds import ReynoldsOperator, verify_reynolds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ExtensionCocycle:
-    """Defect data of a sectioned extension: nu[i][j] and psi[i][j][k] are
-    V-valued (antisymmetric in i, j), chi is the operator defect L -> V."""
+    """Defect data of a sectioned extension, stored as its degree-2 cone
+    cochain: nu[i][j] and psi[i][j][k] are V-valued (antisymmetric in i, j),
+    chi is the operator defect L -> V.  The three are views of the cochain,
+    built on first use; ``==`` and the hash are the cochain's."""
 
-    nu: tuple
-    psi: tuple
-    chi: Matrix
-    _cochain: RlyCochain = field(init=False, repr=False, compare=False)
+    _cochain: RlyCochain
 
-    def __post_init__(self):
-        n = len(self.nu)
-        m = self.chi.rows
-        if self.chi.cols != n:
+    def __init__(self, nu, psi, chi: Matrix):
+        n = len(nu)
+        if chi.cols != n:
             raise DimMismatch("chi must map the base algebra into the module")
         # the cochain conversion normalizes entries and enforces antisymmetry
-        top = cochain2_from_tensors(n, m, self.nu, self.psi)
-        nu, psi = tensors_from_cochain2(top)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "_cochain", RlyCochain(top, cochain_from_matrix(self.chi)))
+        object.__setattr__(self, "_cochain", RlyCochain(
+            cochain2_from_tensors(n, chi.rows, nu, psi), cochain_from_matrix(chi)))
+
+    def __repr__(self):
+        return f"ExtensionCocycle(nu={self.nu!r}, psi={self.psi!r}, chi={self.chi!r})"
+
+    @cached_property
+    def _tensors(self) -> tuple:
+        return tensors_from_cochain2(self._cochain.top)
+
+    nu = property(lambda self: self._tensors[0])
+    psi = property(lambda self: self._tensors[1])
+
+    @cached_property
+    def chi(self) -> Matrix:
+        return matrix_from_cochain(self._cochain.tail)
 
     @property
     def alg_dim(self) -> int:
-        return len(self.nu)
+        return self._cochain.top.alg_dim
 
     @property
     def mod_dim(self) -> int:
-        return self.chi.rows
+        return self._cochain.top.mod_dim
 
     def to_cochain(self) -> RlyCochain:
         return self._cochain
@@ -99,16 +110,13 @@ class ExtensionCocycle:
     def from_cochain(cls, c: RlyCochain) -> "ExtensionCocycle":
         if c.degree != 2:
             raise DimMismatch("extension cocycles are degree-2 cone cochains")
-        nu, psi = tensors_from_cochain2(c.top)
-        return cls(nu, psi, matrix_from_cochain(c.tail))
+        cocycle = object.__new__(cls)
+        object.__setattr__(cocycle, "_cochain", c)
+        return cocycle
 
     @classmethod
     def zero(cls, alg_dim: int, mod_dim: int) -> "ExtensionCocycle":
-        zv = zero_vector(mod_dim)
-        nu = tuple(tuple(zv for _ in range(alg_dim)) for _ in range(alg_dim))
-        psi = tuple(tuple(tuple(zv for _ in range(alg_dim)) for _ in range(alg_dim))
-                    for _ in range(alg_dim))
-        return cls(nu, psi, Matrix.zero(mod_dim, alg_dim))
+        return cls.from_cochain(RlyCochain.zero(2, alg_dim, mod_dim))
 
 
 @dataclass(frozen=True)
@@ -217,6 +225,8 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
     if rep.module_op is None:
         raise InvalidInput("extensions need a module operator on V")
     n, m = algebra.dim, rep.module_dim
+    if op.dim != n:
+        raise DimMismatch("operator does not match the algebra dimension")
     if (cocycle.alg_dim, cocycle.mod_dim) != (n, m):
         raise DimMismatch("cocycle shapes do not match the base data")
     dd = d_table(algebra, rep)
@@ -241,10 +251,10 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
                 put(ternary, (i, j, k),
                     enumerate(algebra.ternary[i][j][k] + cocycle.psi[i][j][k]), 0)
 
-    zv = zero_vector(m)
-    total_op = ReynoldsOperator(Matrix.from_rows(
-        [op.matrix.row(i) + zv for i in range(n)]
-        + [cocycle.chi.row(a) + rep.module_op.row(a) for a in range(m)], n + m), op.weight)
+    # T_hat = [[T, 0], [chi, T_V]], stacked from stored rows
+    total_op = ReynoldsOperator(Matrix._of(n + m, n + m, op.matrix.sparse + tuple(
+        chi + tuple((n + b, x) for b, x in tv)
+        for chi, tv in zip(cocycle.chi.sparse, rep.module_op.sparse))), op.weight)
     labels = None
     if algebra.labels:
         labels = tuple(algebra.labels) + tuple(f"v{a + 1}" for a in range(m))
@@ -279,11 +289,8 @@ def semidirect_product(algebra: LyAlgebra, op: ReynoldsOperator,
 
 
 def _canonical_arrows(n: int, m: int) -> tuple[Matrix, Matrix]:
-    inject = Matrix.from_rows(
-        [[1 if i - n == a else 0 for a in range(m)] for i in range(n + m)], m)
-    project = Matrix.from_rows(
-        [[1 if j == i else 0 for j in range(n + m)] for i in range(n)], n + m)
-    return inject, project
+    unit, big = Matrix.identity(n + m), range(n + m)
+    return _block(unit, big, range(n, n + m)), _block(unit, range(n), big)
 
 
 def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
@@ -315,9 +322,8 @@ def class_representatives(algebra: LyAlgebra, op: ReynoldsOperator,
     """
     d1 = differential_matrix(algebra, op, rep, "rly", 1)
     ker = kernel_basis(differential_matrix(algebra, op, rep, "rly", 2)).vectors
-    d1_cols = d1.transpose()
-    stacked = Matrix.from_columns([d1_cols.row(j) for j in range(d1.cols)] + list(ker),
-                                  d1.rows)
+    stacked = Matrix._of(d1.cols + len(ker), d1.rows, d1.transpose().sparse + tuple(
+        tuple((i, x) for i, x in enumerate(v) if x) for v in ker)).transpose()
     return tuple(ker[p - d1.cols] for p in pivot_columns(stacked) if p >= d1.cols)
 
 
@@ -327,29 +333,23 @@ def _section_basis(ext: AbelianExtension, section: Section) -> tuple[tuple, tupl
     indices n..n+m-1, blocks as :func:`assemble_extension` writes them.
 
     In the standard basis (block form with its canonical section) these are
-    the extension's own tensors.  Otherwise, with C the change of basis, the
-    maps [c_i, .] and {c_i, c_j, .} are combined from the standard basis
-    ones, one slot at a time, and conjugated by C.
+    the extension's own tensors.  Otherwise, with C = [s | i] the change of
+    basis, the brackets are moved by C in every argument slot and by C^-1
+    after the output (:func:`algebra.transport`), over one integer read.
     """
     big = ext.total.dim
-    lifts, injected = section.map.transpose(), ext.inject.transpose()
-    cols = [lifts.row(i) for i in range(ext.base_dim)] + \
-        [injected.row(a) for a in range(ext.module_dim)]
-    basis_change = Matrix.from_columns(cols, big)
+    # column i of C is s(e_i), column n + a is i(v_a): row i of its transpose
+    basis_change = Matrix._of(big, big, section.map.transpose().sparse
+                              + ext.inject.transpose().sparse).transpose()
     if basis_change == Matrix.identity(big):
         return ext.total.binary, ext.total.ternary, ext.total_op.matrix
     binv = inverse(basis_change)
-    idx, zero = range(big), Matrix.zero(big, big)
-
-    def conjugated(coeffs, maps):
-        mat = (binv @ lincomb(coeffs, maps, zero) @ basis_change).transpose()
-        return tuple(mat.row(k) for k in idx)
-
-    ad = [Matrix.from_columns(ext.total.binary[a], big) for a in idx]
-    pair = [[Matrix.from_columns(ext.total.ternary[a][b], big) for a in idx] for b in idx]
-    left = [[lincomb(cols[i], pair[b], zero) for b in idx] for i in idx]
-    binary = tuple(conjugated(cols[i], ad) for i in idx)
-    ternary = tuple(tuple(conjugated(cols[j], left[i]) for j in idx) for i in idx)
+    read = IntegerRead((ext.total.binary,), (ext.total.ternary,), (basis_change, binv))
+    pre, post = read.t_row[:1], read.t_col[1:]
+    binary, ternary = (
+        dense_tensor(transport(tables, depth, big, pre, post)[0], depth, big,
+                     read.den ** (depth + 2))
+        for tables, depth in ((read.f, 2), (read.g, 3)))
     return binary, ternary, binv @ ext.total_op.matrix @ basis_change
 
 
@@ -361,8 +361,9 @@ def _base_blocks(binary, ternary, n: int, part: slice) -> tuple[tuple, tuple]:
             tuple(tuple(tuple(ternary[i][j][k][part] for k in idx) for j in idx) for i in idx))
 
 
-def _block(mat: Matrix, rows, cols) -> Matrix:
-    return Matrix.from_rows([[mat[i, j] for j in cols] for i in rows], len(cols))
+def _block(mat: Matrix, rows: range, cols: range) -> Matrix:
+    return Matrix._of(len(rows), len(cols), tuple(
+        tuple((j - cols.start, x) for j, x in mat.sparse[i] if j in cols) for i in rows))
 
 
 def base_data(ext: AbelianExtension, section: Section | None = None, read=None

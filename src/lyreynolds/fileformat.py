@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LyAlgebra
+from .algebra import LyAlgebra, Tensor
 from .cohomology import RlyCochain, cochain2_from_tensors, cochain_from_matrix
 from .errors import DimMismatch, NameNotFound, ParseError
 from .linalg import Matrix, from_cells, parse_rational
@@ -253,7 +253,9 @@ def _resolve(sec: _RawSection, ws: Workspace, *keys: str, optional=(),
 def _sparse_tensor(sec: _RawSection, key: str, dims: tuple[int, ...],
                    antisym_pair: tuple[int, int] | None = None, matrices: bool = False):
     """The dense tensor over ``dims`` (:func:`from_cells`) of the sparse
-    lines ``i j .. val`` under ``key``, zero elsewhere.
+    lines ``i j .. val`` under ``key``, zero elsewhere.  Callers wrap the
+    brackets and the cochain parts it fills as :class:`algebra.Tensor`s,
+    which :func:`algebra._freeze` takes as they are.
 
     ``dims`` bounds each index axis.  Conflicting duplicates and
     inconsistent antisymmetric images are load-time errors carrying the
@@ -305,8 +307,8 @@ def _build_algebra(sec: _RawSection, ws: Workspace) -> LyAlgebra:
         if len(tokens) != dim:
             raise ParseError(f"need {dim} labels", sec.path, line)
         labels = tuple(tokens)
-    binary = _sparse_tensor(sec, "binary", (dim,) * 3, (0, 1))
-    ternary = _sparse_tensor(sec, "ternary", (dim,) * 4, (0, 1))
+    binary = Tensor(_sparse_tensor(sec, "binary", (dim,) * 3, (0, 1)), 2, dim)
+    ternary = Tensor(_sparse_tensor(sec, "ternary", (dim,) * 4, (0, 1)), 3, dim)
     return LyAlgebra(dim, binary, ternary, labels)
 
 
@@ -383,8 +385,8 @@ def _build_cochain(sec: _RawSection, ws: Workspace) -> CochainEntry:
         cochain = RlyCochain(top, None) if which == "rly" else top
         return CochainEntry(alg_name, op_name, rep_name, which, cochain)
 
-    top = cochain2_from_tensors(n, m, _sparse_tensor(sec, "f", (n, n, m), (0, 1)),
-                                _sparse_tensor(sec, "g", (n, n, n, m), (0, 1)))
+    top = cochain2_from_tensors(n, m, Tensor(_sparse_tensor(sec, "f", (n, n, m), (0, 1)), 2, m),
+                                Tensor(_sparse_tensor(sec, "g", (n, n, n, m), (0, 1)), 3, m))
     if which != "rly":
         return CochainEntry(alg_name, op_name, rep_name, which, top)
     cochain = RlyCochain(top, cochain_from_matrix(map_matrix("tail")))
@@ -400,8 +402,8 @@ def _build_deformation(sec: _RawSection, ws: Workspace) -> DeformationEntry:
 
     # the order is a leading 1-based index; F and G are antisymmetric in the
     # two indices after it
-    F = _sparse_tensor(sec, "F", (order,) + (n,) * 3, (1, 2))
-    G = _sparse_tensor(sec, "G", (order,) + (n,) * 4, (1, 2))
+    F = tuple(Tensor(f, 2, n) for f in _sparse_tensor(sec, "F", (order,) + (n,) * 3, (1, 2)))
+    G = tuple(Tensor(g, 3, n) for g in _sparse_tensor(sec, "G", (order,) + (n,) * 4, (1, 2)))
     Tt = _sparse_tensor(sec, "T", (order, n, n), matrices=True)
     return DeformationEntry(alg_name, op_name, order, (base.binary,) + F,
                             (base.ternary,) + G, (ws.operators[op_name].op.matrix,) + Tt)

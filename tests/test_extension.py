@@ -29,9 +29,11 @@ from lyreynolds.cohomology import (
     cochain_from_matrix,
     cocycle_space,
     differential_matrix,
+    rly_dim,
     unflatten_rly,
 )
 from lyreynolds.errors import (
+    DimMismatch,
     IncompatibleData,
     InvalidInput,
     NotCocycle,
@@ -334,3 +336,41 @@ def test_extension_constructor_validates(setup):
         AbelianExtension(good.total, good.total_op,
                          Matrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 0]]),
                          good.project)  # rank-deficient inject
+
+
+def test_an_operator_of_another_size_than_the_algebra_is_rejected(setup):
+    algebra, op, rep = setup
+    cocycle = ExtensionCocycle.zero(2, 2)
+    for size in (1, 3):
+        wrong = ReynoldsOperator(Matrix.identity(size), op.weight)
+        with pytest.raises(DimMismatch, match="operator does not match the algebra"):
+            assemble_extension(algebra, wrong, rep, cocycle)
+
+
+def test_a_cocycle_is_stored_as_the_cochain_it_is_given(setup, monkeypatch):
+    import lyreynolds.extension as extension
+
+    algebra, op, rep = setup
+    rng = random.Random(43)
+    drawn = [c.to_cochain() for c in kernel_cocycles(rng, algebra, op, rep, 3)
+             + random_non_cocycles(rng, algebra, op, rep, 3)]
+    for name in ("cochain2_from_tensors", "tensors_from_cochain2", "matrix_from_cochain"):
+        monkeypatch.setattr(extension, name, None)  # no conversion is called
+    for c in drawn:
+        assert ExtensionCocycle.from_cochain(c).to_cochain() is c
+    for n, m in ((2, 2), (3, 1), (1, 0)):
+        assert ExtensionCocycle.zero(n, m).to_cochain() == RlyCochain.zero(2, n, m)
+
+
+def test_a_cocycle_built_from_its_views_is_equal_to_it():
+    # random degree-2 cochains, cocycles or not, over bases and modules of
+    # several sizes
+    rng = random.Random(44)
+    for n, m in ((2, 2), (3, 2), (2, 3), (3, 1)):
+        for _ in range(3):
+            x = ExtensionCocycle.from_cochain(unflatten_rly(
+                2, n, m, [rand_fraction(rng) for _ in range(rly_dim(2, n, m))]))
+            again = ExtensionCocycle(x.nu, x.psi, x.chi)
+            assert again == x and hash(again) == hash(x)
+            assert again.to_cochain() == x.to_cochain()
+            assert (again.alg_dim, again.mod_dim) == (x.alg_dim, x.mod_dim) == (n, m)

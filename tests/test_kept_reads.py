@@ -216,6 +216,34 @@ def test_one_cohomology_run_walks_each_tensor_at_most_once(monkeypatch):
     assert max(walks.values()) == 1
 
 
+def test_the_loader_hands_every_tensor_on_frozen(monkeypatch):
+    """Algebras, degree-2 cochains and each order of a deformation's F and
+    G leave the loader as Tensors of their shape, which _freeze takes as
+    they are: no entry is walked a second time."""
+    import lyreynolds.cohomology as cohomology_module
+    import lyreynolds.deformation as deformation_module
+
+    seen = []
+    original = algebra_module._freeze
+
+    def recorded(data, dim, depth, width=None, *rest):
+        seen.append((data, dim, depth, dim if width is None else width))
+        return original(data, dim, depth, width, *rest)
+
+    for module in (algebra_module, cohomology_module, deformation_module):
+        monkeypatch.setattr(module, "_freeze", recorded)
+    clear_engine_caches()
+    ws = load_workspace(sorted(SAMPLES.glob("*.lyr")))
+    for entry in ws.deformations.values():
+        TruncatedDeformation(entry.order, entry.F, entry.G, entry.Tt)
+    assert ws.algebras and ws.cochains and ws.deformations
+    depths = Counter(depth for _, _, depth, _ in seen)
+    assert depths[2] >= len(ws.algebras) and depths[3] >= len(ws.algebras)
+    for data, dim, depth, width in seen:
+        assert isinstance(data, Tensor)
+        assert (len(data), data.depth, data.width) == (dim, depth, width)
+
+
 # ---------------------------------------------------------------------------
 # Matrix.apply on the integer form
 
