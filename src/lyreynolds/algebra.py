@@ -33,111 +33,152 @@ from .linalg import (
     Vector,
     _view,
     add_scaled,
-    from_cells,
-    integer_rows,
+    position,
     unit_vector,
     vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 from .reporting import AxiomReport, first_failure
 
-BinaryTensor = tuple  # t[i][j] is a Vector of length dim
-TernaryTensor = tuple  # t[i][j][k] is a Vector of length dim
+class Tensor:
+    """A frozen tensor: ``depth`` levels of basis indices, each of ``dim``
+    values, above vectors of length ``width``.  It stores its nonzero
+    Fraction entries only, ``cells``, keyed by position in the mixed radix
+    ``shape`` = (dim,)*depth + (width,) (see :func:`flat_table`), positions
+    increasing.  ``den`` is their least common denominator, and ``at(L)``,
+    for a multiple L of den, the integer view that :class:`IntegerRead`
+    takes: nested tuples over the basis indices above each vector's nonzero
+    ``(coordinate, L value)`` pairs.  Both are built on first use and kept.
 
-
-class Tensor(tuple):
-    """A frozen tensor, as :func:`_freeze` returns it: nested tuples of
-    Fractions, ``depth`` levels of basis indices above vectors of length
-    ``width``, that reads itself at most once.  ``leaves`` are its vectors
-    as nonzero ``(index, value)`` pairs in product order (the one walk over
-    every entry, :func:`_nonzero_leaves`), ``den`` their least common
-    denominator, and ``at(L)``, for a multiple L of den, the integer view
-    that :class:`IntegerRead` takes: the leaves as ``(index, L value)``
-    pairs, nested over the basis indices again.  Each is built on first use
-    and kept with the tensor.  Comparison, hashing and ``repr`` are the tuple's.
+    ``t[i][j]..``, iteration and ``repr`` read the nested tuple of
+    Fractions, a view built on first access; ``len`` is ``dim``.  ``==``
+    with another Tensor compares shapes and cells; ``==`` with anything
+    else, and ``hash``, are those of the nested tuple.
     """
 
-    def __new__(cls, nodes, depth: int, width: int):
-        tensor = super().__new__(cls, nodes)
-        tensor.depth, tensor.width, tensor._views = depth, width, {}
-        return tensor
+    def __init__(self, cells: dict, dim: int, depth: int, width: int):
+        self.cells = dict(sorted(cells.items()))
+        self.dim, self.depth, self.width, self._views = dim, depth, width, {}
+        self.shape = (dim,) * depth + (width,)
 
-    @cached_property
-    def leaves(self) -> list:
-        return _nonzero_leaves(self, self.depth)
+    @classmethod
+    def of_indices(cls, cells: dict, dim: int, depth: int, width: int) -> "Tensor":
+        """The tensor with entry v at each index tuple (i, j, .., coordinate)
+        of ``cells``, in range, v a Fraction; zero values are dropped."""
+        shape = (dim,) * depth + (width,)
+        return cls({position(idx, shape): v for idx, v in cells.items() if v},
+                   dim, depth, width)
+
+    def entries(self):
+        """The ``(index tuple, value)`` pair of every nonzero entry, in
+        lexicographic order of the index tuples."""
+        for p, v in self.cells.items():
+            idx = []
+            for base in reversed(self.shape):
+                p, r = divmod(p, base)
+                idx.append(r)
+            yield tuple(idx[::-1]), v
 
     @cached_property
     def den(self) -> int:
-        return lcm(*{v.denominator for leaf in self.leaves for _, v in leaf})
+        return lcm(*{v.denominator for v in self.cells.values()})
 
     def at(self, den: int) -> tuple:
-        view = self._views.get(den)
-        if view is None:
-            view = self._views[den] = _view(integer_rows(self.leaves, den),
-                                            (len(self),) * self.depth)
-        return view
+        if den not in self._views:
+            leaves, w = [[] for _ in range(self.dim ** self.depth)], self.width
+            for p, v in self.cells.items():
+                leaves[p // w].append((p % w, v.numerator * (den // v.denominator)))
+            self._views[den] = _view(tuple(map(tuple, leaves)), self.shape[:-1])
+        return self._views[den]
 
+    @cached_property
+    def _nested(self) -> tuple:
+        flat = [_ZERO] * prod(self.shape)
+        for p, v in self.cells.items():
+            flat[p] = v
+        return _view(tuple(flat), self.shape)
 
-def _flat(nested, depth: int):
-    """The leaves of a nesting ``depth`` levels deep, in product order."""
-    for _ in range(depth - 1):
-        nested = chain.from_iterable(nested)
-    return nested
+    def __getitem__(self, i):
+        return self._nested[i]
+
+    def __iter__(self):
+        return iter(self._nested)
+
+    def __len__(self):
+        return self.dim
+
+    def __repr__(self):
+        return repr(self._nested)
+
+    def __eq__(self, other):
+        if isinstance(other, Tensor):
+            return (self.shape, self.cells) == (other.shape, other.cells)
+        return self._nested == other
+
+    def __hash__(self):
+        return hash(self._nested)
 
 
 def _freeze(data, dim: int, depth: int, width: int | None = None,
             wrong_width=DimMismatch) -> Tensor:
-    """``data`` as a :class:`Tensor` of nested tuples of Fractions: ``depth``
-    levels of basis indices (2 for a binary tensor, 3 for a ternary one),
-    each of length ``dim`` (DimMismatch otherwise), above entries that must
-    be vectors of length ``width``, ``dim`` by default (``wrong_width``
-    otherwise).  A Tensor of that shape is returned as it is, with what it
-    has read; otherwise entries that are Fractions already are kept as they
+    """``data`` as a :class:`Tensor`: ``depth`` levels of basis indices (2
+    for a binary tensor, 3 for a ternary one), each of length ``dim``
+    (DimMismatch otherwise), above entries that must be vectors of length
+    ``width``, ``dim`` by default (``wrong_width`` otherwise).  A Tensor of
+    that shape is returned as it is, with what it has read; otherwise the
+    nested input is walked once, in product order, and its nonzero entries
+    written as cells: those that are Fractions already are kept as they
     are, and only the others are converted."""
     width = dim if width is None else width
-    if isinstance(data, Tensor) and (len(data), data.depth, data.width) == (dim, depth, width):
+    if isinstance(data, Tensor) and data.shape == (dim,) * depth + (width,):
         return data
     kind = ("binary", "ternary")[depth - 2]
-    def frozen(node, level):
+    cells = {}
+
+    def walk(node, level, pos):
         if level == depth:
             if len(node) != width:
                 raise wrong_width(f"{kind} tensor entry of length {len(node)}, not {width}")
-            return tuple(x if type(x) is Fraction else Fraction(x) for x in node)
+            for k, x in enumerate(node):
+                x = x if type(x) is Fraction else Fraction(x)
+                if x:
+                    cells[pos * width + k] = x
+            return
         if len(node) != dim:
             raise DimMismatch(
                 f"{kind} tensor index level {level + 1} of length {len(node)}, not {dim}")
-        return tuple(frozen(x, level + 1) for x in node)
+        for i, child in enumerate(node):
+            walk(child, level + 1, pos * dim + i)
 
-    return Tensor(frozen(data, 0), depth, width)
+    walk(data, 0, 0)
+    return Tensor(cells, dim, depth, width)
 
 
-def _antisymmetry_failure(tensor, dim: int, depth: int):
-    """First basis tuple (i, j, ...) of length ``depth`` (2 or 3), i <= j, in
-    product order, at which ``tensor`` is not antisymmetric in its leading
-    index pair, or None.  Only nonzero vectors are read (a :class:`Tensor`'s
-    kept ``leaves``, or :func:`_nonzero_leaves`): every failing pair has a
-    nonzero member, and the witness is the least (min, max, rest) of them.
-    Entries are Fractions or ints in lowest terms, so x == -y compares
+def _antisymmetry_failure(tensor: Tensor):
+    """First basis tuple (i, j, ...) of length ``tensor.depth`` (2 or 3),
+    i <= j, in product order, at which ``tensor`` is not antisymmetric in
+    its leading index pair, or None.  Only the nonzero cells are read: every
+    failing pair has a nonzero member, and the witness is the least (min,
+    max, rest) of them.  Entries are Fractions, so x == -y compares
     numerators and denominators, and no negated entry is built."""
-    leaves = tensor.leaves if isinstance(tensor, Tensor) else _nonzero_leaves(tensor, depth)
-    inner = dim ** (depth - 2)
+    dim, width, cells = tensor.dim, tensor.width, tensor.cells
+    inner = dim ** (tensor.depth - 2) * width
     bad = None
-    for p, leaf in enumerate(leaves):
-        if not leaf:
-            continue
+    for p, x in cells.items():
         i, r = divmod(p, dim * inner)
         j, r = divmod(r, inner)
-        partner = leaves[(j * dim + i) * inner + r]
-        if i > j and partner:
-            continue  # compared from (j, i, ...)
-        if len(partner) != len(leaf) or any(
-                k != h or x.numerator != -y.numerator or x.denominator != y.denominator
-                for (k, x), (h, y) in zip(leaf, partner)):
-            key = (min(i, j), max(i, j), r)
+        y = cells.get((j * dim + i) * inner + r)
+        if y is None or x.numerator != -y.numerator or x.denominator != y.denominator:
+            key = (min(i, j), max(i, j), r // width)
             bad = key if bad is None else min(bad, key)
-    return None if bad is None else bad[:depth]
+    return None if bad is None else bad[:tensor.depth]
+
+
+def _require_antisymmetric(tensor: Tensor, text: str, error=InvalidStructure) -> None:
+    """Raise ``error`` with ``text`` and the witness of
+    :func:`_antisymmetry_failure`, written "(i,j,..)", if there is one."""
+    bad = _antisymmetry_failure(tensor)
+    if bad is not None:
+        raise error(f"{text} at ({','.join(map(str, bad))})")
 
 
 def orbit_tuples(dim: int, shape, ideal: int | None = None):
@@ -177,21 +218,18 @@ def orbit_tuples(dim: int, shape, ideal: int | None = None):
                   for pick in picks for groups in product(*pick))
 
 
-def zero_binary(dim: int) -> BinaryTensor:
-    z = zero_vector(dim)
-    return Tensor((tuple(z for _ in range(dim)) for _ in range(dim)), 2, dim)
+def zero_binary(dim: int) -> Tensor:
+    return Tensor({}, dim, 2, dim)
 
 
-def zero_ternary(dim: int) -> TernaryTensor:
-    z = zero_vector(dim)
-    return Tensor((tuple(tuple(z for _ in range(dim)) for _ in range(dim))
-                   for _ in range(dim)), 3, dim)
+def zero_ternary(dim: int) -> Tensor:
+    return Tensor({}, dim, 3, dim)
 
 
 def _from_sparse(dim: int, entries, arity: int) -> Tensor:
-    """Dense tensor with ``arity`` indices from {index tuple: coefficient},
-    filled in antisymmetrically in the first two indices, as a
-    :class:`Tensor`, which :func:`_freeze` takes as it is."""
+    """The :class:`Tensor` with ``arity`` indices whose cells are
+    {index tuple: coefficient}, filled in antisymmetrically in the first two
+    indices."""
     cells: dict[tuple[int, ...], Fraction] = {}
     for idx, c in dict(entries).items():
         idx = tuple(idx)
@@ -208,10 +246,10 @@ def _from_sparse(dim: int, entries, arity: int) -> Tensor:
                     f"inconsistent antisymmetric pair at {key}: "
                     f"{cells[key]} vs {val}")
             cells[key] = val
-    return Tensor(from_cells(cells, (dim,) * arity), arity - 1, dim)
+    return Tensor.of_indices(cells, dim, arity - 1, dim)
 
 
-def binary_from_sparse(dim: int, entries) -> BinaryTensor:
+def binary_from_sparse(dim: int, entries) -> Tensor:
     """Build b[i][j][k] from {(i, j, k): coefficient}.
 
     Unspecified entries are zero.  The antisymmetric image of every entry is
@@ -221,58 +259,38 @@ def binary_from_sparse(dim: int, entries) -> BinaryTensor:
     return _from_sparse(dim, entries, 3)
 
 
-def ternary_from_sparse(dim: int, entries) -> TernaryTensor:
+def ternary_from_sparse(dim: int, entries) -> Tensor:
     """Build t[i][j][k][l] from {(i, j, k, l): coefficient}; antisymmetric in
     the first two indices, same consistency rule as :func:`binary_from_sparse`."""
     return _from_sparse(dim, entries, 4)
 
 
-def apply_binary(tensor: BinaryTensor, x, y) -> Vector:
+def _apply(tensor, *args) -> Vector:
+    """The multilinear extension of a structure tensor with one basis index
+    per argument, read from its cells at the nonzero coordinates of the
+    arguments."""
+    tensor = _freeze(tensor, len(tensor), len(args))
+    dim, cells = tensor.dim, tensor.cells
+    terms = [(0, 1)]  # (position of the basis tuple so far, coefficient)
+    for x in args:
+        terms = [(p * dim + i, c * xi) for p, c in terms for i, xi in enumerate(x) if xi]
+    out = [_ZERO] * dim
+    for p, c in terms:
+        for k in range(dim):
+            v = cells.get(p * dim + k)
+            if v is not None:
+                out[k] += c * v
+    return tuple(out)
+
+
+def apply_binary(tensor: Tensor, x, y) -> Vector:
     """Bilinear extension of a binary structure tensor."""
-    dim = len(tensor)
-    out = list(zero_vector(dim))
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        ti = tensor[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            c = xi * yj
-            for k, v in enumerate(ti[j]):
-                if v:
-                    out[k] += c * v
-    return tuple(out)
+    return _apply(tensor, x, y)
 
 
-def apply_ternary(tensor: TernaryTensor, x, y, z) -> Vector:
+def apply_ternary(tensor: Tensor, x, y, z) -> Vector:
     """Trilinear extension of a ternary structure tensor."""
-    dim = len(tensor)
-    out = list(zero_vector(dim))
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        ti = tensor[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            tij = ti[j]
-            cij = xi * yj
-            for k, zk in enumerate(z):
-                if not zk:
-                    continue
-                c = cij * zk
-                for l, v in enumerate(tij[k]):
-                    if v:
-                        out[l] += c * v
-    return tuple(out)
-
-
-def _nonzero_leaves(tensor, depth: int) -> list:
-    """The vectors of ``tensor``, nested ``depth`` levels above them, in
-    product order of their indices, each as the ``(index, value)`` pairs of
-    its nonzero coordinates: the one walk over every entry."""
-    return [tuple((k, v) for k, v in enumerate(vec) if v) for vec in _flat(tensor, depth)]
+    return _apply(tensor, x, y, z)
 
 
 def _matrices(node) -> tuple:
@@ -367,9 +385,10 @@ def flat_table(table, shape) -> dict:
     dict, a position being the place in product order over ``shape``: a
     mixed radix, e.g. (n, n, n) for a binary bracket and (n,)*k + (m, m)
     for a k-linear map into operators on an m-dimensional module."""
-    size = shape[-1]
-    return {t * size + k: v for t, leaf in enumerate(_flat(table, len(shape) - 1))
-            for k, v in leaf}
+    size, leaves = shape[-1], table
+    for _ in range(len(shape) - 2):
+        leaves = chain.from_iterable(leaves)
+    return {t * size + k: v for t, leaf in enumerate(leaves) for k, v in leaf}
 
 
 def slot_product(series, maps, stride: int, dim: int) -> list:
@@ -440,11 +459,10 @@ def series_lincomb(*terms) -> list:
 
 
 def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> Tensor:
-    """The tensor with ``depth`` levels of basis indices whose flat
-    ``{position: value}`` dict (see :func:`flat_table`) holds den times it,
-    as a :class:`Tensor`."""
-    return Tensor(_view(dense_vector(acc, dim ** (depth + 1), den), (dim,) * (depth + 1)),
-                  depth, dim)
+    """The :class:`Tensor` with ``depth`` levels of basis indices whose flat
+    ``{position: value}`` dict (see :func:`flat_table`) holds den times it:
+    one division per nonzero cell."""
+    return Tensor({p: Fraction(v, den) for p, v in acc.items() if v}, dim, depth, dim)
 
 
 def tuple_residual(acc: dict, shape):
@@ -458,10 +476,7 @@ def tuple_residual(acc: dict, shape):
             vectors[p // leaf][p % leaf] = v
 
     def residual(*idx):
-        t = 0
-        for i, base in zip(idx, shape):
-            t = t * base + i
-        return vectors.get(t, {})
+        return vectors.get(position(idx, shape), {})
 
     return residual
 
@@ -476,8 +491,8 @@ class LyAlgebra:
     kept."""
 
     dim: int
-    binary: BinaryTensor
-    ternary: TernaryTensor
+    binary: Tensor
+    ternary: Tensor
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -486,15 +501,9 @@ class LyAlgebra:
         object.__setattr__(self, "ternary", _freeze(self.ternary, n, 3))
         if self.labels is not None and len(self.labels) != n:
             raise DimMismatch("label count != dim")
-        bad = _antisymmetry_failure(self.binary, n, 2)
-        if bad is not None:
-            i, j = bad
-            raise InvalidStructure(f"binary constants not antisymmetric at ({i},{j})")
-        bad = _antisymmetry_failure(self.ternary, n, 3)
-        if bad is not None:
-            i, j, k = bad
-            raise InvalidStructure(
-                f"ternary constants not antisymmetric in first two slots at ({i},{j},{k})")
+        _require_antisymmetric(self.binary, "binary constants not antisymmetric")
+        _require_antisymmetric(self.ternary,
+                               "ternary constants not antisymmetric in first two slots")
 
     @cached_property
     def _hash(self) -> int:
@@ -668,17 +677,29 @@ def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
     return None
 
 
-def _check_jacobi(binary: BinaryTensor, dim: int):
-    bad = _antisymmetry_failure(binary, dim, 2)
-    if bad is not None:
-        i, j = bad
-        raise NotLieAlgebra(f"bracket not antisymmetric at ({i},{j})")
+def _check_jacobi(binary: Tensor, dim: int):
+    _require_antisymmetric(binary, "bracket not antisymmetric", NotLieAlgebra)
     # Jacobi is LY3 of the algebra with the zero ternary bracket
     check, = _axiom_report(("Jacobi",), _ly_identities(
         IntegerRead((binary,), (zero_ternary(dim),)), 0)[2:3], dim).checks
     if not check.passed:
         i, j, k = check.witness
         raise NotLieAlgebra(f"Jacobi fails at basis triple ({i},{j},{k}): {check.residual}")
+
+
+def _bracket_of_bracket(cells: dict, through) -> defaultdict:
+    """The cells {(i, j, k, l): value} of [[e_i, e_j], e_k]_l from the cells
+    {(i, j, k): value} of a bracket, the inner bracket cut to its
+    coordinates in ``through``: each cell (i, j, p) times each (p, k, l)."""
+    after = defaultdict(list)
+    for (p, k, l), v in cells.items():
+        after[p].append((k, l, v))
+    out = defaultdict(int)
+    for (i, j, p), u in cells.items():
+        if p in through:
+            for k, l, v in after[p]:
+                out[i, j, k, l] += u * v
+    return out
 
 
 def from_lie_algebra(binary, labels=None) -> LyAlgebra:
@@ -690,13 +711,8 @@ def from_lie_algebra(binary, labels=None) -> LyAlgebra:
     dim = len(binary)
     binary = _freeze(binary, dim, 2)
     _check_jacobi(binary, dim)
-    unit = partial(unit_vector, dim)
-    ternary = tuple(
-        tuple(
-            tuple(apply_binary(binary, binary[i][j], unit(k)) for k in range(dim))
-            for j in range(dim))
-        for i in range(dim))
-    return LyAlgebra(dim, binary, ternary, labels)
+    ternary = _bracket_of_bracket(dict(binary.entries()), range(dim))
+    return LyAlgebra(dim, binary, Tensor.of_indices(ternary, dim, 3, dim), labels)
 
 
 def from_leibniz(star, labels=None) -> LyAlgebra:
@@ -716,16 +732,13 @@ def from_leibniz(star, labels=None) -> LyAlgebra:
         if lhs != rhs:
             raise NotLeibniz(
                 f"left Leibniz identity fails at basis triple ({i},{j},{k})")
-    binary = tuple(
-        tuple(vec_sub(star[i][j], star[j][i]) for j in range(dim))
-        for i in range(dim))
-    ternary = tuple(
-        tuple(
-            tuple(vec_scale(-1, apply_binary(star, star[i][j], unit(k)))
-                  for k in range(dim))
-            for j in range(dim))
-        for i in range(dim))
-    return LyAlgebra(dim, binary, ternary, labels)
+    cells, binary = dict(star.entries()), defaultdict(int)
+    for (i, j, k), v in cells.items():
+        binary[i, j, k] += v
+        binary[j, i, k] -= v
+    ternary = {idx: -v for idx, v in _bracket_of_bracket(cells, range(dim)).items()}
+    return LyAlgebra(dim, Tensor.of_indices(binary, dim, 2, dim),
+                     Tensor.of_indices(ternary, dim, 3, dim), labels)
 
 
 def from_reductive_pair(lie_binary, n_indices, m_indices, labels=None) -> LyAlgebra:
@@ -743,38 +756,28 @@ def from_reductive_pair(lie_binary, n_indices, m_indices, labels=None) -> LyAlge
     if sorted(n_indices + m_indices) != list(range(dim)):
         raise DimMismatch("N and M indices must partition the basis")
     n_set = set(n_indices)
+    cells = dict(lie_binary.entries())
     for i in n_indices:
         for j in n_indices:
-            if any(lie_binary[i][j][k] != 0 for k in range(dim) if k not in n_set):
+            if any((i, j, k) in cells for k in range(dim) if k not in n_set):
                 raise NotReductive(f"[N,N] not in N at basis pair ({i},{j})")
         for j in m_indices:
-            if any(lie_binary[i][j][k] != 0 for k in range(dim) if k in n_set):
+            if any((i, j, k) in cells for k in n_set):
                 raise NotReductive(f"[N,M] not in M at basis pair ({i},{j})")
 
-    m = len(m_indices)
-    unit = partial(unit_vector, dim)
+    # the index on M of each basis vector of M, in the order of m_indices
+    m, on_m = len(m_indices), {old: a for a, old in enumerate(m_indices)}
 
-    def pi_m(v):
-        return tuple(v[i] for i in m_indices)
+    def on_m_only(cells):
+        return {tuple(map(on_m.get, idx)): v for idx, v in cells.items()
+                if all(t in on_m for t in idx)}
 
-    def pi_n_full(v):
-        return tuple(v[i] if i in n_set else Fraction(0) for i in range(dim))
-
-    binary = tuple(
-        tuple(pi_m(lie_binary[m_indices[a]][m_indices[b]]) for b in range(m))
-        for a in range(m))
-    ternary = tuple(
-        tuple(
-            tuple(pi_m(apply_binary(
-                lie_binary,
-                pi_n_full(lie_binary[m_indices[a]][m_indices[b]]),
-                unit(m_indices[c])))
-                for c in range(m))
-            for b in range(m))
-        for a in range(m))
+    binary = on_m_only(cells)
+    ternary = on_m_only(_bracket_of_bracket(cells, n_set))
     if labels is None and m:
         labels = tuple(f"e{i + 1}" for i in m_indices)
-    return LyAlgebra(m, binary, ternary, labels)
+    return LyAlgebra(m, Tensor.of_indices(binary, m, 2, m),
+                     Tensor.of_indices(ternary, m, 3, m), labels)
 
 
 def abelian(dim: int, labels=None) -> LyAlgebra:

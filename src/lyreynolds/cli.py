@@ -222,12 +222,9 @@ def cmd_classify_extensions(args) -> int:
 
 
 def _cocycle_to_json(c: ExtensionCocycle) -> dict:
-    n, m = c.alg_dim, c.mod_dim
-    nu = [[i + 1, j + 1, a + 1, format_rational(c.nu[i][j][a])]
-          for i in range(n) for j in range(n) for a in range(m) if c.nu[i][j][a]]
-    psi = [[i + 1, j + 1, k + 1, a + 1, format_rational(c.psi[i][j][k][a])]
-           for i in range(n) for j in range(n) for k in range(n) for a in range(m)
-           if c.psi[i][j][k][a]]
+    # the nonzero cells, in lexicographic order of (i, j, [k,] a)
+    nu, psi = ([[*(t + 1 for t in idx), format_rational(v)] for idx, v in tensor.entries()]
+               for tensor in (c.nu, c.psi))
     chi = [[z + 1, a + 1, format_rational(v)]
            for z, row in enumerate(c.chi.transpose().sparse) for a, v in row]
     return {"nu": nu, "psi": psi, "chi": chi}

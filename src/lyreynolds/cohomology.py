@@ -51,15 +51,15 @@ from math import lcm, prod
 from .algebra import (
     IntegerRead,
     LyAlgebra,
-    _antisymmetry_failure,
+    Tensor,
     _freeze,
+    _require_antisymmetric,
     series_lincomb,
     twist,
 )
 from .errors import (
     DegreeOutOfRange,
     InvalidInput,
-    InvalidStructure,
     ShapeMismatch,
 )
 from .linalg import (
@@ -70,8 +70,6 @@ from .linalg import (
     rank,
     require_complex,
     solve,
-    vec_scale,
-    zero_vector,
 )
 from .reporting import ComplexReport, DegreeRow
 from .representation import (
@@ -228,48 +226,44 @@ def matrix_from_cochain(c: Cochain) -> Matrix:
 def cochain2_from_tensors(alg_dim: int, mod_dim: int, binary_vals, ternary_vals) -> Cochain:
     """Degree-2 cochain from full V-valued tensors nu[i][j] and psi[i][j][k]
     (antisymmetric in the leading index pair, each entry of length
-    ``mod_dim``; both verified)."""
+    ``mod_dim``; both verified), read from their nonzero cells."""
     n, m = alg_dim, mod_dim
-    idx = range(n)
     # raw entries of any type Fraction takes; the antisymmetry check reads
     # numerators and denominators.  An index level of the wrong length is a
     # DimMismatch, a V-valued entry of the wrong length a ShapeMismatch.
     binary_vals = _freeze(binary_vals, n, 2, m, ShapeMismatch)
     ternary_vals = _freeze(ternary_vals, n, 3, m, ShapeMismatch)
-    bad = _antisymmetry_failure(binary_vals, n, 2)
-    if bad is not None:
-        i, j = bad
-        raise InvalidStructure(f"binary part not antisymmetric at ({i},{j})")
-    bad = _antisymmetry_failure(ternary_vals, n, 3)
-    if bad is not None:
-        i, j, k = bad
-        raise InvalidStructure(f"ternary part not antisymmetric at ({i},{j},{k})")
-    pairs = wedge_pairs(n)
-    return Cochain(2, n, m, tuple(x for (i, j) in pairs for x in binary_vals[i][j])
-                   + tuple(x for (i, j) in pairs for k in idx for x in ternary_vals[i][j][k]))
+    _require_antisymmetric(binary_vals, "binary part not antisymmetric")
+    _require_antisymmetric(ternary_vals, "ternary part not antisymmetric")
+    w, wedge = wedge_dim(n), _wedge_index(n)
+    coords = [_ZERO] * cochain_dim(2, n, m)
+    for (i, j, a), x in binary_vals.entries():
+        if i < j:
+            coords[wedge[i, j] * m + a] = x
+    for (i, j, k, a), x in ternary_vals.entries():
+        if i < j:
+            coords[(w + wedge[i, j] * n + k) * m + a] = x
+    return Cochain(2, n, m, tuple(coords))
 
 
-def tensors_from_cochain2(c: Cochain):
-    """Inverse of :func:`cochain2_from_tensors`: full antisymmetric tensors."""
+def tensors_from_cochain2(c: Cochain) -> tuple[Tensor, Tensor]:
+    """Inverse of :func:`cochain2_from_tensors`: the full antisymmetric
+    tensors, written from the nonzero coordinates."""
     if c.degree != 2:
         raise ShapeMismatch("expected a degree-2 cochain")
     n, m = c.alg_dim, c.mod_dim
-    w, idx, wedge = wedge_dim(n), range(n), _wedge_index(n)
-    zero = zero_vector(m)
-
-    def entry(i, j, start):
-        """Entry (i, j) of an antisymmetric block, where ``start(p)`` is the
-        first coordinate of the stored entry of the p-th wedge pair."""
-        if i == j:
-            return zero
-        pos = start(wedge[(min(i, j), max(i, j))])
-        vec = c.coords[pos:pos + m]
-        return vec if i < j else vec_scale(-1, vec)
-
-    nu = tuple(tuple(entry(i, j, lambda p: p * m) for j in idx) for i in idx)
-    psi = tuple(tuple(tuple(entry(i, j, lambda p: (w + p * n + k) * m) for k in idx)
-                      for j in idx) for i in idx)
-    return nu, psi
+    pairs, w = wedge_pairs(n), wedge_dim(n)
+    nu, psi = {}, {}
+    for pos, x in enumerate(c.coords):
+        if x:
+            p, a = divmod(pos, m)
+            if p < w:
+                (i, j), cells, rest = pairs[p], nu, ()
+            else:
+                p, k = divmod(p - w, n)
+                (i, j), cells, rest = pairs[p], psi, (k,)
+            cells[(i, j, *rest, a)], cells[(j, i, *rest, a)] = x, -x
+    return Tensor.of_indices(nu, n, 2, m), Tensor.of_indices(psi, n, 3, m)
 
 
 @dataclass(frozen=True)
@@ -637,6 +631,18 @@ def cohomology_dims(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
 # ---------------------------------------------------------------------------
 # membership tests
 
+def _check_kind(which: str, *cochains) -> None:
+    """``which`` names a complex and each cochain is of its kind: an
+    RlyCochain for ``rly``, a Cochain for ``ly`` and ``ro``."""
+    if which not in COMPLEXES:
+        raise InvalidInput(f"unknown complex {which!r}")
+    kind = RlyCochain if which == "rly" else Cochain
+    for c in cochains:
+        if not isinstance(c, kind):
+            raise ShapeMismatch(
+                f"the {which} complex takes a {kind.__name__}, not a {type(c).__name__}")
+
+
 def _flatten_any(which: str, c) -> tuple:
     return flatten_rly(c) if which == "rly" else flatten(c)
 
@@ -652,16 +658,14 @@ def _apply_any(algebra, op, rep, which, c):
 def is_cocycle(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
                which: str, c) -> bool:
     """Does the complex's coboundary kill c?"""
-    if which not in COMPLEXES:
-        raise InvalidInput(f"unknown complex {which!r}")
+    _check_kind(which, c)
     return _apply_any(algebra, op, rep, which, c).is_zero()
 
 
 def coboundary_preimage(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
                         which: str, c):
     """A degree-(p-1) cochain x with d(x) = c, or None; needs degree >= 2."""
-    if which not in COMPLEXES:
-        raise InvalidInput(f"unknown complex {which!r}")
+    _check_kind(which, c)
     degree = c.degree
     if degree < 2:
         raise DegreeOutOfRange("nothing maps into degree 1")
@@ -680,8 +684,7 @@ def is_coboundary(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
                   which: str, c) -> bool:
     """Membership in the image of the incoming differential.  At degree 1
     the image is the zero space, so only the zero cochain bounds."""
-    if which not in COMPLEXES:
-        raise InvalidInput(f"unknown complex {which!r}")
+    _check_kind(which, c)
     if c.degree < 2:
         return c.is_zero()
     return coboundary_preimage(algebra, op, rep, which, c) is not None
@@ -689,6 +692,7 @@ def is_coboundary(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
 
 def cohomologous(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
                  which: str, c, c_other) -> bool:
+    _check_kind(which, c, c_other)
     return is_coboundary(algebra, op, rep, which, c - c_other)
 
 

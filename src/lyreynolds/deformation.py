@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from .algebra import (
     IntegerRead,
     LyAlgebra,
-    _antisymmetry_failure,
     _axiom_report,
     _freeze,
     _ly_identities,
+    _require_antisymmetric,
     dense_tensor,
     dense_vector,
     transport,
@@ -40,7 +40,6 @@ from .errors import (
     DimMismatch,
     InternalInconsistency,
     InvalidInput,
-    InvalidStructure,
     NotCoboundary,
     OrderMismatch,
     OrderTooLow,
@@ -50,19 +49,6 @@ from .linalg import Matrix
 from .reporting import OrderReport
 from .representation import adjoint_rep
 from .reynolds import ReynoldsOperator, _reynolds_identities
-
-
-def _check_antisym(f_tensor, g_tensor, dim: int, where: str):
-    bad = _antisymmetry_failure(f_tensor, dim, 2)
-    if bad is not None:
-        i, j = bad
-        raise InvalidStructure(
-            f"{where}: binary coefficient not antisymmetric at ({i},{j})")
-    bad = _antisymmetry_failure(g_tensor, dim, 3)
-    if bad is not None:
-        i, j, k = bad
-        raise InvalidStructure(
-            f"{where}: ternary coefficient not antisymmetric at ({i},{j},{k})")
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,8 @@ class TruncatedDeformation:
         object.__setattr__(self, "F", tuple(_freeze(f, dim, 2) for f in self.F))
         object.__setattr__(self, "G", tuple(_freeze(g, dim, 3) for g in self.G))
         for n, (f, g) in enumerate(zip(self.F, self.G)):
-            _check_antisym(f, g, dim, f"order {n}")
+            _require_antisymmetric(f, f"order {n}: binary coefficient not antisymmetric")
+            _require_antisymmetric(g, f"order {n}: ternary coefficient not antisymmetric")
         for t in self.Tt:
             if (t.rows, t.cols) != (dim, dim):
                 raise ShapeMismatch("operator coefficients must be dim x dim")

@@ -20,6 +20,7 @@ from functools import cached_property
 from .algebra import (
     IntegerRead,
     LyAlgebra,
+    Tensor,
     _ly_report,
     _morphism_failure,
     binary_from_sparse,
@@ -49,6 +50,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
+    from_cells,
     inverse,
     kernel_basis,
     pivot_columns,
@@ -166,15 +168,17 @@ class AbelianExtension:
         if not (self.project @ self.inject).is_zero():
             raise InvalidInput("project o inject != 0")
         binary, ternary, _ = _section_basis(self, self.canonical_section())
-        base, module = range(n), range(n, big)
-        if any(any(binary[a][b]) for a in module for b in module):
+        # read from the nonzero cells: i, j, k are argument indices, and the
+        # last one is the output coordinate
+        pairs = [idx for idx, _ in binary.entries()]
+        triples = [idx for idx, _ in ternary.entries()]
+        if any(i >= n and j >= n for i, j, _ in pairs):
             raise InvalidInput("module image is not binary-abelian")
-        if any(any(ternary[z][a][b]) or any(ternary[a][b][z])
-               for z in range(big) for a in module for b in module):
+        if any(j >= n and (i >= n or k >= n) for i, j, k, _ in triples):
             raise InvalidInput("module image is not a ternary-abelian ideal")
-        if any(any(binary[x][v][:n]) or any(ternary[x][y][v][:n])
-               or any(ternary[v][x][y][:n])
-               for x in base for y in base for v in module):
+        if any(i < n <= j and a < n for i, j, a in pairs) or any(
+                a < n and (i < n and j < n <= k or j < n <= i and k < n)
+                for i, j, k, a in triples):
             raise InvalidInput("module image is not an ideal")
         # in block form (the section basis is the standard one) the checks
         # above make e_n.. span an abelian ideal of the total itself
@@ -230,26 +234,25 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
     if (cocycle.alg_dim, cocycle.mod_dim) != (n, m):
         raise DimMismatch("cocycle shapes do not match the base data")
     dd = d_table(algebra, rep)
-    binary, ternary = {}, {}
+    # the base brackets, and nu and psi on the module coordinates, as cells
+    binary = dict(algebra.binary.entries())
+    binary.update(((*idx, n + a), c) for (*idx, a), c in cocycle.nu.entries())
+    ternary = dict(algebra.ternary.entries())
+    ternary.update(((*idx, n + a), c) for (*idx, a), c in cocycle.psi.entries())
 
-    def put(entries, idx, pairs, offset):
+    def put(entries, idx, pairs):
         for k, c in pairs:
-            if c:
-                entries[idx + (offset + k,)] = c
+            entries[idx + (n + k,)] = c
 
     # column a of a block is row a of its transpose, read as nonzero pairs
     for i in range(n):
         for a, col in enumerate(rep.rho[i].transpose().sparse):
-            put(binary, (i, n + a), col, n)
+            put(binary, (i, n + a), col)
         for j in range(n):
-            put(binary, (i, j), enumerate(algebra.binary[i][j] + cocycle.nu[i][j]), 0)
             for a, col in enumerate(dd[i][j].transpose().sparse):
-                put(ternary, (i, j, n + a), col, n)
+                put(ternary, (i, j, n + a), col)
             for a, col in enumerate(rep.theta[i][j].transpose().sparse):
-                put(ternary, (n + a, i, j), col, n)
-            for k in range(n):
-                put(ternary, (i, j, k),
-                    enumerate(algebra.ternary[i][j][k] + cocycle.psi[i][j][k]), 0)
+                put(ternary, (n + a, i, j), col)
 
     # T_hat = [[T, 0], [chi, T_V]], stacked from stored rows
     total_op = ReynoldsOperator(Matrix._of(n + m, n + m, op.matrix.sparse + tuple(
@@ -327,7 +330,7 @@ def class_representatives(algebra: LyAlgebra, op: ReynoldsOperator,
     return tuple(ker[p - d1.cols] for p in pivot_columns(stacked) if p >= d1.cols)
 
 
-def _section_basis(ext: AbelianExtension, section: Section) -> tuple[tuple, tuple, Matrix]:
+def _section_basis(ext: AbelianExtension, section: Section) -> tuple[Tensor, Tensor, Matrix]:
     """The total binary and ternary tensors and operator matrix in the basis
     s(e_1..e_n), i(v_1..v_m) of ``section``: base indices 0..n-1, module
     indices n..n+m-1, blocks as :func:`assemble_extension` writes them.
@@ -353,12 +356,17 @@ def _section_basis(ext: AbelianExtension, section: Section) -> tuple[tuple, tupl
     return binary, ternary, binv @ ext.total_op.matrix @ basis_change
 
 
-def _base_blocks(binary, ternary, n: int, part: slice) -> tuple[tuple, tuple]:
-    """The [L,L] and {L,L,L} blocks of section-basis tensors, each vector cut
-    to ``part``: its base coordinates or its module coordinates."""
-    idx = range(n)
-    return (tuple(tuple(binary[i][j][part] for j in idx) for i in idx),
-            tuple(tuple(tuple(ternary[i][j][k][part] for k in idx) for j in idx) for i in idx))
+def _base_blocks(binary: Tensor, ternary: Tensor, n: int, offset: int, width: int
+                 ) -> tuple[Tensor, Tensor]:
+    """The [L,L] and {L,L,L} blocks of section-basis tensors, from their
+    cells, each vector cut to its ``width`` coordinates from ``offset``: its
+    base coordinates (0, n) or its module coordinates (n, m)."""
+    def block(tensor, depth):
+        return Tensor.of_indices(
+            {(*idx, a - offset): c for (*idx, a), c in tensor.entries()
+             if max(idx) < n and offset <= a < offset + width}, n, depth, width)
+
+    return block(binary, 2), block(ternary, 3)
 
 
 def _block(mat: Matrix, rows: range, cols: range) -> Matrix:
@@ -387,7 +395,7 @@ def base_data(ext: AbelianExtension, section: Section | None = None, read=None
     if not _block(op, base, module).is_zero():
         raise InvalidInput("vector does not lie in the module image")
     base_op = ReynoldsOperator(_block(op, base, base), ext.total_op.weight)
-    return (LyAlgebra(n, *_base_blocks(binary, ternary, n, slice(n))), base_op,
+    return (LyAlgebra(n, *_base_blocks(binary, ternary, n, 0, n)), base_op,
             _block(op, module, module))
 
 
@@ -403,13 +411,12 @@ def _base_and_rep(ext: AbelianExtension, section: Section
     base, base_op, tv = base_data(ext, section, read)
     binary, ternary, _ = read
     n, m = ext.base_dim, ext.module_dim
-    module = range(n, n + m)
-    rho = tuple(Matrix.from_columns([binary[i][v][n:] for v in module], m)
-                for i in range(n))
-    theta = tuple(
-        tuple(Matrix.from_columns([ternary[v][i][j][n:] for v in module], m)
-              for j in range(n))
-        for i in range(n))
+    # entry (a, v) of rho(e_i) is [e_i, v]_a, and of theta(e_i, e_j) it is
+    # {v, e_i, e_j}_a, for v and a past n
+    rho = from_cells({(i, a - n, v - n): c for (i, v, a), c in binary.entries()
+                      if i < n <= v and a >= n}, (n, m, m))
+    theta = from_cells({(i, j, a - n, v - n): c for (v, i, j, a), c in ternary.entries()
+                        if max(i, j) < n <= v and a >= n}, (n, n, m, m))
     rep = Representation(n, m, rho, theta, tv)
     report = verify_reynolds_rep(base, base_op, rep)
     if not report.ok:
@@ -441,7 +448,7 @@ def _defect_cocycle(ext: AbelianExtension, read, base: LyAlgebra,
     """
     binary, ternary, op = read
     n = ext.base_dim
-    nu, psi = _base_blocks(binary, ternary, n, slice(n, None))
+    nu, psi = _base_blocks(binary, ternary, n, n, ext.module_dim)
     cocycle = ExtensionCocycle(nu, psi, _block(op, range(n, ext.total.dim), range(n)))
 
     if not is_cocycle(base, base_op, rep, "rly", cocycle.to_cochain()):

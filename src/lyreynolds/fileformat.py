@@ -251,15 +251,16 @@ def _resolve(sec: _RawSection, ws: Workspace, *keys: str, optional=(),
 
 
 def _sparse_tensor(sec: _RawSection, key: str, dims: tuple[int, ...],
-                   antisym_pair: tuple[int, int] | None = None, matrices: bool = False):
-    """The dense tensor over ``dims`` (:func:`from_cells`) of the sparse
-    lines ``i j .. val`` under ``key``, zero elsewhere.  Callers wrap the
-    brackets and the cochain parts it fills as :class:`algebra.Tensor`s,
-    which :func:`algebra._freeze` takes as they are.
+                   antisym_pair: tuple[int, int] | None = None) -> dict:
+    """The cells ``{index tuple: value}`` of the sparse lines ``i j .. val``
+    under ``key``, with the antisymmetric image of each in ``antisym_pair``.
+    They are the stored form of the brackets and the cochain parts
+    (:meth:`algebra.Tensor.of_indices`), which :func:`algebra._freeze` takes
+    as they are, and the entries of per-index matrices (:func:`from_cells`).
 
     ``dims`` bounds each index axis.  Conflicting duplicates and
     inconsistent antisymmetric images are load-time errors carrying the
-    offending line; the fill that follows checks nothing."""
+    offending line; the builders that follow check nothing."""
     cells: dict[tuple, Fraction] = {}
     lines: dict[tuple, int] = {}
     for tokens, line in sec.lists.get(key, []):
@@ -281,7 +282,7 @@ def _sparse_tensor(sec: _RawSection, key: str, dims: tuple[int, ...],
                     f"{key!r} entry at {tuple(i + 1 for i in where)} conflicts with "
                     f"line {lines[where]}", sec.path, line)
             lines.setdefault(where, line)
-    return from_cells(cells, dims, matrices)
+    return cells
 
 
 def _matrix_rows(sec: _RawSection, key: str, cols: int | None = None) -> Matrix:
@@ -307,8 +308,8 @@ def _build_algebra(sec: _RawSection, ws: Workspace) -> LyAlgebra:
         if len(tokens) != dim:
             raise ParseError(f"need {dim} labels", sec.path, line)
         labels = tuple(tokens)
-    binary = Tensor(_sparse_tensor(sec, "binary", (dim,) * 3, (0, 1)), 2, dim)
-    ternary = Tensor(_sparse_tensor(sec, "ternary", (dim,) * 4, (0, 1)), 3, dim)
+    binary = Tensor.of_indices(_sparse_tensor(sec, "binary", (dim,) * 3, (0, 1)), dim, 2, dim)
+    ternary = Tensor.of_indices(_sparse_tensor(sec, "ternary", (dim,) * 4, (0, 1)), dim, 3, dim)
     return LyAlgebra(dim, binary, ternary, labels)
 
 
@@ -343,8 +344,8 @@ def _build_representation(sec: _RawSection, ws: Workspace) -> RepresentationEntr
 
     m = _int_scalar(sec, "module_dim", minimum=0)
     n = algebra.dim
-    rho = _sparse_tensor(sec, "rho", (n, m, m), matrices=True)
-    theta = _sparse_tensor(sec, "theta", (n, n, m, m), matrices=True)
+    rho = from_cells(_sparse_tensor(sec, "rho", (n, m, m)), (n, m, m))
+    theta = from_cells(_sparse_tensor(sec, "theta", (n, n, m, m)), (n, n, m, m))
     module_op = None
     if "module_op_row" in sec.lists:
         module_op = _matrix_rows(sec, "module_op_row", cols=m)
@@ -378,15 +379,16 @@ def _build_cochain(sec: _RawSection, ws: Workspace) -> CochainEntry:
     m = ws.representations[rep_name].rep.module_dim
 
     def map_matrix(key):  # 'key = z a v' is entry (a, z) of an m x n matrix
-        return _sparse_tensor(sec, key, (n, m), matrices=True).transpose()
+        return from_cells(_sparse_tensor(sec, key, (n, m)), (n, m)).transpose()
 
     if degree == 1:
         top = cochain_from_matrix(map_matrix("map"))
         cochain = RlyCochain(top, None) if which == "rly" else top
         return CochainEntry(alg_name, op_name, rep_name, which, cochain)
 
-    top = cochain2_from_tensors(n, m, Tensor(_sparse_tensor(sec, "f", (n, n, m), (0, 1)), 2, m),
-                                Tensor(_sparse_tensor(sec, "g", (n, n, n, m), (0, 1)), 3, m))
+    top = cochain2_from_tensors(
+        n, m, Tensor.of_indices(_sparse_tensor(sec, "f", (n, n, m), (0, 1)), n, 2, m),
+        Tensor.of_indices(_sparse_tensor(sec, "g", (n, n, n, m), (0, 1)), n, 3, m))
     if which != "rly":
         return CochainEntry(alg_name, op_name, rep_name, which, top)
     cochain = RlyCochain(top, cochain_from_matrix(map_matrix("tail")))
@@ -402,9 +404,13 @@ def _build_deformation(sec: _RawSection, ws: Workspace) -> DeformationEntry:
 
     # the order is a leading 1-based index; F and G are antisymmetric in the
     # two indices after it
-    F = tuple(Tensor(f, 2, n) for f in _sparse_tensor(sec, "F", (order,) + (n,) * 3, (1, 2)))
-    G = tuple(Tensor(g, 3, n) for g in _sparse_tensor(sec, "G", (order,) + (n,) * 4, (1, 2)))
-    Tt = _sparse_tensor(sec, "T", (order, n, n), matrices=True)
+    def series(key, depth):
+        cells = _sparse_tensor(sec, key, (order,) + (n,) * (depth + 1), (1, 2))
+        return tuple(Tensor.of_indices({idx[1:]: v for idx, v in cells.items() if idx[0] == k},
+                                       n, depth, n) for k in range(order))
+
+    F, G = series("F", 2), series("G", 3)
+    Tt = from_cells(_sparse_tensor(sec, "T", (order, n, n)), (order, n, n))
     return DeformationEntry(alg_name, op_name, order, (base.binary,) + F,
                             (base.ternary,) + G, (ws.operators[op_name].op.matrix,) + Tt)
 

@@ -124,7 +124,8 @@ class Matrix:
         """``(den, rows)``: the least common denominator of the entries, and
         the nonzero ``(column, den * entry)`` pairs of each row as ints."""
         den = lcm(*{x.denominator for row in self.sparse for _, x in row})
-        return den, integer_rows(self.sparse, den)
+        return den, tuple(tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+                          for row in self.sparse)
 
     @cached_property
     def _hash(self) -> int:
@@ -351,14 +352,6 @@ def _transpose_rows(rows, cols: int):
     return tuple(map(tuple, out))
 
 
-def integer_rows(rows, den: int):
-    """den * rows, for rows of nonzero ``(index, value)`` pairs (the stored
-    rows :attr:`Matrix.sparse`, the columns of a transpose, or the leaves of
-    a tensor) whose denominators all divide ``den``."""
-    return tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in row)
-                 for row in rows)
-
-
 def _primitive(row: dict) -> dict:
     """An integer row divided by its content, the gcd of its entries."""
     g = gcd(*row.values())
@@ -555,30 +548,27 @@ def unit_vector(n: int, pos: int) -> Vector:
     return tuple(_ONE if t == pos else _ZERO for t in range(n))
 
 
-def from_cells(cells: dict, dims: tuple, matrices: bool = False):
-    """Dense nested tuples over the axes ``dims`` with entry v at each index
-    tuple of ``cells`` and zero elsewhere, in one pass over the cells; with
-    ``matrices`` the last two axes form one :class:`Matrix` per index of
-    the others.  The indices must be in range and the values Fractions."""
-    depth = len(dims) - 1 - matrices  # levels above the leaves
+def from_cells(cells: dict, dims: tuple):
+    """One :class:`Matrix` per index of the leading axes of ``dims``,
+    nested over them, whose rows and columns are the last two axes, with
+    entry v at each index tuple of ``cells``: one pass over the cells, each
+    matrix stored by its nonzero entries.  The indices must be in range and
+    the values Fractions."""
+    *lead, rows, cols = dims
+    acc = [[{} for _ in range(rows)] for _ in range(prod(lead))]
+    for (*idx, r, c), v in cells.items():
+        acc[position(idx, lead)][r][c] = v
+    mats = tuple(Matrix.from_sparse_rows(mat, cols) for mat in acc)
+    return _view(mats, tuple(lead)) if lead else mats[0]
 
-    def empty(level):
-        if level < depth:
-            return [empty(level + 1) for _ in range(dims[level])]
-        return [{} for _ in range(dims[-2])] if matrices else [_ZERO] * dims[-1]
 
-    def finish(node, level):
-        if level < depth:
-            return tuple(finish(x, level + 1) for x in node)
-        return Matrix.from_sparse_rows(node, dims[-1]) if matrices else tuple(node)
-
-    root = empty(0)
-    for idx, v in cells.items():
-        node = root
-        for t in idx[:-1]:
-            node = node[t]
-        node[idx[-1]] = v
-    return finish(root, 0)
+def position(idx, shape) -> int:
+    """The place of the index tuple ``idx`` in product order over ``shape``,
+    the last axis fastest."""
+    t = 0
+    for i, base in zip(idx, shape):
+        t = t * base + i
+    return t
 
 
 def _view(flat: tuple, shape: tuple[int, ...]) -> tuple:

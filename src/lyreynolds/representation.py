@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .algebra import (
     IntegerRead,
@@ -55,6 +55,7 @@ from .linalg import (
     add_product,
     add_rows,
     block_diag,
+    from_cells,
     lincomb,
 )
 from .reporting import AxiomReport, first_failure
@@ -399,14 +400,11 @@ def adjoint_rep(algebra: LyAlgebra, op: ReynoldsOperator | None = None) -> Repre
     When an operator is supplied its matrix becomes the module operator.
     """
     n = algebra.dim
-    # zip transposes: row k of rho(e_i) is [e_i, e_j]_k over j, and so on
-    rho = tuple(Matrix(n, n, tuple(chain.from_iterable(zip(*plane))))
-                for plane in algebra.binary)
-    theta = tuple(
-        tuple(Matrix(n, n, tuple(chain.from_iterable(
-            zip(*(algebra.ternary[k][i][j] for k in range(n))))))
-            for j in range(n))
-        for i in range(n))
+    # from the cells: entry (k, j) of rho(e_i) is [e_i, e_j]_k, and entry
+    # (l, k) of theta(e_i, e_j) is {e_k, e_i, e_j}_l
+    rho = from_cells({(i, k, j): v for (i, j, k), v in algebra.binary.entries()}, (n,) * 3)
+    theta = from_cells({(i, j, l, k): v for (k, i, j, l), v in algebra.ternary.entries()},
+                       (n,) * 4)
     module_op = op.matrix if op is not None else None
     return Representation(n, n, rho, theta, module_op)
 

@@ -1,12 +1,13 @@
 """The antisymmetry check of brackets, deformation coefficients and
 degree-2 cochains against the plain scan and the dense walk in
-``tests/oracles.py``.
+``tests/oracles.py``, and the stored form of a tensor.
 
-``algebra._antisymmetry_failure`` reads the nonzero vectors only and
+``algebra._antisymmetry_failure`` reads a tensor's nonzero cells only and
 compares numerators and denominators instead of building a negated entry;
 the scan compares x != -y on every basis tuple, and the walk every pair
-i <= j.  All must name the same first failing tuple, for entries that are
-Fractions and for plain ints, in nested lists and in frozen tensors.
+i <= j.  All must name the same first failing tuple, for tensors frozen
+from nested lists of Fractions and of plain ints.  A tensor built from its
+cells and one frozen from the same nested input must be one tensor.
 """
 
 import random
@@ -19,11 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import antisymmetry_failure_scan, antisymmetry_failure_walk
-from lyreynolds.algebra import _antisymmetry_failure, _freeze
+from lyreynolds.algebra import Tensor, _antisymmetry_failure, _freeze
 from lyreynolds.cohomology import cochain2_from_tensors
 from lyreynolds.errors import InvalidStructure
 
 F = Fraction
+
+
+def failure(tensor, dim, depth, width=None):
+    """The antisymmetry witness of nested input, frozen first."""
+    return _antisymmetry_failure(_freeze(tensor, dim, depth, width))
 
 
 def random_entry(rng, kind):
@@ -77,7 +83,7 @@ def test_first_failure_matches_the_scan(depth, kind):
             cells = perturbed(rng, antisymmetric_cells(rng, dim, depth, kind), dim, depth, kind)
             tensor = nested(cells, dim, depth)
             expected = antisymmetry_failure_scan(tensor, dim, depth)
-            assert _antisymmetry_failure(tensor, dim, depth) == expected
+            assert failure(tensor, dim, depth) == expected
             outcomes.add(expected is None)
             if expected == (dim - 1,) * depth:
                 outcomes.add("last")
@@ -118,11 +124,56 @@ def planted_tensors(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(planted_tensors())
-def test_nonzero_leaves_give_the_walk_witness(case):
+def test_nonzero_cells_give_the_walk_witness(case):
     tensor, dim, depth, width = case
-    expected = antisymmetry_failure_walk(tensor, dim, depth)
-    assert _antisymmetry_failure(tensor, dim, depth) == expected
-    assert _antisymmetry_failure(_freeze(tensor, dim, depth, width), dim, depth) == expected
+    assert failure(tensor, dim, depth, width) == antisymmetry_failure_walk(tensor, dim, depth)
+
+
+@st.composite
+def nested_inputs(draw):
+    """(cells, nested, dim, depth, width): entries at every index tuple,
+    about half of them zero, each an int or a Fraction, and the same
+    entries as nested lists and tuples; the width of a vector may differ
+    from dim, as for the parts of a cochain."""
+    dim, depth, width = draw(st.integers(0, 3)), draw(st.sampled_from([2, 3])), \
+        draw(st.integers(0, 3))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
+    cells = {idx: draw(entry) for idx in product(*[range(dim)] * depth, range(width))}
+
+    def build(prefix):
+        if len(prefix) == depth + 1:
+            return cells[prefix]
+        size = width if len(prefix) == depth else dim
+        node = [build(prefix + (i,)) for i in range(size)]
+        return tuple(node) if draw(st.booleans()) else node
+
+    return cells, build(()), dim, depth, width
+
+
+def as_tuples(node):
+    """Nested lists and tuples as nested tuples of Fractions."""
+    return tuple(map(as_tuples, node)) if isinstance(node, (list, tuple)) else F(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_inputs(), st.integers(1, 6))
+def test_a_tensor_from_cells_is_the_one_frozen_from_nested_input(case, k):
+    cells, data, dim, depth, width = case
+    built = Tensor.of_indices({idx: F(v) for idx, v in cells.items()}, dim, depth, width)
+    frozen = _freeze(data, dim, depth, width)
+    view = as_tuples(data)
+    assert built == frozen and not built != frozen
+    assert hash(built) == hash(frozen) == hash(view)
+    assert repr(built) == repr(frozen) == repr(view)
+    assert built == view and view == frozen and frozen == view
+    assert len(built) == len(frozen) == len(view)
+    assert built.den == frozen.den
+    assert built.at(k * built.den) == frozen.at(k * frozen.den)
+    if dim:
+        assert built[dim - 1] == frozen[dim - 1] == view[dim - 1]
+    expected = antisymmetry_failure_walk(view, dim, depth)
+    assert _antisymmetry_failure(built) == _antisymmetry_failure(frozen) == expected
 
 
 def test_a_lone_nonzero_entry_fails_at_its_least_pair():
@@ -132,9 +183,9 @@ def test_a_lone_nonzero_entry_fails_at_its_least_pair():
     cells[(1, 0, 1)], cells[(2, 2, 0)] = [F(1, 2)], [3]
     tensor = nested(cells, 3, 2)
     assert antisymmetry_failure_walk(tensor, 3, 3) == (0, 1, 1)
-    assert _antisymmetry_failure(tensor, 3, 3) == (0, 1, 1)
+    assert failure(tensor, 3, 3, 1) == (0, 1, 1)
     cells[(1, 0, 1)] = [0]
-    assert _antisymmetry_failure(nested(cells, 3, 2), 3, 3) == (2, 2, 0)
+    assert failure(nested(cells, 3, 2), 3, 3, 1) == (2, 2, 0)
 
 
 def test_numerator_or_denominator_alone_differs():
@@ -142,10 +193,10 @@ def test_numerator_or_denominator_alone_differs():
     # against 1/2: equal denominators, numerators not negated
     for x, y in ((F(1, 2), F(-1, 3)), (F(1, 2), F(1, 2)), (F(0), F(1, 5)), (3, 3)):
         tensor = [[(0,), (x,)], [(y,), (0,)]]
-        assert _antisymmetry_failure(tensor, 2, 2) == (0, 1)
+        assert failure(tensor, 2, 2, 1) == (0, 1)
         assert antisymmetry_failure_scan(tensor, 2, 2) == (0, 1)
     tensor = [[(0,), (F(2, 3),)], [(F(-2, 3),), (0,)]]
-    assert _antisymmetry_failure(tensor, 2, 2) is None
+    assert failure(tensor, 2, 2, 1) is None
 
 
 def raw_tensors(convert):

@@ -50,12 +50,16 @@ F = Fraction
 
 
 def test_freeze_keeps_the_fraction_objects_it_is_given():
+    # nonzero Fractions are stored as they are; zero entries are no cells,
+    # and the view reads them as the one shared zero
     data = [[(F(1, 2), F(3)), (F(0), F(-1))], [(F(5), F(0)), (F(2, 3), 1)]]
     frozen = _freeze(data, 2, 2)
     for i, j, k in product(range(2), repeat=3):
         if (i, j, k) != (1, 1, 1):
-            assert frozen[i][j][k] is data[i][j][k]
+            x = data[i][j][k]
+            assert frozen[i][j][k] is (x if x else _ZERO)
     assert type(frozen[1][1][1]) is Fraction and frozen[1][1][1] == 1
+    assert set(frozen.cells) == {0, 1, 3, 4, 6, 7}
 
 
 def test_sparse_builders_share_one_zero():

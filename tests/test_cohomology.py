@@ -7,6 +7,7 @@ from lyreynolds import (
     Cochain,
     Matrix,
     ReynoldsOperator,
+    RlyCochain,
     abelian,
     adjoint_rep,
     cochain_dim,
@@ -256,6 +257,24 @@ def test_delta_requires_valid_rep(ly2):
     broken = Representation(2, 2, ad.rho, tuple(map(tuple, theta)), None)
     with pytest.raises(InvalidInput):
         delta(ly2, broken, Cochain.zero(1, 2, 2))
+
+
+@pytest.mark.parametrize("fn", [is_cocycle, is_coboundary, coboundary_preimage, cohomologous])
+@pytest.mark.parametrize("which", ["ly", "ro", "rly"])
+def test_a_cochain_of_the_other_kind_is_a_shape_mismatch(setup, which, fn):
+    # the rly complex takes cone cochains, ly and ro plain ones; cohomologous
+    # checks both of its cochains, in either place
+    algebra, op, rep = setup
+    right, wrong = Cochain.zero(2, 2, 2), RlyCochain.zero(2, 2, 2)
+    if which == "rly":
+        right, wrong = wrong, right
+    expected = f"^the {which} complex takes a {type(right).__name__}, not a {type(wrong).__name__}$"
+    for args in ([(wrong, right), (right, wrong)] if fn is cohomologous else [(wrong,)]):
+        with pytest.raises(ShapeMismatch, match=expected):
+            fn(algebra, op, rep, which, *args)
+    # the zero cochain of the right kind is a cocycle and a coboundary
+    args = (right, right) if fn is cohomologous else (right,)
+    assert fn(algebra, op, rep, which, *args) not in (False, None)
 
 
 def test_square_zero_on_random_cochains(setup):

@@ -1,13 +1,14 @@
 """Structures read and hash themselves once.
 
-Tensors keep their nonzero leaves, the least common denominator of those and
-their integer views (``algebra.Tensor``); algebras, operators,
+Tensors store their nonzero cells and keep the least common denominator of
+those and their integer views (``algebra.Tensor``); algebras, operators,
 representations and matrices keep their hash.  Equal structures must still
 compare and hash equal however they were built, an integer read from kept
-reads must equal one taken from plain tuples, and one cohomology run walks
-each tensor's entries at most once.
+reads must equal one taken from plain tuples, and no command of the CLI
+builds the nested view of a tensor.
 """
 
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lyreynolds.algebra as algebra_module
+from lyreynolds import cli
 from lyreynolds import (
     LyAlgebra,
     Matrix,
@@ -24,7 +26,6 @@ from lyreynolds import (
     ReynoldsOperator,
     TruncatedDeformation,
     adjoint_rep,
-    cohomology_dims,
     descendant_algebra,
     induced_rep,
     two_dim_example,
@@ -54,12 +55,12 @@ def load_sl2():
 
 
 def plain(node):
-    """A nesting of tuples (a Tensor among them) as plain tuples and lists."""
-    return [plain(x) for x in node] if isinstance(node, tuple) else node
+    """A nesting of tuples (a Tensor among them) as plain lists."""
+    return [plain(x) for x in node] if isinstance(node, (tuple, Tensor)) else node
 
 
 def plain_tuples(node):
-    return tuple(map(plain_tuples, node)) if isinstance(node, tuple) else node
+    return tuple(map(plain_tuples, node)) if isinstance(node, (tuple, Tensor)) else node
 
 
 def assert_same(a, b):
@@ -195,25 +196,40 @@ def test_integer_read_of_a_series_with_own_denominators_above_one():
     assert reads_equal(IntegerRead(d.F, d.G, d.Tt, op.weight), copied)
 
 
-def test_one_cohomology_run_walks_each_tensor_at_most_once(monkeypatch):
-    # keyed by content: a copy of a tensor walked again counts as a second
-    # walk of the same tensor
-    walks = Counter()
-    original = algebra_module._nonzero_leaves
+def test_no_cli_command_builds_a_nested_view(monkeypatch, capsys):
+    """The engine reads tensors by their cells: on the cohomology, extension
+    and deformation commands, and on verify of every object of the samples,
+    no tensor builds the nested view that t[i][j].., iteration and repr
+    read.  Each command runs on cold caches, as in a fresh process."""
+    builds = Counter()
+    original = Tensor._nested.func
 
-    def counting(tensor, depth):
-        walks[plain_tuples(tensor)] += 1
-        return original(tensor, depth)
+    def counting(tensor):
+        builds[tensor.dim, tensor.depth, tensor.width] += 1
+        return original(tensor)
 
-    monkeypatch.setattr(algebra_module, "_nonzero_leaves", counting)
-    clear_engine_caches()
-    algebra, op, rep = load_sl2()
-    report = cohomology_dims(algebra, op, rep, "rly", 3)
-    assert [row.betti for row in report.rows] == [
-        row.betti for row in cohomology_dims(algebra, op, rep, "rly", 3).rows]
-    # sl2's two tensors and the descendant's two, at the least
-    assert len(walks) >= 4
-    assert max(walks.values()) == 1
+    monkeypatch.setattr(Tensor, "_nested", property(counting))
+    files = [str(path) for path in sorted(SAMPLES.glob("*.lyr"))]
+    names = [name for path in files
+             for name in re.findall(r"^\[\w+\s+(\S+)\]$", Path(path).read_text(), re.M)]
+    assert {"sl2", "adsl2", "E1", "chidefect", "stretch"} <= set(names)
+    triple = ["--operator", "Tsl2", "--rep", "adsl2"]
+    commands = [
+        ["cohomology", *files, "--algebra", "sl2", *triple, "--complex", "rly",
+         "--max-degree", "3"],
+        ["classify-extensions", *files, "--algebra", "sl2", *triple],
+        ["classify-extensions", *files, "--algebra", "ly2m", "--operator", "Tm",
+         "--rep", "adtriv"],
+        ["deform-check", *files, "--name", "stretch"],
+    ] + [["verify", *files, "--name", name] for name in names]
+    for argv in commands:
+        clear_engine_caches()
+        assert cli.main(argv) == 0, argv
+    assert "representative 1:" in capsys.readouterr().out
+    assert not builds
+    # the view itself still builds, through the patch, on a public read
+    algebra, _, _ = load_sl2()
+    assert algebra.binary[1][2][0] == 1 and builds == {(3, 2, 3): 1}
 
 
 def test_the_loader_hands_every_tensor_on_frozen(monkeypatch):
