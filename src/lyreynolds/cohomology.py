@@ -361,6 +361,7 @@ def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
     omitting slot k.  :func:`_ly_matrix` writes these sums out term by term;
     a cochain is mapped by that cached matrix.
     """
+    _check_kind("ly", c)
     _check_cochain(algebra, rep, c)
     return _apply(differential_matrix(algebra, None, rep, "ly", c.degree), c, c.degree + 1)
 
@@ -369,6 +370,7 @@ def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
             c: Cochain) -> Cochain:
     """Coboundary of the operator complex: exactly the Yamaguti coboundary of
     the descendant algebra with coefficients in the induced representation."""
+    _check_kind("ro", c)
     _require_reynolds_rep(algebra, op, rep)
     _check_cochain(algebra, rep, c)
     return _apply(differential_matrix(algebra, op, rep, "ro", c.degree), c, c.degree + 1)
@@ -538,6 +540,7 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
 def phi(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         c: Cochain) -> Cochain:
     """Apply the comparison map; degree-preserving."""
+    _check_kind("ly", c)
     if c.alg_dim != algebra.dim or c.mod_dim != rep.module_dim:
         raise ShapeMismatch("cochain does not match algebra/representation")
     return _apply(phi_matrix(algebra, op, rep, c.degree), c, c.degree)
@@ -550,6 +553,7 @@ def d_rly(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         degree 1:  top -> (delta top, -phi top)
         degree p:  (top, tail) -> (delta top, -partial tail - phi top)
     """
+    _check_kind("rly", c)
     _check_cochain(algebra, rep, c.top)
     mat = differential_matrix(algebra, op, rep, "rly", c.degree)
     return unflatten_rly(c.degree + 1, algebra.dim, rep.module_dim,

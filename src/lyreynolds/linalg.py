@@ -302,6 +302,14 @@ class SubspaceBasis:
             if rank(m) != len(self.vectors):
                 raise InvalidInput("basis vectors are linearly dependent")
 
+    @classmethod
+    def _of(cls, ambient_dim: int, vectors) -> "SubspaceBasis":
+        """The basis of ``vectors``, taken as they are: of length
+        ambient_dim and independent by construction."""
+        basis = object.__new__(cls)
+        basis.__dict__.update(ambient_dim=ambient_dim, vectors=vectors)
+        return basis
+
     @property
     def dim(self) -> int:
         return len(self.vectors)
@@ -428,7 +436,9 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of the right kernel {v : m v = 0}.
 
     One vector per free column of the RREF, in increasing free-column order,
-    via the standard parametrization (free variable set to 1).
+    via the standard parametrization (free variable set to 1).  Each vector
+    is 1 at its own free column and 0 at the others, so they are
+    independent and are not ranked again.
     """
     rows, pivots = eliminate(m, reduced=True)
     pivot_set = set(pivots)
@@ -441,7 +451,7 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
         for j, x in row.items():
             if j != pc:
                 vectors[j][pc] = -x
-    return SubspaceBasis(m.cols, tuple(tuple(vectors[fc]) for fc in free))
+    return SubspaceBasis._of(m.cols, tuple(tuple(vectors[fc]) for fc in free))
 
 
 def require_complex(outgoing: Matrix, incoming: Matrix) -> None:

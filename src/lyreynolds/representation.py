@@ -22,6 +22,13 @@ The induced maps X_T of X = rho, theta and D (``_twisted``) come from the
 twist kernel of the descendant brackets (``algebra.twist``), as whole
 tensors in a mixed radix (``algebra.flat_table``), and the module-operator
 identities are X_T(x..) T_V = T_V X(Tx..).
+
+Those identities say that the induced maps are the transport of (rho,
+theta) along (T, T_V).  So when T and T_V are invertible the induced
+representation is certified by that transport (:func:`induced_rep`): one
+whole-tensor check that the built maps intertwine with (rho, theta), in
+place of the representation and module-operator scans over the
+descendant, which a singular T or T_V still gets.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
+from math import prod
 
 from .algebra import (
     IntegerRead,
@@ -57,6 +65,7 @@ from .linalg import (
     block_diag,
     from_cells,
     lincomb,
+    rank,
 )
 from .reporting import AxiomReport, first_failure
 from .reynolds import ReynoldsOperator, descendant_algebra
@@ -409,6 +418,36 @@ def adjoint_rep(algebra: LyAlgebra, op: ReynoldsOperator | None = None) -> Repre
     return Representation(n, n, rho, theta, module_op)
 
 
+def _intertwining_failure(op: ReynoldsOperator, source: Representation,
+                          target: Representation):
+    """First basis tuple at which source.X(x..) T_V != T_V target.X(Tx..),
+    for T the matrix of ``op`` and T_V the module operator of ``source``:
+    the elements x of X = rho come before the pairs (x, y) of X = theta.
+    None when (T, T_V) intertwines both maps.
+
+    Over one integer read of T, T_V and both representations, X_src o T_V
+    and T_V o X_tgt(T.., ..T) are whole-tensor slot products (see
+    algebra.slot_product) at L^2 and L^(k+2) for k arguments, compared
+    tuple by tuple once brought to one power of L."""
+    n, m = source.algebra_dim, source.module_dim
+    read = IntegerRead(Tt=(op.matrix, source.module_op),
+                       rows=(source.rho, source.theta, target.rho, target.theta))
+    src_rho, src_theta, tgt_rho, tgt_theta = read.rows
+    for k, src, tgt in ((1, src_rho, tgt_rho), (2, src_theta, tgt_theta)):
+        shape = (n,) * k + (m, m)
+        pulled = [flat_table(tgt, shape)]
+        for slot in range(k):
+            pulled = slot_product(pulled, read.t_row[:1], prod(shape[slot + 1:]), n)
+        pushed = slot_product(pulled, read.t_col[1:], m, m)
+        moved = slot_product([flat_table(src, shape)], read.t_row[1:], 1, m)
+        residual = tuple_residual(series_lincomb((read.den ** k, moved), (-1, pushed))[0],
+                                  (n,) * k + (m * m,))
+        bad = next((t for t in product(range(n), repeat=k) if residual(*t)), None)
+        if bad is not None:
+            return bad
+    return None
+
+
 @cache
 def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
                 rep: Representation) -> Representation:
@@ -419,9 +458,17 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
 
     Both are :func:`_twisted` over the integer read of T, the weight and
     the module operator, whole tensors at L^4 and L^5 times the exact maps,
-    divided once per entry.  The output keeps the module operator and is
-    re-validated against the descendant algebra; a failure there is a bug,
-    not data.
+    divided once per entry.  The output keeps the module operator.
+
+    The result is checked, and a failure is an internal bug, not data.
+    With T and T_V invertible, the module-operator identities of the input
+    say rho_T(x) = T_V rho(Tx) T_V^-1 and theta_T(x, y) = T_V theta(Tx, Ty)
+    T_V^-1, and :func:`reynolds.descendant_algebra` certifies L_T as the
+    transport of L along T.  The built maps are checked to satisfy those
+    two identities (:func:`_intertwining_failure`); the representation
+    identities over L_T and the module-operator ones against T then follow
+    from the input's over L.  With T or T_V singular, both verifiers are
+    run on the output over the descendant algebra instead.
     """
     _require_reynolds_rep(algebra, op, rep)
     n, m = algebra.dim, rep.module_dim
@@ -435,7 +482,16 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
 
     rho, theta = read.rows
     out = Representation(n, m, matrices(rho, 1), matrices(theta, 2), rep.module_op)
+    # the certificate rests on L_T being the transport of L, which this
+    # certifies when T is invertible
     descendant = descendant_algebra(algebra, op)
+    if rank(op.matrix) == n and rank(rep.module_op) == m:
+        bad = _intertwining_failure(op, out, rep)
+        if bad is not None:
+            raise InternalInconsistency(
+                f"induced {('rho', 'theta')[len(bad) - 1]} fails to intertwine with "
+                f"(T, T_V) at ({','.join(map(str, bad))})")
+        return out
     base = verify_rep(descendant, out)
     if not base.ok:
         raise InternalInconsistency(

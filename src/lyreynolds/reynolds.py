@@ -17,6 +17,12 @@ derivation check are whole-tensor products taken one argument slot at a
 time (``algebra.slot_product``), over one integer read
 (``algebra.IntegerRead``) of the structure constants, the operator and the
 weight.  A deformation is the same battery as a truncated series product.
+
+The descendant is certified, not re-scanned, when T is invertible: the
+Reynolds identity makes T: L_T -> L a morphism of both brackets, checked
+on the built brackets as whole tensors, so L_T is the transport of L along
+T, and it is a Lie-Yamaguti algebra with T Reynolds on it because L is one
+with T Reynolds on it.  A singular T gets the full scans of both.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .errors import (
     NotDerivation,
     ZeroScale,
 )
-from .linalg import Matrix, inverse
+from .linalg import Matrix, inverse, rank
 from .reporting import AxiomReport
 
 
@@ -154,11 +160,15 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     These are the terms T is applied to in the Reynolds identities, so the
     brackets are ``inner`` of :func:`_reynolds_terms` at order 0, over the
     integer read of the structure constants, T and the weight: L^4 and L^5
-    times the exact brackets, divided back once per entry.  The
-    construction re-validates everything it is supposed to satisfy: the
-    result is again a Lie-Yamaguti algebra, T is again a Reynolds operator
-    of the same weight on it, and T: L_T -> L is a morphism of both
-    brackets.  A failure of any of these is an internal bug, not data.
+    times the exact brackets, divided back once per entry.
+
+    The result is checked, and a failure is an internal bug, not data.
+    T: L_T -> L is always checked to be a morphism of both brackets, over
+    the whole tensors.  With T invertible that makes L_T the transport of L
+    along T, so its Lie-Yamaguti axioms and T being Reynolds on it follow
+    from the same facts on L (the algebra is taken to be Lie-Yamaguti, as
+    the CLI verifies before it derives anything) and are not scanned
+    again.  With T singular both are scanned on L_T as well.
     """
     _require_reynolds(algebra, op)
     n = algebra.dim
@@ -166,14 +176,15 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     (_, inner2), (_, inner3) = _reynolds_terms(read)
     descendant = LyAlgebra(n, dense_tensor(inner2[0], 2, n, read.den ** 4),
                            dense_tensor(inner3[0], 3, n, read.den ** 5), algebra.labels)
-    axioms = verify_ly_axioms(descendant)
-    if not axioms.ok:
-        raise InternalInconsistency(
-            "descendant brackets fail the Lie-Yamaguti axioms:\n" + axioms.describe())
-    again = verify_reynolds(descendant, op)
-    if not again.ok:
-        raise InternalInconsistency(
-            "operator is not Reynolds on its own descendant:\n" + again.describe())
+    if rank(op.matrix) < n:
+        axioms = verify_ly_axioms(descendant)
+        if not axioms.ok:
+            raise InternalInconsistency(
+                "descendant brackets fail the Lie-Yamaguti axioms:\n" + axioms.describe())
+        again = verify_reynolds(descendant, op)
+        if not again.ok:
+            raise InternalInconsistency(
+                "operator is not Reynolds on its own descendant:\n" + again.describe())
     bad = _morphism_failure(op.matrix, descendant, algebra)
     if bad is not None:
         kind = "binary" if len(bad) == 2 else "ternary"

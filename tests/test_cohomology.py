@@ -259,7 +259,20 @@ def test_delta_requires_valid_rep(ly2):
         delta(ly2, broken, Cochain.zero(1, 2, 2))
 
 
-@pytest.mark.parametrize("fn", [is_cocycle, is_coboundary, coboundary_preimage, cohomologous])
+def coboundary(algebra, op, rep, which, c):
+    """The coboundary of the complex ``which`` called directly: delta,
+    partial or d_rly, and for ly the comparison map phi first, which takes
+    the same cochains."""
+    if which == "ly":
+        phi(algebra, op, rep, c)
+        return delta(algebra, rep, c)
+    if which == "ro":
+        return partial(algebra, op, rep, c)
+    return d_rly(algebra, op, rep, c)
+
+
+@pytest.mark.parametrize("fn", [is_cocycle, is_coboundary, coboundary_preimage, cohomologous,
+                                coboundary])
 @pytest.mark.parametrize("which", ["ly", "ro", "rly"])
 def test_a_cochain_of_the_other_kind_is_a_shape_mismatch(setup, which, fn):
     # the rly complex takes cone cochains, ly and ro plain ones; cohomologous

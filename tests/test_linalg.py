@@ -126,6 +126,25 @@ def test_rank_nullity(rows):
         assert all(x == 0 for x in m.apply(v))
 
 
+# wide sparse integer matrices, so that kernels of dimension up to 8 show up
+wide_matrix_st = st.integers(0, 5).flatmap(
+    lambda n: st.integers(1, 8).flatmap(
+        lambda m: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=m, max_size=m),
+            min_size=n, max_size=n).map(lambda rows: Matrix(n, m, sum(rows, [])))))
+
+
+@given(wide_matrix_st)
+@settings(max_examples=80, deadline=None)
+def test_kernel_basis_vectors_are_independent_and_killed(m):
+    # kernel_basis does not rank its vectors again: they have full rank by
+    # construction, which this checks
+    ker = kernel_basis(m)
+    assert rank(Matrix.from_rows(ker.vectors, m.cols)) == ker.dim == m.cols - rank(m)
+    assert all(not any(m.apply(v)) for v in ker.vectors)
+    assert ker == SubspaceBasis(m.cols, ker.vectors)
+
+
 @given(small_matrix_st, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_rank_invariant_under_row_permutation(rows, rng):
