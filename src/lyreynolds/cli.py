@@ -40,13 +40,8 @@ from .fileformat import Workspace, load_workspace
 from .linalg import format_rational
 from .algebra import verify_ly_axioms
 from .reporting import AxiomReport, Check
-from .representation import (
-    _require_reynolds_rep,
-    _require_valid_rep,
-    verify_rep,
-    verify_reynolds_rep,
-)
-from .reynolds import _require_reynolds, verify_reynolds
+from .representation import check_inputs, verify_rep, verify_reynolds_rep
+from .reynolds import verify_reynolds
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -139,21 +134,12 @@ def _resolve_triple(ws: Workspace, args):
     rep_entry = ws.representation(args.rep)
     if op_entry.algebra != args.algebra or rep_entry.algebra != args.algebra:
         raise LyError("algebra, operator and representation must belong together")
-    rep = rep_entry.rep
-    # The engine re-asks these cached validators and gets cache hits.
-    ok = verify_ly_axioms(algebra).ok
-    if ok:
-        try:
-            _require_reynolds(algebra, op_entry.op)
-            if rep.module_op is None:
-                _require_valid_rep(algebra, rep)
-            else:
-                _require_reynolds_rep(algebra, op_entry.op, rep)
-        except (InvalidInput, InvalidReynolds):
-            ok = False
-    if not ok:
-        raise LyError("inputs fail verification; run the verify command for details")
-    return algebra, op_entry.op, rep
+    # the engine's entry points pass the same cached gate again
+    try:
+        check_inputs(algebra, op_entry.op, rep_entry.rep)
+    except (InvalidInput, InvalidReynolds):
+        raise LyError("inputs fail verification; run the verify command for details") from None
+    return algebra, op_entry.op, rep_entry.rep
 
 
 def cmd_cohomology(args) -> int:

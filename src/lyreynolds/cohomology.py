@@ -74,8 +74,7 @@ from .linalg import (
 from .reporting import ComplexReport, DegreeRow
 from .representation import (
     Representation,
-    _require_reynolds_rep,
-    _require_valid_rep,
+    check_inputs,
     d_table,
     induced_rep,
 )
@@ -341,11 +340,6 @@ def _check_cochain(algebra: LyAlgebra, rep: Representation, c: Cochain) -> None:
         raise ShapeMismatch("cochain module dimension != representation module dimension")
 
 
-def _apply(mat: Matrix, c: Cochain, degree: int) -> Cochain:
-    """The degree-``degree`` cochain mat . c."""
-    return Cochain(degree, c.alg_dim, c.mod_dim, mat.apply(c.coords))
-
-
 def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
     """Coboundary of the Lie-Yamaguti complex with coefficients in rep.
 
@@ -361,19 +355,14 @@ def delta(algebra: LyAlgebra, rep: Representation, c: Cochain) -> Cochain:
     omitting slot k.  :func:`_ly_matrix` writes these sums out term by term;
     a cochain is mapped by that cached matrix.
     """
-    _check_kind("ly", c)
-    _check_cochain(algebra, rep, c)
-    return _apply(differential_matrix(algebra, None, rep, "ly", c.degree), c, c.degree + 1)
+    return _apply(algebra, None, rep, "ly", c)
 
 
 def partial(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
             c: Cochain) -> Cochain:
     """Coboundary of the operator complex: exactly the Yamaguti coboundary of
     the descendant algebra with coefficients in the induced representation."""
-    _check_kind("ro", c)
-    _require_reynolds_rep(algebra, op, rep)
-    _check_cochain(algebra, rep, c)
-    return _apply(differential_matrix(algebra, op, rep, "ro", c.degree), c, c.degree + 1)
+    return _apply(algebra, op, rep, "ro", c)
 
 
 @cache
@@ -500,6 +489,7 @@ def phi_matrix(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     reach L^(2q+3)."""
     if degree < 1:
         raise DegreeOutOfRange(f"degree {degree} < 1")
+    check_inputs(algebra, op, rep)
     if rep.module_op is None:
         raise InvalidInput("phi needs a module operator")
     n, m = algebra.dim, rep.module_dim
@@ -543,7 +533,7 @@ def phi(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
     _check_kind("ly", c)
     if c.alg_dim != algebra.dim or c.mod_dim != rep.module_dim:
         raise ShapeMismatch("cochain does not match algebra/representation")
-    return _apply(phi_matrix(algebra, op, rep, c.degree), c, c.degree)
+    return c._like(phi_matrix(algebra, op, rep, c.degree).apply(c.coords))
 
 
 def d_rly(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
@@ -553,11 +543,7 @@ def d_rly(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
         degree 1:  top -> (delta top, -phi top)
         degree p:  (top, tail) -> (delta top, -partial tail - phi top)
     """
-    _check_kind("rly", c)
-    _check_cochain(algebra, rep, c.top)
-    mat = differential_matrix(algebra, op, rep, "rly", c.degree)
-    return unflatten_rly(c.degree + 1, algebra.dim, rep.module_dim,
-                         mat.apply(flatten_rly(c)))
+    return _apply(algebra, op, rep, "rly", c)
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +559,11 @@ def differential_matrix(algebra: LyAlgebra, op: ReynoldsOperator,
         raise InvalidInput(f"unknown complex {which!r}; pick one of {COMPLEXES}")
     if degree < 1:
         raise DegreeOutOfRange(f"degree {degree} < 1")
+    # the ly complex does not read T
+    check_inputs(algebra, None if which == "ly" else op, rep)
     if which == "ly":
-        _require_valid_rep(algebra, rep)
         return _ly_matrix(algebra, rep, degree)
     if which == "ro":
-        _require_reynolds_rep(algebra, op, rep)
         # induced_rep verifies the descendant pair itself
         return _ly_matrix(descendant_algebra(algebra, op),
                           induced_rep(algebra, op, rep), degree)
@@ -651,19 +637,24 @@ def _flatten_any(which: str, c) -> tuple:
     return flatten_rly(c) if which == "rly" else flatten(c)
 
 
-def _apply_any(algebra, op, rep, which, c):
-    if which == "ly":
-        return delta(algebra, rep, c)
-    if which == "ro":
-        return partial(algebra, op, rep, c)
-    return d_rly(algebra, op, rep, c)
+def _unflatten_any(which: str, degree: int, alg_dim: int, mod_dim: int, coords):
+    return (unflatten_rly if which == "rly" else unflatten)(degree, alg_dim, mod_dim, coords)
+
+
+def _apply(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation, which: str, c):
+    """The coboundary of the ``which`` complex applied to c: the cached
+    matrix of its degree times c's coordinates."""
+    _check_kind(which, c)
+    _check_cochain(algebra, rep, c.top if which == "rly" else c)
+    mat = differential_matrix(algebra, op, rep, which, c.degree)
+    return _unflatten_any(which, c.degree + 1, algebra.dim, rep.module_dim,
+                          mat.apply(_flatten_any(which, c)))
 
 
 def is_cocycle(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
                which: str, c) -> bool:
     """Does the complex's coboundary kill c?"""
-    _check_kind(which, c)
-    return _apply_any(algebra, op, rep, which, c).is_zero()
+    return _apply(algebra, op, rep, which, c).is_zero()
 
 
 def coboundary_preimage(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
@@ -677,11 +668,7 @@ def coboundary_preimage(algebra: LyAlgebra, op: ReynoldsOperator, rep: Represent
     target = _flatten_any(which, c)
     mat = differential_matrix(algebra, op, rep, which, degree - 1)
     sol = solve(mat, target)
-    if sol is None:
-        return None
-    if which == "rly":
-        return unflatten_rly(degree - 1, n, m, sol)
-    return unflatten(degree - 1, n, m, sol)
+    return None if sol is None else _unflatten_any(which, degree - 1, n, m, sol)
 
 
 def is_coboundary(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,

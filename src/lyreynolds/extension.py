@@ -44,6 +44,7 @@ from .errors import (
     IncompatibleData,
     InternalInconsistency,
     InvalidInput,
+    MissingModuleOp,
     NotCocycle,
     NotSection,
 )
@@ -59,7 +60,7 @@ from .linalg import (
 )
 from .representation import (
     Representation,
-    _require_reynolds_rep,
+    check_inputs,
     d_table,
     verify_reynolds_rep,
 )
@@ -182,13 +183,10 @@ class AbelianExtension:
             raise InvalidInput("module image is not an ideal")
         # in block form (the section basis is the standard one) the checks
         # above make e_n.. span an abelian ideal of the total itself
-        axioms = _ly_report(self.total, n if binary is self.total.binary else None)
-        if not axioms.ok:
-            raise InvalidInput("total algebra fails the axioms:\n" + axioms.describe())
-        rey = verify_reynolds(self.total, self.total_op)
-        if not rey.ok:
-            raise InvalidInput("total operator fails the Reynolds identities:\n"
-                               + rey.describe())
+        _ly_report(self.total, n if binary is self.total.binary else None).require(
+            InvalidInput, "total algebra fails the axioms")
+        verify_reynolds(self.total, self.total_op).require(
+            InvalidInput, "total operator fails the Reynolds identities")
 
     @property
     def base_dim(self) -> int:
@@ -266,6 +264,14 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
     return total_algebra, total_op
 
 
+def _check_base(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation) -> None:
+    """The input gate (representation.check_inputs), and a module operator
+    on V, which every extension carries."""
+    check_inputs(algebra, op, rep)
+    if rep.module_op is None:
+        raise MissingModuleOp("representation has no module operator")
+
+
 def semidirect_product(algebra: LyAlgebra, op: ReynoldsOperator,
                        rep: Representation) -> tuple[LyAlgebra, ReynoldsOperator]:
     """Algebra structure on L (+) V with V an abelian ideal:
@@ -277,17 +283,13 @@ def semidirect_product(algebra: LyAlgebra, op: ReynoldsOperator,
     of the zero cocycle.  The output is re-validated (axioms and Reynolds
     identities) before being returned.
     """
-    _require_reynolds_rep(algebra, op, rep)
+    _check_base(algebra, op, rep)
     total_algebra, total_op = assemble_extension(
         algebra, op, rep, ExtensionCocycle.zero(algebra.dim, rep.module_dim))
-    axioms = verify_ly_axioms(total_algebra)
-    if not axioms.ok:
-        raise InternalInconsistency(
-            "semidirect product fails the Lie-Yamaguti axioms:\n" + axioms.describe())
-    again = verify_reynolds(total_algebra, total_op)
-    if not again.ok:
-        raise InternalInconsistency(
-            "semidirect operator fails the Reynolds identities:\n" + again.describe())
+    verify_ly_axioms(total_algebra).require(
+        InternalInconsistency, "semidirect product fails the Lie-Yamaguti axioms")
+    verify_reynolds(total_algebra, total_op).require(
+        InternalInconsistency, "semidirect operator fails the Reynolds identities")
     return total_algebra, total_op
 
 
@@ -306,7 +308,7 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     to assemble into a valid extension it would surface loudly rather than
     produce a broken object.
     """
-    _require_reynolds_rep(algebra, op, rep)
+    _check_base(algebra, op, rep)
     if not is_cocycle(algebra, op, rep, "rly", cocycle.to_cochain()):
         raise NotCocycle("the extension data is not a degree-2 cocycle")
     total_algebra, total_op = assemble_extension(algebra, op, rep, cocycle)
@@ -418,10 +420,8 @@ def _base_and_rep(ext: AbelianExtension, section: Section
     theta = from_cells({(i, j, a - n, v - n): c for (v, i, j, a), c in ternary.entries()
                         if max(i, j) < n <= v and a >= n}, (n, n, m, m))
     rep = Representation(n, m, rho, theta, tv)
-    report = verify_reynolds_rep(base, base_op, rep)
-    if not report.ok:
-        raise InternalInconsistency(
-            "representation read off a verified extension fails:\n" + report.describe())
+    verify_reynolds_rep(base, base_op, rep).require(
+        InternalInconsistency, "representation read off a verified extension fails")
     return read, base, base_op, rep
 
 

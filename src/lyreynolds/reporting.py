@@ -67,6 +67,12 @@ class AxiomReport:
     def describe(self) -> str:
         return "\n".join(c.describe() for c in self.checks)
 
+    def require(self, error: type[Exception], what: str | None = None) -> None:
+        """Raise ``error`` unless every check passed, with the description
+        as its message, under a ``what:`` line when ``what`` is given."""
+        if not self.ok:
+            raise error(self.describe() if what is None else f"{what}:\n{self.describe()}")
+
     def to_json(self) -> dict:
         return {"ok": self.ok, "checks": [_check_to_json(c) for c in self.checks]}
 

@@ -29,6 +29,10 @@ representation is certified by that transport (:func:`induced_rep`): one
 whole-tensor check that the built maps intertwine with (rho, theta), in
 place of the representation and module-operator scans over the
 descendant, which a singular T or T_V still gets.
+
+The representation layer of the input gate (:func:`check_inputs`) is here
+too; it certifies an adjoint module by LY1-LY6 and the Reynolds identities
+instead of scanning it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .linalg import (
     rank,
 )
 from .reporting import AxiomReport, first_failure
-from .reynolds import ReynoldsOperator, descendant_algebra
+from .reynolds import ReynoldsOperator, _require_reynolds, descendant_algebra
 
 
 @dataclass(frozen=True)
@@ -386,20 +390,33 @@ def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
 
 
 @cache
-def _require_valid_rep(algebra: LyAlgebra, rep: Representation) -> None:
-    report = verify_rep(algebra, rep)
-    if not report.ok:
-        raise InvalidInput("representation fails verification:\n" + report.describe())
+def _require_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator | None,
+                          rep: Representation) -> bool:
+    """The representation layer of the input gate: the structure layer
+    (L, and T when given), then the representation identities, then, with
+    T and T_V, the module-operator ones (InvalidInput); V is scanned once,
+    whatever the operators.  Returns whether V is the adjoint module, which
+    is certified instead: its identities are LY1-LY6 and, with T_V = T, the
+    Reynolds identities."""
+    _require_reynolds(algebra, op)
+    if op is None:
+        ad = adjoint_rep(algebra)
+        adjoint = (rep.rho, rep.theta) == (ad.rho, ad.theta)
+        if not adjoint:
+            verify_rep(algebra, rep).require(InvalidInput, "representation fails verification")
+        return adjoint
+    adjoint = _require_reynolds_rep(algebra, None, rep)
+    if rep.module_op is not None and not (adjoint and rep.module_op == op.matrix):
+        verify_reynolds_rep(algebra, op, rep).require(
+            InvalidInput, "module operator fails verification")
+    return adjoint
 
 
-@cache
-def _require_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
-                          rep: Representation) -> None:
-    _require_valid_rep(algebra, rep)
-    report = verify_reynolds_rep(algebra, op, rep)
-    if not report.ok:
-        raise InvalidInput(
-            "module operator fails verification:\n" + report.describe())
+def check_inputs(algebra: LyAlgebra, op: ReynoldsOperator | None,
+                 rep: Representation) -> None:
+    """The input gate that every entry point passes first, cached per
+    input (see :func:`_require_reynolds_rep`); T_V is not required here."""
+    _require_reynolds_rep(algebra, op, rep)
 
 
 def adjoint_rep(algebra: LyAlgebra, op: ReynoldsOperator | None = None) -> Representation:
@@ -470,7 +487,9 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
     from the input's over L.  With T or T_V singular, both verifiers are
     run on the output over the descendant algebra instead.
     """
-    _require_reynolds_rep(algebra, op, rep)
+    check_inputs(algebra, op, rep)
+    if rep.module_op is None:
+        raise MissingModuleOp("representation has no module operator")
     n, m = algebra.dim, rep.module_dim
     read = _op_read((), op, rep)
 
@@ -492,16 +511,11 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
                 f"induced {('rho', 'theta')[len(bad) - 1]} fails to intertwine with "
                 f"(T, T_V) at ({','.join(map(str, bad))})")
         return out
-    base = verify_rep(descendant, out)
-    if not base.ok:
-        raise InternalInconsistency(
-            "induced maps fail the representation identities over the "
-            "descendant algebra:\n" + base.describe())
-    again = verify_reynolds_rep(descendant, op, out)
-    if not again.ok:
-        raise InternalInconsistency(
-            "induced representation loses module-operator compatibility:\n"
-            + again.describe())
+    verify_rep(descendant, out).require(
+        InternalInconsistency,
+        "induced maps fail the representation identities over the descendant algebra")
+    verify_reynolds_rep(descendant, op, out).require(
+        InternalInconsistency, "induced representation loses module-operator compatibility")
     return out
 
 

@@ -22,7 +22,8 @@ The descendant is certified, not re-scanned, when T is invertible: the
 Reynolds identity makes T: L_T -> L a morphism of both brackets, checked
 on the built brackets as whole tensors, so L_T is the transport of L along
 T, and it is a Lie-Yamaguti algebra with T Reynolds on it because L is one
-with T Reynolds on it.  A singular T gets the full scans of both.
+with T Reynolds on it, as the input gate (``_require_reynolds``) checked.
+A singular T gets the full scans of both.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .algebra import (
 from .errors import (
     DimMismatch,
     InternalInconsistency,
+    InvalidInput,
     InvalidReynolds,
     NotDerivation,
     ZeroScale,
@@ -136,10 +138,15 @@ def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
 
 
 @cache
-def _require_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> None:
-    report = verify_reynolds(algebra, op)
-    if not report.ok:
-        raise InvalidReynolds(report.describe())
+def _require_reynolds(algebra: LyAlgebra, op: ReynoldsOperator | None) -> None:
+    """The structure layer of the input gate: L satisfies LY1-LY6
+    (InvalidInput), then T, when given, both weighted identities on it
+    (InvalidReynolds); L is scanned once, whatever the operators."""
+    if op is None:
+        verify_ly_axioms(algebra).require(InvalidInput, "algebra fails the Lie-Yamaguti axioms")
+    else:
+        _require_reynolds(algebra, None)
+        verify_reynolds(algebra, op).require(InvalidReynolds)
 
 
 def scale_weight(op: ReynoldsOperator, c) -> ReynoldsOperator:
@@ -166,9 +173,8 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     T: L_T -> L is always checked to be a morphism of both brackets, over
     the whole tensors.  With T invertible that makes L_T the transport of L
     along T, so its Lie-Yamaguti axioms and T being Reynolds on it follow
-    from the same facts on L (the algebra is taken to be Lie-Yamaguti, as
-    the CLI verifies before it derives anything) and are not scanned
-    again.  With T singular both are scanned on L_T as well.
+    from the same facts on L (checked first, by the input gate) and are not
+    scanned again.  With T singular both are scanned on L_T as well.
     """
     _require_reynolds(algebra, op)
     n = algebra.dim
@@ -177,14 +183,10 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
     descendant = LyAlgebra(n, dense_tensor(inner2[0], 2, n, read.den ** 4),
                            dense_tensor(inner3[0], 3, n, read.den ** 5), algebra.labels)
     if rank(op.matrix) < n:
-        axioms = verify_ly_axioms(descendant)
-        if not axioms.ok:
-            raise InternalInconsistency(
-                "descendant brackets fail the Lie-Yamaguti axioms:\n" + axioms.describe())
-        again = verify_reynolds(descendant, op)
-        if not again.ok:
-            raise InternalInconsistency(
-                "operator is not Reynolds on its own descendant:\n" + again.describe())
+        verify_ly_axioms(descendant).require(
+            InternalInconsistency, "descendant brackets fail the Lie-Yamaguti axioms")
+        verify_reynolds(descendant, op).require(
+            InternalInconsistency, "operator is not Reynolds on its own descendant")
     bad = _morphism_failure(op.matrix, descendant, algebra)
     if bad is not None:
         kind = "binary" if len(bad) == 2 else "ternary"
@@ -233,15 +235,11 @@ def reynolds_from_derivation(algebra: LyAlgebra, dm: Matrix, weight) -> Reynolds
     T((D - w){u, v, s}) likewise.  Weight 0 gives the Rota-Baxter operator
     D^{-1}.  The output is re-validated anyway; a failure is an internal bug.
     """
-    report = derivation_check(algebra, dm)
-    if not report.ok:
-        raise NotDerivation(report.describe())
+    derivation_check(algebra, dm).require(NotDerivation)
     weight = Fraction(weight)
     shifted = dm - Matrix.identity(algebra.dim).scale(weight)
     t = inverse(shifted)  # raises SingularMatrix
     op = ReynoldsOperator(t, weight)
-    check = verify_reynolds(algebra, op)
-    if not check.ok:
-        raise InternalInconsistency(
-            "derivation-built operator fails the weighted identities:\n" + check.describe())
+    verify_reynolds(algebra, op).require(
+        InternalInconsistency, "derivation-built operator fails the weighted identities")
     return op

@@ -7,7 +7,14 @@ import pytest
 
 import lyreynolds.cli as cli_module
 import lyreynolds.representation as representation
-from lyreynolds import Matrix, adjoint_rep, cochain_dim, cohomology_dims, differential_matrix
+from lyreynolds import (
+    Matrix,
+    adjoint_rep,
+    cochain_dim,
+    cohomology_dims,
+    descendant_algebra,
+    differential_matrix,
+)
 from lyreynolds.cli import main
 from lyreynolds.errors import NameNotFound, ParseError
 from lyreynolds.fileformat import load_workspace
@@ -292,17 +299,20 @@ def verify_rep_calls(monkeypatch, path, op):
 
 
 def test_cohomology_verifies_each_representation_once(monkeypatch, capsys):
-    # once for (L, V): with T = (2 3; 0 5) and T_V = T invertible, the
-    # descendant pair is certified by transport, not verified again
-    assert len(verify_rep_calls(monkeypatch, TWO_DIM, "T")) == 1
+    # never: (L, V) is the adjoint module, certified at the input gate, and
+    # with T = (2 3; 0 5) and T_V = T invertible the descendant pair is
+    # certified by transport
+    assert len(verify_rep_calls(monkeypatch, TWO_DIM, "T")) == 0
 
 
 def test_cohomology_verifies_the_descendant_pair_of_a_singular_operator(
         monkeypatch, capsys, tmp_path):
-    # once for (L, V), once inside induced_rep for the descendant pair
-    calls = verify_rep_calls(monkeypatch, write(tmp_path, LY2_RB0), "rb0")
-    assert len(calls) == 2
-    assert calls[0] != calls[1]
+    # the adjoint (L, V) is certified at the input gate; the descendant
+    # pair of the singular rb0 is verified once inside induced_rep
+    path = write(tmp_path, LY2_RB0)
+    calls = verify_rep_calls(monkeypatch, path, "rb0")
+    ws = load_workspace([path])
+    assert calls == [descendant_algebra(ws.algebra("ly2"), ws.operator("rb0").op)]
 
 
 SL2_LYR = """[algebra sl2]

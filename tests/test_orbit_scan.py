@@ -54,7 +54,12 @@ from lyreynolds.algebra import (
 from lyreynolds.cohomology import rly_dim, unflatten_rly
 from lyreynolds.errors import InternalInconsistency, InvalidInput
 from lyreynolds.extension import _canonical_arrows, assemble_extension, to_block_form
-from lyreynolds.representation import _module_op_identities, _op_read, _rep_identities
+from lyreynolds.representation import (
+    _module_op_identities,
+    _op_read,
+    _rep_identities,
+    check_inputs,
+)
 from lyreynolds.reynolds import _derivation_identities, _reynolds_identities
 
 F = Fraction
@@ -309,6 +314,9 @@ def test_ly6_is_evaluated_once_per_orbit(monkeypatch, sl2):
 
     op = ReynoldsOperator(Matrix.identity(3).scale(2), F(-1, 2))
     rep = adjoint_rep(sl2, op)
+    # the input gate scans sl2 itself; warmed first, so that only the
+    # total's scan is counted
+    check_inputs(sl2, op, rep)
     monkeypatch.setattr(algebra_mod, "_ly_identities", counted)
     total, _total_op = semidirect_product(sl2, op, rep)
     assert total.dim == 6
