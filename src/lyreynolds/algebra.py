@@ -37,7 +37,7 @@ from .linalg import (
     unit_vector,
     vec_add,
 )
-from .reporting import AxiomReport, first_failure
+from .reporting import AxiomReport, Check
 
 class Tensor:
     """A frozen tensor: ``depth`` levels of basis indices, each of ``dim``
@@ -181,14 +181,12 @@ def _require_antisymmetric(tensor: Tensor, text: str, error=InvalidStructure) ->
         raise error(f"{text} at ({','.join(map(str, bad))})")
 
 
-def orbit_tuples(dim: int, shape, ideal: int | None = None):
+def orbit_tuples(dim: int, shape):
     """The basis tuples that decide an identity antisymmetric within groups
     of consecutive slots: ``shape`` lists the group sizes, and the tuples
     yielded are those strictly increasing within each group, in product
     order.  ``(2, 1)`` gives every (i, j, k) with i < j; a shape of ones
     gives every tuple.  There are prod C(dim, k) of them, k over ``shape``.
-    With ``ideal`` = n, only those with at most one index >= n are returned,
-    in the same order.
 
     Why they suffice: LyAlgebra and TruncatedDeformation enforce the
     antisymmetry of both brackets at every order, so each residual given a
@@ -197,25 +195,12 @@ def orbit_tuples(dim: int, shape, ideal: int | None = None):
     therefore a union of orbits of those swaps, and the increasing tuple of
     an orbit is its lexicographic minimum, because the groups are
     consecutive slots.  The first failure over these tuples, with its
-    residual, is the first failure in product order over all of them.
-
-    ``ideal`` serves the total of an extension in block form, whose module
-    indices n.. span an abelian ideal V (checked): a bracket with one
-    argument in V lies in V, and one with two vanishes.  So in a term of
-    LY1-LY6 with two module arguments the lowest bracket above both has two
-    inputs in V, and a tuple with two module indices has residual 0.  The
-    tuples are generated: combinations below n in every group but at most
-    one, which ends in an index >= n, then sorted into product order.
+    residual, is the first failure in product order over all of them.  The
+    representation identities and the morphism check scan them; LY1-LY6 are
+    written onto them (see :func:`_ly_identities`).
     """
-    if ideal is None:
-        return (tuple(chain.from_iterable(groups))
-                for groups in product(*(combinations(range(dim), k) for k in shape)))
-    low = [list(combinations(range(ideal), k)) for k in shape]
-    one = [[c + (v,) for c in combinations(range(ideal), k - 1) for v in range(ideal, dim)]
-           for k in shape]
-    picks = [low] + [low[:s] + [one[s]] + low[s + 1:] for s in range(len(shape))]
-    return sorted(tuple(chain.from_iterable(groups))
-                  for pick in picks for groups in product(*pick))
+    return (tuple(chain.from_iterable(groups))
+            for groups in product(*(combinations(range(dim), k) for k in shape)))
 
 
 def zero_binary(dim: int) -> Tensor:
@@ -364,19 +349,12 @@ def expand(table, c, vecs):
     return terms
 
 
-def contract(acc: dict, c, table, vecs) -> None:
-    """Add c * table(vecs...) into the ``{coordinate: value}`` dict ``acc``
-    (see :func:`expand`); ``vecs`` holds at least one argument."""
-    *head, last = vecs
-    for node, k in expand(table, c, head):
-        for i, a in last:
-            add_scaled(acc, k if a == 1 else a if k == 1 else a * k, node[i])
-
-
-def dense_vector(acc: dict, dim: int, den: int = 1) -> Vector:
+def dense_vector(acc: dict, dim: int, den: int = 1, start: int = 0) -> Vector:
     """The coordinate vector of a ``{coordinate: value}`` dict holding den
-    times it, as Fractions: one division per nonzero entry."""
-    return tuple(Fraction(acc[k], den) if acc.get(k) else _ZERO for k in range(dim))
+    times it at the coordinates from ``start`` on, as Fractions: one
+    division per nonzero entry."""
+    return tuple(Fraction(acc[start + k], den) if acc.get(start + k) else _ZERO
+                 for k in range(dim))
 
 
 def flat_table(table, shape) -> dict:
@@ -467,8 +445,9 @@ def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> Tensor:
 
 def tuple_residual(acc: dict, shape):
     """A flat ``{position: value}`` dict of ``shape`` (see :func:`flat_table`)
-    as the residual of :func:`_axiom_report`: the map from the digits above
-    a leaf (a basis tuple, or one and a row) to its nonzero entries."""
+    as a residual for :func:`reporting.first_failure` over basis tuples: the
+    map from the digits above a leaf (a basis tuple, or one and a row) to
+    its nonzero entries."""
     leaf = shape[-1]
     vectors = defaultdict(dict)
     for p, v in acc.items():
@@ -534,107 +513,142 @@ def bracket3(algebra: LyAlgebra, x, y, z) -> Vector:
     return apply_ternary(algebra.ternary, x, y, z)
 
 
-def _cyclic(triple):
-    x, y, z = triple
-    return ((x, y, z), (z, x, y), (y, z, x))
+def _cells(table, depth: int) -> list:
+    """The ``(i, j, .., coordinate, value)`` tuple of every nonzero entry of
+    an integer table with ``depth`` levels of basis indices (nested tuples
+    above sparse leaves, as :class:`IntegerRead` keeps them), in product
+    order."""
+    nodes = [((), table)]
+    for _ in range(depth):
+        nodes = [(idx + (i,), child) for idx, node in nodes for i, child in enumerate(node)]
+    return [idx + entry for idx, leaf in nodes for entry in leaf]
 
 
-def _ly_identities(read: IntegerRead, n: int):
-    """LY1-LY6 at order ``n`` of the coefficient series F_0, F_1, ... (binary
-    tensors) and G_0, G_1, ... (ternary tensors) of ``read``, as ``(shape,
-    residual, den)`` triples (see :func:`_axiom_report`).  A residual maps a
-    basis tuple to den times the order-n coefficient of LHS - RHS, as a
-    ``{coordinate: value}`` dict, each product summed over the splittings
-    i + (n - i).  LY3-LY6 are antisymmetric within the groups of their
-    shape; LY1 and LY2 are not, so theirs is all ones.
+def _ly_identities(read: IntegerRead) -> list:
+    """LY1-LY6 at every order of the coefficient series F_0, F_1, ... (binary
+    tensors) and G_0, G_1, ... (ternary tensors) of ``read``: for each order
+    n, six ``(depth, acc, den)`` triples (see :func:`_axiom_report`), acc
+    holding den times the order-n coefficient of LHS - RHS at each basis
+    tuple, each product summed over the splittings i + (n - i).  Order 0 of
+    the read of one algebra is its own battery, and a deformation's order n
+    is the same identity at higher order.
 
-    Order 0 of the read of one algebra is its own battery, and a
-    deformation's order n is the same identity at higher order, which is why
-    the algebra verifier and the deformation verifier share this battery.
-    Every product is a :func:`contract` over nonzero structure constants.
+    Only nonzero cell pairs are multiplied: each cell of an inner bracket
+    with its first two indices increasing, joined to the cells of an outer
+    bracket that hold its output coordinate in the contracted slot.  LY3-LY6
+    are antisymmetric within the groups of their slots (3), (3, 1), (2, 2)
+    and (2, 2, 1), because F_i and G_i are in their first two
+    (:class:`LyAlgebra` and TruncatedDeformation enforce it).  So each
+    product is written on the tuple increasing within each group (see
+    :func:`orbit_tuples`) with the sign of the swap that takes it there,
+    and dropped on a repeated index, where the residual is 0: LY3 and LY4
+    take the parity of the sorted triple, and a derivation term with x > y
+    is written on (.., y, x, ..), negated.  The three cyclic terms of LY3
+    and LY4 at a triple are its pairs a < b with the third index, and the
+    two middle terms of LY5 and LY6 one term at (x, y) and at (y, x); so
+    each increasing tuple gets its exact residual, and no other tuple is
+    written.  LY1 and LY2 are written on every tuple.
     """
     # the read is L times every coefficient: LY1 and LY2 are then L times,
     # and LY3-LY6 L^2 times the exact residual (the lone G_n term of LY3 is
     # multiplied by L)
-    den, f, g = read.den, read.f, read.g
-    # with every other argument a basis vector, a product is one contraction
-    # over the remaining slot: g_second[i][x][z] is v -> G_i(e_x, v, e_z),
-    # g[i][x] re-nested.  F_i and G_i are antisymmetric in their first two
-    # slots (LyAlgebra and TruncatedDeformation enforce it), so
-    # v -> F_i(v, e_c) is -f[i][c] and v -> G_i(v, e_y, e_z) is
-    # -g_second[i][y][z]
-    g_second = [tuple(tuple(zip(*plane)) for plane in t) for t in g[:n + 1]]
-    splits = [(i, n - i) for i in range(n + 1)]
+    den, d = read.den, len(read.f[0])
+    d2 = d * d
+    fc = [_cells(t, 2) for t in read.f]
+    gc = [_cells(t, 3) for t in read.g]
+    # the inner cells, with the increasing pair (a, b) also as one digit
+    # ab = a d + b of base d^2
+    f_up = [[(a, b, a * d + b, w, u) for a, b, w, u in cells if a < b] for cells in fc]
+    g_up = [[(a * d + b, x, w, u) for a, b, x, w, u in cells if a < b] for cells in gc]
+    # the outer cells by their contracted slot w: F_i(w, y) along o as (y,
+    # o, t) and G_i(w, y, z) along o as (y, z d + o, t) by their first
+    # argument, G_i(p, q, w) along o with p < q as (p d + q, o, t) by its third
+    f_first, g_first, g_third = ([[[] for _ in range(d)] for _ in fc] for _ in range(3))
+    for i, (fi, gi) in enumerate(zip(fc, gc)):
+        for w, y, o, t in fi:
+            f_first[i][w].append((y, o, t))
+        for p, q, w, o, t in gi:
+            g_first[i][p].append((q, w * d + o, t))
+            if p < q:
+                g_third[i][w].append((p * d + q, o, t))
 
-    def summed(*leaves):
-        acc = {}
-        for leaf in leaves:
-            add_scaled(acc, 1, leaf)
-        return acc
+    def sort3(acc, terms, tail_base):
+        # v at (a, b, c, tail), a < b, onto the sorted triple with its parity
+        for a, b, c, tail, v in terms:
+            if c > b:
+                acc[((a * d + b) * d + c) * tail_base + tail] += v
+            elif a < c < b:
+                acc[((a * d + c) * d + b) * tail_base + tail] -= v
+            elif c < a:
+                acc[((c * d + a) * d + b) * tail_base + tail] += v
 
-    def cyclic_binary(x, y, z):
-        acc = {}
-        for (a, b, c) in _cyclic((x, y, z)):
-            for i, j in splits:
-                contract(acc, -1, f[i][c], (f[j][a][b],))
-            add_scaled(acc, den, g[n][a][b][c])
-        return acc
-
-    def cyclic_mixed(x, y, z, a):
-        acc = {}
-        for (p, q, r) in _cyclic((x, y, z)):
-            for i, j in splits:
-                contract(acc, -1, g_second[i][r][a], (f[j][p][q],))
-        return acc
-
-    def derivation_binary(a, b, x, y):
-        acc = {}
-        for i, j in splits:
-            contract(acc, 1, g[i][a][b], (f[j][x][y],))
-            contract(acc, 1, f[i][y], (g[j][a][b][x],))
-            contract(acc, -1, f[i][x], (g[j][a][b][y],))
-        return acc
-
-    def derivation_ternary(a, b, x, y, z):
-        acc = {}
-        for i, j in splits:
-            contract(acc, 1, g[i][a][b], (g[j][x][y][z],))
-            contract(acc, 1, g_second[i][y][z], (g[j][a][b][x],))
-            contract(acc, -1, g_second[i][x][z], (g[j][a][b][y],))
-            contract(acc, -1, g[i][x][y], (g[j][a][b][z],))
-        return acc
+    def sort2(acc, terms, tail_base):
+        # v at (ab, x, y, tail) onto (ab, min, max, tail), negated if x > y
+        for ab, x, y, tail, v in terms:
+            if x < y:
+                acc[((ab * d + x) * d + y) * tail_base + tail] += v
+            elif y < x:
+                acc[((ab * d + y) * d + x) * tail_base + tail] -= v
 
     square = den * den
-    return (((1, 1), lambda i, j: summed(f[n][i][j], f[n][j][i]), den),
-            ((1, 1, 1), lambda i, j, k: summed(g[n][i][j][k], g[n][j][i][k]), den),
-            ((3,), cyclic_binary, square), ((3, 1), cyclic_mixed, square),
-            ((2, 2), derivation_binary, square),
-            ((2, 2, 1), derivation_ternary, square))
+    out = []
+    for n in range(len(fc)):
+        ly1, ly2, ly3, ly4, ly5, ly6 = (defaultdict(int) for _ in range(6))
+        for a, b, o, v in fc[n]:
+            ly1[(a * d + b) * d + o] += v
+            ly1[(b * d + a) * d + o] += v
+        for a, b, c, o, v in gc[n]:
+            ly2[((a * d + b) * d + c) * d + o] += v
+            ly2[((b * d + a) * d + c) * d + o] += v
+        sort3(ly3, [(a, b, c, o, den * v) for a, b, c, o, v in gc[n] if a < b], d)
+        for i in range(n + 1):
+            fo, go, g3 = f_first[i], g_first[i], g_third[i]
+            inner_f, inner_g = f_up[n - i], g_up[n - i]
+            # [[a, b], c] and {[a, b], c, z}
+            sort3(ly3, [(a, b, c, o, u * t) for a, b, _, w, u in inner_f
+                        for c, o, t in fo[w]], d)
+            sort3(ly4, [(a, b, c, tail, u * t) for a, b, _, w, u in inner_f
+                        for c, tail, t in go[w]], d2)
+            # -[{a, b, x}, y] and -{{a, b, x}, y, z}
+            sort2(ly5, [(ab, x, y, o, -u * t) for ab, x, w, u in inner_g
+                        for y, o, t in fo[w]], d)
+            sort2(ly6, [(ab, x, y, tail, -u * t) for ab, x, w, u in inner_g
+                        for y, tail, t in go[w]], d2)
+            # {p, q, [a, b]}
+            for _, _, ab, w, u in inner_f:
+                for pq, o, t in g3[w]:
+                    ly5[(pq * d2 + ab) * d + o] += u * t
+            # {p, q, {a, b, x}}, in the first and the last term of LY6
+            for ab, x, w, u in inner_g:
+                for pq, o, t in g3[w]:
+                    v, tail = u * t, x * d + o
+                    ly6[(pq * d2 + ab) * d2 + tail] += v
+                    ly6[(ab * d2 + pq) * d2 + tail] -= v
+        out.append(((2, ly1, den), (3, ly2, den), (3, ly3, square), (4, ly4, square),
+                    (4, ly5, square), (5, ly6, square)))
+    return out
 
 
-def _no_entries(acc: dict) -> bool:
-    return not any(acc.values())
-
-
-def _axiom_report(names, identities, dim: int, ideal: int | None = None) -> AxiomReport:
-    """One check per named ``(shape, residual, den)`` identity over the
-    basis tuples of :func:`orbit_tuples` for its shape and ``ideal``.
-    Residuals are ``{coordinate: value}`` dicts of den times the exact
-    residual; only a failing one is written out, as the vector of exact
-    values."""
-    return AxiomReport(tuple(
-        first_failure(name, orbit_tuples(dim, shape, ideal), fn, _no_entries,
-                      lambda acc, den=den: dense_vector(acc, dim, den))
-        for name, (shape, fn, den) in zip(names, identities)))
-
-
-def _ly_report(algebra: LyAlgebra, ideal: int | None = None) -> AxiomReport:
-    """:func:`verify_ly_axioms` over the :func:`orbit_tuples` of ``ideal``:
-    the same report where the indices from ``ideal`` on span an abelian
-    ideal."""
-    read = IntegerRead((algebra.binary,), (algebra.ternary,))
-    return _axiom_report(("LY1", "LY2", "LY3", "LY4", "LY5", "LY6"),
-                         _ly_identities(read, 0), algebra.dim, ideal)
+def _axiom_report(names, identities, dim: int) -> AxiomReport:
+    """One check per named ``(depth, acc, den)`` identity: ``acc`` is a flat
+    ``{position: int}`` dict (see :func:`flat_table`) over ``depth`` basis
+    indices and an output coordinate, holding den times the residual.  The
+    witness is the basis tuple of the least nonzero position, the first
+    failing tuple in product order, and the residual its row of exact
+    values.  An identity antisymmetric within groups of slots written on
+    every tuple fails first on a tuple increasing within each group, as
+    one written on those tuples only (see :func:`orbit_tuples`)."""
+    checks = []
+    for name, (depth, acc, den) in zip(names, identities):
+        bad = min((p for p, v in acc.items() if v), default=None)
+        if bad is None:
+            checks.append(Check(name, True))
+            continue
+        row = bad // dim
+        checks.append(Check(name, False,
+                            tuple(row // dim ** s % dim for s in range(depth - 1, -1, -1)),
+                            dense_vector(acc, dim, den, row * dim)))
+    return AxiomReport(tuple(checks))
 
 
 def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
@@ -642,11 +656,14 @@ def verify_ly_axioms(algebra: LyAlgebra) -> AxiomReport:
 
     The first two are antisymmetries (re-checked here, on all basis tuples,
     even though construction enforces them); the remaining four are the
-    compatibility identities between the two brackets, checked on one tuple
-    per orbit (see :func:`orbit_tuples`).  Each check reports at most one
-    witness: the lexicographically first failing tuple.
+    compatibility identities between the two brackets, written over the
+    nonzero structure constants onto one tuple per orbit (see
+    :func:`_ly_identities`).  Each check reports at most one witness: the
+    lexicographically first failing tuple, its least nonzero position.
     """
-    return _ly_report(algebra)
+    read = IntegerRead((algebra.binary,), (algebra.ternary,))
+    return _axiom_report(("LY1", "LY2", "LY3", "LY4", "LY5", "LY6"),
+                         _ly_identities(read)[0], algebra.dim)
 
 
 def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
@@ -681,7 +698,7 @@ def _check_jacobi(binary: Tensor, dim: int):
     _require_antisymmetric(binary, "bracket not antisymmetric", NotLieAlgebra)
     # Jacobi is LY3 of the algebra with the zero ternary bracket
     check, = _axiom_report(("Jacobi",), _ly_identities(
-        IntegerRead((binary,), (zero_ternary(dim),)), 0)[2:3], dim).checks
+        IntegerRead((binary,), (zero_ternary(dim),)))[0][2:3], dim).checks
     if not check.passed:
         i, j, k = check.witness
         raise NotLieAlgebra(f"Jacobi fails at basis triple ({i},{j},{k}): {check.residual}")

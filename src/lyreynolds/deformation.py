@@ -133,14 +133,21 @@ class FormalIsomorphism:
                    + (Matrix.zero(dim, dim),) * (order - 1))
 
     def inverse(self) -> "FormalIsomorphism":
-        """Truncated series inverse (Neumann recursion on the tail)."""
-        psi = [Matrix.identity(self.dim)]
-        for s in range(1, self.order + 1):
-            acc = Matrix.zero(self.dim, self.dim)
-            for i in range(1, s + 1):
-                acc = acc + self.phi[i] @ psi[s - i]
-            psi.append(acc.scale(-1))
-        return FormalIsomorphism(self.order, tuple(psi))
+        """Truncated series inverse (Neumann recursion on the tail), computed
+        once and kept.  The inverse keeps this series as its own inverse:
+        inverses of truncated series are unique, so the truncated inverse is
+        an involution."""
+        if "_inverse" not in self.__dict__:
+            psi = [Matrix.identity(self.dim)]
+            for s in range(1, self.order + 1):
+                acc = Matrix.zero(self.dim, self.dim)
+                for i in range(1, s + 1):
+                    acc = acc + self.phi[i] @ psi[s - i]
+                psi.append(acc.scale(-1))
+            inverse = FormalIsomorphism(self.order, tuple(psi))
+            object.__setattr__(self, "_inverse", inverse)
+            object.__setattr__(inverse, "_inverse", self)
+        return self._inverse
 
 
 def _require_base(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -163,12 +170,14 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
 
     At each order n the report covers: antisymmetry of the coefficients, the
     four bracket compatibility identities summed over the coefficient
-    splittings i + j = n, and the two weighted operator identities, whose
+    splittings i + j = n, in one pass over pairs of nonzero cells (see
+    algebra._ly_identities), and the two weighted operator identities, whose
     residuals of every order come from one computation of series products
-    taken one argument slot at a time.  Order 0 is the battery of the
-    undeformed verifiers under other names: LY1-LY6 are the six bracket
-    checks, and reynolds-binary/-ternary are operator-binary/-ternary.  The
-    whole series is read once, over one common denominator.
+    taken one argument slot at a time.  Each check's witness is its least
+    nonzero position, the first failing basis tuple.  Order 0 is the battery
+    of the undeformed verifiers under other names: LY1-LY6 are the six
+    bracket checks, and reynolds-binary/-ternary are operator-binary/
+    -ternary.  The whole series is read once, over one common denominator.
     """
     _require_base(algebra, op, deformation)
     read = IntegerRead(deformation.F, deformation.G, deformation.Tt, op.weight)
@@ -176,8 +185,8 @@ def verify_deformation(algebra: LyAlgebra, op: ReynoldsOperator,
              "cyclic-mixed", "derivation-binary", "derivation-ternary",
              "operator-binary", "operator-ternary")
     return OrderReport(tuple(
-        _axiom_report(names, _ly_identities(read, n) + reynolds, algebra.dim)
-        for n, reynolds in enumerate(_reynolds_identities(read))))
+        _axiom_report(names, ly + reynolds, algebra.dim)
+        for ly, reynolds in zip(_ly_identities(read), _reynolds_identities(read))))
 
 
 def infinitesimal(deformation: TruncatedDeformation) -> RlyCochain:

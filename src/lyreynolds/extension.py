@@ -21,7 +21,6 @@ from .algebra import (
     IntegerRead,
     LyAlgebra,
     Tensor,
-    _ly_report,
     _morphism_failure,
     binary_from_sparse,
     dense_tensor,
@@ -140,9 +139,9 @@ class AbelianExtension:
     s(e_1..e_n), i(v_1..v_m) of the canonical section, [v, w], {z, v, w} and
     {v, w, z} must vanish and [x, v], {x, y, v} and {v, x, y} have no base
     part, for x, y in L, v, w in V and any z.  So every LY1-LY6 term with two
-    module arguments vanishes, and a total in block form is scanned only on
-    tuples with at most one module index (see algebra.orbit_tuples); one in
-    any other basis in full.  Compatibility with a given base (L, T) and
+    module arguments vanishes; the check of the total, in any basis, reads
+    pairs of nonzero cells only, and such a term has none (see
+    algebra._ly_identities).  Compatibility with a given base (L, T) and
     module operator, and T_hat mapping V into V, are checked by the
     operations that read that data.
     """
@@ -181,10 +180,7 @@ class AbelianExtension:
                 a < n and (i < n and j < n <= k or j < n <= i and k < n)
                 for i, j, k, a in triples):
             raise InvalidInput("module image is not an ideal")
-        # in block form (the section basis is the standard one) the checks
-        # above make e_n.. span an abelian ideal of the total itself
-        _ly_report(self.total, n if binary is self.total.binary else None).require(
-            InvalidInput, "total algebra fails the axioms")
+        verify_ly_axioms(self.total).require(InvalidInput, "total algebra fails the axioms")
         verify_reynolds(self.total, self.total_op).require(
             InvalidInput, "total operator fails the Reynolds identities")
 

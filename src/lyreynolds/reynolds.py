@@ -41,7 +41,6 @@ from .algebra import (
     flat_table,
     series_lincomb,
     slot_product,
-    tuple_residual,
     twist,
     verify_ly_axioms,
 )
@@ -113,23 +112,23 @@ def _reynolds_terms(read: IntegerRead):
 
 def _reynolds_identities(read: IntegerRead):
     """The weighted binary and ternary operator identities at every order of
-    the series of ``read``: for each order n, the pair of ``(shape,
-    residual, den)`` triples (see algebra._axiom_report), both antisymmetric
-    in their first two slots.  A residual is L^2 A - T o inner of
+    the series of ``read``: for each order n, the pair of ``(depth, acc,
+    den)`` triples (see algebra._axiom_report), both antisymmetric in their
+    first two slots.  A residual is L^2 A - T o inner of
     :func:`_reynolds_terms` at order n, at L^5 (binary) or L^6 (ternary)."""
     dim = len(read.f[0])
     square = read.den ** 2
     residuals = [series_lincomb((square, a), (-1, slot_product(inner, read.t_col, 1, dim)))
                  for a, inner in _reynolds_terms(read)]
-    return [(((2,), tuple_residual(binary, (dim,) * 3), read.den ** 5),
-             ((2, 1), tuple_residual(ternary, (dim,) * 4), read.den ** 6))
+    return [((2, binary, read.den ** 5), (3, ternary, read.den ** 6))
             for binary, ternary in zip(*residuals)]
 
 
 def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
     """Check the weighted binary identity on basis pairs and the weighted
-    ternary identity on basis triples, one per orbit of the swap of the
-    first two slots (see algebra.orbit_tuples)."""
+    ternary identity on basis triples, as whole tensors; the witness is the
+    first failing tuple, which increases in its first two slots (see
+    algebra._axiom_report)."""
     if op.dim != algebra.dim:
         raise DimMismatch("operator side != algebra dim")
     return _axiom_report(("reynolds-binary", "reynolds-ternary"),
@@ -197,26 +196,26 @@ def descendant_algebra(algebra: LyAlgebra, op: ReynoldsOperator) -> LyAlgebra:
 
 def _derivation_identities(read: IntegerRead):
     """The Leibniz rule over the binary and the ternary bracket of the map D
-    of ``read`` (its one operator map), as ``(shape, residual, den)``
-    triples (see algebra._axiom_report): both are antisymmetric in their
-    first two slots.  Each residual is D o F - F o1 D - F o2 D (D o G -
-    G o1 D - G o2 D - G o3 D) as whole-tensor slot products, L^2 times the
-    exact one."""
+    of ``read`` (its one operator map), as ``(depth, acc, den)`` triples
+    (see algebra._axiom_report): both are antisymmetric in their first two
+    slots.  Each residual is D o F - F o1 D - F o2 D (D o G - G o1 D -
+    G o2 D - G o3 D) as whole-tensor slot products, L^2 times the exact
+    one."""
     dim = len(read.f[0])
     identities = []
-    for depth, table, shape in ((2, read.f[0], (2,)), (3, read.g[0], (2, 1))):
+    for depth, table in ((2, read.f[0]), (3, read.g[0])):
         dims = (dim,) * (depth + 1)
         series = [flat_table(table, dims)]
         terms = [(-1, slot_product(series, read.t_row, dim ** (depth - slot), dim))
                  for slot in range(depth)]
         residual = series_lincomb((1, slot_product(series, read.t_col, 1, dim)), *terms)
-        identities.append((shape, tuple_residual(residual[0], dims), read.den ** 2))
+        identities.append((depth, residual[0], read.den ** 2))
     return tuple(identities)
 
 
 def derivation_check(algebra: LyAlgebra, dm: Matrix) -> AxiomReport:
-    """Leibniz rule of dm over both brackets, on basis tuples increasing in
-    their first two slots (see algebra.orbit_tuples)."""
+    """Leibniz rule of dm over both brackets, as whole tensors; the witness
+    is the first failing basis tuple (see algebra._axiom_report)."""
     if dm.rows != algebra.dim or dm.cols != algebra.dim:
         raise DimMismatch("derivation matrix side != algebra dim")
     return _axiom_report(("derivation-binary", "derivation-ternary"),

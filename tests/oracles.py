@@ -12,12 +12,16 @@ sparse ones against.
   ``dense_apply``, ``dense_transpose`` and ``dense_block_diag`` are the
   other matrix operations, entry by entry on row-major dense entries.
 * ``dense_ly_identities`` and ``dense_reynolds_identities`` are the identity
-  battery on dense vectors, and ``verify_reynolds_dense`` (order 0) and
+  battery on dense vectors, and ``dense_ly_report``,
+  ``verify_ly_axioms_dense`` and ``verify_reynolds_dense`` (order 0) and
   ``verify_deformation_dense`` run it;
   ``derivation_check_dense``, ``verify_rep_dense``,
   ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
   verifiers and the transport written with dense vectors and whole-matrix
   sums and products.
+* ``orbit_ly_identities`` is the earlier sparse LY1-LY6, one orbit tuple at
+  a time, each product a ``contract`` of nested integer tables, and
+  ``verify_ly_axioms_by_orbits`` runs it.
 * ``d_table_dense``, ``induced_rep_dense`` and ``descendant_algebra_dense``
   build the derived pair map, the induced representation and the
   descendant brackets from whole-matrix sums and products and dense
@@ -46,12 +50,14 @@ from functools import cache
 from itertools import product
 
 from lyreynolds.algebra import (
+    IntegerRead,
     LyAlgebra,
-    _cyclic,
     apply_binary,
     apply_ternary,
     bracket2,
     bracket3,
+    dense_vector,
+    expand,
     orbit_tuples,
 )
 from lyreynolds.cohomology import (
@@ -73,6 +79,7 @@ from lyreynolds.errors import (
 )
 from lyreynolds.linalg import (
     Matrix,
+    add_scaled,
     block_diag,
     lincomb,
     solve,
@@ -85,6 +92,11 @@ from lyreynolds.linalg import (
 from lyreynolds.reporting import AxiomReport, Check, OrderReport, first_failure
 from lyreynolds.representation import Representation, induced_rep
 from lyreynolds.reynolds import ReynoldsOperator, descendant_algebra
+
+
+def _cyclic(triple):
+    x, y, z = triple
+    return ((x, y, z), (z, x, y), (y, z, x))
 
 
 def _compositions(total: int, parts: int):
@@ -542,6 +554,107 @@ def verify_deformation_dense(algebra, op, deformation):
         _axiom_report(names, dense_ly_identities(F, G, n)
                       + dense_reynolds_identities(F, G, Tt, op.weight, n), n_dim)
         for n in range(deformation.order + 1)))
+
+
+# ---------------------------------------------------------------------------
+# the earlier sparse battery: LY1-LY6 evaluated one orbit tuple at a time
+
+def contract(acc: dict, c, table, vecs) -> None:
+    """Add c * table(vecs...) into the ``{coordinate: value}`` dict ``acc``
+    (see algebra.expand); ``vecs`` holds at least one argument."""
+    *head, last = vecs
+    for node, k in expand(table, c, head):
+        for i, a in last:
+            add_scaled(acc, k if a == 1 else a if k == 1 else a * k, node[i])
+
+
+def orbit_ly_identities(read: IntegerRead, n: int):
+    """LY1-LY6 at order ``n`` of the series F and G of ``read``, as
+    ``(shape, residual, den)`` triples: a residual maps one basis tuple to
+    den times the order-n coefficient of LHS - RHS, as a ``{coordinate:
+    value}`` dict, each product a :func:`contract` summed over the
+    splittings i + (n - i).  LY3-LY6 are antisymmetric within the groups of
+    their shape; LY1 and LY2 are not, so theirs is all ones."""
+    den, f, g = read.den, read.f, read.g
+    # g_second[i][x][z] is v -> G_i(e_x, v, e_z); v -> F_i(v, e_c) is
+    # -f[i][c] and v -> G_i(v, e_y, e_z) is -g_second[i][y][z]
+    g_second = [tuple(tuple(zip(*plane)) for plane in t) for t in g[:n + 1]]
+    splits = [(i, n - i) for i in range(n + 1)]
+
+    def summed(*leaves):
+        acc = {}
+        for leaf in leaves:
+            add_scaled(acc, 1, leaf)
+        return acc
+
+    def cyclic_binary(x, y, z):
+        acc = {}
+        for (a, b, c) in _cyclic((x, y, z)):
+            for i, j in splits:
+                contract(acc, -1, f[i][c], (f[j][a][b],))
+            add_scaled(acc, den, g[n][a][b][c])
+        return acc
+
+    def cyclic_mixed(x, y, z, a):
+        acc = {}
+        for (p, q, r) in _cyclic((x, y, z)):
+            for i, j in splits:
+                contract(acc, -1, g_second[i][r][a], (f[j][p][q],))
+        return acc
+
+    def derivation_binary(a, b, x, y):
+        acc = {}
+        for i, j in splits:
+            contract(acc, 1, g[i][a][b], (f[j][x][y],))
+            contract(acc, 1, f[i][y], (g[j][a][b][x],))
+            contract(acc, -1, f[i][x], (g[j][a][b][y],))
+        return acc
+
+    def derivation_ternary(a, b, x, y, z):
+        acc = {}
+        for i, j in splits:
+            contract(acc, 1, g[i][a][b], (g[j][x][y][z],))
+            contract(acc, 1, g_second[i][y][z], (g[j][a][b][x],))
+            contract(acc, -1, g_second[i][x][z], (g[j][a][b][y],))
+            contract(acc, -1, g[i][x][y], (g[j][a][b][z],))
+        return acc
+
+    square = den * den
+    return (((1, 1), lambda i, j: summed(f[n][i][j], f[n][j][i]), den),
+            ((1, 1, 1), lambda i, j, k: summed(g[n][i][j][k], g[n][j][i][k]), den),
+            ((3,), cyclic_binary, square), ((3, 1), cyclic_mixed, square),
+            ((2, 2), derivation_binary, square),
+            ((2, 2, 1), derivation_ternary, square))
+
+
+def orbit_axiom_report(names, identities, dim: int) -> AxiomReport:
+    """One check per named ``(shape, residual, den)`` identity, the first
+    failure over the orbit tuples of its shape, written out as the vector
+    of exact values."""
+    return AxiomReport(tuple(
+        first_failure(name, orbit_tuples(dim, shape), fn, lambda acc: not any(acc.values()),
+                      lambda acc, den=den: dense_vector(acc, dim, den))
+        for name, (shape, fn, den) in zip(names, identities)))
+
+
+LY_NAMES = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
+
+
+def verify_ly_axioms_by_orbits(algebra):
+    """LY1-LY6 of one algebra, one orbit tuple at a time."""
+    read = IntegerRead((algebra.binary,), (algebra.ternary,))
+    return orbit_axiom_report(LY_NAMES, orbit_ly_identities(read, 0), algebra.dim)
+
+
+def dense_ly_report(F, G, n: int):
+    """LY1-LY6 at order ``n`` of the series F and G on every basis tuple,
+    on dense vectors."""
+    return _axiom_report(LY_NAMES, dense_ly_identities(F, G, n), len(F[0]))
+
+
+def verify_ly_axioms_dense(algebra):
+    """LY1-LY6 of one algebra: order 0 of :func:`dense_ly_report`."""
+    return dense_ly_report((algebra.binary,), (algebra.ternary,), 0)
 
 
 def derivation_check_dense(algebra, dm):

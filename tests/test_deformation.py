@@ -241,6 +241,25 @@ def test_iso_inverse_is_truncated_inverse(ly2):
             assert acc == (Matrix.identity(2) if s == 0 else Matrix.zero(2, 2))
 
 
+def test_iso_inverse_is_kept_and_is_an_involution(ly2, tri_t):
+    rng = random.Random(38)
+    for order in (1, 2, 3):
+        phis = [Matrix.identity(2)] + [rand_matrix(rng, 2, 2) for _ in range(order)]
+        iso = FormalIsomorphism(order, tuple(phis))
+        psi = iso.inverse()
+        assert iso.inverse() is psi and psi.inverse() is iso
+        # the kept inverses equal ones computed afresh, on new objects
+        assert FormalIsomorphism(order, iso.phi).inverse() == psi
+        assert FormalIsomorphism(order, psi.phi).inverse() == iso
+        # so transports, which read the inverse, are those of fresh series
+        moved = FormalIsomorphism(order, (Matrix.identity(2),) + tuple(
+            rand_matrix(rng, 2, 2) for _ in range(order)))
+        deformation = apply_equivalence(TruncatedDeformation.constant(ly2, tri_t, order), moved)
+        for g in (iso, psi):
+            assert apply_equivalence(deformation, g) == \
+                apply_equivalence(deformation, FormalIsomorphism(order, g.phi))
+
+
 # ---------------------------------------------------------------------------
 # first-order trivialization
 
@@ -260,6 +279,9 @@ def test_trivialize_manufactured_coboundary(ly2, tri_t):
         deformation = deformation_from_cochain(ly2, tri_t, target)
         assert verify_deformation(ly2, tri_t, deformation).ok
         iso, transported = trivialize_first_order(ly2, tri_t, deformation)
+        # transported along the kept inverse: as along a fresh series
+        assert transported == apply_equivalence(
+            deformation, FormalIsomorphism(1, iso.inverse().phi))
         assert transported.F[1] == zero_binary(2)
         assert transported.G[1] == zero_ternary(2)
         assert transported.Tt[1] == Matrix.zero(2, 2)

@@ -10,6 +10,7 @@ compared and not only verdicts.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -25,15 +26,20 @@ from conftest import (
     random_valid_triples,
 )
 from oracles import (
+    LY_NAMES,
     apply_equivalence_dense,
+    contract,
+    dense_ly_report,
     derivation_check_dense,
     descendant_algebra_dense,
     morphism_failure_dense,
     verify_deformation_dense,
     verify_rep_dense,
     verify_reynolds_dense,
+    verify_ly_axioms_dense,
     verify_reynolds_rep_dense,
 )
+from test_orbit_scan import moved_extension, random_block_totals
 from lyreynolds import (
     FormalIsomorphism,
     LyAlgebra,
@@ -56,17 +62,20 @@ from lyreynolds import (
 )
 from lyreynolds.algebra import (
     IntegerRead,
+    Tensor,
+    _axiom_report,
+    _ly_identities,
     _morphism_failure,
     apply_binary,
+    apply_ternary,
     binary_from_sparse,
-    contract,
     dense_vector,
     ternary_from_sparse,
     zero_binary,
     zero_ternary,
 )
 from lyreynolds.errors import InternalInconsistency, SingularMatrix
-from lyreynolds.linalg import add_scaled, inverse, unit_vector
+from lyreynolds.linalg import add_scaled, inverse, rank, unit_vector
 
 F = Fraction
 
@@ -490,3 +499,119 @@ def test_apply_equivalence_round_trip_on_sl2_order3():
     moved = apply_equivalence(deformation, iso)
     assert moved != deformation
     assert apply_equivalence(moved, iso.inverse()) == deformation
+
+
+# ---------------------------------------------------------------------------
+# LY1-LY6: the cell-pair kernel against the dense battery
+
+def kernel_ly_report(F, G, n: int):
+    """LY1-LY6 at order n of the series F and G, as the engine reports
+    them: the kernel over one read of the whole series."""
+    return _axiom_report(LY_NAMES, _ly_identities(IntegerRead(F, G))[n], len(F[0]))
+
+
+def invertible(rng, n: int) -> Matrix:
+    while True:
+        g = rand_matrix(rng, n, n)
+        if rank(g) == n:
+            return g
+
+
+def gl_moved(tensors, depth: int, g: Matrix) -> tuple:
+    """Each tensor with ``depth`` arguments in the basis g e_0, g e_1, ..:
+    g o T o (g^-1 x .. x g^-1), from dense products."""
+    n, g_inv = g.rows, inverse(g)
+    args = [g_inv.column(a) for a in range(n)]
+    apply = apply_binary if depth == 2 else apply_ternary
+    return tuple(Tensor.of_indices(
+        {idx + (k,): v for idx in product(range(n), repeat=depth)
+         for k, v in enumerate(g.apply(apply(t, *(args[i] for i in idx))))}, n, depth, n)
+        for t in tensors)
+
+
+def nudged(rng, tensor, depth: int, antisymmetric: bool = True) -> Tensor:
+    """tensor with a random nonzero amount added at one cell, and taken from
+    the cell with its first two indices swapped when ``antisymmetric``;
+    otherwise at any cell, that one alone."""
+    n = len(tensor)
+    if antisymmetric:
+        idx = (*sorted(rng.sample(range(n), 2)), *(rng.randrange(n) for _ in range(depth - 1)))
+    else:
+        idx = tuple(rng.randrange(n) for _ in range(depth + 1))
+    eps = rand_fraction(rng, nonzero=True)
+    cells = dict(tensor.entries())
+    cells[idx] = cells.get(idx, 0) + eps
+    if antisymmetric:
+        swapped = (idx[1], idx[0], *idx[2:])
+        cells[swapped] = cells.get(swapped, 0) - eps
+    return Tensor.of_indices(cells, n, depth, n)
+
+
+def test_ly_kernel_matches_dense_battery_on_deformations():
+    rng = random.Random(41)
+    failed, orders_passed = Counter(), 0
+    for k, (algebra, op, _rep) in enumerate(random_valid_triples(rng, 30)):
+        n = algebra.dim
+        d = random_deformation(rng, algebra, op, 3)
+        if k % 2 and n > 1:
+            F, G, m = list(d.F), list(d.G), rng.randint(1, 3)
+            F[m] = nudged(rng, F[m], 2) if rng.random() < 0.5 else F[m]
+            G[m] = nudged(rng, G[m], 3)
+            d = TruncatedDeformation(3, tuple(F), tuple(G), d.Tt)
+        report = verify_deformation(algebra, op, d)
+        assert report == verify_deformation_dense(algebra, op, d)
+        failed.update(c.name for r in report.orders for c in r.failures())
+        series = [(d.F, d.G)]
+        if n > 1:
+            g = invertible(rng, n)
+            series.append((gl_moved(d.F, 2, g), gl_moved(d.G, 3, g)))
+        for F, G in series:
+            for order in range(4):
+                report = kernel_ly_report(F, G, order)
+                oracle = dense_ly_report(F, G, order)
+                assert report == oracle and report.to_json() == oracle.to_json()
+                failed.update(c.name for c in report.failures())
+                orders_passed += report.ok
+    for name in ("LY3", "LY4", "LY5", "LY6", "cyclic-binary", "cyclic-mixed",
+                 "derivation-binary", "derivation-ternary", "operator-binary",
+                 "operator-ternary"):
+        assert failed[name] >= 5, (name, failed)
+    assert orders_passed >= 10, orders_passed
+
+
+def test_ly_kernel_matches_dense_battery_on_block_totals():
+    rng = random.Random(42)
+    failed, dims = Counter(), Counter()
+    for total, total_op, n in random_block_totals(rng, 16):
+        # in block form, and moved with the module indices first
+        for algebra in (total, moved_extension(total, total_op, n)[0]):
+            report = verify_ly_axioms(algebra)
+            oracle = verify_ly_axioms_dense(algebra)
+            assert report == oracle and report.to_json() == oracle.to_json()
+            failed.update(c.name for c in report.failures())
+            dims[algebra.dim, report.ok] += 1
+    for name in ("LY3", "LY4", "LY5", "LY6"):
+        assert failed[name] >= 5, (name, failed)
+    assert sum(v for (_, ok), v in dims.items() if ok) >= 5, dims
+
+
+def test_ly_kernel_antisymmetry_checks_match_dense_battery():
+    # LY1 and LY2 (antisymmetry-binary and -ternary in a deformation's
+    # report) read F_n and G_n alone, and construction keeps both
+    # antisymmetric, so they fail only on tensors built without that check.
+    # LY3-LY6 are folded onto orbit tuples on the premise of it, so only
+    # LY1 and LY2 are compared there.
+    rng = random.Random(43)
+    failed = Counter()
+    for k, (algebra, op, _rep) in enumerate(random_valid_triples(rng, 30)):
+        d = random_deformation(rng, algebra, op, 3)
+        F, G = list(d.F), list(d.G)
+        F[k % 4] = nudged(rng, F[k % 4], 2, antisymmetric=False)
+        G[(k + 2) % 4] = nudged(rng, G[(k + 2) % 4], 3, antisymmetric=False)
+        for order in range(4):
+            report = kernel_ly_report(F, G, order)
+            oracle = dense_ly_report(F, G, order)
+            assert report.checks[:2] == oracle.checks[:2]
+            failed.update((order > 0, c.name) for c in report.checks[:2] if not c.passed)
+    for key in ((False, "LY1"), (False, "LY2"), (True, "LY1"), (True, "LY2")):
+        assert failed[key] >= 5, (key, failed)

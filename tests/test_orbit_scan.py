@@ -1,15 +1,20 @@
 """Orbit-reduced identity scans against the full scans they replace.
 
-An identity antisymmetric within groups of consecutive slots is checked on
+An identity antisymmetric within groups of consecutive slots is decided on
 the basis tuples increasing within each group (``algebra.orbit_tuples``).
-Here the reduced scan is compared with the full product on seeded random
-antisymmetric structures, most of them failing, so that witnesses and
-residuals are compared and not only verdicts; the premise of the
-reduction, that every shaped residual negates under a swap within a group
-and vanishes on a repeated index, is tested on its own.  The total of an
-extension in block form is scanned only on the tuples with at most one
-module index (``orbit_tuples`` with ``ideal``); that scan is compared with
-the full one, and its premise, residual 0 on every tuple left out, tested.
+The representation identities scan those tuples, and are compared here with
+the full product on seeded random antisymmetric structures, most of them
+failing, so that witnesses and residuals are compared and not only
+verdicts.  LY1-LY6 are written onto those tuples by the cell-pair kernel,
+and the Reynolds and derivation identities are whole tensors; all three
+report their least nonzero position, and reach ``orbit_tuples`` no more,
+so on them the comparison checks that the report does not depend on the
+scan.  The premise of the reduction, that every shaped residual negates
+under a swap within a group and vanishes on a repeated index, is tested on
+its own.  On the total of an extension in block form, whose module image
+is an abelian ideal, a tuple with two module indices has residual 0; that
+premise is tested too, and the total's scan compared with the earlier one
+orbit tuple at a time (``tests/oracles.py``).
 """
 
 import random
@@ -21,6 +26,12 @@ from math import comb, prod
 import pytest
 
 from conftest import rand_fraction, rand_matrix, random_reps, random_valid_triples
+from oracles import (
+    LY_NAMES,
+    orbit_ly_identities,
+    verify_ly_axioms_by_orbits,
+    verify_ly_axioms_dense,
+)
 import lyreynolds.algebra as algebra_mod
 import lyreynolds.extension as extension_mod
 import lyreynolds.representation as representation_mod
@@ -45,11 +56,10 @@ from lyreynolds import (
 )
 from lyreynolds.algebra import (
     IntegerRead,
-    _ly_identities,
-    _ly_report,
     binary_from_sparse,
     orbit_tuples,
     ternary_from_sparse,
+    tuple_residual,
 )
 from lyreynolds.cohomology import rly_dim, unflatten_rly
 from lyreynolds.errors import InternalInconsistency, InvalidInput
@@ -58,7 +68,6 @@ from lyreynolds.representation import (
     _module_op_identities,
     _op_read,
     _rep_identities,
-    check_inputs,
 )
 from lyreynolds.reynolds import _derivation_identities, _reynolds_identities
 
@@ -75,7 +84,6 @@ SHAPES = {
     "d-cyclic (derived)": (3,), "d-d-compat (derived)": (2, 2),
     "rho-module-op": (1,), "theta-module-op": (1, 1), "d-module-op (derived)": (2,),
 }
-LY_NAMES = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
 
 
 def increasing_within_groups(tup, shape) -> bool:
@@ -169,7 +177,7 @@ def outcome(fn, *args):
     return (report, report.to_json())
 
 
-def full_product(dim, shape, ideal=None):
+def full_product(dim, shape):
     return product(range(dim), repeat=sum(shape))
 
 
@@ -193,6 +201,8 @@ def failures(result) -> list[str]:
 
 
 def test_reduced_scan_equals_full_scan(monkeypatch):
+    # verify_ly_axioms, verify_reynolds and derivation_check no longer reach
+    # orbit_tuples: their half compares two runs of the same kernel
     rng = random.Random(61)
     failed = Counter()
     for algebra, op, rep, dm in random_inputs(rng, 60):
@@ -228,20 +238,23 @@ def test_reduced_scan_equals_full_scan_on_deformations(monkeypatch, order):
 # the premise: antisymmetric within each group of the declared shape
 
 def named_identities(rng, algebra, op, rep, dm, order: int):
-    """Every shaped identity of the engine at one input, as (name, shape,
-    residual) triples; the bracket and operator identities at ``order``,
-    0 to 3, of a random order-3 deformation of (algebra, op)."""
+    """Every shaped identity at one input, as (name, shape, residual)
+    triples; the bracket and operator identities at ``order``, 0 to 3, of a
+    random order-3 deformation of (algebra, op).  LY1-LY6 are those of the
+    per-tuple oracle, and the whole-tensor Reynolds and derivation residuals
+    are read one tuple at a time."""
     d = random_deformation(rng, algebra, op, 3)
     read = IntegerRead(d.F, d.G, d.Tt, op.weight)
     base = ((algebra.binary,), (algebra.ternary,))
     m = rep.module_dim
-    for names, identities in ((LY_NAMES, _ly_identities(read, order)),
-                              (("reynolds-binary", "reynolds-ternary"),
+    for name, (shape, fn, _den) in zip(LY_NAMES, orbit_ly_identities(read, order)):
+        yield name, shape, fn
+    for names, identities in ((("reynolds-binary", "reynolds-ternary"),
                                _reynolds_identities(read)[order]),
                               (("derivation-binary", "derivation-ternary"),
                                _derivation_identities(IntegerRead(*base, (dm,))))):
-        for name, (shape, fn, _den) in zip(names, identities):
-            yield name, shape, fn
+        for name, (depth, acc, _den) in zip(names, identities):
+            yield name, SHAPES[name], tuple_residual(acc, (algebra.dim,) * (depth + 1))
     module_op, derived = _module_op_identities(_op_read(base[0], op, rep), algebra.dim, m)
     for name, shape, fn, _den in (
             *_rep_identities(IntegerRead(*base, rows=(rep.rho, rep.theta)), m),
@@ -301,27 +314,29 @@ def test_shaped_residuals_are_antisymmetric_within_groups():
 # ---------------------------------------------------------------------------
 # call counts
 
-def test_ly6_is_evaluated_once_per_orbit(monkeypatch, sl2):
-    calls = Counter()
-
-    def counted(*args, _fn=_ly_identities):
-        *head, (shape, fn, den) = _fn(*args)
-
-        def ly6(*tup):
-            calls[tup] += 1
-            return fn(*tup)
-        return (*head, (shape, ly6, den))
-
+def failing_sl2_total(sl2):
+    """sl2 with T = 2 Id of weight -1/2 and its adjoint module, assembled
+    with a cochain psi(e1, e2) = v1 that is no cocycle: a total of
+    dimension 6, in block form, that fails LY3, LY5 and LY6."""
     op = ReynoldsOperator(Matrix.identity(3).scale(2), F(-1, 2))
     rep = adjoint_rep(sl2, op)
-    # the input gate scans sl2 itself; warmed first, so that only the
-    # total's scan is counted
-    check_inputs(sl2, op, rep)
-    monkeypatch.setattr(algebra_mod, "_ly_identities", counted)
-    total, _total_op = semidirect_product(sl2, op, rep)
-    assert total.dim == 6
-    # C(6, 2) * C(6, 2) * 6 tuples of the 6^5 = 7776, each evaluated once
-    assert sum(calls.values()) == 1350 and set(calls.values()) == {1}
+    z = (F(0),) * 3
+    psi = [[[z] * 3 for _ in range(3)] for _ in range(3)]
+    psi[0][1][2], psi[1][0][2] = (F(1), F(0), F(0)), (F(-1), F(0), F(0))
+    return assemble_extension(
+        sl2, op, rep, ExtensionCocycle([[z] * 3 for _ in range(3)], psi, Matrix.zero(3, 3)))
+
+
+def test_ly_report_on_the_sl2_semidirect_total_equals_both_oracles(sl2):
+    op = ReynoldsOperator(Matrix.identity(3).scale(2), F(-1, 2))
+    total, _total_op = semidirect_product(sl2, op, adjoint_rep(sl2, op))
+    failing, failing_op = failing_sl2_total(sl2)
+    moved = moved_extension(failing, failing_op, 3)[0]
+    for algebra, ok in ((total, True), (failing, False), (moved, False)):
+        assert algebra.dim == 6
+        report = verify_ly_axioms(algebra)
+        assert report.ok == ok
+        assert report == verify_ly_axioms_by_orbits(algebra) == verify_ly_axioms_dense(algebra)
 
 
 def test_equivalence_of_a_block_form_extension_is_not_reverified(monkeypatch, ly2, tri_t):
@@ -354,15 +369,6 @@ def test_ideal_check_keeps_the_full_scan_where_it_is_not_antisymmetric():
 
 def module_indices(tup, n: int) -> int:
     return sum(i >= n for i in tup)
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1), (3,), (3, 1), (2, 2), (2, 2, 1)])
-def test_ideal_keeps_the_orbit_tuples_with_one_module_index_at_most(shape):
-    for dim in range(2, 7):
-        full = list(orbit_tuples(dim, shape))
-        for ideal in range(1, dim + 1):
-            assert list(orbit_tuples(dim, shape, ideal)) == \
-                [t for t in full if module_indices(t, ideal) <= 1]
 
 
 def random_cocycle(rng, n: int, m: int) -> ExtensionCocycle:
@@ -406,36 +412,42 @@ def construction(total, total_op, n: int):
 
 def test_block_form_scan_equals_full_scan(monkeypatch):
     rng = random.Random(89)
-    ideals, witnesses, outcomes = Counter(), Counter(), Counter()
-    original = extension_mod._ly_report
-
-    def recorded(algebra, ideal=None):
-        ideals[ideal] += 1
-        return original(algebra, ideal)
-
+    witnesses, outcomes = Counter(), Counter()
     for total, total_op, n in random_block_totals(rng, 80):
+        reduced = construction(total, total_op, n)
         with monkeypatch.context() as mp:
-            mp.setattr(extension_mod, "_ly_report", recorded)
-            reduced = construction(total, total_op, n)
-        with monkeypatch.context() as mp:
-            mp.setattr(algebra_mod, "orbit_tuples",
-                       lambda dim, shape, ideal=None: orbit_tuples(dim, shape))
+            mp.setattr(extension_mod, "verify_ly_axioms", verify_ly_axioms_by_orbits)
             full = construction(total, total_op, n)
         assert reduced == full
         report = verify_ly_axioms(total)
-        assert _ly_report(total, n) == report
+        assert report == verify_ly_axioms_by_orbits(total)
         witnesses.update(module_indices(c.witness, n) for c in report.failures())
         outcomes[None if full is None else full.split(":")[0]] += 1
-        # the premise: every tuple left out has residual 0
-        for (shape, fn, _den) in _ly_identities(IntegerRead((total.binary,), (total.ternary,)), 0):
-            for tup in orbit_tuples(total.dim, shape):
-                if module_indices(tup, n) > 1:
-                    assert not any(fn(*tup).values()), (shape, tup)
-    assert None not in ideals and sum(ideals.values()) == 80
     # failing checks with no module index in the witness and with one
     assert witnesses[0] >= 30 and witnesses[1] >= 30 and set(witnesses) == {0, 1}
     assert outcomes[None] >= 10 and outcomes["total algebra fails the axioms"] >= 30
     assert outcomes["total operator fails the Reynolds identities"] >= 5
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1), (3,), (3, 1), (2, 2), (2, 2, 1)])
+def test_ideal_keeps_the_orbit_tuples_with_one_module_index_at_most(shape):
+    # the module image of a block-form total is an abelian ideal: in a term
+    # of LY1-LY6 with two module arguments the lowest bracket above both has
+    # two inputs in it, so a tuple with two module indices has residual 0,
+    # and a failure of the identity of each shape is witnessed on a tuple
+    # with one module index at most
+    k = [SHAPES[name] for name in LY_NAMES].index(shape)
+    witnesses = Counter()
+    for total, _total_op, n in random_block_totals(random.Random(89), 80):
+        _shape, fn, _den = orbit_ly_identities(
+            IntegerRead((total.binary,), (total.ternary,)), 0)[k]
+        for tup in orbit_tuples(total.dim, shape):
+            if module_indices(tup, n) > 1:
+                assert not any(fn(*tup).values()), tup
+        check = verify_ly_axioms(total).checks[k]
+        if not check.passed:
+            witnesses[module_indices(check.witness, n)] += 1
+    assert set(witnesses) <= {0, 1}
 
 
 def moved_extension(total, total_op, n: int):
@@ -461,13 +473,7 @@ def moved_extension(total, total_op, n: int):
 
 
 def test_an_extension_in_another_basis_keeps_the_full_scan(sl2):
-    op = ReynoldsOperator(Matrix.identity(3).scale(2), F(-1, 2))
-    rep = adjoint_rep(sl2, op)
-    z = (F(0),) * 3
-    psi = [[[z] * 3 for _ in range(3)] for _ in range(3)]
-    psi[0][1][2], psi[1][0][2] = (F(1), F(0), F(0)), (F(-1), F(0), F(0))
-    total, total_op = assemble_extension(
-        sl2, op, rep, ExtensionCocycle([[z] * 3 for _ in range(3)], psi, Matrix.zero(3, 3)))
+    total, total_op = failing_sl2_total(sl2)
     # in block form the extension fails LY3 at the base triple (0, 1, 2)
     assert construction(total, total_op, 3).startswith(
         "total algebra fails the axioms:\nLY1: pass\nLY2: pass\nLY3: FAIL at basis tuple (0, 1, 2)")
@@ -480,6 +486,3 @@ def test_an_extension_in_another_basis_keeps_the_full_scan(sl2):
         "LY3: FAIL at basis tuple (3, 4, 5), residual (1, 0, 0, 0, 0, 0)\nLY4: pass\n"
         "LY5: FAIL at basis tuple (3, 4, 3, 5), residual (-2, 0, 0, 0, 0, 0)\n"
         "LY6: FAIL at basis tuple (3, 4, 3, 5, 3), residual (-4, 0, 0, 0, 0, 0)")
-    # here the module indices are 0-2: a scan that took them to be 3-5
-    # would skip the failing base triple, now (3, 4, 5)
-    assert _ly_report(moved, 3) != verify_ly_axioms(moved)
