@@ -7,9 +7,9 @@ the full product on seeded random antisymmetric structures, most of them
 failing, so that witnesses and residuals are compared and not only
 verdicts.  LY1-LY6 are written onto those tuples by the cell-pair kernel,
 and the Reynolds and derivation identities are whole tensors; all three
-report their least nonzero position, and reach ``orbit_tuples`` no more,
-so on them the comparison checks that the report does not depend on the
-scan.  The premise of the reduction, that every shaped residual negates
+report their least nonzero position and reach ``orbit_tuples`` no more, so
+they, and the deformation battery made of them, are compared with the
+dense oracles over every tuple (``tests/oracles.py``).  The premise of the reduction, that every shaped residual negates
 under a swap within a group and vanishes on a repeated index, is tested on
 its own.  On the total of an extension in block form, whose module image
 is an abelian ideal, a tuple with two module indices has residual 0; that
@@ -28,9 +28,12 @@ import pytest
 from conftest import rand_fraction, rand_matrix, random_reps, random_valid_triples
 from oracles import (
     LY_NAMES,
+    derivation_check_dense,
     orbit_ly_identities,
+    verify_deformation_dense,
     verify_ly_axioms_by_orbits,
     verify_ly_axioms_dense,
+    verify_reynolds_dense,
 )
 import lyreynolds.algebra as algebra_mod
 import lyreynolds.extension as extension_mod
@@ -202,14 +205,17 @@ def failures(result) -> list[str]:
 
 def test_reduced_scan_equals_full_scan(monkeypatch):
     # verify_ly_axioms, verify_reynolds and derivation_check no longer reach
-    # orbit_tuples: their half compares two runs of the same kernel
+    # orbit_tuples: their full scan is the dense oracle over every tuple
     rng = random.Random(61)
     failed = Counter()
     for algebra, op, rep, dm in random_inputs(rng, 60):
-        for fn, args in ((verify_ly_axioms, (algebra,)),
-                         (verify_reynolds, (algebra, op)),
-                         (derivation_check, (algebra, dm)),
-                         (verify_rep, (algebra, rep)),
+        for fn, dense, args in ((verify_ly_axioms, verify_ly_axioms_dense, (algebra,)),
+                                (verify_reynolds, verify_reynolds_dense, (algebra, op)),
+                                (derivation_check, derivation_check_dense, (algebra, dm))):
+            reduced = outcome(fn, *args)
+            assert reduced == outcome(dense, *args), (fn.__name__, algebra)
+            failed.update(failures(reduced))
+        for fn, args in ((verify_rep, (algebra, rep)),
                          (verify_reynolds_rep, (algebra, op, rep))):
             reduced, full = both_scans(monkeypatch, fn, *args)
             assert reduced == full, (fn.__name__, algebra)
@@ -220,14 +226,16 @@ def test_reduced_scan_equals_full_scan(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_reduced_scan_equals_full_scan_on_deformations(monkeypatch, order):
+def test_reduced_scan_equals_full_scan_on_deformations(order):
+    # verify_deformation reaches orbit_tuples no more: its full scan is the
+    # dense oracle over every tuple
     rng = random.Random(70 + order)
     failed = Counter()
     dims = (2, 3, 4) if order < 3 else (2, 3)
     for algebra, op, _rep, _dm in random_inputs(rng, 20, dims):
         deformation = random_deformation(rng, algebra, op, order)
-        reduced, full = both_scans(monkeypatch, verify_deformation, algebra, op, deformation)
-        assert reduced == full
+        reduced = outcome(verify_deformation, algebra, op, deformation)
+        assert reduced == outcome(verify_deformation_dense, algebra, op, deformation)
         failed.update(failures(reduced))
     for name in ("cyclic-binary", "cyclic-mixed", "derivation-binary",
                  "derivation-ternary", "operator-binary", "operator-ternary"):
