@@ -33,6 +33,7 @@ from .linalg import (
     Vector,
     _view,
     add_scaled,
+    digits,
     position,
     unit_vector,
     vec_add,
@@ -53,30 +54,38 @@ class Tensor:
     Fractions, a view built on first access; ``len`` is ``dim``.  ``==``
     with another Tensor compares shapes and cells; ``==`` with anything
     else, and ``hash``, are those of the nested tuple.
+
+    ``antisymmetric`` is a certificate kept from construction: True when
+    the writer of the cells filled in both antisymmetric images of each in
+    the leading index pair itself, and rejected a pair that contradicts
+    (the loader, :func:`binary_from_sparse` and
+    :func:`ternary_from_sparse`).  :func:`_require_antisymmetric` takes a
+    certified tensor without a scan.  Every other tensor, nested input and
+    the output of transports and descendants among them, is uncertified
+    and is scanned where it is required to be antisymmetric.
     """
 
-    def __init__(self, cells: dict, dim: int, depth: int, width: int):
+    def __init__(self, cells: dict, dim: int, depth: int, width: int,
+                 antisymmetric: bool = False):
         self.cells = dict(sorted(cells.items()))
         self.dim, self.depth, self.width, self._views = dim, depth, width, {}
         self.shape = (dim,) * depth + (width,)
+        self.antisymmetric = antisymmetric
 
     @classmethod
-    def of_indices(cls, cells: dict, dim: int, depth: int, width: int) -> "Tensor":
+    def of_indices(cls, cells: dict, dim: int, depth: int, width: int,
+                   antisymmetric: bool = False) -> "Tensor":
         """The tensor with entry v at each index tuple (i, j, .., coordinate)
         of ``cells``, in range, v a Fraction; zero values are dropped."""
         shape = (dim,) * depth + (width,)
         return cls({position(idx, shape): v for idx, v in cells.items() if v},
-                   dim, depth, width)
+                   dim, depth, width, antisymmetric)
 
     def entries(self):
         """The ``(index tuple, value)`` pair of every nonzero entry, in
         lexicographic order of the index tuples."""
         for p, v in self.cells.items():
-            idx = []
-            for base in reversed(self.shape):
-                p, r = divmod(p, base)
-                idx.append(r)
-            yield tuple(idx[::-1]), v
+            yield digits(p, self.shape), v
 
     @cached_property
     def den(self) -> int:
@@ -175,7 +184,11 @@ def _antisymmetry_failure(tensor: Tensor):
 
 def _require_antisymmetric(tensor: Tensor, text: str, error=InvalidStructure) -> None:
     """Raise ``error`` with ``text`` and the witness of
-    :func:`_antisymmetry_failure`, written "(i,j,..)", if there is one."""
+    :func:`_antisymmetry_failure`, written "(i,j,..)", if there is one.  A
+    tensor certified antisymmetric by its writer (``Tensor.antisymmetric``)
+    is taken without a scan."""
+    if tensor.antisymmetric:
+        return
     bad = _antisymmetry_failure(tensor)
     if bad is not None:
         raise error(f"{text} at ({','.join(map(str, bad))})")
@@ -188,8 +201,8 @@ def orbit_tuples(dim: int, shape):
     order.  ``(2, 1)`` gives every (i, j, k) with i < j; a shape of ones
     gives every tuple.  There are prod C(dim, k) of them, k over ``shape``.
 
-    Why they suffice: LyAlgebra and TruncatedDeformation enforce the
-    antisymmetry of both brackets at every order, so each residual given a
+    Why they suffice: LyAlgebra and TruncatedDeformation enforce or certify
+    the antisymmetry of both brackets at every order, so each residual given a
     shape is zero on a tuple that repeats an index within a group and
     changes sign under a swap within a group.  The failing tuples are
     therefore a union of orbits of those swaps, and the increasing tuple of
@@ -214,7 +227,7 @@ def zero_ternary(dim: int) -> Tensor:
 def _from_sparse(dim: int, entries, arity: int) -> Tensor:
     """The :class:`Tensor` with ``arity`` indices whose cells are
     {index tuple: coefficient}, filled in antisymmetrically in the first two
-    indices."""
+    indices, and certified so (``Tensor.antisymmetric``)."""
     cells: dict[tuple[int, ...], Fraction] = {}
     for idx, c in dict(entries).items():
         idx = tuple(idx)
@@ -231,7 +244,7 @@ def _from_sparse(dim: int, entries, arity: int) -> Tensor:
                     f"inconsistent antisymmetric pair at {key}: "
                     f"{cells[key]} vs {val}")
             cells[key] = val
-    return Tensor.of_indices(cells, dim, arity - 1, dim)
+    return Tensor.of_indices(cells, dim, arity - 1, dim, antisymmetric=True)
 
 
 def binary_from_sparse(dim: int, entries) -> Tensor:
@@ -311,7 +324,9 @@ class IntegerRead:
     the denominators that each tensor (:class:`Tensor`) and each matrix
     (its integer form) keep; then ``f[i]`` and ``g[i]`` are L F_i and L
     G_i, nested over basis indices above each vector's nonzero ``(index,
-    value)`` pairs (the tensor's kept view at L), ``t_col[i][x]`` is L T_i
+    value)`` pairs (the tensor's kept view at L), ``tensors`` the pair of
+    series of the frozen tensors themselves, whose cells the LY battery
+    reads at L (:func:`_cells`), ``t_col[i][x]`` is L T_i
     e_x (from T_i's kept transpose), ``t_row[i][y]`` the row y of L T_i,
     ``lw`` is L times the weight, and ``rows`` keeps its nesting with each
     matrix as L times its stored rows.  A tensor given as plain nested
@@ -320,7 +335,7 @@ class IntegerRead:
     read once for all its orders.
     """
 
-    __slots__ = ("den", "f", "g", "t_col", "t_row", "lw", "rows")
+    __slots__ = ("den", "f", "g", "tensors", "t_col", "t_row", "lw", "rows")
 
     def __init__(self, F=(), G=(), Tt=(), weight=0, rows=()):
         weight = Fraction(weight)
@@ -330,6 +345,7 @@ class IntegerRead:
                              *{mat.integer[0] for mat in (*Tt, *_matrices(rows))})
         self.f = tuple(t.at(den) for t in F)
         self.g = tuple(t.at(den) for t in G)
+        self.tensors = (F, G)
         self.t_col = tuple(_scaled_rows(t.transpose(), den) for t in Tt)
         self.t_row = tuple(_scaled_rows(t, den) for t in Tt)
         self.lw = (weight * den).numerator
@@ -377,11 +393,15 @@ def slot_product(series, maps, stride: int, dim: int) -> list:
     ``maps[c][y]`` lists the ``(x, value)`` pairs that send y to x: the rows
     of a map T (``IntegerRead.t_row``) precompose an argument with T, and
     its columns (``t_col``) compose T after the output (or an operator).
-    Orders past the end of ``maps`` are zero maps."""
+    Orders past the end of ``maps`` are zero maps, and so is an order with
+    no moves, which is skipped (each T_k, k >= 1, of a scalar operator)."""
+    live = [(c, moves) for c, moves in enumerate(maps) if any(moves)]
     out = []
     for s in range(len(series)):
         acc = defaultdict(int)
-        for c, moves in enumerate(maps[:s + 1]):
+        for c, moves in live:
+            if c > s:
+                break
             for key, v in series[s - c].items():
                 y = key // stride % dim
                 base = key - y * stride
@@ -513,15 +533,24 @@ def bracket3(algebra: LyAlgebra, x, y, z) -> Vector:
     return apply_ternary(algebra.ternary, x, y, z)
 
 
-def _cells(table, depth: int) -> list:
-    """The ``(i, j, .., coordinate, value)`` tuple of every nonzero entry of
-    an integer table with ``depth`` levels of basis indices (nested tuples
-    above sparse leaves, as :class:`IntegerRead` keeps them), in product
-    order."""
-    nodes = [((), table)]
-    for _ in range(depth):
-        nodes = [(idx + (i,), child) for idx, node in nodes for i, child in enumerate(node)]
-    return [idx + entry for idx, leaf in nodes for entry in leaf]
+def _cells(tensor: Tensor, den: int) -> list:
+    """The ``(i, j, .., coordinate, value)`` tuple of every cell of a binary
+    or ternary ``tensor``, value den times its entry (den a multiple of the
+    tensor's), in product order: decoded from the cells the tensor keeps by
+    position, with no walk of a nested view."""
+    d, w, out = tensor.dim, tensor.width, []
+    if tensor.depth == 2:
+        for p, v in tensor.cells.items():
+            p, k = divmod(p, w)
+            i, j = divmod(p, d)
+            out.append((i, j, k, v.numerator * (den // v.denominator)))
+    else:
+        for p, v in tensor.cells.items():
+            p, k = divmod(p, w)
+            p, l = divmod(p, d)
+            i, j = divmod(p, d)
+            out.append((i, j, l, k, v.numerator * (den // v.denominator)))
+    return out
 
 
 def _ly_identities(read: IntegerRead) -> list:
@@ -538,7 +567,7 @@ def _ly_identities(read: IntegerRead) -> list:
     bracket that hold its output coordinate in the contracted slot.  LY3-LY6
     are antisymmetric within the groups of their slots (3), (3, 1), (2, 2)
     and (2, 2, 1), because F_i and G_i are in their first two
-    (:class:`LyAlgebra` and TruncatedDeformation enforce it).  So each
+    (:class:`LyAlgebra` and TruncatedDeformation enforce or certify it).  So each
     product is written on the tuple increasing within each group (see
     :func:`orbit_tuples`) with the sign of the swap that takes it there,
     and dropped on a repeated index, where the residual is 0: LY3 and LY4
@@ -554,8 +583,7 @@ def _ly_identities(read: IntegerRead) -> list:
     # multiplied by L)
     den, d = read.den, len(read.f[0])
     d2 = d * d
-    fc = [_cells(t, 2) for t in read.f]
-    gc = [_cells(t, 3) for t in read.g]
+    fc, gc = ([_cells(t, den) for t in series] for series in read.tensors)
     # the inner cells, with the increasing pair (a, b) also as one digit
     # ab = a d + b of base d^2
     f_up = [[(a, b, a * d + b, w, u) for a, b, w, u in cells if a < b] for cells in fc]

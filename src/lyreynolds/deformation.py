@@ -53,7 +53,11 @@ from .reynolds import ReynoldsOperator, _reynolds_identities
 
 @dataclass(frozen=True)
 class TruncatedDeformation:
-    """Coefficients F_0..F_N, G_0..G_N, T_0..T_N of a deformation cut at N."""
+    """Coefficients F_0..F_N, G_0..G_N, T_0..T_N of a deformation cut at N.
+
+    Each F_n and G_n must be antisymmetric in its first two indices: a
+    tensor certified so by its writer (the loader's, ``Tensor.antisymmetric``)
+    is taken as it is, any other is scanned here once."""
 
     order: int
     F: tuple  # binary tensors

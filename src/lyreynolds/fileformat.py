@@ -14,6 +14,15 @@ The grammar (documented with a full example in the README):
   * structure constants are sparse: unspecified entries are zero, the
     antisymmetric image of every entry is implied, and contradicting an
     implied entry is a load-time error.
+
+Sparse lines are read in one pass per key (:func:`_sparse_tensor`): each
+index is looked up among the in-range spellings of its axis, each distinct
+value literal is parsed once, each cell and its antisymmetric image go to
+their place in product order as the line is read, a deformation's orders
+to a dict each.  The brackets, cochain parts and deformation coefficients
+so written are antisymmetric by construction, and their tensors carry that
+as a certificate (``Tensor.antisymmetric``), which the algebra, cochain and
+deformation constructors take without another scan.
 """
 
 from __future__ import annotations
@@ -21,16 +30,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .algebra import LyAlgebra, Tensor
 from .cohomology import RlyCochain, cochain2_from_tensors, cochain_from_matrix
 from .errors import DimMismatch, NameNotFound, ParseError
-from .linalg import Matrix, from_cells, parse_rational
+from .linalg import Matrix, digits, from_cells, parse_rational
 from .representation import Representation, adjoint_rep
 from .reynolds import ReynoldsOperator
 
 _SECTION_RE = re.compile(r"^\[(\w+)\s+([A-Za-z_][\w.-]*)\]$")
-_INTEGER_RE = re.compile(r"-?\d+")
 
 _KINDS = ("algebra", "operator", "representation", "cochain", "deformation", "extension")
 
@@ -190,8 +199,9 @@ def _rational(tok: str, path: str, line: int) -> Fraction:
 def _integer(tok: str) -> int | None:
     """``tok`` as an int when it is an integer literal (decimal digits with
     an optional leading minus, the numerator rule of rational literals),
-    else None."""
-    return int(tok) if _INTEGER_RE.fullmatch(tok) else None
+    else None.  ``str.isdecimal`` holds for exactly the Unicode digits
+    (class Nd) that ``\\d`` matches in that rule, and ``int`` reads them."""
+    return int(tok) if tok.removeprefix("-").isdecimal() else None
 
 
 def _index(tok: str, dim: int, path: str, line: int) -> int:
@@ -251,38 +261,101 @@ def _resolve(sec: _RawSection, ws: Workspace, *keys: str, optional=(),
 
 
 def _sparse_tensor(sec: _RawSection, key: str, dims: tuple[int, ...],
-                   antisym_pair: tuple[int, int] | None = None) -> dict:
-    """The cells ``{index tuple: value}`` of the sparse lines ``i j .. val``
-    under ``key``, with the antisymmetric image of each in ``antisym_pair``.
-    They are the stored form of the brackets and the cochain parts
-    (:meth:`algebra.Tensor.of_indices`), which :func:`algebra._freeze` takes
-    as they are, and the entries of per-index matrices (:func:`from_cells`).
+                   antisym_pair: tuple[int, int] | None = None,
+                   split: bool = False) -> list[dict]:
+    """The cells ``{position: Fraction}`` of the sparse lines ``i j .. val``
+    under ``key``, read in one pass: positions in product order over
+    ``dims`` (:func:`linalg.position`), zero values dropped, and the
+    antisymmetric image of each line in the axes ``antisym_pair`` written
+    with it.  The list holds one dict; with ``split``, one per index of the
+    leading axis (a deformation's order), positions running over the other
+    axes, and each cell goes to the dict of its order as its line is read.
+    They are the cells of the brackets, the cochain parts and the
+    deformation coefficients (:func:`_tensors`) and, decoded, the entries
+    of per-index matrices (:func:`_matrices`).
 
-    ``dims`` bounds each index axis.  Conflicting duplicates and
-    inconsistent antisymmetric images are load-time errors carrying the
-    offending line; the builders that follow check nothing."""
-    cells: dict[tuple, Fraction] = {}
-    lines: dict[tuple, int] = {}
-    for tokens, line in sec.lists.get(key, []):
-        if len(tokens) != len(dims) + 1:
-            raise ParseError(
-                f"{key!r} entries take {len(dims)} indices and one value",
-                sec.path, line)
-        idx = tuple(_index(t, d, sec.path, line) for t, d in zip(tokens, dims))
-        val = _rational(tokens[-1], sec.path, line)
-        images = [(idx, val)]
+    ``dims`` bounds each index axis.  An index token is looked up among the
+    spellings ``1``..``d`` of its axis, and any other token goes through
+    :func:`_index`, with its errors.  Each distinct value literal is parsed
+    once, with its negation, and a cell written again is compared by
+    identity before equality.  Conflicting duplicates and inconsistent
+    antisymmetric images are load-time errors carrying the offending line
+    (:func:`_conflict`); the builders that follow check nothing."""
+    path, arity, lead = sec.path, len(dims), 1 if split else 0
+    strides, size = [0] * arity, 1
+    for axis in reversed(range(lead, arity)):
+        strides[axis], size = size, size * dims[axis]
+    spellings = {d: {str(k + 1): k for k in range(d)} for d in set(dims)}
+    tables = [spellings[d] for d in dims]
+    parts = [{} for _ in range(dims[0] if split else 1)]
+    literals, zero = {}, False
+    if antisym_pair is not None:
+        a, b = antisym_pair
+        swap = strides[a] - strides[b]
+    for tokens, line in sec.lists.get(key, ()):
+        if len(tokens) != arity + 1:
+            raise ParseError(f"{key!r} entries take {arity} indices and one value", path, line)
+        idx = list(map(dict.get, tables, tokens))
+        if None in idx:
+            idx = [_index(t, d, path, line) for t, d in zip(tokens, dims)]
+        pos = sum(map(mul, idx, strides))
+        cells = parts[idx[0]] if split else parts[0]
+        pair = literals.get(tokens[-1])
+        if pair is None:
+            val = _rational(tokens[-1], path, line)
+            pair = literals[tokens[-1]] = val, -val
+            zero = zero or not val
+        val, neg = pair
+        old = cells.setdefault(pos, val)
+        if old is not val and old != val:
+            _conflict(sec, key, dims, antisym_pair, idx, line)
+        if antisym_pair is not None:
+            old = cells.setdefault(pos + (idx[b] - idx[a]) * swap, neg)
+            if old is not neg and old != neg:
+                idx[a], idx[b] = idx[b], idx[a]
+                _conflict(sec, key, dims, antisym_pair, idx, line)
+    if zero:
+        parts = [{p: v for p, v in cells.items() if v} for cells in parts]
+    return parts
+
+
+def _conflict(sec: _RawSection, key: str, dims: tuple[int, ...],
+              antisym_pair: tuple[int, int] | None, where: list, line: int):
+    """Raise the ParseError of the cell at index tuple ``where`` under
+    ``key``, written again at ``line`` with another value.  It names the
+    line that wrote the cell first, found by reading the lines again up to
+    ``line``, all of which have valid indices (the error path only)."""
+    where = tuple(where)
+    for tokens, first in sec.lists[key]:
+        idx = [_index(t, d, sec.path, first) for t, d in zip(tokens, dims)]
+        images = [tuple(idx)]
         if antisym_pair is not None:
             a, b = antisym_pair
-            swapped = list(idx)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            images.append((tuple(swapped), -val))
-        for where, value in images:
-            if cells.setdefault(where, value) != value:
-                raise ParseError(
-                    f"{key!r} entry at {tuple(i + 1 for i in where)} conflicts with "
-                    f"line {lines[where]}", sec.path, line)
-            lines.setdefault(where, line)
-    return cells
+            idx[a], idx[b] = idx[b], idx[a]
+            images.append(tuple(idx))
+        if where in images:
+            break
+    raise ParseError(f"{key!r} entry at {tuple(i + 1 for i in where)} conflicts with "
+                     f"line {first}", sec.path, line)
+
+
+def _tensors(sec: _RawSection, key: str, n: int, depth: int, width: int,
+             orders: int = 0) -> list:
+    """The :class:`Tensor` with ``depth`` basis indices of ``n`` values
+    above vectors of length ``width`` written by the lines under ``key``,
+    antisymmetric in its first two indices and certified so; with
+    ``orders``, one per order of a leading order index."""
+    lead = (orders,) if orders else ()
+    parts = _sparse_tensor(sec, key, lead + (n,) * depth + (width,),
+                           (len(lead), len(lead) + 1), split=bool(orders))
+    return [Tensor(cells, n, depth, width, antisymmetric=True) for cells in parts]
+
+
+def _matrices(sec: _RawSection, key: str, dims: tuple[int, ...]):
+    """:func:`from_cells` of the lines under ``key``: one matrix per index
+    of the leading axes of ``dims``, nested over them."""
+    cells, = _sparse_tensor(sec, key, dims)
+    return from_cells({digits(p, dims): v for p, v in cells.items()}, dims)
 
 
 def _matrix_rows(sec: _RawSection, key: str, cols: int | None = None) -> Matrix:
@@ -308,8 +381,8 @@ def _build_algebra(sec: _RawSection, ws: Workspace) -> LyAlgebra:
         if len(tokens) != dim:
             raise ParseError(f"need {dim} labels", sec.path, line)
         labels = tuple(tokens)
-    binary = Tensor.of_indices(_sparse_tensor(sec, "binary", (dim,) * 3, (0, 1)), dim, 2, dim)
-    ternary = Tensor.of_indices(_sparse_tensor(sec, "ternary", (dim,) * 4, (0, 1)), dim, 3, dim)
+    binary, = _tensors(sec, "binary", dim, 2, dim)
+    ternary, = _tensors(sec, "ternary", dim, 3, dim)
     return LyAlgebra(dim, binary, ternary, labels)
 
 
@@ -322,7 +395,10 @@ def _build_operator(sec: _RawSection, ws: Workspace) -> OperatorEntry:
     if len(tokens) != 1:
         raise ParseError("'weight' must be one rational", sec.path, line)
     weight = _rational(tokens[0], sec.path, line)
-    matrix = _matrix_rows(sec, "row", cols=algebra.dim if algebra.dim else None)
+    if algebra.dim == 0 and "row" not in sec.lists:  # no rows: the 0x0 matrix
+        matrix = Matrix.zero(0, 0)
+    else:
+        matrix = _matrix_rows(sec, "row", cols=algebra.dim if algebra.dim else None)
     if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
         raise DimMismatch(
             f"operator {sec.name!r} must be {algebra.dim}x{algebra.dim}")
@@ -344,8 +420,8 @@ def _build_representation(sec: _RawSection, ws: Workspace) -> RepresentationEntr
 
     m = _int_scalar(sec, "module_dim", minimum=0)
     n = algebra.dim
-    rho = from_cells(_sparse_tensor(sec, "rho", (n, m, m)), (n, m, m))
-    theta = from_cells(_sparse_tensor(sec, "theta", (n, n, m, m)), (n, n, m, m))
+    rho = _matrices(sec, "rho", (n, m, m))
+    theta = _matrices(sec, "theta", (n, n, m, m))
     module_op = None
     if "module_op_row" in sec.lists:
         module_op = _matrix_rows(sec, "module_op_row", cols=m)
@@ -379,16 +455,14 @@ def _build_cochain(sec: _RawSection, ws: Workspace) -> CochainEntry:
     m = ws.representations[rep_name].rep.module_dim
 
     def map_matrix(key):  # 'key = z a v' is entry (a, z) of an m x n matrix
-        return from_cells(_sparse_tensor(sec, key, (n, m)), (n, m)).transpose()
+        return _matrices(sec, key, (n, m)).transpose()
 
     if degree == 1:
         top = cochain_from_matrix(map_matrix("map"))
         cochain = RlyCochain(top, None) if which == "rly" else top
         return CochainEntry(alg_name, op_name, rep_name, which, cochain)
 
-    top = cochain2_from_tensors(
-        n, m, Tensor.of_indices(_sparse_tensor(sec, "f", (n, n, m), (0, 1)), n, 2, m),
-        Tensor.of_indices(_sparse_tensor(sec, "g", (n, n, n, m), (0, 1)), n, 3, m))
+    top = cochain2_from_tensors(n, m, *_tensors(sec, "f", n, 2, m), *_tensors(sec, "g", n, 3, m))
     if which != "rly":
         return CochainEntry(alg_name, op_name, rep_name, which, top)
     cochain = RlyCochain(top, cochain_from_matrix(map_matrix("tail")))
@@ -404,15 +478,10 @@ def _build_deformation(sec: _RawSection, ws: Workspace) -> DeformationEntry:
 
     # the order is a leading 1-based index; F and G are antisymmetric in the
     # two indices after it
-    def series(key, depth):
-        cells = _sparse_tensor(sec, key, (order,) + (n,) * (depth + 1), (1, 2))
-        return tuple(Tensor.of_indices({idx[1:]: v for idx, v in cells.items() if idx[0] == k},
-                                       n, depth, n) for k in range(order))
-
-    F, G = series("F", 2), series("G", 3)
-    Tt = from_cells(_sparse_tensor(sec, "T", (order, n, n)), (order, n, n))
-    return DeformationEntry(alg_name, op_name, order, (base.binary,) + F,
-                            (base.ternary,) + G, (ws.operators[op_name].op.matrix,) + Tt)
+    F, G = _tensors(sec, "F", n, 2, n, order), _tensors(sec, "G", n, 3, n, order)
+    Tt = _matrices(sec, "T", (order, n, n))
+    return DeformationEntry(alg_name, op_name, order, (base.binary, *F),
+                            (base.ternary, *G), (ws.operators[op_name].op.matrix,) + Tt)
 
 
 def _build_extension(sec: _RawSection, ws: Workspace) -> ExtensionEntry:

@@ -581,6 +581,16 @@ def position(idx, shape) -> int:
     return t
 
 
+def digits(p: int, shape) -> tuple:
+    """The index tuple at place ``p`` in product order over ``shape``, the
+    inverse of :func:`position`."""
+    idx = []
+    for base in reversed(shape):
+        p, r = divmod(p, base)
+        idx.append(r)
+    return tuple(idx[::-1])
+
+
 def _view(flat: tuple, shape: tuple[int, ...]) -> tuple:
     """``flat`` as nested tuples of ``shape``, the last axis fastest."""
     if len(shape) == 1:

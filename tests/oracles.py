@@ -32,6 +32,14 @@ sparse ones against.
   its swapped partner on every basis tuple, for entries of any type, and
   ``antisymmetry_failure_walk`` is the earlier dense walk over i <= j that
   compares numerators and denominators.
+* ``sparse_tensor_by_lines`` is the earlier reader of sparse ``.lyr``
+  lines: each line's indices (``index_by_regex``, the integer rule as a
+  regular expression) and value parsed on their own, both images set one
+  at a time with the line of each cell kept, and a deformation's orders
+  filtered out of the whole afterwards.  ``slot_product_unskipped`` is the
+  truncated slot product that visits every map order, and
+  ``cells_by_walk`` lists the cells of an integer table by walking its
+  nested view.
 * ``base_data_by_solves``, ``extract_rep_by_solves`` and
   ``extract_cocycle_by_solves`` read an extension through section lifts,
   solving for the module coordinates of each vector (``module_coords``), and
@@ -45,6 +53,8 @@ identity kernel exactly the same reports and transported series; the block
 readers and the sparse assembly must agree with the extension oracles.
 """
 
+import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -75,13 +85,16 @@ from lyreynolds.errors import (
     InvalidInput,
     MissingModuleOp,
     OrderMismatch,
+    ParseError,
     ShapeMismatch,
 )
+from lyreynolds.fileformat import _rational
 from lyreynolds.linalg import (
     Matrix,
     add_scaled,
     block_diag,
     lincomb,
+    position,
     solve,
     unit_vector,
     vec_add,
@@ -1103,3 +1116,79 @@ def antisymmetry_failure_walk(tensor, dim, depth):
                     if x.numerator != -y.numerator or x.denominator != y.denominator:
                         return (i, j) + rest
     return None
+
+
+_INTEGER_RE = re.compile(r"-?\d+")
+
+
+def integer_by_regex(tok: str):
+    """``tok`` as an int when it fully matches ``-?\\d+``, else None."""
+    return int(tok) if _INTEGER_RE.fullmatch(tok) else None
+
+
+def index_by_regex(tok: str, dim: int, path: str, line: int) -> int:
+    value = integer_by_regex(tok)
+    if value is None or value < 1:
+        raise ParseError(f"expected a 1-based index, got {tok!r}", path, line)
+    if value > dim:
+        raise ParseError(f"index {value} out of range 1..{dim}", path, line)
+    return value - 1
+
+
+def sparse_tensor_by_lines(sec, key, dims, antisym_pair=None, split=False) -> list:
+    """The cells of the sparse lines ``i j .. val`` under ``key`` of a raw
+    section, in the form of ``fileformat._sparse_tensor``, read as the
+    earlier loader did: every line's index tuple and value parsed on their
+    own, each image set with ``setdefault`` and compared with ``!=``, the
+    line of every cell kept for the conflict message, and with ``split``
+    the cells of each leading index filtered out of all of them."""
+    cells, lines = {}, {}
+    for tokens, line in sec.lists.get(key, []):
+        if len(tokens) != len(dims) + 1:
+            raise ParseError(
+                f"{key!r} entries take {len(dims)} indices and one value",
+                sec.path, line)
+        idx = tuple(index_by_regex(t, d, sec.path, line) for t, d in zip(tokens, dims))
+        val = _rational(tokens[-1], sec.path, line)
+        images = [(idx, val)]
+        if antisym_pair is not None:
+            a, b = antisym_pair
+            swapped = list(idx)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            images.append((tuple(swapped), -val))
+        for where, value in images:
+            if cells.setdefault(where, value) != value:
+                raise ParseError(
+                    f"{key!r} entry at {tuple(i + 1 for i in where)} conflicts with "
+                    f"line {lines[where]}", sec.path, line)
+            lines.setdefault(where, line)
+    if not split:
+        return [{position(idx, dims): v for idx, v in cells.items() if v}]
+    return [{position(idx[1:], dims[1:]): v for idx, v in cells.items() if idx[0] == k and v}
+            for k in range(dims[0])]
+
+
+def slot_product_unskipped(series, maps, stride: int, dim: int) -> list:
+    """``algebra.slot_product`` over every map order up to each order of
+    the series, zero maps included."""
+    out = []
+    for s in range(len(series)):
+        acc = defaultdict(int)
+        for c, moves in enumerate(maps[:s + 1]):
+            for key, v in series[s - c].items():
+                y = key // stride % dim
+                base = key - y * stride
+                for x, p in moves[y]:
+                    acc[base + x * stride] += v * p
+        out.append(acc)
+    return out
+
+
+def cells_by_walk(table, depth: int) -> list:
+    """The ``(i, j, .., coordinate, value)`` tuple of every nonzero entry of
+    an integer table with ``depth`` levels of basis indices (nested tuples
+    above sparse leaves, as ``Tensor.at`` keeps them), in product order."""
+    nodes = [((), table)]
+    for _ in range(depth):
+        nodes = [(idx + (i,), child) for idx, node in nodes for i, child in enumerate(node)]
+    return [idx + entry for idx, leaf in nodes for entry in leaf]
