@@ -7,9 +7,17 @@
     lyreynolds deform-check FILE... --name D [--order N]
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (witness
-printed), 2 malformed input or unresolved references.  ``--json`` switches
-the report to a machine-readable form that parses back into the same
-report objects.
+printed), 2 malformed input or unresolved references (among them a file
+that is not UTF-8 and an integer over the interpreter's digit limit).
+``--json`` switches the report to a machine-readable form that parses back
+into the same report objects.
+
+Each command is declared once, in ``COMMANDS``.  A call that names a
+command builds that command's parser only, whose help and errors are the
+bytes of the full parser's subparser of that name.  Every other call, and
+one that leaves arguments over, is parsed again by the full parser
+(:func:`build_parser`), so top-level help, ``--version`` and those errors
+are its own.  Parsers are built per call and none is kept.
 """
 
 from __future__ import annotations
@@ -252,52 +260,81 @@ def cmd_deform_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--name", required=True)
+
+
+def _triple_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--operator", required=True)
+    p.add_argument("--rep", required=True)
+
+
+def _cohomology_options(p: argparse.ArgumentParser) -> None:
+    _triple_options(p)
+    p.add_argument("--complex", choices=("ly", "ro", "rly"), default="rly")
+    p.add_argument("--max-degree", type=int, default=3)
+
+
+def _deform_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--name")
+    p.add_argument("--order", type=int)
+
+
+# name -> (help, the options between FILE... and --json, handler)
+COMMANDS = {
+    "verify": ("run the verifier battery of one named object",
+               _verify_options, cmd_verify),
+    "cohomology": ("cohomology dimension table of a complex",
+                   _cohomology_options, cmd_cohomology),
+    "classify-extensions": ("degree-2 classes with verified representatives",
+                            _triple_options, cmd_classify_extensions),
+    "deform-check": ("verify a deformation order by order",
+                     _deform_options, cmd_deform_check),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of command ``name`` on ``p``, with its ``command`` and
+    ``fn`` defaults."""
+    _help, options, fn = COMMANDS[name]
+    p.add_argument("files", nargs="+")
+    options(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(command=name, fn=fn)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command, top-level help and ``--version``."""
     parser = argparse.ArgumentParser(
         prog="lyreynolds",
         description="Exact verification and cohomology for Lie-Yamaguti "
                     "algebras with Reynolds operators.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the verifier battery of one named object")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--name", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("cohomology", help="cohomology dimension table of a complex")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--operator", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--complex", choices=("ly", "ro", "rly"), default="rly")
-    p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("classify-extensions",
-                       help="degree-2 classes with verified representatives")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--operator", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_classify_extensions)
-
-    p = sub.add_parser("deform-check", help="verify a deformation order by order")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--name")
-    p.add_argument("--order", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_deform_check)
-
+    for name, (help_text, _options, _fn) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``argv``.  A call that names a command and parses
+    with nothing left over builds that command's parser only; every other
+    call (no command, an unknown or abbreviated one, top-level help or
+    ``--version``, an argument the command does not take) is parsed again
+    by :func:`build_parser`, so its usage, help and error bytes are the
+    full parser's own.  No parser outlives the call."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"lyreynolds {argv[0]}")
+        _add_command(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except (LyError, OSError) as exc:

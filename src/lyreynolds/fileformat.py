@@ -27,6 +27,7 @@ deformation constructors take without another scan.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,6 +190,21 @@ def _tokenize(path: str) -> list[_RawSection]:
     return sections
 
 
+def _undecodable(path: str) -> ParseError:
+    """The ParseError of the first line of ``path`` that is not UTF-8,
+    found by reading the bytes again, split into lines as the text read of
+    :func:`_tokenize` splits them (the error path only)."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8", "surrogateescape")
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(f"not UTF-8: byte {exc.object[exc.start]:#04x} at column "
+                              f"{exc.start + 1} ({exc.reason})", path, lineno)
+    return ParseError("not UTF-8", path)
+
+
 def _rational(tok: str, path: str, line: int) -> Fraction:
     try:
         return parse_rational(tok)
@@ -204,8 +220,18 @@ def _integer(tok: str) -> int | None:
     return int(tok) if tok.removeprefix("-").isdecimal() else None
 
 
+def _checked_integer(tok: str, path: str, line: int) -> int | None:
+    """:func:`_integer`, with a token over the interpreter's limit on the
+    digits of an int read from a string (``int`` raises ValueError) a
+    ParseError at ``line``, as ``_rational`` reports a long literal."""
+    try:
+        return _integer(tok)
+    except ValueError as exc:
+        raise ParseError(str(exc), path, line) from None
+
+
 def _index(tok: str, dim: int, path: str, line: int) -> int:
-    value = _integer(tok)
+    value = _checked_integer(tok, path, line)
     if value is None or value < 1:
         raise ParseError(f"expected a 1-based index, got {tok!r}", path, line)
     if value > dim:
@@ -217,7 +243,7 @@ def _int_scalar(sec: _RawSection, key: str, minimum: int = 0) -> int:
     if key not in sec.scalars:
         raise ParseError(f"{sec.kind} section needs {key!r}", sec.path, sec.line)
     tokens, line = sec.scalars[key]
-    value = _integer(tokens[0]) if len(tokens) == 1 else None
+    value = _checked_integer(tokens[0], sec.path, line) if len(tokens) == 1 else None
     if value is None:
         raise ParseError(f"{key!r} must be one integer", sec.path, line)
     if value < minimum:
@@ -509,8 +535,11 @@ _BUILDERS = {"algebra": _build_algebra, "operator": _build_operator,
 def load_workspace(paths) -> Workspace:
     """Parse one or more files into a workspace; names resolve across files."""
     sections: list[_RawSection] = []
-    for path in paths:
-        sections.extend(_tokenize(str(path)))
+    for path in map(str, paths):
+        try:
+            sections.extend(_tokenize(path))
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
 
     seen: dict[str, _RawSection] = {}
     for sec in sections:

@@ -44,6 +44,9 @@ sparse ones against.
   ``extract_cocycle_by_solves`` read an extension through section lifts,
   solving for the module coordinates of each vector (``module_coords``), and
   ``assemble_extension_by_cases`` fills in the total structure cell by cell.
+* ``build_parser_by_hand`` is the earlier CLI parser, every command's
+  arguments written out in place, and ``main_by_full_parser`` the earlier
+  ``cli.main``, which parses every call with it.
 
 The sparse builders must give exactly the same matrices (the integer
 builders of the representation layer the same D, induced maps and
@@ -53,12 +56,15 @@ identity kernel exactly the same reports and transported series; the block
 readers and the sparse assembly must agree with the extension oracles.
 """
 
+import argparse
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from lyreynolds import __version__, cli
 from lyreynolds.algebra import (
     IntegerRead,
     LyAlgebra,
@@ -85,6 +91,7 @@ from lyreynolds.errors import (
     InvalidInput,
     MissingModuleOp,
     OrderMismatch,
+    LyError,
     ParseError,
     ShapeMismatch,
 )
@@ -1192,3 +1199,58 @@ def cells_by_walk(table, depth: int) -> list:
     for _ in range(depth):
         nodes = [(idx + (i,), child) for idx, node in nodes for i, child in enumerate(node)]
     return [idx + entry for idx, leaf in nodes for entry in leaf]
+
+
+def build_parser_by_hand() -> argparse.ArgumentParser:
+    """The full CLI parser, each command's arguments written out in place."""
+    parser = argparse.ArgumentParser(
+        prog="lyreynolds",
+        description="Exact verification and cohomology for Lie-Yamaguti "
+                    "algebras with Reynolds operators.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="run the verifier battery of one named object")
+    p.add_argument("files", nargs="+")
+    p.add_argument("--name", required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_verify)
+
+    p = sub.add_parser("cohomology", help="cohomology dimension table of a complex")
+    p.add_argument("files", nargs="+")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--operator", required=True)
+    p.add_argument("--rep", required=True)
+    p.add_argument("--complex", choices=("ly", "ro", "rly"), default="rly")
+    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_cohomology)
+
+    p = sub.add_parser("classify-extensions",
+                       help="degree-2 classes with verified representatives")
+    p.add_argument("files", nargs="+")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--operator", required=True)
+    p.add_argument("--rep", required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_classify_extensions)
+
+    p = sub.add_parser("deform-check", help="verify a deformation order by order")
+    p.add_argument("files", nargs="+")
+    p.add_argument("--name")
+    p.add_argument("--order", type=int)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_deform_check)
+
+    return parser
+
+
+def main_by_full_parser(argv=None, build=build_parser_by_hand) -> int:
+    """``cli.main`` parsing every call with the full parser of ``build``."""
+    parser = build()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (LyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_INPUT_ERROR

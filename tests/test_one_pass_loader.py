@@ -326,6 +326,45 @@ def test_an_operator_on_a_zero_dimensional_algebra_takes_no_rows(tmp_path, capsy
     assert "operator 't' must be 0x0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, line, message", [
+    (b"\xff\xfe[algebra a]\ndim = 1\n", 1, "byte 0xff at column 1 (invalid start byte)"),
+    # lines end as the text read ends them: \r, \r\n and \n
+    (b"[algebra a]\r\ndim = 2\rbinary = 1 2 1 \xe9\n", 3,
+     "byte 0xe9 at column 16 (invalid continuation byte)"),
+    (b"[algebra a]\ndim = 1\n# caf\xe9\n", 3, "byte 0xe9 at column 6 (invalid continuation byte)"),
+    # a file longer than one chunk of the text read, undecodable at its end
+    (b"[algebra a]\ndim = 1\n" + b"# comment\n" * 2000 + b"\xc3(\n", 2003,
+     "byte 0xc3 at column 1 (invalid continuation byte)"),
+])
+def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(tmp_path, capsys, data, line,
+                                                               message):
+    path = tmp_path / "bad.lyr"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_workspace([path])
+    assert (err.value.path, err.value.line) == (str(path), line)
+    assert main(["verify", str(path), "--name", "a"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8: {message}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no limit on the digits of an int")
+@pytest.mark.parametrize("text, line", [
+    ("dim = " + "1" * 5000 + "\n", 2),
+    ("dim = 2\nbinary = 1 " + "1" * 5000 + " 1 1\n", 3),
+    ("dim = 2\nternary = 1 2 -" + "2" * 5000 + " 1 1\n", 3),
+])
+def test_an_integer_over_the_digit_limit_is_a_parse_error_at_its_line(tmp_path, capsys, text,
+                                                                      line):
+    path = tmp_path / "long.lyr"
+    path.write_text("[algebra a]\n" + text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_workspace([path])
+    assert err.value.line == line
+    assert main(["verify", str(path), "--name", "a"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: Exceeds the limit")
+
+
 def test_slot_product_skipping_zero_map_orders_equals_the_unskipped_product():
     rng = random.Random(2506)
     for _ in range(200):
