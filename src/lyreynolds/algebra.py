@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, combinations, product
 from math import lcm, prod
 
@@ -36,7 +36,6 @@ from .linalg import (
     digits,
     position,
     unit_vector,
-    vec_add,
 )
 from .reporting import AxiomReport, Check
 
@@ -44,11 +43,11 @@ class Tensor:
     """A frozen tensor: ``depth`` levels of basis indices, each of ``dim``
     values, above vectors of length ``width``.  It stores its nonzero
     Fraction entries only, ``cells``, keyed by position in the mixed radix
-    ``shape`` = (dim,)*depth + (width,) (see :func:`flat_table`), positions
-    increasing.  ``den`` is their least common denominator, and ``at(L)``,
-    for a multiple L of den, the integer view that :class:`IntegerRead`
-    takes: nested tuples over the basis indices above each vector's nonzero
-    ``(coordinate, L value)`` pairs.  Both are built on first use and kept.
+    ``shape`` = (dim,)*depth + (width,), positions increasing.  ``den`` is
+    their least common denominator, and ``scaled(L)``, for a multiple L of
+    den, the integer table that :class:`IntegerRead` takes: L times each
+    cell, as ``{position: int}`` keyed as ``cells``.  Both are built on
+    first use and kept; no consumer writes into a table.
 
     ``t[i][j]..``, iteration and ``repr`` read the nested tuple of
     Fractions, a view built on first access; ``len`` is ``dim``.  ``==``
@@ -68,7 +67,7 @@ class Tensor:
     def __init__(self, cells: dict, dim: int, depth: int, width: int,
                  antisymmetric: bool = False):
         self.cells = dict(sorted(cells.items()))
-        self.dim, self.depth, self.width, self._views = dim, depth, width, {}
+        self.dim, self.depth, self.width, self._tables = dim, depth, width, {}
         self.shape = (dim,) * depth + (width,)
         self.antisymmetric = antisymmetric
 
@@ -91,13 +90,11 @@ class Tensor:
     def den(self) -> int:
         return lcm(*{v.denominator for v in self.cells.values()})
 
-    def at(self, den: int) -> tuple:
-        if den not in self._views:
-            leaves, w = [[] for _ in range(self.dim ** self.depth)], self.width
-            for p, v in self.cells.items():
-                leaves[p // w].append((p % w, v.numerator * (den // v.denominator)))
-            self._views[den] = _view(tuple(map(tuple, leaves)), self.shape[:-1])
-        return self._views[den]
+    def scaled(self, den: int) -> dict:
+        if den not in self._tables:
+            self._tables[den] = {p: v.numerator * (den // v.denominator)
+                                 for p, v in self.cells.items()}
+        return self._tables[den]
 
     @cached_property
     def _nested(self) -> tuple:
@@ -208,9 +205,9 @@ def orbit_tuples(dim: int, shape):
     therefore a union of orbits of those swaps, and the increasing tuple of
     an orbit is its lexicographic minimum, because the groups are
     consecutive slots.  The first failure over these tuples, with its
-    residual, is the first failure in product order over all of them.  The
-    representation identities and the morphism check scan them; LY1-LY6 are
-    written onto them (see :func:`_ly_identities`).
+    residual, is the first failure in product order over all of them (see
+    :func:`first_failing_tuple`).  The representation identities scan them;
+    LY1-LY6 are written onto them (see :func:`_ly_identities`).
     """
     return (tuple(chain.from_iterable(groups))
             for groups in product(*(combinations(range(dim), k) for k in shape)))
@@ -323,19 +320,17 @@ class IntegerRead:
     ``den`` is the least common multiple of the weight's denominator and of
     the denominators that each tensor (:class:`Tensor`) and each matrix
     (its integer form) keep; then ``f[i]`` and ``g[i]`` are L F_i and L
-    G_i, nested over basis indices above each vector's nonzero ``(index,
-    value)`` pairs (the tensor's kept view at L), ``tensors`` the pair of
-    series of the frozen tensors themselves, whose cells the LY battery
-    reads at L (:func:`_cells`), ``t_col[i][x]`` is L T_i
-    e_x (from T_i's kept transpose), ``t_row[i][y]`` the row y of L T_i,
-    ``lw`` is L times the weight, and ``rows`` keeps its nesting with each
-    matrix as L times its stored rows.  A tensor given as plain nested
-    tuples is frozen first.  Each battery and builder brings its terms to
-    one power of L and divides an output entry back once; a deformation is
-    read once for all its orders.
+    G_i as ``{position: int}`` tables keyed as the tensor's cells (its kept
+    ``scaled(L)``, read-only), ``dim`` is the tensors' dimension (None
+    without any), ``t_col[i][x]`` is L T_i e_x (from T_i's kept transpose),
+    ``t_row[i][y]`` the row y of L T_i, ``lw`` is L times the weight, and
+    ``rows`` keeps its nesting with each matrix as L times its stored rows.
+    A tensor given as plain nested tuples is frozen first.  Each battery
+    and builder brings its terms to one power of L and divides an output
+    entry back once; a deformation is read once for all its orders.
     """
 
-    __slots__ = ("den", "f", "g", "tensors", "t_col", "t_row", "lw", "rows")
+    __slots__ = ("den", "dim", "f", "g", "t_col", "t_row", "lw", "rows")
 
     def __init__(self, F=(), G=(), Tt=(), weight=0, rows=()):
         weight = Fraction(weight)
@@ -343,9 +338,9 @@ class IntegerRead:
         G = [_freeze(t, len(t), 3) for t in G]
         self.den = den = lcm(weight.denominator, *{t.den for t in (*F, *G)},
                              *{mat.integer[0] for mat in (*Tt, *_matrices(rows))})
-        self.f = tuple(t.at(den) for t in F)
-        self.g = tuple(t.at(den) for t in G)
-        self.tensors = (F, G)
+        self.dim = next((t.dim for t in (*F, *G)), None)
+        self.f = tuple(t.scaled(den) for t in F)
+        self.g = tuple(t.scaled(den) for t in G)
         self.t_col = tuple(_scaled_rows(t.transpose(), den) for t in Tt)
         self.t_row = tuple(_scaled_rows(t, den) for t in Tt)
         self.lw = (weight * den).numerator
@@ -374,11 +369,11 @@ def dense_vector(acc: dict, dim: int, den: int = 1, start: int = 0) -> Vector:
 
 
 def flat_table(table, shape) -> dict:
-    """An integer table (nested tuples above sparse ``(index, value)``
-    leaves, as :class:`IntegerRead` keeps them) as one ``{position: value}``
-    dict, a position being the place in product order over ``shape``: a
-    mixed radix, e.g. (n, n, n) for a binary bracket and (n,)*k + (m, m)
-    for a k-linear map into operators on an m-dimensional module."""
+    """Integer matrix rows (nested tuples above sparse ``(index, value)``
+    rows, as :class:`IntegerRead` keeps them) as one ``{position: value}``
+    dict, a tensor's format, a position being the place in product order
+    over ``shape``: a mixed radix, e.g. (n, n, n) for a binary bracket and
+    (n,)*k + (m, m) for a k-linear map into operators on a module."""
     size, leaves = shape[-1], table
     for _ in range(len(shape) - 2):
         leaves = chain.from_iterable(leaves)
@@ -411,11 +406,10 @@ def slot_product(series, maps, stride: int, dim: int) -> list:
     return out
 
 
-def transport(tables, arity: int, dim: int, pre, post) -> list:
-    """A series X of integer tables of ``arity`` arguments moved to post o X
-    o (pre x .. x pre) order by order, as ``{position: int}`` dicts: ``pre``
-    is a series of maps for every argument slot, ``post`` one for the output."""
-    series = [flat_table(t, (dim,) * (arity + 1)) for t in tables]
+def transport(series, arity: int, dim: int, pre, post) -> list:
+    """A series X of ``{position: int}`` tables of ``arity`` arguments
+    moved to post o X o (pre x .. x pre) order by order: ``pre`` is a
+    series of maps for every argument slot, ``post`` one for the output."""
     for slot in range(arity):
         series = slot_product(series, pre, dim ** (arity - slot), dim)
     return slot_product(series, post, 1, dim)
@@ -464,18 +458,20 @@ def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> Tensor:
 
 
 def tuple_residual(acc: dict, shape):
-    """A flat ``{position: value}`` dict of ``shape`` (see :func:`flat_table`)
-    as a residual for :func:`reporting.first_failure` over basis tuples: the
+    """The one by-tuple reader of a flat ``{position: value}`` dict of
+    ``shape`` (see :func:`flat_table`), a read's tensor or a residual: the
     map from the digits above a leaf (a basis tuple, or one and a row) to
-    its nonzero entries."""
+    its nonzero entries, as a ``{coordinate: value}`` dict."""
     leaf = shape[-1]
-    vectors = defaultdict(dict)
+    rows = defaultdict(dict)
     for p, v in acc.items():
         if v:
-            vectors[p // leaf][p % leaf] = v
+            rows[p // leaf][p % leaf] = v
+    # keyed by the digits themselves, so that a read hashes the tuple only
+    vectors = {digits(r, shape[:-1]): vector for r, vector in rows.items()}
 
     def residual(*idx):
-        return vectors.get(position(idx, shape), {})
+        return vectors.get(idx, {})
 
     return residual
 
@@ -485,9 +481,8 @@ class LyAlgebra:
     """Structure constants of a Lie-Yamaguti algebra plus optional labels.
 
     ``binary`` and ``ternary`` are tensors (:class:`Tensor`) that keep
-    their integer read.  The hash is computed once, from the integer view of each
-    tensor at its own denominator (equal tensors have equal views), and
-    kept."""
+    their integer read.  The hash is computed once, from the cells of each
+    tensor (equal tensors have equal cells), and kept."""
 
     dim: int
     binary: Tensor
@@ -506,8 +501,8 @@ class LyAlgebra:
 
     @cached_property
     def _hash(self) -> int:
-        b, t = self.binary, self.ternary
-        return hash((self.dim, b.den, b.at(b.den), t.den, t.at(t.den), self.labels))
+        return hash((self.dim, tuple(self.binary.cells.items()),
+                     tuple(self.ternary.cells.items()), self.labels))
 
     def __hash__(self):
         return self._hash
@@ -533,23 +528,23 @@ def bracket3(algebra: LyAlgebra, x, y, z) -> Vector:
     return apply_ternary(algebra.ternary, x, y, z)
 
 
-def _cells(tensor: Tensor, den: int) -> list:
-    """The ``(i, j, .., coordinate, value)`` tuple of every cell of a binary
-    or ternary ``tensor``, value den times its entry (den a multiple of the
-    tensor's), in product order: decoded from the cells the tensor keeps by
-    position, with no walk of a nested view."""
-    d, w, out = tensor.dim, tensor.width, []
-    if tensor.depth == 2:
-        for p, v in tensor.cells.items():
-            p, k = divmod(p, w)
+def _cells(table: dict, d: int, depth: int) -> list:
+    """The ``(i, j, .., coordinate, value)`` tuple of every entry of the
+    ``{position: int}`` table of a binary (``depth`` 2) or ternary (3)
+    tensor of dimension ``d`` (see :class:`IntegerRead`), in the table's
+    order, product order for a read's: decoded from the positions."""
+    out = []
+    if depth == 2:
+        for p, v in table.items():
+            p, k = divmod(p, d)
             i, j = divmod(p, d)
-            out.append((i, j, k, v.numerator * (den // v.denominator)))
+            out.append((i, j, k, v))
     else:
-        for p, v in tensor.cells.items():
-            p, k = divmod(p, w)
+        for p, v in table.items():
+            p, k = divmod(p, d)
             p, l = divmod(p, d)
             i, j = divmod(p, d)
-            out.append((i, j, l, k, v.numerator * (den // v.denominator)))
+            out.append((i, j, l, k, v))
     return out
 
 
@@ -581,9 +576,9 @@ def _ly_identities(read: IntegerRead) -> list:
     # the read is L times every coefficient: LY1 and LY2 are then L times,
     # and LY3-LY6 L^2 times the exact residual (the lone G_n term of LY3 is
     # multiplied by L)
-    den, d = read.den, len(read.f[0])
+    den, d = read.den, read.dim
     d2 = d * d
-    fc, gc = ([_cells(t, den) for t in series] for series in read.tensors)
+    fc, gc = [_cells(t, d, 2) for t in read.f], [_cells(t, d, 3) for t in read.g]
     # the inner cells, with the increasing pair (a, b) also as one digit
     # ab = a d + b of base d^2
     f_up = [[(a, b, a * d + b, w, u) for a, b, w, u in cells if a < b] for cells in fc]
@@ -657,25 +652,28 @@ def _ly_identities(read: IntegerRead) -> list:
     return out
 
 
+def first_failing_tuple(acc: dict, shape):
+    """The digits above the last axis of the least nonzero position of a
+    flat residual of ``shape``, or None: the first failing tuple in product
+    order, and over :func:`orbit_tuples` when it is antisymmetric."""
+    bad = min((p for p, v in acc.items() if v), default=None)
+    return None if bad is None else digits(bad // shape[-1], shape[:-1])
+
+
 def _axiom_report(names, identities, dim: int) -> AxiomReport:
     """One check per named ``(depth, acc, den)`` identity: ``acc`` is a flat
     ``{position: int}`` dict (see :func:`flat_table`) over ``depth`` basis
     indices and an output coordinate, holding den times the residual.  The
-    witness is the basis tuple of the least nonzero position, the first
-    failing tuple in product order, and the residual its row of exact
-    values.  An identity antisymmetric within groups of slots written on
-    every tuple fails first on a tuple increasing within each group, as
-    one written on those tuples only (see :func:`orbit_tuples`)."""
+    witness is its :func:`first_failing_tuple`, and the residual that
+    tuple's row of exact values.  An identity antisymmetric within groups
+    of slots written on every tuple fails first on a tuple increasing
+    within each group, as one written on those tuples only."""
     checks = []
     for name, (depth, acc, den) in zip(names, identities):
-        bad = min((p for p, v in acc.items() if v), default=None)
-        if bad is None:
-            checks.append(Check(name, True))
-            continue
-        row = bad // dim
-        checks.append(Check(name, False,
-                            tuple(row // dim ** s % dim for s in range(depth - 1, -1, -1)),
-                            dense_vector(acc, dim, den, row * dim)))
+        shape = (dim,) * (depth + 1)
+        bad = first_failing_tuple(acc, shape)
+        checks.append(Check(name, True) if bad is None else Check(
+            name, False, bad, dense_vector(acc, dim, den, position(bad, shape) * dim)))
     return AxiomReport(tuple(checks))
 
 
@@ -699,24 +697,23 @@ def _morphism_failure(phi, source: LyAlgebra, target: LyAlgebra):
     to carry a bracket of ``source`` to the same bracket of ``target``: the
     pairs (i, j) of the binary bracket come before the triples (i, j, k) of
     the ternary one.  None when ``phi`` is a morphism of both brackets.
-    Both conditions are antisymmetric in i, j, so only i < j is visited
-    (see :func:`orbit_tuples`).
+    Both conditions are antisymmetric in i, j, so the witness has i < j
+    (see :func:`first_failing_tuple`).
 
     Over one integer read of both algebras and phi, L phi o F_src and
     F_tgt o1 phi o2 phi are whole-tensor slot products at L^3, L^2 phi o
-    G_src and G_tgt o1 phi o2 phi o3 phi at L^4, compared tuple by tuple."""
+    G_src and G_tgt o1 phi o2 phi o3 phi at L^4, compared whole."""
     n = source.dim
     read = IntegerRead((source.binary, target.binary), (source.ternary, target.ternary),
                        (phi,))
-    for depth, (src, tgt), shape in ((2, read.f, (2,)), (3, read.g, (2, 1))):
-        dims = (n,) * (depth + 1)
-        pulled = [flat_table(tgt, dims)]
+    for depth, (src, tgt) in ((2, read.f), (3, read.g)):
+        pulled = [tgt]
         for slot in range(depth):
             pulled = slot_product(pulled, read.t_row, n ** (depth - slot), n)
-        pushed = slot_product([flat_table(src, dims)], read.t_col, 1, n)
-        residual = tuple_residual(
-            series_lincomb((read.den ** (depth - 1), pushed), (-1, pulled))[0], dims)
-        bad = next((t for t in orbit_tuples(n, shape) if residual(*t)), None)
+        pushed = slot_product([src], read.t_col, 1, n)
+        bad = first_failing_tuple(
+            series_lincomb((read.den ** (depth - 1), pushed), (-1, pulled))[0],
+            (n,) * (depth + 1))
         if bad is not None:
             return bad
     return None
@@ -764,24 +761,31 @@ def from_leibniz(star, labels=None) -> LyAlgebra:
     """Left Leibniz algebra as a Lie-Yamaguti algebra.
 
     Brackets: [x,y] = x*y - y*x and {x,y,z} = -(x*y)*z.  The left Leibniz
-    identity x*(y*z) = (x*y)*z + y*(x*z) is verified on basis triples first;
-    it is what makes the ternary bracket antisymmetric in its first slots.
+    identity x*(y*z) = (x*y)*z + y*(x*z) is verified over the cells first,
+    naming the first failing basis triple; it is what makes the ternary
+    bracket antisymmetric in its first slots.
     """
     dim = len(star)
-    star = _freeze(star, dim, 2)
-    unit = partial(unit_vector, dim)
-    for i, j, k in product(range(dim), repeat=3):
-        lhs = apply_binary(star, unit(i), star[j][k])
-        rhs = vec_add(apply_binary(star, star[i][j], unit(k)),
-                      apply_binary(star, unit(j), star[i][k]))
-        if lhs != rhs:
-            raise NotLeibniz(
-                f"left Leibniz identity fails at basis triple ({i},{j},{k})")
-    cells, binary = dict(star.entries()), defaultdict(int)
+    cells = dict(_freeze(star, dim, 2).entries())
+    # (e_i * e_j) * e_k, and e_i * (e_j * e_k) as (e_k o e_j) o e_i for the
+    # opposite product x o y = y * x, keyed (k, j, i, l)
+    outer = _bracket_of_bracket(cells, range(dim))
+    opposite = {(j, i, k): v for (i, j, k), v in cells.items()}
+    residual = defaultdict(int)
+    for (k, j, i, l), v in _bracket_of_bracket(opposite, range(dim)).items():
+        residual[i, j, k, l] += v
+        residual[j, i, k, l] -= v
+    for idx, v in outer.items():
+        residual[idx] -= v
+    bad = min((idx[:3] for idx, v in residual.items() if v), default=None)
+    if bad is not None:
+        raise NotLeibniz(
+            f"left Leibniz identity fails at basis triple ({','.join(map(str, bad))})")
+    binary = defaultdict(int)
     for (i, j, k), v in cells.items():
         binary[i, j, k] += v
         binary[j, i, k] -= v
-    ternary = {idx: -v for idx, v in _bracket_of_bracket(cells, range(dim)).items()}
+    ternary = {idx: -v for idx, v in outer.items()}
     return LyAlgebra(dim, Tensor.of_indices(binary, dim, 2, dim),
                      Tensor.of_indices(ternary, dim, 3, dim), labels)
 

@@ -55,6 +55,7 @@ from .algebra import (
     _freeze,
     _require_antisymmetric,
     series_lincomb,
+    tuple_residual,
     twist,
 )
 from .errors import (
@@ -386,7 +387,10 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
     w = len(pairs)
     read = IntegerRead((algebra.binary,), (algebra.ternary,),
                        rows=(rep.rho, rep.theta, d_table(algebra, rep)))
-    b, t = read.f[0], read.g[0]
+    b, t = tuple_residual(read.f[0], (n,) * 3), tuple_residual(read.g[0], (n,) * 4)
+    # the leaves at each wedge pair (x, y): [x, y], and {x, y, z} for each z
+    b_at = [b(*pair).items() for pair in pairs]
+    t_at = [[t(*pair, z).items() for z in range(n)] for pair in pairs]
     rho, theta, dd = read.rows
     eye = [((a, 1),) for a in range(m)]
     rows = [{} for _ in range(cochain_dim(degree + 1, n, m))]
@@ -414,8 +418,8 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
     g_out = w ** (q + 1) * m
     unit = [((z, 1),) for z in range(n)]
     # nonzero wedge coordinates of {x_k,y_k,x_l} ^ y_l + x_l ^ {x_k,y_k,y_l}
-    subst = [[_wedge(n, (t[xk][yk][xl], unit[yl]), (unit[xl], t[xk][yk][yl]))
-              for (xl, yl) in pairs] for (xk, yk) in pairs]
+    subst = [[_wedge(n, (tk[xl], unit[yl]), (unit[xl], tk[yl])) for (xl, yl) in pairs]
+             for tk in t_at]
 
     def flat(slots):
         idx = 0
@@ -443,7 +447,7 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
         out = idx * m
         add(out, sign_q, rho[xq], g_col(head, yq))
         add(out, -sign_q, rho[yq], g_col(head, xq))
-        add_vec(out, -sign_q, b[xq][yq], g_col(head, 0))
+        add_vec(out, -sign_q, b_at[ks[q]], g_col(head, 0))
         for kk in range(q):
             add(out, alt[kk], dd[xs[kk][0]][xs[kk][1]], f_col(rest[kk]))
         for coef, slots in substituted:
@@ -458,7 +462,7 @@ def _ly_matrix(algebra: LyAlgebra, rep: Representation, degree: int) -> Matrix:
             for coef, slots in substituted:
                 add(out, coef, eye, g_col(slots, z))
             for kk in range(q + 1):
-                add_vec(out, -alt[kk], t[xs[kk][0]][xs[kk][1]][z], g_col(rest[kk], 0))
+                add_vec(out, -alt[kk], t_at[ks[kk]][z], g_col(rest[kk], 0))
     return Matrix.from_integer_rows(rows, cochain_dim(degree, n, m), read.den)
 
 

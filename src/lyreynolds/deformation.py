@@ -25,6 +25,7 @@ from .algebra import (
     _require_antisymmetric,
     dense_tensor,
     dense_vector,
+    flat_table,
     transport,
     zero_binary,
     zero_ternary,
@@ -238,7 +239,8 @@ def apply_equivalence(deformation: TruncatedDeformation,
     new_g = tuple(dense_tensor(acc, 3, n, scale * psi.den ** 3)
                   for acc in transport(read.g, 3, n, psi.t_row, phi.t_col))
     new_t = tuple(Matrix(n, n, dense_vector(acc, n * n, scale * psi.den)).transpose()
-                  for acc in transport(read.t_col, 1, n, psi.t_row, phi.t_col))
+                  for acc in transport([flat_table(t, (n, n)) for t in read.t_col], 1, n,
+                                       psi.t_row, phi.t_col))
     return TruncatedDeformation(deformation.order, new_f, new_g, new_t)
 
 

@@ -156,7 +156,8 @@ class Workspace:
 def _tokenize(path: str) -> list[_RawSection]:
     sections: list[_RawSection] = []
     current: _RawSection | None = None
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig: a leading byte order mark is dropped, not read as content
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -193,9 +194,11 @@ def _tokenize(path: str) -> list[_RawSection]:
 def _undecodable(path: str) -> ParseError:
     """The ParseError of the first line of ``path`` that is not UTF-8,
     found by reading the bytes again, split into lines as the text read of
-    :func:`_tokenize` splits them (the error path only)."""
+    :func:`_tokenize` splits them, a leading byte order mark dropped as it
+    drops it, so that columns on line 1 count from the content (the error
+    path only)."""
     with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8", "surrogateescape")
+        text = handle.read().decode("utf-8-sig", "surrogateescape")
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         try:
             line.encode("utf-8", "surrogateescape").decode("utf-8")

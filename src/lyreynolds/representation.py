@@ -46,6 +46,7 @@ from .algebra import (
     IntegerRead,
     LyAlgebra,
     expand,
+    first_failing_tuple,
     flat_table,
     orbit_tuples,
     series_lincomb,
@@ -157,15 +158,15 @@ def _integer_d(read: IntegerRead, m: int):
     """L^2 D(e_i, e_j) as stored rows, from the read of the binary structure
     constants and of rho and theta (its first two ``rows``) over L.  D is
     antisymmetric (the bracket is), so only i < j is computed."""
-    den, f, (rho, theta, *_) = read.den, read.f[0], read.rows
-    n = len(rho)
+    den, n, (rho, theta, *_) = read.den, read.dim, read.rows
+    f = tuple_residual(read.f[0], (n,) * 3)
     zero = ((),) * m
     out = [[zero] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         acc = [{} for _ in range(m)]
         add_rows(acc, den, theta[j][i])
         add_rows(acc, -den, theta[i][j])
-        _op_at(acc, -1, rho, (f[i][j],))
+        _op_at(acc, -1, rho, (f(i, j).items(),))
         add_product(acc, 1, rho[i], rho[j])
         add_product(acc, -1, rho[j], rho[i])
         out[i][j] = _rows(acc)
@@ -208,8 +209,8 @@ def _rep_identities(read: IntegerRead, m: int):
     product of two of the first is at L^2 and one with D at L^3.  Each
     identity is brought to the power of L of its highest term: the terms
     one power short are multiplied by L."""
-    den, f, g, (rho, theta) = read.den, read.f[0], read.g[0], read.rows
-    n = len(rho)
+    den, n, (rho, theta) = read.den, read.dim, read.rows
+    f, g = tuple_residual(read.f[0], (n,) * 3), tuple_residual(read.g[0], (n,) * 4)
     dd = _integer_d(read, m)
     # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
     # that linearity in the first slot is a sum over a column
@@ -218,7 +219,7 @@ def _rep_identities(read: IntegerRead, m: int):
 
     def theta_of_bracket(x, y, a):
         acc = [{} for _ in range(m)]
-        _op_at(acc, 1, theta_col[a], (f[x][y],))
+        _op_at(acc, 1, theta_col[a], (f(x, y).items(),))
         add_product(acc, -1, theta[x][a], rho[y])
         add_product(acc, 1, theta[y][a], rho[x])
         return acc
@@ -227,12 +228,12 @@ def _rep_identities(read: IntegerRead, m: int):
         acc = [{} for _ in range(m)]
         add_product(acc, 1, dd[a][b], rho[x])
         add_product(acc, -1, rho[x], dd[a][b])
-        _op_at(acc, -den, rho, (g[a][b][x],))
+        _op_at(acc, -den, rho, (g(a, b, x).items(),))
         return acc
 
     def rho_of_bracket(x, a, b):
         acc = [{} for _ in range(m)]
-        _op_at(acc, 1, theta[x], (f[a][b],))
+        _op_at(acc, 1, theta[x], (f(a, b).items(),))
         add_product(acc, -1, rho[a], theta[x][b])
         add_product(acc, 1, rho[b], theta[x][a])
         return acc
@@ -241,13 +242,13 @@ def _rep_identities(read: IntegerRead, m: int):
         acc = [{} for _ in range(m)]
         add_product(acc, 1, dd[a][b], theta[x][y])
         add_product(acc, -1, theta[x][y], dd[a][b])
-        _op_at(acc, -den, theta_col[y], (g[a][b][x],))
-        _op_at(acc, -den, theta[x], (g[a][b][y],))
+        _op_at(acc, -den, theta_col[y], (g(a, b, x).items(),))
+        _op_at(acc, -den, theta[x], (g(a, b, y).items(),))
         return acc
 
     def theta_of_ternary(a, x, y, z):
         acc = [{} for _ in range(m)]
-        _op_at(acc, den, theta[a], (g[x][y][z],))
+        _op_at(acc, den, theta[a], (g(x, y, z).items(),))
         add_product(acc, -den, theta[y][z], theta[a][x])
         add_product(acc, den, theta[x][z], theta[a][y])
         add_product(acc, -1, dd[x][y], theta[a][z])
@@ -255,17 +256,17 @@ def _rep_identities(read: IntegerRead, m: int):
 
     def d_cyclic(x, y, z):
         acc = [{} for _ in range(m)]
-        _op_at(acc, 1, d_col[z], (f[x][y],))
-        _op_at(acc, 1, d_col[x], (f[y][z],))
-        _op_at(acc, 1, d_col[y], (f[z][x],))
+        _op_at(acc, 1, d_col[z], (f(x, y).items(),))
+        _op_at(acc, 1, d_col[x], (f(y, z).items(),))
+        _op_at(acc, 1, d_col[y], (f(z, x).items(),))
         return acc
 
     def d_d_compat(a, b, x, y):
         acc = [{} for _ in range(m)]
         add_product(acc, 1, dd[a][b], dd[x][y])
         add_product(acc, -1, dd[x][y], dd[a][b])
-        _op_at(acc, -den, d_col[y], (g[a][b][x],))
-        _op_at(acc, -den, dd[x], (g[a][b][y],))
+        _op_at(acc, -den, d_col[y], (g(a, b, x).items(),))
+        _op_at(acc, -den, dd[x], (g(a, b, y).items(),))
         return acc
 
     square = den * den
@@ -445,7 +446,7 @@ def _intertwining_failure(op: ReynoldsOperator, source: Representation,
     Over one integer read of T, T_V and both representations, X_src o T_V
     and T_V o X_tgt(T.., ..T) are whole-tensor slot products (see
     algebra.slot_product) at L^2 and L^(k+2) for k arguments, compared
-    tuple by tuple once brought to one power of L."""
+    whole once brought to one power of L (see algebra.first_failing_tuple)."""
     n, m = source.algebra_dim, source.module_dim
     read = IntegerRead(Tt=(op.matrix, source.module_op),
                        rows=(source.rho, source.theta, target.rho, target.theta))
@@ -457,9 +458,8 @@ def _intertwining_failure(op: ReynoldsOperator, source: Representation,
             pulled = slot_product(pulled, read.t_row[:1], prod(shape[slot + 1:]), n)
         pushed = slot_product(pulled, read.t_col[1:], m, m)
         moved = slot_product([flat_table(src, shape)], read.t_row[1:], 1, m)
-        residual = tuple_residual(series_lincomb((read.den ** k, moved), (-1, pushed))[0],
+        bad = first_failing_tuple(series_lincomb((read.den ** k, moved), (-1, pushed))[0],
                                   (n,) * k + (m * m,))
-        bad = next((t for t in product(range(n), repeat=k) if residual(*t)), None)
         if bad is not None:
             return bad
     return None

@@ -38,7 +38,6 @@ from .algebra import (
     _axiom_report,
     _morphism_failure,
     dense_tensor,
-    flat_table,
     series_lincomb,
     slot_product,
     twist,
@@ -99,13 +98,12 @@ def _reynolds_terms(read: IntegerRead):
     L^2 B + c L w A with c = 1 for F and c = 2 for G.  A is L^3 (L^4) and
     inner L^4 (L^5) times the exact series.
     """
-    dim = len(read.f[0])
+    dim = read.dim
     square = read.den ** 2
     terms = []
     for tables, arity, c in ((read.f, 2, 1), (read.g, 3, 2)):
         shape = (dim,) * (arity + 1)
-        a, b = twist([flat_table(t, shape) for t in tables], shape,
-                     [(slot, read.t_row, None) for slot in range(arity)])
+        a, b = twist(tables, shape, [(slot, read.t_row, None) for slot in range(arity)])
         terms.append((a, series_lincomb((square, b), (c * read.lw, a))))
     return terms
 
@@ -116,9 +114,8 @@ def _reynolds_identities(read: IntegerRead):
     den)`` triples (see algebra._axiom_report), both antisymmetric in their
     first two slots.  A residual is L^2 A - T o inner of
     :func:`_reynolds_terms` at order n, at L^5 (binary) or L^6 (ternary)."""
-    dim = len(read.f[0])
     square = read.den ** 2
-    residuals = [series_lincomb((square, a), (-1, slot_product(inner, read.t_col, 1, dim)))
+    residuals = [series_lincomb((square, a), (-1, slot_product(inner, read.t_col, 1, read.dim)))
                  for a, inner in _reynolds_terms(read)]
     return [((2, binary, read.den ** 5), (3, ternary, read.den ** 6))
             for binary, ternary in zip(*residuals)]
@@ -201,11 +198,10 @@ def _derivation_identities(read: IntegerRead):
     slots.  Each residual is D o F - F o1 D - F o2 D (D o G - G o1 D -
     G o2 D - G o3 D) as whole-tensor slot products, L^2 times the exact
     one."""
-    dim = len(read.f[0])
+    dim = read.dim
     identities = []
     for depth, table in ((2, read.f[0]), (3, read.g[0])):
-        dims = (dim,) * (depth + 1)
-        series = [flat_table(table, dims)]
+        series = [table]
         terms = [(-1, slot_product(series, read.t_row, dim ** (depth - slot), dim))
                  for slot in range(depth)]
         residual = series_lincomb((1, slot_product(series, read.t_col, 1, dim)), *terms)

@@ -20,14 +20,17 @@ sparse ones against.
   verifiers and the transport written with dense vectors and whole-matrix
   sums and products.
 * ``orbit_ly_identities`` is the earlier sparse LY1-LY6, one orbit tuple at
-  a time, each product a ``contract`` of nested integer tables, and
+  a time, each product a ``contract`` of nested integer tables that it
+  walks from the tensors itself (``integer_view``), and
   ``verify_ly_axioms_by_orbits`` runs it.
 * ``d_table_dense``, ``induced_rep_dense`` and ``descendant_algebra_dense``
   build the derived pair map, the induced representation and the
   descendant brackets from whole-matrix sums and products and dense
   vectors.
 * ``morphism_failure_dense`` compares the image of each bracket of basis
-  vectors with the bracket of their images, as dense vectors.
+  vectors with the bracket of their images, as dense vectors, and
+  ``leibniz_failure_dense`` checks the left Leibniz identity of a star
+  product on every basis triple the same way.
 * ``antisymmetry_failure_scan`` compares every entry with the negation of
   its swapped partner on every basis tuple, for entries of any type, and
   ``antisymmetry_failure_walk`` is the earlier dense walk over i <= j that
@@ -38,8 +41,8 @@ sparse ones against.
   at a time with the line of each cell kept, and a deformation's orders
   filtered out of the whole afterwards.  ``slot_product_unskipped`` is the
   truncated slot product that visits every map order, and
-  ``cells_by_walk`` lists the cells of an integer table by walking its
-  nested view.
+  ``cells_by_walk`` lists the cells of a tensor times a denominator by
+  walking its nested view of Fractions.
 * ``base_data_by_solves``, ``extract_rep_by_solves`` and
   ``extract_cocycle_by_solves`` read an extension through section lifts,
   solving for the module coordinates of each vector (``module_coords``), and
@@ -63,11 +66,12 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 
 from lyreynolds import __version__, cli
 from lyreynolds.algebra import (
-    IntegerRead,
     LyAlgebra,
+    _freeze,
     apply_binary,
     apply_ternary,
     bracket2,
@@ -588,14 +592,27 @@ def contract(acc: dict, c, table, vecs) -> None:
             add_scaled(acc, k if a == 1 else a if k == 1 else a * k, node[i])
 
 
-def orbit_ly_identities(read: IntegerRead, n: int):
-    """LY1-LY6 at order ``n`` of the series F and G of ``read``, as
-    ``(shape, residual, den)`` triples: a residual maps one basis tuple to
-    den times the order-n coefficient of LHS - RHS, as a ``{coordinate:
-    value}`` dict, each product a :func:`contract` summed over the
-    splittings i + (n - i).  LY3-LY6 are antisymmetric within the groups of
-    their shape; LY1 and LY2 are not, so theirs is all ones."""
-    den, f, g = read.den, read.f, read.g
+def integer_view(node, depth: int, den: int) -> tuple:
+    """den times a tensor with ``depth`` levels of basis indices, den a
+    multiple of its denominators, nested over those indices above each
+    vector's nonzero ``(coordinate, value)`` pairs: walked from the nested
+    view of Fractions."""
+    if depth == 0:
+        return tuple((k, v.numerator * (den // v.denominator)) for k, v in enumerate(node) if v)
+    return tuple(integer_view(child, depth - 1, den) for child in node)
+
+
+def orbit_ly_identities(F, G, n: int):
+    """LY1-LY6 at order ``n`` of the series F and G of binary and ternary
+    tensors, as ``(shape, residual, den)`` triples: a residual maps one
+    basis tuple to den times the order-n coefficient of LHS - RHS, as a
+    ``{coordinate: value}`` dict, each product a :func:`contract` of
+    nested integer views (:func:`integer_view`) summed over the splittings
+    i + (n - i).  LY3-LY6 are antisymmetric within the groups of their
+    shape; LY1 and LY2 are not, so theirs is all ones."""
+    den = lcm(*(t.den for t in (*F, *G)))
+    f = [integer_view(t, 2, den) for t in F]
+    g = [integer_view(t, 3, den) for t in G]
     # g_second[i][x][z] is v -> G_i(e_x, v, e_z); v -> F_i(v, e_c) is
     # -f[i][c] and v -> G_i(v, e_y, e_z) is -g_second[i][y][z]
     g_second = [tuple(tuple(zip(*plane)) for plane in t) for t in g[:n + 1]]
@@ -662,8 +679,8 @@ LY_NAMES = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
 
 def verify_ly_axioms_by_orbits(algebra):
     """LY1-LY6 of one algebra, one orbit tuple at a time."""
-    read = IntegerRead((algebra.binary,), (algebra.ternary,))
-    return orbit_axiom_report(LY_NAMES, orbit_ly_identities(read, 0), algebra.dim)
+    return orbit_axiom_report(LY_NAMES, orbit_ly_identities(
+        (algebra.binary,), (algebra.ternary,), 0), algebra.dim)
 
 
 def dense_ly_report(F, G, n: int):
@@ -954,6 +971,22 @@ def morphism_failure_dense(phi, source, target):
     return None
 
 
+def leibniz_failure_dense(star):
+    """First basis triple (i, j, k), in product order, at which the left
+    Leibniz identity x*(y*z) = (x*y)*z + y*(x*z) of the star product
+    ``star`` (nested tuples or a Tensor) fails, or None: every triple, each
+    side by bilinear extension on dense vectors."""
+    dim = len(star)
+    star = _freeze(star, dim, 2)
+    for i, j, k in product(range(dim), repeat=3):
+        lhs = apply_binary(star, unit_vector(dim, i), star[j][k])
+        rhs = vec_add(apply_binary(star, star[i][j], unit_vector(dim, k)),
+                      apply_binary(star, unit_vector(dim, j), star[i][k]))
+        if lhs != rhs:
+            return (i, j, k)
+    return None
+
+
 def antisymmetry_failure_scan(tensor, dim, depth):
     """First basis tuple (i, j, ...) in product order over all of them at
     which some entry of tensor[i][j]... differs from minus the entry of
@@ -1191,14 +1224,14 @@ def slot_product_unskipped(series, maps, stride: int, dim: int) -> list:
     return out
 
 
-def cells_by_walk(table, depth: int) -> list:
+def cells_by_walk(tensor, depth: int, den: int) -> list:
     """The ``(i, j, .., coordinate, value)`` tuple of every nonzero entry of
-    an integer table with ``depth`` levels of basis indices (nested tuples
-    above sparse leaves, as ``Tensor.at`` keeps them), in product order."""
-    nodes = [((), table)]
+    a tensor with ``depth`` levels of basis indices, value den times the
+    entry, by walking its nested view of Fractions, in product order."""
+    nodes = [((), tensor)]
     for _ in range(depth):
         nodes = [(idx + (i,), child) for idx, node in nodes for i, child in enumerate(node)]
-    return [idx + entry for idx, leaf in nodes for entry in leaf]
+    return [idx + (k, v * den) for idx, leaf in nodes for k, v in enumerate(leaf) if v]
 
 
 def build_parser_by_hand() -> argparse.ArgumentParser:

@@ -35,9 +35,10 @@ from lyreynolds.errors import (
     NotLieAlgebra,
     NotReductive,
 )
-from lyreynolds.linalg import Matrix, vec_add, vec_scale, vec_sub, zero_vector
+from lyreynolds.linalg import Matrix, inverse, vec_add, vec_scale, vec_sub, zero_vector
 from lyreynolds.reporting import AxiomReport, Check
-from tests.conftest import random_structures
+from tests.conftest import rand_fraction, random_structures
+from tests.oracles import leibniz_failure_dense
 
 F = Fraction
 E1 = (F(1), F(0))
@@ -180,6 +181,60 @@ def test_from_leibniz_rejects_non_leibniz():
     star[0][2] = (F(1), F(0), F(0))
     with pytest.raises(NotLeibniz):
         from_leibniz(tuple(map(tuple, star)))
+
+
+def random_star(rng):
+    """A star product on g + g for a Lie algebra g (sl2, or [e1, e2] = a e1
+    + b e2), (x, u) * (y, v) = ([x, y], [x, v]), which is left Leibniz, read
+    in a random basis half of the time; with one entry moved by a random
+    nonzero value in two cases of three, when it mostly is not."""
+    if rng.random() < 0.25:
+        lie = {(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1}
+    else:
+        lie = {(0, 1, 0): rand_fraction(rng), (0, 1, 1): rand_fraction(rng)}
+    n = 1 + max(max(idx) for idx in lie)
+    cells = {}
+    for (i, j, k), c in lie.items():
+        for (a, b), v in (((i, j), c), ((j, i), -c)):
+            cells[a, b, k] = cells[a, n + b, n + k] = F(v)
+    dim = 2 * n
+    # unit lower times unit upper triangular: an integer basis of det 1
+    def triangular(keep):
+        return Matrix.from_rows([[1 if r == c else rng.randint(-1, 1) if keep(r, c) else 0
+                                  for c in range(dim)] for r in range(dim)])
+
+    g = triangular(lambda r, c: r > c) @ triangular(lambda r, c: r < c) \
+        if rng.random() < 0.5 else Matrix.identity(dim)
+    star = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), v in cells.items():
+        star[i][j][k] = v
+    cols, ginv = g.transpose().to_rows(), inverse(g)
+    moved = [[ginv.apply(apply_binary(star, cols[i], cols[j])) for j in range(dim)]
+             for i in range(dim)]
+    if rng.random() < 2 / 3:
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        moved[i][j] = tuple(v + rand_fraction(rng, nonzero=True) * (t == k)
+                            for t, v in enumerate(moved[i][j]))
+    return tuple(map(tuple, moved))
+
+
+def test_from_leibniz_fails_at_the_first_triple_of_the_dense_loop():
+    # the identity is checked over the cells; the first failing triple, and
+    # whether there is one, are those of the loop over every basis triple
+    rng = random.Random(2707)
+    outcomes = Counter()
+    for _ in range(30):
+        star = random_star(rng)
+        bad = leibniz_failure_dense(star)
+        outcomes[bad is None] += 1
+        if bad is None:
+            assert verify_ly_axioms(from_leibniz(star)).ok
+        else:
+            with pytest.raises(NotLeibniz) as err:
+                from_leibniz(star)
+            assert str(err.value) == \
+                f"left Leibniz identity fails at basis triple ({bad[0]},{bad[1]},{bad[2]})"
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
 
 
 def test_reductive_pair_trivial_split(sl2):

@@ -169,7 +169,7 @@ def test_a_tensor_from_cells_is_the_one_frozen_from_nested_input(case, k):
     assert built == view and view == frozen and frozen == view
     assert len(built) == len(frozen) == len(view)
     assert built.den == frozen.den
-    assert built.at(k * built.den) == frozen.at(k * frozen.den)
+    assert built.scaled(k * built.den) == frozen.scaled(k * frozen.den)
     if dim:
         assert built[dim - 1] == frozen[dim - 1] == view[dim - 1]
     expected = antisymmetry_failure_walk(view, dim, depth)

@@ -132,12 +132,14 @@ def test_integer_tables_clear_every_denominator():
     tensor = binary_from_sparse(2, {(0, 1, 0): F(1, 6), (0, 1, 1): F(-3, 4)})
     read = IntegerRead((tensor,))
     assert read.den == 12
-    assert read.f == ((((), ((0, 2), (1, -9))), (((0, -2), (1, 9)), ())),)
+    # positions in the radix (2, 2, 2): (0, 1, k) is 2 + k, (1, 0, k) is 4 + k
+    assert read.f == ({2: 2, 3: -9, 4: -2, 5: 9},)
     # the weight's denominator and the maps' are cleared too
     read = IntegerRead((tensor,), Tt=(Matrix.from_rows([[0, F(1, 5)], [0, 0]]),),
                        weight=F(2, 7))
     assert read.den == 420 and read.lw == 120
-    assert read.f == ((((), ((0, 70), (1, -315))), (((0, -70), (1, 315)), ())),)
+    assert read.f == ({2: 70, 3: -315, 4: -70, 5: 315},)
+    assert all(type(v) is int for v in read.f[0].values())
     assert read.t_row == ((((1, 84),), ()),)
     assert read.t_col == (((), ((0, 84),)),)
 

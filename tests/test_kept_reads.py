@@ -1,7 +1,7 @@
 """Structures read and hash themselves once.
 
 Tensors store their nonzero cells and keep the least common denominator of
-those and their integer views (``algebra.Tensor``); algebras, operators,
+those and their integer tables (``algebra.Tensor``); algebras, operators,
 representations and matrices keep their hash.  Equal structures must still
 compare and hash equal however they were built, an integer read from kept
 reads must equal one taken from plain tuples, and no command of the CLI
@@ -10,6 +10,7 @@ builds the nested view of a tensor.
 
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +30,9 @@ from lyreynolds import (
     descendant_algebra,
     induced_rep,
     two_dim_example,
+    verify_ly_axioms,
 )
-from lyreynolds.algebra import IntegerRead, Tensor
+from lyreynolds.algebra import IntegerRead, Tensor, binary_from_sparse, ternary_from_sparse
 from lyreynolds.fileformat import load_workspace
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -163,19 +165,19 @@ def test_integer_read_from_kept_reads_equals_one_from_plain_tuples():
         return kept, copied
 
     # L = 1, the tensors' own denominator, then L = 6 > 1 for T = (3/2) Id
-    # at weight -2/3, then L = 1 again, from the kept view
+    # at weight -2/3, then L = 1 again, from the kept table
     for structure, den in (((), 1), (((op.matrix,), op.weight), 6),
                            (((op.matrix,), op.weight, (rep.rho, rep.theta)), 6), ((), 1)):
         kept, copied = both(*structure)
         assert kept.den == copied.den == den
         assert reads_equal(kept, copied)
-    assert set(algebra.binary._views) == {1, 6}
+    assert set(algebra.binary._tables) == {1, 6}
 
-    # a view at L > 1 with no view at the own denominator kept: the first
+    # a table at L > 1 with no table at the own denominator kept: the first
     # read of the fresh tensors is at L = 6
     fresh, op2, _ = load_sl2()
     kept = IntegerRead((fresh.binary,), (fresh.ternary,), (op2.matrix,), op2.weight)
-    assert set(fresh.binary._views) == {6}
+    assert set(fresh.binary._tables) == {6}
     assert reads_equal(kept, both((op.matrix,), op.weight)[1])
 
 
@@ -192,8 +194,26 @@ def test_integer_read_of_a_series_with_own_denominators_above_one():
                          d.Tt, op.weight)
     assert kept.den == copied.den == 12
     assert reads_equal(kept, copied)
-    # once more, now from the kept views at 12
+    # once more, now from the kept tables at 12
     assert reads_equal(IntegerRead(d.F, d.G, d.Tt, op.weight), copied)
+
+
+def test_verifying_and_hashing_an_algebra_takes_memory_by_its_cells_not_its_dim():
+    # the two-dimensional example inside dim = 120, the other basis vectors
+    # central: a read that held dim**depth leaves per tensor would peak at
+    # about 134 MiB here
+    n = 120
+    algebra = LyAlgebra(n, binary_from_sparse(n, {(0, 1, 0): 1}),
+                        ternary_from_sparse(n, {(0, 1, 1, 0): 1}))
+    tracemalloc.start()
+    try:
+        report = verify_ly_axioms(algebra)
+        hash(algebra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_no_cli_command_builds_a_nested_view(monkeypatch, capsys):

@@ -17,6 +17,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +329,11 @@ def test_an_operator_on_a_zero_dimensional_algebra_takes_no_rows(tmp_path, capsy
 
 @pytest.mark.parametrize("data, line, message", [
     (b"\xff\xfe[algebra a]\ndim = 1\n", 1, "byte 0xff at column 1 (invalid start byte)"),
+    # a byte order mark is not counted in the column
+    (b"\xef\xbb\xbf\xff\xfe[algebra a]\ndim = 1\n", 1,
+     "byte 0xff at column 1 (invalid start byte)"),
+    (b"\xef\xbb\xbf[algebra a]\ndim = 1\n# caf\xe9\n", 3,
+     "byte 0xe9 at column 6 (invalid continuation byte)"),
     # lines end as the text read ends them: \r, \r\n and \n
     (b"[algebra a]\r\ndim = 2\rbinary = 1 2 1 \xe9\n", 3,
      "byte 0xe9 at column 16 (invalid continuation byte)"),
@@ -345,6 +351,21 @@ def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(tmp_path, capsys, 
     assert (err.value.path, err.value.line) == (str(path), line)
     assert main(["verify", str(path), "--name", "a"]) == 2
     assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8: {message}\n"
+
+
+def test_a_file_with_a_byte_order_mark_verifies_as_the_file_without_it(tmp_path, capsys):
+    original = Path(__file__).resolve().parent.parent / "samples" / "two_dim.lyr"
+    marked = tmp_path / "two_dim.lyr"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    names = re.findall(r"^\[\w+\s+(\S+)\]$", original.read_text(), re.M)
+    assert len(names) == 6
+    for name in names:
+        for flags in ([], ["--json"]):
+            outputs = []
+            for path in (original, marked):
+                assert main(["verify", str(path), "--name", name, *flags]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -381,11 +402,13 @@ def test_slot_product_skipping_zero_map_orders_equals_the_unskipped_product():
             slot_product_unskipped(series, maps, stride, dim)
 
 
-def test_the_cells_of_a_read_are_those_of_its_nested_view():
+def test_the_cells_of_a_read_are_those_of_a_walk_of_the_fraction_view():
     rng = random.Random(2507)
     for _ in range(100):
         n, depth = rng.randint(1, 3), rng.choice((2, 3))
         t = Tensor({rng.randrange(n ** (depth + 1)): rand_fraction(rng, nonzero=True)
                     for _ in range(rng.randint(0, 8))}, n, depth, n)
         den = t.den * rng.randint(1, 3)
-        assert _cells(t, den) == cells_by_walk(t.at(den), depth)
+        cells = _cells(t.scaled(den), n, depth)
+        assert cells == cells_by_walk(t, depth, den)
+        assert all(type(cell[-1]) is int for cell in cells)

@@ -255,7 +255,7 @@ def named_identities(rng, algebra, op, rep, dm, order: int):
     read = IntegerRead(d.F, d.G, d.Tt, op.weight)
     base = ((algebra.binary,), (algebra.ternary,))
     m = rep.module_dim
-    for name, (shape, fn, _den) in zip(LY_NAMES, orbit_ly_identities(read, order)):
+    for name, (shape, fn, _den) in zip(LY_NAMES, orbit_ly_identities(d.F, d.G, order)):
         yield name, shape, fn
     for names, identities in ((("reynolds-binary", "reynolds-ternary"),
                                _reynolds_identities(read)[order]),
@@ -447,8 +447,7 @@ def test_ideal_keeps_the_orbit_tuples_with_one_module_index_at_most(shape):
     k = [SHAPES[name] for name in LY_NAMES].index(shape)
     witnesses = Counter()
     for total, _total_op, n in random_block_totals(random.Random(89), 80):
-        _shape, fn, _den = orbit_ly_identities(
-            IntegerRead((total.binary,), (total.ternary,)), 0)[k]
+        _shape, fn, _den = orbit_ly_identities((total.binary,), (total.ternary,), 0)[k]
         for tup in orbit_tuples(total.dim, shape):
             if module_indices(tup, n) > 1:
                 assert not any(fn(*tup).values()), tup
