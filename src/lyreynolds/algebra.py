@@ -297,10 +297,15 @@ def _matrices(node) -> tuple:
 
 def _scaled_rows(mat: Matrix, den: int):
     """den times the rows of mat, from its integer form, whose denominator
-    divides den."""
+    divides den: built once per den and kept on the matrix, read-only, as
+    :meth:`Tensor.scaled` keeps its tables."""
     d, rows = mat.integer
-    k = den // d
-    return rows if k == 1 else tuple(tuple((j, k * v) for j, v in row) for row in rows)
+    if den == d:
+        return rows
+    if den not in mat._tables:
+        k = den // d
+        mat._tables[den] = tuple(tuple((j, k * v) for j, v in row) for row in rows)
+    return mat._tables[den]
 
 
 def _nested_rows(node, den: int):

@@ -159,7 +159,12 @@ def cmd_cohomology(args) -> int:
     # CompositionNotZero otherwise, so each of them passed
     square_zero = [True] * (args.max_degree - 1)
     chain_map = []
-    if rep.module_op is not None:
+    if args.complex == "rly":
+        # the lower-left block of the cone's d(p+1) . d(p) is
+        # partial(p) . phi(p) - phi(p+1) . delta(p), so the same checks
+        # passed the comparison map at each degree
+        chain_map = [True] * (args.max_degree - 1)
+    elif rep.module_op is not None:
         for p in range(1, args.max_degree):
             lhs = phi_matrix(algebra, op, rep, p + 1) \
                 @ differential_matrix(algebra, op, rep, "ly", p)

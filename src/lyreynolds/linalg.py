@@ -128,6 +128,12 @@ class Matrix:
                           for row in self.sparse)
 
     @cached_property
+    def _tables(self) -> dict:
+        """Integer rows over multiples of den, keyed by the multiple, kept
+        and read-only (see :func:`lyreynolds.algebra._scaled_rows`)."""
+        return {}
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.rows, self.cols, self.integer))
 
@@ -428,8 +434,10 @@ def pivot_columns(m: Matrix) -> list[int]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over Q: the pivot count of the forward pass."""
-    return len(eliminate(m)[1])
+    """Exact rank over Q: the pivot count of the forward pass, run over the
+    side with fewer rows, so a tall matrix is eliminated as its (kept)
+    transpose and only min(rows, cols) rows get reduced."""
+    return len(eliminate(m.transpose() if m.rows > m.cols else m)[1])
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:

@@ -401,8 +401,7 @@ def _require_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator | None,
     Reynolds identities."""
     _require_reynolds(algebra, op)
     if op is None:
-        ad = adjoint_rep(algebra)
-        adjoint = (rep.rho, rep.theta) == (ad.rho, ad.theta)
+        adjoint = _is_adjoint(algebra, rep)
         if not adjoint:
             verify_rep(algebra, rep).require(InvalidInput, "representation fails verification")
         return adjoint
@@ -411,6 +410,20 @@ def _require_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator | None,
         verify_reynolds_rep(algebra, op, rep).require(
             InvalidInput, "module operator fails verification")
     return adjoint
+
+
+def _is_adjoint(algebra: LyAlgebra, rep: Representation) -> bool:
+    """Whether rho and theta are those of :func:`adjoint_rep`, read off the
+    algebra's cells: V has the algebra's dimension, and the nonzero entries
+    of the matrices, keyed (i, .., row, column), are :func:`_adjoint_cells`."""
+    n = algebra.dim
+    if (rep.algebra_dim, rep.module_dim) != (n, n):
+        return False
+    rho = {(i, r, c): x for i, mat in enumerate(rep.rho)
+           for r, row in enumerate(mat.sparse) for c, x in row}
+    theta = {(i, j, r, c): x for i, mats in enumerate(rep.theta) for j, mat in enumerate(mats)
+             for r, row in enumerate(mat.sparse) for c, x in row}
+    return (rho, theta) == _adjoint_cells(algebra)
 
 
 def check_inputs(algebra: LyAlgebra, op: ReynoldsOperator | None,
@@ -427,13 +440,19 @@ def adjoint_rep(algebra: LyAlgebra, op: ReynoldsOperator | None = None) -> Repre
     When an operator is supplied its matrix becomes the module operator.
     """
     n = algebra.dim
-    # from the cells: entry (k, j) of rho(e_i) is [e_i, e_j]_k, and entry
-    # (l, k) of theta(e_i, e_j) is {e_k, e_i, e_j}_l
-    rho = from_cells({(i, k, j): v for (i, j, k), v in algebra.binary.entries()}, (n,) * 3)
-    theta = from_cells({(i, j, l, k): v for (k, i, j, l), v in algebra.ternary.entries()},
-                       (n,) * 4)
+    rho, theta = _adjoint_cells(algebra)
     module_op = op.matrix if op is not None else None
-    return Representation(n, n, rho, theta, module_op)
+    return Representation(n, n, from_cells(rho, (n,) * 3), from_cells(theta, (n,) * 4),
+                          module_op)
+
+
+def _adjoint_cells(algebra: LyAlgebra) -> tuple[dict, dict]:
+    """The nonzero entries of rho and theta of the adjoint module, keyed
+    (i, row, column) and (i, j, row, column) as :func:`from_cells` reads
+    them: entry (k, j) of rho(e_i) is [e_i, e_j]_k, and entry (l, k) of
+    theta(e_i, e_j) is {e_k, e_i, e_j}_l."""
+    return ({(i, k, j): v for (i, j, k), v in algebra.binary.entries()},
+            {(i, j, l, k): v for (k, i, j, l), v in algebra.ternary.entries()})
 
 
 def _intertwining_failure(op: ReynoldsOperator, source: Representation,

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lyreynolds.cli as cli_module
+import lyreynolds.cohomology as cohomology_module
 import lyreynolds.representation as representation
 from lyreynolds import (
     Matrix,
@@ -390,6 +391,65 @@ def test_cohomology_fails_on_a_mutated_comparison_map(monkeypatch, capsys):
     assert "d2 o d1 = 0: pass" in out and "d3 o d2 = 0: pass" in out
     assert "comparison map squares with d at degree 1: FAIL" in out
     assert "comparison map squares with d at degree 2: FAIL" in out
+
+
+def counted_products(monkeypatch):
+    """The list that each Matrix product appends its factor shapes to."""
+    shapes = []
+    original = Matrix.__matmul__
+
+    def counting(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 4])
+def test_the_cone_reads_its_chain_map_off_its_square(monkeypatch, capsys, max_degree):
+    # rly: one product per d(p+1) . d(p), whose lower-left block is
+    # partial(p) . phi(p) - phi(p+1) . delta(p); ro: two more per degree
+    shapes = counted_products(monkeypatch)
+    counts = {}
+    for which in ("rly", "ro"):
+        clear_engine_caches()
+        shapes.clear()
+        code = main(["cohomology", SL2, "--algebra", "sl2", "--operator", "Tsl2",
+                     "--rep", "adsl2", "--complex", which, "--max-degree", str(max_degree),
+                     "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chain_map"] == payload["square_zero"] == [True] * (max_degree - 1)
+        counts[which] = len(shapes)
+    assert counts == {"rly": max_degree - 1, "ro": 3 * (max_degree - 1)}
+
+
+def test_a_mutated_comparison_map_breaks_the_cone_and_fails_the_products(
+        monkeypatch, capsys):
+    original = cohomology_module.phi_matrix
+
+    def mutated(algebra, op, rep, degree):
+        mat = original(algebra, op, rep, degree)
+        if degree != 2:
+            return mat
+        # the column of a nonzero row of d1, so that phi2 . d1 changes
+        d1 = differential_matrix(algebra, op, rep, "ly", 1)
+        return with_entry_added(mat, 0, next(k for k, row in enumerate(d1.integer[1]) if row))
+
+    monkeypatch.setattr(cohomology_module, "phi_matrix", mutated)
+    monkeypatch.setattr(cli_module, "phi_matrix", mutated)
+    clear_engine_caches()
+    args = ["cohomology", SL2, "--algebra", "sl2", "--operator", "Tsl2", "--rep", "adsl2",
+            "--max-degree", "3", "--json", "--complex"]
+    assert main(args + ["rly"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: outgoing . incoming != 0: the complex is broken\n"
+    assert main(args + ["ro"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["square_zero"] == [True, True]
+    assert payload["chain_map"][0] is False
 
 
 FAILING_INPUTS = {

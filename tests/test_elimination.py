@@ -5,12 +5,14 @@ denominators, so that the integer form carries a large common denominator
 and every row its own content."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyreynolds import Matrix
+import lyreynolds.linalg as linalg
+from lyreynolds import Matrix, differential_matrix
 from lyreynolds.errors import DimMismatch, SingularMatrix
 from lyreynolds.linalg import (
     eliminate,
@@ -21,8 +23,11 @@ from lyreynolds.linalg import (
     right_inverse,
     solve,
 )
+from lyreynolds.fileformat import load_workspace
 from tests.oracles import dense_rref
 from tests.test_sparse_kernels import sympy_qq, to_domain
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 F = Fraction
 # zeros often, so that ranks fall short; the rest with coprime denominators
@@ -202,3 +207,71 @@ def test_integer_form_is_canonical():
                                     3, 3 * den)
     assert same.integer == m.integer and same == m and hash(same) == hash(m)
     assert same.sparse == m.sparse
+
+
+# ---------------------------------------------------------------------------
+# rank runs the forward pass over the side with fewer rows
+
+@st.composite
+def shaped_rows(draw, kind):
+    """(rows, cols, data) of a tall, wide or square matrix of up to 12 rows
+    or columns, 0 x k and k x 0 among them, all-zero now and then, and with
+    rows overwritten by combinations of two others, so that many are
+    rank-deficient."""
+    short = draw(st.integers(0, 5))
+    long_ = draw(st.integers(short + 1, 12))
+    r, c = {"tall": (long_, short), "wide": (short, long_), "square": (short, short)}[kind]
+    if draw(st.integers(0, 9)) == 0:
+        return r, c, [[F(0)] * c for _ in range(r)]
+    data = [draw(st.lists(entry_st, min_size=c, max_size=c)) for _ in range(r)]
+    for _ in range(draw(st.integers(0, 3)) if r > 1 else 0):
+        t, a, b = (draw(st.integers(0, r - 1)) for _ in range(3))
+        k = draw(entry_st)
+        data[t] = [x + k * y for x, y in zip(data[a], data[b])]
+    return r, c, data
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "square"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_is_the_pivot_count_and_sympys_rank(kind, data):
+    DomainMatrix, QQ = sympy_qq()
+    r, c, rows = data.draw(shaped_rows(kind))
+    fraction_only = Matrix.from_rows(rows, c)
+    int_built = Matrix._of_integer(r, c, *Matrix.from_rows(rows, c).integer)
+    assert "integer" not in vars(fraction_only) and "sparse" not in vars(int_built)
+    expected = to_domain(Matrix.from_rows(rows, c), DomainMatrix, QQ).rank()
+    for m in (fraction_only, int_built):
+        assert rank(m) == len(eliminate(m)[1]) == expected
+
+
+def test_rank_eliminates_the_side_with_fewer_rows(monkeypatch):
+    shapes = []
+    original = linalg.eliminate
+
+    def spying(m, reduced=False):
+        shapes.append((m.rows, m.cols))
+        return original(m, reduced)
+
+    monkeypatch.setattr(linalg, "eliminate", spying)
+    for r, c in [(7, 3), (3, 7), (4, 4), (0, 5), (5, 0)]:
+        m = Matrix.from_rows([[(i * c + j) % 3 for j in range(c)] for i in range(r)], c)
+        rank(m)
+        # a tall matrix is eliminated as its kept transpose
+        assert (r <= c) or vars(m)["_transposed"] is m.transpose()
+    assert shapes == [(3, 7), (3, 7), (4, 4), (0, 5), (0, 5)]
+
+
+SAMPLE_TRIPLES = {"sl2": ("sl2", "Tsl2", "adsl2"), "module": ("ly2m", "Tm", "adtriv")}
+
+
+@pytest.mark.parametrize("which", ["ly", "ro", "rly"])
+@pytest.mark.parametrize("sample", sorted(SAMPLE_TRIPLES))
+def test_the_rank_of_each_sample_differential_is_sympys(sample, which):
+    DomainMatrix, QQ = sympy_qq()
+    ws = load_workspace([str(SAMPLES / f"{sample}.lyr")])
+    name, op, rep = SAMPLE_TRIPLES[sample]
+    args = ws.algebra(name), ws.operator(op).op, ws.representation(rep).rep
+    for degree in (1, 2, 3):
+        d = differential_matrix(*args, which, degree)
+        assert rank(d) == len(eliminate(d)[1]) == to_domain(d, DomainMatrix, QQ).rank()

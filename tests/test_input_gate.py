@@ -15,7 +15,7 @@ import pytest
 import lyreynolds.cli as cli_module
 import lyreynolds.representation as representation
 import lyreynolds.reynolds as reynolds
-from conftest import random_structures, with_entry_added
+from conftest import random_structures, random_valid_triples, with_entry_added
 from lyreynolds import (
     LyAlgebra,
     Matrix,
@@ -182,6 +182,58 @@ def test_a_module_operator_other_than_t_on_the_adjoint_is_scanned(monkeypatch, l
         check_inputs(ly2, tri_t, other)
     assert str(err.value) == "module operator fails verification:\n" + report.describe()
     assert calls == Counter(verify_reynolds_rep=1)
+
+
+def padded(rep: Representation) -> Representation:
+    """rep on V plus a one-dimensional summand on which rho and theta vanish:
+    the same nonzero entries, a module one dimension larger."""
+    m = rep.module_dim
+
+    def pad(mat):
+        return Matrix.from_rows([row + [0] for row in mat.to_rows()] + [[0] * (m + 1)], m + 1)
+
+    return Representation(rep.algebra_dim, m + 1, tuple(map(pad, rep.rho)),
+                          tuple(tuple(map(pad, row)) for row in rep.theta))
+
+
+def gate_cases():
+    """(algebra, rep) pairs: each adjoint of random_valid_triples, the same
+    without its module operator, with one theta entry moved, and padded by a
+    trivial summand, and the zero module of the algebra's dimension."""
+    for algebra, op, adjoint in random_valid_triples(random.Random(28), 30):
+        n = algebra.dim
+        theta = [list(row) for row in adjoint.theta]
+        theta[-1][-1] = with_entry_added(theta[-1][-1], 0, 0)
+        yield from ((algebra, adjoint), (algebra, adjoint_rep(algebra)),
+                    (algebra, Representation(n, n, adjoint.rho, tuple(map(tuple, theta)))),
+                    (algebra, padded(adjoint)), (algebra, zero_rep(n, n)))
+
+
+def test_the_gate_reads_adjointness_off_the_cells():
+    # the verdict of comparing with a third adjoint representation
+    seen = Counter()
+    for algebra, rep in gate_cases():
+        ad = adjoint_rep(algebra)
+        verdict = representation._is_adjoint(algebra, rep)
+        assert verdict == ((rep.rho, rep.theta) == (ad.rho, ad.theta))
+        seen[verdict] += 1
+    assert seen[True] >= 60 and seen[False] >= 60, seen
+
+
+def test_the_gate_builds_no_adjoint_and_scans_each_other_module(monkeypatch):
+    cases = [(algebra, rep, (rep.rho, rep.theta) == (ad.rho, ad.theta))
+             for algebra, rep in gate_cases() for ad in [adjoint_rep(algebra)]]
+    calls = counted_verifiers(monkeypatch)
+    monkeypatch.setattr(representation, "adjoint_rep",
+                        lambda *args: pytest.fail("the gate built an adjoint representation"))
+    for algebra, rep, adjoint in cases:
+        clear_engine_caches()
+        calls.clear()
+        try:
+            assert representation._require_reynolds_rep(algebra, None, rep) == adjoint
+        except InvalidInput:
+            assert not adjoint
+        assert calls == Counter(verify_rep=int(not adjoint))
 
 
 @pytest.mark.parametrize("sample, triple, expected", [

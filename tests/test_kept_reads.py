@@ -181,6 +181,26 @@ def test_integer_read_from_kept_reads_equals_one_from_plain_tuples():
     assert reads_equal(kept, both((op.matrix,), op.weight)[1])
 
 
+def test_a_matrix_is_rescaled_once_per_denominator():
+    # T = (3/2) Id at weight -2/3 reads at L = 6; rho, theta and T_V = T
+    # keep their rows times 6 and give them out again as they are
+    _, op, rep = load_sl2()
+    structure = ((op.matrix, rep.module_op), op.weight, (rep.rho, rep.theta))
+    first, again = IntegerRead((), (), *structure), IntegerRead((), (), *structure)
+    assert first.den == 6
+    mats = (*rep.rho, *(mat for row in rep.theta for mat in row))
+    firsts = (*first.rows[0], *(rows for row in first.rows[1] for rows in row))
+    agains = (*again.rows[0], *(rows for row in again.rows[1] for rows in row))
+    for mat, rows, rows_again in zip(mats, firsts, agains):
+        den, own = mat.integer
+        assert rows is rows_again
+        assert rows == tuple(tuple((j, 6 // den * v) for j, v in row) for row in own)
+        assert set(mat._tables) == ({6} if den != 6 else set())
+    assert all(a is b for a, b in zip(first.t_row + first.t_col, again.t_row + again.t_col))
+    # a read at a matrix's own denominator takes its integer rows
+    assert IntegerRead(rows=(rep.rho,)).rows[0][0] is rep.rho[0].integer[1]
+
+
 def test_integer_read_of_a_series_with_own_denominators_above_one():
     algebra, op, _ = load_sl2()
     f1 = [[[F(k + 1, 4) * (i - j) for k in range(3)] for j in range(3)] for i in range(3)]
