@@ -346,53 +346,6 @@ def write_sl2(tmp_path, sl2):
     return write(tmp_path, SL2_LYR.format(ternary="\n".join(lines)), "sl2.lyr")
 
 
-def test_cohomology_multiplies_each_composite_differential_once(
-        tmp_path, monkeypatch, capsys, sl2):
-    path = write_sl2(tmp_path, sl2)
-    shapes = []
-    original = Matrix.__matmul__
-
-    def counting(a, b):
-        shapes.append((a.rows, a.cols, b.cols))
-        return original(a, b)
-
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
-    clear_engine_caches()
-    code = main(["cohomology", path, "--algebra", "sl2", "--operator", "T",
-                 "--rep", "ad", "--complex", "ly", "--max-degree", "3"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "d2 o d1 = 0: pass" in out and "d3 o d2 = 0: pass" in out
-    # d(p+1) . d(p) is checked once, inside cohomology_dims
-    for p in (1, 2):
-        dims = [cochain_dim(q, 3, 3) for q in (p + 2, p + 1, p)]
-        assert shapes.count(tuple(dims)) == 1, p
-
-
-def test_cohomology_fails_on_a_mutated_comparison_map(monkeypatch, capsys):
-    original = cli_module.phi_matrix
-
-    def mutated(algebra, op, rep, degree):
-        mat = original(algebra, op, rep, degree)
-        if degree != 2:
-            return mat
-        # the column of a nonzero row of d1, so that phi2 . d1 changes
-        d1 = differential_matrix(algebra, op, rep, "ly", 1)
-        return with_entry_added(mat, 0, next(k for k, row in enumerate(d1.integer[1]) if row))
-
-    args = ["cohomology", SL2, "--algebra", "sl2", "--operator", "Tsl2", "--rep", "adsl2",
-            "--complex", "ly", "--max-degree", "3"]
-    assert main(args) == 0
-    assert "comparison map squares with d at degree 1: pass" in capsys.readouterr().out
-    monkeypatch.setattr(cli_module, "phi_matrix", mutated)
-    clear_engine_caches()
-    assert main(args) == 1
-    out = capsys.readouterr().out
-    assert "d2 o d1 = 0: pass" in out and "d3 o d2 = 0: pass" in out
-    assert "comparison map squares with d at degree 1: FAIL" in out
-    assert "comparison map squares with d at degree 2: FAIL" in out
-
-
 def counted_products(monkeypatch):
     """The list that each Matrix product appends its factor shapes to."""
     shapes = []
@@ -404,6 +357,35 @@ def counted_products(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     return shapes
+
+
+def phi2_mutant(original):
+    """``original`` (a phi_matrix) with 1 added to an entry of phi2, in the
+    column of a nonzero row of d1, so that phi2 . d1 changes."""
+    def mutated(algebra, op, rep, degree):
+        mat = original(algebra, op, rep, degree)
+        if degree != 2:
+            return mat
+        d1 = differential_matrix(algebra, op, rep, "ly", 1)
+        return with_entry_added(mat, 0, next(k for k, row in enumerate(d1.integer[1]) if row))
+
+    return mutated
+
+
+def test_cohomology_multiplies_each_composite_differential_once(
+        tmp_path, monkeypatch, capsys, sl2):
+    path = write_sl2(tmp_path, sl2)
+    shapes = counted_products(monkeypatch)
+    clear_engine_caches()
+    code = main(["cohomology", path, "--algebra", "sl2", "--operator", "T",
+                 "--rep", "ad", "--complex", "ly", "--max-degree", "3"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "d2 o d1 = 0: pass" in out and "d3 o d2 = 0: pass" in out
+    # d(p+1) . d(p) is checked once, inside cohomology_dims
+    for p in (1, 2):
+        dims = [cochain_dim(q, 3, 3) for q in (p + 2, p + 1, p)]
+        assert shapes.count(tuple(dims)) == 1, p
 
 
 @pytest.mark.parametrize("max_degree", [1, 2, 4])
@@ -425,18 +407,23 @@ def test_the_cone_reads_its_chain_map_off_its_square(monkeypatch, capsys, max_de
     assert counts == {"rly": max_degree - 1, "ro": 3 * (max_degree - 1)}
 
 
+def test_cohomology_fails_on_a_mutated_comparison_map(monkeypatch, capsys):
+    args = ["cohomology", SL2, "--algebra", "sl2", "--operator", "Tsl2", "--rep", "adsl2",
+            "--complex", "ly", "--max-degree", "3"]
+    assert main(args) == 0
+    assert "comparison map squares with d at degree 1: pass" in capsys.readouterr().out
+    monkeypatch.setattr(cli_module, "phi_matrix", phi2_mutant(cli_module.phi_matrix))
+    clear_engine_caches()
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "d2 o d1 = 0: pass" in out and "d3 o d2 = 0: pass" in out
+    assert "comparison map squares with d at degree 1: FAIL" in out
+    assert "comparison map squares with d at degree 2: FAIL" in out
+
+
 def test_a_mutated_comparison_map_breaks_the_cone_and_fails_the_products(
         monkeypatch, capsys):
-    original = cohomology_module.phi_matrix
-
-    def mutated(algebra, op, rep, degree):
-        mat = original(algebra, op, rep, degree)
-        if degree != 2:
-            return mat
-        # the column of a nonzero row of d1, so that phi2 . d1 changes
-        d1 = differential_matrix(algebra, op, rep, "ly", 1)
-        return with_entry_added(mat, 0, next(k for k, row in enumerate(d1.integer[1]) if row))
-
+    mutated = phi2_mutant(cohomology_module.phi_matrix)
     monkeypatch.setattr(cohomology_module, "phi_matrix", mutated)
     monkeypatch.setattr(cli_module, "phi_matrix", mutated)
     clear_engine_caches()
