@@ -647,12 +647,26 @@ def _unflatten_any(which: str, degree: int, alg_dim: int, mod_dim: int, coords):
 
 def _apply(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation, which: str, c):
     """The coboundary of the ``which`` complex applied to c: the cached
-    matrix of its degree times c's coordinates."""
+    matrix of its degree times c's coordinates.  The cone is applied block
+    by block, (top, tail) -> (delta top, -partial tail - phi top), with no
+    stacked matrix."""
     _check_kind(which, c)
-    _check_cochain(algebra, rep, c.top if which == "rly" else c)
-    mat = differential_matrix(algebra, op, rep, which, c.degree)
-    return _unflatten_any(which, c.degree + 1, algebra.dim, rep.module_dim,
-                          mat.apply(_flatten_any(which, c)))
+    n, m, p = algebra.dim, rep.module_dim, c.degree
+    if which != "rly":
+        _check_cochain(algebra, rep, c)
+        mat = differential_matrix(algebra, op, rep, which, p)
+        return Cochain(p + 1, n, m, mat.apply(c.coords))
+    top, tail = c.top, c.tail
+    _check_cochain(algebra, rep, top)
+    check_inputs(algebra, op, rep)
+    image = differential_matrix(algebra, op, rep, "ly", p).apply(top.coords)
+    below = phi_matrix(algebra, op, rep, p).apply(top.coords)
+    if tail is not None:
+        partial = differential_matrix(algebra, op, rep, "ro", p - 1).apply(tail.coords)
+        below = [x + y if y else x for x, y in zip(below, partial)]
+    # zeros, the common case, are kept as they are
+    return RlyCochain(Cochain(p + 1, n, m, image),
+                      Cochain(p, n, m, [-x if x else x for x in below]))
 
 
 def is_cocycle(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,

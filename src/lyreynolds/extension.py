@@ -10,6 +10,13 @@ every reader slices them back out; in block form, with its canonical section
 x -> (x, 0), that basis is the standard one.  The assembly verifies exactly
 when the cochain is a cocycle, and extensions are compared through their
 cocycle classes, never by searching over isomorphisms.
+
+An extension keeps what its canonical section reads: the base data, the
+verified representation and the verified defect cocycle, each built on first
+use, and in block form the section-basis tensors, which are its own.
+:func:`build_extension` seeds the first three from its inputs, which the
+input gate and the cocycle test have certified, so its extensions are never
+read back.
 """
 
 from __future__ import annotations
@@ -135,15 +142,21 @@ class AbelianExtension:
     Construction verifies what can be verified intrinsically: exactness
     (inject injective, project surjective, project o inject = 0, dimensions
     adding up), the module image being an abelian ideal, and the total
-    structure passing the algebra and operator verifiers.  In the basis
-    s(e_1..e_n), i(v_1..v_m) of the canonical section, [v, w], {z, v, w} and
-    {v, w, z} must vanish and [x, v], {x, y, v} and {v, x, y} have no base
-    part, for x, y in L, v, w in V and any z.  So every LY1-LY6 term with two
-    module arguments vanishes; the check of the total, in any basis, reads
-    pairs of nonzero cells only, and such a term has none (see
+    structure passing the algebra and operator verifiers.  Arrows equal to
+    the block maps of :func:`_canonical_arrows` are exact by that equality,
+    and their section is [I; 0], so block form skips the ranks, the product
+    and the elimination of the section.  In the basis s(e_1..e_n),
+    i(v_1..v_m) of the canonical section, [v, w], {z, v, w} and {v, w, z}
+    must vanish and [x, v], {x, y, v} and {v, x, y} have no base part, for
+    x, y in L, v, w in V and any z.  So every LY1-LY6 term with two module
+    arguments vanishes; the check of the total, in any basis, reads pairs of
+    nonzero cells only, and such a term has none (see
     algebra._ly_identities).  Compatibility with a given base (L, T) and
     module operator, and T_hat mapping V into V, are checked by the
     operations that read that data.
+
+    The reads of the canonical section are kept (``_base``, ``_rep``,
+    ``_cocycle``); they are not fields, so ``==`` and the hash ignore them.
     """
 
     total: LyAlgebra
@@ -161,13 +174,16 @@ class AbelianExtension:
         n = self.project.rows
         if n + m != big:
             raise InvalidInput("base and module dimensions must add to the total")
-        if rank(self.inject) != m:
-            raise InvalidInput("inject is not injective")
-        if rank(self.project) != n:
-            raise InvalidInput("project is not surjective")
-        if not (self.project @ self.inject).is_zero():
-            raise InvalidInput("project o inject != 0")
-        binary, ternary, _ = _section_basis(self, self.canonical_section())
+        block = (self.inject, self.project) == _canonical_arrows(n, m)
+        object.__setattr__(self, "_block_form", block)
+        if not block:
+            if rank(self.inject) != m:
+                raise InvalidInput("inject is not injective")
+            if rank(self.project) != n:
+                raise InvalidInput("project is not surjective")
+            if not (self.project @ self.inject).is_zero():
+                raise InvalidInput("project o inject != 0")
+        binary, ternary, _ = self._read()
         # read from the nonzero cells: i, j, k are argument indices, and the
         # last one is the output coordinate
         pairs = [idx for idx, _ in binary.entries()]
@@ -194,7 +210,11 @@ class AbelianExtension:
 
     def canonical_section(self) -> Section:
         """Any right inverse of project; free coordinates are zeroed, so in
-        block form this is x -> (x, 0)."""
+        block form this is x -> (x, 0), which is returned with no
+        elimination."""
+        if self._block_form:
+            big = self.total.dim
+            return Section(_block(Matrix.identity(big), range(big), range(self.base_dim)))
         return Section(right_inverse(self.project))
 
     def check_section(self, s: Section) -> None:
@@ -202,6 +222,30 @@ class AbelianExtension:
             raise NotSection("section has the wrong shape")
         if self.project @ s.map != Matrix.identity(self.base_dim):
             raise NotSection("project o section != identity")
+
+    @cached_property
+    def _own_read(self) -> tuple[Tensor, Tensor, Matrix]:
+        return _section_basis(self, self.canonical_section())
+
+    def _read(self) -> tuple[Tensor, Tensor, Matrix]:
+        """The :func:`_section_basis` read of the canonical section.  In
+        block form it is the total's own tensors, and is kept; other arrows
+        read afresh, so that no second copy of the total is kept."""
+        if self._block_form:
+            return self._own_read
+        return _section_basis(self, self.canonical_section())
+
+    @cached_property
+    def _base(self) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
+        return _read_base(self, self._read())
+
+    @cached_property
+    def _rep(self) -> Representation:
+        return _read_rep(self, self._read(), *self._base)
+
+    @cached_property
+    def _cocycle(self) -> ExtensionCocycle:
+        return _defect_cocycle(self, self._read(), *self._base[:2], self._rep)
 
 
 def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -302,14 +346,21 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     total structure that fails verification.  The AbelianExtension
     constructor re-verifies the assembled total, so if a cocycle ever failed
     to assemble into a valid extension it would surface loudly rather than
-    produce a broken object.
+    produce a broken object.  The extension keeps its inputs as the reads of
+    its canonical section: (L, T, T_V), with the labels of L dropped as a
+    read drops them, the representation and the cocycle, which the input
+    gate and :func:`is_cocycle` have certified.
     """
     _check_base(algebra, op, rep)
     if not is_cocycle(algebra, op, rep, "rly", cocycle.to_cochain()):
         raise NotCocycle("the extension data is not a degree-2 cocycle")
     total_algebra, total_op = assemble_extension(algebra, op, rep, cocycle)
     inject, project = _canonical_arrows(algebra.dim, rep.module_dim)
-    return AbelianExtension(total_algebra, total_op, inject, project)
+    ext = AbelianExtension(total_algebra, total_op, inject, project)
+    base = algebra if algebra.labels is None else LyAlgebra(
+        algebra.dim, algebra.binary, algebra.ternary)
+    vars(ext).update(_base=(base, op, rep.module_op), _rep=rep, _cocycle=cocycle)
+    return ext
 
 
 def class_representatives(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -372,21 +423,13 @@ def _block(mat: Matrix, rows: range, cols: range) -> Matrix:
         tuple((j - cols.start, x) for j, x in mat.sparse[i] if j in cols) for i in rows))
 
 
-def base_data(ext: AbelianExtension, section: Section | None = None, read=None
-              ) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
-    """Recover (L, T, T_V) from an extension.
+def _read_base(ext: AbelianExtension, read) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
+    """(L, T, T_V) from the :func:`_section_basis` read of a section.
 
-    In the basis of a section, the base brackets and T are the base parts of
-    the base blocks (independent of the section because the kernel is an
-    ideal), and T_V is the module block of T_hat, whose base part must
-    vanish for the module to be operator-stable.  ``read``, when given, is
-    the :func:`_section_basis` of ``section``, already checked.
-    """
-    if read is None:
-        if section is None:
-            section = ext.canonical_section()
-        ext.check_section(section)
-        read = _section_basis(ext, section)
+    In that basis the base brackets and T are the base parts of the base
+    blocks (independent of the section because the kernel is an ideal), and
+    T_V is the module block of T_hat, whose base part must vanish for the
+    module to be operator-stable."""
     binary, ternary, op = read
     n = ext.base_dim
     base, module = range(n), range(n, ext.total.dim)
@@ -397,16 +440,21 @@ def base_data(ext: AbelianExtension, section: Section | None = None, read=None
             _block(op, module, module))
 
 
-def _base_and_rep(ext: AbelianExtension, section: Section
-                  ) -> tuple[tuple, LyAlgebra, ReynoldsOperator, Representation]:
-    """The :func:`_section_basis` read of a section, then the base data
-    (L, T) and the representation of L on V, T_V included, taken from it:
-    one read in the basis of the section, one call of :func:`base_data`,
-    the rho and theta blocks, and the representation validated against
-    them.  Callers pass the read on to further readers of the section."""
+def base_data(ext: AbelianExtension, section: Section | None = None
+              ) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
+    """Recover (L, T, T_V) from an extension, in the basis of ``section``;
+    with no section, the extension's kept read of its canonical one."""
+    if section is None:
+        return ext._base
     ext.check_section(section)
-    read = _section_basis(ext, section)
-    base, base_op, tv = base_data(ext, section, read)
+    return _read_base(ext, _section_basis(ext, section))
+
+
+def _read_rep(ext: AbelianExtension, read, base: LyAlgebra, base_op: ReynoldsOperator,
+              tv: Matrix) -> Representation:
+    """The representation of L on V, T_V included, from the read of a
+    section and the base data taken from it: the rho and theta blocks,
+    validated against that base data."""
     binary, ternary, _ = read
     n, m = ext.base_dim, ext.module_dim
     # entry (a, v) of rho(e_i) is [e_i, v]_a, and of theta(e_i, e_j) it is
@@ -418,7 +466,18 @@ def _base_and_rep(ext: AbelianExtension, section: Section
     rep = Representation(n, m, rho, theta, tv)
     verify_reynolds_rep(base, base_op, rep).require(
         InternalInconsistency, "representation read off a verified extension fails")
-    return read, base, base_op, rep
+    return rep
+
+
+def _base_and_rep(ext: AbelianExtension, section: Section
+                  ) -> tuple[tuple, LyAlgebra, ReynoldsOperator, Representation]:
+    """One :func:`_section_basis` read of a given section, and the base data
+    (L, T) and representation taken from it; callers pass the read on to
+    further readers of the section."""
+    ext.check_section(section)
+    read = _section_basis(ext, section)
+    base, base_op, tv = _read_base(ext, read)
+    return read, base, base_op, _read_rep(ext, read, base, base_op, tv)
 
 
 def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Representation:
@@ -428,9 +487,12 @@ def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Repres
         theta(x,y) u  = {i(u), s(x), s(y)}
 
     Independent of the section because the kernel is abelian; validated
-    against the recovered base data before being returned.
+    against the recovered base data before being returned.  With no
+    section, the extension's kept read of its canonical one.
     """
-    return _base_and_rep(ext, section or ext.canonical_section())[3]
+    if section is None:
+        return ext._rep
+    return _base_and_rep(ext, section)[3]
 
 
 def _defect_cocycle(ext: AbelianExtension, read, base: LyAlgebra,
@@ -462,9 +524,11 @@ def extract_cocycle(ext: AbelianExtension, section: Section | None = None
         chi(x)     = T_hat s(x) - s(T x)
 
     All three defects land in the module image; the result is verified to be
-    a cocycle over the recovered base data.
+    a cocycle over the recovered base data.  With no section, the
+    extension's kept read of its canonical one.
     """
-    section = section or ext.canonical_section()
+    if section is None:
+        return ext._cocycle
     return _defect_cocycle(ext, *_base_and_rep(ext, section))
 
 
@@ -475,13 +539,12 @@ def to_block_form(ext: AbelianExtension) -> AbelianExtension:
     the arrows become the canonical block maps.  An extension already in
     block form is returned as it is.
     """
-    n, m = ext.base_dim, ext.module_dim
-    inject_c, project_c = _canonical_arrows(n, m)
-    if (ext.inject, ext.project) == (inject_c, project_c):
+    if ext._block_form:
         return ext
-    binary, ternary, op = _section_basis(ext, ext.canonical_section())
+    n, m = ext.base_dim, ext.module_dim
+    binary, ternary, op = ext._read()
     return AbelianExtension(LyAlgebra(n + m, binary, ternary),
-                            ReynoldsOperator(op, ext.total_op.weight), inject_c, project_c)
+                            ReynoldsOperator(op, ext.total_op.weight), *_canonical_arrows(n, m))
 
 
 def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix | None:
@@ -489,20 +552,22 @@ def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix 
     None otherwise.
 
     Both extensions are first moved to block form and must recover identical
-    base data.  When a witness iota with d(iota) = c1 - c2 exists, the block
-    map it defines is verified to preserve both brackets and the operator
-    and to commute with the two arrows before being returned.
+    base data; each side's base data, representation and cocycle are its
+    kept, verified reads.  When a witness iota with d(iota) = c1 - c2
+    exists, the block map it defines is verified to preserve both brackets
+    and the operator and to commute with the two arrows before being
+    returned.
     """
     e1 = to_block_form(e1)
     e2 = to_block_form(e2)
-    read1, base, base_op, rep = _base_and_rep(e1, e1.canonical_section())
-    read2, b2, o2, r2 = _base_and_rep(e2, e2.canonical_section())
-    if (base, base_op, rep.module_op) != (b2, o2, r2.module_op):
+    (base, base_op, tv), rep = e1._base, e1._rep
+    (b2, o2, tv2), r2 = e2._base, e2._rep
+    if (base, base_op, tv) != (b2, o2, tv2):
         raise IncompatibleData("extensions do not share base algebra/operators")
     if rep != r2:
         raise IncompatibleData("extensions do not induce the same representation")
-    c1 = _defect_cocycle(e1, read1, base, base_op, rep).to_cochain()
-    c2 = _defect_cocycle(e2, read2, base, base_op, rep).to_cochain()
+    c1 = e1._cocycle.to_cochain()
+    c2 = e2._cocycle.to_cochain()
     witness = coboundary_preimage(base, base_op, rep, "rly", c1 - c2)
     if witness is None:
         return None

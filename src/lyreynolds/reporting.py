@@ -3,9 +3,10 @@
 A failed identity is data, not an exception: each report row carries the
 identity name, a pass flag and -- on failure -- the lexicographically first
 witness basis tuple together with the residual (LHS - RHS) it produced.
-Basis indices in reports are 0-based, matching the in-memory convention,
-and the CLI prints them as they are (``FAIL at basis tuple (0, 1)``), even
-though the input files count from 1.
+Basis indices in reports, in their JSON and in the API are 0-based,
+matching the in-memory convention; report text prints them 1-based, as the
+input files count them (``FAIL at basis tuple (1, 2)`` for the witness
+``(0, 1)``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class Check:
     def describe(self) -> str:
         if self.passed:
             return f"{self.name}: pass"
-        return f"{self.name}: FAIL at basis tuple {self.witness}, residual {_render(self.residual)}"
+        witness = tuple(i + 1 for i in self.witness)
+        return f"{self.name}: FAIL at basis tuple {witness}, residual {_render(self.residual)}"
 
 
 def first_failure(name: str, tuples, residual_fn, is_zero, finish=None) -> Check:

@@ -150,7 +150,7 @@ row = 0 5
     path = write(tmp_path, text)
     assert main(["verify", path, "--name", "bad"]) == 1
     out = capsys.readouterr().out
-    assert "reynolds-binary: FAIL at basis tuple (0, 1)" in out
+    assert "reynolds-binary: FAIL at basis tuple (1, 2)" in out
 
 
 def test_verify_empty_algebra(tmp_path, capsys):
@@ -570,6 +570,27 @@ def test_extension_sample_verifies(capsys):
     out = capsys.readouterr().out
     assert "base-data-matches: pass" in out
     assert main(["verify", path, "--name", "chidefect"]) == 0
+
+
+def test_verify_reads_the_section_basis_of_an_extension_once(monkeypatch, capsys):
+    """The extension keeps the read of its canonical section: the
+    constructor, base-data-matches and induced-representation-matches share
+    one."""
+    import lyreynolds.extension as extension
+
+    calls = []
+    original = extension._section_basis
+
+    def counted(ext, section):
+        calls.append(section)
+        return original(ext, section)
+
+    monkeypatch.setattr(extension, "_section_basis", counted)
+    assert main(["verify", str(SAMPLES / "extension.lyr"), "--name", "E1"]) == 0
+    assert capsys.readouterr().out == (
+        "extension-structure: pass\nbase-data-matches: pass\n"
+        "induced-representation-matches: pass\n")
+    assert len(calls) == 1
 
 
 def test_verify_rejects_a_module_image_that_is_not_an_ideal(tmp_path, capsys):

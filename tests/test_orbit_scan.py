@@ -481,15 +481,17 @@ def moved_extension(total, total_op, n: int):
 
 def test_an_extension_in_another_basis_keeps_the_full_scan(sl2):
     total, total_op = failing_sl2_total(sl2)
-    # in block form the extension fails LY3 at the base triple (0, 1, 2)
+    # in block form the extension fails LY3 at the base triple (0, 1, 2),
+    # printed 1-based
     assert construction(total, total_op, 3).startswith(
-        "total algebra fails the axioms:\nLY1: pass\nLY2: pass\nLY3: FAIL at basis tuple (0, 1, 2)")
+        "total algebra fails the axioms:\nLY1: pass\nLY2: pass\nLY3: FAIL at basis tuple (1, 2, 3)")
     moved, *rest = moved_extension(total, total_op, 3)
     with pytest.raises(InvalidInput) as err:
         AbelianExtension(moved, *rest)
-    # pinned from the code that scanned every total in full
+    # pinned from the code that scanned every total in full, the witnesses
+    # printed 1-based
     assert str(err.value) == (
         "total algebra fails the axioms:\nLY1: pass\nLY2: pass\n"
-        "LY3: FAIL at basis tuple (3, 4, 5), residual (1, 0, 0, 0, 0, 0)\nLY4: pass\n"
-        "LY5: FAIL at basis tuple (3, 4, 3, 5), residual (-2, 0, 0, 0, 0, 0)\n"
-        "LY6: FAIL at basis tuple (3, 4, 3, 5, 3), residual (-4, 0, 0, 0, 0, 0)")
+        "LY3: FAIL at basis tuple (4, 5, 6), residual (1, 0, 0, 0, 0, 0)\nLY4: pass\n"
+        "LY5: FAIL at basis tuple (4, 5, 4, 6), residual (-2, 0, 0, 0, 0, 0)\n"
+        "LY6: FAIL at basis tuple (4, 5, 4, 6, 4), residual (-4, 0, 0, 0, 0, 0)")
