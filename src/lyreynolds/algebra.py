@@ -58,10 +58,12 @@ class Tensor:
     the writer of the cells filled in both antisymmetric images of each in
     the leading index pair itself, and rejected a pair that contradicts
     (the loader, :func:`binary_from_sparse` and
-    :func:`ternary_from_sparse`).  :func:`_require_antisymmetric` takes a
-    certified tensor without a scan.  Every other tensor, nested input and
-    the output of transports and descendants among them, is uncertified
-    and is scanned where it is required to be antisymmetric.
+    :func:`ternary_from_sparse`), and for the coefficients that
+    :func:`lyreynolds.deformation.apply_equivalence` transports, whose
+    leading slots one series moves alike.  :func:`_require_antisymmetric`
+    takes a certified tensor without a scan.  Every other tensor, nested
+    input and descendants among them, is uncertified and is scanned where
+    it is required to be antisymmetric.
     """
 
     def __init__(self, cells: dict, dim: int, depth: int, width: int,
@@ -455,11 +457,14 @@ def series_lincomb(*terms) -> list:
     return out
 
 
-def dense_tensor(acc: dict, depth: int, dim: int, den: int) -> Tensor:
+def dense_tensor(acc: dict, depth: int, dim: int, den: int,
+                 antisymmetric: bool = False) -> Tensor:
     """The :class:`Tensor` with ``depth`` levels of basis indices whose flat
     ``{position: value}`` dict (see :func:`flat_table`) holds den times it:
-    one division per nonzero cell."""
-    return Tensor({p: Fraction(v, den) for p, v in acc.items() if v}, dim, depth, dim)
+    one division per nonzero cell.  ``antisymmetric`` is the writer's
+    certificate (``Tensor.antisymmetric``)."""
+    return Tensor({p: Fraction(v, den) for p, v in acc.items() if v}, dim, depth, dim,
+                  antisymmetric)
 
 
 def tuple_residual(acc: dict, shape):

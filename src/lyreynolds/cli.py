@@ -23,8 +23,8 @@ are its own.  Parsers are built per call and none is kept.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cohomology import (
@@ -54,6 +54,31 @@ from .reynolds import verify_reynolds
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values the
+    commands print: dicts with str keys, lists, str, int, bool and None.
+    ``indent`` is the line break and indentation of the enclosing level."""
+    if value.__class__ is str:
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if value.__class__ is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if value.__class__ is list:
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_dumps(v, inner) for v in value])
+                + indent + "]")
+    if value.__class__ is dict:
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()])
+            + indent + "}")
+    raise TypeError(f"cannot write a {value.__class__.__name__} as JSON")
 
 
 def _fail_data(kind: str, name: str, report) -> dict:
@@ -130,7 +155,7 @@ def cmd_verify(args) -> int:
     ws = load_workspace(args.files)
     ok, payload, text = _verify_object(ws, args.name)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -176,7 +201,7 @@ def cmd_cohomology(args) -> int:
         payload = report.to_json()
         payload["square_zero"] = square_zero
         payload["chain_map"] = chain_map
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(report.describe())
         for p, ok in enumerate(square_zero, start=1):
@@ -209,7 +234,7 @@ def cmd_classify_extensions(args) -> int:
             "betti2": betti2,
             "representatives": [_cocycle_to_json(c) for c in built],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(f"second cohomology dimension: {betti2}")
         if betti2 == 0:
@@ -259,7 +284,7 @@ def cmd_deform_check(args) -> int:
     report = verify_deformation(ws.algebra(entry.algebra),
                                 ws.operator(entry.operator).op, deformation)
     if args.json:
-        print(json.dumps({"object": name, "report": report.to_json()}, indent=2))
+        print(_dumps({"object": name, "report": report.to_json()}))
     else:
         print(report.describe())
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED

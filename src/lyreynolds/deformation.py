@@ -46,7 +46,7 @@ from .errors import (
     OrderTooLow,
     ShapeMismatch,
 )
-from .linalg import Matrix
+from .linalg import Matrix, add_product
 from .reporting import OrderReport
 from .representation import adjoint_rep
 from .reynolds import ReynoldsOperator, _reynolds_identities
@@ -141,14 +141,24 @@ class FormalIsomorphism:
         """Truncated series inverse (Neumann recursion on the tail), computed
         once and kept.  The inverse keeps this series as its own inverse:
         inverses of truncated series are unique, so the truncated inverse is
-        an involution."""
+        an involution.
+
+        The recursion psi_s = -sum_{i=1..s} phi_i psi_{s-i} runs on integer
+        rows over one denominator D of the tail: with P_i = D phi_i and
+        Psi_s = D^s psi_s, Psi_s = sum_{i=1..s} -D^(i-1) P_i Psi_{s-i}, and
+        psi_s is returned in integer form, Psi_s over D^s."""
         if "_inverse" not in self.__dict__:
-            psi = [Matrix.identity(self.dim)]
+            n = self.dim
+            tail = IntegerRead(Tt=self.phi[1:])  # P_i = tail.t_row[i - 1], D = tail.den
+            scaled = [tuple(((k, 1),) for k in range(n))]  # Psi_0 = Id
+            psi = [Matrix.identity(n)]
             for s in range(1, self.order + 1):
-                acc = Matrix.zero(self.dim, self.dim)
+                acc = [{} for _ in range(n)]
                 for i in range(1, s + 1):
-                    acc = acc + self.phi[i] @ psi[s - i]
-                psi.append(acc.scale(-1))
+                    add_product(acc, -tail.den ** (i - 1), tail.t_row[i - 1], scaled[s - i])
+                scaled.append(tuple(tuple(sorted(p for p in row.items() if p[1]))
+                                    for row in acc))
+                psi.append(Matrix._of_integer(n, n, tail.den ** s, scaled[s]))
             inverse = FormalIsomorphism(self.order, tuple(psi))
             object.__setattr__(self, "_inverse", inverse)
             object.__setattr__(inverse, "_inverse", self)
@@ -234,9 +244,11 @@ def apply_equivalence(deformation: TruncatedDeformation,
     psi = IntegerRead(Tt=iso.inverse().phi)
     phi = IntegerRead(Tt=iso.phi)
     scale = read.den * phi.den
-    new_f = tuple(dense_tensor(acc, 2, n, scale * psi.den ** 2)
+    # psi moves both leading slots of an antisymmetric series alike, so
+    # every transported order is antisymmetric: certified, not scanned
+    new_f = tuple(dense_tensor(acc, 2, n, scale * psi.den ** 2, antisymmetric=True)
                   for acc in transport(read.f, 2, n, psi.t_row, phi.t_col))
-    new_g = tuple(dense_tensor(acc, 3, n, scale * psi.den ** 3)
+    new_g = tuple(dense_tensor(acc, 3, n, scale * psi.den ** 3, antisymmetric=True)
                   for acc in transport(read.g, 3, n, psi.t_row, phi.t_col))
     new_t = tuple(Matrix(n, n, dense_vector(acc, n * n, scale * psi.den)).transpose()
                   for acc in transport([flat_table(t, (n, n)) for t in read.t_col], 1, n,

@@ -235,17 +235,26 @@ class AbelianExtension:
             return self._own_read
         return _section_basis(self, self.canonical_section())
 
-    @cached_property
-    def _base(self) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
-        return _read_base(self, self._read())
+    def _kept(self, name: str):
+        """The kept read ``name`` of the canonical section: ``_base``, then
+        ``_rep`` taken with it, then ``_cocycle`` taken with both.  Those
+        up to ``name`` that are not kept yet are built from one
+        :meth:`_read` and kept."""
+        kept = self.__dict__
+        if name not in kept:
+            read = self._read()
+            if "_base" not in kept:
+                kept["_base"] = _read_base(self, read)
+            base, base_op, tv = kept["_base"]
+            if name != "_base" and "_rep" not in kept:
+                kept["_rep"] = _read_rep(self, read, base, base_op, tv)
+            if name == "_cocycle":
+                kept["_cocycle"] = _defect_cocycle(self, read, base, base_op, kept["_rep"])
+        return kept[name]
 
-    @cached_property
-    def _rep(self) -> Representation:
-        return _read_rep(self, self._read(), *self._base)
-
-    @cached_property
-    def _cocycle(self) -> ExtensionCocycle:
-        return _defect_cocycle(self, self._read(), *self._base[:2], self._rep)
+    _base = property(lambda self: self._kept("_base"))
+    _rep = property(lambda self: self._kept("_rep"))
+    _cocycle = property(lambda self: self._kept("_cocycle"))
 
 
 def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,

@@ -37,7 +37,8 @@ from .algebra import LyAlgebra, Tensor
 from .cohomology import RlyCochain, cochain2_from_tensors, cochain_from_matrix
 from .errors import DimMismatch, NameNotFound, ParseError
 from .linalg import Matrix, digits, from_cells, parse_rational
-from .representation import Representation, adjoint_rep
+from . import representation
+from .representation import Representation
 from .reynolds import ReynoldsOperator
 
 _SECTION_RE = re.compile(r"^\[(\w+)\s+([A-Za-z_][\w.-]*)\]$")
@@ -84,9 +85,32 @@ class OperatorEntry:
 
 @dataclass(frozen=True)
 class RepresentationEntry:
+    """A representation section.  The ``rep`` of an ``adjoint = true``
+    section is built by :func:`representation.adjoint_rep` when it is first
+    read (:meth:`adjoint`), and then kept; ``repr`` and ``==`` read it as a
+    field."""
+
     algebra: str
     operator: str | None
     rep: Representation
+
+    @classmethod
+    def adjoint(cls, algebra: str, operator: str | None, of: tuple) -> "RepresentationEntry":
+        """The entry of the adjoint representation of the ``(LyAlgebra,
+        ReynoldsOperator or None)`` pair ``of``, not built yet."""
+        entry = object.__new__(cls)
+        entry.__dict__.update(algebra=algebra, operator=operator, _adjoint_of=of)
+        return entry
+
+    def __getattr__(self, name):
+        # reached only for an attribute not stored: the rep of an adjoint
+        # entry before its first read; adjoint_rep is looked up through its
+        # module at call time, so that a wrapper put there sees the build
+        kept = self.__dict__
+        if name != "rep" or "_adjoint_of" not in kept:
+            raise AttributeError(name)
+        kept["rep"] = representation.adjoint_rep(*kept["_adjoint_of"])
+        return kept["rep"]
 
 
 @dataclass(frozen=True)
@@ -444,8 +468,8 @@ def _build_representation(sec: _RawSection, ws: Workspace) -> RepresentationEntr
         tokens, line = sec.scalars["adjoint"]
         if tokens != ["true"]:
             raise ParseError("'adjoint' only takes the value true", sec.path, line)
-        rep = adjoint_rep(algebra, op_entry.op if op_entry else None)
-        return RepresentationEntry(alg_name, op_name, rep)
+        return RepresentationEntry.adjoint(alg_name, op_name,
+                                           (algebra, op_entry.op if op_entry else None))
 
     m = _int_scalar(sec, "module_dim", minimum=0)
     n = algebra.dim

@@ -154,12 +154,13 @@ def _rows(acc):
     return tuple(tuple((k, v) for k, v in row.items() if v) for row in acc)
 
 
-def _integer_d(read: IntegerRead, m: int):
+def _integer_d(read: IntegerRead, m: int, f):
     """L^2 D(e_i, e_j) as stored rows, from the read of the binary structure
-    constants and of rho and theta (its first two ``rows``) over L.  D is
-    antisymmetric (the bracket is), so only i < j is computed."""
+    constants and of rho and theta (its first two ``rows``) over L, and
+    ``f``, the :func:`algebra.tuple_residual` reader of the read's binary
+    table.  D is antisymmetric (the bracket is), so only i < j is
+    computed."""
     den, n, (rho, theta, *_) = read.den, read.dim, read.rows
-    f = tuple_residual(read.f[0], (n,) * 3)
     zero = ((),) * m
     out = [[zero] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
@@ -182,9 +183,10 @@ def d_table(algebra: LyAlgebra, rep: Representation):
         raise DimMismatch("representation is over a different algebra dimension")
     read = IntegerRead((algebra.binary,), rows=(rep.rho, rep.theta))
     m = rep.module_dim
+    f = tuple_residual(read.f[0], (algebra.dim,) * 3)
     return tuple(tuple(Matrix.from_integer_rows(list(map(dict, rows)), m, read.den ** 2)
                        for rows in row)
-                 for row in _integer_d(read, m))
+                 for row in _integer_d(read, m, f))
 
 
 def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
@@ -211,7 +213,7 @@ def _rep_identities(read: IntegerRead, m: int):
     one power short are multiplied by L."""
     den, n, (rho, theta) = read.den, read.dim, read.rows
     f, g = tuple_residual(read.f[0], (n,) * 3), tuple_residual(read.g[0], (n,) * 4)
-    dd = _integer_d(read, m)
+    dd = _integer_d(read, m, f)
     # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
     # that linearity in the first slot is a sum over a column
     theta_col = [[theta[k][a] for k in range(n)] for a in range(n)]
@@ -367,7 +369,8 @@ def _module_op_identities(read: IntegerRead, n: int, m: int):
     rho, theta = read.rows
     return ((identity("rho-module-op", (1,), rho, 1),
              identity("theta-module-op", (1, 1), theta, 1)),
-            lambda: identity("d-module-op (derived)", (2,), _integer_d(read, m), 2))
+            lambda: identity("d-module-op (derived)", (2,), _integer_d(
+                read, m, tuple_residual(read.f[0], (n,) * 3)), 2))
 
 
 def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,

@@ -18,7 +18,9 @@ sparse ones against.
   ``derivation_check_dense``, ``verify_rep_dense``,
   ``verify_reynolds_rep_dense`` and ``apply_equivalence_dense`` are the
   verifiers and the transport written with dense vectors and whole-matrix
-  sums and products.
+  sums and products.  ``inverse_by_matrices`` is the earlier truncated
+  inverse of a formal isomorphism, its Neumann recursion on whole
+  ``Matrix`` sums and products.
 * ``orbit_ly_identities`` is the earlier sparse LY1-LY6, one orbit tuple at
   a time, each product a ``contract`` of nested integer tables that it
   walks from the tensors itself (``integer_view``), and
@@ -951,6 +953,19 @@ def apply_equivalence_dense(deformation, iso):
         new_t.append(t_s)
 
     return TruncatedDeformation(N, tuple(new_f), tuple(new_g), tuple(new_t))
+
+
+def inverse_by_matrices(iso) -> tuple:
+    """The coefficients psi_0..psi_N of the truncated inverse of ``iso``:
+    psi_0 = Id and psi_s = -sum_{i=1..s} phi_i psi_{s-i}, one Matrix
+    product per term."""
+    psi = [Matrix.identity(iso.dim)]
+    for s in range(1, iso.order + 1):
+        acc = Matrix.zero(iso.dim, iso.dim)
+        for i in range(1, s + 1):
+            acc = acc + iso.phi[i] @ psi[s - i]
+        psi.append(acc.scale(-1))
+    return tuple(psi)
 
 
 def morphism_failure_dense(phi, source, target):

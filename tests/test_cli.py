@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lyreynolds.cli as cli_module
 import lyreynolds.cohomology as cohomology_module
@@ -18,6 +20,7 @@ from lyreynolds import (
 )
 from lyreynolds.cli import main
 from lyreynolds.errors import NameNotFound, ParseError
+from lyreynolds import fileformat
 from lyreynolds.fileformat import load_workspace
 from lyreynolds.reporting import AxiomReport, ComplexReport, OrderReport
 from tests.conftest import with_entry_added
@@ -741,3 +744,65 @@ def test_malformed_integers_are_parse_errors(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}:{message}\n"
+
+
+# ---------------------------------------------------------------------------
+# the --json writer and the adjoint sections it reads
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10 ** 80, max_value=10 ** 80)
+    | st.text(st.characters(codec=None, exclude_categories=())) | st.sampled_from(
+        ["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "é ü ß", "  ", "😀", "\ud800"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_the_json_writer_gives_the_bytes_of_json_dumps(value):
+    assert cli_module._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_the_json_writer_rejects_what_json_would_not_write_as_the_commands_do():
+    with pytest.raises(TypeError):
+        cli_module._dumps({"x": [F(1, 2)]})
+
+
+def adjoint_builds(monkeypatch) -> list:
+    """The (algebra, operator) pairs ``representation.adjoint_rep`` builds
+    from, in order, while the patch holds."""
+    built = []
+    original = representation.adjoint_rep
+
+    def counting(algebra, op=None):
+        built.append((algebra, op))
+        return original(algebra, op)
+
+    monkeypatch.setattr(representation, "adjoint_rep", counting)
+    return built
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["deform-check", TWO_DIM, "--name", "stretch", "--json"], 0),
+    (["verify", TWO_DIM, "--name", "ad", "--json"], 1),
+    (["cohomology", TWO_DIM, "--algebra", "ly2", "--operator", "T", "--rep", "ad",
+      "--max-degree", "2"], 1),
+])
+def test_an_adjoint_section_is_built_when_its_representation_is_first_read(
+        monkeypatch, capsys, argv, builds):
+    clear_engine_caches()
+    built = adjoint_builds(monkeypatch)
+    assert main(argv) == 0
+    assert len(built) == builds
+
+
+def test_a_loaded_adjoint_entry_reads_as_one_built_at_load(monkeypatch, ly2, tri_t):
+    built = adjoint_builds(monkeypatch)
+    entry = load_workspace([TWO_DIM]).representations["ad"]
+    assert built == []
+    eager = fileformat.RepresentationEntry("ly2", "T", adjoint_rep(ly2, tri_t))
+    assert repr(entry) == repr(eager) and entry == eager and hash(entry) == hash(eager)
+    assert len(built) == 1  # on the first read, not on the eager build
+    assert entry.rep is entry.rep and len(built) == 1

@@ -46,6 +46,7 @@ from tests.conftest import (
     random_structures,
     random_valid_triples,
 )
+from tests.oracles import inverse_by_matrices
 
 F = Fraction
 
@@ -239,6 +240,28 @@ def test_iso_inverse_is_truncated_inverse(ly2):
             for i in range(s + 1):
                 acc = acc + iso.phi[i] @ psi.phi[s - i]
             assert acc == (Matrix.identity(2) if s == 0 else Matrix.zero(2, 2))
+
+
+def test_iso_inverse_on_integer_rows_equals_the_matrix_recursion():
+    """The recursion on integer rows over one denominator gives the
+    coefficients of the recursion on Matrix products, in integer form, on
+    dims 1-4 and orders 1-4, with Fraction entries and for the identity; the
+    inverse of the inverse is the series itself."""
+    rng = random.Random(39)
+    for n in range(1, 5):
+        for order in range(1, 5):
+            isos = [FormalIsomorphism.identity(n, order)] + [
+                FormalIsomorphism(order, (Matrix.identity(n),) + tuple(
+                    rand_matrix(rng, n, n, rng.choice((1, 3))).scale(rand_fraction(rng))
+                    for _ in range(order)))
+                for _ in range(3)]
+            for iso in isos:
+                psi = iso.inverse()
+                assert psi.phi == inverse_by_matrices(iso)
+                assert all("integer" in vars(p) for p in psi.phi[1:])
+                assert psi.inverse() is iso
+                fresh = FormalIsomorphism(order, psi.phi).inverse()
+                assert fresh.phi == iso.phi == inverse_by_matrices(psi)
 
 
 def test_iso_inverse_is_kept_and_is_an_involution(ly2, tri_t):

@@ -11,6 +11,8 @@
   checks: each of the three raises on both arrow paths.
 * ``d_rly`` applies the cone block by block; it must equal the stacked
   matrix of ``differential_matrix``, entry for entry.
+* Off block form, the first reader of a fresh extension takes base data,
+  representation and cocycle from one ``_section_basis`` read.
 """
 
 import random
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import lyreynolds.extension as extension_module
 from lyreynolds import (
     AbelianExtension,
     LyAlgebra,
@@ -181,3 +184,26 @@ def test_the_cone_applied_by_blocks_equals_its_stacked_matrix():
             got = d_rly(algebra, op, rep, c)
             assert got == stacked and repr(got) == repr(stacked)
             assert is_cocycle(algebra, op, rep, "rly", c) == stacked.is_zero()
+
+
+@pytest.mark.parametrize("reader", [extract_rep, extract_cocycle, base_data])
+def test_the_first_read_off_block_form_takes_one_section_basis(monkeypatch, reader):
+    """Off block form no section-basis read is kept, so the reads kept with
+    it (base data, then the representation, then the cocycle) are all
+    taken from the one read that the first reader makes."""
+    calls = []
+    original = extension_module._section_basis
+
+    def counted(ext, section):
+        calls.append(ext)
+        return original(ext, section)
+
+    rng = random.Random(98)
+    algebra, op, rep = TRIPLES[0]
+    ext = built(algebra, op, rep, kernel_cocycles(rng, algebra, op, rep, 1)[0])
+    moved = scrambled(rng, ext)
+    assert not moved._block_form
+    monkeypatch.setattr(extension_module, "_section_basis", counted)
+    got = reader(moved)
+    assert len(calls) == 1
+    assert got == reader(twin(moved))

@@ -9,8 +9,9 @@ and token mutations of them it must give the cells, or the error class,
 text and line, of the earlier line-by-line reader
 (``oracles.sparse_tensor_by_lines``).  The tensors it writes are certified
 antisymmetric (``Tensor.antisymmetric``), so a loaded deformation is
-checked without one antisymmetry scan, while the output of a transport and
-hand-built tensors are still scanned.
+checked without one antisymmetry scan, and so is the output of
+``apply_equivalence``, which certifies what it writes; hand-built tensors
+are still scanned.
 """
 
 import random
@@ -263,21 +264,47 @@ def test_deform_check_of_a_loaded_order3_deformation_scans_no_tensor(tmp_path, s
     assert all(t.antisymmetric for t in entry.F + entry.G)
 
 
-def test_the_output_of_apply_equivalence_is_still_scanned(tmp_path, scans):
+def random_series(rng, n: int, order: int) -> TruncatedDeformation:
+    """Random antisymmetric coefficients of every order, the base ones
+    included, with no axiom asked of them."""
+    def cells(arity):
+        return {tuple(rng.randrange(n) for _ in range(arity)): rand_fraction(rng)
+                for _ in range(rng.randint(0, 5))}
+
+    def clean(entries):  # one half of each antisymmetric pair, none on the diagonal
+        return {idx: v for idx, v in entries.items() if idx[0] < idx[1]}
+
+    return TruncatedDeformation(
+        order, tuple(binary_from_sparse(n, clean(cells(3))) for _ in range(order + 1)),
+        tuple(ternary_from_sparse(n, clean(cells(4))) for _ in range(order + 1)),
+        tuple(rand_matrix(rng, n, n) for _ in range(order + 1)))
+
+
+def test_the_output_of_apply_equivalence_is_certified_not_scanned(tmp_path, scans):
+    """psi moves both leading slots of an antisymmetric series alike, so the
+    transported coefficients are certified antisymmetric where they are
+    written, and TruncatedDeformation takes them without a scan; the
+    certificate holds on every one of them."""
     rng = random.Random(2504)
     algebra, op, d = order3_sl2(rng)
-    scans.clear()
     path = tmp_path / "d.lyr"
     path.write_text(lyr_deformation(algebra, op, d), encoding="utf-8")
     entry = load_workspace([path]).deformations["D"]
-    loaded = TruncatedDeformation(entry.order, entry.F, entry.G, entry.Tt)
-    assert scans == []
-    iso = FormalIsomorphism(3, (Matrix.identity(3),)
-                            + tuple(rand_matrix(rng, 3, 3, 1) for _ in range(3)))
-    moved = apply_equivalence(loaded, iso)
-    # each coefficient once, in the order TruncatedDeformation checks them
-    assert scans == [t for pair in zip(moved.F, moved.G) for t in pair]
-    assert not any(t.antisymmetric for t in moved.F + moved.G)
+    inputs = [TruncatedDeformation(entry.order, entry.F, entry.G, entry.Tt)]
+    for _ in range(40):
+        n, order = rng.randint(1, 3), rng.randint(1, 3)
+        inputs.append(random_series(rng, n, order))
+    for d in inputs:
+        n, order = d.dim, d.order
+        iso = FormalIsomorphism(order, (Matrix.identity(n),) + tuple(
+            rand_matrix(rng, n, n, rng.choice((1, 3))).scale(rand_fraction(rng))
+            for _ in range(order)))
+        scans.clear()
+        moved = apply_equivalence(d, iso)
+        assert scans == []
+        for t in moved.F + moved.G:
+            assert t.antisymmetric
+            assert _antisymmetry_failure(t) is None
 
 
 def test_a_hand_built_tensor_that_is_not_antisymmetric_is_rejected():
