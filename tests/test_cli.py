@@ -765,7 +765,7 @@ def test_the_json_writer_gives_the_bytes_of_json_dumps(value):
     assert cli_module._dumps(value) == json.dumps(value, indent=2)
 
 
-def test_the_json_writer_rejects_what_json_would_not_write_as_the_commands_do():
+def test_the_json_writer_rejects_a_type_the_commands_do_not_print():
     with pytest.raises(TypeError):
         cli_module._dumps({"x": [F(1, 2)]})
 
