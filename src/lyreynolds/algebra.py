@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain
 from math import lcm, prod
 
 from .errors import (
@@ -58,7 +58,8 @@ class Tensor:
     the writer of the cells filled in both antisymmetric images of each in
     the leading index pair itself, and rejected a pair that contradicts
     (the loader, :func:`binary_from_sparse` and
-    :func:`ternary_from_sparse`), and for the coefficients that
+    :func:`ternary_from_sparse`; the representation verifiers' semidirect
+    total, whose cells are written once each), and for the coefficients that
     :func:`lyreynolds.deformation.apply_equivalence` transports, whose
     leading slots one series moves alike.  :func:`_require_antisymmetric`
     takes a certified tensor without a scan.  Every other tensor, nested
@@ -191,28 +192,6 @@ def _require_antisymmetric(tensor: Tensor, text: str, error=InvalidStructure) ->
     bad = _antisymmetry_failure(tensor)
     if bad is not None:
         raise error(f"{text} at ({','.join(map(str, bad))})")
-
-
-def orbit_tuples(dim: int, shape):
-    """The basis tuples that decide an identity antisymmetric within groups
-    of consecutive slots: ``shape`` lists the group sizes, and the tuples
-    yielded are those strictly increasing within each group, in product
-    order.  ``(2, 1)`` gives every (i, j, k) with i < j; a shape of ones
-    gives every tuple.  There are prod C(dim, k) of them, k over ``shape``.
-
-    Why they suffice: LyAlgebra and TruncatedDeformation enforce or certify
-    the antisymmetry of both brackets at every order, so each residual given a
-    shape is zero on a tuple that repeats an index within a group and
-    changes sign under a swap within a group.  The failing tuples are
-    therefore a union of orbits of those swaps, and the increasing tuple of
-    an orbit is its lexicographic minimum, because the groups are
-    consecutive slots.  The first failure over these tuples, with its
-    residual, is the first failure in product order over all of them (see
-    :func:`first_failing_tuple`).  The representation identities scan them;
-    LY1-LY6 are written onto them (see :func:`_ly_identities`).
-    """
-    return (tuple(chain.from_iterable(groups))
-            for groups in product(*(combinations(range(dim), k) for k in shape)))
 
 
 def zero_binary(dim: int) -> Tensor:
@@ -352,19 +331,6 @@ class IntegerRead:
         self.t_row = tuple(_scaled_rows(t, den) for t in Tt)
         self.lw = (weight * den).numerator
         self.rows = _nested_rows(rows, den)
-
-
-def expand(table, c, vecs):
-    """The terms of c * table(vecs...) as ``(leaf, coefficient)`` pairs: one
-    nesting level of ``table`` is consumed per argument, and each argument
-    is a sparse ``(index, value)`` sequence, a basis vector being
-    ``((i, 1),)``.  Only nonzero coordinates are visited, and a factor 1
-    costs no product."""
-    terms = [(table, c)]
-    for vec in vecs:
-        terms = [(node[i], k if a == 1 else a if k == 1 else a * k)
-                 for node, k in terms for i, a in vec]
-    return terms
 
 
 def dense_vector(acc: dict, dim: int, den: int = 1, start: int = 0) -> Vector:
@@ -572,10 +538,16 @@ def _ly_identities(read: IntegerRead) -> list:
     bracket that hold its output coordinate in the contracted slot.  LY3-LY6
     are antisymmetric within the groups of their slots (3), (3, 1), (2, 2)
     and (2, 2, 1), because F_i and G_i are in their first two
-    (:class:`LyAlgebra` and TruncatedDeformation enforce or certify it).  So each
-    product is written on the tuple increasing within each group (see
-    :func:`orbit_tuples`) with the sign of the swap that takes it there,
-    and dropped on a repeated index, where the residual is 0: LY3 and LY4
+    (:class:`LyAlgebra` and TruncatedDeformation enforce or certify it): each
+    residual is zero on a tuple that repeats an index within a group and
+    changes sign under a swap within a group.  So the failing tuples are a
+    union of orbits of those swaps, and the tuple increasing within each
+    group is the lexicographic minimum of its orbit, because the groups are
+    consecutive slots.  Each product is written on that tuple with the sign
+    of the swap that takes it there, and dropped on a repeated index, where
+    the residual is 0; the least nonzero position is then the first failure
+    in product order over every tuple (see :func:`first_failing_tuple`),
+    with its residual.  LY3 and LY4
     take the parity of the sorted triple, and a derivation term with x > y
     is written on (.., y, x, ..), negated.  The three cyclic terms of LY3
     and LY4 at a triple are its pairs a < b with the third index, and the
@@ -665,7 +637,9 @@ def _ly_identities(read: IntegerRead) -> list:
 def first_failing_tuple(acc: dict, shape):
     """The digits above the last axis of the least nonzero position of a
     flat residual of ``shape``, or None: the first failing tuple in product
-    order, and over :func:`orbit_tuples` when it is antisymmetric."""
+    order, also of a residual written only on the least tuple of each orbit
+    of the swaps within its antisymmetric groups (see
+    :func:`_ly_identities`)."""
     bad = min((p for p, v in acc.items() if v), default=None)
     return None if bad is None else digits(bad // shape[-1], shape[:-1])
 

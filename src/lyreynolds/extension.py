@@ -67,7 +67,7 @@ from .linalg import (
 from .representation import (
     Representation,
     check_inputs,
-    d_table,
+    semidirect_cells,
     verify_reynolds_rep,
 )
 from .reynolds import ReynoldsOperator, verify_reynolds
@@ -266,11 +266,11 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
         {x+u,y+v,z+w}   = {x,y,z} + theta(y,z)u - theta(x,z)v + D(x,y)w + psi(x,y,z)
         T(x+u)          = Tx + chi(x) + T_V u
 
-    Only the blocks that carry data are written: [L,L] = base + nu,
-    [L,V] = rho, {L,L,L} = base + psi, {L,L,V} = D and {V,L,L} = theta; the
-    antisymmetric fill supplies [V,L] and {L,V,L}.  No cocycle condition is
-    checked here; feeding a non-cocycle yields a total structure that fails
-    verification, which is the point of keeping this assembly separate from
+    The cells of the semidirect total (representation.semidirect_cells),
+    with nu and psi added on the module coordinates of [L,L] and {L,L,L},
+    and chi below T in the operator.  No cocycle condition is checked here;
+    feeding a non-cocycle yields a total structure that fails verification,
+    which is the point of keeping this assembly separate from
     :func:`build_extension`.
     """
     if rep.module_op is None:
@@ -280,27 +280,9 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
         raise DimMismatch("operator does not match the algebra dimension")
     if (cocycle.alg_dim, cocycle.mod_dim) != (n, m):
         raise DimMismatch("cocycle shapes do not match the base data")
-    dd = d_table(algebra, rep)
-    # the base brackets, and nu and psi on the module coordinates, as cells
-    binary = dict(algebra.binary.entries())
+    binary, ternary = semidirect_cells(algebra, rep)
     binary.update(((*idx, n + a), c) for (*idx, a), c in cocycle.nu.entries())
-    ternary = dict(algebra.ternary.entries())
     ternary.update(((*idx, n + a), c) for (*idx, a), c in cocycle.psi.entries())
-
-    def put(entries, idx, pairs):
-        for k, c in pairs:
-            entries[idx + (n + k,)] = c
-
-    # column a of a block is row a of its transpose, read as nonzero pairs
-    for i in range(n):
-        for a, col in enumerate(rep.rho[i].transpose().sparse):
-            put(binary, (i, n + a), col)
-        for j in range(n):
-            for a, col in enumerate(dd[i][j].transpose().sparse):
-                put(ternary, (i, j, n + a), col)
-            for a, col in enumerate(rep.theta[i][j].transpose().sparse):
-                put(ternary, (n + a, i, j), col)
-
     # T_hat = [[T, 0], [chi, T_V]], stacked from stored rows
     total_op = ReynoldsOperator(Matrix._of(n + m, n + m, op.matrix.sparse + tuple(
         chi + tuple((n + b, x) for b, x in tv)

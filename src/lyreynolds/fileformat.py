@@ -505,7 +505,9 @@ def _build_cochain(sec: _RawSection, ws: Workspace) -> CochainEntry:
             raise ParseError(f"{key!r} is not read by a degree-{degree} cochain",
                              sec.path, entries[0][1])
     n = ws.algebras[alg_name].dim
-    m = ws.representations[rep_name].rep.module_dim
+    # an adjoint section's module is its algebra, this one: it is not built
+    entry = ws.representations[rep_name]
+    m = n if "_adjoint_of" in vars(entry) else entry.rep.module_dim
 
     def map_matrix(key):  # 'key = z a v' is entry (a, z) of an m x n matrix
         return _matrices(sec, key, (n, m)).transpose()

@@ -32,23 +32,6 @@ class Check:
         return f"{self.name}: FAIL at basis tuple {witness}, residual {_render(self.residual)}"
 
 
-def first_failure(name: str, tuples, residual_fn, is_zero, finish=None) -> Check:
-    """Check one identity over ``tuples``: the witness is the first tuple,
-    in iteration order, whose residual ``residual_fn(*tuple)`` is not zero.
-    ``finish``, when given, turns that residual into the value the report
-    keeps (a sparse residual into a vector or a matrix).
-
-    The tuples may be orbit representatives (algebra.orbit_tuples): for an
-    identity antisymmetric within groups of slots, the tuples increasing
-    within each group, in product order.  The witness is then still the
-    lexicographically first failing basis tuple of all of them."""
-    for tup in tuples:
-        r = residual_fn(*tup)
-        if not is_zero(r):
-            return Check(name, False, tup, r if finish is None else finish(r))
-    return Check(name, True)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     checks: tuple[Check, ...]

@@ -12,27 +12,33 @@ so there is no consistency obligation between a stored D and the rest
 The module operator carries no weight of its own; verifiers take the weight
 from the algebra operator they are handed.
 
-The verifiers and the builders take one integer read
-(``algebra.IntegerRead``) per call of what they need among the structure
-constants, rho, theta, T, the module operator and the weight, over one
-common denominator L, and accumulate ints: every term of an identity or of
-a built entry is brought to one power of L, and only an output entry (a
-built matrix, or the residual of a failing identity) is divided back, once.
-The induced maps X_T of X = rho, theta and D (``_twisted``) come from the
-twist kernel of the descendant brackets (``algebra.twist``), as whole
-tensors in a mixed radix (``algebra.flat_table``), and the module-operator
-identities are X_T(x..) T_V = T_V X(Tx..).
+(rho, theta) is a representation exactly when the semidirect total
+L (+) V (:func:`semidirect_cells`, on which the extensions build theirs
+too) is a Lie-Yamaguti algebra, and T_V a module operator exactly when
+T (+) T_V is Reynolds on it (Yamaguti).  So the verifiers write no
+identity of their own: they read each one off LY4-LY6 or the Reynolds
+identities of the total, at the tuples with one module argument.
+
+The builders take one integer read (``algebra.IntegerRead``) per call of
+what they need among the structure constants, rho, theta, T, the module
+operator and the weight, over one common denominator L, and accumulate
+ints: every term of a built entry is brought to one power of L, and each
+entry is divided back once.  The induced maps X_T of X = rho and theta
+(``_twisted``) come from the twist kernel of the descendant brackets
+(``algebra.twist``), as whole tensors in a mixed radix
+(``algebra.flat_table``), and the module-operator identities are
+X_T(x..) T_V = T_V X(Tx..).
 
 Those identities say that the induced maps are the transport of (rho,
 theta) along (T, T_V).  So when T and T_V are invertible the induced
 representation is certified by that transport (:func:`induced_rep`): one
 whole-tensor check that the built maps intertwine with (rho, theta), in
-place of the representation and module-operator scans over the
-descendant, which a singular T or T_V still gets.
+place of the two verifiers over the descendant, which a singular T or T_V
+still gets.
 
 The representation layer of the input gate (:func:`check_inputs`) is here
 too; it certifies an adjoint module by LY1-LY6 and the Reynolds identities
-instead of scanning it.
+instead of verifying it.
 """
 
 from __future__ import annotations
@@ -45,10 +51,10 @@ from math import prod
 from .algebra import (
     IntegerRead,
     LyAlgebra,
-    expand,
+    Tensor,
+    _ly_identities,
     first_failing_tuple,
     flat_table,
-    orbit_tuples,
     series_lincomb,
     slot_product,
     tuple_residual,
@@ -68,12 +74,18 @@ from .linalg import (
     add_product,
     add_rows,
     block_diag,
+    digits,
     from_cells,
     lincomb,
     rank,
 )
-from .reporting import AxiomReport, first_failure
-from .reynolds import ReynoldsOperator, _require_reynolds, descendant_algebra
+from .reporting import AxiomReport, Check
+from .reynolds import (
+    ReynoldsOperator,
+    _require_reynolds,
+    _reynolds_identities,
+    descendant_algebra,
+)
 
 
 @dataclass(frozen=True)
@@ -136,57 +148,30 @@ def zero_rep(algebra_dim: int, module_dim: int, module_op: Matrix | None = None)
         module_op)
 
 
-def _op_at(acc, c, table, vecs) -> None:
-    """acc += c * table(vecs...) for a multilinear map into operators on V:
-    ``table`` nests one basis index per argument above sparse rows, and each
-    argument is a sparse ``(index, value)`` sequence (see algebra.expand)."""
-    for rows, k in expand(table, c, vecs):
-        add_rows(acc, k, rows)
-
-
-def _is_zero(acc) -> bool:
-    return not any(any(row.values()) for row in acc)
-
-
-def _rows(acc):
-    """One {column: entry} dict per row as stored rows: the nonzero
-    ``(column, entry)`` pairs of each, in no particular order."""
-    return tuple(tuple((k, v) for k, v in row.items() if v) for row in acc)
-
-
-def _integer_d(read: IntegerRead, m: int, f):
-    """L^2 D(e_i, e_j) as stored rows, from the read of the binary structure
-    constants and of rho and theta (its first two ``rows``) over L, and
-    ``f``, the :func:`algebra.tuple_residual` reader of the read's binary
-    table.  D is antisymmetric (the bracket is), so only i < j is
-    computed."""
-    den, n, (rho, theta, *_) = read.den, read.dim, read.rows
-    zero = ((),) * m
-    out = [[zero] * n for _ in range(n)]
+@cache
+def d_table(algebra: LyAlgebra, rep: Representation):
+    """All D(e_i, e_j) matrices, computed once per (algebra, rep) from the
+    integer read of the binary structure constants, rho and theta over L:
+    each is accumulated as L^2 D(e_i, e_j) in ints and divided back once.
+    D is antisymmetric (the bracket is), so only i < j is computed."""
+    if rep.algebra_dim != algebra.dim:
+        raise DimMismatch("representation is over a different algebra dimension")
+    read = IntegerRead((algebra.binary,), rows=(rep.rho, rep.theta))
+    den, n, m, (rho, theta) = read.den, algebra.dim, rep.module_dim, read.rows
+    f = tuple_residual(read.f[0], (n,) * 3)
+    out = [[Matrix.zero(m, m)] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         acc = [{} for _ in range(m)]
         add_rows(acc, den, theta[j][i])
         add_rows(acc, -den, theta[i][j])
-        _op_at(acc, -1, rho, (f(i, j).items(),))
+        for k, c in f(i, j).items():
+            add_rows(acc, -c, rho[k])
         add_product(acc, 1, rho[i], rho[j])
         add_product(acc, -1, rho[j], rho[i])
-        out[i][j] = _rows(acc)
-        out[j][i] = tuple(tuple((k, -v) for k, v in row) for row in out[i][j])
-    return out
-
-
-@cache
-def d_table(algebra: LyAlgebra, rep: Representation):
-    """All D(e_i, e_j) matrices, computed once per (algebra, rep) from the
-    integer read."""
-    if rep.algebra_dim != algebra.dim:
-        raise DimMismatch("representation is over a different algebra dimension")
-    read = IntegerRead((algebra.binary,), rows=(rep.rho, rep.theta))
-    m = rep.module_dim
-    f = tuple_residual(read.f[0], (algebra.dim,) * 3)
-    return tuple(tuple(Matrix.from_integer_rows(list(map(dict, rows)), m, read.den ** 2)
-                       for rows in row)
-                 for row in _integer_d(read, m, f))
+        out[i][j] = Matrix.from_integer_rows(acc, m, den ** 2)
+        out[j][i] = Matrix.from_integer_rows([{k: -v for k, v in row.items()} for row in acc],
+                                             m, den ** 2)
+    return tuple(map(tuple, out))
 
 
 def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
@@ -197,200 +182,160 @@ def d_map(algebra: LyAlgebra, rep: Representation, i: int, j: int) -> Matrix:
     return d_table(algebra, rep)[i][j]
 
 
-def _rep_identities(read: IntegerRead, m: int):
-    """The five representation identities, then the two derived ones (the
-    cyclic D identity and the D-D compatibility), as ``(name, shape,
-    residual, den)`` quadruples: a residual maps a basis tuple to den times
-    the operator on V of LHS - RHS, as one {column: int} dict per row, and
-    is antisymmetric within the groups of its shape (see
-    algebra.orbit_tuples).  ``read`` holds the structure constants and the
-    rows of rho and theta on the module of dimension ``m``.
+def semidirect_cells(algebra: LyAlgebra, rep: Representation) -> tuple[dict, dict]:
+    """The nonzero cells of the brackets of the semidirect total L (+) V,
+    keyed (i, j, k) and (i, j, k, l) as :func:`algebra.binary_from_sparse`
+    and :func:`algebra.ternary_from_sparse` read them, module index a at
+    n + a:
 
-    With L the common denominator of the integer read, rho, theta and the
-    structure constants are L times the exact ones and D is L^2 times, so a
-    product of two of the first is at L^2 and one with D at L^3.  Each
-    identity is brought to the power of L of its highest term: the terms
-    one power short are multiplied by L."""
-    den, n, (rho, theta) = read.den, read.dim, read.rows
-    f, g = tuple_residual(read.f[0], (n,) * 3), tuple_residual(read.g[0], (n,) * 4)
-    dd = _integer_d(read, m, f)
-    # theta_col[a][k] = theta(e_k, e_a) and d_col[y][k] = D(e_k, e_y), so
-    # that linearity in the first slot is a sum over a column
-    theta_col = [[theta[k][a] for k in range(n)] for a in range(n)]
-    d_col = [[dd[k][y] for k in range(n)] for y in range(n)]
+        [x+u, y+v]      = [x,y] + rho(x)v - rho(y)u
+        {x+u,y+v,z+w}   = {x,y,z} + theta(y,z)u - theta(x,z)v + D(x,y)w
 
-    def theta_of_bracket(x, y, a):
-        acc = [{} for _ in range(m)]
-        _op_at(acc, 1, theta_col[a], (f(x, y).items(),))
-        add_product(acc, -1, theta[x][a], rho[y])
-        add_product(acc, 1, theta[y][a], rho[x])
-        return acc
-
-    def d_rho_compat(a, b, x):
-        acc = [{} for _ in range(m)]
-        add_product(acc, 1, dd[a][b], rho[x])
-        add_product(acc, -1, rho[x], dd[a][b])
-        _op_at(acc, -den, rho, (g(a, b, x).items(),))
-        return acc
-
-    def rho_of_bracket(x, a, b):
-        acc = [{} for _ in range(m)]
-        _op_at(acc, 1, theta[x], (f(a, b).items(),))
-        add_product(acc, -1, rho[a], theta[x][b])
-        add_product(acc, 1, rho[b], theta[x][a])
-        return acc
-
-    def d_theta_compat(a, b, x, y):
-        acc = [{} for _ in range(m)]
-        add_product(acc, 1, dd[a][b], theta[x][y])
-        add_product(acc, -1, theta[x][y], dd[a][b])
-        _op_at(acc, -den, theta_col[y], (g(a, b, x).items(),))
-        _op_at(acc, -den, theta[x], (g(a, b, y).items(),))
-        return acc
-
-    def theta_of_ternary(a, x, y, z):
-        acc = [{} for _ in range(m)]
-        _op_at(acc, den, theta[a], (g(x, y, z).items(),))
-        add_product(acc, -den, theta[y][z], theta[a][x])
-        add_product(acc, den, theta[x][z], theta[a][y])
-        add_product(acc, -1, dd[x][y], theta[a][z])
-        return acc
-
-    def d_cyclic(x, y, z):
-        acc = [{} for _ in range(m)]
-        _op_at(acc, 1, d_col[z], (f(x, y).items(),))
-        _op_at(acc, 1, d_col[x], (f(y, z).items(),))
-        _op_at(acc, 1, d_col[y], (f(z, x).items(),))
-        return acc
-
-    def d_d_compat(a, b, x, y):
-        acc = [{} for _ in range(m)]
-        add_product(acc, 1, dd[a][b], dd[x][y])
-        add_product(acc, -1, dd[x][y], dd[a][b])
-        _op_at(acc, -den, d_col[y], (g(a, b, x).items(),))
-        _op_at(acc, -den, dd[x], (g(a, b, y).items(),))
-        return acc
-
-    square = den * den
-    cube = square * den
-    return (("theta-of-bracket", (2, 1), theta_of_bracket, square),
-            ("d-rho-compat", (2, 1), d_rho_compat, cube),
-            ("rho-of-bracket", (1, 2), rho_of_bracket, square),
-            ("d-theta-compat", (2, 1, 1), d_theta_compat, cube),
-            ("theta-of-ternary", (1, 2, 1), theta_of_ternary, cube),
-            ("d-cyclic (derived)", (3,), d_cyclic, cube),
-            ("d-d-compat (derived)", (2, 2), d_d_compat, cube * den))
+    The blocks [L,L] and {L,L,L} are the base, [L,V] and [V,L] rho,
+    {L,L,V} D, and {V,L,L} and {L,V,L} theta; both antisymmetric images of
+    each cell are written, D being antisymmetric.  V is an abelian ideal:
+    no cell has two module arguments, and a cell with one has a module
+    output."""
+    n = algebra.dim
+    dd = d_table(algebra, rep)
+    binary = dict(algebra.binary.entries())
+    ternary = dict(algebra.ternary.entries())
+    # column a of a block is row a of its transpose, read as nonzero pairs
+    for i in range(n):
+        for a, col in enumerate(rep.rho[i].transpose().sparse):
+            for k, c in col:
+                binary[i, n + a, n + k], binary[n + a, i, n + k] = c, -c
+        for j in range(n):
+            for a, col in enumerate(dd[i][j].transpose().sparse):
+                for k, c in col:
+                    ternary[i, j, n + a, n + k] = c
+            for a, col in enumerate(rep.theta[i][j].transpose().sparse):
+                for k, c in col:
+                    ternary[n + a, i, j, n + k], ternary[i, n + a, j, n + k] = c, -c
+    return binary, ternary
 
 
-def _operator_report(dim: int, module_dim: int, identities, derived, premise: str) -> AxiomReport:
-    """One check per named ``(name, shape, residual, den)`` identity over
-    the basis tuples of algebra.orbit_tuples for its shape; only a failing
-    residual is divided by its den into the exact matrix the report keeps.
-    When all of them pass, ``derived()`` gives ``(identity, what)`` pairs
-    that are checked as well; they must follow from ``premise``, so a
-    failure is a bug, raised as InternalInconsistency with its witness
-    instead of being reported."""
-    checks = [first_failure(name, orbit_tuples(dim, shape), fn, _is_zero,
-                            lambda acc, den=den: Matrix.from_integer_rows(acc, module_dim, den))
-              for name, shape, fn, den in identities]
+def _semidirect_read(algebra: LyAlgebra, rep: Representation, *operator) -> IntegerRead:
+    """The integer read of the semidirect total, and of ``operator``, the
+    operator matrix on it and its weight, when given.  The cells are
+    antisymmetric as written, and certified so."""
+    big = algebra.dim + rep.module_dim
+    binary, ternary = semidirect_cells(algebra, rep)
+    return IntegerRead((Tensor.of_indices(binary, big, 2, big, antisymmetric=True),),
+                       (Tensor.of_indices(ternary, big, 3, big, antisymmetric=True),),
+                       *operator)
+
+
+def _module_report(n: int, m: int, identities, derived, premise: str) -> AxiomReport:
+    """One check per named ``(name, (depth, acc, den), slot, sign)``
+    identity of V: ``sign`` times the battery identity of the total (see
+    algebra._axiom_report) with the module argument in ``slot``.  Each term
+    with two module arguments has a zero cell (see :func:`semidirect_cells`),
+    so the other arguments are algebra indices.  The residual at their
+    tuple, in order, is the operator on V whose column is the module index
+    and whose row is the output coordinate; the witness is the least
+    failing such tuple.  When all of them pass, the ``derived`` ones, each
+    with a ``what`` text last, are checked as well; they must follow from
+    ``premise``, so a failure is a bug, raised as InternalInconsistency
+    with its witness instead of being reported."""
+    def check(name, identity, slot, sign):
+        depth, acc, den = identity
+        cells = {}
+        for p, v in acc.items():
+            if v:
+                *args, out = digits(p, (n + m,) * (depth + 1))
+                u = args.pop(slot)
+                if u >= n:
+                    cells[tuple(args), out - n, u - n] = sign * v
+        if not cells:
+            return Check(name, True)
+        bad = min(cells)[0]
+        return Check(name, False, bad, Matrix.from_integer_rows(
+            [{c: v for (args, r, c), v in cells.items() if (args, r) == (bad, row)}
+             for row in range(m)], m, den))
+
+    checks = [check(*named) for named in identities]
     if all(c.passed for c in checks):
-        for (name, shape, fn, _den), what in derived():
-            check = first_failure(name, orbit_tuples(dim, shape), fn, _is_zero)
-            if not check.passed:
+        for *named, what in derived:
+            checks.append(check(*named))
+            if not checks[-1].passed:
                 raise InternalInconsistency(
-                    f"{what} fails at ({','.join(map(str, check.witness))}) although "
+                    f"{what} fails at ({','.join(map(str, checks[-1].witness))}) although "
                     f"{premise} hold")
-            checks.append(check)
     return AxiomReport(tuple(checks))
 
 
 def verify_rep(algebra: LyAlgebra, rep: Representation) -> AxiomReport:
-    """Check the five representation identities on basis tuples, one per
-    orbit of the swaps they are antisymmetric under.
+    """Check the five representation identities on LY4-LY6 of the
+    semidirect total (see the module docstring, and :func:`_module_report`).
 
-    Module arguments need no loop of their own: each identity is an equality
-    of operators on V, so comparing matrices covers every module element.
-    When all five pass, the two derived identities (the cyclic D identity
-    and the D-D compatibility) are checked as well; those must follow, so a
-    failure raises InternalInconsistency instead of being reported as data.
+    Expanding the total's brackets with one argument u in V makes each
+    identity of the battery (algebra._ly_identities) at a basis tuple with
+    u in one slot a representation identity applied to u, times a sign:
+
+        theta-of-bracket  -LY4 (x, y, u, a)    d-rho-compat    LY5 (a, b, x, u)
+        rho-of-bracket    -LY5 (x, u, a, b)    d-theta-compat  -LY6 (a, b, x, u, y)
+        theta-of-ternary  -LY6 (a, u, x, y, z)
+
+    The battery is written on the tuples increasing within its groups of
+    slots, and u, past every algebra index, keeps those of the identity.
+    LY1 and LY2 hold on the total by construction, and LY3 with u is the
+    definition of D.  When all five pass, the two derived identities,
+    d-cyclic = LY4 (x, y, z, u) and d-d-compat = LY6 (a, b, x, y, u), are
+    checked as well; those must follow, so a failure raises
+    InternalInconsistency instead of being reported as data.
     """
     n = algebra.dim
     if rep.algebra_dim != n:
         raise DimMismatch("representation is over a different algebra dimension")
-    *identities, cyclic, compat = _rep_identities(IntegerRead(
-        (algebra.binary,), (algebra.ternary,), rows=(rep.rho, rep.theta)), rep.module_dim)
-    return _operator_report(n, rep.module_dim, identities,
-                            lambda: ((cyclic, "derived cyclic D identity"),
-                                     (compat, "derived D-D compatibility")),
-                            "the representation identities")
-
-
-def _op_read(binary, op: ReynoldsOperator, rep: Representation) -> IntegerRead:
-    """The integer read of T and the module operator T_V, its two maps in
-    this order, the weight, rho and theta, with the series ``binary`` of
-    binary structure constants (or none)."""
-    return IntegerRead(binary, (), (op.matrix, rep.module_op), op.weight,
-                       (rep.rho, rep.theta))
-
-
-def _twisted(read: IntegerRead, table, k: int, n: int, m: int):
-    """The induced map X_T(x_1..x_k) = X(Tx..) - T_V (k w X(Tx..) + sum_s
-    X(Tx.. x_s ..Tx)) of the k-linear map X into operators on V given by
-    ``table``, and X(Tx..) itself, as flat tables of shape (n,)*k + (m, m)
-    (see algebra.twist) over the read of :func:`_op_read`: for X at L^a,
-    X(Tx..) is at L^(a+k) and X_T at L^(a+k+2)."""
-    shape = (n,) * k + (m, m)
-    square = read.den ** 2
-    a, b = twist([flat_table(table, shape)], shape,
-                 [(slot, read.t_row[:1], None) for slot in range(k)])
-    inner = series_lincomb((square, b), (k * read.lw, a))
-    x_t, = series_lincomb((square, a), (-1, slot_product(inner, read.t_col[1:], m, m)))
-    return x_t, a[0]
-
-
-def _module_op_identities(read: IntegerRead, n: int, m: int):
-    """The rho and theta module-operator identities as ``(name, shape,
-    residual, den)`` quadruples (see :func:`_rep_identities`), and a
-    function giving the derived one for D, computed only when asked for;
-    over the read of :func:`_op_read` with the binary structure constants.
-    Each is the whole tensor X_T(x..) T_V - L^2 T_V X(Tx..) of a k-linear
-    map X into operators on V at L^a (:func:`_twisted`; a = 1 for rho and
-    theta, 2 for D), at L^(a+k+3).  Only the D residual is antisymmetric,
-    because D is."""
-    def identity(name, shape, table, a):
-        k = sum(shape)
-        x_t, x_of_t = _twisted(read, table, k, n, m)
-        acc, = series_lincomb((1, slot_product([x_t], read.t_row[1:], 1, m)),
-                              (-read.den ** 2, slot_product([x_of_t], read.t_col[1:], m, m)))
-        row = tuple_residual(acc, (n,) * k + (m, m))
-        return (name, shape, lambda *args: [row(*args, r) for r in range(m)],
-                read.den ** (a + k + 3))
-
-    rho, theta = read.rows
-    return ((identity("rho-module-op", (1,), rho, 1),
-             identity("theta-module-op", (1, 1), theta, 1)),
-            lambda: identity("d-module-op (derived)", (2,), _integer_d(
-                read, m, tuple_residual(read.f[0], (n,) * 3)), 2))
+    *_, ly4, ly5, ly6 = _ly_identities(_semidirect_read(algebra, rep))[0]
+    return _module_report(
+        n, rep.module_dim,
+        (("theta-of-bracket", ly4, 2, -1), ("d-rho-compat", ly5, 3, 1),
+         ("rho-of-bracket", ly5, 1, -1), ("d-theta-compat", ly6, 3, -1),
+         ("theta-of-ternary", ly6, 1, -1)),
+        (("d-cyclic (derived)", ly4, 3, 1, "derived cyclic D identity"),
+         ("d-d-compat (derived)", ly6, 4, 1, "derived D-D compatibility")),
+        "the representation identities")
 
 
 def verify_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator,
                         rep: Representation) -> AxiomReport:
-    """Check the module-operator identities against the algebra operator.
+    """Check the module-operator identities on the Reynolds identities of
+    T (+) T_V, at the weight of ``op``, on the semidirect total
+    (reynolds._reynolds_identities), read as in :func:`verify_rep`:
 
-    Both sides are matrices acting on V, checked on basis pairs/triples of
-    the algebra; the weight is taken from ``op``.  The derived identity for
-    the pair map D must follow whenever the two primary ones hold; if it
-    does not, InternalInconsistency is raised.
+        rho-module-op  reynolds-binary (x, u)   theta-module-op  reynolds-ternary (u, x, y)
+
+    The derived identity for the pair map D, reynolds-ternary (x, y, u),
+    must follow whenever the two primary ones hold; if it does not,
+    InternalInconsistency is raised.
     """
     if rep.module_op is None:
         raise MissingModuleOp("representation has no module operator")
     if op.dim != algebra.dim or rep.algebra_dim != algebra.dim:
         raise DimMismatch("dimensions do not line up")
-    n, m = algebra.dim, rep.module_dim
-    identities, derived = _module_op_identities(_op_read((algebra.binary,), op, rep), n, m)
-    return _operator_report(n, m, identities,
-                            lambda: ((derived(), "derived D module-op identity"),),
-                            "the rho and theta module-op identities")
+    binary, ternary = _reynolds_identities(_semidirect_read(
+        algebra, rep, (block_diag((op.matrix, rep.module_op)),), op.weight))[0]
+    return _module_report(
+        algebra.dim, rep.module_dim,
+        (("rho-module-op", binary, 1, 1), ("theta-module-op", ternary, 0, 1)),
+        (("d-module-op (derived)", ternary, 2, 1, "derived D module-op identity"),),
+        "the rho and theta module-op identities")
+
+
+def _twisted(read: IntegerRead, table, k: int, n: int, m: int) -> dict:
+    """The induced map X_T(x_1..x_k) = X(Tx..) - T_V (k w X(Tx..) + sum_s
+    X(Tx.. x_s ..Tx)) of the k-linear map X into operators on V given by
+    ``table``, as a flat table of shape (n,)*k + (m, m) (see algebra.twist)
+    over the integer read of T and T_V, the weight, rho and theta: for X at
+    L^a, X_T is at L^(a+k+2)."""
+    shape = (n,) * k + (m, m)
+    square = read.den ** 2
+    a, b = twist([flat_table(table, shape)], shape,
+                 [(slot, read.t_row[:1], None) for slot in range(k)])
+    inner = series_lincomb((square, b), (k * read.lw, a))
+    return series_lincomb((square, a), (-1, slot_product(inner, read.t_col[1:], m, m)))[0]
 
 
 @cache
@@ -398,7 +343,7 @@ def _require_reynolds_rep(algebra: LyAlgebra, op: ReynoldsOperator | None,
                           rep: Representation) -> bool:
     """The representation layer of the input gate: the structure layer
     (L, and T when given), then the representation identities, then, with
-    T and T_V, the module-operator ones (InvalidInput); V is scanned once,
+    T and T_V, the module-operator ones (InvalidInput); V is verified once,
     whatever the operators.  Returns whether V is the adjoint module, which
     is certified instead: its identities are LY1-LY6 and, with T_V = T, the
     Reynolds identities."""
@@ -513,10 +458,11 @@ def induced_rep(algebra: LyAlgebra, op: ReynoldsOperator,
     if rep.module_op is None:
         raise MissingModuleOp("representation has no module operator")
     n, m = algebra.dim, rep.module_dim
-    read = _op_read((), op, rep)
+    read = IntegerRead(Tt=(op.matrix, rep.module_op), weight=op.weight,
+                       rows=(rep.rho, rep.theta))
 
     def matrices(table, k):
-        row = tuple_residual(_twisted(read, table, k, n, m)[0], (n,) * k + (m, m))
+        row = tuple_residual(_twisted(read, table, k, n, m), (n,) * k + (m, m))
         return _view(tuple(Matrix.from_integer_rows([row(*idx, r) for r in range(m)], m,
                                                      read.den ** (k + 3))
                            for idx in product(range(n), repeat=k)), (n,) * k)

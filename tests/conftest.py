@@ -12,6 +12,7 @@ from lyreynolds import (
     ReynoldsOperator,
     abelian,
     adjoint_rep,
+    direct_sum_rep,
     from_leibniz,
     from_lie_algebra,
     two_dim_example,
@@ -173,20 +174,26 @@ def _perturbed(rng, mat: Matrix) -> Matrix:
     return Matrix(mat.rows, mat.cols, tuple(entries))
 
 
-def random_reps(rng, count: int):
+def random_reps(rng, count: int, extra: int = 0):
     """Seeded (algebra, operator, representation-with-module-op) triples on
     algebras of dimension 2-3, most of them failing some representation or
     module-operator identity.
 
-    Each starts as a valid triple from :func:`random_valid_triples`; in two
-    of every three, one to three entries of rho, theta or the module
-    operator are then perturbed, so that passing reports are compared too.
+    Each starts as a valid triple from :func:`random_valid_triples`; with
+    ``extra`` > 0 its module is widened to the adjoint one (+) a zero module
+    of dimension 1 to ``extra`` with a random module operator, so that V is
+    wider than the algebra.  In two of every three, one to three entries of
+    rho, theta or the module operator are then perturbed, so that passing
+    reports are compared too.
     """
     triples = []
     while len(triples) < count:
         algebra, op, rep = random_valid_triples(rng, 1)[0]
         if algebra.dim < 2:
             continue
+        if extra:
+            rep = direct_sum_rep([rep, zero_rep_with_op(algebra.dim, rng.randint(1, extra),
+                                                        rng)])
         if len(triples) % 3 != 2:
             n = algebra.dim
             rho, module_op = list(rep.rho), rep.module_op

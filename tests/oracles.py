@@ -21,6 +21,9 @@ sparse ones against.
   sums and products.  ``inverse_by_matrices`` is the earlier truncated
   inverse of a formal isomorphism, its Neumann recursion on whole
   ``Matrix`` sums and products.
+* ``first_failure`` is the earlier scan of one identity over basis tuples,
+  ``orbit_tuples`` the earlier orbit representatives it scanned, and
+  ``expand`` the earlier sparse multilinear expansion of a nested table.
 * ``orbit_ly_identities`` is the earlier sparse LY1-LY6, one orbit tuple at
   a time, each product a ``contract`` of nested integer tables that it
   walks from the tensors itself (``integer_view``), and
@@ -67,7 +70,7 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, combinations, product
 from math import lcm
 
 from lyreynolds import __version__, cli
@@ -79,8 +82,6 @@ from lyreynolds.algebra import (
     bracket2,
     bracket3,
     dense_vector,
-    expand,
-    orbit_tuples,
 )
 from lyreynolds.cohomology import (
     cochain_dim,
@@ -115,9 +116,48 @@ from lyreynolds.linalg import (
     vec_sub,
     zero_vector,
 )
-from lyreynolds.reporting import AxiomReport, Check, OrderReport, first_failure
+from lyreynolds.reporting import AxiomReport, Check, OrderReport
 from lyreynolds.representation import Representation, induced_rep
 from lyreynolds.reynolds import ReynoldsOperator, descendant_algebra
+
+
+def orbit_tuples(dim: int, shape):
+    """The basis tuples that decide an identity antisymmetric within groups
+    of consecutive slots: ``shape`` lists the group sizes, and the tuples
+    yielded are those strictly increasing within each group, in product
+    order.  ``(2, 1)`` gives every (i, j, k) with i < j; a shape of ones
+    gives every tuple.  There are prod C(dim, k) of them, k over ``shape``.
+
+    Why they suffice: LyAlgebra and TruncatedDeformation enforce or certify
+    the antisymmetry of both brackets at every order, so each residual given a
+    shape is zero on a tuple that repeats an index within a group and
+    changes sign under a swap within a group.  The failing tuples are
+    therefore a union of orbits of those swaps, and the increasing tuple of
+    an orbit is its lexicographic minimum, because the groups are
+    consecutive slots.  The first failure over these tuples, with its
+    residual, is the first failure in product order over all of them (see
+    ``algebra.first_failing_tuple``).  The earlier orbit scans read them;
+    LY1-LY6 are written onto them (see ``algebra._ly_identities``).
+    """
+    return (tuple(chain.from_iterable(groups))
+            for groups in product(*(combinations(range(dim), k) for k in shape)))
+
+
+def first_failure(name: str, tuples, residual_fn, is_zero, finish=None) -> Check:
+    """Check one identity over ``tuples``: the witness is the first tuple,
+    in iteration order, whose residual ``residual_fn(*tuple)`` is not zero.
+    ``finish``, when given, turns that residual into the value the report
+    keeps (a sparse residual into a vector or a matrix).
+
+    The tuples may be orbit representatives (:func:`orbit_tuples`): for an
+    identity antisymmetric within groups of slots, the tuples increasing
+    within each group, in product order.  The witness is then still the
+    lexicographically first failing basis tuple of all of them."""
+    for tup in tuples:
+        r = residual_fn(*tup)
+        if not is_zero(r):
+            return Check(name, False, tup, r if finish is None else finish(r))
+    return Check(name, True)
 
 
 def _cyclic(triple):
@@ -585,9 +625,22 @@ def verify_deformation_dense(algebra, op, deformation):
 # ---------------------------------------------------------------------------
 # the earlier sparse battery: LY1-LY6 evaluated one orbit tuple at a time
 
+def expand(table, c, vecs):
+    """The terms of c * table(vecs...) as ``(leaf, coefficient)`` pairs: one
+    nesting level of ``table`` is consumed per argument, and each argument
+    is a sparse ``(index, value)`` sequence, a basis vector being
+    ``((i, 1),)``.  Only nonzero coordinates are visited, and a factor 1
+    costs no product."""
+    terms = [(table, c)]
+    for vec in vecs:
+        terms = [(node[i], k if a == 1 else a if k == 1 else a * k)
+                 for node, k in terms for i, a in vec]
+    return terms
+
+
 def contract(acc: dict, c, table, vecs) -> None:
     """Add c * table(vecs...) into the ``{coordinate: value}`` dict ``acc``
-    (see algebra.expand); ``vecs`` holds at least one argument."""
+    (see :func:`expand`); ``vecs`` holds at least one argument."""
     *head, last = vecs
     for node, k in expand(table, c, head):
         for i, a in last:

@@ -806,3 +806,16 @@ def test_a_loaded_adjoint_entry_reads_as_one_built_at_load(monkeypatch, ly2, tri
     assert repr(entry) == repr(eager) and entry == eager and hash(entry) == hash(eager)
     assert len(built) == 1  # on the first read, not on the eager build
     assert entry.rep is entry.rep and len(built) == 1
+
+
+def test_a_cochain_over_an_adjoint_section_does_not_build_it(monkeypatch, capsys, tmp_path):
+    # the cochain's module dimension is the adjoint section's algebra's
+    cochain = tmp_path / "c1.lyr"
+    cochain.write_text("[cochain c1]\nalgebra = ly2\noperator = T\nrepresentation = ad\n"
+                       "complex = rly\ndegree = 1\nmap = 1 1 1\n")
+    clear_engine_caches()
+    built = adjoint_builds(monkeypatch)
+    ws = load_workspace([TWO_DIM, str(cochain)])
+    assert main(["deform-check", TWO_DIM, str(cochain), "--name", "stretch"]) == 0
+    assert built == []
+    assert ws.cochains["c1"].cochain.top.mod_dim == ws.representations["ad"].rep.module_dim == 2
