@@ -58,8 +58,9 @@ class Tensor:
     the writer of the cells filled in both antisymmetric images of each in
     the leading index pair itself, and rejected a pair that contradicts
     (the loader, :func:`binary_from_sparse` and
-    :func:`ternary_from_sparse`; the representation verifiers' semidirect
-    total, whose cells are written once each), and for the coefficients that
+    :func:`ternary_from_sparse`; the semidirect total of the representation
+    verifiers and the extension assembly, whose cells are written once
+    each), and for the coefficients that
     :func:`lyreynolds.deformation.apply_equivalence` transports, whose
     leading slots one series moves alike.  :func:`_require_antisymmetric`
     takes a certified tensor without a scan.  Every other tensor, nested

@@ -13,10 +13,10 @@ cocycle classes, never by searching over isomorphisms.
 
 An extension keeps what its canonical section reads: the base data, the
 verified representation and the verified defect cocycle, each built on first
-use, and in block form the section-basis tensors, which are its own.
-:func:`build_extension` seeds the first three from its inputs, which the
-input gate and the cocycle test have certified, so its extensions are never
-read back.
+use, and off block form its block-form copy.  :func:`build_extension`
+builds through ``AbelianExtension._built`` and seeds the three reads from
+its inputs, which the input gate and the cocycle test have certified, so
+its extensions are never read back.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from .algebra import (
     LyAlgebra,
     Tensor,
     _morphism_failure,
-    binary_from_sparse,
     dense_tensor,
-    ternary_from_sparse,
     transport,
     verify_ly_axioms,
 )
@@ -142,10 +140,11 @@ class AbelianExtension:
     Construction verifies what can be verified intrinsically: exactness
     (inject injective, project surjective, project o inject = 0, dimensions
     adding up), the module image being an abelian ideal, and the total
-    structure passing the algebra and operator verifiers.  Arrows equal to
-    the block maps of :func:`_canonical_arrows` are exact by that equality,
-    and their section is [I; 0], so block form skips the ranks, the product
-    and the elimination of the section.  In the basis s(e_1..e_n),
+    structure passing the algebra and operator verifiers (:meth:`_built`,
+    the path of :func:`build_extension`, runs the verifiers only).  Arrows
+    equal to the block maps of :func:`_canonical_arrows` are exact by that
+    equality, and their section is [I; 0], so block form skips the ranks,
+    the product and the change of basis.  In the basis s(e_1..e_n),
     i(v_1..v_m) of the canonical section, [v, w], {z, v, w} and {v, w, z}
     must vanish and [x, v], {x, y, v} and {v, x, y} have no base part, for
     x, y in L, v, w in V and any z.  So every LY1-LY6 term with two module
@@ -155,8 +154,9 @@ class AbelianExtension:
     module operator, and T_hat mapping V into V, are checked by the
     operations that read that data.
 
-    The reads of the canonical section are kept (``_base``, ``_rep``,
-    ``_cocycle``); they are not fields, so ``==`` and the hash ignore them.
+    The reads of the canonical section (``_base``, ``_rep``, ``_cocycle``)
+    and the block-form copy (``_block_copy``) are kept; they are not
+    fields, so ``==`` and the hash ignore them.
     """
 
     total: LyAlgebra
@@ -170,8 +170,7 @@ class AbelianExtension:
             raise DimMismatch("total operator does not act on the total algebra")
         if self.inject.rows != big or self.project.cols != big:
             raise DimMismatch("inject/project must use total coordinates")
-        m = self.inject.cols
-        n = self.project.rows
+        n, m = self.project.rows, self.inject.cols
         if n + m != big:
             raise InvalidInput("base and module dimensions must add to the total")
         block = (self.inject, self.project) == _canonical_arrows(n, m)
@@ -196,6 +195,33 @@ class AbelianExtension:
                 a < n and (i < n and j < n <= k or j < n <= i and k < n)
                 for i, j, k, a in triples):
             raise InvalidInput("module image is not an ideal")
+        self._require_total()
+
+    @classmethod
+    def _built(cls, total: LyAlgebra, total_op: ReynoldsOperator, n: int, m: int
+               ) -> "AbelianExtension":
+        """The block-form extension, with the canonical arrows, of a total on
+        L (+) V assembled by :func:`assemble_extension` (n + m = its dim).
+
+        What the constructor checks before the verifiers holds by
+        construction.  The arrows are the block maps: the dimensions add up,
+        the sequence is exact, and the form is block form.  The module image
+        is an abelian ideal: every cell with a module argument is one of
+        ``semidirect_cells``, with one module argument and a module output,
+        and nu and psi put module outputs on base arguments.  The tensors
+        are antisymmetric as written (``Tensor.antisymmetric``): both images
+        of each cell are written, nu and psi from wedge coordinates.  What
+        can fail is scanned: LY1-LY6 of the total and the Reynolds
+        identities of its operator."""
+        ext = object.__new__(cls)
+        inject, project = _canonical_arrows(n, m)
+        vars(ext).update(total=total, total_op=total_op, inject=inject, project=project,
+                         _block_form=True)
+        ext._require_total()
+        return ext
+
+    def _require_total(self) -> None:
+        """The two verifiers of the total, which no construction certifies."""
         verify_ly_axioms(self.total).require(InvalidInput, "total algebra fails the axioms")
         verify_reynolds(self.total, self.total_op).require(
             InvalidInput, "total operator fails the Reynolds identities")
@@ -213,8 +239,7 @@ class AbelianExtension:
         block form this is x -> (x, 0), which is returned with no
         elimination."""
         if self._block_form:
-            big = self.total.dim
-            return Section(_block(Matrix.identity(big), range(big), range(self.base_dim)))
+            return Section(self.project.transpose())
         return Section(right_inverse(self.project))
 
     def check_section(self, s: Section) -> None:
@@ -223,17 +248,26 @@ class AbelianExtension:
         if self.project @ s.map != Matrix.identity(self.base_dim):
             raise NotSection("project o section != identity")
 
-    @cached_property
-    def _own_read(self) -> tuple[Tensor, Tensor, Matrix]:
-        return _section_basis(self, self.canonical_section())
-
     def _read(self) -> tuple[Tensor, Tensor, Matrix]:
         """The :func:`_section_basis` read of the canonical section.  In
-        block form it is the total's own tensors, and is kept; other arrows
-        read afresh, so that no second copy of the total is kept."""
+        block form it is the total's own tensors and operator matrix; other
+        arrows read afresh, and only ``_block_copy`` keeps such a read."""
         if self._block_form:
-            return self._own_read
+            return self.total.binary, self.total.ternary, self.total_op.matrix
         return _section_basis(self, self.canonical_section())
+
+    @cached_property
+    def _block_copy(self) -> "AbelianExtension":
+        """Off block form, :func:`to_block_form`'s copy, built from one
+        :meth:`_read` and kept; it starts with the reads kept here."""
+        n, m = self.base_dim, self.module_dim
+        binary, ternary, op = self._read()
+        copy = AbelianExtension(LyAlgebra(n + m, binary, ternary),
+                                ReynoldsOperator(op, self.total_op.weight),
+                                *_canonical_arrows(n, m))
+        vars(copy).update((name, self.__dict__[name]) for name in ("_base", "_rep", "_cocycle")
+                          if name in self.__dict__)
+        return copy
 
     def _kept(self, name: str):
         """The kept read ``name`` of the canonical section: ``_base``, then
@@ -268,7 +302,8 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
 
     The cells of the semidirect total (representation.semidirect_cells),
     with nu and psi added on the module coordinates of [L,L] and {L,L,L},
-    and chi below T in the operator.  No cocycle condition is checked here;
+    and chi below T in the operator; both images of each antisymmetric pair
+    are written, and certified.  No cocycle condition is checked here;
     feeding a non-cocycle yields a total structure that fails verification,
     which is the point of keeping this assembly separate from
     :func:`build_extension`.
@@ -287,12 +322,11 @@ def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
     total_op = ReynoldsOperator(Matrix._of(n + m, n + m, op.matrix.sparse + tuple(
         chi + tuple((n + b, x) for b, x in tv)
         for chi, tv in zip(cocycle.chi.sparse, rep.module_op.sparse))), op.weight)
-    labels = None
-    if algebra.labels:
-        labels = tuple(algebra.labels) + tuple(f"v{a + 1}" for a in range(m))
-    total_algebra = LyAlgebra(n + m, binary_from_sparse(n + m, binary),
-                              ternary_from_sparse(n + m, ternary), labels)
-    return total_algebra, total_op
+    labels = tuple(algebra.labels) + tuple(f"v{a + 1}" for a in range(m)) \
+        if algebra.labels else None
+    big = n + m
+    return LyAlgebra(big, Tensor.of_indices(binary, big, 2, big, antisymmetric=True),
+                     Tensor.of_indices(ternary, big, 3, big, antisymmetric=True), labels), total_op
 
 
 def _check_base(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation) -> None:
@@ -333,21 +367,20 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
                     cocycle: ExtensionCocycle) -> AbelianExtension:
     """Extension in block form built from a 2-cocycle.
 
-    Non-cocycles are rejected (NotCocycle): assembling them would produce a
-    total structure that fails verification.  The AbelianExtension
-    constructor re-verifies the assembled total, so if a cocycle ever failed
-    to assemble into a valid extension it would surface loudly rather than
-    produce a broken object.  The extension keeps its inputs as the reads of
-    its canonical section: (L, T, T_V), with the labels of L dropped as a
-    read drops them, the representation and the cocycle, which the input
-    gate and :func:`is_cocycle` have certified.
+    After the input gate, non-cocycles are rejected (NotCocycle).  Arrows,
+    exactness, the abelian ideal and antisymmetry hold by construction
+    (``AbelianExtension._built``); LY1-LY6 of the total and the Reynolds
+    identities of its operator are scanned, so a cocycle that does not
+    assemble into a valid extension (dim >= 3) raises.  The extension keeps
+    its inputs as the reads of its canonical section: (L, T, T_V), with the
+    labels of L dropped as a read drops them, the representation and the
+    cocycle, which the input gate and :func:`is_cocycle` have certified.
     """
     _check_base(algebra, op, rep)
     if not is_cocycle(algebra, op, rep, "rly", cocycle.to_cochain()):
         raise NotCocycle("the extension data is not a degree-2 cocycle")
     total_algebra, total_op = assemble_extension(algebra, op, rep, cocycle)
-    inject, project = _canonical_arrows(algebra.dim, rep.module_dim)
-    ext = AbelianExtension(total_algebra, total_op, inject, project)
+    ext = AbelianExtension._built(total_algebra, total_op, algebra.dim, rep.module_dim)
     base = algebra if algebra.labels is None else LyAlgebra(
         algebra.dim, algebra.binary, algebra.ternary)
     vars(ext).update(_base=(base, op, rep.module_op), _rep=rep, _cocycle=cocycle)
@@ -524,18 +557,11 @@ def extract_cocycle(ext: AbelianExtension, section: Section | None = None
 
 
 def to_block_form(ext: AbelianExtension) -> AbelianExtension:
-    """Transport an extension to block coordinates on L (+) V.
-
-    The total structure is read in the basis of the canonical section, and
-    the arrows become the canonical block maps.  An extension already in
-    block form is returned as it is.
-    """
-    if ext._block_form:
-        return ext
-    n, m = ext.base_dim, ext.module_dim
-    binary, ternary, op = ext._read()
-    return AbelianExtension(LyAlgebra(n + m, binary, ternary),
-                            ReynoldsOperator(op, ext.total_op.weight), *_canonical_arrows(n, m))
+    """Transport an extension to block coordinates on L (+) V: its total
+    read in the basis of the canonical section, with the canonical block
+    maps as arrows, verified once and kept on ``ext``.  An extension already
+    in block form is returned as it is."""
+    return ext if ext._block_form else ext._block_copy
 
 
 def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix | None:

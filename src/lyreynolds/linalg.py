@@ -549,19 +549,6 @@ def lincomb(coeffs, mats, zero: Matrix) -> Matrix:
     return Matrix.from_sparse_rows(acc, zero.cols)
 
 
-def vec_add(u, v) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u, v) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-def vec_scale(c, v) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
 def unit_vector(n: int, pos: int) -> Vector:
     return tuple(_ONE if t == pos else _ZERO for t in range(n))
 

@@ -76,7 +76,6 @@ from .linalg import (
     block_diag,
     digits,
     from_cells,
-    lincomb,
     rank,
 )
 from .reporting import AxiomReport, Check
@@ -122,21 +121,6 @@ class Representation:
 
     def __hash__(self):
         return self._hash
-
-    def _check_element(self, *vecs) -> None:
-        if any(len(v) != self.algebra_dim for v in vecs):
-            raise DimMismatch("element coordinates do not match algebra dim")
-
-    def rho_at(self, x) -> Matrix:
-        """rho of a general element, by linearity."""
-        self._check_element(x)
-        return lincomb(x, self.rho, Matrix.zero(self.module_dim, self.module_dim))
-
-    def theta_at(self, x, y) -> Matrix:
-        """theta of a general pair, by bilinearity."""
-        self._check_element(x, y)
-        zero = Matrix.zero(self.module_dim, self.module_dim)
-        return lincomb(x, [lincomb(y, row, zero) for row in self.theta], zero)
 
 
 def zero_rep(algebra_dim: int, module_dim: int, module_op: Matrix | None = None) -> Representation:

@@ -52,6 +52,10 @@ sparse ones against.
   ``extract_cocycle_by_solves`` read an extension through section lifts,
   solving for the module coordinates of each vector (``module_coords``), and
   ``assemble_extension_by_cases`` fills in the total structure cell by cell.
+* ``vec_add``, ``vec_sub``, ``vec_scale`` and ``zero_vector`` are dense
+  vector arithmetic on tuples of Fractions, and ``rho_at`` and
+  ``theta_at`` extend rho and theta to general elements by linearity; the
+  dense oracles are written with them.
 * ``build_parser_by_hand`` is the earlier CLI parser, every command's
   arguments written out in place, and ``main_by_full_parser`` the earlier
   ``cli.main``, which parses every call with it.
@@ -111,14 +115,45 @@ from lyreynolds.linalg import (
     position,
     solve,
     unit_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 from lyreynolds.reporting import AxiomReport, Check, OrderReport
 from lyreynolds.representation import Representation, induced_rep
 from lyreynolds.reynolds import ReynoldsOperator, descendant_algebra
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, v):
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
+def zero_vector(n: int):
+    return (Fraction(0),) * n
+
+
+def _check_element(rep, *vecs) -> None:
+    if any(len(v) != rep.algebra_dim for v in vecs):
+        raise DimMismatch("element coordinates do not match algebra dim")
+
+
+def rho_at(rep, x) -> Matrix:
+    """rho of a general element, by linearity."""
+    _check_element(rep, x)
+    return lincomb(x, rep.rho, Matrix.zero(rep.module_dim, rep.module_dim))
+
+
+def theta_at(rep, x, y) -> Matrix:
+    """theta of a general pair, by bilinearity."""
+    _check_element(rep, x, y)
+    zero = Matrix.zero(rep.module_dim, rep.module_dim)
+    return lincomb(x, [lincomb(y, row, zero) for row in rep.theta], zero)
 
 
 def orbit_tuples(dim: int, shape):
@@ -781,29 +816,29 @@ def d_table_dense(algebra, rep):
     """
     n = algebra.dim
     return tuple(
-        tuple(rep.theta[j][i] - rep.theta[i][j] - rep.rho_at(algebra.binary[i][j])
+        tuple(rep.theta[j][i] - rep.theta[i][j] - rho_at(rep, algebra.binary[i][j])
               + rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i] for j in range(n))
         for i in range(n))
 
 
 def induced_rep_dense(algebra, op, rep):
-    """rho_T and theta_T of the induced representation from rho_at,
-    theta_at and whole-matrix products, not re-validated."""
+    """rho_T and theta_T of the induced representation from ``rho_at``,
+    ``theta_at`` and whole-matrix products, not re-validated."""
     n = algebra.dim
     w = op.weight
     tv = rep.module_op
     t_img = [op.matrix.apply(algebra.basis(i)) for i in range(n)]
     rho_t = []
     for x in range(n):
-        rho_tx = rep.rho_at(t_img[x])
+        rho_tx = rho_at(rep, t_img[x])
         rho_t.append(rho_tx - tv @ (rho_tx.scale(w) + rep.rho[x]))
     theta_t = []
     for x in range(n):
         row = []
         for y in range(n):
-            th_txty = rep.theta_at(t_img[x], t_img[y])
-            th_tx_y = rep.theta_at(t_img[x], algebra.basis(y))
-            th_x_ty = rep.theta_at(algebra.basis(x), t_img[y])
+            th_txty = theta_at(rep, t_img[x], t_img[y])
+            th_tx_y = theta_at(rep, t_img[x], algebra.basis(y))
+            th_x_ty = theta_at(rep, algebra.basis(x), t_img[y])
             row.append(th_txty - tv @ (th_txty.scale(2 * w) + th_tx_y + th_x_ty))
         theta_t.append(tuple(row))
     return Representation(n, rep.module_dim, tuple(rho_t), tuple(theta_t), tv)
@@ -869,7 +904,7 @@ def verify_rep_dense(algebra, rep):
          - (theta[x][a] @ rho[y] - theta[y][a] @ rho[x])),
         ("d-rho-compat", 3,
          lambda a, b, x: dd[a][b] @ rho[x]
-         - (rho[x] @ dd[a][b] + rep.rho_at(t[a][b][x]))),
+         - (rho[x] @ dd[a][b] + rho_at(rep, t[a][b][x]))),
         ("rho-of-bracket", 3,
          lambda x, a, b: lincomb(algebra.binary[a][b], theta[x], zero)
          - (rho[a] @ theta[x][b] - rho[b] @ theta[x][a])),
@@ -926,13 +961,13 @@ def verify_reynolds_rep_dense(algebra, op, rep):
     t_img = [op.matrix.apply(algebra.basis(i)) for i in range(n)]
 
     def rho_residual(x):
-        rho_tx = rep.rho_at(t_img[x])
+        rho_tx = rho_at(rep, t_img[x])
         return rho_tx @ tv - tv @ (rho_tx + rep.rho[x] @ tv + (rho_tx @ tv).scale(w))
 
     def theta_residual(x, y):
-        th_txty = rep.theta_at(t_img[x], t_img[y])
-        th_tx_y = rep.theta_at(t_img[x], algebra.basis(y))
-        th_x_ty = rep.theta_at(algebra.basis(x), t_img[y])
+        th_txty = theta_at(rep, t_img[x], t_img[y])
+        th_tx_y = theta_at(rep, t_img[x], algebra.basis(y))
+        th_x_ty = theta_at(rep, algebra.basis(x), t_img[y])
         return th_txty @ tv - tv @ (th_txty + th_tx_y @ tv + th_x_ty @ tv
                                     + (th_txty @ tv).scale(2 * w))
 

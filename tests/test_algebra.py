@@ -35,10 +35,10 @@ from lyreynolds.errors import (
     NotLieAlgebra,
     NotReductive,
 )
-from lyreynolds.linalg import Matrix, inverse, vec_add, vec_scale, vec_sub, zero_vector
+from lyreynolds.linalg import Matrix, inverse
 from lyreynolds.reporting import AxiomReport, Check
 from tests.conftest import rand_fraction, random_structures
-from tests.oracles import leibniz_failure_dense
+from tests.oracles import leibniz_failure_dense, vec_add, vec_scale, vec_sub, zero_vector
 
 F = Fraction
 E1 = (F(1), F(0))

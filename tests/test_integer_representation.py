@@ -3,7 +3,7 @@ induced representation and the descendant algebra against their dense
 oracles, also on modules whose dimension differs from the algebra's, the
 verifiers on edge inputs (an empty module, a 1-dimensional algebra, coprime
 denominators whose common powers pass 2^64), and the length checks of
-rho_at/theta_at."""
+the oracles rho_at/theta_at."""
 
 import random
 from collections import Counter
@@ -18,6 +18,8 @@ from oracles import (
     d_table_dense,
     descendant_algebra_dense,
     induced_rep_dense,
+    rho_at,
+    theta_at,
     verify_rep_dense,
     verify_reynolds_rep_dense,
 )
@@ -67,15 +69,15 @@ def assert_builds_match_oracles(algebra, op, rep):
 
 def test_rho_at_and_theta_at_reject_arguments_of_the_wrong_length():
     ad = adjoint_rep(two_dim_example())
-    assert ad.rho_at((1, 0)) == ad.rho[0]
-    assert ad.theta_at((1, 0), (0, 1)) == ad.theta[0][1]
+    assert rho_at(ad, (1, 0)) == ad.rho[0]
+    assert theta_at(ad, (1, 0), (0, 1)) == ad.theta[0][1]
     for bad in ((1,), (1, 0, 5), ()):
         with pytest.raises(DimMismatch):
-            ad.rho_at(bad)
+            rho_at(ad, bad)
         with pytest.raises(DimMismatch):
-            ad.theta_at(bad, (0, 1))
+            theta_at(ad, bad, (0, 1))
         with pytest.raises(DimMismatch):
-            ad.theta_at((0, 1), bad)
+            theta_at(ad, (0, 1), bad)
 
 
 # ---------------------------------------------------------------------------
