@@ -13,10 +13,10 @@ cocycle classes, never by searching over isomorphisms.
 
 An extension keeps what its canonical section reads: the base data, the
 verified representation and the verified defect cocycle, each built on first
-use, and off block form its block-form copy.  :func:`build_extension`
-builds through ``AbelianExtension._built`` and seeds the three reads from
-its inputs, which the input gate and the cocycle test have certified, so
-its extensions are never read back.
+use; off block form they are kept on its block-form copy, which is kept
+too.  :func:`build_extension` seeds the three from its inputs, which the
+input gate and the cocycle test have certified, so its extensions are never
+read back.
 """
 
 from __future__ import annotations
@@ -140,23 +140,22 @@ class AbelianExtension:
     Construction verifies what can be verified intrinsically: exactness
     (inject injective, project surjective, project o inject = 0, dimensions
     adding up), the module image being an abelian ideal, and the total
-    structure passing the algebra and operator verifiers (:meth:`_built`,
-    the path of :func:`build_extension`, runs the verifiers only).  Arrows
-    equal to the block maps of :func:`_canonical_arrows` are exact by that
-    equality, and their section is [I; 0], so block form skips the ranks,
-    the product and the change of basis.  In the basis s(e_1..e_n),
-    i(v_1..v_m) of the canonical section, [v, w], {z, v, w} and {v, w, z}
-    must vanish and [x, v], {x, y, v} and {v, x, y} have no base part, for
-    x, y in L, v, w in V and any z.  So every LY1-LY6 term with two module
-    arguments vanishes; the check of the total, in any basis, reads pairs of
-    nonzero cells only, and such a term has none (see
+    structure passing the algebra and operator verifiers.  Arrows equal to
+    the block maps of :func:`_canonical_arrows` are exact by that equality,
+    and their section is [I; 0], so block form skips the ranks, the product
+    and the change of basis, and reads the total's own tensors.  In the
+    basis s(e_1..e_n), i(v_1..v_m) of the canonical section, [v, w],
+    {z, v, w} and {v, w, z} must vanish and [x, v], {x, y, v} and {v, x, y}
+    have no base part, for x, y in L, v, w in V and any z.  So every LY1-LY6
+    term with two module arguments vanishes; the check of the total, in any
+    basis, reads pairs of nonzero cells only, and such a term has none (see
     algebra._ly_identities).  Compatibility with a given base (L, T) and
     module operator, and T_hat mapping V into V, are checked by the
     operations that read that data.
 
     The reads of the canonical section (``_base``, ``_rep``, ``_cocycle``)
-    and the block-form copy (``_block_copy``) are kept; they are not
-    fields, so ``==`` and the hash ignore them.
+    are kept, off block form on the kept block-form copy (``_block_copy``);
+    they are not fields, so ``==`` and the hash ignore them.
     """
 
     total: LyAlgebra
@@ -195,33 +194,6 @@ class AbelianExtension:
                 a < n and (i < n and j < n <= k or j < n <= i and k < n)
                 for i, j, k, a in triples):
             raise InvalidInput("module image is not an ideal")
-        self._require_total()
-
-    @classmethod
-    def _built(cls, total: LyAlgebra, total_op: ReynoldsOperator, n: int, m: int
-               ) -> "AbelianExtension":
-        """The block-form extension, with the canonical arrows, of a total on
-        L (+) V assembled by :func:`assemble_extension` (n + m = its dim).
-
-        What the constructor checks before the verifiers holds by
-        construction.  The arrows are the block maps: the dimensions add up,
-        the sequence is exact, and the form is block form.  The module image
-        is an abelian ideal: every cell with a module argument is one of
-        ``semidirect_cells``, with one module argument and a module output,
-        and nu and psi put module outputs on base arguments.  The tensors
-        are antisymmetric as written (``Tensor.antisymmetric``): both images
-        of each cell are written, nu and psi from wedge coordinates.  What
-        can fail is scanned: LY1-LY6 of the total and the Reynolds
-        identities of its operator."""
-        ext = object.__new__(cls)
-        inject, project = _canonical_arrows(n, m)
-        vars(ext).update(total=total, total_op=total_op, inject=inject, project=project,
-                         _block_form=True)
-        ext._require_total()
-        return ext
-
-    def _require_total(self) -> None:
-        """The two verifiers of the total, which no construction certifies."""
         verify_ly_axioms(self.total).require(InvalidInput, "total algebra fails the axioms")
         verify_reynolds(self.total, self.total_op).require(
             InvalidInput, "total operator fails the Reynolds identities")
@@ -259,21 +231,21 @@ class AbelianExtension:
     @cached_property
     def _block_copy(self) -> "AbelianExtension":
         """Off block form, :func:`to_block_form`'s copy, built from one
-        :meth:`_read` and kept; it starts with the reads kept here."""
+        :meth:`_read` and kept."""
         n, m = self.base_dim, self.module_dim
         binary, ternary, op = self._read()
-        copy = AbelianExtension(LyAlgebra(n + m, binary, ternary),
+        return AbelianExtension(LyAlgebra(n + m, binary, ternary),
                                 ReynoldsOperator(op, self.total_op.weight),
                                 *_canonical_arrows(n, m))
-        vars(copy).update((name, self.__dict__[name]) for name in ("_base", "_rep", "_cocycle")
-                          if name in self.__dict__)
-        return copy
 
     def _kept(self, name: str):
         """The kept read ``name`` of the canonical section: ``_base``, then
         ``_rep`` taken with it, then ``_cocycle`` taken with both.  Those
         up to ``name`` that are not kept yet are built from one
-        :meth:`_read` and kept."""
+        :meth:`_read` and kept; off block form they are the block-form
+        copy's, whose read is its own tensors."""
+        if not self._block_form:
+            return self._block_copy._kept(name)
         kept = self.__dict__
         if name not in kept:
             read = self._read()
@@ -367,10 +339,12 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
                     cocycle: ExtensionCocycle) -> AbelianExtension:
     """Extension in block form built from a 2-cocycle.
 
-    After the input gate, non-cocycles are rejected (NotCocycle).  Arrows,
-    exactness, the abelian ideal and antisymmetry hold by construction
-    (``AbelianExtension._built``); LY1-LY6 of the total and the Reynolds
-    identities of its operator are scanned, so a cocycle that does not
+    After the input gate, non-cocycles are rejected (NotCocycle).  The
+    assembled tensors are antisymmetric by construction and are not
+    re-validated.  The general constructor checks the rest with the
+    canonical arrows: their equality with the block maps (exactness), the
+    abelian ideal over the total's cells, LY1-LY6 of the total and the
+    Reynolds identities of its operator, so a cocycle that does not
     assemble into a valid extension (dim >= 3) raises.  The extension keeps
     its inputs as the reads of its canonical section: (L, T, T_V), with the
     labels of L dropped as a read drops them, the representation and the
@@ -380,7 +354,8 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     if not is_cocycle(algebra, op, rep, "rly", cocycle.to_cochain()):
         raise NotCocycle("the extension data is not a degree-2 cocycle")
     total_algebra, total_op = assemble_extension(algebra, op, rep, cocycle)
-    ext = AbelianExtension._built(total_algebra, total_op, algebra.dim, rep.module_dim)
+    ext = AbelianExtension(total_algebra, total_op,
+                           *_canonical_arrows(algebra.dim, rep.module_dim))
     base = algebra if algebra.labels is None else LyAlgebra(
         algebra.dim, algebra.binary, algebra.ternary)
     vars(ext).update(_base=(base, op, rep.module_op), _rep=rep, _cocycle=cocycle)
@@ -559,7 +534,8 @@ def extract_cocycle(ext: AbelianExtension, section: Section | None = None
 def to_block_form(ext: AbelianExtension) -> AbelianExtension:
     """Transport an extension to block coordinates on L (+) V: its total
     read in the basis of the canonical section, with the canonical block
-    maps as arrows, verified once and kept on ``ext``.  An extension already
+    maps as arrows, verified once and kept on ``ext`` with the reads of that
+    section.  An extension already
     in block form is returned as it is."""
     return ext if ext._block_form else ext._block_copy
 

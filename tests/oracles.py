@@ -138,20 +138,13 @@ def zero_vector(n: int):
     return (Fraction(0),) * n
 
 
-def _check_element(rep, *vecs) -> None:
-    if any(len(v) != rep.algebra_dim for v in vecs):
-        raise DimMismatch("element coordinates do not match algebra dim")
-
-
 def rho_at(rep, x) -> Matrix:
     """rho of a general element, by linearity."""
-    _check_element(rep, x)
     return lincomb(x, rep.rho, Matrix.zero(rep.module_dim, rep.module_dim))
 
 
 def theta_at(rep, x, y) -> Matrix:
     """theta of a general pair, by bilinearity."""
-    _check_element(rep, x, y)
     zero = Matrix.zero(rep.module_dim, rep.module_dim)
     return lincomb(x, [lincomb(y, row, zero) for row in rep.theta], zero)
 

@@ -2,8 +2,7 @@
 induced representation and the descendant algebra against their dense
 oracles, also on modules whose dimension differs from the algebra's, the
 verifiers on edge inputs (an empty module, a 1-dimensional algebra, coprime
-denominators whose common powers pass 2^64), and the length checks of
-the oracles rho_at/theta_at."""
+denominators whose common powers pass 2^64)."""
 
 import random
 from collections import Counter
@@ -18,8 +17,6 @@ from oracles import (
     d_table_dense,
     descendant_algebra_dense,
     induced_rep_dense,
-    rho_at,
-    theta_at,
     verify_rep_dense,
     verify_reynolds_rep_dense,
 )
@@ -40,7 +37,6 @@ from lyreynolds import (
     zero_rep,
 )
 from lyreynolds.algebra import binary_from_sparse
-from lyreynolds.errors import DimMismatch
 from lyreynolds.representation import Representation, d_table
 
 F = Fraction
@@ -62,22 +58,6 @@ def assert_builds_match_oracles(algebra, op, rep):
     assert d_table(algebra, rep) == d_table_dense(algebra, rep)
     assert descendant_algebra(algebra, op) == descendant_algebra_dense(algebra, op)
     assert induced_rep(algebra, op, rep) == induced_rep_dense(algebra, op, rep)
-
-
-# ---------------------------------------------------------------------------
-# rho and theta of general elements
-
-def test_rho_at_and_theta_at_reject_arguments_of_the_wrong_length():
-    ad = adjoint_rep(two_dim_example())
-    assert rho_at(ad, (1, 0)) == ad.rho[0]
-    assert theta_at(ad, (1, 0), (0, 1)) == ad.theta[0][1]
-    for bad in ((1,), (1, 0, 5), ()):
-        with pytest.raises(DimMismatch):
-            rho_at(ad, bad)
-        with pytest.raises(DimMismatch):
-            theta_at(ad, bad, (0, 1))
-        with pytest.raises(DimMismatch):
-            theta_at(ad, (0, 1), bad)
 
 
 # ---------------------------------------------------------------------------
