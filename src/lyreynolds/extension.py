@@ -22,7 +22,7 @@ read back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .algebra import (
     IntegerRead,
@@ -330,7 +330,11 @@ def semidirect_product(algebra: LyAlgebra, op: ReynoldsOperator,
     return total_algebra, total_op
 
 
+@lru_cache(maxsize=None)
 def _canonical_arrows(n: int, m: int) -> tuple[Matrix, Matrix]:
+    """The block maps (inject, project) of L (+) V, built once per (n, m):
+    the constructor compares the arrows that :func:`build_extension` passes
+    with the same two objects, which equality matches before any entry."""
     unit, big = Matrix.identity(n + m), range(n + m)
     return _block(unit, big, range(n, n + m)), _block(unit, range(n), big)
 
