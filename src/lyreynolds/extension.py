@@ -7,9 +7,21 @@ section s, where the total brackets and operator split into blocks: the base
 data (L, T), the representation (rho, theta, T_V) and a degree-2 cone
 cochain (nu, psi, chi).  :func:`assemble_extension` writes those blocks and
 every reader slices them back out; in block form, with its canonical section
-x -> (x, 0), that basis is the standard one.  The assembly verifies exactly
-when the cochain is a cocycle, and extensions are compared through their
-cocycle classes, never by searching over isomorphisms.
+x -> (x, 0), that basis is the standard one.  Extensions are compared
+through their cocycle classes, never by searching over isomorphisms.
+
+Over a gated triple (L, T, V), the assembled operator is Reynolds on the
+assembled total exactly when the lower component -partial chi - phi(nu,
+psi) of d_rly(nu, psi, chi) vanishes: a residual with a module argument
+reads the semidirect cells alone, and is one of the module-operator
+identities; a residual at base arguments has the residual of (L, T) as
+its base part; the input gate certified both, and the module part at base
+arguments is that lower component (see :mod:`lyreynolds.reynolds`).  The
+upper component delta(nu, psi) does not carry LY1-LY6 of the total,
+though: the cone misses the cyclic conditions, so on bases of dim >= 3 a
+cocycle can assemble into a total that fails LY3 or LY4.  So
+:func:`build_extension` certifies the Reynolds half after its cocycle test
+(``ReynoldsOperator._reynolds_on``), and the constructor scans LY1-LY6.
 
 An extension keeps what its canonical section reads: the base data, the
 verified representation and the verified defect cocycle, each built on first
@@ -68,7 +80,7 @@ from .representation import (
     semidirect_cells,
     verify_reynolds_rep,
 )
-from .reynolds import ReynoldsOperator, verify_reynolds
+from .reynolds import ReynoldsOperator, _certify_reynolds, verify_reynolds
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -140,7 +152,10 @@ class AbelianExtension:
     Construction verifies what can be verified intrinsically: exactness
     (inject injective, project surjective, project o inject = 0, dimensions
     adding up), the module image being an abelian ideal, and the total
-    structure passing the algebra and operator verifiers.  Arrows equal to
+    structure passing the algebra and operator verifiers; an operator
+    certified Reynolds on this total (``ReynoldsOperator._reynolds_on``,
+    written by :func:`build_extension`, :func:`semidirect_product` and
+    ``_block_copy`` only) is taken without its scan.  Arrows equal to
     the block maps of :func:`_canonical_arrows` are exact by that equality,
     and their section is [I; 0], so block form skips the ranks, the product
     and the change of basis, and reads the total's own tensors.  In the
@@ -195,8 +210,9 @@ class AbelianExtension:
                 for i, j, k, a in triples):
             raise InvalidInput("module image is not an ideal")
         verify_ly_axioms(self.total).require(InvalidInput, "total algebra fails the axioms")
-        verify_reynolds(self.total, self.total_op).require(
-            InvalidInput, "total operator fails the Reynolds identities")
+        if self.total_op._reynolds_on is not self.total:
+            verify_reynolds(self.total, self.total_op).require(
+                InvalidInput, "total operator fails the Reynolds identities")
 
     @property
     def base_dim(self) -> int:
@@ -231,12 +247,16 @@ class AbelianExtension:
     @cached_property
     def _block_copy(self) -> "AbelianExtension":
         """Off block form, :func:`to_block_form`'s copy, built from one
-        :meth:`_read` and kept."""
+        :meth:`_read` and kept.  A change of basis keeps the Reynolds
+        identities of this verified total, so the copy's operator is
+        certified on the copy's total; LY1-LY6 are scanned again, so that a
+        failure is still reported in the copy's basis."""
         n, m = self.base_dim, self.module_dim
         binary, ternary, op = self._read()
-        return AbelianExtension(LyAlgebra(n + m, binary, ternary),
-                                ReynoldsOperator(op, self.total_op.weight),
-                                *_canonical_arrows(n, m))
+        total = LyAlgebra(n + m, binary, ternary)
+        return AbelianExtension(
+            total, _certify_reynolds(total, ReynoldsOperator(op, self.total_op.weight)),
+            *_canonical_arrows(n, m))
 
     def _kept(self, name: str):
         """The kept read ``name`` of the canonical section: ``_base``, then
@@ -317,17 +337,18 @@ def semidirect_product(algebra: LyAlgebra, op: ReynoldsOperator,
         {x+u, y+v, z+w}   = {x,y,z} + D(x,y)w - theta(x,z)v + theta(y,z)u
 
     and block-diagonal operator T (+) T_V of the same weight: the assembly
-    of the zero cocycle.  The output is re-validated (axioms and Reynolds
-    identities) before being returned.
+    of the zero cocycle.  The axioms of the output are re-validated before
+    it is returned.  Its operator is certified Reynolds on it, not scanned:
+    the input gate's module-operator check ran that battery on the same
+    cells (for the adjoint module with T_V = T, T being Reynolds on L is
+    that check).
     """
     _check_base(algebra, op, rep)
     total_algebra, total_op = assemble_extension(
         algebra, op, rep, ExtensionCocycle.zero(algebra.dim, rep.module_dim))
     verify_ly_axioms(total_algebra).require(
         InternalInconsistency, "semidirect product fails the Lie-Yamaguti axioms")
-    verify_reynolds(total_algebra, total_op).require(
-        InternalInconsistency, "semidirect operator fails the Reynolds identities")
-    return total_algebra, total_op
+    return total_algebra, _certify_reynolds(total_algebra, total_op)
 
 
 @lru_cache(maxsize=None)
@@ -345,11 +366,13 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
 
     After the input gate, non-cocycles are rejected (NotCocycle).  The
     assembled tensors are antisymmetric by construction and are not
-    re-validated.  The general constructor checks the rest with the
+    re-validated, and the operator is certified Reynolds on the total: the
+    cocycle test found the lower cone component zero (see the module
+    docstring).  The general constructor checks the rest with the
     canonical arrows: their equality with the block maps (exactness), the
-    abelian ideal over the total's cells, LY1-LY6 of the total and the
-    Reynolds identities of its operator, so a cocycle that does not
-    assemble into a valid extension (dim >= 3) raises.  The extension keeps
+    abelian ideal over the total's cells and LY1-LY6 of the total, so a
+    cocycle that does not assemble into a valid extension (dim >= 3)
+    raises.  The extension keeps
     its inputs as the reads of its canonical section: (L, T, T_V), with the
     labels of L dropped as a read drops them, the representation and the
     cocycle, which the input gate and :func:`is_cocycle` have certified.
@@ -358,7 +381,7 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     if not is_cocycle(algebra, op, rep, "rly", cocycle.to_cochain()):
         raise NotCocycle("the extension data is not a degree-2 cocycle")
     total_algebra, total_op = assemble_extension(algebra, op, rep, cocycle)
-    ext = AbelianExtension(total_algebra, total_op,
+    ext = AbelianExtension(total_algebra, _certify_reynolds(total_algebra, total_op),
                            *_canonical_arrows(algebra.dim, rep.module_dim))
     base = algebra if algebra.labels is None else LyAlgebra(
         algebra.dim, algebra.binary, algebra.ternary)

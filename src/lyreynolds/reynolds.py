@@ -24,6 +24,24 @@ on the built brackets as whole tensors, so L_T is the transport of L along
 T, and it is a Lie-Yamaguti algebra with T Reynolds on it because L is one
 with T Reynolds on it, as the input gate (``_require_reynolds``) checked.
 A singular T gets the full scans of both.
+
+An operator can carry a certificate that it is Reynolds on one algebra
+object (``ReynoldsOperator._reynolds_on``, written by
+:func:`_certify_reynolds`), as a tensor carries ``Tensor.antisymmetric``.
+Only the extension layer writes it: on the change of basis of a verified
+total, which keeps both identities, and on the totals it assembles over a
+gated triple (L, T, V), the semidirect total and a total built from a
+cocycle.  On those, a residual of the total's identities with a module
+argument reads the semidirect cells alone (nu, psi and chi give module
+values at base arguments, and V is an abelian ideal), so it is a residual
+of the module-operator identities, and a residual at base arguments has
+the residual of (L, T) as its base part; the input gate certified both.
+What is left, the module part at base arguments, is linear in (nu, psi,
+chi) and vanishes exactly when the lower component -partial chi - phi(nu,
+psi) of the cone coboundary d_rly does, so a cocycle test certifies it.
+The certificate is not a field and no constructor or loader takes it: an
+operator read from a file, given in another basis or built by a caller is
+scanned.
 """
 
 from __future__ import annotations
@@ -57,10 +75,16 @@ from .reporting import AxiomReport
 
 @dataclass(frozen=True)
 class ReynoldsOperator:
-    """A square matrix and a weight; the hash is computed once and kept."""
+    """A square matrix and a weight; the hash is computed once and kept.
+
+    ``_reynolds_on`` is the certificate of :func:`_certify_reynolds`: the
+    algebra object on which the operator's writer proved both weighted
+    identities, None when none did.  It is not a field, so ``==`` and the
+    hash ignore it."""
 
     matrix: Matrix
     weight: Fraction
+    _reynolds_on = None
 
     def __post_init__(self):
         if self.matrix.rows != self.matrix.cols:
@@ -131,6 +155,14 @@ def verify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> AxiomReport:
     return _axiom_report(("reynolds-binary", "reynolds-ternary"),
                          _reynolds_identities(_read(algebra, op))[0],
                          algebra.dim)
+
+
+def _certify_reynolds(algebra: LyAlgebra, op: ReynoldsOperator) -> ReynoldsOperator:
+    """Write on ``op`` the certificate that both weighted identities hold
+    on ``algebra``, this object and not an equal one, and return ``op``;
+    its writers and why they may are in the module docstring."""
+    object.__setattr__(op, "_reynolds_on", algebra)
+    return op
 
 
 @cache
