@@ -67,7 +67,6 @@ from .linalg import (
     _ZERO,
     Matrix,
     _view,
-    kernel_basis,
     rank,
     require_complex,
     solve,
@@ -703,10 +702,3 @@ def cohomologous(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
                  which: str, c, c_other) -> bool:
     _check_kind(which, c, c_other)
     return is_coboundary(algebra, op, rep, which, c - c_other)
-
-
-def cocycle_space(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representation,
-                  which: str, degree: int):
-    """Kernel basis of the degree-p differential, as flat coordinate vectors."""
-    mat = differential_matrix(algebra, op, rep, which, degree)
-    return kernel_basis(mat)

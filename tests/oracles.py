@@ -52,6 +52,8 @@ sparse ones against.
   ``extract_cocycle_by_solves`` read an extension through section lifts,
   solving for the module coordinates of each vector (``module_coords``), and
   ``assemble_extension_by_cases`` fills in the total structure cell by cell.
+* ``cocycle_space`` is the kernel basis of one differential, as flat
+  coordinate vectors.
 * ``vec_add``, ``vec_sub``, ``vec_scale`` and ``zero_vector`` are dense
   vector arithmetic on tuples of Fractions, and ``rho_at`` and
   ``theta_at`` extend rho and theta to general elements by linearity; the
@@ -89,6 +91,7 @@ from lyreynolds.algebra import (
 )
 from lyreynolds.cohomology import (
     cochain_dim,
+    differential_matrix,
     flatten,
     unflatten,
     wedge_dim,
@@ -111,6 +114,7 @@ from lyreynolds.linalg import (
     Matrix,
     add_scaled,
     block_diag,
+    kernel_basis,
     lincomb,
     position,
     solve,
@@ -415,6 +419,11 @@ def differential_matrix_by_units(algebra, op, rep, which, degree):
     rows = [list(dlt.row(i)) + [Fraction(0)] * tail_dim for i in range(dlt.rows)]
     rows += [[-x for x in ph.row(i)] + [-x for x in prt.row(i)] for i in range(ph.rows)]
     return Matrix.from_rows(rows, dlt.cols + tail_dim)
+
+
+def cocycle_space(algebra, op, rep, which, degree):
+    """Kernel basis of the degree-p differential, as flat coordinate vectors."""
+    return kernel_basis(differential_matrix(algebra, op, rep, which, degree))
 
 
 def dense_matmul(a, b):

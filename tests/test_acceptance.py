@@ -41,7 +41,6 @@ from lyreynolds.algebra import zero_binary, zero_ternary
 from lyreynolds.cohomology import (
     RlyCochain,
     cochain_from_matrix,
-    cocycle_space,
     matrix_from_cochain,
     phi_matrix,
     tensors_from_cochain2,
@@ -52,6 +51,7 @@ from lyreynolds.extension import Section, assemble_extension, class_representati
 from lyreynolds.linalg import inverse, rank
 from lyreynolds.representation import Representation
 from tests.conftest import identity_op, rand_fraction, rand_matrix, random_valid_triples
+from tests.oracles import cocycle_space
 
 F = Fraction
 _SUITE_START = time.monotonic()

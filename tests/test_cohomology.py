@@ -28,7 +28,6 @@ from lyreynolds import (
 )
 from lyreynolds.cohomology import (
     cochain_from_matrix,
-    cocycle_space,
     flatten,
     flatten_rly,
     matrix_from_cochain,
@@ -41,6 +40,7 @@ from lyreynolds.errors import DegreeOutOfRange, InvalidInput, ShapeMismatch
 from lyreynolds.linalg import inverse, rank
 from lyreynolds.representation import Representation, d_table
 from tests.conftest import identity_op, rand_fraction, rand_matrix, random_valid_triples
+from tests.oracles import cocycle_space
 
 F = Fraction
 

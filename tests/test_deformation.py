@@ -25,7 +25,6 @@ from lyreynolds.algebra import zero_binary, zero_ternary
 from lyreynolds.cohomology import (
     RlyCochain,
     cochain_from_matrix,
-    cocycle_space,
     tensors_from_cochain2,
     matrix_from_cochain,
     unflatten_rly,
@@ -46,7 +45,7 @@ from tests.conftest import (
     random_structures,
     random_valid_triples,
 )
-from tests.oracles import inverse_by_matrices
+from tests.oracles import cocycle_space, inverse_by_matrices
 
 F = Fraction
 

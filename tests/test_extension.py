@@ -27,7 +27,6 @@ from lyreynolds import (
 from lyreynolds.cohomology import (
     RlyCochain,
     cochain_from_matrix,
-    cocycle_space,
     differential_matrix,
     rly_dim,
     unflatten_rly,
@@ -47,6 +46,7 @@ from lyreynolds.extension import (
 )
 from lyreynolds.linalg import inverse, rank
 from tests.conftest import identity_op, rand_fraction, rand_matrix, random_valid_triples
+from tests.oracles import cocycle_space
 
 F = Fraction
 
