@@ -94,18 +94,18 @@ def test_a_total_that_fails_the_axioms_still_raises():
     assert raised["LY3"] >= 1
 
 
-def _spied(monkeypatch, names):
-    """Count the calls of each of ``names`` in the extension module, with
-    the dimension of the first argument (of its total, for an extension)."""
+def _spied(monkeypatch, names, module=extension_module):
+    """Count the calls of each of ``names`` in ``module``, with the
+    dimension of the first argument (of its total, for an extension)."""
     calls = Counter()
     for name in names:
-        original = getattr(extension_module, name)
+        original = getattr(module, name)
 
         def spy(*args, _name=name, _original=original):
             calls[_name, getattr(args[0], "total", args[0]).dim] += 1
             return _original(*args)
 
-        monkeypatch.setattr(extension_module, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 

@@ -92,7 +92,11 @@ def reads(ext):
 
 
 def twin(ext):
-    return AbelianExtension(ext.total, ext.total_op, ext.inject, ext.project)
+    """The general constructor's extension of the same total and arrows;
+    its operator is a new one, without the certificate of a built total,
+    so the constructor scans the Reynolds identities too."""
+    op = ReynoldsOperator(ext.total_op.matrix, ext.total_op.weight)
+    return AbelianExtension(ext.total, op, ext.inject, ext.project)
 
 
 def test_the_inputs_include_a_module_operator_other_than_t():
