@@ -372,10 +372,10 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     canonical arrows: their equality with the block maps (exactness), the
     abelian ideal over the total's cells and LY1-LY6 of the total, so a
     cocycle that does not assemble into a valid extension (dim >= 3)
-    raises.  The extension keeps
-    its inputs as the reads of its canonical section: (L, T, T_V), with the
-    labels of L dropped as a read drops them, the representation and the
-    cocycle, which the input gate and :func:`is_cocycle` have certified.
+    raises.  The extension keeps its inputs as the reads of its canonical
+    section: (L, T, T_V), with the labels of L dropped as a read drops
+    them, the representation and the cocycle, which the input gate and
+    :func:`is_cocycle` have certified.
     """
     _check_base(algebra, op, rep)
     if not is_cocycle(algebra, op, rep, "rly", cocycle.to_cochain()):
