@@ -20,8 +20,9 @@ Three coboundaries act on these spaces:
 
 All differentials are materialized as matrices in the standard cochain
 basis (unit tensors, lexicographic; the f block before the g block, the top
-block before the tail block) and cached per input, so ranks, kernels and
-membership tests reuse them.  The ``ly`` matrix is assembled directly from
+block before the tail block).  The ``ly``, ``ro`` and ``phi`` matrices are
+cached per input, so ranks, kernels and membership tests reuse them; the
+``rly`` matrix is stacked from those blocks on each call.  The ``ly`` matrix is assembled directly from
 the structure constants, rho/theta and the D table: one pass over the
 output slots emits every nonzero entry as a sparse linear form in the
 input coordinates, so assembly costs about the number of nonzeros, not

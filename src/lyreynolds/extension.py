@@ -1,13 +1,13 @@
 """Abelian extensions of a Reynolds Lie-Yamaguti algebra by a module.
 
 An extension is a total algebra-with-operator sitting in a short exact
-sequence V >-> L_hat ->> L whose kernel is an abelian ideal, which the
-constructor checks.  It is read in the basis s(e_1..e_n), i(v_1..v_m) of a
-section s, where the total brackets and operator split into blocks: the base
-data (L, T), the representation (rho, theta, T_V) and a degree-2 cone
-cochain (nu, psi, chi).  :func:`assemble_extension` writes those blocks and
-every reader slices them back out; in block form, with its canonical section
-x -> (x, 0), that basis is the standard one.  Extensions are compared
+sequence V >-> L_hat ->> L whose kernel is an operator-stable abelian
+ideal, which the constructor checks.  In the basis s(e_1..e_n),
+i(v_1..v_m) of a section s the total brackets and operator split into
+blocks: the base data (L, T), the representation (rho, theta, T_V) and a
+degree-2 cone cochain (nu, psi, chi).  :func:`assemble_extension` writes
+those blocks, and a ``_SectionRead``, the total in the basis of one
+section, slices them back out, each on first use.  Extensions are compared
 through their cocycle classes, never by searching over isomorphisms.
 
 Over a gated triple (L, T, V), the assembled operator is Reynolds on the
@@ -23,17 +23,16 @@ cocycle can assemble into a total that fails LY3 or LY4.  So
 :func:`build_extension` certifies the Reynolds half after its cocycle test
 (``ReynoldsOperator._reynolds_on``), and the constructor scans LY1-LY6.
 
-An extension keeps what its canonical section reads: the base data, the
-verified representation and the verified defect cocycle, each built on first
-use; off block form they are kept on its block-form copy, which is kept
-too.  :func:`build_extension` seeds the three from its inputs, which the
-input gate and the cocycle test have certified, so its extensions are never
-read back.
+Each extension reads its canonical section once, at construction, and
+keeps that read; the readers with no section use the block-form copy's.
+:func:`build_extension` seeds its read with its certified inputs, so its
+extensions are never read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algebra import (
@@ -149,28 +148,23 @@ class Section:
 class AbelianExtension:
     """Total structure plus the two arrows of the short exact sequence.
 
-    Construction verifies what can be verified intrinsically: exactness
-    (inject injective, project surjective, project o inject = 0, dimensions
-    adding up), the module image being an abelian ideal, and the total
-    structure passing the algebra and operator verifiers; an operator
-    certified Reynolds on this total (``ReynoldsOperator._reynolds_on``,
-    written by :func:`build_extension`, :func:`semidirect_product` and
-    ``_block_copy`` only) is taken without its scan.  Arrows equal to
-    the block maps of :func:`_canonical_arrows` are exact by that equality,
-    and their section is [I; 0], so block form skips the ranks, the product
-    and the change of basis, and reads the total's own tensors.  In the
-    basis s(e_1..e_n), i(v_1..v_m) of the canonical section, [v, w],
-    {z, v, w} and {v, w, z} must vanish and [x, v], {x, y, v} and {v, x, y}
-    have no base part, for x, y in L, v, w in V and any z.  So every LY1-LY6
-    term with two module arguments vanishes; the check of the total, in any
-    basis, reads pairs of nonzero cells only, and such a term has none (see
-    algebra._ly_identities).  Compatibility with a given base (L, T) and
-    module operator, and T_hat mapping V into V, are checked by the
-    operations that read that data.
-
-    The reads of the canonical section (``_base``, ``_rep``, ``_cocycle``)
-    are kept, off block form on the kept block-form copy (``_block_copy``);
-    they are not fields, so ``==`` and the hash ignore them.
+    Construction checks exactness (inject injective, project surjective,
+    project o inject = 0, dimensions adding up), the module image being an
+    abelian ideal that T_hat maps into itself, and the total passing the
+    algebra and operator verifiers; an operator certified Reynolds on this
+    total (``ReynoldsOperator._reynolds_on``, written by
+    :func:`build_extension`, :func:`semidirect_product` and ``_block_copy``
+    only) is taken without its scan.  Arrows equal to the block maps of
+    :func:`_canonical_arrows` are exact by that equality, and the read of
+    their section [I; 0] is the total's own tensors; other arrows take the
+    ranks, the product and one change of basis.  That read is kept as
+    ``_canonical``, not a field, so ``==`` and the hash ignore it.  In it,
+    [v, w], {z, v, w} and {v, w, z} must vanish and [x, v], {x, y, v} and
+    {v, x, y} have no base part, for x, y in L, v, w in V and any z; so no
+    LY1-LY6 term with two module arguments has a pair of nonzero cells,
+    which is all the check of the total reads (see algebra._ly_identities).
+    Compatibility with a given base (L, T) is checked by the operations
+    that read it.
     """
 
     total: LyAlgebra
@@ -196,11 +190,14 @@ class AbelianExtension:
                 raise InvalidInput("project is not surjective")
             if not (self.project @ self.inject).is_zero():
                 raise InvalidInput("project o inject != 0")
-        binary, ternary, _ = self._read()
+        tensors = (self.total.binary, self.total.ternary, self.total_op.matrix) if block \
+            else _section_basis(self, self.canonical_section())
+        read = _SectionRead(*tensors, n, m, self.total_op.weight)
+        object.__setattr__(self, "_canonical", read)
         # read from the nonzero cells: i, j, k are argument indices, and the
         # last one is the output coordinate
-        pairs = [idx for idx, _ in binary.entries()]
-        triples = [idx for idx, _ in ternary.entries()]
+        pairs = [idx for idx, _ in read.binary.entries()]
+        triples = [idx for idx, _ in read.ternary.entries()]
         if any(i >= n and j >= n for i, j, _ in pairs):
             raise InvalidInput("module image is not binary-abelian")
         if any(j >= n and (i >= n or k >= n) for i, j, k, _ in triples):
@@ -213,6 +210,9 @@ class AbelianExtension:
         if self.total_op._reynolds_on is not self.total:
             verify_reynolds(self.total, self.total_op).require(
                 InvalidInput, "total operator fails the Reynolds identities")
+        # last, so that a total failing an earlier check keeps its message
+        if not _block(read.op, range(n), range(n, big)).is_zero():
+            raise InvalidInput("vector does not lie in the module image")
 
     @property
     def base_dim(self) -> int:
@@ -236,51 +236,18 @@ class AbelianExtension:
         if self.project @ s.map != Matrix.identity(self.base_dim):
             raise NotSection("project o section != identity")
 
-    def _read(self) -> tuple[Tensor, Tensor, Matrix]:
-        """The :func:`_section_basis` read of the canonical section.  In
-        block form it is the total's own tensors and operator matrix; other
-        arrows read afresh, and only ``_block_copy`` keeps such a read."""
-        if self._block_form:
-            return self.total.binary, self.total.ternary, self.total_op.matrix
-        return _section_basis(self, self.canonical_section())
-
     @cached_property
     def _block_copy(self) -> "AbelianExtension":
-        """Off block form, :func:`to_block_form`'s copy, built from one
-        :meth:`_read` and kept.  A change of basis keeps the Reynolds
-        identities of this verified total, so the copy's operator is
-        certified on the copy's total; LY1-LY6 are scanned again, so that a
-        failure is still reported in the copy's basis."""
-        n, m = self.base_dim, self.module_dim
-        binary, ternary, op = self._read()
-        total = LyAlgebra(n + m, binary, ternary)
+        """Off block form, :func:`to_block_form`'s copy: ``_canonical`` as
+        its total.  A change of basis keeps the Reynolds identities of this
+        verified total, so the copy's operator is certified on the copy's
+        total; LY1-LY6 are scanned again, so that a failure is still
+        reported in the copy's basis."""
+        read = self._canonical
+        total = LyAlgebra(read.n + read.m, read.binary, read.ternary)
         return AbelianExtension(
-            total, _certify_reynolds(total, ReynoldsOperator(op, self.total_op.weight)),
-            *_canonical_arrows(n, m))
-
-    def _kept(self, name: str):
-        """The kept read ``name`` of the canonical section: ``_base``, then
-        ``_rep`` taken with it, then ``_cocycle`` taken with both.  Those
-        up to ``name`` that are not kept yet are built from one
-        :meth:`_read` and kept; off block form they are the block-form
-        copy's, whose read is its own tensors."""
-        if not self._block_form:
-            return self._block_copy._kept(name)
-        kept = self.__dict__
-        if name not in kept:
-            read = self._read()
-            if "_base" not in kept:
-                kept["_base"] = _read_base(self, read)
-            base, base_op, tv = kept["_base"]
-            if name != "_base" and "_rep" not in kept:
-                kept["_rep"] = _read_rep(self, read, base, base_op, tv)
-            if name == "_cocycle":
-                kept["_cocycle"] = _defect_cocycle(self, read, base, base_op, kept["_rep"])
-        return kept[name]
-
-    _base = property(lambda self: self._kept("_base"))
-    _rep = property(lambda self: self._kept("_rep"))
-    _cocycle = property(lambda self: self._kept("_cocycle"))
+            total, _certify_reynolds(total, ReynoldsOperator(read.op, read.weight)),
+            *_canonical_arrows(read.n, read.m))
 
 
 def assemble_extension(algebra: LyAlgebra, op: ReynoldsOperator,
@@ -372,10 +339,10 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
     canonical arrows: their equality with the block maps (exactness), the
     abelian ideal over the total's cells and LY1-LY6 of the total, so a
     cocycle that does not assemble into a valid extension (dim >= 3)
-    raises.  The extension keeps its inputs as the reads of its canonical
-    section: (L, T, T_V), with the labels of L dropped as a read drops
-    them, the representation and the cocycle, which the input gate and
-    :func:`is_cocycle` have certified.
+    raises.  Its canonical read is seeded with its inputs, which the input
+    gate and :func:`is_cocycle` have certified: (L, T, T_V), with the
+    labels of L dropped as a read drops them, the representation and the
+    cocycle.
     """
     _check_base(algebra, op, rep)
     if not is_cocycle(algebra, op, rep, "rly", cocycle.to_cochain()):
@@ -385,7 +352,7 @@ def build_extension(algebra: LyAlgebra, op: ReynoldsOperator, rep: Representatio
                            *_canonical_arrows(algebra.dim, rep.module_dim))
     base = algebra if algebra.labels is None else LyAlgebra(
         algebra.dim, algebra.binary, algebra.ternary)
-    vars(ext).update(_base=(base, op, rep.module_op), _rep=rep, _cocycle=cocycle)
+    vars(ext._canonical).update(base=(base, op, rep.module_op), rep=rep, cocycle=cocycle)
     return ext
 
 
@@ -449,61 +416,75 @@ def _block(mat: Matrix, rows: range, cols: range) -> Matrix:
         tuple((j - cols.start, x) for j, x in mat.sparse[i] if j in cols) for i in rows))
 
 
-def _read_base(ext: AbelianExtension, read) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
-    """(L, T, T_V) from the :func:`_section_basis` read of a section.
+@dataclass(eq=False)
+class _SectionRead:
+    """The total's tensors and operator matrix in the basis of one section
+    (:func:`_section_basis`), with n, m and the weight; ``base``, ``rep``
+    and ``cocycle`` are its reads, each built on first use and kept.  It
+    holds no reference to the extension."""
 
-    In that basis the base brackets and T are the base parts of the base
-    blocks (independent of the section because the kernel is an ideal), and
-    T_V is the module block of T_hat, whose base part must vanish for the
-    module to be operator-stable."""
-    binary, ternary, op = read
-    n = ext.base_dim
-    base, module = range(n), range(n, ext.total.dim)
-    if not _block(op, base, module).is_zero():
-        raise InvalidInput("vector does not lie in the module image")
-    base_op = ReynoldsOperator(_block(op, base, base), ext.total_op.weight)
-    return (LyAlgebra(n, *_base_blocks(binary, ternary, n, 0, n)), base_op,
-            _block(op, module, module))
+    binary: Tensor
+    ternary: Tensor
+    op: Matrix
+    n: int
+    m: int
+    weight: Fraction
+
+    @cached_property
+    def base(self) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
+        """(L, T, T_V): the base parts of the base blocks and of T_hat, which
+        do not depend on the section because the kernel is an ideal, and
+        the module block of T_hat."""
+        n, module = self.n, range(self.n, self.n + self.m)
+        return (LyAlgebra(n, *_base_blocks(self.binary, self.ternary, n, 0, n)),
+                ReynoldsOperator(_block(self.op, range(n), range(n)), self.weight),
+                _block(self.op, module, module))
+
+    @cached_property
+    def rep(self) -> Representation:
+        """The rho and theta blocks, with T_V, validated against (L, T)."""
+        n, m = self.n, self.m
+        # entry (a, v) of rho(e_i) is [e_i, v]_a, and of theta(e_i, e_j) it is
+        # {v, e_i, e_j}_a, for v and a past n
+        rho = from_cells({(i, a - n, v - n): c for (i, v, a), c in self.binary.entries()
+                          if i < n <= v and a >= n}, (n, m, m))
+        theta = from_cells({(i, j, a - n, v - n): c for (v, i, j, a), c in self.ternary.entries()
+                            if max(i, j) < n <= v and a >= n}, (n, n, m, m))
+        base, base_op, tv = self.base
+        rep = Representation(n, m, rho, theta, tv)
+        verify_reynolds_rep(base, base_op, rep).require(
+            InternalInconsistency, "representation read off a verified extension fails")
+        return rep
+
+    @cached_property
+    def cocycle(self) -> ExtensionCocycle:
+        """The module parts of the base blocks, since v - s(project(v)) =
+        i(module part of v), re-checked to be a cocycle."""
+        n = self.n
+        nu, psi = _base_blocks(self.binary, self.ternary, n, n, self.m)
+        cocycle = ExtensionCocycle(nu, psi, _block(self.op, range(n, n + self.m), range(n)))
+        base, base_op, _tv = self.base
+        if not is_cocycle(base, base_op, self.rep, "rly", cocycle.to_cochain()):
+            raise InternalInconsistency(
+                "defect data of a verified extension is not a cocycle")
+        return cocycle
+
+
+def _reads(ext: AbelianExtension, section: Section | None) -> _SectionRead:
+    """With no section, the kept read of the canonical section, the
+    block-form copy's off block form; otherwise a new read of ``section``."""
+    if section is None:
+        return to_block_form(ext)._canonical
+    ext.check_section(section)
+    return _SectionRead(*_section_basis(ext, section), ext.base_dim, ext.module_dim,
+                        ext.total_op.weight)
 
 
 def base_data(ext: AbelianExtension, section: Section | None = None
               ) -> tuple[LyAlgebra, ReynoldsOperator, Matrix]:
-    """Recover (L, T, T_V) from an extension, in the basis of ``section``;
-    with no section, the extension's kept read of its canonical one."""
-    if section is None:
-        return ext._base
-    ext.check_section(section)
-    return _read_base(ext, _section_basis(ext, section))
-
-
-def _read_rep(ext: AbelianExtension, read, base: LyAlgebra, base_op: ReynoldsOperator,
-              tv: Matrix) -> Representation:
-    """The representation of L on V, T_V included, from the read of a
-    section and the base data taken from it: the rho and theta blocks,
-    validated against that base data."""
-    binary, ternary, _ = read
-    n, m = ext.base_dim, ext.module_dim
-    # entry (a, v) of rho(e_i) is [e_i, v]_a, and of theta(e_i, e_j) it is
-    # {v, e_i, e_j}_a, for v and a past n
-    rho = from_cells({(i, a - n, v - n): c for (i, v, a), c in binary.entries()
-                      if i < n <= v and a >= n}, (n, m, m))
-    theta = from_cells({(i, j, a - n, v - n): c for (v, i, j, a), c in ternary.entries()
-                        if max(i, j) < n <= v and a >= n}, (n, n, m, m))
-    rep = Representation(n, m, rho, theta, tv)
-    verify_reynolds_rep(base, base_op, rep).require(
-        InternalInconsistency, "representation read off a verified extension fails")
-    return rep
-
-
-def _base_and_rep(ext: AbelianExtension, section: Section
-                  ) -> tuple[tuple, LyAlgebra, ReynoldsOperator, Representation]:
-    """One :func:`_section_basis` read of a given section, and the base data
-    (L, T) and representation taken from it; callers pass the read on to
-    further readers of the section."""
-    ext.check_section(section)
-    read = _section_basis(ext, section)
-    base, base_op, tv = _read_base(ext, read)
-    return read, base, base_op, _read_rep(ext, read, base, base_op, tv)
+    """Recover (L, T, T_V) from an extension, in the basis of ``section``
+    (the canonical one when None)."""
+    return _reads(ext, section).base
 
 
 def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Representation:
@@ -513,32 +494,9 @@ def extract_rep(ext: AbelianExtension, section: Section | None = None) -> Repres
         theta(x,y) u  = {i(u), s(x), s(y)}
 
     Independent of the section because the kernel is abelian; validated
-    against the recovered base data before being returned.  With no
-    section, the extension's kept read of its canonical one.
+    against the recovered base data before being returned.
     """
-    if section is None:
-        return ext._rep
-    return _base_and_rep(ext, section)[3]
-
-
-def _defect_cocycle(ext: AbelianExtension, read, base: LyAlgebra,
-                    base_op: ReynoldsOperator, rep: Representation) -> ExtensionCocycle:
-    """The defect cochain of :func:`extract_cocycle` from the read of a
-    section and the base data already taken from it, re-checked to be a
-    cocycle.
-
-    In the basis of the section each defect is the module part of a base
-    block: v - s(project(v)) = i(module part of v) for a total vector v.
-    """
-    binary, ternary, op = read
-    n = ext.base_dim
-    nu, psi = _base_blocks(binary, ternary, n, n, ext.module_dim)
-    cocycle = ExtensionCocycle(nu, psi, _block(op, range(n, ext.total.dim), range(n)))
-
-    if not is_cocycle(base, base_op, rep, "rly", cocycle.to_cochain()):
-        raise InternalInconsistency(
-            "defect data of a verified extension is not a cocycle")
-    return cocycle
+    return _reads(ext, section).rep
 
 
 def extract_cocycle(ext: AbelianExtension, section: Section | None = None
@@ -550,20 +508,16 @@ def extract_cocycle(ext: AbelianExtension, section: Section | None = None
         chi(x)     = T_hat s(x) - s(T x)
 
     All three defects land in the module image; the result is verified to be
-    a cocycle over the recovered base data.  With no section, the
-    extension's kept read of its canonical one.
+    a cocycle over the recovered base data.
     """
-    if section is None:
-        return ext._cocycle
-    return _defect_cocycle(ext, *_base_and_rep(ext, section))
+    return _reads(ext, section).cocycle
 
 
 def to_block_form(ext: AbelianExtension) -> AbelianExtension:
-    """Transport an extension to block coordinates on L (+) V: its total
-    read in the basis of the canonical section, with the canonical block
-    maps as arrows, verified once and kept on ``ext`` with the reads of that
-    section.  An extension already
-    in block form is returned as it is."""
+    """Transport an extension to block coordinates on L (+) V: its
+    canonical read as the total, with the canonical block maps as arrows,
+    verified once and kept on ``ext``.  An extension already in block form
+    is returned as it is."""
     return ext if ext._block_form else ext._block_copy
 
 
@@ -572,23 +526,21 @@ def extensions_equivalent(e1: AbelianExtension, e2: AbelianExtension) -> Matrix 
     None otherwise.
 
     Both extensions are first moved to block form and must recover identical
-    base data; each side's base data, representation and cocycle are its
-    kept, verified reads.  When a witness iota with d(iota) = c1 - c2
-    exists, the block map it defines is verified to preserve both brackets
-    and the operator and to commute with the two arrows before being
-    returned.
+    base data and representation from their kept canonical reads.  When a
+    witness iota with d(iota) = c1 - c2 exists, the block map it defines is
+    verified to preserve both brackets and the operator and to commute with
+    the two arrows before being returned.
     """
     e1 = to_block_form(e1)
     e2 = to_block_form(e2)
-    (base, base_op, tv), rep = e1._base, e1._rep
-    (b2, o2, tv2), r2 = e2._base, e2._rep
-    if (base, base_op, tv) != (b2, o2, tv2):
+    r1, r2 = e1._canonical, e2._canonical
+    if r1.base != r2.base:
         raise IncompatibleData("extensions do not share base algebra/operators")
-    if rep != r2:
+    if r1.rep != r2.rep:
         raise IncompatibleData("extensions do not induce the same representation")
-    c1 = e1._cocycle.to_cochain()
-    c2 = e2._cocycle.to_cochain()
-    witness = coboundary_preimage(base, base_op, rep, "rly", c1 - c2)
+    base, base_op, _tv = r1.base
+    witness = coboundary_preimage(base, base_op, r1.rep, "rly",
+                                  r1.cocycle.to_cochain() - r2.cocycle.to_cochain())
     if witness is None:
         return None
     iota = matrix_from_cochain(witness.top)

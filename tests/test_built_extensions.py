@@ -150,8 +150,8 @@ def test_the_block_form_copy_is_verified_once(monkeypatch):
 
 def test_the_reads_off_block_form_are_the_copy_s(monkeypatch):
     """An equivalence query and then the three reads of the canonical
-    section take one change of basis and one scan of each kind, all on the
-    block-form copy."""
+    section take one scan of each kind, all on the block-form copy, and no
+    change of basis: the constructor took it."""
     rng = random.Random(135)
     algebra, op, rep = TRIPLES[0]
     ext = build_extension(algebra, op, rep, kernel_cocycles(rng, algebra, op, rep, 1)[0])
@@ -161,7 +161,26 @@ def test_the_reads_off_block_form_are_the_copy_s(monkeypatch):
     assert extensions_equivalent(moved, ext) is not None
     kept = reads(moved)
     assert sorted(name for name, _dim in calls.elements()) == [
-        "_section_basis", "is_cocycle", "verify_ly_axioms", "verify_reynolds_rep"]
+        "is_cocycle", "verify_ly_axioms", "verify_reynolds_rep"]
     copy = to_block_form(moved)
     assert reads(copy) == kept and kept == reads(twin(copy))
-    assert not {"_base", "_rep", "_cocycle"} & set(vars(moved))
+    assert not {"base", "rep", "cocycle"} & set(vars(moved._canonical))
+
+
+def test_an_extension_off_block_form_changes_basis_once(monkeypatch):
+    """From before the constructor: a scrambled extension, one equivalence
+    query and the three reads of the canonical section take one change of
+    basis, at construction, and scan LY1-LY6 twice (the scrambled total and
+    its block-form copy) and the Reynolds identities once (the copy's
+    operator is certified)."""
+    rng = random.Random(136)
+    algebra, op, rep = TRIPLES[0]
+    ext = build_extension(algebra, op, rep, kernel_cocycles(rng, algebra, op, rep, 1)[0])
+    calls = _spied(monkeypatch, ("_section_basis", "verify_ly_axioms", "verify_reynolds"))
+    moved = scrambled(rng, ext)
+    assert not moved._block_form
+    assert extensions_equivalent(moved, ext) is not None
+    reads(moved)
+    big = ext.total.dim
+    assert calls == Counter({("_section_basis", big): 1, ("verify_ly_axioms", big): 2,
+                             ("verify_reynolds", big): 1})

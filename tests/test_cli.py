@@ -623,6 +623,42 @@ project_row = 1 0
     assert out == "extension-structure: FAIL\nmodule image is not an ideal\n"
 
 
+@pytest.mark.parametrize("references", ["base = b\noperator = tb\n", ""],
+                         ids=["with-base", "bare"])
+def test_verify_rejects_an_operator_that_leaves_the_module_image(tmp_path, capsys, references):
+    # the abelian total of dim 2 with V = span(e2) and T_hat e2 = e1: every
+    # other check passes, and the base references change nothing
+    text = f"""
+[algebra b]
+dim = 1
+
+[operator tb]
+algebra = b
+weight = 0
+row = 0
+
+[algebra a]
+dim = 2
+
+[operator ta]
+algebra = a
+weight = 0
+row = 0 1
+row = 0 0
+
+[extension leaves]
+total = a
+total_operator = ta
+{references}inject_row = 0
+inject_row = 1
+project_row = 1 0
+"""
+    path = write(tmp_path, text)
+    assert main(["verify", path, "--name", "leaves"]) == 1
+    out = capsys.readouterr().out
+    assert out == "extension-structure: FAIL\nvector does not lie in the module image\n"
+
+
 PAIR_OF_ALGEBRAS = """
 [algebra a]
 dim = 2

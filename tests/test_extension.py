@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -101,7 +102,7 @@ def test_zero_cocycle_builds_semidirect(setup):
 
 
 def test_each_extension_reads_its_base_data_once(setup, monkeypatch):
-    """build_extension keeps its certified inputs as the reads of its
+    """build_extension seeds its certified inputs into the read of its
     canonical section, so its readers extract and verify nothing; a twin
     built by hand from the same total and arrows extracts (L, T, T_V),
     verifies the representation and tests the cocycle once, over every
@@ -113,7 +114,16 @@ def test_each_extension_reads_its_base_data_once(setup, monkeypatch):
                             kernel_cocycles(random.Random(44), algebra, op, rep, 1)[0])
     twin = AbelianExtension(built.total, built.total_op, built.inject, built.project)
     calls = Counter()
-    for name in ("_read_base", "verify_reynolds_rep", "is_cocycle"):
+    body = extension._SectionRead.base.func
+
+    def read_base(read):
+        calls["base"] += 1
+        return body(read)
+
+    spy = cached_property(read_base)
+    spy.__set_name__(extension._SectionRead, "base")
+    monkeypatch.setattr(extension._SectionRead, "base", spy)
+    for name in ("verify_reynolds_rep", "is_cocycle"):
         def counted(*args, _name=name, _fn=getattr(extension, name)):
             calls[_name] += 1
             return _fn(*args)
@@ -127,7 +137,7 @@ def test_each_extension_reads_its_base_data_once(setup, monkeypatch):
                        lambda e: extensions_equivalent(e, built)):
                 fn(ext)
         assert calls == Counter(dict.fromkeys(
-            ("_read_base", "verify_reynolds_rep", "is_cocycle"), once))
+            ("base", "verify_reynolds_rep", "is_cocycle"), once))
     assert extract_rep(twin) == extract_rep(built) == rep
 
 

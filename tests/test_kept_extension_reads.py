@@ -11,8 +11,8 @@
   checks: each of the three raises on both arrow paths.
 * ``d_rly`` applies the cone block by block; it must equal the stacked
   matrix of ``differential_matrix``, entry for entry.
-* Off block form, the first reader of a fresh extension takes base data,
-  representation and cocycle from one ``_section_basis`` read.
+* Off block form, the constructor takes the one ``_section_basis`` read of
+  the canonical section, and the readers take none.
 """
 
 import random
@@ -191,10 +191,10 @@ def test_the_cone_applied_by_blocks_equals_its_stacked_matrix():
 
 
 @pytest.mark.parametrize("reader", [extract_rep, extract_cocycle, base_data])
-def test_the_first_read_off_block_form_takes_one_section_basis(monkeypatch, reader):
-    """Off block form no section-basis read is kept, so the reads kept with
-    it (base data, then the representation, then the cocycle) are all
-    taken from the one read that the first reader makes."""
+def test_the_first_read_off_block_form_takes_no_section_basis(monkeypatch, reader):
+    """Off block form the constructor keeps its read of the canonical
+    section, and the block-form copy is built from it, so the first reader
+    takes no further change of basis."""
     calls = []
     original = extension_module._section_basis
 
@@ -209,5 +209,5 @@ def test_the_first_read_off_block_form_takes_one_section_basis(monkeypatch, read
     assert not moved._block_form
     monkeypatch.setattr(extension_module, "_section_basis", counted)
     got = reader(moved)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert got == reader(twin(moved))
